@@ -11,22 +11,15 @@
 //! active NQs and T-tenants to the second half, eliminating NQ-level
 //! interference while keeping the same number of queues.
 
-use dd_nvme::command::HostTag;
-use dd_nvme::spec::CommandId;
-use dd_nvme::{CqEntry, CqId, NvmeCommand, SqId};
+use dd_nvme::{CqId, SqId};
 use simkit::{DenseMap, SimDuration};
 
 use crate::bio::Bio;
 use crate::capabilities::Capabilities;
+use crate::dispatch::Dispatch;
 use crate::ioprio::IoPriorityClass;
 use crate::iosched::{IoScheduler, SchedKind, StagedRequest};
-use crate::nsqlock::NsqLockTable;
-use crate::reqmap::RequestMap;
-use crate::split::{split_extents, SplitConfig};
-use crate::stack::{
-    arena_tags, process_cqes, trace_enqueued, trace_routed, CompletionMode, ParkedCommands,
-    RedriveGuard, StackEnv, StackStats, StorageStack,
-};
+use crate::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats, StorageStack};
 use crate::tenant::{Pid, TaskStruct};
 
 /// How cores map to NSQs.
@@ -74,31 +67,23 @@ struct TenantState {
 }
 
 /// The vanilla blk-mq storage stack.
+///
+/// Its I/O service dispatching is fixed and SLA-blind: every NSQ doorbell
+/// covers a batch and every CQ is reaped batched — the two decisions the
+/// Daredevil stack makes pluggable through `daredevil::policy::Policy`.
 pub struct VanillaBlkMq {
     nr_queues: u16,
     policy: QueuePolicy,
     tenants: DenseMap<Pid, TenantState>,
-    locks: NsqLockTable,
-    reqmap: RequestMap,
-    parked: ParkedCommands,
-    redrive: RedriveGuard,
-    split: SplitConfig,
-    stats: StackStats,
+    dispatch: Dispatch,
     /// Per-NSQ elevator instance (None = direct dispatch).
     scheds: Vec<Option<Box<dyn IoScheduler>>>,
     /// Dispatched-but-uncompleted commands per NSQ (budget accounting).
     inflight: Vec<u32>,
     hw_budget: u32,
-    /// Recycled submit staging buffer (drained back to empty every call).
-    cmd_scratch: Vec<NvmeCommand>,
-    /// Recycled elevator dispatch batch.
-    batch_scratch: Vec<NvmeCommand>,
-    /// Recycled ISR scratch for drained CQEs.
-    cqe_scratch: Vec<CqEntry>,
-    /// Recycled ISR scratch: freed elevator tokens per entry.
-    freed_scratch: Vec<(SqId, bool)>,
-    /// Recycled ISR scratch: SQs to refill after completions.
-    touched_scratch: Vec<SqId>,
+    /// Elevator NSQs to refill after an ISR, in first-completion order
+    /// (deduplicated, so never longer than the NSQ count it is sized to).
+    refill: Vec<SqId>,
 }
 
 impl VanillaBlkMq {
@@ -115,20 +100,11 @@ impl VanillaBlkMq {
             nr_queues,
             policy: cfg.policy,
             tenants: DenseMap::new(),
-            locks: NsqLockTable::new(device_sqs),
-            reqmap: RequestMap::new(),
-            parked: ParkedCommands::new(),
-            redrive: RedriveGuard::new(),
-            split: SplitConfig::default(),
-            stats: StackStats::default(),
+            dispatch: Dispatch::new(device_sqs),
             scheds: (0..device_sqs).map(|_| cfg.scheduler.build()).collect(),
             inflight: vec![0; device_sqs as usize],
             hw_budget: cfg.hw_budget.max(1),
-            cmd_scratch: Vec::new(),
-            batch_scratch: Vec::new(),
-            cqe_scratch: Vec::new(),
-            freed_scratch: Vec::new(),
-            touched_scratch: Vec::new(),
+            refill: Vec::with_capacity(device_sqs as usize),
         }
     }
 
@@ -144,47 +120,18 @@ impl VanillaBlkMq {
     /// Releases staged requests of `sq` up to the in-flight budget; returns
     /// the CPU cost of the dispatch work.
     fn run_queue(&mut self, sq: SqId, env: &mut StackEnv<'_>) -> SimDuration {
-        if self.scheds[sq.index()].is_none() {
+        let Some(sched) = self.scheds[sq.index()].as_mut() else {
             return SimDuration::ZERO;
-        }
-        // Reused dispatch batch: taken, drained back to empty, restored.
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        debug_assert!(batch.is_empty());
-        let sched = self.scheds[sq.index()].as_mut().expect("checked");
-        while self.inflight[sq.index()] + (batch.len() as u32) < self.hw_budget {
+        };
+        while self.inflight[sq.index()] + (self.dispatch.staged(sq) as u32) < self.hw_budget {
             match sched.dispatch(env.now) {
-                Some(staged) => batch.push(staged.cmd),
+                Some(staged) => self.dispatch.stage_command(sq, staged.cmd),
                 None => break,
             }
         }
-        if batch.is_empty() {
-            self.batch_scratch = batch;
-            return SimDuration::ZERO;
-        }
-        let n = batch.len() as u64;
-        let hold = env.costs.nsq_insert * n;
-        let acq = self.locks.acquire(sq, env.now, hold);
-        let mut pushed = 0u64;
-        for cmd in batch.drain(..) {
-            if env.device.sq_has_room(sq) {
-                env.device
-                    .push_command(sq, cmd)
-                    .expect("budget is far below queue depth");
-                trace_enqueued(&mut env.dev_out.trace, env.now, cmd.host, sq);
-                self.inflight[sq.index()] += 1;
-                pushed += 1;
-                self.stats.submitted_rqs += 1;
-            } else {
-                self.parked.park(sq, cmd);
-                self.stats.requeues += 1;
-            }
-        }
-        if pushed > 0 {
-            env.device.ring_doorbell(sq, env.now, env.dev_out);
-            self.stats.doorbells += 1;
-        }
-        self.batch_scratch = batch;
-        acq.wait + hold + env.costs.doorbell
+        let p = self.dispatch.push(sq, DoorbellMode::Batched, env);
+        self.inflight[sq.index()] += p.pushed as u32;
+        p.batch_cost(env.costs)
     }
 
     /// Number of NSQs this stack actively uses.
@@ -206,15 +153,6 @@ impl VanillaBlkMq {
                 }
             }
         }
-    }
-
-    /// The fixed I/O service dispatching of vanilla blk-mq: every CQ is
-    /// reaped batched (and every NSQ doorbell covers a batch,
-    /// [`crate::stack::DoorbellMode::Batched`]), SLA-blind — the two
-    /// decisions the Daredevil stack makes pluggable per NCQ/batch through
-    /// `daredevil::policy::Policy`.
-    fn completion_mode(&self) -> CompletionMode {
-        CompletionMode::Batched
     }
 }
 
@@ -250,188 +188,79 @@ impl StorageStack for VanillaBlkMq {
     }
 
     fn reserve(&mut self, hint: usize) {
-        self.reqmap.reserve(hint);
-        self.cmd_scratch.reserve(hint);
-        self.cqe_scratch.reserve(hint);
+        self.dispatch.reserve(hint);
         for sched in self.scheds.iter_mut().flatten() {
             sched.reserve(hint);
         }
     }
 
     fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        arena.put(arena_tags::REQMAP, std::mem::take(&mut self.reqmap));
-        arena.put(arena_tags::CMD_SCRATCH, std::mem::take(&mut self.cmd_scratch));
-        arena.put(arena_tags::CMD_SCRATCH_2, std::mem::take(&mut self.batch_scratch));
-        arena.put(arena_tags::CQE_SCRATCH, std::mem::take(&mut self.cqe_scratch));
-        arena.put(0, std::mem::take(&mut self.freed_scratch));
-        arena.put(0, std::mem::take(&mut self.touched_scratch));
+        self.dispatch.park(arena);
     }
 
     fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.reqmap = arena.take(arena_tags::REQMAP);
-        self.cmd_scratch = arena.take(arena_tags::CMD_SCRATCH);
-        self.batch_scratch = arena.take(arena_tags::CMD_SCRATCH_2);
-        self.cqe_scratch = arena.take(arena_tags::CQE_SCRATCH);
-        self.freed_scratch = arena.take(0);
-        self.touched_scratch = arena.take(0);
+        self.dispatch.adopt(arena);
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
         debug_assert!(!bios.is_empty());
-        let core = bios[0].core;
         let ionice = self
             .tenants
             .get(bios[0].tenant)
             .map(|t| t.ionice)
             .unwrap_or_default();
-        let sq = self.sq_for(core, ionice);
-
-        // Build all commands of this plug batch in the recycled staging
-        // buffer (drained back to empty before this call returns).
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        debug_assert!(cmds.is_empty());
+        let sq = self.sq_for(bios[0].core, ionice);
+        let mut n = 0;
         for bio in bios {
-            let extents = split_extents(&self.split, bio.offset_blocks, bio.bytes);
-            let h = self.reqmap.insert_bio(*bio, extents.len() as u32);
-            for e in extents {
-                let rq_id = self
-                    .reqmap
-                    .alloc_rq_dir(h, e.nlb, bio.op == dd_nvme::IoOpcode::Read);
-                let host = HostTag {
-                    rq_id,
-                    submit_core: core,
-                    tenant: bio.tenant.0,
-                    sla: ionice.sla(),
-                };
-                trace_routed(
-                    &mut env.dev_out.trace,
-                    env.now,
-                    host,
-                    sq,
-                    bio.flags.is_outlier(),
-                );
-                cmds.push(NvmeCommand {
-                    cid: CommandId(rq_id),
-                    nsid: bio.nsid,
-                    opcode: bio.op,
-                    slba: e.slba,
-                    nlb: e.nlb,
-                    host,
-                });
-            }
+            n += self.dispatch.stage(bio, sq, ionice.sla(), env);
         }
-
         // With an elevator, requests stage and dispatch under the budget.
-        if self.scheds[sq.index()].is_some() {
-            let n = cmds.len() as u32;
-            let sched = self.scheds[sq.index()].as_mut().expect("checked");
-            for cmd in cmds.drain(..) {
+        if let Some(sched) = self.scheds[sq.index()].as_mut() {
+            for cmd in self.dispatch.unstage(sq) {
                 sched.insert(StagedRequest::new(cmd, sq, env.now));
             }
-            self.cmd_scratch = cmds;
-            let dispatch_cost = self.run_queue(sq, env);
-            return env.costs.submit_cost(n) + dispatch_cost;
+            return env.costs.submit_cost(n) + self.run_queue(sq, env);
         }
-
-        // One lock hold covers the whole plug-list insertion.
-        let n = cmds.len() as u64;
-        let hold = env.costs.nsq_insert * n;
-        let acq = self.locks.acquire(sq, env.now, hold);
-
-        let mut pushed = 0u64;
-        for cmd in cmds.drain(..) {
-            if env.device.sq_has_room(sq) {
-                env.device
-                    .push_command(sq, cmd)
-                    .expect("has_room guaranteed space");
-                trace_enqueued(&mut env.dev_out.trace, env.now, cmd.host, sq);
-                pushed += 1;
-                self.stats.submitted_rqs += 1;
-            } else {
-                self.parked.park(sq, cmd);
-                self.stats.requeues += 1;
-            }
-        }
-        if pushed > 0 {
-            // Plugging: one doorbell for the whole batch.
-            env.device.ring_doorbell(sq, env.now, env.dev_out);
-            self.stats.doorbells += 1;
-        }
-        self.cmd_scratch = cmds;
-        env.costs.submit_cost(n as u32) + acq.wait + hold + env.costs.doorbell
+        // One lock hold and (plugging) one doorbell cover the whole batch.
+        let pushed = self.dispatch.push(sq, DoorbellMode::Batched, env);
+        env.costs.submit_cost(n) + pushed.batch_cost(env.costs)
     }
 
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
-        let mut entries = std::mem::take(&mut self.cqe_scratch);
-        env.device.isr_pop_into(cq, usize::MAX, &mut entries);
-        // Capture scheduler token info before the request map forgets the
-        // requests.
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        debug_assert!(freed.is_empty());
-        for e in &entries {
-            if self.scheds[e.sq_id.index()].is_some() {
-                let read = self.reqmap.rq_is_read(e.host.rq_id).unwrap_or(true);
-                freed.push((e.sq_id, read));
+        // Release elevator tokens while the request map still knows each
+        // request's direction, noting which queues to refill.
+        let mut cost = self.dispatch.reap(cq, core, env, |entries, reqmap| {
+            for e in entries {
+                let sq = e.sq_id;
+                if let Some(sched) = self.scheds[sq.index()].as_mut() {
+                    sched.complete(reqmap.rq_is_read(e.host.rq_id).unwrap_or(true));
+                    self.inflight[sq.index()] = self.inflight[sq.index()].saturating_sub(1);
+                    if !self.refill.contains(&sq) {
+                        self.refill.push(sq);
+                    }
+                }
             }
+            CompletionMode::Batched
+        });
+        for i in 0..self.refill.len() {
+            cost += self.run_queue(self.refill[i], env);
         }
-        let mut cost = process_cqes(
-            &entries,
-            self.completion_mode(),
-            core,
-            env.now,
-            env.costs,
-            &mut self.reqmap,
-            &mut self.stats,
-            env.completions,
-            &mut env.dev_out.trace,
-        );
-        env.device.isr_done(cq, env.now, env.dev_out);
-        self.cqe_scratch = entries;
-        // Release elevator tokens and refill the freed queues.
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        debug_assert!(touched.is_empty());
-        for (sq, read) in freed.drain(..) {
-            self.inflight[sq.index()] = self.inflight[sq.index()].saturating_sub(1);
-            if let Some(sched) = self.scheds[sq.index()].as_mut() {
-                sched.complete(read);
-            }
-            if !touched.contains(&sq) {
-                touched.push(sq);
-            }
-        }
-        self.freed_scratch = freed;
-        for sq in touched.drain(..) {
-            cost += self.run_queue(sq, env);
-        }
-        self.touched_scratch = touched;
+        self.refill.clear();
         // Freed SQ entries: retry parked commands (kblockd requeue).
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
+        self.dispatch.flush_parked(env);
         cost
     }
 
     fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        // Fault recovery: completion-starved parked commands first, then
-        // stalled-NSQ doorbell redrive with bounded retry.
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
-        self.redrive
-            .redrive(env.device, env.now, env.dev_out, &mut self.stats);
+        self.dispatch.watchdog(env);
     }
 
     fn stats(&self) -> StackStats {
-        let mut s = self.stats;
-        s.lock_wait_total = self.locks.in_lock_grand_total();
-        s.lock_contended = self.locks.contended_grand_total();
-        s
+        self.dispatch.stats()
     }
 
     fn io_capacity(&self) -> usize {
-        self.reqmap.capacity()
+        self.dispatch.io_capacity()
     }
 }
 

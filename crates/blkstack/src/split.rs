@@ -35,30 +35,25 @@ pub struct Extent {
     pub nlb: u32,
 }
 
-/// Splits `(offset_blocks, bytes)` into command-sized extents.
+/// Splits `(offset_blocks, bytes)` into command-sized extents, computed
+/// on the fly (the per-bio submit path allocates nothing).
 ///
-/// Returns one extent for dataless I/O (`bytes == 0`, i.e. flush) so every
+/// Yields one extent for dataless I/O (`bytes == 0`, i.e. flush) so every
 /// bio maps to at least one command.
-pub fn split_extents(cfg: &SplitConfig, offset_blocks: u64, bytes: u64) -> Vec<Extent> {
-    if bytes == 0 {
-        return vec![Extent {
-            slba: offset_blocks,
-            nlb: 0,
-        }];
-    }
+pub fn split_extents(
+    cfg: &SplitConfig,
+    offset_blocks: u64,
+    bytes: u64,
+) -> impl ExactSizeIterator<Item = Extent> {
     let total_blocks = bytes_to_blocks(bytes);
     let max_blocks = (cfg.max_bytes / BLOCK_BYTES).max(1) as u32;
-    let mut out = Vec::with_capacity(total_blocks.div_ceil(max_blocks) as usize);
-    let mut done = 0u32;
-    while done < total_blocks {
-        let nlb = (total_blocks - done).min(max_blocks);
-        out.push(Extent {
+    (0..total_blocks.div_ceil(max_blocks).max(1)).map(move |i| {
+        let done = i * max_blocks;
+        Extent {
             slba: offset_blocks + done as u64,
-            nlb,
-        });
-        done += nlb;
-    }
-    out
+            nlb: (total_blocks - done).min(max_blocks),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -67,19 +62,19 @@ mod tests {
 
     #[test]
     fn small_bio_is_one_extent() {
-        let e = split_extents(&SplitConfig::default(), 10, 4096);
+        let e: Vec<_> = split_extents(&SplitConfig::default(), 10, 4096).collect();
         assert_eq!(e, vec![Extent { slba: 10, nlb: 1 }]);
     }
 
     #[test]
     fn exact_max_is_one_extent() {
-        let e = split_extents(&SplitConfig::default(), 0, 128 * 1024);
+        let e: Vec<_> = split_extents(&SplitConfig::default(), 0, 128 * 1024).collect();
         assert_eq!(e, vec![Extent { slba: 0, nlb: 32 }]);
     }
 
     #[test]
     fn oversized_bio_splits_contiguously() {
-        let e = split_extents(&SplitConfig::default(), 100, 300 * 1024);
+        let e: Vec<_> = split_extents(&SplitConfig::default(), 100, 300 * 1024).collect();
         // 300 KiB = 75 blocks → 32 + 32 + 11.
         assert_eq!(e.len(), 3);
         assert_eq!(e[0], Extent { slba: 100, nlb: 32 });
@@ -90,7 +85,7 @@ mod tests {
     #[test]
     fn split_conserves_blocks() {
         for bytes in [1u64, 4096, 4097, 131072, 131073, 1 << 20] {
-            let e = split_extents(&SplitConfig::default(), 0, bytes);
+            let e: Vec<_> = split_extents(&SplitConfig::default(), 0, bytes).collect();
             let total: u64 = e.iter().map(|x| x.nlb as u64).sum();
             assert_eq!(total, bytes_to_blocks(bytes) as u64, "bytes={bytes}");
             // Extents are consecutive.
@@ -104,7 +99,7 @@ mod tests {
 
     #[test]
     fn flush_gets_one_dataless_extent() {
-        let e = split_extents(&SplitConfig::default(), 0, 0);
+        let e: Vec<_> = split_extents(&SplitConfig::default(), 0, 0).collect();
         assert_eq!(e, vec![Extent { slba: 0, nlb: 0 }]);
     }
 }

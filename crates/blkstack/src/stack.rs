@@ -12,10 +12,11 @@
 //! Device effects (doorbells waking the fetch engine, interrupts) flow
 //! through [`StackEnv::dev_out`], which the testbed drains after every call.
 //!
-//! The module also hosts shared machinery every stack uses: the completion
-//! processing helper ([`process_cqes`]) implementing the batched vs.
-//! per-request completion paths, and [`ParkedCommands`] for queue-full
-//! requeueing (blk-mq's `BLK_STS_RESOURCE` behaviour).
+//! The module also hosts the building blocks of the shared dispatch core
+//! ([`crate::dispatch::Dispatch`]): the completion processing helper
+//! ([`process_cqes`]) implementing the batched vs. per-request completion
+//! paths, [`ParkedCommands`] for queue-full requeueing (blk-mq's
+//! `BLK_STS_RESOURCE` behaviour), and [`RedriveGuard`] for stalled NSQs.
 
 use std::collections::VecDeque;
 
@@ -126,9 +127,10 @@ pub trait StorageStack {
     /// Parks the stack's growable buffers (request map, dispatch scratch)
     /// into `arena` at run teardown so the next run on this worker can
     /// [`adopt`](StorageStack::adopt_buffers) the warm allocations. Buffers
-    /// are reset on the way in ([`simkit::ArenaReset`]); stacks use the
-    /// shared [`arena_tags`] so a map parked by one stack flavour is
-    /// adoptable by any other. The default parks nothing.
+    /// are reset on the way in ([`simkit::ArenaReset`]); every stack parks
+    /// the same set through [`crate::dispatch::Dispatch::park`], so buffers
+    /// parked by one stack flavour are adoptable by any other. The default
+    /// parks nothing.
     fn park_buffers(&mut self, _arena: &mut simkit::RunArena) {}
 
     /// Adopts warm buffers parked by a previous run (the inverse of
@@ -150,25 +152,6 @@ pub trait StorageStack {
     fn io_capacity(&self) -> usize {
         0
     }
-}
-
-/// Arena tags for buffers recycled across runs via
-/// [`StorageStack::park_buffers`] / [`StorageStack::adopt_buffers`].
-///
-/// Tags only disambiguate parked values of the *same type* (the arena keys
-/// on `(TypeId, tag)`), so the constants here matter only where one stack
-/// parks several buffers of one type. They are shared by every stack so a
-/// worker that runs `vanilla` in one sweep cell and `daredevil` in the next
-/// still reuses the request map and scratch allocations.
-pub mod arena_tags {
-    /// The [`RequestMap`](crate::reqmap::RequestMap).
-    pub const REQMAP: u32 = 0;
-    /// Primary command scratch (`Vec<NvmeCommand>`).
-    pub const CMD_SCRATCH: u32 = 0;
-    /// Secondary command scratch (per-batch staging).
-    pub const CMD_SCRATCH_2: u32 = 1;
-    /// CQE drain scratch (`Vec<CqEntry>`).
-    pub const CQE_SCRATCH: u32 = 0;
 }
 
 /// Records `Submit` + `Routed` span events for one request at its routing
@@ -200,10 +183,13 @@ pub fn trace_enqueued(trace: &mut TraceSink, now: SimTime, host: HostTag, sq: Sq
 ///
 /// The submission-side half of the I/O service dispatching vocabulary
 /// (completion side: [`CompletionMode`]). The vanilla stacks in this
-/// workspace — blk-mq, blk-switch, overprov — hardcode [`Batched`]
-/// (one MMIO write per enqueued batch, the kernel default); the Daredevil
-/// stack makes the choice per-batch through its policy layer
-/// (`daredevil::policy::Policy::doorbell`).
+/// workspace — blk-mq, blk-switch, overprov — pass [`Batched`] (one MMIO
+/// write per enqueued batch, the kernel default) to every
+/// [`Dispatch::push`](crate::dispatch::Dispatch::push) and reap every NCQ
+/// with [`CompletionMode::Batched`]: they separate traffic, if at all, by
+/// routing, not by the service routines. The Daredevil stack makes both
+/// choices per batch/NCQ through its policy layer
+/// (`daredevil::policy::Policy`).
 ///
 /// [`Batched`]: DoorbellMode::Batched
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -365,20 +351,17 @@ impl ParkedCommands {
         let mut unparked = 0;
         debug_assert!(self.rung.is_empty() && self.still_full.is_empty());
         while let Some((sq, cmd)) = self.parked.pop_front() {
-            if device.sq_has_room(sq) {
-                device
-                    .push_command(sq, cmd)
-                    .expect("has_room guaranteed space");
-                // Late NsqEnqueue/DoorbellRing: the span shows the
-                // queue-full stall as Routed → NsqEnqueue time.
-                trace_enqueued(&mut dev_out.trace, now, cmd.host, sq);
-                stats.submitted_rqs += 1;
-                unparked += 1;
-                if !self.rung.contains(&sq) {
-                    self.rung.push(sq);
-                }
-            } else {
+            if device.push_command(sq, cmd).is_err() {
                 self.still_full.push_back((sq, cmd));
+                continue;
+            }
+            // Late NsqEnqueue/DoorbellRing: the span shows the queue-full
+            // stall as Routed → NsqEnqueue time.
+            trace_enqueued(&mut dev_out.trace, now, cmd.host, sq);
+            stats.submitted_rqs += 1;
+            unparked += 1;
+            if !self.rung.contains(&sq) {
+                self.rung.push(sq);
             }
         }
         // `parked` drained to empty above; swap the leftovers back in and

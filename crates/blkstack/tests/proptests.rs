@@ -19,7 +19,7 @@ fn split_conserves_and_caps() {
         let cfg = SplitConfig {
             max_bytes: max_kib * 1024,
         };
-        let extents = split_extents(&cfg, offset, bytes);
+        let extents: Vec<_> = split_extents(&cfg, offset, bytes).collect();
         let max_blocks = (cfg.max_bytes / 4096).max(1) as u32;
         let total: u64 = extents.iter().map(|e| e.nlb as u64).sum();
         prop_assert_eq!(total, bytes_to_blocks(bytes) as u64);

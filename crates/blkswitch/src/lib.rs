@@ -27,18 +27,11 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use dd_nvme::command::HostTag;
-use dd_nvme::spec::CommandId;
-use dd_nvme::{CqId, NvmeCommand, SqId};
+use dd_nvme::{CqId, SqId};
 use simkit::SimDuration;
 
-use blkstack::nsqlock::NsqLockTable;
-use blkstack::reqmap::RequestMap;
-use blkstack::split::{split_extents, SplitConfig};
-use blkstack::stack::{
-    process_cqes, trace_enqueued, trace_routed, CompletionMode, ParkedCommands, RedriveGuard, StackEnv,
-    StackStats, StorageStack,
-};
+use blkstack::dispatch::Dispatch;
+use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 
 /// Tunables of the blk-switch implementation (the paper's suggested values).
@@ -73,6 +66,10 @@ struct TenantState {
 }
 
 /// The blk-switch storage stack.
+///
+/// blk-switch separates traffic by *steering* requests between per-core
+/// queues, not by changing the service routines: doorbells and reaps stay
+/// batched on every queue.
 pub struct BlkSwitchStack {
     cfg: BlkSwitchConfig,
     nr_queues: u16,
@@ -83,18 +80,12 @@ pub struct BlkSwitchStack {
     /// conscript idle cores outside the cgroup.
     active_cores: BTreeSet<u16>,
     /// Outstanding (submitted, uncompleted) bytes per NSQ — the request
-    /// steering signal.
+    /// steering signal. Counted when a batch is staged, so commands that
+    /// park on a full queue count too.
     outstanding_bytes: Vec<u64>,
-    locks: NsqLockTable,
-    reqmap: RequestMap,
-    parked: ParkedCommands,
-    redrive: RedriveGuard,
-    split: SplitConfig,
-    stats: StackStats,
-    /// Recycled submit staging buffer (drained back to empty every call).
-    cmd_scratch: Vec<NvmeCommand>,
-    /// Recycled ISR scratch for drained CQEs.
-    cqe_scratch: Vec<dd_nvme::CqEntry>,
+    dispatch: Dispatch,
+    /// Request- and application-steering actions.
+    steering_actions: u64,
 }
 
 impl BlkSwitchStack {
@@ -107,14 +98,8 @@ impl BlkSwitchStack {
             tenants: HashMap::new(),
             active_cores: BTreeSet::new(),
             outstanding_bytes: vec![0; device_sqs as usize],
-            locks: NsqLockTable::new(device_sqs),
-            reqmap: RequestMap::new(),
-            parked: ParkedCommands::new(),
-            redrive: RedriveGuard::new(),
-            split: SplitConfig::default(),
-            stats: StackStats::default(),
-            cmd_scratch: Vec::new(),
-            cqe_scratch: Vec::new(),
+            dispatch: Dispatch::new(device_sqs),
+            steering_actions: 0,
         }
     }
 
@@ -216,15 +201,6 @@ impl BlkSwitchStack {
         }
         loads
     }
-
-    /// The fixed I/O service dispatching of blk-switch: batched reaps and
-    /// batched doorbells on every queue. blk-switch separates traffic by
-    /// *steering* requests between per-core queues, not by changing the
-    /// service routines — the completion-side decision the Daredevil stack
-    /// makes pluggable per NCQ through `daredevil::policy::Policy`.
-    fn completion_mode(&self) -> CompletionMode {
-        CompletionMode::Batched
-    }
 }
 
 impl StorageStack for BlkSwitchStack {
@@ -279,122 +255,45 @@ impl StorageStack for BlkSwitchStack {
         // T-requests steer by load.
         let sq = if is_l { home } else { self.steer_sq(home) };
         if sq != home {
-            self.stats.steering_actions += 1;
+            self.steering_actions += 1;
         }
-
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        debug_assert!(cmds.is_empty());
-        let mut batch_bytes = 0u64;
         let sla = if is_l { simkit::Sla::L } else { simkit::Sla::T };
+        let mut n = 0;
+        let mut batch_bytes = 0u64;
         for bio in bios {
-            let extents = split_extents(&self.split, bio.offset_blocks, bio.bytes);
-            let h = self.reqmap.insert_bio(*bio, extents.len() as u32);
+            n += self.dispatch.stage(bio, sq, sla, env);
             batch_bytes += bio.bytes;
-            for e in extents {
-                let rq_id = self.reqmap.alloc_rq(h, e.nlb);
-                let host = HostTag {
-                    rq_id,
-                    submit_core: core,
-                    tenant: bio.tenant.0,
-                    sla,
-                };
-                trace_routed(
-                    &mut env.dev_out.trace,
-                    env.now,
-                    host,
-                    sq,
-                    bio.flags.is_outlier(),
-                );
-                cmds.push(NvmeCommand {
-                    cid: CommandId(rq_id),
-                    nsid: bio.nsid,
-                    opcode: bio.op,
-                    slba: e.slba,
-                    nlb: e.nlb,
-                    host,
-                });
-            }
         }
         if let Some(t) = self.tenants.get_mut(&tenant) {
             t.window_bytes += batch_bytes;
         }
-
-        let n = cmds.len() as u64;
-        let hold = env.costs.nsq_insert * n;
-        let acq = self.locks.acquire(sq, env.now, hold);
-        let mut cost = env.costs.submit_cost(n as u32) + acq.wait + hold + env.costs.doorbell;
-        if !acq.wait.is_zero() {
-            cost += env.costs.remote_submission * n;
-        }
-        let mut pushed = 0u64;
-        for cmd in cmds.drain(..) {
-            let bytes = cmd.bytes();
-            if env.device.sq_has_room(sq) {
-                env.device
-                    .push_command(sq, cmd)
-                    .expect("has_room guaranteed space");
-                trace_enqueued(&mut env.dev_out.trace, env.now, cmd.host, sq);
-                self.outstanding_bytes[sq.index()] += bytes;
-                pushed += 1;
-                self.stats.submitted_rqs += 1;
-            } else {
-                self.parked.park(sq, cmd);
-                self.stats.requeues += 1;
-            }
-        }
-        if pushed > 0 {
-            env.device.ring_doorbell(sq, env.now, env.dev_out);
-            self.stats.doorbells += 1;
-        }
-        self.cmd_scratch = cmds;
-        cost
+        self.outstanding_bytes[sq.index()] += self.dispatch.staged_bytes(sq);
+        let pushed = self.dispatch.push(sq, DoorbellMode::Batched, env);
+        env.costs.submit_cost(n) + pushed.batch_cost(env.costs) + pushed.remote_cost(env.costs)
     }
 
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
-        let mut entries = std::mem::take(&mut self.cqe_scratch);
-        env.device.isr_pop_into(cq, usize::MAX, &mut entries);
-        for e in &entries {
-            let q = &mut self.outstanding_bytes[e.sq_id.index()];
-            *q = q.saturating_sub(e.bytes);
-        }
-        let cost = process_cqes(
-            &entries,
-            self.completion_mode(),
-            core,
-            env.now,
-            env.costs,
-            &mut self.reqmap,
-            &mut self.stats,
-            env.completions,
-            &mut env.dev_out.trace,
-        );
-        env.device.isr_done(cq, env.now, env.dev_out);
-        self.cqe_scratch = entries;
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
+        let cost = self.dispatch.reap(cq, core, env, |entries, _| {
+            for e in entries {
+                let q = &mut self.outstanding_bytes[e.sq_id.index()];
+                *q = q.saturating_sub(e.bytes);
+            }
+            CompletionMode::Batched
+        });
+        self.dispatch.flush_parked(env);
         cost
     }
 
     fn reserve(&mut self, hint: usize) {
-        self.reqmap.reserve(hint);
-        self.cmd_scratch.reserve(hint);
-        self.cqe_scratch.reserve(hint);
+        self.dispatch.reserve(hint);
     }
 
     fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        arena.put(arena_tags::REQMAP, std::mem::take(&mut self.reqmap));
-        arena.put(arena_tags::CMD_SCRATCH, std::mem::take(&mut self.cmd_scratch));
-        arena.put(arena_tags::CQE_SCRATCH, std::mem::take(&mut self.cqe_scratch));
+        self.dispatch.park(arena);
     }
 
     fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        self.reqmap = arena.take(arena_tags::REQMAP);
-        self.cmd_scratch = arena.take(arena_tags::CMD_SCRATCH);
-        self.cqe_scratch = arena.take(arena_tags::CQE_SCRATCH);
+        self.dispatch.adopt(arena);
     }
 
     fn on_tick(&mut self, env: &mut StackEnv<'_>) -> Option<SimDuration> {
@@ -429,7 +328,7 @@ impl StorageStack for BlkSwitchStack {
                         if t.core != core {
                             t.core = core;
                             env.migrations.push((pid, core));
-                            self.stats.steering_actions += 1;
+                            self.steering_actions += 1;
                         }
                     }
                 }
@@ -461,7 +360,7 @@ impl StorageStack for BlkSwitchStack {
                         t.core = core;
                     }
                     env.migrations.push((pid, core));
-                    self.stats.steering_actions += 1;
+                    self.steering_actions += 1;
                 }
                 // Balance move among T-cores only.
                 let loads = self.core_loads();
@@ -487,7 +386,7 @@ impl StorageStack for BlkSwitchStack {
                                 t.core = idlest;
                             }
                             env.migrations.push((pid, idlest));
-                            self.stats.steering_actions += 1;
+                            self.steering_actions += 1;
                         }
                     }
                 }
@@ -501,25 +400,18 @@ impl StorageStack for BlkSwitchStack {
     }
 
     fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        // Fault recovery: completion-starved parked commands first, then
-        // stalled-NSQ doorbell redrive with bounded retry.
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
-        self.redrive
-            .redrive(env.device, env.now, env.dev_out, &mut self.stats);
+        self.dispatch.watchdog(env);
     }
 
     fn stats(&self) -> StackStats {
-        let mut s = self.stats;
-        s.lock_wait_total = self.locks.in_lock_grand_total();
-        s.lock_contended = self.locks.contended_grand_total();
-        s
+        StackStats {
+            steering_actions: self.steering_actions,
+            ..self.dispatch.stats()
+        }
     }
 
     fn io_capacity(&self) -> usize {
-        self.reqmap.capacity()
+        self.dispatch.io_capacity()
     }
 }
 
@@ -706,6 +598,45 @@ mod tests {
         s.on_irq(irq.cq, irq.core, &mut env);
         assert_eq!(s.outstanding_bytes[0], 0);
         assert_eq!(h.comps.len(), 1);
+    }
+
+    #[test]
+    fn outstanding_bytes_count_parked_commands() {
+        // Depth-2 NSQ: the third of three 1-block commands parks. A parked
+        // command is submitted and uncompleted, so it counts from staging
+        // on and leaves the counter only through its completion.
+        let mut cfg = NvmeConfig::sv_m();
+        cfg.nr_sqs = 1;
+        cfg.nr_cqs = 1;
+        cfg.sq_depth = 2;
+        let mut h = Harness::new();
+        h.dev = NvmeDevice::new(cfg, 1);
+        let mut s = BlkSwitchStack::new(BlkSwitchConfig::default(), 1, 1);
+        {
+            let mut env = h.env(SimTime::ZERO);
+            s.register_tenant(&task(1, 0, IoPriorityClass::BestEffort), &mut env);
+            let bios: Vec<Bio> = (0..3).map(|i| bio(i, 1, 0, 4096)).collect();
+            s.submit(&bios, &mut env);
+        }
+        assert_eq!(s.stats().requeues, 1);
+        assert_eq!(s.outstanding_bytes[0], 3 * 4096);
+        // Drive every completion; the parked command unparks on the way.
+        let mut q = simkit::EventQueue::new();
+        while h.comps.len() < 3 {
+            for (at, ev) in h.out.events.drain(..) {
+                q.push(at, ev);
+            }
+            if let Some(irq) = h.out.irqs.pop() {
+                let mut env = h.env(irq.at);
+                s.on_irq(irq.cq, irq.core, &mut env);
+                let uncompleted = 3 - h.comps.len() as u64;
+                assert_eq!(s.outstanding_bytes[0], uncompleted * 4096);
+                continue;
+            }
+            let (at, ev) = q.pop().expect("device stalled");
+            h.dev.handle_event(ev, at, &mut h.out);
+        }
+        assert_eq!(s.stats().submitted_rqs, 3);
     }
 
     #[test]

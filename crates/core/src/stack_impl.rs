@@ -13,40 +13,18 @@
 //! per L-request) rather than visibility timing; the completion half carries
 //! the latency effect, matching where the paper's gains come from.
 
-use dd_nvme::command::HostTag;
-use dd_nvme::spec::CommandId;
-use dd_nvme::{CqId, NvmeCommand, SqId};
+use dd_nvme::CqId;
 use simkit::SimDuration;
 
-use blkstack::nsqlock::NsqLockTable;
-use blkstack::reqmap::RequestMap;
-use blkstack::split::{split_extents, SplitConfig};
-use blkstack::stack::{
-    process_cqes, trace_enqueued, trace_routed, ParkedCommands, RedriveGuard, StackEnv,
-    StackStats, StorageStack,
-};
+use blkstack::dispatch::Dispatch;
+use blkstack::stack::{StackEnv, StackStats, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 
 use crate::config::{DaredevilConfig, Variant};
 use crate::nproxy::{Priority, ProxyTable};
 use crate::nqreg::{divide_priorities, NqReg};
-use crate::policy::{DoorbellCtx, DoorbellMode, Policy, PolicyKind, ReapCtx};
+use crate::policy::{DoorbellCtx, Policy, PolicyKind, ReapCtx};
 use crate::troute::{RouteStats, Troute};
-
-/// Arena wrapper for the per-NSQ staging buffers: the blanket
-/// `ArenaReset for Vec<T>` would drop the inner `Vec`s (and their warm
-/// capacities) on park, so this reset empties each inner buffer while
-/// keeping both the outer spine and the inner allocations.
-#[derive(Default)]
-struct SqBufs(Vec<Vec<NvmeCommand>>);
-
-impl simkit::ArenaReset for SqBufs {
-    fn arena_reset(&mut self) {
-        for b in &mut self.0 {
-            b.clear();
-        }
-    }
-}
 
 /// The Daredevil kernel storage stack.
 ///
@@ -61,22 +39,8 @@ pub struct DaredevilStack<P: Policy = PolicyKind> {
     nqreg: NqReg,
     troute: Troute,
     proxies: ProxyTable,
-    locks: NsqLockTable,
-    reqmap: RequestMap,
-    parked: ParkedCommands,
-    redrive: RedriveGuard,
-    split: SplitConfig,
-    stats: StackStats,
+    dispatch: Dispatch,
     irq_policy_configured: bool,
-    /// Recycled per-NSQ command staging buffers (indexed by `SqId`); each
-    /// submit call drains the buffers it touched back to empty, keeping the
-    /// capacity for the next call.
-    sq_bufs: Vec<Vec<NvmeCommand>>,
-    /// NSQs touched by the current submit call, in first-touch order (the
-    /// dispatch order the old per-call `Vec<(SqId, Vec<_>)>` produced).
-    active_sqs: Vec<SqId>,
-    /// Recycled ISR scratch for drained CQEs.
-    cqe_scratch: Vec<dd_nvme::CqEntry>,
 }
 
 impl DaredevilStack<PolicyKind> {
@@ -141,16 +105,8 @@ impl<P: Policy> DaredevilStack<P> {
             nqreg,
             proxies,
             policy,
-            locks: NsqLockTable::new(nr_sqs),
-            reqmap: RequestMap::new(),
-            parked: ParkedCommands::new(),
-            redrive: RedriveGuard::new(),
-            split: SplitConfig::default(),
-            stats: StackStats::default(),
+            dispatch: Dispatch::new(nr_sqs),
             irq_policy_configured: false,
-            sq_bufs: (0..nr_sqs).map(|_| Vec::new()).collect(),
-            active_sqs: Vec::new(),
-            cqe_scratch: Vec::new(),
             cfg,
         }
     }
@@ -245,7 +201,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
             &mut self.policy,
             &mut self.nqreg,
             env.device,
-            &self.locks,
+            self.dispatch.locks(),
             &mut self.proxies,
         );
     }
@@ -261,7 +217,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
             &mut self.policy,
             &mut self.nqreg,
             env.device,
-            &self.locks,
+            self.dispatch.locks(),
             &mut self.proxies,
         );
     }
@@ -271,40 +227,22 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
     }
 
     fn reserve(&mut self, hint: usize) {
-        self.reqmap.reserve(hint);
-        self.cqe_scratch.reserve(hint);
+        self.dispatch.reserve(hint);
     }
 
     fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        arena.put(arena_tags::REQMAP, std::mem::take(&mut self.reqmap));
-        arena.put(arena_tags::CQE_SCRATCH, std::mem::take(&mut self.cqe_scratch));
-        arena.put(0, SqBufs(std::mem::take(&mut self.sq_bufs)));
+        self.dispatch.park(arena);
     }
 
     fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        self.reqmap = arena.take(arena_tags::REQMAP);
-        self.cqe_scratch = arena.take(arena_tags::CQE_SCRATCH);
-        let SqBufs(mut bufs) = arena.take::<SqBufs>(0);
-        // The constructor sized `sq_bufs` to this device's NSQ count; a
-        // recycled set from a different geometry is resized to match.
-        let want = self.sq_bufs.len();
-        bufs.resize_with(want, Vec::new);
-        self.sq_bufs = bufs;
+        self.dispatch.adopt(arena);
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
         debug_assert!(!bios.is_empty());
-        let core = bios[0].core;
-        // Route every bio, then group its commands by target NSQ so each
-        // NSQ's lock is taken once per batch. Grouping goes through the
-        // recycled per-SQ staging buffers: `active_sqs` records first-touch
-        // order (the dispatch order the old per-call Vec produced) and each
-        // buffer is drained back to empty below — zero steady-state heap
-        // traffic.
-        debug_assert!(self.active_sqs.is_empty());
-        let mut total_rqs = 0u32;
+        // Route and stage every bio, then push each touched NSQ once, in
+        // first-touch order, so its lock is taken once per batch.
+        let mut n = 0;
         for bio in bios {
             // Tenant base priority doubles as the trace SLA class (High
             // base priority == latency-sensitive ionice == L-tenant).
@@ -332,7 +270,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
                     prio,
                     1,
                     env.device,
-                    &self.locks,
+                    self.dispatch.locks(),
                     &self.proxies,
                 )
             } else {
@@ -342,146 +280,53 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
                     &mut self.policy,
                     &mut self.nqreg,
                     env.device,
-                    &self.locks,
+                    self.dispatch.locks(),
                     &mut self.proxies,
                 )
             };
-            let extents = split_extents(&self.split, bio.offset_blocks, bio.bytes);
-            let h = self.reqmap.insert_bio(*bio, extents.len() as u32);
-            if !self.active_sqs.contains(&sq) {
-                self.active_sqs.push(sq);
-            }
-            let bucket = &mut self.sq_bufs[sq.index()];
-            for e in extents {
-                let rq_id = self.reqmap.alloc_rq(h, e.nlb);
-                total_rqs += 1;
-                let host = HostTag {
-                    rq_id,
-                    submit_core: core,
-                    tenant: bio.tenant.0,
-                    sla,
-                };
-                trace_routed(
-                    &mut env.dev_out.trace,
-                    env.now,
-                    host,
-                    sq,
-                    bio.flags.is_outlier(),
-                );
-                bucket.push(NvmeCommand {
-                    cid: CommandId(rq_id),
-                    nsid: bio.nsid,
-                    opcode: bio.op,
-                    slba: e.slba,
-                    nlb: e.nlb,
-                    host,
-                });
-            }
+            n += self.dispatch.stage(bio, sq, sla, env);
         }
 
-        let mut cost = env.costs.submit_cost(total_rqs);
-        let mut active_sqs = std::mem::take(&mut self.active_sqs);
-        for &sq in &active_sqs {
-            let mut cmds = std::mem::take(&mut self.sq_bufs[sq.index()]);
-            let n = cmds.len() as u64;
-            let hold = env.costs.nsq_insert * n;
-            let acq = self.locks.acquire(sq, env.now, hold);
-            cost += acq.wait + hold;
-            if !acq.wait.is_zero() {
-                // Contended tail: the cache line bounced between cores.
-                cost += env.costs.remote_submission * n;
-            }
+        let mut cost = env.costs.submit_cost(n);
+        while let Some(sq) = self.dispatch.next_staged() {
             // Submission half of the I/O service dispatching: the policy
             // picks the doorbell discipline per NSQ batch (the default
             // policy rings per request for high-priority NSQs under the
             // full variant, §5.3).
-            let immediate = self.policy.doorbell(&DoorbellCtx {
+            let mode = self.policy.doorbell(&DoorbellCtx {
                 prio: self.proxies.get(sq).prio,
-                commands: n,
-            }) == DoorbellMode::Immediate;
-            let mut pushed = 0u64;
-            for cmd in cmds.drain(..) {
-                if env.device.sq_has_room(sq) {
-                    env.device
-                        .push_command(sq, cmd)
-                        .expect("has_room guaranteed space");
-                    trace_enqueued(&mut env.dev_out.trace, env.now, cmd.host, sq);
-                    pushed += 1;
-                    self.stats.submitted_rqs += 1;
-                    if immediate {
-                        // Immediate notification per request.
-                        env.device.ring_doorbell(sq, env.now, env.dev_out);
-                        self.stats.doorbells += 1;
-                        cost += env.costs.doorbell;
-                    }
-                } else {
-                    self.parked.park(sq, cmd);
-                    self.stats.requeues += 1;
-                }
-            }
-            if pushed > 0 && !immediate {
-                // Postponed notification: one doorbell per enqueued batch.
-                env.device.ring_doorbell(sq, env.now, env.dev_out);
-                self.stats.doorbells += 1;
-                cost += env.costs.doorbell;
-            }
-            self.sq_bufs[sq.index()] = cmds;
+                commands: self.dispatch.staged(sq) as u64,
+            });
+            let p = self.dispatch.push(sq, mode, env);
+            cost += p.wait + p.hold + p.remote_cost(env.costs) + env.costs.doorbell * p.rings;
         }
-        active_sqs.clear();
-        self.active_sqs = active_sqs;
         cost
     }
 
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
-        let mut entries = std::mem::take(&mut self.cqe_scratch);
-        env.device.isr_pop_into(cq, usize::MAX, &mut entries);
         // Completion half of the I/O service dispatching: per-request vs
         // batched reap is the policy's call (default: per-request for
         // high-priority NCQs under the full variant, §5.3).
-        let mode = self.policy.reap(&ReapCtx {
-            prio: self.nqreg.cq_priority(cq),
-            entries: entries.len() as u64,
+        let cost = self.dispatch.reap(cq, core, env, |entries, _| {
+            self.policy.reap(&ReapCtx {
+                prio: self.nqreg.cq_priority(cq),
+                entries: entries.len() as u64,
+            })
         });
-        let cost = process_cqes(
-            &entries,
-            mode,
-            core,
-            env.now,
-            env.costs,
-            &mut self.reqmap,
-            &mut self.stats,
-            env.completions,
-            &mut env.dev_out.trace,
-        );
-        env.device.isr_done(cq, env.now, env.dev_out);
-        self.cqe_scratch = entries;
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
+        self.dispatch.flush_parked(env);
         cost
     }
 
     fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        // Fault recovery: completion-starved parked commands first, then
-        // stalled-NSQ doorbell redrive with bounded retry.
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
-        self.redrive
-            .redrive(env.device, env.now, env.dev_out, &mut self.stats);
+        self.dispatch.watchdog(env);
     }
 
     fn stats(&self) -> StackStats {
-        let mut s = self.stats;
-        s.lock_wait_total = self.locks.in_lock_grand_total();
-        s.lock_contended = self.locks.contended_grand_total();
-        s
+        self.dispatch.stats()
     }
 
     fn io_capacity(&self) -> usize {
-        self.reqmap.capacity()
+        self.dispatch.io_capacity()
     }
 }
 
@@ -489,7 +334,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
 mod tests {
     use super::*;
     use blkstack::bio::{BioId, ReqFlags};
-    use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig, NvmeDevice};
+    use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig, NvmeDevice, SqId};
     use simkit::{EventQueue, SimRng, SimTime};
 
     fn device() -> NvmeDevice {

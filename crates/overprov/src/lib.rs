@@ -22,18 +22,11 @@
 
 use std::collections::HashMap;
 
-use dd_nvme::command::HostTag;
-use dd_nvme::spec::CommandId;
-use dd_nvme::{Arbitration, CqId, NvmeCommand, NvmeDevice, SqId, SqPriorityClass};
+use dd_nvme::{Arbitration, CqId, NvmeDevice, SqId, SqPriorityClass};
 use simkit::SimDuration;
 
-use blkstack::nsqlock::NsqLockTable;
-use blkstack::reqmap::RequestMap;
-use blkstack::split::{split_extents, SplitConfig};
-use blkstack::stack::{
-    process_cqes, trace_enqueued, trace_routed, CompletionMode, ParkedCommands, RedriveGuard, StackEnv,
-    StackStats, StorageStack,
-};
+use blkstack::dispatch::Dispatch;
+use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 
 #[derive(Clone, Copy, Debug)]
@@ -42,24 +35,17 @@ struct TenantState {
 }
 
 /// The static-overprovision storage stack.
+///
+/// Its isolation comes from device-side WRR arbitration between the static
+/// queue classes, so the host service routines stay kernel-default:
+/// batched doorbells and batched reaps everywhere.
 pub struct OverprovStack {
     /// Number of core pairs (= cores served).
     nr_pairs: u16,
     tenants: HashMap<Pid, TenantState>,
-    locks: NsqLockTable,
-    reqmap: RequestMap,
-    parked: ParkedCommands,
-    redrive: RedriveGuard,
-    split: SplitConfig,
-    stats: StackStats,
+    dispatch: Dispatch,
     /// Whether the device's queues have been WRR-classified yet.
     classified: bool,
-    /// Recycled staging buffer for the pair's L-queue commands.
-    l_scratch: Vec<NvmeCommand>,
-    /// Recycled staging buffer for the pair's T-queue commands.
-    t_scratch: Vec<NvmeCommand>,
-    /// Recycled ISR scratch for drained CQEs.
-    cqe_scratch: Vec<dd_nvme::CqEntry>,
 }
 
 impl OverprovStack {
@@ -76,16 +62,8 @@ impl OverprovStack {
         OverprovStack {
             nr_pairs,
             tenants: HashMap::new(),
-            locks: NsqLockTable::new(device_sqs),
-            reqmap: RequestMap::new(),
-            parked: ParkedCommands::new(),
-            redrive: RedriveGuard::new(),
-            split: SplitConfig::default(),
-            stats: StackStats::default(),
+            dispatch: Dispatch::new(device_sqs),
             classified: false,
-            l_scratch: Vec::new(),
-            t_scratch: Vec::new(),
-            cqe_scratch: Vec::new(),
         }
     }
 
@@ -116,16 +94,6 @@ impl OverprovStack {
             device.set_sq_priority(SqId(pair * 2 + 1), SqPriorityClass::Low);
         }
         self.classified = true;
-    }
-
-    /// The fixed I/O service dispatching of the overprovision baseline:
-    /// batched reaps and batched doorbells everywhere. Its isolation comes
-    /// from device-side WRR arbitration between the static queue classes,
-    /// so the host service routines stay kernel-default — the decision the
-    /// Daredevil stack makes pluggable per NCQ through
-    /// `daredevil::policy::Policy`.
-    fn completion_mode(&self) -> CompletionMode {
-        CompletionMode::Batched
     }
 }
 
@@ -168,153 +136,63 @@ impl StorageStack for OverprovStack {
             .map(|t| t.ionice.is_latency_sensitive())
             .unwrap_or(false);
         let (l_sq, t_sq) = self.pair_of(core);
-
-        // Split the batch by target queue: outliers of T-tenants take the
-        // L-queue of the same pair. The two buckets are recycled scratch
-        // buffers, drained back to empty before this call returns.
-        let mut l_cmds = std::mem::take(&mut self.l_scratch);
-        let mut t_cmds = std::mem::take(&mut self.t_scratch);
-        debug_assert!(l_cmds.is_empty() && t_cmds.is_empty());
-        let mut total = 0u32;
         let sla = if is_l_tenant {
             simkit::Sla::L
         } else {
             simkit::Sla::T
         };
+        // Outliers (sync/metadata requests) of T-tenants take the L-queue
+        // of the same pair.
+        let mut n = 0;
         for bio in bios {
-            let is_l_rq = is_l_tenant || bio.flags.is_outlier();
-            let extents = split_extents(&self.split, bio.offset_blocks, bio.bytes);
-            let h = self.reqmap.insert_bio(*bio, extents.len() as u32);
-            let routed_sq = if is_l_rq { l_sq } else { t_sq };
-            let bucket = if is_l_rq { &mut l_cmds } else { &mut t_cmds };
-            for e in extents {
-                let rq_id = self.reqmap.alloc_rq(h, e.nlb);
-                total += 1;
-                let host = HostTag {
-                    rq_id,
-                    submit_core: core,
-                    tenant: bio.tenant.0,
-                    sla,
-                };
-                trace_routed(
-                    &mut env.dev_out.trace,
-                    env.now,
-                    host,
-                    routed_sq,
-                    bio.flags.is_outlier(),
-                );
-                bucket.push(NvmeCommand {
-                    cid: CommandId(rq_id),
-                    nsid: bio.nsid,
-                    opcode: bio.op,
-                    slba: e.slba,
-                    nlb: e.nlb,
-                    host,
-                });
-            }
+            let sq = if is_l_tenant || bio.flags.is_outlier() {
+                l_sq
+            } else {
+                t_sq
+            };
+            n += self.dispatch.stage(bio, sq, sla, env);
         }
-
-        let mut cost = env.costs.submit_cost(total);
-        // L-queue first, T-queue second — the order the old per-call Vec
-        // used.
-        for (sq, cmds) in [(l_sq, &mut l_cmds), (t_sq, &mut t_cmds)] {
-            if cmds.is_empty() {
-                continue;
-            }
-            let n = cmds.len() as u64;
-            let hold = env.costs.nsq_insert * n;
-            let acq = self.locks.acquire(sq, env.now, hold);
-            cost += acq.wait + hold + env.costs.doorbell;
-            let mut pushed = 0u64;
-            for cmd in cmds.drain(..) {
-                if env.device.sq_has_room(sq) {
-                    env.device
-                        .push_command(sq, cmd)
-                        .expect("has_room guaranteed space");
-                    trace_enqueued(&mut env.dev_out.trace, env.now, cmd.host, sq);
-                    pushed += 1;
-                    self.stats.submitted_rqs += 1;
-                } else {
-                    self.parked.park(sq, cmd);
-                    self.stats.requeues += 1;
-                }
-            }
-            if pushed > 0 {
-                env.device.ring_doorbell(sq, env.now, env.dev_out);
-                self.stats.doorbells += 1;
-            }
+        // L-queue first, T-queue second; an untouched queue costs nothing.
+        let mut cost = env.costs.submit_cost(n);
+        for sq in [l_sq, t_sq] {
+            cost += self
+                .dispatch
+                .push(sq, DoorbellMode::Batched, env)
+                .batch_cost(env.costs);
         }
-        self.l_scratch = l_cmds;
-        self.t_scratch = t_cmds;
         cost
     }
 
     fn reserve(&mut self, hint: usize) {
-        self.reqmap.reserve(hint);
-        self.l_scratch.reserve(hint);
-        self.t_scratch.reserve(hint);
-        self.cqe_scratch.reserve(hint);
+        self.dispatch.reserve(hint);
     }
 
     fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        arena.put(arena_tags::REQMAP, std::mem::take(&mut self.reqmap));
-        arena.put(arena_tags::CMD_SCRATCH, std::mem::take(&mut self.l_scratch));
-        arena.put(arena_tags::CMD_SCRATCH_2, std::mem::take(&mut self.t_scratch));
-        arena.put(arena_tags::CQE_SCRATCH, std::mem::take(&mut self.cqe_scratch));
+        self.dispatch.park(arena);
     }
 
     fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        use blkstack::stack::arena_tags;
-        self.reqmap = arena.take(arena_tags::REQMAP);
-        self.l_scratch = arena.take(arena_tags::CMD_SCRATCH);
-        self.t_scratch = arena.take(arena_tags::CMD_SCRATCH_2);
-        self.cqe_scratch = arena.take(arena_tags::CQE_SCRATCH);
+        self.dispatch.adopt(arena);
     }
 
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
-        let mut entries = std::mem::take(&mut self.cqe_scratch);
-        env.device.isr_pop_into(cq, usize::MAX, &mut entries);
-        let cost = process_cqes(
-            &entries,
-            self.completion_mode(),
-            core,
-            env.now,
-            env.costs,
-            &mut self.reqmap,
-            &mut self.stats,
-            env.completions,
-            &mut env.dev_out.trace,
-        );
-        env.device.isr_done(cq, env.now, env.dev_out);
-        self.cqe_scratch = entries;
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
+        let cost = self
+            .dispatch
+            .reap(cq, core, env, |_, _| CompletionMode::Batched);
+        self.dispatch.flush_parked(env);
         cost
     }
 
     fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        // Fault recovery: completion-starved parked commands first, then
-        // stalled-NSQ doorbell redrive with bounded retry.
-        if !self.parked.is_empty() {
-            self.parked
-                .flush(env.device, env.now, env.dev_out, &mut self.stats);
-        }
-        self.redrive
-            .redrive(env.device, env.now, env.dev_out, &mut self.stats);
+        self.dispatch.watchdog(env);
     }
 
     fn stats(&self) -> StackStats {
-        let mut s = self.stats;
-        s.lock_wait_total = self.locks.in_lock_grand_total();
-        s.lock_contended = self.locks.contended_grand_total();
-        s
+        self.dispatch.stats()
     }
 
     fn io_capacity(&self) -> usize {
-        self.reqmap.capacity()
+        self.dispatch.io_capacity()
     }
 }
 

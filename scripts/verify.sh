@@ -247,7 +247,7 @@ echo "== verify: hot-path maps stay slab/dense (no std hash maps) =="
 # The request-lifecycle hot path must not regress to allocating hash maps.
 # A file may opt out with an explicit `dd-alloc-allowlist:` comment
 # justifying the exception.
-HOT_FILES="crates/blkstack/src/reqmap.rs crates/blkstack/src/blkmq.rs crates/core/src/troute.rs crates/core/src/policy.rs"
+HOT_FILES="crates/blkstack/src/reqmap.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/core/src/troute.rs crates/core/src/policy.rs"
 for f in $HOT_FILES; do
     if grep -qE 'use std::collections::.*(HashMap|BTreeMap)' "$f" \
         && ! grep -q 'dd-alloc-allowlist:' "$f"; then
@@ -259,12 +259,13 @@ done
 echo "  ${HOT_FILES// /, }: clean"
 
 echo "== verify: dispatch/push paths stay allocation-free =="
-# The machine's event loop and the event queue's push paths must not
-# regrow per-event allocations (that is what the RunArena + batch port
-# removed). Construction-time allocations are fine — mark the line (or
-# the line above it) with `dd-alloc-allowlist: <reason>`. Test modules
+# The machine's event loop, the event queue's push paths and the stacks'
+# shared dispatch core (stage/push/reap) must not regrow per-event or
+# per-I/O allocations (that is what the RunArena + batch port removed).
+# Construction-time allocations are fine — mark the line (or the line
+# above it) with `dd-alloc-allowlist: <reason>`. Test modules
 # (`#[cfg(test)]` onward) are exempt.
-ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs"
+ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/blkstack/src/dispatch.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs"
 ALLOC_FAIL=0
 for f in $ALLOC_FILES; do
     HITS="$(awk '

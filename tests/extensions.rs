@@ -108,6 +108,21 @@ fn overprov_static_pairs_overflow_under_skew() {
     );
     // L-separation itself still works for overprov (it has WRR hardware).
     assert!(over_even.l_avg_ms() < 1.0);
+    let vanilla_skew = mk(StackSpec::vanilla(), true);
+    let switch_skew = mk(StackSpec::blk_switch(), true);
+    // No figure golden parks a command; this scenario parks thousands on
+    // every stack but Daredevil, so its digests pin the queue-full requeue
+    // path (park, unpark on completion, doorbell and lock accounting).
+    for (name, out, requeues, digest) in [
+        ("vanilla", vanilla_skew, 6413, 17504154525677626761u64),
+        ("blk-switch", switch_skew, 2234, 5615041166381761904),
+        ("overprov", over_skew, 6382, 14062094940252577379),
+        ("daredevil", dare_skew, 0, 1267609866143129755),
+    ] {
+        assert_eq!(out.stack_stats.requeues, requeues, "{name} requeues");
+        let fleet = daredevil_repro::testbed::FleetOutput { hosts: vec![out] };
+        assert_eq!(fleet.digest(), digest, "{name} skewed-run digest");
+    }
 }
 
 /// Guest SLAs only reach the host through SLA-aware virtqueues.
