@@ -25,10 +25,10 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use dd_nvme::{CqId, SqId};
-use simkit::SimDuration;
+use simkit::{DenseMap, SimDuration};
 
 use blkstack::dispatch::Dispatch;
 use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats, StorageStack};
@@ -73,7 +73,14 @@ struct TenantState {
 pub struct BlkSwitchStack {
     cfg: BlkSwitchConfig,
     nr_queues: u16,
-    tenants: HashMap<Pid, TenantState>,
+    tenants: DenseMap<Pid, TenantState>,
+    /// L-tenants in `tenants`. With `l_per_queue`, the steering signals
+    /// every T-request reads, kept in step by [`Self::count_l`] wherever a
+    /// tenant's class or core changes so that `submit` never walks the
+    /// tenants.
+    nr_l: usize,
+    /// L-tenants homed on each queue (`core % nr_queues`).
+    l_per_queue: Vec<u32>,
     /// Cores that ever hosted a tenant: the experiment's cpuset. Steering
     /// (request- and application-level) stays inside it — blk-switch
     /// schedules among the cores running the applications, it cannot
@@ -95,7 +102,9 @@ impl BlkSwitchStack {
         BlkSwitchStack {
             cfg,
             nr_queues,
-            tenants: HashMap::new(),
+            tenants: DenseMap::new(),
+            nr_l: 0,
+            l_per_queue: vec![0; nr_queues as usize],
             active_cores: BTreeSet::new(),
             outstanding_bytes: vec![0; device_sqs as usize],
             dispatch: Dispatch::new(device_sqs),
@@ -108,26 +117,37 @@ impl BlkSwitchStack {
         SqId(core % self.nr_queues)
     }
 
-    /// Number of L-tenants homed on each queue's core (steering signal:
-    /// T-requests prefer queues whose cores serve no latency-critical app).
-    fn l_tenants_per_queue(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.nr_queues as usize];
-        for t in self.tenants.values() {
-            if t.ionice.is_latency_sensitive() {
-                counts[(t.core % self.nr_queues) as usize] += 1;
-            }
+    /// Counts tenant state `t` into (`add`) or out of the L-tenant
+    /// counters.
+    fn count_l(&mut self, t: TenantState, add: bool) {
+        if !t.ionice.is_latency_sensitive() {
+            return;
         }
-        counts
+        let q = &mut self.l_per_queue[(t.core % self.nr_queues) as usize];
+        if add {
+            self.nr_l += 1;
+            *q += 1;
+        } else {
+            self.nr_l -= 1;
+            *q -= 1;
+        }
+    }
+
+    /// Applies `f` to a tenant's state, moving it between the L-tenant
+    /// counters if its class or core changed.
+    fn update_tenant(&mut self, pid: Pid, f: impl FnOnce(&mut TenantState)) {
+        if let Some(t) = self.tenants.get_mut(pid) {
+            let old = *t;
+            f(t);
+            let new = *t;
+            self.count_l(old, false);
+            self.count_l(new, true);
+        }
     }
 
     /// Tenant counts by class.
     fn class_counts(&self) -> (usize, usize) {
-        let l = self
-            .tenants
-            .values()
-            .filter(|t| t.ionice.is_latency_sensitive())
-            .count();
-        (l, self.tenants.len() - l)
+        (self.nr_l, self.tenants.len() - self.nr_l)
     }
 
     /// Target size of the L partition of the active cores (at least one
@@ -168,8 +188,12 @@ impl BlkSwitchStack {
         if self.overloaded() {
             return home;
         }
-        let l_counts = self.l_tenants_per_queue();
-        let key = |sq: SqId| (l_counts[sq.index()], self.outstanding_bytes[sq.index()]);
+        let key = |sq: SqId| {
+            (
+                self.l_per_queue[sq.index()],
+                self.outstanding_bytes[sq.index()],
+            )
+        };
         let mut best = home;
         for &core in &self.active_cores {
             let sq = SqId(core % self.nr_queues);
@@ -214,31 +238,30 @@ impl StorageStack for BlkSwitchStack {
 
     fn register_tenant(&mut self, task: &TaskStruct, _env: &mut StackEnv<'_>) {
         self.active_cores.insert(task.core);
-        self.tenants.insert(
-            task.pid,
-            TenantState {
-                ionice: task.ionice,
-                core: task.core,
-                window_bytes: 0,
-            },
-        );
+        let t = TenantState {
+            ionice: task.ionice,
+            core: task.core,
+            window_bytes: 0,
+        };
+        if let Some(old) = self.tenants.insert(task.pid, t) {
+            self.count_l(old, false);
+        }
+        self.count_l(t, true);
     }
 
     fn deregister_tenant(&mut self, pid: Pid, _env: &mut StackEnv<'_>) {
-        self.tenants.remove(&pid);
+        if let Some(old) = self.tenants.remove(pid) {
+            self.count_l(old, false);
+        }
     }
 
     fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
-        if let Some(t) = self.tenants.get_mut(&pid) {
-            t.ionice = class;
-        }
+        self.update_tenant(pid, |t| t.ionice = class);
     }
 
     fn migrate_tenant(&mut self, pid: Pid, core: u16, _env: &mut StackEnv<'_>) {
         self.active_cores.insert(core);
-        if let Some(t) = self.tenants.get_mut(&pid) {
-            t.core = core;
-        }
+        self.update_tenant(pid, |t| t.core = core);
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
@@ -247,7 +270,7 @@ impl StorageStack for BlkSwitchStack {
         let tenant = bios[0].tenant;
         let is_l = self
             .tenants
-            .get(&tenant)
+            .get(tenant)
             .map(|t| t.ionice.is_latency_sensitive())
             .unwrap_or(false);
         let home = self.home_sq(core);
@@ -264,7 +287,7 @@ impl StorageStack for BlkSwitchStack {
             n += self.dispatch.stage(bio, sq, sla, env);
             batch_bytes += bio.bytes;
         }
-        if let Some(t) = self.tenants.get_mut(&tenant) {
+        if let Some(t) = self.tenants.get_mut(tenant) {
             t.window_bytes += batch_bytes;
         }
         self.outstanding_bytes[sq.index()] += self.dispatch.staged_bytes(sq);
@@ -316,7 +339,7 @@ impl StorageStack for BlkSwitchStack {
                         .tenants
                         .iter()
                         .filter(|(_, t)| !t.ionice.is_latency_sensitive())
-                        .map(|(p, _)| *p)
+                        .map(|(p, _)| p)
                         .collect();
                     v.sort();
                     v
@@ -324,12 +347,10 @@ impl StorageStack for BlkSwitchStack {
                 if !pids.is_empty() {
                     let pid = *env.rng.choose(&pids);
                     let core = *env.rng.choose(&active);
-                    if let Some(t) = self.tenants.get_mut(&pid) {
-                        if t.core != core {
-                            t.core = core;
-                            env.migrations.push((pid, core));
-                            self.steering_actions += 1;
-                        }
+                    if self.tenants.get(pid).is_some_and(|t| t.core != core) {
+                        self.update_tenant(pid, |t| t.core = core);
+                        env.migrations.push((pid, core));
+                        self.steering_actions += 1;
                     }
                 }
             } else {
@@ -337,28 +358,23 @@ impl StorageStack for BlkSwitchStack {
                 let (l_set, t_set) = active.split_at(l_cores.min(active.len()));
                 // Separation move: one misplaced tenant toward its
                 // partition (deterministic: lowest pid first).
-                let mut moved = None;
-                let mut pids: Vec<Pid> = self.tenants.keys().copied().collect();
-                pids.sort();
-                for pid in pids {
-                    let t = &self.tenants[&pid];
-                    let is_l = t.ionice.is_latency_sensitive();
-                    let (my_set, idx) = if is_l {
-                        (l_set, pid.0 as usize)
-                    } else {
-                        (t_set, pid.0 as usize)
-                    };
-                    if my_set.is_empty() || my_set.contains(&t.core) {
-                        continue;
-                    }
-                    let target = my_set[idx % my_set.len()];
-                    moved = Some((pid, target));
-                    break;
-                }
+                let moved = self
+                    .tenants
+                    .iter()
+                    .filter_map(|(pid, t)| {
+                        let my_set = if t.ionice.is_latency_sensitive() {
+                            l_set
+                        } else {
+                            t_set
+                        };
+                        if my_set.is_empty() || my_set.contains(&t.core) {
+                            return None;
+                        }
+                        Some((pid, my_set[pid.0 as usize % my_set.len()]))
+                    })
+                    .min_by_key(|&(pid, _)| pid);
                 if let Some((pid, core)) = moved {
-                    if let Some(t) = self.tenants.get_mut(&pid) {
-                        t.core = core;
-                    }
+                    self.update_tenant(pid, |t| t.core = core);
                     env.migrations.push((pid, core));
                     self.steering_actions += 1;
                 }
@@ -380,11 +396,9 @@ impl StorageStack for BlkSwitchStack {
                             .iter()
                             .filter(|(_, t)| t.core == busiest && !t.ionice.is_latency_sensitive())
                             .max_by_key(|(pid, t)| (t.window_bytes, pid.0))
-                            .map(|(pid, _)| *pid);
+                            .map(|(pid, _)| pid);
                         if let Some(pid) = victim {
-                            if let Some(t) = self.tenants.get_mut(&pid) {
-                                t.core = idlest;
-                            }
+                            self.update_tenant(pid, |t| t.core = idlest);
                             env.migrations.push((pid, idlest));
                             self.steering_actions += 1;
                         }
@@ -637,6 +651,81 @@ mod tests {
             h.dev.handle_event(ev, at, &mut h.out);
         }
         assert_eq!(s.stats().submitted_rqs, 3);
+    }
+
+    /// From-scratch recount of the L-tenant counters over the tenant map:
+    /// the oracle for the incremental `nr_l` / `l_per_queue`.
+    fn recount_l(s: &BlkSwitchStack) -> (usize, Vec<u32>) {
+        let mut per_queue = vec![0u32; s.nr_queues as usize];
+        let mut l = 0;
+        for t in s.tenants.values() {
+            if t.ionice.is_latency_sensitive() {
+                l += 1;
+                per_queue[(t.core % s.nr_queues) as usize] += 1;
+            }
+        }
+        (l, per_queue)
+    }
+
+    #[test]
+    fn l_counters_match_recount_under_churn() {
+        // 6 cores over 4 NSQs, so cores 4 and 5 share queues 0 and 1.
+        let mut h = Harness::new();
+        let mut s = BlkSwitchStack::new(BlkSwitchConfig::default(), 6, 4);
+        let mut rng = SimRng::new(7);
+        let class = |rng: &mut SimRng| match rng.gen_range(4) {
+            0 => IoPriorityClass::RealTime,
+            1 => IoPriorityClass::Idle,
+            _ => IoPriorityClass::BestEffort,
+        };
+        let (mut overloaded, mut within, mut reregistered) = (0, 0, 0);
+        const STEPS: u64 = 2_000;
+        for step in 0..STEPS {
+            let mut env = h.env(SimTime::ZERO);
+            // Grow the population for the first half, shrink it after, so
+            // the run crosses the overload threshold both ways.
+            let grow = step < STEPS / 2;
+            let pid = Pid(rng.gen_range(32));
+            let core = rng.gen_range(6) as u16;
+            match rng.gen_range(8) {
+                0..=2 if grow => {
+                    let ionice = class(&mut rng);
+                    if s.tenants.get(pid).is_some_and(|t| {
+                        t.ionice.is_latency_sensitive() != ionice.is_latency_sensitive()
+                    }) {
+                        reregistered += 1;
+                    }
+                    s.register_tenant(&task(pid.0, core, ionice), &mut env);
+                }
+                0..=2 => s.deregister_tenant(pid, &mut env),
+                3 => s.update_ionice(pid, class(&mut rng), &mut env),
+                4 => s.migrate_tenant(pid, core, &mut env),
+                5 => {
+                    if let Some(t) = s.tenants.get(pid) {
+                        let bytes = 4096 << rng.gen_range(6);
+                        s.submit(&[bio(step, pid.0, t.core, bytes)], &mut env);
+                    }
+                }
+                _ => {
+                    s.on_tick(&mut env);
+                }
+            }
+            if s.overloaded() {
+                overloaded += 1;
+            } else if s.tenants.len() > 4 {
+                within += 1;
+            }
+            let (l, per_queue) = recount_l(&s);
+            assert_eq!(s.class_counts().0, l, "L count after step {step}");
+            assert_eq!(s.l_per_queue, per_queue, "per-queue L after step {step}");
+        }
+        assert!(reregistered > 0, "no live pid re-registered across classes");
+        assert!(overloaded > 0, "never reached the overloaded regime");
+        assert!(within > 0, "never steered within capacity");
+        assert!(
+            !h.migs.is_empty(),
+            "application steering never moved a tenant"
+        );
     }
 
     #[test]

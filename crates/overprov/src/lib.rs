@@ -20,10 +20,8 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use dd_nvme::{Arbitration, CqId, NvmeDevice, SqId, SqPriorityClass};
-use simkit::SimDuration;
+use simkit::{DenseMap, SimDuration};
 
 use blkstack::dispatch::Dispatch;
 use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats, StorageStack};
@@ -42,7 +40,7 @@ struct TenantState {
 pub struct OverprovStack {
     /// Number of core pairs (= cores served).
     nr_pairs: u16,
-    tenants: HashMap<Pid, TenantState>,
+    tenants: DenseMap<Pid, TenantState>,
     dispatch: Dispatch,
     /// Whether the device's queues have been WRR-classified yet.
     classified: bool,
@@ -61,7 +59,7 @@ impl OverprovStack {
         let nr_pairs = (device_sqs / 2).min(nr_cores).max(1);
         OverprovStack {
             nr_pairs,
-            tenants: HashMap::new(),
+            tenants: DenseMap::new(),
             dispatch: Dispatch::new(device_sqs),
             classified: false,
         }
@@ -117,11 +115,11 @@ impl StorageStack for OverprovStack {
     }
 
     fn deregister_tenant(&mut self, pid: Pid, _env: &mut StackEnv<'_>) {
-        self.tenants.remove(&pid);
+        self.tenants.remove(pid);
     }
 
     fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
-        if let Some(t) = self.tenants.get_mut(&pid) {
+        if let Some(t) = self.tenants.get_mut(pid) {
             t.ionice = class;
         }
     }
@@ -132,7 +130,7 @@ impl StorageStack for OverprovStack {
         let core = bios[0].core;
         let is_l_tenant = self
             .tenants
-            .get(&bios[0].tenant)
+            .get(bios[0].tenant)
             .map(|t| t.ionice.is_latency_sensitive())
             .unwrap_or(false);
         let (l_sq, t_sq) = self.pair_of(core);

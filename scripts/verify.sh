@@ -247,7 +247,7 @@ echo "== verify: hot-path maps stay slab/dense (no std hash maps) =="
 # The request-lifecycle hot path must not regress to allocating hash maps.
 # A file may opt out with an explicit `dd-alloc-allowlist:` comment
 # justifying the exception.
-HOT_FILES="crates/blkstack/src/reqmap.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/core/src/troute.rs crates/core/src/policy.rs"
+HOT_FILES="crates/blkstack/src/reqmap.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/core/src/troute.rs crates/core/src/policy.rs crates/blkswitch/src/lib.rs crates/overprov/src/lib.rs"
 for f in $HOT_FILES; do
     if grep -qE 'use std::collections::.*(HashMap|BTreeMap)' "$f" \
         && ! grep -q 'dd-alloc-allowlist:' "$f"; then

@@ -110,19 +110,85 @@ fn overprov_static_pairs_overflow_under_skew() {
     assert!(over_even.l_avg_ms() < 1.0);
     let vanilla_skew = mk(StackSpec::vanilla(), true);
     let switch_skew = mk(StackSpec::blk_switch(), true);
+    let host = |out| daredevil_repro::testbed::FleetOutput { hosts: vec![out] };
     // No figure golden parks a command; this scenario parks thousands on
     // every stack but Daredevil, so its digests pin the queue-full requeue
     // path (park, unpark on completion, doorbell and lock accounting).
-    for (name, out, requeues, digest) in [
-        ("vanilla", vanilla_skew, 6413, 17504154525677626761u64),
-        ("blk-switch", switch_skew, 2234, 5615041166381761904),
-        ("overprov", over_skew, 6382, 14062094940252577379),
-        ("daredevil", dare_skew, 0, 1267609866143129755),
+    // The last two entries pin blk-switch's two steering regimes: an
+    // overloaded Zipfian fleet, and a 4 L + 4 T machine within the
+    // cross-core scheduling capacity — the only regime whose request
+    // steering reads the per-queue L-tenant counts.
+    for (name, fleet, requeues, steering, digest) in [
+        (
+            "vanilla",
+            host(vanilla_skew),
+            6413,
+            0,
+            17504154525677626761u64,
+        ),
+        (
+            "blk-switch",
+            host(switch_skew),
+            2234,
+            9,
+            5615041166381761904,
+        ),
+        ("overprov", host(over_skew), 6382, 0, 14062094940252577379),
+        ("daredevil", host(dare_skew), 0, 0, 1267609866143129755),
+        (
+            "blk-switch fleet",
+            blk_switch_fleet(),
+            0,
+            14,
+            4395063449282237365,
+        ),
+        (
+            "blk-switch 4L+4T",
+            host(blk_switch_within_capacity()),
+            0,
+            667,
+            12698270464007049151,
+        ),
     ] {
-        assert_eq!(out.stack_stats.requeues, requeues, "{name} requeues");
-        let fleet = daredevil_repro::testbed::FleetOutput { hosts: vec![out] };
-        assert_eq!(fleet.digest(), digest, "{name} skewed-run digest");
+        let stats = || fleet.hosts.iter().map(|h| h.stack_stats);
+        assert_eq!(
+            stats().map(|s| s.requeues).sum::<u64>(),
+            requeues,
+            "{name} requeues"
+        );
+        assert_eq!(
+            stats().map(|s| s.steering_actions).sum::<u64>(),
+            steering,
+            "{name} steering actions"
+        );
+        assert_eq!(fleet.digest(), digest, "{name} digest");
     }
+}
+
+/// blk-switch on a 1k-tenant Zipfian fleet of two SV-M hosts (the
+/// `ext_fleet` shape, cut down): ~500 tenants per 4-core host, far past
+/// the cross-core scheduling capacity.
+fn blk_switch_fleet() -> daredevil_repro::testbed::FleetOutput {
+    use daredevil_repro::testbed::{FleetSpec, RunArena, TenantPopulation};
+    let mut f = FleetSpec::new(
+        "switch-fleet",
+        2,
+        MachinePreset::SvM,
+        StackSpec::blk_switch(),
+        TenantPopulation::zipfian(1_000, 20_000.0),
+    );
+    f.knobs.warmup = SimDuration::from_millis(10);
+    f.knobs.measure = SimDuration::from_millis(60);
+    daredevil_repro::testbed::run_fleet(&f, &mut RunArena::new())
+}
+
+/// blk-switch with 4 L + 4 T tenants on 4 cores: within its cross-core
+/// scheduling capacity (`paper_claims::blk_switch_fails_under_overload`'s
+/// low-pressure point), so it partitions cores by class and steers
+/// T-requests by per-queue L-tenant count and outstanding bytes.
+fn blk_switch_within_capacity() -> RunOutput {
+    let s = Scenario::multi_tenant_fio(StackSpec::blk_switch(), 4, 4, 4, MachinePreset::SvM);
+    daredevil_repro::testbed::run(durations(s))
 }
 
 /// Guest SLAs only reach the host through SLA-aware virtqueues.
