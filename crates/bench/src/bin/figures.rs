@@ -1,14 +1,17 @@
-//! Regenerates every table and figure of the paper in sequence, then
-//! writes `BENCH_sweep.json` — the harness's own performance artifact:
+//! `figures [NAME...] [FLAGS]` — regenerates the named tables and figures
+//! of the paper (see `bench::figures::FIGURES`), or with no name the
+//! default sweep, table1 through ext_breakdown. Flags: `bench::cli`.
+//!
+//! When `DD_BENCH_SWEEP` names a path, it then writes the harness's own
+//! performance artifact there (`BENCH_sweep.json` in the repo):
 //! wall-clock, runs, and simulation events/s per figure, plus the sweep
 //! worker count, per-figure speedup over a serial baseline, and
 //! (optionally) a per-jobs speedup curve from a fixed probe sweep.
+//! Speedups the host cannot measure (a single-core host, or a figure that
+//! ran no cells) are written as `null`.
 //!
-//! Environment:
+//! Environment (all read only when `DD_BENCH_SWEEP` is set):
 //!
-//! * `DD_BENCH_SWEEP` — output path for the JSON artifact (default
-//!   `BENCH_sweep.json` in the working directory; set to the empty string
-//!   to skip writing);
 //! * `DD_BASELINE_WALL_S` — a serial (`--jobs 1`) wall-clock measurement
 //!   in seconds; when present the artifact records `speedup_vs_serial`
 //!   (used by `scripts/verify.sh`);
@@ -25,6 +28,7 @@
 
 use std::time::Instant;
 
+use bench::figures::{Figure, FIGURES};
 use testbed::scenario::{MachinePreset, Scenario, StackSpec};
 
 struct FigStat {
@@ -53,44 +57,35 @@ struct CurvePoint {
 
 fn main() {
     let opts = bench::Opts::from_args();
-    type Fig = (&'static str, fn(&bench::Opts));
-    let figures: [Fig; 14] = [
-        ("table1", bench::figures::table1::run_figure),
-        ("fig2", bench::figures::fig2::run_figure),
-        ("fig6", bench::figures::fig6::run_figure),
-        ("fig7", bench::figures::fig7::run_figure),
-        ("fig8", bench::figures::fig8::run_figure),
-        ("fig9", bench::figures::fig9::run_figure),
-        ("fig10", bench::figures::fig10::run_figure),
-        ("fig11", bench::figures::fig11::run_figure),
-        ("fig12", bench::figures::fig12::run_figure),
-        ("fig13", bench::figures::fig13::run_figure),
-        ("fig14", bench::figures::fig14::run_figure),
-        ("ext_baselines", bench::figures::ext_baselines::run_figure),
-        ("ext_virtio", bench::figures::ext_virtio::run_figure),
-        ("ext_breakdown", bench::figures::ext_breakdown::run_figure),
-    ];
+    let figures: Vec<&Figure> = if opts.figures.is_empty() {
+        FIGURES.iter().filter(|f| f.in_sweep).collect()
+    } else {
+        opts.figures.clone()
+    };
 
     let started = Instant::now();
     let mut stats = Vec::with_capacity(figures.len());
-    for (name, run_figure) in figures {
+    for fig in figures {
         let (runs0, events0) = bench::sweep::counters();
         let t0 = Instant::now();
-        run_figure(&opts);
+        (fig.run)(&opts);
         let (runs1, events1) = bench::sweep::counters();
         stats.push(FigStat {
-            name,
+            name: fig.name,
             wall_s: t0.elapsed().as_secs_f64(),
             runs: runs1 - runs0,
             events: events1 - events0,
         });
     }
     let total_wall_s = started.elapsed().as_secs_f64();
+    let Ok(path) = std::env::var("DD_BENCH_SWEEP") else {
+        return;
+    };
     // The curve runs *after* the figure timings are frozen, so its extra
     // probe work never pollutes the per-figure numbers above.
     let curve = measure_curve();
     let fleet = measure_fleet_probe();
-    write_artifact(&opts, total_wall_s, &stats, &curve, &fleet);
+    write_artifact(&path, &opts, total_wall_s, &stats, &curve, &fleet);
 }
 
 /// T-pressure stages of the fixed probe sweep (also recorded in the
@@ -146,7 +141,7 @@ fn measure_curve() -> Vec<CurvePoint> {
             events: stats.events,
         });
         eprintln!(
-            "all_figures: curve probe jobs={jobs}: {:.3}s, {} events",
+            "figures: curve probe jobs={jobs}: {:.3}s, {} events",
             curve.last().expect("just pushed").wall_s,
             stats.events
         );
@@ -187,7 +182,7 @@ fn measure_fleet_probe() -> Vec<FleetPoint> {
             events: out.events_processed(),
         });
         eprintln!(
-            "all_figures: fleet probe {tenants} tenants: {:.3}s, {} events",
+            "figures: fleet probe {tenants} tenants: {:.3}s, {} events",
             points.last().expect("just pushed").wall_s,
             out.events_processed()
         );
@@ -203,7 +198,7 @@ fn baseline_figure_walls() -> Vec<(String, f64)> {
         return Vec::new();
     };
     let Ok(text) = std::fs::read_to_string(&path) else {
-        eprintln!("all_figures: cannot read DD_BASELINE_ARTIFACT {path}; skipping per-figure speedups");
+        eprintln!("figures: cannot read DD_BASELINE_ARTIFACT {path}; skipping per-figure speedups");
         return Vec::new();
     };
     let mut walls = Vec::new();
@@ -232,16 +227,13 @@ fn baseline_figure_walls() -> Vec<(String, f64)> {
 /// Writes the JSON artifact by hand (the repo is dependency-free; the
 /// schema is flat enough that a serializer would be overkill).
 fn write_artifact(
+    path: &str,
     opts: &bench::Opts,
     total_wall_s: f64,
     stats: &[FigStat],
     curve: &[CurvePoint],
     fleet: &[FleetPoint],
 ) {
-    let path = std::env::var("DD_BENCH_SWEEP").unwrap_or_else(|_| "BENCH_sweep.json".to_string());
-    if path.is_empty() {
-        return;
-    }
     let baseline: Option<f64> = std::env::var("DD_BASELINE_WALL_S")
         .ok()
         .and_then(|v| v.trim().parse().ok())
@@ -266,6 +258,14 @@ fn write_artifact(
         .map(|n| n.get())
         .unwrap_or(0);
     s.push_str(&format!("  \"available_parallelism\": {parallelism},\n"));
+    // A single-core host cannot speed anything up: its ratios are noise.
+    let speedup = |base_s: f64, wall_s: f64| {
+        if parallelism > 1 {
+            format!("{:.3}", base_s / wall_s.max(1e-9))
+        } else {
+            "null".to_string()
+        }
+    };
     s.push_str(&format!("  \"total_wall_s\": {total_wall_s:.6},\n"));
     s.push_str(&format!("  \"total_runs\": {total_runs},\n"));
     s.push_str(&format!("  \"total_events\": {total_events},\n"));
@@ -273,8 +273,8 @@ fn write_artifact(
     if let Some(base) = baseline {
         s.push_str(&format!("  \"baseline_wall_s\": {base:.6},\n"));
         s.push_str(&format!(
-            "  \"speedup_vs_serial\": {:.3},\n",
-            base / total_wall_s.max(1e-9)
+            "  \"speedup_vs_serial\": {},\n",
+            speedup(base, total_wall_s)
         ));
     }
     if !curve.is_empty() {
@@ -308,11 +308,11 @@ fn write_artifact(
                 0.0
             };
             s.push_str(&format!(
-                "    {{\"jobs\": {}, \"wall_s\": {:.6}, \"events_per_s\": {:.1}, \"speedup_vs_serial\": {:.3}}}{}\n",
+                "    {{\"jobs\": {}, \"wall_s\": {:.6}, \"events_per_s\": {:.1}, \"speedup_vs_serial\": {}}}{}\n",
                 p.jobs,
                 p.wall_s,
                 eps,
-                base_wall / p.wall_s.max(1e-9),
+                speedup(base_wall, p.wall_s),
                 if i + 1 < curve.len() { "," } else { "" },
             ));
         }
@@ -343,12 +343,12 @@ fn write_artifact(
     }
     s.push_str("  \"figures\": [\n");
     for (i, f) in stats.iter().enumerate() {
-        let speedup = fig_walls
-            .iter()
-            .find(|(n, _)| n == f.name)
-            .map(|(_, base)| base / f.wall_s.max(1e-9));
-        let speedup_field = match speedup {
-            Some(x) => format!(", \"speedup_vs_serial\": {x:.3}"),
+        // A figure that ran no cells (table1) has no parallel work.
+        let speedup_field = match fig_walls.iter().find(|(n, _)| n == f.name) {
+            Some(&(_, base)) if f.runs > 0 => {
+                format!(", \"speedup_vs_serial\": {}", speedup(base, f.wall_s))
+            }
+            Some(_) => ", \"speedup_vs_serial\": null".to_string(),
             None => String::new(),
         };
         s.push_str(&format!(
@@ -364,12 +364,12 @@ fn write_artifact(
     }
     s.push_str("  ]\n}\n");
 
-    match std::fs::write(&path, &s) {
+    match std::fs::write(path, &s) {
         Ok(()) => eprintln!(
-            "all_figures: {total_runs} runs, {total_events} events in {total_wall_s:.2}s \
+            "figures: {total_runs} runs, {total_events} events in {total_wall_s:.2}s \
              (jobs={}) -> {path}",
             opts.jobs
         ),
-        Err(e) => eprintln!("all_figures: cannot write {path}: {e}"),
+        Err(e) => eprintln!("figures: cannot write {path}: {e}"),
     }
 }

@@ -1,10 +1,10 @@
-//! The one command line every figure binary speaks.
+//! The command line of the `figures` binary.
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation, and all of them parse their arguments through
-//! [`Opts::from_args`]: the same flags mean the same thing everywhere,
-//! and *unknown flags exit 2 with usage* in every binary, not just
-//! `all_figures`.
+//! `figures [NAME...] [FLAGS]` runs the named entries of
+//! [`crate::figures::FIGURES`] (or the default sweep when no name is
+//! given), and [`Opts::from_args`] parses it: the same flags mean the
+//! same thing for every figure, and *unknown flags or figure names exit
+//! 2 with usage*.
 //!
 //! ```text
 //! --quick            reduced durations (CI/smoke scale)
@@ -56,34 +56,41 @@ use dd_metrics::Table;
 use simkit::{Phase, SimDuration, TraceEvent, MASK_ALL, PHASE_NAMES};
 use testbed::RunOutput;
 
-const USAGE: &str = "usage: <bin> [--quick] [--csv] [--jobs N] [--seed N]\n\
-  \x20           [--trace [PHASES]] [--trace-out PATH] [--trace-cap N]\n\
-  \x20           [--faults SPEC] [--fault-seed N] [--policy NAME]\n\
+use crate::figures::{self, Figure};
+
+const USAGE: &str = "usage: figures [NAME...] [--quick] [--csv] [--jobs N] [--seed N]\n\
+  \x20              [--trace [PHASES]] [--trace-out PATH] [--trace-cap N]\n\
+  \x20              [--faults SPEC] [--fault-seed N] [--policy NAME]\n\
+  NAME             a figure to run (default: the paper sweep, table1 through\n\
+  \x20                ext_breakdown); unknown names list the known ones\n\
   --quick          reduced durations (CI/smoke scale)\n\
   --csv            also print CSV after each table\n\
   --jobs N         sweep worker threads (default: available parallelism,\n\
-                   or the DD_JOBS environment variable)\n\
+  \x20                or the DD_JOBS environment variable)\n\
   --seed N         override every scenario's RNG seed\n\
   --trace [PHASES] record a per-request span trace; PHASES is a comma-\n\
-                   separated subset of: submit,routed,nsq_enqueue,doorbell,\n\
-                   device_fetch,flash_done,cqe_posted,irq_fire,complete,\n\
-                   debug (default: all)\n\
+  \x20                separated subset of: submit,routed,nsq_enqueue,doorbell,\n\
+  \x20                device_fetch,flash_done,cqe_posted,irq_fire,complete,\n\
+  \x20                debug (default: all)\n\
   --trace-out PATH trace CSV destination (default: trace.csv)\n\
   --trace-cap N    trace ring capacity in events (default: 1048576)\n\
   --faults SPEC    inject device faults into every scenario; SPEC is a\n\
-                   comma-separated subset of: spikes,irqloss,stalls, or\n\
-                   all / none\n\
+  \x20                comma-separated subset of: spikes,irqloss,stalls, or\n\
+  \x20                all / none\n\
   --fault-seed N   fault-schedule seed (default: 221)\n\
   --policy NAME    Daredevil scheduling policy applied to every scenario:\n\
-                   default, deadline, sizeclass, or fairshare (no-op for\n\
-                   stacks without a policy layer)";
+  \x20                default, deadline, sizeclass, or fairshare (no-op for\n\
+  \x20                stacks without a policy layer)";
 
 /// Default trace ring capacity in events (per run).
 pub const DEFAULT_TRACE_CAP: usize = 1 << 20;
 
-/// Command-line options shared by the figure binaries.
+/// Command-line options shared by every figure.
 #[derive(Clone, Debug)]
 pub struct Opts {
+    /// Figures named on the command line, in order; empty means the
+    /// default sweep.
+    pub figures: Vec<&'static Figure>,
     /// Run a reduced-scale version (CI/smoke).
     pub quick: bool,
     /// Also print CSV after each table.
@@ -118,6 +125,7 @@ impl Opts {
     /// seed override.
     pub fn new(quick: bool, csv: bool, jobs: usize) -> Self {
         Opts {
+            figures: Vec::new(),
             quick,
             csv,
             jobs,
@@ -159,9 +167,8 @@ impl Opts {
             .unwrap_or(1)
     }
 
-    /// Parses options from the process arguments. Genuinely unknown
-    /// arguments are an error (exit 2), not a warning — uniformly, in
-    /// every figure binary.
+    /// Parses options from the process arguments. Unknown flags and
+    /// figure names are an error (exit 2), not a warning.
     pub fn from_args() -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         Self::parse(&argv)
@@ -212,7 +219,9 @@ impl Opts {
                     let spec = match inline.take() {
                         Some(v) => Some(v),
                         None => match argv.get(i + 1) {
-                            Some(next) if !next.starts_with('-') => {
+                            Some(next)
+                                if !next.starts_with('-') && figures::find(next).is_none() =>
+                            {
                                 i += 1;
                                 Some(next.clone())
                             }
@@ -266,6 +275,14 @@ impl Opts {
                     eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
+                name if !name.starts_with('-') => match figures::find(&argv[i]) {
+                    Some(f) => opts.figures.push(f),
+                    None => bad(format!(
+                        "unknown figure {:?} (known: {})",
+                        argv[i],
+                        figures::names()
+                    )),
+                },
                 other => bad(format!("unknown argument {other:?}")),
             }
             i += 1;
@@ -340,8 +357,8 @@ fn parse_phases(list: &str) -> Result<u16, String> {
     }
 }
 
-/// Ordinal of the next dumped cell (process-wide: a figure binary runs its
-/// sweeps sequentially, so ordinals are deterministic).
+/// Ordinal of the next dumped cell (process-wide: the `figures` binary runs
+/// its sweeps sequentially, so ordinals are deterministic).
 static CELL_SEQ: AtomicU64 = AtomicU64::new(0);
 /// The process-wide trace CSV writer, opened on first dump.
 static WRITER: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
@@ -476,6 +493,19 @@ mod tests {
         let o = Opts::parse(&args(&["--policy=fairshare", "--jobs", "1"]));
         assert_eq!(o.policy, Some(daredevil::PolicySpec::FairShare));
         assert_eq!(Opts::parse(&args(&["--jobs", "1"])).policy, None);
+    }
+
+    #[test]
+    fn positional_names_select_figures() {
+        let o = Opts::parse(&args(&["fig6", "--quick", "ext_fleet", "--jobs", "1"]));
+        let names: Vec<_> = o.figures.iter().map(|f| f.name).collect();
+        assert_eq!(names, ["fig6", "ext_fleet"]);
+        assert!(o.quick);
+        assert!(Opts::parse(&args(&["--jobs", "1"])).figures.is_empty());
+        // A bare `--trace` does not swallow a following figure name.
+        let o = Opts::parse(&args(&["--trace", "fig2", "--jobs", "1"]));
+        assert_eq!(o.trace, Some(MASK_ALL));
+        assert_eq!(o.figures[0].name, "fig2");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! Like every figure, the output is byte-identical for `--jobs 1` and
 //! `--jobs N` (gated by `scripts/verify.sh`). The `--policy` CLI flag is
 //! deliberately *not* consulted here — this figure sweeps all policies by
-//! construction; use the flag with the other figure binaries to A/B a
-//! single policy there.
+//! construction; use the flag with the other figures to A/B a single
+//! policy there.
 
 use daredevil::PolicySpec;
 use dd_metrics::table::{fmt_f, fmt_ms};

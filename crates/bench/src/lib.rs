@@ -1,12 +1,14 @@
 //! Shared machinery of the figure/table harness.
 //!
-//! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §3 for the index). They share:
+//! Every module in [`figures`] regenerates one artifact of the paper's
+//! evaluation (see DESIGN.md §3 for the index), and the one binary,
+//! `figures [NAME...]`, runs them by name from [`figures::FIGURES`]. They
+//! share:
 //!
-//! * [`cli::Opts`] — the one command line every binary speaks: `--quick`,
+//! * [`cli::Opts`] — the one command line: figure names, `--quick`,
 //!   `--csv`, `--jobs N`, `--seed N`, and the span-trace flags
 //!   (`--trace [PHASES]`, `--trace-out PATH`, `--trace-cap N`), with
-//!   unknown flags exiting 2 with usage everywhere;
+//!   unknown flags and names exiting 2 with usage;
 //! * duration presets and the T-pressure stages of §7.1;
 //! * [`sweep::Sweep`] — the deterministic parallel sweep executor every
 //!   figure module runs its cells on;
@@ -54,7 +56,7 @@ pub fn scaled(opts: &Opts, mut s: Scenario) -> Scenario {
 }
 
 /// Runs one scenario serially and returns its output (panicking on invalid
-/// scenarios — these binaries are the test matrix, failing loudly is
+/// scenarios — the figures are the test matrix, failing loudly is
 /// correct). Sweeps of independent cells should use [`Sweep`] instead.
 pub fn run(opts: &Opts, s: Scenario) -> RunOutput {
     let s = scaled(opts, s);

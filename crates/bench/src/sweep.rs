@@ -51,7 +51,7 @@ pub(crate) fn record_run(out: &RunOutput) {
 }
 
 /// Snapshot of the process-wide `(runs, events)` counters — used by
-/// `all_figures` to attribute events/s to each figure in
+/// the `figures` binary to attribute events/s to each figure in
 /// `BENCH_sweep.json`.
 pub fn counters() -> (u64, u64) {
     (

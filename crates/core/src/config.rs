@@ -31,7 +31,7 @@ pub struct DaredevilConfig {
     /// many requests of a T-tenant.
     pub profile_window: u64,
     /// Which built-in scheduling policy drives routing, merit, and batching
-    /// decisions (`--policy NAME` on the figure binaries; see
+    /// decisions (`--policy NAME` on the figures; see
     /// [`crate::policy`]). The default is the paper's Algorithm 1/2 +
     /// SLA-aware dispatching.
     pub policy: PolicySpec,

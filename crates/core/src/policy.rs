@@ -92,7 +92,7 @@
 //! ```
 //!
 //! The built-in policies are also reachable by name through
-//! [`PolicySpec::parse`] (the `--policy NAME` flag of every figure binary)
+//! [`PolicySpec::parse`] (the `--policy NAME` flag of every figure)
 //! and dispatch through [`PolicyKind`] — a single `match` per decision, so
 //! the default stack type needs no generics at its uses.
 

@@ -12,7 +12,7 @@
 //! * [`summary`] — per-tenant and per-run roll-ups;
 //! * [`span`] — the [`span::SpanTable`] post-processor that stitches
 //!   structured `simkit` trace events into per-request phase spans;
-//! * [`table`] — plain-text/markdown emission used by the figure binaries.
+//! * [`table`] — plain-text/markdown emission used by the figures.
 
 #![warn(missing_docs)]
 

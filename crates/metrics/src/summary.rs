@@ -2,7 +2,7 @@
 //!
 //! The testbed tags every tenant with a free-form class label (`"L"`, `"T"`,
 //! `"TL"`, `"app"`, …); [`RunSummary`] aggregates tenants by label so the
-//! figure binaries can report exactly the series the paper plots: L-tenant
+//! figures can report exactly the series the paper plots: L-tenant
 //! p99.9/average latency, L-tenant IOPS, T-tenant throughput.
 
 use simkit::{SimDuration, SimTime};

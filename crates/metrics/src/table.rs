@@ -1,4 +1,4 @@
-//! Plain-text table emission for the figure binaries.
+//! Plain-text table emission for the figures.
 //!
 //! Every `bench` binary prints the rows/series of the paper artifact it
 //! regenerates. [`Table`] renders aligned plain text (readable in a

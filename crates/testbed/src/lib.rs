@@ -4,7 +4,7 @@
 //! config, stack under test, tenant population, durations, fault/storm
 //! injectors); [`machine::Machine`] executes it as a single deterministic
 //! discrete-event loop and returns a [`runout::RunOutput`] with everything
-//! the figure binaries report: per-class latency percentiles, IOPS and
+//! the figures report: per-class latency percentiles, IOPS and
 //! throughput, time series, stack overhead counters, and application
 //! op-latency histograms.
 //!

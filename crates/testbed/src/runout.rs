@@ -1,4 +1,4 @@
-//! Run results: everything a figure binary needs from one run.
+//! Run results: everything a figure needs from one run.
 
 use std::collections::HashMap;
 

@@ -235,9 +235,7 @@ impl MachinePreset {
 
 /// Every cross-cutting run knob in one typed struct.
 ///
-/// `RunKnobs` replaces the old `with_seed`/`with_trace`/`with_faults`/
-/// `with_policy`/`with_gc`/`with_durations` builder sprawl on [`Scenario`]:
-/// a scenario owns one `knobs` value and callers mutate its fields
+/// A scenario owns one `knobs` value and callers mutate its fields
 /// directly. [`crate::fleet::FleetSpec`] reuses the struct verbatim, so a
 /// fleet cell inherits every knob without re-plumbing each one.
 #[derive(Clone, Debug)]
@@ -259,7 +257,7 @@ pub struct RunKnobs {
     /// branch per injection point).
     pub faults: Option<simkit::FaultSpec>,
     /// Daredevil scheduling-policy override, applied to the stack spec at
-    /// machine build time (`--policy NAME` on the figure binaries). No-op
+    /// machine build time (`--policy NAME` on the figures). No-op
     /// for stacks without a policy layer.
     pub policy: Option<daredevil::PolicySpec>,
     /// Flash garbage collection (an aged drive; Fig. 6 GC variant),
@@ -417,52 +415,6 @@ impl Scenario {
             }
         }
         s
-    }
-
-    /// Overrides warmup/measure durations.
-    #[deprecated(note = "set `knobs.warmup` / `knobs.measure` directly")]
-    pub fn with_durations(mut self, warmup: SimDuration, measure: SimDuration) -> Self {
-        self.knobs.warmup = warmup;
-        self.knobs.measure = measure;
-        self
-    }
-
-    /// Overrides the seed.
-    #[deprecated(note = "set `knobs.seed` directly")]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.knobs.seed = seed;
-        self
-    }
-
-    /// Enables structured span tracing for the run.
-    #[deprecated(note = "set `knobs.trace` directly")]
-    pub fn with_trace(mut self, spec: simkit::TraceSpec) -> Self {
-        self.knobs.trace = Some(spec);
-        self
-    }
-
-    /// Enables deterministic fault injection for the run.
-    #[deprecated(note = "set `knobs.faults` directly")]
-    pub fn with_faults(mut self, spec: simkit::FaultSpec) -> Self {
-        self.knobs.faults = Some(spec);
-        self
-    }
-
-    /// Overrides the Daredevil scheduling policy (`--policy NAME` on the
-    /// figure binaries). No-op when the scenario's stack has no policy
-    /// layer.
-    #[deprecated(note = "set `knobs.policy` directly")]
-    pub fn with_policy(mut self, policy: daredevil::PolicySpec) -> Self {
-        self.knobs.policy = Some(policy);
-        self
-    }
-
-    /// Enables flash garbage collection (an aged drive; Fig. 6 GC
-    /// variant).
-    #[deprecated(note = "set `knobs.gc` directly")]
-    pub fn with_gc(mut self, gc: dd_nvme::flash::GcConfig) -> Self {
-        self.knobs.gc = Some(gc);
-        self
     }
 
     /// Adds one tenant.

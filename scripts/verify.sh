@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Hermetic verification gate for the Daredevil reproduction.
 #
-# Runs tier-1 (release build + full test suite) plus the smoke-scale bench
-# sweep, all with network access forbidden: the workspace has zero external
-# dependencies (see dd-check, DESIGN.md §6), so an empty cargo registry
-# cache must suffice. Any attempt to hit the network is a regression and
+# Runs tier-1 (release build + full test suite), the smoke-scale micro
+# benches and the figure goldens, all with network access forbidden: the
+# workspace has zero external dependencies (see dd-check, DESIGN.md §6),
+# so an empty cargo registry cache must suffice. Any attempt to hit the network is a regression and
 # fails the run.
 #
 # Usage: scripts/verify.sh [--full]
-#   --full   also run the full quick-scale figure sweep and micro benches
-#            at full sample counts (slower; default is the smoke subset).
+#   --full   run the micro benches at full sample counts (slower; default
+#            is the smoke subset).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,168 +39,90 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "  cargo doc --no-deps: clean under -D warnings"
 
 if [ "$FULL" = "1" ]; then
-    echo "== verify: full quick-scale bench sweep =="
+    echo "== verify: micro benches (full sample counts) =="
     cargo bench -p bench
 else
-    echo "== verify: smoke-scale bench sweep =="
+    echo "== verify: micro benches (smoke) =="
     cargo bench -p bench -- --smoke
 fi
 
-echo "== verify: parallel sweep determinism (jobs=1 vs jobs=N) =="
-# The sweep executor must make --jobs N byte-identical to --jobs 1 on
-# stdout. Serial first (its wall-clock becomes the speedup baseline in
-# the parallel run's BENCH_sweep.json), then parallel, then diff.
+echo "== verify: figure goldens (jobs=1 vs jobs=N, then vs the committed capture) =="
+# Mechanism changes keep every gated figure byte-identical: each row runs
+# at --jobs 1 and --jobs N, the two stdouts must match each other and the
+# golden under tests/golden/, and a traced row's span CSVs must match too
+# (events are dumped in original cell order, never completion order).
+# Row format: golden file | figure name (empty: the default sweep) | args.
+GATES=(
+    "all_figures_quick.csv||--csv"
+    "ext_breakdown_quick.txt|ext_breakdown|--trace submit,device_fetch,flash_done,complete"
+    "ext_hostile_quick.txt|ext_hostile|"
+    "ext_policy_quick.txt|ext_policy|"
+    "ext_fleet_quick.txt|ext_fleet|"
+    "fig6_gc_quick.txt|fig6_gc|"
+)
 JOBS_N="${DD_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 [ "$JOBS_N" -lt 2 ] && JOBS_N=4
-# Committed tracing-off throughput baseline, read before the fresh runs
-# overwrite the artifact (used by the trace-overhead check below).
+cargo build --release -q -p bench --bin figures
+# Committed tracing-off throughput baseline, read before the sweep row
+# overwrites the artifact (used by the throughput floor below).
 BASE_EPS="$(sed -n 's/^  "events_per_s": \([0-9.]*\),$/\1/p' BENCH_sweep.json | head -1)"
-SERIAL_OUT="$(mktemp)"
-PAR_OUT="$(mktemp)"
-TRACE_1="$(mktemp)"
-TRACE_N="$(mktemp)"
-EXT_1="$(mktemp)"
-EXT_N="$(mktemp)"
-HOS_1="$(mktemp)"
-HOS_N="$(mktemp)"
-POL_1="$(mktemp)"
-POL_N="$(mktemp)"
-FLE_1="$(mktemp)"
-FLE_N="$(mktemp)"
-trap 'rm -f "$SERIAL_OUT" "$PAR_OUT" "$TRACE_1" "$TRACE_N" "$EXT_1" "$EXT_N" "$HOS_1" "$HOS_N" "$POL_1" "$POL_N" "$FLE_1" "$FLE_N" BENCH_sweep_serial.json' EXIT
-DD_BENCH_SWEEP=BENCH_sweep_serial.json \
-    ./target/release/all_figures --quick --csv --jobs 1 >"$SERIAL_OUT" 2>/dev/null
-BASE_WALL="$(sed -n 's/.*"total_wall_s": \([0-9.]*\),.*/\1/p' BENCH_sweep_serial.json)"
-DD_BENCH_SWEEP=BENCH_sweep.json DD_BASELINE_WALL_S="$BASE_WALL" \
-    DD_BASELINE_ARTIFACT=BENCH_sweep_serial.json DD_BENCH_CURVE="1,2,4" \
-    DD_FLEET_PROBE=1 \
-    ./target/release/all_figures --quick --csv --jobs "$JOBS_N" >"$PAR_OUT" 2>/dev/null
-if ! diff -q "$SERIAL_OUT" "$PAR_OUT" >/dev/null; then
-    echo "verify: FAILED — --jobs $JOBS_N output diverges from --jobs 1:" >&2
-    diff "$SERIAL_OUT" "$PAR_OUT" | head -40 >&2
-    exit 1
-fi
-echo "  jobs=1 vs jobs=$JOBS_N: byte-identical stdout"
+OUT="$(mktemp -d)"
+trap 'rm -rf "$OUT" BENCH_sweep_serial.json' EXIT
+for row in "${GATES[@]}"; do
+    IFS='|' read -r golden fig args <<<"$row"
+    name="${fig:-sweep}"
+    for jobs in 1 "$JOBS_N"; do
+        # The sweep row also writes the perf artifact: serial first, its
+        # wall-clock the speedup baseline of the parallel run.
+        perf_env=()
+        if [ -z "$fig" ] && [ "$jobs" = 1 ]; then
+            perf_env=(DD_BENCH_SWEEP=BENCH_sweep_serial.json)
+        elif [ -z "$fig" ]; then
+            perf_env=(DD_BENCH_SWEEP=BENCH_sweep.json DD_BENCH_CURVE="1,2,4" DD_FLEET_PROBE=1
+                DD_BASELINE_ARTIFACT=BENCH_sweep_serial.json
+                DD_BASELINE_WALL_S="$(sed -n 's/.*"total_wall_s": \([0-9.]*\),.*/\1/p' BENCH_sweep_serial.json)")
+        fi
+        # shellcheck disable=SC2086 # $fig and $args are word lists
+        if ! env "${perf_env[@]}" ./target/release/figures $fig --quick $args \
+            --trace-out "$OUT/$name.$jobs.csv" --jobs "$jobs" \
+            >"$OUT/$name.$jobs.txt" 2>"$OUT/$name.$jobs.err"; then
+            echo "verify: FAILED — figures $name --jobs $jobs exited non-zero:" >&2
+            cat "$OUT/$name.$jobs.err" >&2
+            exit 1
+        fi
+    done
+    for ext in txt csv; do
+        [ -f "$OUT/$name.1.$ext" ] || continue
+        if ! diff -q "$OUT/$name.1.$ext" "$OUT/$name.$JOBS_N.$ext" >/dev/null; then
+            echo "verify: FAILED — $name $ext output diverges between --jobs 1 and --jobs $JOBS_N:" >&2
+            diff "$OUT/$name.1.$ext" "$OUT/$name.$JOBS_N.$ext" | head -40 >&2
+            exit 1
+        fi
+    done
+    if ! diff -q "tests/golden/$golden" "$OUT/$name.1.txt" >/dev/null; then
+        echo "verify: FAILED — $name diverges from tests/golden/$golden:" >&2
+        diff "tests/golden/$golden" "$OUT/$name.1.txt" | head -40 >&2
+        echo "(if the divergence is an intended semantic change, regenerate with:" >&2
+        echo " ./target/release/figures $fig --quick $args --trace-out /dev/null --jobs 1 > tests/golden/$golden)" >&2
+        exit 1
+    fi
+    traced=""
+    [ -f "$OUT/$name.1.csv" ] && traced=", $(( $(wc -l < "$OUT/$name.1.csv") - 1 )) span events"
+    echo "  $name: byte-identical across jobs=1/$JOBS_N$traced and vs tests/golden/$golden"
+done
 sed -n 's/^  "\(total_wall_s\|speedup_vs_serial\|events_per_s\|jobs\)": \(.*\),$/  \1 = \2/p' \
     BENCH_sweep.json
-# Speedup is recorded, not gated: single-core CI hosts cannot speed up
-# (the sweep executor clamps to the inline serial loop there).
+# Speedup is recorded, not gated, and null where the host cannot measure
+# it (a single-core host, or a figure that ran no cells).
 echo "  per-jobs speedup curve (probe sweep; recorded, not gated):"
-sed -n 's/^    {"jobs": \([0-9]*\), "wall_s": \([0-9.]*\), "events_per_s": \([0-9.]*\), "speedup_vs_serial": \([0-9.]*\)}.*/    jobs=\1  wall=\2s  events\/s=\3  speedup=\4/p' \
+sed -n 's/^    {"jobs": \([0-9]*\), "wall_s": \([0-9.]*\), "events_per_s": \([0-9.]*\), "speedup_vs_serial": \([0-9.]*\|null\)}.*/    jobs=\1  wall=\2s  events\/s=\3  speedup=\4/p' \
     BENCH_sweep.json
 echo "  per-figure speedup_vs_serial at jobs=$JOBS_N:"
-sed -n 's/^    {"name": "\([a-z0-9_]*\)".*"speedup_vs_serial": \([0-9.]*\)}.*/    \1 = \2/p' \
+sed -n 's/^    {"name": "\([a-z0-9_]*\)".*"speedup_vs_serial": \([0-9.]*\|null\)}.*/    \1 = \2/p' \
     BENCH_sweep.json
 echo "  fleet probe (serial 4-host daredevil fleet, events/s by tenancy scale):"
 sed -n 's/^    {"tenants": \([0-9]*\), "wall_s": \([0-9.]*\), "events": \([0-9]*\), "events_per_s": \([0-9.]*\)}.*/    tenants=\1  wall=\2s  events\/s=\4/p' \
     BENCH_sweep.json
-
-echo "== verify: figure outputs match the golden capture =="
-# The zero-allocation request-lifecycle port (slab ids, dense tenant
-# tables, recycled scratch) is a pure mechanism change: every figure must
-# stay byte-identical to the committed pre-port capture.
-if ! diff -q tests/golden/all_figures_quick.csv "$SERIAL_OUT" >/dev/null; then
-    echo "verify: FAILED — figure outputs diverge from tests/golden/all_figures_quick.csv:" >&2
-    diff tests/golden/all_figures_quick.csv "$SERIAL_OUT" | head -40 >&2
-    echo "(if the divergence is an intended semantic change, regenerate the" >&2
-    echo " golden file with: ./target/release/all_figures --quick --csv --jobs 1 > tests/golden/all_figures_quick.csv)" >&2
-    exit 1
-fi
-echo "  all 14 figures byte-identical to the golden capture"
-
-echo "== verify: traced ext_breakdown (span CSV determinism + golden) =="
-# The structured trace API's end-to-end gate: a traced figure run must (a)
-# produce the committed SpanTable-derived table, and (b) dump per-request
-# span CSVs that are byte-identical for any worker count (events are
-# written post-collection in original cell order, never completion order).
-BREAKDOWN_PHASES="submit,device_fetch,flash_done,complete"
-./target/release/ext_breakdown --quick \
-    --trace "$BREAKDOWN_PHASES" --trace-out "$TRACE_1" --jobs 1 >"$EXT_1"
-./target/release/ext_breakdown --quick \
-    --trace "$BREAKDOWN_PHASES" --trace-out "$TRACE_N" --jobs "$JOBS_N" >"$EXT_N"
-if ! diff -q "$EXT_1" "$EXT_N" >/dev/null; then
-    echo "verify: FAILED — traced ext_breakdown stdout diverges across --jobs:" >&2
-    diff "$EXT_1" "$EXT_N" | head -40 >&2
-    exit 1
-fi
-if ! diff -q "$TRACE_1" "$TRACE_N" >/dev/null; then
-    echo "verify: FAILED — span trace CSV diverges between --jobs 1 and --jobs $JOBS_N:" >&2
-    diff "$TRACE_1" "$TRACE_N" | head -40 >&2
-    exit 1
-fi
-if ! diff -q tests/golden/ext_breakdown_quick.txt "$EXT_1" >/dev/null; then
-    echo "verify: FAILED — SpanTable breakdown diverges from tests/golden/ext_breakdown_quick.txt:" >&2
-    diff tests/golden/ext_breakdown_quick.txt "$EXT_1" | head -40 >&2
-    echo "(if the divergence is an intended semantic change, regenerate with:" >&2
-    echo " ./target/release/ext_breakdown --quick --trace $BREAKDOWN_PHASES \\" >&2
-    echo "     --trace-out /dev/null --jobs 1 > tests/golden/ext_breakdown_quick.txt)" >&2
-    exit 1
-fi
-TRACE_ROWS="$(( $(wc -l < "$TRACE_1") - 1 ))"
-echo "  SpanTable golden matched; $TRACE_ROWS span events byte-identical across jobs=1/$JOBS_N"
-
-echo "== verify: hostile-scenario figure (fault schedules deterministic + golden) =="
-# The fault-injection gate: the ext_hostile sweep (every stack under every
-# fault class) must be byte-identical for any worker count — fault
-# schedules, recovery watchdogs and all — and match the committed capture.
-./target/release/ext_hostile --quick --jobs 1 >"$HOS_1"
-./target/release/ext_hostile --quick --jobs "$JOBS_N" >"$HOS_N"
-if ! diff -q "$HOS_1" "$HOS_N" >/dev/null; then
-    echo "verify: FAILED — ext_hostile stdout diverges across --jobs:" >&2
-    diff "$HOS_1" "$HOS_N" | head -40 >&2
-    exit 1
-fi
-if ! diff -q tests/golden/ext_hostile_quick.txt "$HOS_1" >/dev/null; then
-    echo "verify: FAILED — hostile table diverges from tests/golden/ext_hostile_quick.txt:" >&2
-    diff tests/golden/ext_hostile_quick.txt "$HOS_1" | head -40 >&2
-    echo "(if the divergence is an intended semantic change, regenerate with:" >&2
-    echo " ./target/release/ext_hostile --quick --jobs 1 > tests/golden/ext_hostile_quick.txt)" >&2
-    exit 1
-fi
-echo "  hostile table byte-identical across jobs=1/$JOBS_N and vs the golden capture"
-
-echo "== verify: policy A/B figure (pluggable policies deterministic + golden) =="
-# The policy layer's gate: the ext_policy sweep (both app mixes under all
-# four built-in policies) must be byte-identical for any worker count —
-# including the stateful fairshare quota counter — and match the committed
-# capture. Implicitly also proves the DefaultPolicy columns still behave:
-# the figure shares its scenarios with Fig. 12.
-./target/release/ext_policy --quick --jobs 1 >"$POL_1" 2>/dev/null
-./target/release/ext_policy --quick --jobs "$JOBS_N" >"$POL_N" 2>/dev/null
-if ! diff -q "$POL_1" "$POL_N" >/dev/null; then
-    echo "verify: FAILED — ext_policy stdout diverges across --jobs:" >&2
-    diff "$POL_1" "$POL_N" | head -40 >&2
-    exit 1
-fi
-if ! diff -q tests/golden/ext_policy_quick.txt "$POL_1" >/dev/null; then
-    echo "verify: FAILED — policy table diverges from tests/golden/ext_policy_quick.txt:" >&2
-    diff tests/golden/ext_policy_quick.txt "$POL_1" | head -40 >&2
-    echo "(if the divergence is an intended semantic change, regenerate with:" >&2
-    echo " ./target/release/ext_policy --quick --jobs 1 > tests/golden/ext_policy_quick.txt)" >&2
-    exit 1
-fi
-echo "  policy table byte-identical across jobs=1/$JOBS_N and vs the golden capture"
-
-echo "== verify: fleet-tenancy figure (10k-scale layer deterministic + golden) =="
-# The fleet layer's gate: every host of every fleet cell is an ordinary
-# sweep cell, so the ext_fleet table — per-class SLO-violation rates from
-# the in-stack per-tenant accounting — must be byte-identical for any
-# worker count and match the committed capture.
-./target/release/ext_fleet --quick --jobs 1 >"$FLE_1"
-./target/release/ext_fleet --quick --jobs "$JOBS_N" >"$FLE_N"
-if ! diff -q "$FLE_1" "$FLE_N" >/dev/null; then
-    echo "verify: FAILED — ext_fleet stdout diverges across --jobs:" >&2
-    diff "$FLE_1" "$FLE_N" | head -40 >&2
-    exit 1
-fi
-if ! diff -q tests/golden/ext_fleet_quick.txt "$FLE_1" >/dev/null; then
-    echo "verify: FAILED — fleet table diverges from tests/golden/ext_fleet_quick.txt:" >&2
-    diff tests/golden/ext_fleet_quick.txt "$FLE_1" | head -40 >&2
-    echo "(if the divergence is an intended semantic change, regenerate with:" >&2
-    echo " ./target/release/ext_fleet --quick --jobs 1 > tests/golden/ext_fleet_quick.txt)" >&2
-    exit 1
-fi
-echo "  fleet table byte-identical across jobs=1/$JOBS_N and vs the golden capture"
 
 echo "== verify: fleet determinism and 10k-tenant capacity stability =="
 # Fleet digest properties (crates/testbed/tests/fleet_props.rs): Zipfian

@@ -13,35 +13,23 @@ use daredevil_repro::metrics::SpanTable;
 use daredevil_repro::prelude::*;
 use daredevil_repro::simkit::{Phase, SimTime, TraceSpec, MASK_ALL};
 
-const STACKS: &[&str] = &[
-    "vanilla",
-    "vanilla-partitioned",
-    "mq-deadline",
-    "kyber",
-    "blk-switch",
-    "overprov",
-    "dare-base",
-    "dare-sched",
-    "daredevil",
-    "virtio-naive",
-    "virtio-sla",
+/// Every stack ddsim can run, by its `--stack` name.
+const STACKS: &[(&str, fn() -> StackSpec)] = &[
+    ("vanilla", StackSpec::vanilla),
+    ("vanilla-partitioned", || StackSpec::vanilla_partitioned(4)),
+    ("mq-deadline", || StackSpec::vanilla_sched(SchedKind::MqDeadline)),
+    ("kyber", || StackSpec::vanilla_sched(SchedKind::Kyber)),
+    ("blk-switch", StackSpec::blk_switch),
+    ("overprov", StackSpec::overprov),
+    ("dare-base", StackSpec::dare_base),
+    ("dare-sched", StackSpec::dare_sched),
+    ("daredevil", StackSpec::daredevil),
+    ("virtio-naive", || StackSpec::virtio(StackSpec::daredevil(), false)),
+    ("virtio-sla", || StackSpec::virtio(StackSpec::daredevil(), true)),
 ];
 
-fn stack_by_name(name: &str) -> Option<StackSpec> {
-    Some(match name {
-        "vanilla" => StackSpec::vanilla(),
-        "vanilla-partitioned" => StackSpec::vanilla_partitioned(4),
-        "mq-deadline" => StackSpec::vanilla_sched(SchedKind::MqDeadline),
-        "kyber" => StackSpec::vanilla_sched(SchedKind::Kyber),
-        "blk-switch" => StackSpec::blk_switch(),
-        "overprov" => StackSpec::overprov(),
-        "dare-base" => StackSpec::dare_base(),
-        "dare-sched" => StackSpec::dare_sched(),
-        "daredevil" => StackSpec::daredevil(),
-        "virtio-naive" => StackSpec::virtio(StackSpec::daredevil(), false),
-        "virtio-sla" => StackSpec::virtio(StackSpec::daredevil(), true),
-        _ => return None,
-    })
+fn stack_names() -> String {
+    STACKS.iter().map(|(name, _)| *name).collect::<Vec<_>>().join(", ")
 }
 
 struct Args {
@@ -72,14 +60,13 @@ impl Default for Args {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ddsim [--stack NAME] [--machine sv-m|ws-m|small] [--l N] [--t N]\n\
-         \x20            [--cores N] [--namespaces N] [--warmup-ms N] [--measure-ms N]\n\
-         \x20            [--seed N] [--list-stacks]\n\
-         stacks: {}",
-        STACKS.join(", ")
-    );
+const USAGE: &str = "usage: ddsim [--stack NAME] [--machine sv-m|ws-m|small] [--l N] [--t N]\n\
+  \x20            [--cores N] [--namespaces N] [--warmup-ms N] [--measure-ms N]\n\
+  \x20            [--seed N] [--list-stacks]";
+
+/// Rejects bad input: prints `msg` and the usage, exits 2.
+fn bad(msg: String) -> ! {
+    eprintln!("ddsim: {msg}\n{USAGE}\nstacks: {}", stack_names());
     std::process::exit(2);
 }
 
@@ -87,56 +74,68 @@ fn parse_args() -> Args {
     let mut args = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
     while i < argv.len() {
-        match argv[i].as_str() {
-            "--stack" => args.stack = value(&mut i),
+        let flag = argv[i].as_str();
+        let mut value = || -> String {
+            i += 1;
+            argv.get(i)
+                .cloned()
+                .unwrap_or_else(|| bad(format!("{flag} needs a value")))
+        };
+        match flag {
+            "--stack" => args.stack = value(),
             "--machine" => {
-                args.machine = match value(&mut i).as_str() {
+                args.machine = match value().as_str() {
                     "sv-m" => MachinePreset::SvM,
                     "ws-m" => MachinePreset::WsM,
                     "small" => MachinePreset::Small,
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        usage()
-                    }
+                    other => bad(format!("unknown machine {other:?}")),
                 }
             }
-            "--l" => args.nr_l = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--t" => args.nr_t = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--cores" => args.cores = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--namespaces" => {
-                args.namespaces = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--warmup-ms" => args.warmup_ms = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--measure-ms" => args.measure_ms = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--l" => args.nr_l = number(flag, &value()),
+            "--t" => args.nr_t = number(flag, &value()),
+            "--cores" => args.cores = number(flag, &value()),
+            "--namespaces" => args.namespaces = Some(number(flag, &value())),
+            "--warmup-ms" => args.warmup_ms = number(flag, &value()),
+            "--measure-ms" => args.measure_ms = number(flag, &value()),
+            "--seed" => args.seed = number(flag, &value()),
             "--list-stacks" => {
-                for s in STACKS {
-                    println!("{s}");
+                for (name, _) in STACKS {
+                    println!("{name}");
                 }
                 std::process::exit(0);
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other}");
-                usage()
+            "--help" | "-h" => {
+                println!("{USAGE}\nstacks: {}", stack_names());
+                std::process::exit(0);
             }
+            other => bad(format!("unknown argument {other:?}")),
         }
         i += 1;
+    }
+    // The scenario constructors assume these; reject here rather than
+    // panic inside them.
+    if args.cores == 0 {
+        bad("--cores must be at least 1".to_string());
+    }
+    if args.namespaces.is_some_and(|ns| ns < 4) {
+        bad("--namespaces must be at least 4 (the L:T namespace ratio is 1:3)".to_string());
     }
     args
 }
 
+/// Parses `flag`'s value as a non-negative integer.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| bad(format!("invalid {flag} value {v:?} (want a non-negative integer)")))
+}
+
 fn main() {
     let args = parse_args();
-    let Some(stack) = stack_by_name(&args.stack) else {
-        eprintln!("unknown stack '{}'", args.stack);
-        usage();
+    let Some(&(_, stack)) = STACKS.iter().find(|(name, _)| *name == args.stack) else {
+        bad(format!("unknown stack {:?}", args.stack));
     };
+    let stack = stack();
     let mut scenario = match args.namespaces {
         Some(ns) => Scenario::multi_namespace(stack, ns, args.cores, args.machine),
         None => Scenario::multi_tenant_fio(stack, args.nr_l, args.nr_t, args.cores, args.machine),
