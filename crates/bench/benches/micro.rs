@@ -150,6 +150,18 @@ fn bench_substrate(set: &mut BenchSet) {
         black_box(h.count());
     }
     {
+        // A Zipf-tail fleet tenant: a handful of completions, then the
+        // digest's p99.9 over a histogram built from scratch.
+        let mut rng = SimRng::new(3);
+        set.bench("substrate/histogram_sparse_p999", || {
+            let mut h = LatencyHistogram::new();
+            for _ in 0..3 {
+                h.record(SimDuration::from_nanos(rng.gen_range(10_000_000) + 1_000));
+            }
+            black_box(h.p999())
+        });
+    }
+    {
         let mut dev = dd_nvme::flash::FlashBackend::new(dd_nvme::flash::FlashConfig::enterprise());
         let mut faults = simkit::fault::FaultPlan::disabled();
         let mut now = SimTime::ZERO;

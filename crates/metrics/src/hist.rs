@@ -12,8 +12,15 @@ use simkit::SimDuration;
 /// Number of sub-bucket bits; relative error ≤ 2⁻⁷ ≈ 0.8 %.
 const PRECISION_BITS: u32 = 7;
 const SUB_BUCKETS: usize = 1 << PRECISION_BITS;
+/// Buckets per order ≥ 1: only the top half of the sub-buckets is reachable.
+const HALF: usize = SUB_BUCKETS / 2;
 
 /// A histogram of [`SimDuration`] samples with ~0.8 % relative error.
+///
+/// Memory is proportional to the occupied bucket range, not to the largest
+/// sample: the counts cover exactly the flat bucket indices from the
+/// smallest to the largest sample seen, so a tenant that completed two I/Os
+/// holds a handful of buckets.
 ///
 /// # Examples
 ///
@@ -30,8 +37,11 @@ const SUB_BUCKETS: usize = 1 << PRECISION_BITS;
 /// ```
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
-    /// counts[order][sub] counts samples with that magnitude/sub-bucket.
-    counts: Vec<[u64; SUB_BUCKETS]>,
+    /// `counts[i]` counts samples in flat bucket `base + i` (see
+    /// [`LatencyHistogram::index_of`]); empty until the first sample.
+    counts: Vec<u64>,
+    /// Flat index of `counts[0]`.
+    base: usize,
     total: u64,
     sum_ns: u128,
     min_ns: u64,
@@ -49,6 +59,7 @@ impl LatencyHistogram {
     pub fn new() -> Self {
         LatencyHistogram {
             counts: Vec::new(),
+            base: 0,
             total: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
@@ -56,26 +67,30 @@ impl LatencyHistogram {
         }
     }
 
-    /// Maps a value to `(order, sub_bucket)` indices.
-    fn index_of(ns: u64) -> (usize, usize) {
+    /// Maps a value to its flat bucket index, HdrHistogram style: `ns`
+    /// itself below [`SUB_BUCKETS`], else `order * HALF + sub`. The index
+    /// is monotone in the value.
+    fn index_of(ns: u64) -> usize {
         if ns < SUB_BUCKETS as u64 {
-            return (0, ns as usize);
+            return ns as usize;
         }
         // Highest bit position above the sub-bucket range decides the order.
         let order = (63 - ns.leading_zeros()) as usize - (PRECISION_BITS as usize - 1);
         // For order ≥ 1 only the top half of the sub-buckets
         // [SUB_BUCKETS/2, SUB_BUCKETS) is populated, as in HdrHistogram.
         let sub = (ns >> order) as usize;
-        debug_assert!((SUB_BUCKETS / 2..SUB_BUCKETS).contains(&sub));
-        (order, sub)
+        debug_assert!((HALF..SUB_BUCKETS).contains(&sub));
+        order * HALF + sub
     }
 
-    /// Reconstructs a representative value (bucket midpoint) from indices.
-    fn value_of(order: usize, sub: usize) -> u64 {
-        if order == 0 {
-            return sub as u64;
+    /// Reconstructs a representative value (bucket midpoint) from a flat
+    /// index.
+    fn value_of(idx: usize) -> u64 {
+        if idx < SUB_BUCKETS {
+            return idx as u64;
         }
-        let base = ((SUB_BUCKETS / 2 + sub % (SUB_BUCKETS / 2)) as u64) << order;
+        let order = idx / HALF - 1;
+        let base = ((HALF + idx % HALF) as u64) << order;
         // Midpoint of the bucket span to halve the max error.
         base + (1u64 << order) / 2
     }
@@ -83,17 +98,45 @@ impl LatencyHistogram {
     /// Records one sample.
     pub fn record(&mut self, sample: SimDuration) {
         let ns = sample.as_nanos();
-        let (order, sub) = Self::index_of(ns);
-        // The `sub` for order > 0 is within the top half only; fold into the
-        // per-order array of SUB_BUCKETS entries.
-        if self.counts.len() <= order {
-            self.counts.resize(order + 1, [0; SUB_BUCKETS]);
+        let idx = Self::index_of(ns);
+        // Below `base` the subtraction wraps, so one bounds check covers
+        // both sides of the window.
+        match self.counts.get_mut(idx.wrapping_sub(self.base)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(idx),
         }
-        self.counts[order][sub] += 1;
         self.total += 1;
         self.sum_ns += ns as u128;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
+    }
+
+    /// Counts one sample whose bucket lies outside the window.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, idx: usize) {
+        self.widen(idx, idx);
+        self.counts[idx - self.base] += 1;
+    }
+
+    /// Grows the window, exactly, to cover flat indices `[lo, hi]`.
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.base = lo;
+        }
+        let below = self.base.saturating_sub(lo);
+        let above = (hi + 1).saturating_sub(self.base + self.counts.len());
+        if below + above == 0 {
+            return;
+        }
+        let len = self.counts.len();
+        self.counts.reserve_exact(below + above);
+        self.counts.resize(len + below + above, 0);
+        if below > 0 {
+            self.counts.copy_within(..len, below);
+            self.counts[..below].fill(0);
+            self.base = lo;
+        }
     }
 
     /// Number of recorded samples.
@@ -135,13 +178,11 @@ impl LatencyHistogram {
         }
         let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (order, subs) in self.counts.iter().enumerate() {
-            for (sub, &c) in subs.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    let v = Self::value_of(order, sub);
-                    return SimDuration::from_nanos(v.clamp(self.min_ns, self.max_ns));
-                }
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                let v = Self::value_of(self.base + i);
+                return SimDuration::from_nanos(v.clamp(self.min_ns, self.max_ns));
             }
         }
         SimDuration::from_nanos(self.max_ns)
@@ -164,12 +205,11 @@ impl LatencyHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), [0; SUB_BUCKETS]);
-        }
-        for (order, subs) in other.counts.iter().enumerate() {
-            for (sub, &c) in subs.iter().enumerate() {
-                self.counts[order][sub] += c;
+        if !other.counts.is_empty() {
+            self.widen(other.base, other.base + other.counts.len() - 1);
+            let at = other.base - self.base;
+            for (dst, &c) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *dst += c;
             }
         }
         self.total += other.total;
@@ -181,6 +221,7 @@ impl LatencyHistogram {
     /// Clears all samples.
     pub fn reset(&mut self) {
         self.counts.clear();
+        self.base = 0;
         self.total = 0;
         self.sum_ns = 0;
         self.min_ns = u64::MAX;
@@ -307,5 +348,26 @@ mod tests {
             let err = (got - ns as f64).abs() / ns as f64;
             assert!(err <= 0.01, "ns={ns} got={got} err={err}");
         }
+    }
+
+    #[test]
+    fn window_holds_only_occupied_buckets() {
+        let mut h = LatencyHistogram::new();
+        h.record(us(250));
+        assert_eq!(h.counts.len(), 1);
+        assert_eq!(h.counts.capacity(), 1);
+        // Span [a, b], reached from the middle so the window grows both ways.
+        let (a, b) = (3u64, 40_000_000u64);
+        for ns in [1_000_000, b, a, 70_000] {
+            h.record(SimDuration::from_nanos(ns));
+        }
+        let want = LatencyHistogram::index_of(b) - LatencyHistogram::index_of(a) + 1;
+        assert_eq!(h.counts.len(), want);
+        assert_eq!(h.counts.capacity(), want);
+        // Merging a narrower histogram keeps the window exact.
+        let mut inner = LatencyHistogram::new();
+        inner.record(us(9));
+        h.merge(&inner);
+        assert_eq!(h.counts.len(), want);
     }
 }

@@ -15,7 +15,7 @@ pub struct TenantSummary {
     /// Stable tenant identifier assigned by the scenario.
     pub tenant_id: u64,
     /// Class label used for aggregation (e.g. `"L"`, `"T"`).
-    pub class: String,
+    pub class: &'static str,
     /// End-to-end I/O latency distribution (submission syscall → completion
     /// delivered to the tenant).
     pub latency: LatencyHistogram,
@@ -32,10 +32,10 @@ pub struct TenantSummary {
 
 impl TenantSummary {
     /// Creates an empty summary for a tenant.
-    pub fn new(tenant_id: u64, class: impl Into<String>) -> Self {
+    pub fn new(tenant_id: u64, class: &'static str) -> Self {
         TenantSummary {
             tenant_id,
-            class: class.into(),
+            class,
             latency: LatencyHistogram::new(),
             ios_completed: 0,
             bytes_completed: 0,
@@ -136,8 +136,8 @@ impl RunSummary {
     pub fn classes(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
         for t in &self.tenants {
-            if !out.contains(&t.class) {
-                out.push(t.class.clone());
+            if !out.iter().any(|c| c == t.class) {
+                out.push(t.class.to_string());
             }
         }
         out

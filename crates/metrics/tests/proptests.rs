@@ -77,3 +77,200 @@ fn histogram_merge_conserves() {
         Ok(())
     });
 }
+
+/// The dense layout `LatencyHistogram` used before its counts became a
+/// window over the occupied buckets: one 128-entry row per binary order,
+/// from order 0 up to the largest sample. Test-only reference; the compact
+/// histogram must answer every query exactly as this does.
+#[derive(Clone)]
+struct DenseHistogram {
+    counts: Vec<[u64; 128]>,
+    total: u64,
+    sum_ns: u128,
+    min_ns: u64,
+    max_ns: u64,
+}
+
+impl DenseHistogram {
+    fn new() -> Self {
+        DenseHistogram {
+            counts: Vec::new(),
+            total: 0,
+            sum_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+        }
+    }
+
+    fn index_of(ns: u64) -> (usize, usize) {
+        if ns < 128 {
+            return (0, ns as usize);
+        }
+        let order = (63 - ns.leading_zeros()) as usize - 6;
+        (order, (ns >> order) as usize)
+    }
+
+    fn value_of(order: usize, sub: usize) -> u64 {
+        if order == 0 {
+            return sub as u64;
+        }
+        (((64 + sub % 64) as u64) << order) + (1u64 << order) / 2
+    }
+
+    fn record(&mut self, ns: u64) {
+        let (order, sub) = Self::index_of(ns);
+        if self.counts.len() <= order {
+            self.counts.resize(order + 1, [0; 128]);
+        }
+        self.counts[order][sub] += 1;
+        self.total += 1;
+        self.sum_ns += ns as u128;
+        self.min_ns = self.min_ns.min(ns);
+        self.max_ns = self.max_ns.max(ns);
+    }
+
+    fn merge(&mut self, other: &DenseHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), [0; 128]);
+        }
+        for (order, subs) in other.counts.iter().enumerate() {
+            for (sub, &c) in subs.iter().enumerate() {
+                self.counts[order][sub] += c;
+            }
+        }
+        self.total += other.total;
+        self.sum_ns += other.sum_ns;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
+    fn reset(&mut self) {
+        *self = DenseHistogram::new();
+    }
+
+    fn mean(&self) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        (self.sum_ns / self.total as u128) as u64
+    }
+
+    fn min(&self) -> u64 {
+        if self.total == 0 {
+            0
+        } else {
+            self.min_ns
+        }
+    }
+
+    fn percentile(&self, p: f64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (order, subs) in self.counts.iter().enumerate() {
+            for (sub, &c) in subs.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return Self::value_of(order, sub).clamp(self.min_ns, self.max_ns);
+                }
+            }
+        }
+        self.max_ns
+    }
+}
+
+/// Every query of `h` equals the dense reference's answer: count, mean,
+/// min, max, p99.9 and, when `all_p`, every integer percentile (otherwise
+/// only p0, p50 and p100, which keeps per-step checks cheap).
+fn same_as_dense(h: &LatencyHistogram, d: &DenseHistogram, all_p: bool) -> dd_check::CheckResult {
+    prop_assert_eq!(h.count(), d.total);
+    prop_assert_eq!(h.mean().as_nanos(), d.mean());
+    prop_assert_eq!(h.min().as_nanos(), d.min());
+    prop_assert_eq!(h.max().as_nanos(), d.max_ns);
+    prop_assert_eq!(h.p999().as_nanos(), d.percentile(99.9));
+    let ps: Vec<u32> = if all_p {
+        (0..=100).collect()
+    } else {
+        vec![0, 50, 100]
+    };
+    for p in ps {
+        prop_assert_eq!(
+            h.percentile(p as f64).as_nanos(),
+            d.percentile(p as f64),
+            "p{}",
+            p
+        );
+    }
+    Ok(())
+}
+
+/// One sample from a value band: 0 = around zero (sub-bucket range, with
+/// 0 ns itself likely), 1 = µs-to-ms latencies, 2 = 2^40 ns and above,
+/// 3 = any of these.
+fn sample_in(c: &mut dd_check::Case, band: u8) -> u64 {
+    let band = if band == 3 { c.u8_in(0, 3) } else { band };
+    match band {
+        0 if c.bool_with(0.3) => 0,
+        0 => c.u64_in(0, 300),
+        1 => c.u64_in(1_000, 100_000_000),
+        _ => c.u64_in(1 << 40, u64::MAX),
+    }
+}
+
+/// The compact bucket window is an exact stand-in for the dense layout:
+/// count, mean, min, max, every integer percentile and p99.9 agree after
+/// each step of a random script of records (including ones below the
+/// current window), merges of disjoint and overlapping windows, merges
+/// into an empty histogram, and resets followed by reuse.
+#[test]
+fn histogram_matches_dense_oracle() {
+    check("histogram_matches_dense_oracle", |c| {
+        // Per-histogram bands: equal bands overlap, distinct ones are
+        // disjoint (band 3 mixes both).
+        let bands = [c.u8_in(0, 4), c.u8_in(0, 4)];
+        let mut hs = [LatencyHistogram::new(), LatencyHistogram::new()];
+        let mut ds = [DenseHistogram::new(), DenseHistogram::new()];
+        let steps = c.len_in(1, 120);
+        for _ in 0..steps {
+            let who = c.usize_in(0, 2);
+            match c.u8_in(0, 10) {
+                0..=4 => {
+                    let ns = sample_in(c, bands[who]);
+                    hs[who].record(SimDuration::from_nanos(ns));
+                    ds[who].record(ns);
+                }
+                5 => {
+                    // Below the current window: the grow-down path.
+                    let ns = match ds[who].min() {
+                        0 => 0,
+                        lo => c.u64_in(0, lo),
+                    };
+                    hs[who].record(SimDuration::from_nanos(ns));
+                    ds[who].record(ns);
+                }
+                6 | 7 => {
+                    let (src_h, src_d) = (hs[1 - who].clone(), ds[1 - who].clone());
+                    hs[who].merge(&src_h);
+                    ds[who].merge(&src_d);
+                }
+                8 => {
+                    let mut h = LatencyHistogram::new();
+                    let mut d = DenseHistogram::new();
+                    h.merge(&hs[who]);
+                    d.merge(&ds[who]);
+                    same_as_dense(&h, &d, true)?;
+                }
+                _ => {
+                    same_as_dense(&hs[who], &ds[who], true)?;
+                    hs[who].reset();
+                    ds[who].reset();
+                }
+            }
+            same_as_dense(&hs[who], &ds[who], false)?;
+        }
+        same_as_dense(&hs[0], &ds[0], true)?;
+        same_as_dense(&hs[1], &ds[1], true)
+    });
+}

@@ -1024,14 +1024,19 @@ impl Machine {
             self.cpu
                 .busy_fractions(self.window_start, &self.cpu_baseline, window_end)
         };
+        // Each tenant's summary moves into the output; an empty summary
+        // (no histogram allocation) stays behind until teardown parks the
+        // tenant vector.
         let summary = RunSummary {
             stack: self.stack.name().to_string(),
             window_start: self.window_start,
             window_end,
             tenants: self
                 .tenants
-                .iter()
-                .map(|t| t.summary.clone())
+                .iter_mut()
+                .map(|t| {
+                    std::mem::replace(&mut t.summary, TenantSummary::new(t.pid.0, t.class_label))
+                })
                 .collect(),
             events_processed: self.events_processed,
             core_busy_frac,

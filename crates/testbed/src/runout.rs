@@ -83,7 +83,7 @@ impl<'a> TenantView<'a> {
 
     /// SLA class label (`"L"`, `"T"`, `"app"`, …).
     pub fn class(&self) -> &'a str {
-        &self.t.class
+        self.t.class
     }
 
     /// I/Os issued within the measurement window.
@@ -133,14 +133,23 @@ impl RunOutput {
 
     /// Convenience: L-class aggregate IOPS (thousands).
     pub fn l_kiops(&self) -> f64 {
-        self.summary.class("L").iops(self.summary.window_secs()) / 1e3
+        let ios: u64 = self.class_tenants("L").map(|t| t.ios_completed).sum();
+        ios as f64 / self.summary.window_secs() / 1e3
     }
 
     /// Convenience: T-class aggregate throughput in MB/s.
     pub fn t_mbps(&self) -> f64 {
+        let bytes: u64 = self.class_tenants("T").map(|t| t.bytes_completed).sum();
+        bytes as f64 / 1e6 / self.summary.window_secs()
+    }
+
+    /// The tenants of one class. Counter-only roll-ups read these directly
+    /// instead of [`RunSummary::class`], which also merges every histogram.
+    fn class_tenants<'a>(&'a self, class: &'a str) -> impl Iterator<Item = &'a TenantSummary> {
         self.summary
-            .class("T")
-            .throughput_mbps(self.summary.window_secs())
+            .tenants
+            .iter()
+            .filter(move |t| t.class == class)
     }
 
     /// Per-tenant results in tenant order (stable across runs and `--jobs`).
