@@ -541,8 +541,9 @@ fn bench_reqmap(set: &mut BenchSet) {
 ///   point compiles to with tracing off: one predictable `enabled()`
 ///   branch, no event construction. This is the "zero overhead when
 ///   disabled" claim at the instruction level; `scripts/verify.sh` gates
-///   the same claim end-to-end by diffing a tracing-off sweep against the
-///   committed golden.
+///   the same claim end to end with `tests/perf_gate.rs`, which holds an
+///   untraced cell's ns/event, corrected by a reference kernel timed in
+///   the same process, under a committed ceiling.
 /// * `trace/on_record` — recording into a pre-sized ring (never
 ///   allocates): the steady-state cost a traced run pays per phase.
 /// * `trace/on_record_wrapping` — same with the ring full, so every

@@ -54,7 +54,7 @@ fn scales(opts: &Opts) -> &'static [u32] {
 
 /// The fleet spec for one (tenants, load, stack) cell. Seeding comes from
 /// the CLI (default 42) so `--seed` A/Bs the whole expansion.
-pub fn fleet_spec(opts: &Opts, tenants: u32, fleet_iops: f64, stack: StackSpec) -> FleetSpec {
+fn fleet_spec(opts: &Opts, tenants: u32, fleet_iops: f64, stack: StackSpec) -> FleetSpec {
     let mut f = FleetSpec::new(
         format!("fleet-{tenants}t-{}k", (fleet_iops / 1e3) as u64),
         HOSTS,

@@ -22,14 +22,12 @@
 use daredevil::PolicySpec;
 use dd_metrics::table::{fmt_f, fmt_ms};
 use dd_metrics::Table;
-use dd_workload::kvsim::KvConfig;
 use dd_workload::mailserver::MailConfig;
 use dd_workload::{OpKind, YcsbMix};
-use simkit::SimDuration;
 use testbed::scenario::{AppKind, StackSpec};
 use testbed::RunOutput;
 
-use crate::figures::fig12::app_scenario;
+use crate::figures::fig12::{app_ops, app_scenario, kv_config};
 use crate::{Opts, Sweep};
 
 /// Column order: [`PolicySpec::ALL`], default first.
@@ -85,42 +83,22 @@ fn routing_rows(table: &mut Table, outs: &[RunOutput]) {
 
 /// Regenerates the policy A/B tables.
 pub fn run_figure(opts: &Opts) {
-    let ycsb_ops: u64 = if opts.quick { 1_500 } else { 20_000 };
-    let mail_ops: u64 = if opts.quick { 1_000 } else { 15_000 };
-    let kv = KvConfig {
-        keys: 200_000,
-        cache_blocks: 40_000,
-        memtable_entries: 500,
-        ..KvConfig::default()
-    };
-
+    let (ycsb_ops, mail_ops) = app_ops(opts);
     let mut sweep = Sweep::new();
     for stack in policy_stacks() {
-        let mut s = app_scenario(
-            stack,
-            AppKind::Mailserver {
-                config: MailConfig::default(),
-                ops: mail_ops,
-            },
-            "mailserver",
-        );
-        s.knobs.warmup = opts.warmup();
-        s.knobs.measure = SimDuration::from_secs(120);
-        sweep.add("mailserver", s);
+        let app = AppKind::Mailserver {
+            config: MailConfig::default(),
+            ops: mail_ops,
+        };
+        sweep.add("mailserver", app_scenario(stack, app, "mailserver"));
     }
     for stack in policy_stacks() {
-        let mut s = app_scenario(
-            stack,
-            AppKind::Ycsb {
-                mix: YcsbMix::A,
-                config: kv,
-                ops: ycsb_ops,
-            },
-            "ycsb-a",
-        );
-        s.knobs.warmup = opts.warmup();
-        s.knobs.measure = SimDuration::from_secs(120);
-        sweep.add("ycsb-a", s);
+        let app = AppKind::Ycsb {
+            mix: YcsbMix::A,
+            config: kv_config(),
+            ops: ycsb_ops,
+        };
+        sweep.add("ycsb-a", app_scenario(stack, app, "ycsb-a"));
     }
     let mut results = sweep.run(opts);
 

@@ -18,7 +18,13 @@ use testbed::scenario::{AppKind, MachinePreset, Scenario, StackSpec, TenantKind,
 
 use crate::{Opts, Sweep};
 
-pub(crate) fn app_scenario(stack: StackSpec, app: AppKind, label: &'static str) -> Scenario {
+/// Ceiling of a run-to-completion cell; the run stops when its app
+/// finishes, long before this.
+const APP_CEILING: SimDuration = SimDuration::from_secs(120);
+
+/// One app tenant beside 8 streaming T-tenants on 4 SV-M cores, run until
+/// the app finishes.
+pub fn app_scenario(stack: StackSpec, app: AppKind, label: &'static str) -> Scenario {
     let mut s = Scenario::new(
         format!("{}-{label}", stack.name()),
         MachinePreset::SvM,
@@ -43,10 +49,12 @@ pub(crate) fn app_scenario(stack: StackSpec, app: AppKind, label: &'static str) 
         });
     }
     s.stop_when_apps_done = true;
+    s.knobs.measure = APP_CEILING;
     s
 }
 
-fn stacks() -> [StackSpec; 3] {
+/// The stacks Fig. 12 compares, in column order.
+pub fn stacks() -> [StackSpec; 3] {
     [
         StackSpec::vanilla(),
         StackSpec::blk_switch(),
@@ -54,53 +62,66 @@ fn stacks() -> [StackSpec; 3] {
     ]
 }
 
-const MIXES: [YcsbMix; 4] = [YcsbMix::A, YcsbMix::B, YcsbMix::E, YcsbMix::F];
+/// The YCSB mixes of panels (a)–(d), in row order.
+pub const MIXES: [YcsbMix; 4] = [YcsbMix::A, YcsbMix::B, YcsbMix::E, YcsbMix::F];
 
-/// Regenerates Fig. 12.
-pub fn run_figure(opts: &Opts) {
-    let ycsb_ops: u64 = if opts.quick { 1_500 } else { 20_000 };
-    let mail_ops: u64 = if opts.quick { 1_000 } else { 15_000 };
-    let kv = KvConfig {
+/// The ops a mix's panel reports, in row order.
+pub fn mix_ops(mix: YcsbMix) -> &'static [OpKind] {
+    match mix {
+        YcsbMix::A | YcsbMix::B => &[OpKind::Read, OpKind::Update],
+        YcsbMix::E => &[OpKind::Scan, OpKind::Insert],
+        YcsbMix::F => &[OpKind::Read, OpKind::ReadModifyWrite],
+    }
+}
+
+/// Fig. 12's cells in table order: each of [`MIXES`] with `ycsb_ops`
+/// operations on every one of [`stacks`], then the Mailserver with
+/// `mail_ops` operations on every stack.
+pub fn sweep(ycsb_ops: u64, mail_ops: u64) -> Sweep {
+    let mut sweep = Sweep::new();
+    for mix in MIXES {
+        for stack in stacks() {
+            let app = AppKind::Ycsb {
+                mix,
+                config: kv_config(),
+                ops: ycsb_ops,
+            };
+            sweep.add(mix.as_str(), app_scenario(stack, app, mix.as_str()));
+        }
+    }
+    for stack in stacks() {
+        let app = AppKind::Mailserver {
+            config: MailConfig::default(),
+            ops: mail_ops,
+        };
+        sweep.add("mailserver", app_scenario(stack, app, "mailserver"));
+    }
+    sweep
+}
+
+/// The kvsim store under every YCSB cell.
+pub(crate) fn kv_config() -> KvConfig {
+    KvConfig {
         keys: 200_000,
         cache_blocks: 40_000,
         memtable_entries: 500,
         ..KvConfig::default()
-    };
+    }
+}
 
-    // One sweep covers the four YCSB mixes and the Mailserver runs; the
-    // format passes below consume outputs in the same cell order.
-    let mut sweep = Sweep::new();
-    for mix in MIXES {
-        for stack in stacks() {
-            let mut s = app_scenario(
-                stack,
-                AppKind::Ycsb {
-                    mix,
-                    config: kv,
-                    ops: ycsb_ops,
-                },
-                mix.as_str(),
-            );
-            // Long ceiling; the run stops when the app finishes.
-            s.knobs.warmup = opts.warmup();
-            s.knobs.measure = SimDuration::from_secs(120);
-            sweep.add(mix.as_str(), s);
-        }
+/// (YCSB, Mailserver) operations per app at the options' scale.
+pub(crate) fn app_ops(opts: &Opts) -> (u64, u64) {
+    if opts.quick {
+        (1_500, 1_000)
+    } else {
+        (20_000, 15_000)
     }
-    for stack in stacks() {
-        let mut s = app_scenario(
-            stack,
-            AppKind::Mailserver {
-                config: MailConfig::default(),
-                ops: mail_ops,
-            },
-            "mailserver",
-        );
-        s.knobs.warmup = opts.warmup();
-        s.knobs.measure = SimDuration::from_secs(120);
-        sweep.add("mailserver", s);
-    }
-    let mut results = sweep.run(opts);
+}
+
+/// Regenerates Fig. 12.
+pub fn run_figure(opts: &Opts) {
+    let (ycsb_ops, mail_ops) = app_ops(opts);
+    let mut results = sweep(ycsb_ops, mail_ops).run(opts);
 
     // (a)-(d): YCSB per-op p99.9.
     let mut table = Table::new(
@@ -108,13 +129,8 @@ pub fn run_figure(opts: &Opts) {
         &["workload", "op", "vanilla", "blk-switch", "daredevil"],
     );
     for mix in MIXES {
-        let kinds: &[OpKind] = match mix {
-            YcsbMix::A | YcsbMix::B => &[OpKind::Read, OpKind::Update],
-            YcsbMix::E => &[OpKind::Scan, OpKind::Insert],
-            YcsbMix::F => &[OpKind::Read, OpKind::ReadModifyWrite],
-        };
         let per_stack = results.take(stacks().len());
-        for kind in kinds {
+        for kind in mix_ops(mix) {
             let mut row = vec![mix.as_str().to_string(), kind.as_str().to_string()];
             for out in &per_stack {
                 let cell = out

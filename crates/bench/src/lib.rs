@@ -36,7 +36,10 @@ pub use sweep::{Sweep, SweepResults, SweepStats};
 /// scenario's configuration (usually off) stands.
 pub fn scaled(opts: &Opts, mut s: Scenario) -> Scenario {
     s.knobs.warmup = opts.warmup();
-    s.knobs.measure = opts.measure();
+    // A run-to-completion cell's window is its ceiling: the apps end it.
+    if !s.stop_when_apps_done {
+        s.knobs.measure = opts.measure();
+    }
     if let Some(seed) = opts.seed {
         s.knobs.seed = seed;
     }
@@ -60,11 +63,23 @@ pub fn scaled(opts: &Opts, mut s: Scenario) -> Scenario {
 /// correct). Sweeps of independent cells should use [`Sweep`] instead.
 pub fn run(opts: &Opts, s: Scenario) -> RunOutput {
     let s = scaled(opts, s);
-    let name = s.name.clone();
+    let (name, to_completion) = (s.name.clone(), s.stop_when_apps_done);
     let out = testbed::run(s);
-    sweep::record_run(&out);
+    assert_apps_done(&name, to_completion, &out);
     cli::dump_cell_trace(opts, &name, &out);
     out
+}
+
+/// Panics, naming the cell, when a run-to-completion cell ended with apps
+/// still running: its ceiling cut them off, so its numbers describe a
+/// truncated run.
+fn assert_apps_done(name: &str, to_completion: bool, out: &RunOutput) {
+    assert!(
+        !to_completion || out.apps_unfinished == 0,
+        "cell {name}: {} app(s) unfinished when the run ended; raise its ceiling \
+         (knobs.measure) or cut its ops",
+        out.apps_unfinished
+    );
 }
 
 /// The standard measurement columns of the paper's latency figures.

@@ -30,35 +30,13 @@
 //! figure (regression-tested in `crates/bench/tests/sweep.rs` and gated by
 //! `scripts/verify.sh`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use testbed::{RunOutput, Scenario};
 
 use crate::Opts;
-
-/// Scenario runs executed so far by this process (sweeps and the serial
-/// [`crate::run`] helper alike). Snapshot via [`counters`].
-static RUNS_TOTAL: AtomicU64 = AtomicU64::new(0);
-/// Simulation events processed by those runs.
-static EVENTS_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Records one finished run into the process-wide perf counters.
-pub(crate) fn record_run(out: &RunOutput) {
-    RUNS_TOTAL.fetch_add(1, Ordering::Relaxed);
-    EVENTS_TOTAL.fetch_add(out.events_processed, Ordering::Relaxed);
-}
-
-/// Snapshot of the process-wide `(runs, events)` counters — used by
-/// the `figures` binary to attribute events/s to each figure in
-/// `BENCH_sweep.json`.
-pub fn counters() -> (u64, u64) {
-    (
-        RUNS_TOTAL.load(Ordering::Relaxed),
-        EVENTS_TOTAL.load(Ordering::Relaxed),
-    )
-}
 
 /// An ordered collection of labelled sweep cells, executed together.
 ///
@@ -104,14 +82,14 @@ impl Sweep {
     /// regression test compares `jobs = 1` against `jobs ≥ 4` directly).
     pub fn run_with_jobs(self, opts: &Opts, jobs: usize) -> SweepResults {
         let started = Instant::now();
-        let mut names: Vec<String> = Vec::with_capacity(self.cells.len());
+        let mut names: Vec<(String, bool)> = Vec::with_capacity(self.cells.len());
         let cells: Vec<(usize, String, Scenario)> = self
             .cells
             .into_iter()
             .enumerate()
             .map(|(i, (label, s))| {
                 let s = crate::scaled(opts, s);
-                names.push(s.name.clone());
+                names.push((s.name.clone(), s.stop_when_apps_done));
                 (i, label, s)
             })
             .collect();
@@ -137,7 +115,6 @@ impl Sweep {
             let mut arena = testbed::RunArena::new();
             for (i, label, scenario) in cells {
                 let out = testbed::run_in(scenario, &mut arena);
-                record_run(&out);
                 slots[i] = Some((label, out));
             }
         } else {
@@ -165,7 +142,6 @@ impl Sweep {
                                 cells[i].take().expect("each cell claimed once")
                             };
                             let out = testbed::run_in(scenario, &mut arena);
-                            record_run(&out);
                             let mut done = done.lock().expect("result slot lock");
                             done[idx] = Some((label, out));
                         }
@@ -177,9 +153,11 @@ impl Sweep {
             .into_iter()
             .map(|s| s.expect("every slot filled"))
             .collect();
-        // Trace dumping happens here — post-collection, in original cell
-        // order — so the CSV is byte-identical for any worker count.
-        for (name, (_, out)) in names.iter().zip(&outputs) {
+        // Checks and trace dumping happen here — post-collection, in
+        // original cell order — so the first failure and the CSV are the
+        // same for any worker count.
+        for ((name, to_completion), (_, out)) in names.iter().zip(&outputs) {
+            crate::assert_apps_done(name, *to_completion, out);
             crate::cli::dump_cell_trace(opts, name, out);
         }
         let events = outputs.iter().map(|(_, o)| o.events_processed).sum();

@@ -6,9 +6,12 @@
 //! seed-isolated simulation and results are collected by original cell
 //! position, not completion order.
 
+use bench::figures::fig12::app_scenario;
 use bench::{latency_row, Opts, Sweep, SweepResults, LATENCY_HEADER};
 use dd_metrics::Table;
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use dd_workload::mailserver::MailConfig;
+use simkit::SimDuration;
+use testbed::scenario::{AppKind, MachinePreset, Scenario, StackSpec};
 
 fn opts() -> Opts {
     Opts::new(true, false, 1)
@@ -141,4 +144,30 @@ fn over_consuming_results_fails_loudly() {
     let mut results = sweep.run_with_jobs(&o, 1);
     let _ = results.next_output();
     let _ = results.next_output(); // one past the end
+}
+
+/// A Mailserver cell run to completion under a 1 ms ceiling: far too
+/// short for its 1 000 ops.
+fn cut_off_app_cell() -> Scenario {
+    let app = AppKind::Mailserver {
+        config: MailConfig::default(),
+        ops: 1_000,
+    };
+    let mut s = app_scenario(StackSpec::daredevil(), app, "mailserver");
+    s.knobs.measure = SimDuration::from_millis(1);
+    s
+}
+
+#[test]
+#[should_panic(expected = "daredevil-mailserver: 1 app(s) unfinished")]
+fn sweep_fails_loudly_when_a_ceiling_cuts_an_app_off() {
+    let mut sweep = Sweep::new();
+    sweep.add("cut", cut_off_app_cell());
+    let _ = sweep.run_with_jobs(&opts(), 2);
+}
+
+#[test]
+#[should_panic(expected = "daredevil-mailserver: 1 app(s) unfinished")]
+fn run_fails_loudly_when_a_ceiling_cuts_an_app_off() {
+    let _ = bench::run(&opts(), cut_off_app_cell());
 }

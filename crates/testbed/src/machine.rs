@@ -1076,6 +1076,7 @@ impl Machine {
             troute_reassignments: self.stack.troute_reassignments(),
             route_stats: self.stack.route_stats(),
             fault,
+            apps_unfinished: self.active_apps,
         };
         // Teardown: park every growable structure for the next run on this
         // arena. Values are reset on the way in (`ArenaReset`), so the next

@@ -64,6 +64,10 @@ pub struct RunOutput {
     /// Per-I/O capacity snapshot at run end; equal to `cap_warmup` when the
     /// hot path stayed allocation-free through the measurement window.
     pub cap_end: CapacityProbe,
+    /// App tenants still running when the run ended. A
+    /// `stop_when_apps_done` run with any left was cut off by its ceiling.
+    /// Not part of [`FleetOutput::digest`].
+    pub apps_unfinished: usize,
 }
 
 /// Read-only accessor over one tenant's measured results — the stable way

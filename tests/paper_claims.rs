@@ -277,3 +277,57 @@ fn latency_inflation_is_in_queue_wait() {
         vanilla.l_avg_ms()
     );
 }
+
+/// §7.4 / Fig. 12: each app runs to completion beside 8 streaming
+/// T-tenants (the sweep panics if a ceiling cuts one off), every op cell
+/// of the figure is measured on every stack, and Daredevil beats vanilla
+/// on every device-bound op. The op counts are the figure's quick counts
+/// cut to a fifth.
+#[test]
+fn fig12_device_bound_ops_beat_vanilla() {
+    use bench::figures::fig12;
+    use daredevil_repro::workload::OpKind;
+
+    const DEVICE_BOUND: [OpKind; 5] = [
+        OpKind::Update,
+        OpKind::Insert,
+        OpKind::ReadModifyWrite,
+        OpKind::Fsync,
+        OpKind::Delete,
+    ];
+    let opts = bench::Opts::new(true, false, 2);
+    let mut results = fig12::sweep(300, 200).run(&opts);
+    let stacks = fig12::stacks();
+    let mut checked = 0;
+    type Stat = fn(&LatencyHistogram) -> SimDuration;
+    let mut check = |app: &str, op: OpKind, outs: &[RunOutput], stat: Stat| {
+        let lat: Vec<SimDuration> = outs
+            .iter()
+            .zip(&stacks)
+            .map(|(out, stack)| match out.op_latencies.get(&op) {
+                Some(h) if h.count() > 0 => stat(h),
+                _ => panic!("{app} {op:?} has no samples on {}", stack.name()),
+            })
+            .collect();
+        if DEVICE_BOUND.contains(&op) {
+            assert!(
+                lat[2] < lat[0],
+                "{app} {op:?}: daredevil {:?} must beat vanilla {:?}",
+                lat[2],
+                lat[0]
+            );
+        }
+        checked += 1;
+    };
+    for mix in fig12::MIXES {
+        let outs = results.take(stacks.len());
+        for &op in fig12::mix_ops(mix) {
+            check(mix.as_str(), op, &outs, LatencyHistogram::p999);
+        }
+    }
+    let mail = results.take(stacks.len());
+    for op in [OpKind::Fsync, OpKind::Delete] {
+        check("mailserver", op, &mail, LatencyHistogram::mean);
+    }
+    assert_eq!(checked, 10, "8 YCSB op rows, then fsync and delete");
+}
