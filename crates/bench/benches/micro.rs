@@ -21,7 +21,11 @@ use dd_metrics::LatencyHistogram;
 use dd_nvme::arbiter::RoundRobinArbiter;
 use dd_nvme::flash::{FlashBackend, FlashConfig};
 use dd_nvme::{IoOpcode, NamespaceId, NvmeConfig, NvmeDevice, SqId};
-use simkit::{EventQueue, FaultPlan, HeapQueue, SimDuration, SimRng, SimTime};
+use simkit::{EventQueue, FaultPlan, SimDuration, SimRng, SimTime};
+
+#[path = "../../simkit/tests/support/heap_queue.rs"]
+mod heap_queue;
+use heap_queue::HeapQueue;
 
 fn device(sqs: u16, cqs: u16) -> NvmeDevice {
     let mut cfg = NvmeConfig::sv_m();
@@ -182,14 +186,18 @@ fn bench_substrate(set: &mut BenchSet) {
     }
 }
 
-/// Bucketed [`EventQueue`] vs the reference [`HeapQueue`] under the shapes
-/// the simulator actually produces.
+/// Bucketed [`EventQueue`] vs the reference [`HeapQueue`] under three
+/// event shapes.
 ///
-/// * `churn_*` — steady state: one pop, one push per iteration, with ~95 %
-///   of pushes landing within 64 µs of `now` (NVMe fetch/service/IRQ
-///   hops — inside the bucketed near window) and 5 % landing 1–2 ms out
-///   (tenant pacing, storm timers — the far heap). This is the machine
-///   loop's regime; the bucketed queue must not lose to the heap here.
+/// * `churn_*` — steady state: one pop, one push per iteration, 95 % of
+///   them within 64 µs of `now` and 5 % 1–2 ms out. A synthetic mix, not
+///   the simulator's: a probe of one ddbench pass at seed 42 counted
+///   9.2 % of pushes going to the far heap on `hol`, 20.1 % on
+///   `fleet10k` and 1.6 % on `apps`.
+/// * `open_loop_*` — the `fleet10k` host shape: ~2.5 k tenant arrival
+///   timers pending 0.4–0.6 s out, each pop of one re-arming it and
+///   starting a five-hop I/O chain at 20–40 µs spacing, so events fire
+///   ~30 µs apart and one push in six goes beyond the window.
 /// * `drain_*` — batch fill then full drain, measuring amortized
 ///   per-event cost when the queue depth spikes (storm reschedules).
 fn bench_event_queues(set: &mut BenchSet) {
@@ -214,6 +222,35 @@ fn bench_event_queues(set: &mut BenchSet) {
     }
     churn!("event_queue/churn_bucketed", EventQueue);
     churn!("event_queue/churn_heap", HeapQueue);
+
+    macro_rules! open_loop {
+        ($name:literal, $ty:ident) => {{
+            // Payload: 0 is an arrival timer, k > 0 an I/O hop with k hops
+            // left in its chain.
+            let mut q: $ty<u32> = $ty::with_capacity(4096);
+            let mut rng = SimRng::new(13);
+            for _ in 0..2_500 {
+                q.push(SimTime::from_nanos(rng.next_u64() % 500_000_000), 0u32);
+            }
+            set.bench($name, move || {
+                let (now, hops) = q.pop().expect("timers re-arm forever");
+                let left = if hops == 0 {
+                    let rearm = 400_000_000 + rng.next_u64() % 200_000_000;
+                    q.push(now + SimDuration::from_nanos(rearm), 0);
+                    5
+                } else {
+                    hops - 1
+                };
+                if left > 0 {
+                    let hop = 20_000 + rng.next_u64() % 20_000;
+                    q.push(now + SimDuration::from_nanos(hop), left);
+                }
+                black_box(q.len())
+            });
+        }};
+    }
+    open_loop!("event_queue/open_loop_bucketed", EventQueue);
+    open_loop!("event_queue/open_loop_heap", HeapQueue);
 
     macro_rules! drain {
         ($name:literal, $ty:ident) => {{
@@ -245,8 +282,8 @@ fn bench_event_queues(set: &mut BenchSet) {
 
     // Batched insertion vs a loop of singleton pushes — the drain_effects
     // shape: a burst of already-time-ordered device events entering the
-    // queue at once. `push_batch` hoists the cursor/seq loads out of the
-    // loop and hits the monotone-append fast path; the looped variant pays
+    // queue at once. `push_batch` hoists the seq/counter bookkeeping out of
+    // the loop and hits the monotone-append fast path; the looped variant pays
     // them per event. Same 512 sorted events either way.
     {
         fn sorted_burst() -> Vec<(SimTime, u32)> {

@@ -18,20 +18,37 @@
 //!
 //! * a **near-future lane**: a ring of [`NEAR_BUCKETS`] buckets, each
 //!   covering a granule of `1 << GRANULE_SHIFT` nanoseconds. Pushes whose
-//!   firing granule lies within the ring's current window are appended to
-//!   their bucket in O(1); a bucket is sorted once, when draining reaches
-//!   it.
+//!   firing granule lies within the ring's window (`cursor` to
+//!   `cursor + NEAR_BUCKETS` granules) are appended to their bucket in
+//!   O(1); a bucket is sorted once, when draining reaches it. An
+//!   occupancy bitmap takes the drain straight to the next occupied
+//!   bucket, however sparse the ring is.
 //! * a **far lane**: the plain binary heap, for timers beyond the window
-//!   (stop markers, warmup boundaries, think-time wakeups, storm intervals)
-//!   and for the rare push behind the drain cursor.
+//!   (stop markers, warmup boundaries, think-time wakeups, arrival
+//!   timers, storm intervals).
+//!
+//! The window keeps pace with the clock. Two invariants hold:
+//!
+//! * the cursor never passes the next event: it advances only to the
+//!   granule of the near event being popped, and when the ring is empty
+//!   it jumps to the far head's granule;
+//! * the far lane holds only events at or beyond the window's end:
+//!   whenever the end moves, far events whose granule entered the window
+//!   migrate into their buckets.
+//!
+//! So a push at or after the last popped time lands in the ring whenever
+//! it is within the window, and only genuine far timers pay heap work.
+//! The API still allows a push behind the last popped time; it goes to
+//! the far lane if its granule is behind the cursor.
 //!
 //! Every pop compares the near-lane head against the far-lane head on the
-//! full `(time, seq)` key, so the observable order is *identical* to the
-//! reference single-heap implementation ([`HeapQueue`]) — property-tested
-//! in `simkit/tests/proptests.rs` against random push/pop interleavings,
-//! and micro-benched old-vs-new in `bench/benches/micro.rs`.
+//! full `(time, seq)` key, so the observable order is *identical* to a
+//! single binary heap on `(time, seq)` — property-tested against one in
+//! `simkit/tests/proptests.rs` under random push/pop interleavings, and
+//! micro-benched against it in `bench/benches/micro.rs`.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -78,6 +95,9 @@ pub const GRANULE_SHIFT: u32 = 10;
 pub const NEAR_BUCKETS: usize = 256;
 
 const NEAR_MASK: u64 = NEAR_BUCKETS as u64 - 1;
+
+/// Words in the occupancy bitmap, one bit per ring slot.
+const OCC_WORDS: usize = NEAR_BUCKETS / 64;
 
 /// One near-lane bucket. `sorted == true` means `items` is kept in
 /// *descending* `(time, seq)` order so the minimum pops off the tail.
@@ -151,11 +171,15 @@ pub struct EventQueue<E> {
     /// Near-future ring; slot `g & NEAR_MASK` holds granule `g` whenever
     /// `cursor <= g < cursor + NEAR_BUCKETS`.
     buckets: Vec<Bucket<E>>,
+    /// Bit `s` set ⇔ slot `s` holds at least one event.
+    occupied: [u64; OCC_WORDS],
     /// Events currently in the near lane.
     near_len: usize,
-    /// Granule index the drain has reached; only advances.
+    /// Granule of the window's start; never past the next event (pushes
+    /// behind the last popped time aside).
     cursor: u64,
-    /// Far timers and behind-cursor pushes.
+    /// Events at or beyond `cursor + NEAR_BUCKETS` granules, plus pushes
+    /// behind the cursor.
     far: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     pushed_total: u64,
@@ -178,6 +202,7 @@ impl<E> EventQueue<E> {
         buckets.resize_with(NEAR_BUCKETS, Bucket::new);
         EventQueue {
             buckets,
+            occupied: [0; OCC_WORDS],
             near_len: 0,
             cursor: 0,
             far: BinaryHeap::new(),
@@ -210,18 +235,31 @@ impl<E> EventQueue<E> {
         self.far.reserve(cap / 4 + 16);
     }
 
+    /// Appends to the bucket of granule `g`, which must lie in the window.
+    fn near_push(&mut self, g: u64, at: SimTime, seq: u64, event: E) {
+        let slot = (g & NEAR_MASK) as usize;
+        self.buckets[slot].push(at, seq, event);
+        self.occupied[slot >> 6] |= 1 << (slot & 63);
+        self.near_len += 1;
+    }
+
+    /// Routes one stamped event to its lane.
+    fn place(&mut self, at: SimTime, seq: u64, event: E) {
+        let g = granule(at);
+        // One compare: a granule behind the cursor wraps to a huge offset.
+        if g.wrapping_sub(self.cursor) < NEAR_BUCKETS as u64 {
+            self.near_push(g, at, seq, event);
+        } else {
+            self.far.push(Scheduled { at, seq, event });
+        }
+    }
+
     /// Schedules `event` to fire at `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed_total += 1;
-        let g = granule(at);
-        if g >= self.cursor && g - self.cursor < NEAR_BUCKETS as u64 {
-            self.buckets[(g & NEAR_MASK) as usize].push(at, seq, event);
-            self.near_len += 1;
-        } else {
-            self.far.push(Scheduled { at, seq, event });
-        }
+        self.place(at, seq, event);
     }
 
     /// Schedules a batch of events, assigning sequence numbers in iterator
@@ -230,88 +268,103 @@ impl<E> EventQueue<E> {
     /// loop so the per-item work is one granule shift plus the bucket
     /// append (the monotone-append fast path of the near ring).
     pub fn push_batch<I: IntoIterator<Item = (SimTime, E)>>(&mut self, batch: I) {
-        let cursor = self.cursor;
         let mut seq = self.next_seq;
         for (at, event) in batch {
-            let g = granule(at);
-            if g >= cursor && g - cursor < NEAR_BUCKETS as u64 {
-                self.buckets[(g & NEAR_MASK) as usize].push(at, seq, event);
-                self.near_len += 1;
-            } else {
-                self.far.push(Scheduled { at, seq, event });
-            }
+            self.place(at, seq, event);
             seq += 1;
         }
         self.pushed_total += seq - self.next_seq;
         self.next_seq = seq;
     }
 
-    /// Finds the near-lane head: advances `cursor` to the first non-empty
-    /// bucket, sorts it if needed, and returns its minimal `(time, seq)`.
-    /// Caller must guarantee `near_len > 0`.
-    fn near_head(&mut self) -> (SimTime, u64) {
-        debug_assert!(self.near_len > 0);
+    /// Moves far events whose granule has entered the window into their
+    /// buckets. Stops at a behind-cursor far head: that event is the
+    /// queue's minimum and pops next, and the cursor cannot advance
+    /// before it does.
+    fn refill(&mut self) {
+        let end = self.cursor + NEAR_BUCKETS as u64;
         loop {
-            let slot = (self.cursor & NEAR_MASK) as usize;
-            if self.buckets[slot].items.is_empty() {
-                self.buckets[slot].sorted = false;
-                self.cursor += 1;
-                continue;
+            let Some(top) = self.far.peek_mut() else {
+                break;
+            };
+            let g = granule(top.at);
+            if g >= end || g < self.cursor {
+                break;
             }
-            let b = &mut self.buckets[slot];
-            b.ensure_sorted();
-            let (at, seq, _) = b.items.last().expect("non-empty bucket");
-            return (*at, *seq);
+            let Scheduled { at, seq, event } = PeekMut::pop(top);
+            self.near_push(g, at, seq, event);
         }
+    }
+
+    /// Offset from the cursor of the first occupied slot, wrapping round
+    /// the ring. Caller must guarantee `near_len > 0`.
+    fn next_occupied(&self) -> u64 {
+        debug_assert!(self.near_len > 0);
+        let start = (self.cursor & NEAR_MASK) as usize;
+        // On a busy host the cursor's own bucket is usually occupied, and
+        // one length check beats the bitmap walk there.
+        if !self.buckets[start].items.is_empty() {
+            return 0;
+        }
+        let mut word = start >> 6;
+        let mut bits = self.occupied[word] & (!0u64 << (start & 63));
+        // The start word comes round again, unmasked, on the last step.
+        for _ in 0..OCC_WORDS {
+            if bits != 0 {
+                break;
+            }
+            word = (word + 1) % OCC_WORDS;
+            bits = self.occupied[word];
+        }
+        let slot = (word << 6) | bits.trailing_zeros() as usize;
+        (slot.wrapping_sub(start) & NEAR_MASK as usize) as u64
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let near = if self.near_len > 0 {
-            Some(self.near_head())
-        } else {
-            None
-        };
-        let take_far = match (near, self.far.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some((nat, nseq)), Some(f)) => (f.at, f.seq) < (nat, nseq),
-        };
-        if take_far {
-            let s = self.far.pop().expect("peeked above");
-            Some((s.at, s.event))
-        } else {
-            let slot = (self.cursor & NEAR_MASK) as usize;
-            let (at, _, event) = self.buckets[slot].items.pop().expect("near head exists");
-            if self.buckets[slot].items.is_empty() {
-                self.buckets[slot].sorted = false;
-            }
-            self.near_len -= 1;
-            Some((at, event))
+        if self.near_len == 0 {
+            // Jump: the ring is empty, so its window may start anywhere.
+            self.cursor = granule(self.far.peek()?.at);
+            self.refill();
         }
+        let off = self.next_occupied();
+        let slot = ((self.cursor + off) & NEAR_MASK) as usize;
+        let b = &mut self.buckets[slot];
+        b.ensure_sorted();
+        let &(nat, nseq, _) = b.items.last().expect("occupied bucket");
+        if matches!(self.far.peek(), Some(f) if (f.at, f.seq) < (nat, nseq)) {
+            let s = self.far.pop().expect("far head exists");
+            // Only a behind-cursor event beats the ring; it may have held
+            // migrations back.
+            self.refill();
+            return Some((s.at, s.event));
+        }
+        let b = &mut self.buckets[slot];
+        let (at, _, event) = b.items.pop().expect("occupied bucket");
+        if b.items.is_empty() {
+            b.sorted = false;
+            self.occupied[slot >> 6] &= !(1 << (slot & 63));
+        }
+        self.near_len -= 1;
+        if off > 0 {
+            self.cursor += off;
+            self.refill();
+        }
+        Some((at, event))
     }
 
     /// The firing time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // Non-mutating: scan the ring window for the earliest bucket and
-        // take that bucket's minimum (no sorting).
-        let mut near: Option<SimTime> = None;
-        if self.near_len > 0 {
-            'outer: for off in 0..NEAR_BUCKETS as u64 {
-                let slot = ((self.cursor + off) & NEAR_MASK) as usize;
-                let b = &self.buckets[slot];
-                if b.items.is_empty() {
-                    continue;
-                }
-                near = if b.sorted {
-                    b.items.last().map(|(t, _, _)| *t)
-                } else {
-                    b.items.iter().map(|(t, _, _)| *t).min()
-                };
-                break 'outer;
-            }
-        }
+        let near = (self.near_len > 0).then(|| {
+            let slot = ((self.cursor + self.next_occupied()) & NEAR_MASK) as usize;
+            let b = &self.buckets[slot];
+            let min = if b.sorted {
+                b.items.last().map(|(t, _, _)| *t)
+            } else {
+                b.items.iter().map(|(t, _, _)| *t).min()
+            };
+            min.expect("occupied bucket")
+        });
         match (near, self.far.peek().map(|s| s.at)) {
             (None, f) => f,
             (n, None) => n,
@@ -347,6 +400,7 @@ impl<E> EventQueue<E> {
             b.items.clear();
             b.sorted = false;
         }
+        self.occupied = [0; OCC_WORDS];
         self.near_len = 0;
         self.far.clear();
     }
@@ -362,82 +416,6 @@ impl<E> crate::arena::ArenaReset for EventQueue<E> {
         self.cursor = 0;
         self.next_seq = 0;
         self.pushed_total = 0;
-    }
-}
-
-/// The reference implementation: one binary heap on `(time, seq)`.
-///
-/// This is the pre-bucketing [`EventQueue`]; it is kept as the behavioural
-/// oracle for the property tests (order equivalence under random push/pop
-/// interleavings) and as the baseline of the `micro/event_queue_*`
-/// benches. Its API is a subset of [`EventQueue`]'s.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
-    pushed_total: u64,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            pushed_total: 0,
-        }
-    }
-
-    /// Creates an empty queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        HeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            pushed_total: 0,
-        }
-    }
-
-    /// Schedules `event` to fire at `at`.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pushed_total += 1;
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
-    /// Removes and returns the earliest event, or `None` when empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.event))
-    }
-
-    /// The firing time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever pushed (for run statistics).
-    pub fn pushed_total(&self) -> u64 {
-        self.pushed_total
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -622,16 +600,76 @@ mod tests {
         }
     }
 
+    /// Replays a simulation-shaped script and checks the lane invariants
+    /// after every step: the cursor never passes `now`, the far lane holds
+    /// only events at or beyond the window's end, and every push inside
+    /// `now`'s window (granules `granule(now)..granule(now) + NEAR_BUCKETS`)
+    /// lands in the ring. Work events chain follow-ups a few µs to ~200 µs
+    /// ahead and die out; 16 timers re-arm 0.3–40 ms out and start bursts
+    /// of work, so the ring keeps draining into quiet gaps longer than the
+    /// window.
     #[test]
-    fn heap_queue_matches_basic_order() {
-        let mut q = HeapQueue::new();
-        for t in [5u64, 3, 9, 1, 7] {
-            q.push(SimTime::from_nanos(t), t);
+    fn lanes_keep_pace_with_the_clock() {
+        #[derive(Clone, Copy)]
+        enum Ev {
+            Work,
+            Timer,
         }
-        let mut out = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            out.push(e);
+        fn push_checked(q: &mut EventQueue<Ev>, now: SimTime, at: SimTime, ev: Ev) {
+            let near = q.near_len;
+            q.push(at, ev);
+            let (gn, ga) = (granule(now), granule(at));
+            if ga >= gn && ga - gn < NEAR_BUCKETS as u64 {
+                assert_eq!(
+                    q.near_len,
+                    near + 1,
+                    "push at {at:?} (now {now:?}) missed the ring"
+                );
+            }
         }
-        assert_eq!(out, vec![1, 3, 5, 7, 9]);
+        let mut rng = crate::rng::SimRng::new(17);
+        let mut q = EventQueue::new();
+        let mut now = SimTime::ZERO;
+        let window = crate::SimDuration::from_nanos((NEAR_BUCKETS as u64) << GRANULE_SHIFT);
+        let mut quiet_gaps = 0;
+        for _ in 0..16 {
+            let at = now + crate::SimDuration::from_micros(300 + rng.gen_range(40_000));
+            push_checked(&mut q, now, at, Ev::Timer);
+        }
+        for _ in 0..200_000 {
+            let (t, ev) = q.pop().expect("timers re-arm forever");
+            assert!(t >= now, "script pushes nothing behind the clock");
+            quiet_gaps += usize::from(t > now + window);
+            now = t;
+            assert!(
+                q.cursor <= granule(now),
+                "cursor {} ran past now {now:?}",
+                q.cursor
+            );
+            if let Some(f) = q.far.peek() {
+                assert!(
+                    granule(f.at) >= q.cursor + NEAR_BUCKETS as u64,
+                    "far head {:?} sits inside the window at cursor {}",
+                    f.at,
+                    q.cursor
+                );
+            }
+            let (follow_ups, rearm) = match ev {
+                Ev::Work => (u64::from(rng.gen_bool(0.8)), false),
+                Ev::Timer => (1 + rng.gen_range(4), true),
+            };
+            for _ in 0..follow_ups {
+                let at = now + crate::SimDuration::from_nanos(rng.gen_range(200_000));
+                push_checked(&mut q, now, at, Ev::Work);
+            }
+            if rearm {
+                let at = now + crate::SimDuration::from_micros(300 + rng.gen_range(40_000));
+                push_checked(&mut q, now, at, Ev::Timer);
+            }
+        }
+        assert!(
+            quiet_gaps > 1_000,
+            "only {quiet_gaps} quiet gaps: the script lost its shape"
+        );
     }
 }

@@ -3,8 +3,7 @@
 //! `simkit` provides the substrate every other crate in this workspace is
 //! built on: a nanosecond-resolution virtual clock ([`SimTime`]), a
 //! deterministic event queue ([`EventQueue`], a bucketed calendar queue
-//! with a binary-heap far lane; [`HeapQueue`] is the plain-heap reference
-//! implementation it is property-tested against), a seedable PRNG with the
+//! with a binary-heap far lane), a seedable PRNG with the
 //! distributions the workloads need ([`rng::SimRng`]), the exponential
 //! smoothing used by Daredevil's NQ scheduler ([`ewma::Ewma`]), and a
 //! re-sortable keyed min-heap ([`keyed_heap::KeyedMinHeap`]) that backs the
@@ -26,7 +25,7 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{ArenaReset, ArenaStats, RunArena};
-pub use event::{EventQueue, HeapQueue};
+pub use event::EventQueue;
 pub use ewma::Ewma;
 pub use fault::{FaultClasses, FaultEvent, FaultGeometry, FaultKind, FaultPlan, FaultSpec, FaultStats};
 pub use keyed_heap::KeyedMinHeap;

@@ -1,7 +1,12 @@
 //! Property-based tests for the simulation kit (dd-check harness).
 
 use dd_check::{check, prop_assert, prop_assert_eq};
-use simkit::{EventQueue, HeapQueue, KeyedMinHeap, SimRng, SimTime, Zipfian};
+use simkit::event::{GRANULE_SHIFT, NEAR_BUCKETS};
+use simkit::{EventQueue, KeyedMinHeap, SimRng, SimTime, Zipfian};
+
+#[path = "support/heap_queue.rs"]
+mod heap_queue;
+use heap_queue::HeapQueue;
 
 /// Popping the event queue always yields non-decreasing times, and events
 /// pushed with equal times come out in push order.
@@ -31,17 +36,23 @@ fn event_queue_total_order() {
     });
 }
 
+/// Width of the near-lane window in nanoseconds.
+const WINDOW_NS: u64 = (NEAR_BUCKETS as u64) << GRANULE_SHIFT;
+
 /// The bucketed [`EventQueue`] is order-equivalent to the single-heap
 /// reference ([`HeapQueue`]) under random push/pop interleavings whose
 /// horizons deliberately straddle the near-lane window: deltas from 0 ns
 /// up to milliseconds ahead of (and occasionally behind) the drain point.
+/// Quiet-gap steps drain everything inside the window and then push only
+/// beyond it, so the ring empties, the cursor jumps, and far timers
+/// migrate in across many windows over a script of up to ~2 000 steps.
 #[test]
 fn event_queue_matches_heap_reference() {
     check("event_queue_matches_heap_reference", |c| {
-        let steps = c.vec_of(1, 300, |c| {
+        let steps = c.vec_of(1, 2000, |c| {
             // (is_pop, horizon-class, delta-within-class)
             let pop = c.bool_with(0.45);
-            let class = c.u32_in(0, 3);
+            let class = c.u32_in(0, 5);
             let delta = c.u64_in(0, 4095);
             (pop, class, delta)
         });
@@ -59,6 +70,21 @@ fn event_queue_matches_heap_reference() {
                 if let Some((t, _)) = a {
                     now = now.max(t.as_nanos());
                 }
+            } else if class == 4 {
+                // Quiet gap: drain the near work, then arm one timer
+                // one to ~16 windows past the end of the window.
+                while reference
+                    .peek_time()
+                    .is_some_and(|t| t.as_nanos() < now + WINDOW_NS)
+                {
+                    let a = bucketed.pop();
+                    let b = reference.pop();
+                    prop_assert_eq!(a, b, "gap drain at step #{i} diverged");
+                    now = now.max(a.expect("peeked").0.as_nanos());
+                }
+                let at = now + WINDOW_NS + (delta << 10);
+                bucketed.push(SimTime::from_nanos(at), i as u64);
+                reference.push(SimTime::from_nanos(at), i as u64);
             } else {
                 let at = match class {
                     0 => now + delta,               // near: ≤ ~4 µs ahead
