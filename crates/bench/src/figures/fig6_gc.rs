@@ -39,7 +39,7 @@ fn gc_scenario(stack: StackSpec, nr_t: u16) -> Scenario {
         ..GcConfig::default()
     };
     let mut s = Scenario::multi_tenant_fio(stack, 4, nr_t, 4, MachinePreset::SvM);
-    s.knobs.gc = Some(gc);
+    s.nvme.flash = s.nvme.flash.with_gc(gc);
     // Read-pressure T-tenants never program a page and would leave GC
     // idle; make them writers so erases actually trigger.
     for t in &mut s.tenants {

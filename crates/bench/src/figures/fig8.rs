@@ -66,7 +66,7 @@ fn merged_series(out: &testbed::RunOutput) -> (Vec<f64>, Vec<f64>) {
     let mut bytes: Vec<f64> = Vec::new();
     // Sort classes so the float summation order (and hence the rendered
     // bytes) is identical across processes — HashMap order is not.
-    let mut classes: Vec<&String> = out.series.keys().collect();
+    let mut classes: Vec<&str> = out.series.keys().copied().collect();
     classes.sort();
     for cs in classes.into_iter().map(|k| &out.series[k]) {
         let width_secs = cs.bytes.width().as_secs_f64();

@@ -12,9 +12,9 @@
 //! * duration presets and the T-pressure stages of §7.1;
 //! * [`sweep::Sweep`] — the deterministic parallel sweep executor every
 //!   figure module runs its cells on;
-//! * [`run`] / [`latency_row`] helpers turning a scenario into the table
-//!   columns the paper reports (p99.9, average latency, L-IOPS,
-//!   T-throughput).
+//! * [`scaled`], applying those options to a scenario, and
+//!   [`latency_row`], turning a run into the table columns the paper
+//!   reports (p99.9, average latency, L-IOPS, T-throughput).
 
 #![warn(missing_docs)]
 
@@ -29,11 +29,13 @@ use testbed::{RunOutput, Scenario};
 pub use cli::Opts;
 pub use sweep::{Sweep, SweepResults, SweepStats};
 
-/// Applies the shared durations — and, when `--trace`/`--seed` were
-/// given, the trace spec and seed override — to a scenario. An explicit
-/// `--trace` replaces a scenario's own trace configuration (so the CSV
-/// contains exactly the phases the user asked for); without it, the
-/// scenario's configuration (usually off) stands.
+/// Applies the shared durations — and, when `--seed`, `--trace`,
+/// `--faults` or `--policy` were given, their overrides — to a scenario.
+/// `--policy` rewrites the stack spec
+/// ([`StackSpec::with_policy`](testbed::StackSpec::with_policy)). An
+/// explicit `--trace` replaces a scenario's own trace configuration (so
+/// the CSV contains exactly the phases the user asked for); without it,
+/// the scenario's configuration (usually off) stands.
 pub fn scaled(opts: &Opts, mut s: Scenario) -> Scenario {
     s.knobs.warmup = opts.warmup();
     // A run-to-completion cell's window is its ceiling: the apps end it.
@@ -53,33 +55,9 @@ pub fn scaled(opts: &Opts, mut s: Scenario) -> Scenario {
         s.knobs.faults = Some(spec);
     }
     if let Some(policy) = opts.policy {
-        s.knobs.policy = Some(policy);
+        s.stack = s.stack.with_policy(policy);
     }
     s
-}
-
-/// Runs one scenario serially and returns its output (panicking on invalid
-/// scenarios — the figures are the test matrix, failing loudly is
-/// correct). Sweeps of independent cells should use [`Sweep`] instead.
-pub fn run(opts: &Opts, s: Scenario) -> RunOutput {
-    let s = scaled(opts, s);
-    let (name, to_completion) = (s.name.clone(), s.stop_when_apps_done);
-    let out = testbed::run(s);
-    assert_apps_done(&name, to_completion, &out);
-    cli::dump_cell_trace(opts, &name, &out);
-    out
-}
-
-/// Panics, naming the cell, when a run-to-completion cell ended with apps
-/// still running: its ceiling cut them off, so its numbers describe a
-/// truncated run.
-fn assert_apps_done(name: &str, to_completion: bool, out: &RunOutput) {
-    assert!(
-        !to_completion || out.apps_unfinished == 0,
-        "cell {name}: {} app(s) unfinished when the run ended; raise its ceiling \
-         (knobs.measure) or cut its ops",
-        out.apps_unfinished
-    );
 }
 
 /// The standard measurement columns of the paper's latency figures.

@@ -71,8 +71,8 @@ impl Sweep {
         self.cells.is_empty()
     }
 
-    /// Executes every cell (scaled to the options' durations, exactly like
-    /// [`crate::run`]) on `opts.jobs` workers and returns the outputs in
+    /// Executes every cell (scaled to the options by [`crate::scaled`]) on
+    /// `opts.jobs` workers and returns the outputs in
     /// original cell order.
     pub fn run(self, opts: &Opts) -> SweepResults {
         self.run_with_jobs(opts, opts.jobs)
@@ -157,7 +157,7 @@ impl Sweep {
         // original cell order — so the first failure and the CSV are the
         // same for any worker count.
         for ((name, to_completion), (_, out)) in names.iter().zip(&outputs) {
-            crate::assert_apps_done(name, *to_completion, out);
+            assert_apps_done(name, *to_completion, out);
             crate::cli::dump_cell_trace(opts, name, out);
         }
         let events = outputs.iter().map(|(_, o)| o.events_processed).sum();
@@ -172,6 +172,18 @@ impl Sweep {
             outputs: outputs.into_iter(),
         }
     }
+}
+
+/// Panics, naming the cell, when a run-to-completion cell ended with apps
+/// still running: its ceiling cut them off, so its numbers describe a
+/// truncated run.
+fn assert_apps_done(name: &str, to_completion: bool, out: &RunOutput) {
+    assert!(
+        !to_completion || out.apps_unfinished == 0,
+        "cell {name}: {} app(s) unfinished when the run ended; raise its ceiling \
+         (knobs.measure) or cut its ops",
+        out.apps_unfinished
+    );
 }
 
 /// Wall-clock accounting of one executed sweep.

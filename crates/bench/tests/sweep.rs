@@ -165,9 +165,3 @@ fn sweep_fails_loudly_when_a_ceiling_cuts_an_app_off() {
     sweep.add("cut", cut_off_app_cell());
     let _ = sweep.run_with_jobs(&opts(), 2);
 }
-
-#[test]
-#[should_panic(expected = "daredevil-mailserver: 1 app(s) unfinished")]
-fn run_fails_loudly_when_a_ceiling_cuts_an_app_off() {
-    let _ = bench::run(&opts(), cut_off_app_cell());
-}

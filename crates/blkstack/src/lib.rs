@@ -42,5 +42,5 @@ pub mod tenant;
 pub use bio::{Bio, BioCompletion, BioId, ReqFlags};
 pub use capabilities::Capabilities;
 pub use ioprio::IoPriorityClass;
-pub use stack::{StackEnv, StackStats, StorageStack};
+pub use stack::{RouteStats, StackEnv, StackStats, StorageStack};
 pub use tenant::{Pid, TaskStruct};

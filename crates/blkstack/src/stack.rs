@@ -74,6 +74,29 @@ pub struct StackStats {
     /// Doorbell redrives issued by the stall watchdog (fault recovery;
     /// 0 on runs without faults).
     pub watchdog_redrives: u64,
+    /// Per-request routing-path counters (Daredevil's troute; 0 elsewhere).
+    /// A virtio stack reports its host stack's.
+    pub route: RouteStats,
+}
+
+/// Routing-path counters of a per-request router (Daredevil's troute,
+/// Algorithm 1).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct RouteStats {
+    /// Requests routed via the default NSQ.
+    pub default_routes: u64,
+    /// Outlier requests routed via a tagged tenant's outlier NSQ.
+    pub outlier_routes: u64,
+    /// Outlier requests that paid a per-request nqreg query.
+    pub per_request_queries: u64,
+    /// Tag transitions (off→on and on→off).
+    pub tag_changes: u64,
+    /// Default-NSQ re-assignments due to ionice updates.
+    pub reassignments: u64,
+    /// Requests routed via an explicit policy query (Daredevil's
+    /// `RouteDecision::Query`) — always 0 under the default policy, which
+    /// only uses the Algorithm 1 paths above.
+    pub policy_queries: u64,
 }
 
 /// A kernel storage stack under test.

@@ -48,4 +48,5 @@ pub use nproxy::{Nproxy, Priority, ProxyTable};
 pub use nqreg::{ncq_merit_k, nsq_merit_k, NqReg};
 pub use policy::{CompletionMode, DoorbellMode, Policy, PolicyKind, PolicySpec};
 pub use stack_impl::DaredevilStack;
-pub use troute::{RouteStats, Troute};
+pub use blkstack::stack::RouteStats;
+pub use troute::Troute;

@@ -24,7 +24,7 @@ use crate::config::{DaredevilConfig, Variant};
 use crate::nproxy::{Priority, ProxyTable};
 use crate::nqreg::{divide_priorities, NqReg};
 use crate::policy::{DoorbellCtx, Policy, PolicyKind, ReapCtx};
-use crate::troute::{RouteStats, Troute};
+use crate::troute::Troute;
 
 /// The Daredevil kernel storage stack.
 ///
@@ -133,11 +133,6 @@ impl<P: Policy> DaredevilStack<P> {
     /// The ablation variant in use.
     pub fn variant(&self) -> Variant {
         self.cfg.variant
-    }
-
-    /// Router statistics (Fig. 14 inputs).
-    pub fn troute_stats(&self) -> RouteStats {
-        self.troute.stats()
     }
 
     /// NQ-scheduler statistics.
@@ -322,7 +317,10 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
     }
 
     fn stats(&self) -> StackStats {
-        self.dispatch.stats()
+        StackStats {
+            route: self.troute.stats(),
+            ..self.dispatch.stats()
+        }
     }
 
     fn io_capacity(&self) -> usize {

@@ -32,6 +32,7 @@ use dd_nvme::{IoOpcode, NvmeDevice, SqId};
 use simkit::{DenseMap, SimTime};
 
 use blkstack::nsqlock::NsqLockTable;
+use blkstack::stack::RouteStats;
 use blkstack::{Bio, IoPriorityClass, Pid, TaskStruct};
 
 use crate::nproxy::{Priority, ProxyTable};
@@ -65,25 +66,6 @@ pub enum QueryContext {
     TenantBased,
     /// One-off query for an untagged T-tenant's outlier request.
     RequestSpecific,
-}
-
-/// Routing statistics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct RouteStats {
-    /// Requests routed via the default NSQ.
-    pub default_routes: u64,
-    /// Outlier requests routed via a tagged tenant's outlier NSQ.
-    pub outlier_routes: u64,
-    /// Outlier requests that paid a per-request nqreg query.
-    pub per_request_queries: u64,
-    /// Tag transitions (off→on and on→off).
-    pub tag_changes: u64,
-    /// Default-NSQ re-assignments due to ionice updates.
-    pub reassignments: u64,
-    /// Requests routed via an explicit policy query
-    /// ([`RouteDecision::Query`]) — always 0 under the default policy,
-    /// which only uses the Algorithm 1 paths above.
-    pub policy_queries: u64,
 }
 
 /// The request router.

@@ -128,8 +128,8 @@ impl Default for ArrivalSpec {
 /// A fleet cell: N hosts, a Zipfian tenant population, a placement policy,
 /// open-loop arrivals, and the same [`RunKnobs`] a single-machine
 /// [`Scenario`] owns — reused verbatim, so every cross-cutting knob
-/// (durations, seed, tracing, faults, policy, GC) applies to each host
-/// without re-plumbing.
+/// (durations, seed, tracing, faults) applies to each host without
+/// re-plumbing.
 #[derive(Clone, Debug)]
 pub struct FleetSpec {
     /// Fleet label; host `h` runs as scenario `"{name}-h{h}"`.

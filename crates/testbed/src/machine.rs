@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use blkstack::blkmq::VanillaBlkMq;
-use blkstack::stack::{StackEnv, StackStats, StorageStack};
+use blkstack::stack::{StackEnv, StorageStack};
 use blkstack::{Bio, BioCompletion, BioId, IoPriorityClass, Pid, TaskStruct};
 use blkswitch::BlkSwitchStack;
 use daredevil::DaredevilStack;
@@ -120,71 +120,16 @@ struct Tenant {
     series_idx: Option<u32>,
 }
 
-/// Concrete stack storage (keeps concrete-type introspection available).
-// One holder exists per run; the variant size spread is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum StackHolder {
-    Vanilla(VanillaBlkMq),
-    BlkSwitch(BlkSwitchStack),
-    Overprov(OverprovStack),
-    Daredevil(DaredevilStack),
-    Virtio(VirtioBlk),
-}
-
-impl StackHolder {
-    fn as_dyn(&mut self) -> &mut dyn StorageStack {
-        match self {
-            StackHolder::Vanilla(s) => s,
-            StackHolder::BlkSwitch(s) => s,
-            StackHolder::Overprov(s) => s,
-            StackHolder::Daredevil(s) => s,
-            StackHolder::Virtio(s) => s,
-        }
-    }
-
-    fn stats(&self) -> StackStats {
-        match self {
-            StackHolder::Vanilla(s) => s.stats(),
-            StackHolder::BlkSwitch(s) => s.stats(),
-            StackHolder::Overprov(s) => s.stats(),
-            StackHolder::Daredevil(s) => s.stats(),
-            StackHolder::Virtio(s) => s.stats(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            StackHolder::Vanilla(s) => s.name(),
-            StackHolder::BlkSwitch(s) => s.name(),
-            StackHolder::Overprov(s) => s.name(),
-            StackHolder::Daredevil(s) => s.name(),
-            StackHolder::Virtio(s) => s.name(),
-        }
-    }
-
-    fn troute_reassignments(&self) -> u64 {
-        self.route_stats().reassignments
-    }
-
-    fn route_stats(&self) -> daredevil::RouteStats {
-        match self {
-            StackHolder::Daredevil(s) => s.troute_stats(),
-            _ => daredevil::RouteStats::default(),
-        }
-    }
-}
-
 /// The executing machine.
 pub struct Machine {
     scenario: Scenario,
     queue: EventQueue<Event>,
     cpu: CpuSystem<Work>,
     device: NvmeDevice,
-    stack: StackHolder,
+    stack: Box<dyn StorageStack>,
     /// Dense by pid: tenant `Pid(p)` lives at index `p - 1` (pids are
     /// assigned contiguously at build time and never removed).
     tenants: Vec<Tenant>,
-    tenant_order: Vec<Pid>,
     rng: SimRng,
     costs: HostCosts,
     // Scratch buffers reused across calls.
@@ -199,8 +144,7 @@ pub struct Machine {
     cpu_baseline: Vec<SimDuration>,
     // Keyed by the tenants' `&'static` class labels; the handful of classes
     // makes a scan-on-miss vec (plus the per-tenant cached index) cheaper
-    // than hashing the label on every in-window completion. Converted to
-    // owned keys in the output.
+    // than hashing the label on every in-window completion.
     series: Vec<(&'static str, ClassSeries)>,
     op_lat: HashMap<OpKind, LatencyHistogram>,
     active_apps: usize,
@@ -273,11 +217,6 @@ impl Machine {
             .unwrap_or_else(|e| panic!("invalid scenario '{}': {e}", scenario.name));
         let nr_cores = scenario.nr_cores();
         let mut nvme_cfg = scenario.nvme.clone();
-        // GC knob: age the drive at build time (the knob is pure config,
-        // equivalent to baking it into `nvme` up front).
-        if let Some(gc) = scenario.knobs.gc {
-            nvme_cfg.flash = nvme_cfg.flash.with_gc(gc);
-        }
         fn needs_wrr(spec: &StackSpec) -> bool {
             match spec {
                 StackSpec::Overprov => true,
@@ -304,22 +243,16 @@ impl Machine {
                 horizon,
             ));
         }
-        // Policy knob: applied to the spec at build time, like GC above.
-        let stack_spec = match scenario.knobs.policy {
-            Some(p) => scenario.stack.clone().with_policy(p),
-            None => scenario.stack.clone(),
-        };
-        let mut stack = build_stack(&stack_spec, nr_cores, &device);
+        let mut stack = build_stack(&scenario.stack, nr_cores, &device);
         // Swap the constructor's empty shells for warm parked buffers (the
         // shared arena tags make a map parked by any stack flavour
         // adoptable here), then pre-size the slab request maps and recycled
         // scratch from the same shape hint the event queue uses, so the
         // steady state allocates nothing on the hot path.
-        stack.as_dyn().adopt_buffers(arena);
-        stack.as_dyn().reserve(scenario.event_capacity_hint());
+        stack.adopt_buffers(arena);
+        stack.reserve(scenario.event_capacity_hint());
         let mut rng = SimRng::new(scenario.knobs.seed);
         let mut tenants: Vec<Tenant> = arena.take(0);
-        let mut tenant_order: Vec<Pid> = arena.take(0);
         let mut active_apps = 0usize;
         for (i, spec) in scenario.tenants.iter().enumerate() {
             let pid = Pid(i as u64 + 1);
@@ -366,7 +299,6 @@ impl Machine {
                 slo: spec.slo,
                 series_idx: None,
             });
-            tenant_order.push(pid);
         }
         let window_start = SimTime::ZERO + scenario.knobs.warmup;
         let stop_at = window_start + scenario.knobs.measure;
@@ -390,7 +322,6 @@ impl Machine {
             device,
             stack,
             tenants,
-            tenant_order,
             rng,
             costs: HostCosts::default(),
             dev_out,
@@ -418,7 +349,7 @@ impl Machine {
     /// queue backing) for the capacity-stability accounting.
     fn capacity_probe(&mut self) -> CapacityProbe {
         CapacityProbe {
-            io_slots: self.stack.as_dyn().io_capacity(),
+            io_slots: self.stack.io_capacity(),
             events: self.queue.capacity(),
         }
     }
@@ -520,7 +451,7 @@ impl Machine {
             rng: &mut self.rng,
             costs: &self.costs,
         };
-        let r = f(self.stack.as_dyn(), &mut env);
+        let r = f(self.stack.as_mut(), &mut env);
         // `env` borrows several fields; end its scope before draining.
         let _ = env;
         self.drain_effects();
@@ -783,8 +714,7 @@ impl Machine {
 
     /// Registers all tenants with the stack and schedules initial work.
     fn bootstrap(&mut self) {
-        // Tenants are registered and seeded in pid order — identical to the
-        // old tenant_order walk (pids are assigned in insertion order).
+        // Tenants are registered and seeded in pid order.
         for i in 0..self.tenants.len() {
             let task = {
                 let t = &self.tenants[i];
@@ -984,8 +914,7 @@ impl Machine {
                     }
                 }
                 Event::IoniceStorm => {
-                    // Dense walk in pid order — the same order the old
-                    // tenant_order loop produced.
+                    // Dense walk in pid order.
                     for i in 0..self.tenants.len() {
                         let (pid, core, class) = {
                             let t = &self.tenants[i];
@@ -1001,7 +930,8 @@ impl Machine {
                     self.queue.push(self.now + interval, Event::IoniceStorm);
                 }
                 Event::MigrateStorm => {
-                    let pid = *self.rng.choose(&self.tenant_order);
+                    // Pids are dense: `Pid(1..=n)`.
+                    let pid = Pid(self.rng.gen_range(self.tenants.len() as u64) + 1);
                     let core = self.rng.gen_range(self.scenario.core_pool as u64) as u16;
                     if let Some(t) = self.tenant_mut(pid) {
                         t.core = core;
@@ -1062,19 +992,15 @@ impl Machine {
             summary,
             cap_warmup: self.cap_warmup,
             cap_end,
-            series: self
-                .series
-                .drain(..)
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            series: self.series.drain(..).collect(),
             trace: sink.into_events(),
             trace_dropped,
             stack_stats,
             op_latencies: self.op_lat,
             flash_queue_delay: self.device.flash().avg_queue_delay(),
             events_processed: self.events_processed,
-            troute_reassignments: self.stack.troute_reassignments(),
-            route_stats: self.stack.route_stats(),
+            troute_reassignments: stack_stats.route.reassignments,
+            route_stats: stack_stats.route,
             fault,
             apps_unfinished: self.active_apps,
         };
@@ -1083,7 +1009,7 @@ impl Machine {
         // `new_in` adopts warm capacity with fresh logical state. The device
         // itself is NOT parked — flash geometry, namespace tables, and fault
         // plans are per-scenario configuration, not recyclable scratch.
-        self.stack.as_dyn().park_buffers(arena);
+        self.stack.park_buffers(arena);
         // App workloads park their own scratch (popularity tables, page
         // caches) before the tenant vector — which owns them — is recycled.
         for t in &mut self.tenants {
@@ -1098,7 +1024,6 @@ impl Machine {
         arena.put(0, self.migs);
         arena.put(0, self.bio_scratch);
         arena.put(0, self.tenants);
-        arena.put(0, self.tenant_order);
         arena.put(0, self.series);
         arena.put(0, self.cpu_baseline);
         arena.put(0, self.wd_reaped);
@@ -1106,36 +1031,24 @@ impl Machine {
     }
 }
 
-/// Builds a stack holder from a spec (recursing for the virtio wrapper).
-fn build_stack(spec: &StackSpec, nr_cores: u16, device: &NvmeDevice) -> StackHolder {
+/// Builds the stack a spec describes (recursing for the virtio wrapper;
+/// `Scenario::validate` rejects nested virtio).
+fn build_stack(spec: &StackSpec, nr_cores: u16, device: &NvmeDevice) -> Box<dyn StorageStack> {
+    let nr_sqs = device.nr_sqs();
+    // dd-alloc-allowlist: one-time stack boxing at construction, not a
+    // dispatch-path allocation.
     match spec {
-        StackSpec::Vanilla(cfg) => {
-            StackHolder::Vanilla(VanillaBlkMq::new(*cfg, nr_cores, device.nr_sqs()))
-        }
-        StackSpec::BlkSwitch(cfg) => {
-            StackHolder::BlkSwitch(BlkSwitchStack::new(*cfg, nr_cores, device.nr_sqs()))
-        }
-        StackSpec::Overprov => StackHolder::Overprov(OverprovStack::new(nr_cores, device.nr_sqs())),
-        StackSpec::Daredevil(cfg) => {
-            StackHolder::Daredevil(DaredevilStack::for_device(*cfg, nr_cores, device))
-        }
+        StackSpec::Vanilla(cfg) => Box::new(VanillaBlkMq::new(*cfg, nr_cores, nr_sqs)), // dd-alloc-allowlist: construction
+        StackSpec::BlkSwitch(cfg) => Box::new(BlkSwitchStack::new(*cfg, nr_cores, nr_sqs)), // dd-alloc-allowlist: construction
+        StackSpec::Overprov => Box::new(OverprovStack::new(nr_cores, nr_sqs)), // dd-alloc-allowlist: construction
+        StackSpec::Daredevil(cfg) => Box::new(DaredevilStack::for_device(*cfg, nr_cores, device)), // dd-alloc-allowlist: construction
         StackSpec::Virtio { inner, sla_aware } => {
-            let inner_holder = build_stack(inner, nr_cores, device);
-            // dd-alloc-allowlist: one-time stack boxing at construction, not
-            // a dispatch-path allocation.
-            let boxed: Box<dyn StorageStack> = match inner_holder {
-                StackHolder::Vanilla(s) => Box::new(s), // dd-alloc-allowlist: construction
-                StackHolder::BlkSwitch(s) => Box::new(s), // dd-alloc-allowlist: construction
-                StackHolder::Overprov(s) => Box::new(s), // dd-alloc-allowlist: construction
-                StackHolder::Daredevil(s) => Box::new(s), // dd-alloc-allowlist: construction
-                StackHolder::Virtio(_) => panic!("nested virtio is unsupported"),
-            };
             let mode = if *sla_aware {
                 VqMode::SlaAware
             } else {
                 VqMode::Naive
             };
-            StackHolder::Virtio(VirtioBlk::new(boxed, mode))
+            Box::new(VirtioBlk::new(build_stack(inner, nr_cores, device), mode)) // dd-alloc-allowlist: construction
         }
     }
 }
@@ -1185,7 +1098,7 @@ mod tests {
             let name = stack.name();
             let clean = crate::run(base(stack.clone()));
             let mut aged_s = base(stack);
-            aged_s.knobs.gc = Some(gc);
+            aged_s.nvme.flash = aged_s.nvme.flash.with_gc(gc);
             let aged = crate::run(aged_s);
             assert!(
                 aged.summary.class("L").ios_completed > 0,

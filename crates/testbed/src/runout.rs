@@ -36,7 +36,7 @@ pub struct RunOutput {
     /// Aggregate per-tenant summary (latency percentiles, IOPS, bytes).
     pub summary: RunSummary,
     /// Per-class time series, keyed by class label.
-    pub series: HashMap<String, ClassSeries>,
+    pub series: HashMap<&'static str, ClassSeries>,
     /// Structured span-trace events harvested from the run's sink, oldest
     /// first (empty unless the scenario enabled tracing). Stitch with
     /// `dd_metrics::SpanTable`.
@@ -51,11 +51,13 @@ pub struct RunOutput {
     pub flash_queue_delay: SimDuration,
     /// Total simulator events processed.
     pub events_processed: u64,
-    /// troute reassignment count (Fig. 14; 0 for non-Daredevil stacks).
+    /// troute reassignment count (Fig. 14; 0 for stacks without troute).
+    /// A copy of `stack_stats.route.reassignments`.
     pub troute_reassignments: u64,
     /// Full troute routing-path counters (default/outlier/query splits;
-    /// all zero for non-Daredevil stacks). The ext_policy figure uses
+    /// all zero for stacks without troute). The ext_policy figure uses
     /// these to show *how* each policy routed, not only how it performed.
+    /// A copy of `stack_stats.route`.
     pub route_stats: daredevil::RouteStats,
     /// Fault-injection and recovery counters (all zero without faults).
     pub fault: dd_metrics::FaultRecovery,

@@ -256,13 +256,6 @@ pub struct RunKnobs {
     /// recovery watchdog; `None` (default) keeps faults off (one dead
     /// branch per injection point).
     pub faults: Option<simkit::FaultSpec>,
-    /// Daredevil scheduling-policy override, applied to the stack spec at
-    /// machine build time (`--policy NAME` on the figures). No-op
-    /// for stacks without a policy layer.
-    pub policy: Option<daredevil::PolicySpec>,
-    /// Flash garbage collection (an aged drive; Fig. 6 GC variant),
-    /// applied to the device config at machine build time.
-    pub gc: Option<dd_nvme::flash::GcConfig>,
 }
 
 impl Default for RunKnobs {
@@ -275,8 +268,6 @@ impl Default for RunKnobs {
             seed: 42,
             trace: None,
             faults: None,
-            policy: None,
-            gc: None,
         }
     }
 }
@@ -294,8 +285,8 @@ pub struct Scenario {
     pub stack: StackSpec,
     /// Tenant population.
     pub tenants: Vec<TenantSpec>,
-    /// Cross-cutting run knobs (durations, seed, tracing, faults, policy,
-    /// GC) — one typed struct shared verbatim with fleet specs.
+    /// Cross-cutting run knobs (durations, seed, tracing, faults) — one
+    /// typed struct shared verbatim with fleet specs.
     pub knobs: RunKnobs,
     /// Fig. 14: flip every tenant's ionice at this interval.
     pub ionice_storm: Option<SimDuration>,
@@ -468,6 +459,11 @@ impl Scenario {
         if self.knobs.measure.is_zero() {
             return Err("measurement window must be non-zero".into());
         }
+        if let StackSpec::Virtio { inner, .. } = &self.stack {
+            if matches!(**inner, StackSpec::Virtio { .. }) {
+                return Err("nested virtio is unsupported".into());
+            }
+        }
         Ok(())
     }
 }
@@ -510,6 +506,13 @@ mod tests {
         let mut s = Scenario::multi_tenant_fio(StackSpec::vanilla(), 1, 0, 1, MachinePreset::Small);
         s.tenants[0].nsid = NamespaceId(9);
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_nested_virtio() {
+        let nested = StackSpec::virtio(StackSpec::virtio(StackSpec::daredevil(), true), false);
+        let s = Scenario::multi_tenant_fio(nested, 1, 0, 1, MachinePreset::Small);
+        assert_eq!(s.validate(), Err("nested virtio is unsupported".into()));
     }
 
     #[test]

@@ -89,7 +89,7 @@ fn digest(out: &RunOutput) -> String {
         )
         .unwrap();
     }
-    let mut classes: Vec<&String> = out.series.keys().collect();
+    let mut classes: Vec<&str> = out.series.keys().copied().collect();
     classes.sort();
     for k in classes {
         let s = &out.series[k];

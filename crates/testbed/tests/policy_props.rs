@@ -34,7 +34,7 @@ fn random_policy_scenario(c: &mut dd_check::Case) -> Scenario {
     s.knobs.seed = seed;
     s.knobs.warmup = SimDuration::ZERO;
     s.knobs.measure = SimDuration::from_millis(measure_ms);
-    s.knobs.policy = Some(random_policy(c));
+    s.stack = s.stack.with_policy(random_policy(c));
     s
 }
 
@@ -139,7 +139,7 @@ fn explicit_default_policy_is_identity() {
         base.knobs.warmup = SimDuration::ZERO;
         base.knobs.measure = measure;
         let untouched = testbed::run(base.clone());
-        base.knobs.policy = Some(PolicySpec::Default);
+        base.stack = base.stack.with_policy(PolicySpec::Default);
         let explicit = testbed::run(base);
         prop_assert!(
             untouched.events_processed == explicit.events_processed,
@@ -196,7 +196,7 @@ fn alternative_policies_take_effect() {
         s.knobs.seed = 42;
         s.knobs.warmup = SimDuration::ZERO;
         s.knobs.measure = SimDuration::from_millis(10);
-        s.knobs.policy = Some(spec);
+        s.stack = s.stack.with_policy(spec);
         s
     };
     let default = testbed::run(scenario(PolicySpec::Default));

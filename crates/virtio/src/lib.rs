@@ -233,6 +233,10 @@ impl StorageStack for VirtioBlk {
         self.inner.adopt_buffers(arena);
     }
 
+    fn reserve(&mut self, hint: usize) {
+        self.inner.reserve(hint);
+    }
+
     fn stats(&self) -> StackStats {
         self.inner.stats()
     }

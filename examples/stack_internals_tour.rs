@@ -97,7 +97,7 @@ fn main() {
         }
     }
 
-    println!("\nrouter stats: {:?}", stack.troute_stats());
+    println!("\nrouter stats: {:?}", stack.stats().route);
     println!("The 4 KiB L-read and the outlier sync read sit in high-priority");
     println!("NSQs; the 128 KiB T-read sits in a low-priority NSQ. No static");
     println!("core binding was involved — all three came from core 0.");

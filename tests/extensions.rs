@@ -234,6 +234,22 @@ fn virtio_sla_awareness_end_to_end() {
     for t in &sla.summary.tenants {
         assert!(t.ios_completed > 0, "guest tenant {} starved", t.tenant_id);
     }
+    // The host stack shows through the layer: its troute counters reach
+    // the output, and it is pre-sized exactly like a bare Daredevil.
+    let bare = mk(StackSpec::daredevil());
+    for out in [&naive, &sla] {
+        let name = &out.summary.stack;
+        assert!(
+            out.route_stats.default_routes > 0,
+            "{name}: host troute counters lost: {:?}",
+            out.route_stats
+        );
+        assert_eq!(out.route_stats, out.stack_stats.route, "{name}");
+        assert_eq!(
+            out.cap_warmup.io_slots, bare.cap_warmup.io_slots,
+            "{name}: host stack not pre-sized like a bare one"
+        );
+    }
 }
 
 /// Interrupt coalescing hurts L latency where it is visible — at low
