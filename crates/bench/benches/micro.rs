@@ -193,7 +193,10 @@ fn bench_substrate(set: &mut BenchSet) {
 ///   them within 64 µs of `now` and 5 % 1–2 ms out. A synthetic mix, not
 ///   the simulator's: a probe of one ddbench pass at seed 42 counted
 ///   9.2 % of pushes going to the far heap on `hol`, 20.1 % on
-///   `fleet10k` and 1.6 % on `apps`.
+///   `fleet10k` and 1.6 % on `apps`. `churn_bucketed_fat` is the same
+///   shape with an 80-byte payload, the size of an event that carries a
+///   `BioCompletion` inline: every entry is moved on each push, sort and
+///   pop, so entry size is a cost of its own.
 /// * `open_loop_*` — the `fleet10k` host shape: ~2.5 k tenant arrival
 ///   timers pending 0.4–0.6 s out, each pop of one re-arming it and
 ///   starting a five-hop I/O chain at 20–40 µs spacing, so events fire
@@ -202,11 +205,11 @@ fn bench_substrate(set: &mut BenchSet) {
 ///   per-event cost when the queue depth spikes (storm reschedules).
 fn bench_event_queues(set: &mut BenchSet) {
     macro_rules! churn {
-        ($name:literal, $ty:ident) => {{
-            let mut q: $ty<u32> = $ty::with_capacity(1024);
+        ($name:literal, $ty:ident, $payload:expr) => {{
+            let mut q = $ty::with_capacity(1024);
             let mut rng = SimRng::new(7);
             for _ in 0..512 {
-                q.push(SimTime::from_nanos(rng.next_u64() % 64_000), 0u32);
+                q.push(SimTime::from_nanos(rng.next_u64() % 64_000), $payload);
             }
             set.bench($name, move || {
                 let (at, _) = q.pop().expect("churn queue never empties");
@@ -215,13 +218,14 @@ fn bench_event_queues(set: &mut BenchSet) {
                 } else {
                     rng.next_u64() % 64_000
                 };
-                q.push(at + SimDuration::from_nanos(delta), 0u32);
+                q.push(at + SimDuration::from_nanos(delta), $payload);
                 black_box(q.len())
             });
         }};
     }
-    churn!("event_queue/churn_bucketed", EventQueue);
-    churn!("event_queue/churn_heap", HeapQueue);
+    churn!("event_queue/churn_bucketed", EventQueue, 0u32);
+    churn!("event_queue/churn_bucketed_fat", EventQueue, [0u64; 10]);
+    churn!("event_queue/churn_heap", HeapQueue, 0u32);
 
     macro_rules! open_loop {
         ($name:literal, $ty:ident) => {{
@@ -686,10 +690,10 @@ fn bench_arbiter_pick(set: &mut BenchSet) {
 }
 
 fn bench_flash_burst(set: &mut BenchSet) {
-    // A 64-page command on the enterprise geometry: grouped burst dispatch
-    // (one cursor load/store per die and channel group) vs the per-page
-    // reference loop. `now` advances past the service horizon each sample
-    // so queueing never accumulates across iterations.
+    // A 64-page command on the enterprise geometry: the one-pass burst
+    // dispatch vs the per-page reference loop. `now` advances past the
+    // service horizon each sample so queueing never accumulates across
+    // iterations.
     const PAGES: u32 = 64;
     const STEP: u64 = 2_000_000;
     {
@@ -719,6 +723,25 @@ fn bench_flash_burst(set: &mut BenchSet) {
                 last = last.max(f.dispatch_page(now, t + i, IoOpcode::Read, &mut faults));
             }
             black_box(last)
+        });
+    }
+    // The `hol` shape: 32-page reads every 20 µs, each starting 8 pages
+    // after the last, so every die is hit by four commands in a row and
+    // three pages in four find their die busy. Dies are 75 % and buses
+    // 80 % utilised, so the backlog stays bounded.
+    {
+        let mut f = FlashBackend::new(FlashConfig::enterprise());
+        let mut faults = FaultPlan::disabled();
+        let mut k = 0u64;
+        set.bench("flash/dispatch_burst_32_busy", move || {
+            k += 1;
+            black_box(f.dispatch_burst(
+                SimTime::from_nanos(k * 20_000),
+                k * 8,
+                32,
+                IoOpcode::Read,
+                &mut faults,
+            ))
         });
     }
 }

@@ -12,9 +12,9 @@
 //! 4. when the last page completes, a CQE is posted to the bound NCQ;
 //! 5. the NCQ's vector asserts an interrupt toward its bound core.
 
-use simkit::{Phase, SimTime};
+use simkit::{Phase, SimTime, SlotId};
 
-use crate::command::{CqEntry, CqStatus, IoOpcode, NvmeCommand};
+use crate::command::{CqEntry, CqStatus, IoOpcode};
 use crate::device::{DeviceOutput, IrqRaise, NvmeDevice, NvmeEvent};
 use crate::namespace::NsError;
 use crate::spec::{CqId, SqId};
@@ -93,18 +93,18 @@ impl NvmeDevice {
         let pages = if cmd.is_dataless() { 0 } else { cmd.pages() };
         self.inflight_pages += pages as u64;
         let done = at + self.config.perf.fetch_cost(pages);
-        out.events.push((done, NvmeEvent::FetchDone { cmd, sq: sq_id }));
+        let slot = self.staged.insert((cmd, sq_id));
+        out.events.push((done, NvmeEvent::FetchDone { slot }));
         done
     }
 
     /// Fetch finished: dispatch flash service, then keep the engine going.
-    pub(crate) fn on_fetch_done(
-        &mut self,
-        cmd: NvmeCommand,
-        sq: SqId,
-        now: SimTime,
-        out: &mut DeviceOutput,
-    ) {
+    pub(crate) fn on_fetch_done(&mut self, slot: SlotId, now: SimTime, out: &mut DeviceOutput) {
+        // Only `stage_fetch` mints FetchDone slots, and only CmdDone frees them.
+        let (cmd, sq) = *self
+            .staged
+            .get(slot)
+            .expect("FetchDone names a staged command");
         if out.trace.enabled() {
             out.trace
                 .record(cmd.host.trace_event(Phase::DeviceFetch, now, Some(sq.0)));
@@ -124,7 +124,7 @@ impl NvmeDevice {
                 }
             }
         };
-        out.events.push((done_at, NvmeEvent::CmdDone { cmd, sq }));
+        out.events.push((done_at, NvmeEvent::CmdDone { slot }));
         // The fetch engine frees when the staged burst's last command is
         // handed to flash; earlier FetchDones of the burst already have
         // their successors scheduled.
@@ -135,13 +135,12 @@ impl NvmeDevice {
     }
 
     /// Flash service finished: post the CQE and maybe raise the interrupt.
-    pub(crate) fn on_cmd_done(
-        &mut self,
-        cmd: NvmeCommand,
-        sq: SqId,
-        now: SimTime,
-        out: &mut DeviceOutput,
-    ) {
+    pub(crate) fn on_cmd_done(&mut self, slot: SlotId, now: SimTime, out: &mut DeviceOutput) {
+        // Each staged slot gets exactly one CmdDone, scheduled by its FetchDone.
+        let (cmd, sq) = self
+            .staged
+            .remove(slot)
+            .expect("CmdDone names a staged command");
         let status = match cmd.opcode {
             IoOpcode::Flush => CqStatus::Success,
             _ => match self.namespaces.translate(cmd.nsid, cmd.slba, cmd.nlb) {
@@ -239,7 +238,7 @@ impl NvmeDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::HostTag;
+    use crate::command::{HostTag, NvmeCommand};
     use crate::config::NvmeConfig;
     use crate::spec::{CommandId, CqId, NamespaceId};
     use simkit::{EventQueue, SimDuration};
@@ -280,11 +279,16 @@ mod tests {
             }
             irqs.append(&mut pending.irqs);
             let Some((at, ev)) = q.pop() else { break };
-            if let NvmeEvent::CmdDone { cmd, .. } = ev {
+            if let (NvmeEvent::CmdDone { .. }, Some((cmd, _))) = (ev, dev.event_command(&ev)) {
                 completions.push((cmd.cid.0, at));
             }
             dev.handle_event(ev, at, &mut pending);
         }
+        assert_eq!(
+            dev.staged_len(),
+            0,
+            "drained device still holds staged commands"
+        );
         (completions, irqs)
     }
 

@@ -17,7 +17,7 @@
 //! pure state machine that the unit tests can single-step.
 
 use simkit::fault::{FaultGeometry, FaultPlan, FaultStats};
-use simkit::{SimTime, TraceSink};
+use simkit::{SimTime, Slab, SlotId, TraceSink};
 
 use crate::arbiter::{RoundRobinArbiter, SqPriorityClass, WrrArbiter};
 use crate::command::{CqEntry, NvmeCommand};
@@ -31,21 +31,20 @@ use crate::spec::{CqId, SqId};
 
 /// An internal device event, scheduled by the device into the host's event
 /// loop and handed back via [`NvmeDevice::handle_event`].
+///
+/// Fetch and completion events name the command by its slot in the
+/// device's staged table, not by value (see the size guard below).
 #[derive(Clone, Copy, Debug)]
 pub enum NvmeEvent {
     /// The fetch engine finished fetching + decomposing a command.
     FetchDone {
-        /// The command that was fetched.
-        cmd: NvmeCommand,
-        /// The SQ it came from.
-        sq: SqId,
+        /// The staged command (see [`NvmeDevice::event_command`]).
+        slot: SlotId,
     },
     /// A command's flash (or flush) service completed.
     CmdDone {
-        /// The completed command.
-        cmd: NvmeCommand,
-        /// The SQ it came from.
-        sq: SqId,
+        /// The staged command (see [`NvmeDevice::event_command`]).
+        slot: SlotId,
     },
     /// The interrupt-coalescing aggregation timer of a CQ expired.
     CoalesceTimeout {
@@ -53,6 +52,10 @@ pub enum NvmeEvent {
         cq: CqId,
     },
 }
+
+// A host queue entry is `16 + size_of::<E>()` bytes and is moved on every
+// push, sort and pop: keep device events within the host's 16-byte budget.
+const _: () = assert!(std::mem::size_of::<NvmeEvent>() <= 16);
 
 /// An interrupt the host must deliver to a core.
 #[derive(Clone, Copy, Debug)]
@@ -195,6 +198,9 @@ pub struct NvmeDevice {
     pub(crate) arbiter: Arbiter,
     pub(crate) flash: FlashBackend,
     pub(crate) namespaces: NamespaceTable,
+    /// Fetched, not yet completed commands and their SQs, from
+    /// `stage_fetch` until their `CmdDone`; the events name them by slot.
+    pub(crate) staged: Slab<(NvmeCommand, SqId)>,
     /// Outstanding `FetchDone` events of the staged fetch burst. The fetch
     /// engine is busy while this is non-zero; the last `FetchDone` of a
     /// burst restarts it (`> 1` only when `arbitration_burst > 1` and the
@@ -249,6 +255,7 @@ impl NvmeDevice {
             arbiter,
             flash: FlashBackend::new(config.flash),
             namespaces: NamespaceTable::new(&config.namespace_blocks),
+            staged: Slab::new(),
             sqs,
             cqs,
             vectors,
@@ -445,10 +452,27 @@ impl NvmeDevice {
     /// Advances the device at one of its own scheduled events.
     pub fn handle_event(&mut self, ev: NvmeEvent, now: SimTime, out: &mut DeviceOutput) {
         match ev {
-            NvmeEvent::FetchDone { cmd, sq } => self.on_fetch_done(cmd, sq, now, out),
-            NvmeEvent::CmdDone { cmd, sq } => self.on_cmd_done(cmd, sq, now, out),
+            NvmeEvent::FetchDone { slot } => self.on_fetch_done(slot, now, out),
+            NvmeEvent::CmdDone { slot } => self.on_cmd_done(slot, now, out),
             NvmeEvent::CoalesceTimeout { cq } => self.on_coalesce_timeout(cq, now, out),
         }
+    }
+
+    /// The command (and its SQ) a pending fetch or completion event names;
+    /// `None` for coalescing timers and for events already handled.
+    pub fn event_command(&self, ev: &NvmeEvent) -> Option<(NvmeCommand, SqId)> {
+        match *ev {
+            NvmeEvent::FetchDone { slot } | NvmeEvent::CmdDone { slot } => {
+                self.staged.get(slot).copied()
+            }
+            NvmeEvent::CoalesceTimeout { .. } => None,
+        }
+    }
+
+    /// Commands fetched but not yet completed (zero once the device's
+    /// event stream has drained).
+    pub fn staged_len(&self) -> usize {
+        self.staged.len()
     }
 
     /// Host ISR pops up to `max` completion entries from a CQ.

@@ -113,10 +113,6 @@ pub struct FlashBackend {
     gc_cursor: usize,
     /// Erases charged so far.
     gc_erases: u64,
-    /// Recycled per-burst scratch: intermediate phase-completion time of
-    /// each page in the burst (die-done for reads, transfer-done for
-    /// writes). Grows to the largest command once, then never reallocates.
-    burst_done: Vec<SimTime>,
 }
 
 impl FlashBackend {
@@ -131,7 +127,6 @@ impl FlashBackend {
             writes_since_gc: 0,
             gc_cursor: 0,
             gc_erases: 0,
-            burst_done: Vec::with_capacity(64),
         }
     }
 
@@ -236,20 +231,21 @@ impl FlashBackend {
         last
     }
 
-    /// Dispatches a command's pages as one burst, advancing each die and
-    /// channel cursor once per group instead of re-loading it per page.
+    /// Dispatches a command's pages as one burst: one pass per channel
+    /// group, carrying the channel cursor in a register.
     ///
-    /// Exactness: consecutive LBAs share a die iff their offsets are equal
-    /// mod `channels * dies_per_channel` and a channel iff equal mod
-    /// `channels`, so each group below visits its pages in the same
-    /// ascending-LBA order the per-page loop does. At a single dispatch
-    /// instant the two phases read disjoint cursors (a read's sense never
-    /// consults channel state, its transfer never consults die state), so
-    /// computing all die phases first and all channel phases second — each
-    /// group carrying its cursor in a register — reproduces the per-page
-    /// interleaving bit for bit. Fault spike windows are still queried once
-    /// per page op; at one instant the queries are independent per die, so
-    /// group order cannot change what they return or count.
+    /// Exactness: every die belongs to exactly one channel, so page `i`'s
+    /// die and channel are both touched only by pages `j ≡ i (mod
+    /// channels)`. Walking each such group in ascending page order
+    /// therefore presents every die cursor and every channel cursor with
+    /// the same sequence of operations the per-page loop does, and the
+    /// groups never read each other's state. Within a group the page's
+    /// die-in-channel steps by one (mod dies) per page, starting one die
+    /// further for groups past the channel wrap. Fault spike windows are
+    /// still queried once per page op; at one instant the queries are
+    /// independent per die, so group order cannot change what they
+    /// return or count. Writes reach here only with GC off, where
+    /// `maybe_collect` is a no-op, so skipping it per page is exact.
     ///
     /// # Panics
     ///
@@ -265,124 +261,65 @@ impl FlashBackend {
     ) -> SimTime {
         debug_assert!(pages > 0);
         debug_assert!(op != IoOpcode::Flush, "flush has no flash pages");
+        let read = op == IoOpcode::Read;
         let n = pages as usize;
         let nch = self.config.channels as usize;
         let dpc = self.config.dies_per_channel as usize;
-        let cd = nch * dpc;
+        let sense = self.config.read_latency;
+        let program = self.config.program_latency;
+        let xfer = self.config.transfer_latency;
         let faults_on = faults.enabled();
-        // Grow-only scratch: both passes write every slot `< n` before any
-        // read, so stale contents beyond a previous burst never leak.
-        if self.burst_done.len() < n {
-            self.burst_done.resize(n, SimTime::ZERO);
-        }
-        let bd = &mut self.burst_done[..n];
-        // One div/mod for the whole burst: consecutive LBAs step the channel
-        // by one (mod channels) and bump the die-in-channel on each wrap —
-        // the same walk `locate` performs per call, carried incrementally.
+        // One div/mod for the whole burst: group `r` starts on channel
+        // `ch0 + r` and, past the channel wrap, one die further on.
         let mut ch = (start_lba % nch as u64) as usize;
-        let mut die_in_ch = ((start_lba / nch as u64) % dpc as u64) as usize;
-        let ch0 = ch;
+        let mut first_die = ((start_lba / nch as u64) % dpc as u64) as usize;
         let mut delay = SimDuration::ZERO;
         let mut last = now;
-        match op {
-            IoOpcode::Read => {
-                // Die pass: pages i ≡ s (mod channels*dies) sense on one die.
-                for s in 0..n.min(cd) {
-                    let die = ch * dpc + die_in_ch;
-                    let mut free = self.die_free_at[die];
-                    let mut i = s;
-                    while i < n {
-                        let spike = if faults_on {
-                            faults.die_spike(now, die as u32).unwrap_or(1) as u64
-                        } else {
-                            1
-                        };
-                        let die_start = now.max(free);
-                        free = die_start + self.config.read_latency * spike;
-                        delay += die_start - now;
-                        bd[i] = free;
-                        i += cd;
-                    }
-                    self.die_free_at[die] = free;
-                    ch += 1;
-                    if ch == nch {
-                        ch = 0;
-                        die_in_ch += 1;
-                        if die_in_ch == dpc {
-                            die_in_ch = 0;
-                        }
-                    }
+        for r in 0..n.min(nch) {
+            let mut bus = self.channel_free_at[ch];
+            let mut die_in_ch = first_die;
+            let mut i = r;
+            while i < n {
+                let die = ch * dpc + die_in_ch;
+                let spike = if faults_on {
+                    faults.die_spike(now, die as u32).unwrap_or(1) as u64
+                } else {
+                    1
+                };
+                let free = self.die_free_at[die];
+                let done = if read {
+                    // Die sense, then bus transfer out.
+                    let die_start = now.max(free);
+                    let die_done = die_start + sense * spike;
+                    self.die_free_at[die] = die_done;
+                    let xfer_start = die_done.max(bus);
+                    bus = xfer_start + xfer;
+                    delay += (die_start - now) + (xfer_start - die_done);
+                    bus
+                } else {
+                    // Bus transfer in, then program.
+                    let xfer_start = now.max(bus);
+                    bus = xfer_start + xfer;
+                    let die_start = bus.max(free);
+                    let die_done = die_start + program * spike;
+                    self.die_free_at[die] = die_done;
+                    delay += (xfer_start - now) + (die_start - bus);
+                    die_done
+                };
+                last = last.max(done);
+                die_in_ch += 1;
+                if die_in_ch == dpc {
+                    die_in_ch = 0;
                 }
-                // Channel pass: pages i ≡ r (mod channels) share one bus.
-                // `free` only grows within a group, so the group's last
-                // transfer is its maximum — fold into `last` once.
-                let mut ch = ch0;
-                for r in 0..n.min(nch) {
-                    let mut free = self.channel_free_at[ch];
-                    let mut i = r;
-                    while i < n {
-                        let ready = bd[i];
-                        let xfer_start = ready.max(free);
-                        free = xfer_start + self.config.transfer_latency;
-                        delay += xfer_start - ready;
-                        i += nch;
-                    }
-                    last = last.max(free);
-                    self.channel_free_at[ch] = free;
-                    ch += 1;
-                    if ch == nch {
-                        ch = 0;
-                    }
-                }
+                i += nch;
             }
-            IoOpcode::Write | IoOpcode::Flush => {
-                // Channel pass first (transfer in), then program on the die.
-                // Only reached for writes with GC off: `maybe_collect` is a
-                // no-op then (it returns before touching any counter), so
-                // skipping the per-page call is exact.
-                for r in 0..n.min(nch) {
-                    let mut free = self.channel_free_at[ch];
-                    let mut i = r;
-                    while i < n {
-                        let xfer_start = now.max(free);
-                        free = xfer_start + self.config.transfer_latency;
-                        delay += xfer_start - now;
-                        bd[i] = free;
-                        i += nch;
-                    }
-                    self.channel_free_at[ch] = free;
-                    ch += 1;
-                    if ch == nch {
-                        ch = 0;
-                    }
-                }
-                let mut ch = ch0;
-                for s in 0..n.min(cd) {
-                    let die = ch * dpc + die_in_ch;
-                    let mut free = self.die_free_at[die];
-                    let mut i = s;
-                    while i < n {
-                        let spike = if faults_on {
-                            faults.die_spike(now, die as u32).unwrap_or(1) as u64
-                        } else {
-                            1
-                        };
-                        let ready = bd[i];
-                        let die_start = ready.max(free);
-                        free = die_start + self.config.program_latency * spike;
-                        delay += die_start - ready;
-                        i += cd;
-                    }
-                    last = last.max(free);
-                    self.die_free_at[die] = free;
-                    ch += 1;
-                    if ch == nch {
-                        ch = 0;
-                        die_in_ch += 1;
-                        if die_in_ch == dpc {
-                            die_in_ch = 0;
-                        }
-                    }
+            self.channel_free_at[ch] = bus;
+            ch += 1;
+            if ch == nch {
+                ch = 0;
+                first_die += 1;
+                if first_die == dpc {
+                    first_die = 0;
                 }
             }
         }

@@ -29,7 +29,7 @@ use dd_virtio::{VirtioBlk, VqMode};
 use dd_workload::checkpoint::CheckpointWorkload;
 use dd_workload::mailserver::MailserverWorkload;
 use dd_workload::{AppWorkload, FioJob, IoDesc, OpKind, OpStep, Placement, YcsbWorkload};
-use simkit::{EventQueue, RunArena, SimDuration, SimRng, SimTime};
+use simkit::{EventQueue, RunArena, SimDuration, SimRng, SimTime, Slab, SlotId};
 
 use crate::runout::{CapacityProbe, ClassSeries, RunOutput};
 use crate::scenario::{AppKind, Scenario, StackSpec, TenantKind};
@@ -48,8 +48,9 @@ enum Event {
     /// the ISR then drains every raised same-core CQ off a single
     /// event-loop dispatch. `more == 0` is the common singleton fire.
     IrqDeliver { cq: CqId, core: u16, more: u64 },
-    /// A bio completion is delivered to its tenant.
-    Completed(BioCompletion),
+    /// A bio completion, held in `Machine::delivering`, is delivered to
+    /// its tenant.
+    Completed(SlotId),
     /// Periodic stack housekeeping (blk-switch steering).
     StackTick,
     /// Fig. 14: flip every tenant's ionice.
@@ -66,6 +67,10 @@ enum Event {
     /// Run ends.
     Stop,
 }
+
+// A queue entry is `16 + size_of::<Event>()` bytes and is moved on every
+// push, sort and pop: payloads live in slabs, events carry handles.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 /// Work payloads executed on cores.
 enum Work {
@@ -135,6 +140,8 @@ pub struct Machine {
     // Scratch buffers reused across calls.
     dev_out: DeviceOutput,
     comps: Vec<BioCompletion>,
+    /// Completions scheduled for delivery, named by `Event::Completed`.
+    delivering: Slab<BioCompletion>,
     migs: Vec<(Pid, u16)>,
     bio_scratch: Vec<Bio>,
     next_bio_id: u64,
@@ -326,6 +333,7 @@ impl Machine {
             costs: HostCosts::default(),
             dev_out,
             comps: arena.take(0),
+            delivering: arena.take(0),
             migs: arena.take(0),
             bio_scratch,
             next_bio_id: 0,
@@ -417,11 +425,12 @@ impl Machine {
             }
             irqs.clear();
         }
+        let delivering = &mut self.delivering;
         queue.push_batch(
             self.comps
                 .drain(..)
                 .rev()
-                .map(|c| (c.completed_at, Event::Completed(c))),
+                .map(|c| (c.completed_at, Event::Completed(delivering.insert(c)))),
         );
         // Migrations keep the per-item loop: each one mutates tenant state
         // and enqueues core work, not just a queue insert.
@@ -629,7 +638,12 @@ impl Machine {
     }
 
     /// Delivers one bio completion: statistics plus tenant continuation.
-    fn handle_completion(&mut self, c: BioCompletion) {
+    fn handle_completion(&mut self, slot: SlotId) {
+        // `drain_effects` fills each slot once, for one `Completed` event.
+        let c = self
+            .delivering
+            .remove(slot)
+            .expect("completion held since drain");
         let window_start = self.window_start;
         let Some(tenant) = self.tenant_mut(c.bio.tenant) else {
             return;
@@ -883,7 +897,7 @@ impl Machine {
                         self.queue.push(self.now, Event::CoreDispatch(core));
                     }
                 }
-                Event::Completed(c) => self.handle_completion(c),
+                Event::Completed(slot) => self.handle_completion(slot),
                 Event::WakeResubmit(pid) => {
                     if let Some(t) = self.tenant_mut(pid) {
                         let core = t.core;
@@ -1021,6 +1035,7 @@ impl Machine {
         arena.put(0, self.cpu);
         arena.put(0, self.dev_out);
         arena.put(0, self.comps);
+        arena.put(0, self.delivering);
         arena.put(0, self.migs);
         arena.put(0, self.bio_scratch);
         arena.put(0, self.tenants);
