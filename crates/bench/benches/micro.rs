@@ -668,24 +668,17 @@ fn bench_trace(set: &mut BenchSet) {
 }
 
 fn bench_arbiter_pick(set: &mut BenchSet) {
-    // O(1) bitmask pick vs the predicate scan it replaced, across device
-    // widths. One in eight SQs has visible work (the steady-state shape of
-    // a partially loaded device); neither variant consumes the work, so
-    // every sample sees the same occupancy and only the pick cost varies.
+    // The O(1) bitmask pick across device widths. One in eight SQs has
+    // visible work (the steady-state shape of a partially loaded device);
+    // the pick does not consume the work, so every sample sees the same
+    // occupancy and only the pick cost varies.
     for n in [8u16, 64, 1024] {
-        {
-            let mut arb = RoundRobinArbiter::new(n, 1);
-            for sq in (0..n).step_by(8) {
-                arb.note_ready(SqId(sq));
-            }
-            let name = format!("arbiter/pick_bitmask_{n}sq");
-            set.bench(&name, move || black_box(arb.pick(|_| false)));
+        let mut arb = RoundRobinArbiter::new(n);
+        for sq in (0..n).step_by(8) {
+            arb.note_ready(SqId(sq));
         }
-        {
-            let mut arb = RoundRobinArbiter::new(n, 1);
-            let name = format!("arbiter/pick_scan_{n}sq");
-            set.bench(&name, move || black_box(arb.next(|q| q.0 % 8 == 0)));
-        }
+        let name = format!("arbiter/pick_bitmask_{n}sq");
+        set.bench(&name, move || black_box(arb.pick(|_| false)));
     }
 }
 
@@ -746,55 +739,6 @@ fn bench_flash_burst(set: &mut BenchSet) {
     }
 }
 
-fn bench_irq_delivery(set: &mut BenchSet) {
-    // Sixteen CQs raising at one instant toward one core — the fig7-style
-    // interrupt storm. The shared-core fire pushes ONE event carrying a
-    // bitmask of extra CQs and fans out to ISR work items at delivery; the
-    // per-CQ reference pushes sixteen events through the queue.
-    const CQS: u16 = 16;
-    {
-        let mut queue: EventQueue<(u16, u64)> = EventQueue::with_capacity(64);
-        let mut isr_work: Vec<u16> = Vec::with_capacity(CQS as usize);
-        let mut t = 0u64;
-        set.bench("irq/fire_shared_core", move || {
-            t += 1_000;
-            let at = SimTime::from_nanos(t);
-            let mut more = 0u64;
-            for cq in 1..CQS {
-                more |= 1u64 << cq;
-            }
-            queue.push(at, (0, more));
-            isr_work.clear();
-            while let Some((_, (head, rest))) = queue.pop() {
-                isr_work.push(head);
-                let mut r = rest;
-                while r != 0 {
-                    isr_work.push(r.trailing_zeros() as u16);
-                    r &= r - 1;
-                }
-            }
-            black_box(isr_work.len())
-        });
-    }
-    {
-        let mut queue: EventQueue<(u16, u64)> = EventQueue::with_capacity(64);
-        let mut isr_work: Vec<u16> = Vec::with_capacity(CQS as usize);
-        let mut t = 0u64;
-        set.bench("irq/fire_per_cq", move || {
-            t += 1_000;
-            let at = SimTime::from_nanos(t);
-            for cq in 0..CQS {
-                queue.push(at, (cq, 0));
-            }
-            isr_work.clear();
-            while let Some((_, (cq, _))) = queue.pop() {
-                isr_work.push(cq);
-            }
-            black_box(isr_work.len())
-        });
-    }
-}
-
 fn bench_daredevil_config(set: &mut BenchSet) {
     let dev = device(128, 24);
     set.bench("construction/daredevil_stack_for_device", || {
@@ -818,7 +762,6 @@ fn main() {
     bench_trace(&mut set);
     bench_arbiter_pick(&mut set);
     bench_flash_burst(&mut set);
-    bench_irq_delivery(&mut set);
     bench_daredevil_config(&mut set);
     set.finish();
 }

@@ -230,11 +230,6 @@ impl NqReg {
         self.cq_priority[cq.index()]
     }
 
-    /// The priority an NSQ serves.
-    pub fn sq_priority(&self, sq: SqId, device: &NvmeDevice) -> Priority {
-        self.cq_priority(device.cq_of_sq(sq))
-    }
-
     /// `NQSchedule` (Algorithm 2): selects the NSQ within `prio`'s NQGroup
     /// that best satisfies the criteria. `m` is the MRU decrement set by
     /// troute's calling context (MRU for tenant-based and tagged-outlier

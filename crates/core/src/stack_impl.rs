@@ -111,20 +111,6 @@ impl<P: Policy> DaredevilStack<P> {
         }
     }
 
-    /// Convenience constructor from a device handle, with an explicit
-    /// policy.
-    pub fn with_policy_for_device(
-        cfg: DaredevilConfig,
-        policy: P,
-        nr_cores: u16,
-        device: &dd_nvme::NvmeDevice,
-    ) -> Self {
-        let nr_cqs = device.nr_cqs();
-        Self::with_policy(cfg, policy, nr_cores, device.nr_sqs(), nr_cqs, move |sq| {
-            sq % nr_cqs
-        })
-    }
-
     /// The active policy (read-only introspection).
     pub fn policy(&self) -> &P {
         &self.policy
@@ -133,11 +119,6 @@ impl<P: Policy> DaredevilStack<P> {
     /// The ablation variant in use.
     pub fn variant(&self) -> Variant {
         self.cfg.variant
-    }
-
-    /// NQ-scheduler statistics.
-    pub fn nqreg_resorts(&self) -> u64 {
-        self.nqreg.resorts()
     }
 
     /// The proxy table (read-only introspection for tests and benches).

@@ -1,6 +1,6 @@
 //! Property-based tests of the CPU model (dd-check harness).
 
-use dd_check::{check, prop_assert, prop_assert_eq};
+use dd_check::{check, prop_assert, prop_assert_eq, CheckResult};
 use dd_cpu::{CpuSystem, CpuTopology, WorkClass};
 use simkit::{SimDuration, SimTime};
 
@@ -71,35 +71,59 @@ fn cpu_executes_all_exactly_once() {
     });
 }
 
+/// Runs `ops` (class, duration_us) round-robin over two cores, then checks
+/// that every busy fraction of a window from `window_start_us` (clamped to
+/// the end of the run) lies in [0, 1], with the baseline snapshot taken at
+/// the window start (the testbed's protocol).
+fn busy_fractions_in_range(ops: &[(u8, u64)], window_start_us: u64) -> CheckResult {
+    let mut sys: CpuSystem<usize> = CpuSystem::new(&CpuTopology::uniform(2));
+    let mut now = SimTime::ZERO;
+    for (i, &(class, us)) in ops.iter().enumerate() {
+        let class = match class % 3 {
+            0 => WorkClass::HardIrq,
+            1 => WorkClass::SoftIrq,
+            _ => WorkClass::Task,
+        };
+        let core = (i % 2) as u16;
+        if sys.enqueue(core, class, i) {
+            sys.take_next(core);
+            let fin = sys.begin(core, now, SimDuration::from_micros(us));
+            sys.finish(core, fin);
+            now = now.max(fin);
+        }
+    }
+    let start = SimTime::from_micros(window_start_us).min(now);
+    let baseline = sys.busy_snapshot(start);
+    let end = now + SimDuration::from_micros(1);
+    for f in sys.busy_fractions(start, &baseline, end) {
+        prop_assert!((0.0..=1.0 + 1e-9).contains(&f), "fraction {f} out of range");
+    }
+    Ok(())
+}
+
 /// Busy fractions are within [0, 1] for any window whose baseline was
-/// snapshot at the window start (the testbed's protocol).
+/// snapshot at the window start. The first input is a case proptest once
+/// shrank a failure to: ten hard-IRQ items, window start 297 µs.
 #[test]
 fn busy_fractions_bounded() {
+    let shrunk = [
+        (0, 69),
+        (0, 48),
+        (0, 28),
+        (0, 92),
+        (0, 88),
+        (0, 53),
+        (0, 40),
+        (0, 27),
+        (0, 77),
+        (0, 75),
+    ];
+    if let Err(f) = busy_fractions_in_range(&shrunk, 297) {
+        panic!("busy_fractions_bounded, shrunk case: {f}");
+    }
     check("busy_fractions_bounded", |c| {
         let ops = c.vec_of(1, 40, |c| (c.u8_in(0, 3), c.u64_in(1, 100)));
         let window_start_us = c.u64_in(0, 1000);
-        let mut sys: CpuSystem<usize> = CpuSystem::new(&CpuTopology::uniform(2));
-        let mut now = SimTime::ZERO;
-        for (i, &(class, us)) in ops.iter().enumerate() {
-            let class = match class % 3 {
-                0 => WorkClass::HardIrq,
-                1 => WorkClass::SoftIrq,
-                _ => WorkClass::Task,
-            };
-            let core = (i % 2) as u16;
-            if sys.enqueue(core, class, i) {
-                sys.take_next(core);
-                let fin = sys.begin(core, now, SimDuration::from_micros(us));
-                sys.finish(core, fin);
-                now = now.max(fin);
-            }
-        }
-        let start = SimTime::from_micros(window_start_us).min(now);
-        let baseline = sys.busy_snapshot(start);
-        let end = now + SimDuration::from_micros(1);
-        for f in sys.busy_fractions(start, &baseline, end) {
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&f), "fraction {f} out of range");
-        }
-        Ok(())
+        busy_fractions_in_range(&ops, window_start_us)
     });
 }

@@ -91,15 +91,6 @@ impl Span {
     pub fn completed_at(&self) -> Option<SimTime> {
         self.at(Phase::Complete)
     }
-
-    /// Timestamps of the traced phases in lifecycle order, for callers
-    /// that want to check ordering themselves.
-    pub fn timeline(&self) -> impl Iterator<Item = (usize, SimTime)> + '_ {
-        self.first
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|t| (i, t)))
-    }
 }
 
 /// Exact (non-bucketed) aggregate over one segment of many spans.

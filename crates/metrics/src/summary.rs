@@ -70,14 +70,6 @@ pub struct ClassSummary {
 }
 
 impl ClassSummary {
-    /// Fraction of in-window completions that violated their SLO.
-    pub fn slo_violation_rate(&self) -> f64 {
-        if self.ios_completed == 0 {
-            return 0.0;
-        }
-        self.slo_violations as f64 / self.ios_completed as f64
-    }
-
     /// Aggregate IOPS over a window of `secs` seconds.
     pub fn iops(&self, secs: f64) -> f64 {
         self.ios_completed as f64 / secs

@@ -2,8 +2,7 @@
 //!
 //! When multiple NSQs hold published commands, the controller decides which
 //! queue to fetch from next. The NVMe default — and the mechanism this paper
-//! assumes (§2.1) — is round-robin with a configurable burst: up to `burst`
-//! commands are fetched from one queue before the arbiter advances.
+//! assumes (§2.1) — is round-robin, one command per grant.
 //!
 //! The spec also defines *weighted round robin with urgent priority class*
 //! (WRR), where each SQ belongs to the urgent, high, medium, or low class
@@ -14,20 +13,20 @@
 //!
 //! # O(1) picks
 //!
-//! The hot-path entry point is [`RoundRobinArbiter::pick`] /
-//! [`WrrArbiter::pick`]: the device reports every visible-work transition
-//! through `note_ready`/`note_idle`, the arbiter maintains a non-empty-SQ
-//! bitmask ([`SqMask`], u64 words + `trailing_zeros`), and a pick walks set
-//! bits instead of scanning all `nr_sqs` queues. WRR keeps one mask per
-//! priority class. The mask may only encode *published work* — fault-stall
-//! windows are time-dependent, so stalled queues stay in the mask and every
-//! pick filters candidates through the caller's `stalled` predicate (which
+//! The device reports every visible-work transition through
+//! `note_ready`/`note_idle`, the arbiter maintains a non-empty-SQ bitmask
+//! ([`SqMask`], u64 words + `trailing_zeros`), and a pick walks set bits
+//! from a cursor ([`SqMask::pick_from`]) instead of scanning all `nr_sqs`
+//! queues. WRR keeps one mask and one cursor per priority class. The mask
+//! may only encode *published work* — fault-stall windows are
+//! time-dependent, so stalled queues stay in the mask and every pick
+//! filters candidates through the caller's `stalled` predicate (which
 //! therefore runs per *candidate*, never per queue).
 //!
-//! The predicate-scan [`RoundRobinArbiter::next`] / [`WrrArbiter::next`] are
-//! kept as the reference implementation: the `arbiter_mask_matches_scan`
-//! dd-check property drives both over random interleavings and requires
-//! identical pick sequences.
+//! The reference predicate-scan arbiters are test support
+//! (`tests/support/scan_arbiter.rs`): the `{rr,wrr}_mask_pick_matches_scan`
+//! dd-check properties drive them beside these arbiters over random
+//! interleavings and require identical pick sequences.
 
 use crate::spec::SqId;
 
@@ -111,40 +110,60 @@ impl SqMask {
         }
         None
     }
+
+    /// Round-robin pick: the first set bit at or after `*cursor`, wrapping,
+    /// whose queue is not `stalled`, walking at most one full round. On a
+    /// pick, `*cursor` moves just past it; on `None` it is left alone.
+    #[inline]
+    pub fn pick_from(
+        &self,
+        cursor: &mut u16,
+        mut stalled: impl FnMut(SqId) -> bool,
+    ) -> Option<SqId> {
+        // Circular distances and successors by compare, not by `%`: a pick
+        // runs per fetch, and an integer division costs more than the rest.
+        let start = i32::from(*cursor);
+        let mut probe = *cursor;
+        let mut prev_off = -1i32;
+        while let Some(idx) = self.next_set_from(probe) {
+            let off = i32::from(idx) - start;
+            let off = if off < 0 { off + i32::from(self.nr) } else { off };
+            if off <= prev_off {
+                break; // wrapped past the starting cursor: full round done
+            }
+            prev_off = off;
+            let next = if idx + 1 == self.nr { 0 } else { idx + 1 };
+            if !stalled(SqId(idx)) {
+                *cursor = next;
+                return Some(SqId(idx));
+            }
+            probe = next;
+        }
+        None
+    }
 }
 
-/// Round-robin arbiter over a fixed set of submission queues.
+/// Round-robin arbiter over a fixed set of submission queues: one command
+/// per grant, then the cursor moves past the granted queue.
 #[derive(Clone, Debug)]
 pub struct RoundRobinArbiter {
-    nr_sqs: u16,
     /// Next queue index to consider.
     cursor: u16,
-    /// Commands fetched from the current queue in the current burst window.
-    burst_used: u8,
-    /// Burst limit.
-    burst: u8,
-    /// The queue the current burst belongs to.
-    burst_sq: Option<SqId>,
     /// Queues with published, unfetched work (maintained by the device via
     /// `note_ready`/`note_idle`).
     ready: SqMask,
 }
 
 impl RoundRobinArbiter {
-    /// Creates an arbiter over `nr_sqs` queues with the given burst limit.
+    /// Creates an arbiter over `nr_sqs` queues.
     ///
     /// # Panics
     ///
-    /// Panics if `nr_sqs == 0` or `burst == 0`.
-    pub fn new(nr_sqs: u16, burst: u8) -> Self {
+    /// Panics if `nr_sqs == 0`.
+    pub fn new(nr_sqs: u16) -> Self {
         assert!(nr_sqs > 0, "arbiter needs at least one queue");
-        assert!(burst > 0, "burst must be >= 1");
         RoundRobinArbiter {
-            nr_sqs,
             cursor: 0,
-            burst_used: 0,
-            burst,
-            burst_sq: None,
             ready: SqMask::new(nr_sqs),
         }
     }
@@ -170,92 +189,13 @@ impl RoundRobinArbiter {
     /// Picks the next queue to fetch from using the maintained ready mask.
     ///
     /// `stalled(sq)` filters candidates inside fault windows; it runs only
-    /// on queues whose mask bit is set, mirroring the short-circuit of the
-    /// reference predicate `visible_len() > 0 && !sq_stalled(..)`. Returns
-    /// `None` when no ready queue passes the filter.
+    /// on queues whose mask bit is set. Returns `None` when no ready queue
+    /// passes the filter.
     #[inline]
-    pub fn pick(&mut self, mut stalled: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        // Continue the current burst if its queue still has work.
-        if let Some(sq) = self.burst_sq {
-            if self.burst_used < self.burst && self.ready.contains(sq) && !stalled(sq) {
-                self.burst_used += 1;
-                return Some(sq);
-            }
-            self.burst_sq = None;
-            self.burst_used = 0;
-        }
-        // Walk set bits circularly from the cursor, at most one full round.
-        let mut probe = self.cursor;
-        let mut prev_off = -1i32;
-        while let Some(idx) = self.ready.next_set_from(probe) {
-            let off = (i32::from(idx) - i32::from(self.cursor)).rem_euclid(i32::from(self.nr_sqs));
-            if off <= prev_off {
-                break; // wrapped past the starting cursor: full round done
-            }
-            prev_off = off;
-            let sq = SqId(idx);
-            if !stalled(sq) {
-                self.cursor = (idx + 1) % self.nr_sqs;
-                self.burst_sq = Some(sq);
-                self.burst_used = 1;
-                return Some(sq);
-            }
-            probe = (idx + 1) % self.nr_sqs;
-        }
-        None
-    }
-
-    /// Consumes one more grant from the in-progress burst *without* falling
-    /// back to a cursor scan: returns the burst's queue if it still has
-    /// ready work and the burst limit is not exhausted, else `None` with
-    /// the burst state untouched (a later [`RoundRobinArbiter::pick`] then
-    /// terminates or resumes the burst exactly as the step-at-a-time loop
-    /// would at that instant).
-    #[inline]
-    pub fn continue_burst(&mut self) -> Option<SqId> {
-        let sq = self.burst_sq?;
-        if self.burst_used < self.burst && self.ready.contains(sq) {
-            self.burst_used += 1;
-            return Some(sq);
-        }
-        None
-    }
-
-    /// Picks the next queue via a predicate scan (reference implementation).
-    ///
-    /// `has_work(sq)` must return whether the queue currently has published,
-    /// unfetched commands. Returns `None` when no queue has work. O(nr_sqs)
-    /// per call; [`RoundRobinArbiter::pick`] is the hot-path equivalent.
-    pub fn next(&mut self, mut has_work: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        // Continue the current burst if its queue still has work.
-        if let Some(sq) = self.burst_sq {
-            if self.burst_used < self.burst && has_work(sq) {
-                self.burst_used += 1;
-                return Some(sq);
-            }
-            self.burst_sq = None;
-            self.burst_used = 0;
-        }
-        // Scan at most one full round starting at the cursor.
-        for off in 0..self.nr_sqs {
-            let idx = (self.cursor + off) % self.nr_sqs;
-            let sq = SqId(idx);
-            if has_work(sq) {
-                self.cursor = (idx + 1) % self.nr_sqs;
-                self.burst_sq = Some(sq);
-                self.burst_used = 1;
-                return Some(sq);
-            }
-        }
-        None
-    }
-
-    /// Number of queues under arbitration.
-    pub fn nr_sqs(&self) -> u16 {
-        self.nr_sqs
+    pub fn pick(&mut self, stalled: impl FnMut(SqId) -> bool) -> Option<SqId> {
+        self.ready.pick_from(&mut self.cursor, stalled)
     }
 }
-
 
 /// NVMe WRR priority classes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -359,11 +299,6 @@ impl WrrArbiter {
         }
     }
 
-    /// The class of a queue.
-    pub fn class_of(&self, sq: SqId) -> SqPriorityClass {
-        self.classes[sq.index()]
-    }
-
     /// The device published work on `sq` (visible length went 0 → >0).
     #[inline]
     pub fn note_ready(&mut self, sq: SqId) {
@@ -390,89 +325,13 @@ impl WrrArbiter {
         }
     }
 
-    /// Round-robin scan of one class starting at its cursor.
-    fn scan_class(
-        &mut self,
-        class: SqPriorityClass,
-        cursor_idx: usize,
-        has_work: &mut impl FnMut(SqId) -> bool,
-    ) -> Option<SqId> {
-        let n = self.classes.len() as u16;
-        for off in 0..n {
-            let idx = (self.cursors[cursor_idx] + off) % n;
-            let sq = SqId(idx);
-            if self.classes[idx as usize] == class && has_work(sq) {
-                self.cursors[cursor_idx] = (idx + 1) % n;
-                return Some(sq);
-            }
-        }
-        None
-    }
-
-    /// Mask-driven round-robin pick within one class, stall-filtered.
-    fn pick_class(&mut self, slot: usize, stalled: &mut impl FnMut(SqId) -> bool) -> Option<SqId> {
-        let n = self.classes.len() as u16;
-        let start = self.cursors[slot];
-        let mut probe = start;
-        let mut prev_off = -1i32;
-        while let Some(idx) = self.ready[slot].next_set_from(probe) {
-            let off = (i32::from(idx) - i32::from(start)).rem_euclid(i32::from(n));
-            if off <= prev_off {
-                break;
-            }
-            prev_off = off;
-            let sq = SqId(idx);
-            if !stalled(sq) {
-                self.cursors[slot] = (idx + 1) % n;
-                return Some(sq);
-            }
-            probe = (idx + 1) % n;
-        }
-        None
-    }
-
-    /// Picks the next queue to fetch from via a predicate scan (reference
-    /// implementation; [`WrrArbiter::pick`] is the hot-path equivalent).
-    pub fn next(&mut self, mut has_work: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        // Urgent first, strictly.
-        if let Some(sq) = self.scan_class(SqPriorityClass::Urgent, 3, &mut has_work) {
-            return Some(sq);
-        }
-        // Weighted classes: serve the highest class that has both credits
-        // and work; refill when every class with work is out of credits.
-        for _refill in 0..2 {
-            for (idx, class) in [
-                (0usize, SqPriorityClass::High),
-                (1, SqPriorityClass::Medium),
-                (2, SqPriorityClass::Low),
-            ] {
-                if self.credits[idx] <= 0 {
-                    continue;
-                }
-                if let Some(sq) = self.scan_class(class, idx, &mut has_work) {
-                    self.credits[idx] -= 1;
-                    return Some(sq);
-                }
-            }
-            // Nothing served: either no work at all, or the classes with
-            // work are out of credits. Refill and retry once.
-            let any_work = (0..self.classes.len() as u16).any(|i| has_work(SqId(i)));
-            if !any_work {
-                return None;
-            }
-            for idx in 0..3 {
-                self.credits[idx] = self.weight_of(idx);
-            }
-        }
-        None
-    }
-
-    /// Picks the next queue to fetch from using the per-class ready masks;
-    /// pick-sequence identical to [`WrrArbiter::next`] with the predicate
-    /// `visible_len() > 0 && !stalled(sq)`.
+    /// Picks the next queue to fetch from using the per-class ready masks:
+    /// urgent first, then the weighted classes by credit, each class
+    /// round-robin from its own cursor. `stalled` filters candidates as in
+    /// [`RoundRobinArbiter::pick`].
     #[inline]
     pub fn pick(&mut self, mut stalled: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        if let Some(sq) = self.pick_class(3, &mut stalled) {
+        if let Some(sq) = self.ready[3].pick_from(&mut self.cursors[3], &mut stalled) {
             return Some(sq);
         }
         for _refill in 0..2 {
@@ -480,7 +339,7 @@ impl WrrArbiter {
                 if self.credits[idx] <= 0 {
                     continue;
                 }
-                if let Some(sq) = self.pick_class(idx, &mut stalled) {
+                if let Some(sq) = self.ready[idx].pick_from(&mut self.cursors[idx], &mut stalled) {
                     self.credits[idx] -= 1;
                     return Some(sq);
                 }
@@ -517,19 +376,28 @@ impl WrrArbiter {
 mod wrr_tests {
     use super::*;
 
+    /// A WRR arbiter over `n` queues, every one holding published work.
+    fn all_ready(n: u16, weights: WrrWeights) -> WrrArbiter {
+        let mut a = WrrArbiter::new(n, weights);
+        for q in 0..n {
+            a.note_ready(SqId(q));
+        }
+        a
+    }
+
     #[test]
     fn urgent_preempts_everything() {
-        let mut a = WrrArbiter::new(4, WrrWeights::default());
+        let mut a = all_ready(4, WrrWeights::default());
         a.set_class(SqId(0), SqPriorityClass::Urgent);
         a.set_class(SqId(1), SqPriorityClass::Low);
         for _ in 0..10 {
-            assert_eq!(a.next(|_| true), Some(SqId(0)));
+            assert_eq!(a.pick(|_| false), Some(SqId(0)));
         }
     }
 
     #[test]
     fn weights_shape_service_ratio() {
-        let mut a = WrrArbiter::new(
+        let mut a = all_ready(
             2,
             WrrWeights {
                 high: 8,
@@ -542,7 +410,7 @@ mod wrr_tests {
         let mut high = 0;
         let mut low = 0;
         for _ in 0..100 {
-            match a.next(|_| true) {
+            match a.pick(|_| false) {
                 Some(SqId(0)) => high += 1,
                 Some(SqId(1)) => low += 1,
                 other => panic!("unexpected {other:?}"),
@@ -554,19 +422,20 @@ mod wrr_tests {
 
     #[test]
     fn class_round_robin_within_class() {
-        let mut a = WrrArbiter::new(4, WrrWeights::default());
+        let mut a = all_ready(4, WrrWeights::default());
         for q in 0..4 {
             a.set_class(SqId(q), SqPriorityClass::High);
         }
-        let picks: Vec<u16> = (0..8).map(|_| a.next(|_| true).unwrap().0).collect();
+        let picks: Vec<u16> = (0..8).map(|_| a.pick(|_| false).unwrap().0).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn idle_returns_none_and_recovers() {
         let mut a = WrrArbiter::new(2, WrrWeights::default());
-        assert_eq!(a.next(|_| false), None);
-        assert!(a.next(|_| true).is_some());
+        assert_eq!(a.pick(|_| false), None);
+        a.note_ready(SqId(1));
+        assert_eq!(a.pick(|_| false), Some(SqId(1)));
     }
 
     #[test]
@@ -575,8 +444,9 @@ mod wrr_tests {
         a.set_class(SqId(0), SqPriorityClass::High);
         a.set_class(SqId(1), SqPriorityClass::Low);
         // Only the low queue has work.
+        a.note_ready(SqId(1));
         for _ in 0..5 {
-            assert_eq!(a.next(|sq| sq.0 == 1), Some(SqId(1)));
+            assert_eq!(a.pick(|_| false), Some(SqId(1)));
         }
     }
 
@@ -618,71 +488,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_robin_order() {
-        let mut a = RoundRobinArbiter::new(4, 1);
-        let picks: Vec<u16> = (0..8).map(|_| a.next(|_| true).unwrap().0).collect();
-        assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
     fn skips_empty_queues() {
-        let mut a = RoundRobinArbiter::new(4, 1);
-        let picks: Vec<u16> = (0..4)
-            .map(|_| a.next(|sq| sq.0 % 2 == 1).unwrap().0)
-            .collect();
+        let mut a = RoundRobinArbiter::new(4);
+        a.note_ready(SqId(1));
+        a.note_ready(SqId(3));
+        let picks: Vec<u16> = (0..4).map(|_| a.pick(|_| false).unwrap().0).collect();
         assert_eq!(picks, vec![1, 3, 1, 3]);
     }
 
     #[test]
     fn returns_none_when_idle() {
-        let mut a = RoundRobinArbiter::new(4, 1);
-        assert_eq!(a.next(|_| false), None);
+        let mut a = RoundRobinArbiter::new(4);
+        assert_eq!(a.pick(|_| false), None);
         // And recovers afterwards.
-        assert_eq!(a.next(|_| true), Some(SqId(0)));
-    }
-
-    #[test]
-    fn burst_fetches_consecutively() {
-        let mut a = RoundRobinArbiter::new(2, 3);
-        let picks: Vec<u16> = (0..8).map(|_| a.next(|_| true).unwrap().0).collect();
-        assert_eq!(picks, vec![0, 0, 0, 1, 1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn burst_ends_early_when_queue_drains() {
-        let mut a = RoundRobinArbiter::new(2, 4);
-        // Queue 0 has exactly 2 commands, then drains.
-        let mut q0_left = 2;
-        let mut picks = Vec::new();
-        for _ in 0..3 {
-            let sq = a
-                .next(|sq| if sq.0 == 0 { q0_left > 0 } else { true })
-                .unwrap();
-            if sq.0 == 0 {
-                q0_left -= 1;
-            }
-            picks.push(sq.0);
-        }
-        assert_eq!(picks, vec![0, 0, 1]);
+        a.note_ready(SqId(0));
+        assert_eq!(a.pick(|_| false), Some(SqId(0)));
     }
 
     #[test]
     fn single_queue_always_picked() {
-        let mut a = RoundRobinArbiter::new(1, 1);
+        let mut a = RoundRobinArbiter::new(1);
+        a.note_ready(SqId(0));
         for _ in 0..5 {
-            assert_eq!(a.next(|_| true), Some(SqId(0)));
+            assert_eq!(a.pick(|_| false), Some(SqId(0)));
         }
     }
 
     #[test]
-    #[should_panic(expected = "burst")]
-    fn zero_burst_rejected() {
-        let _ = RoundRobinArbiter::new(1, 0);
-    }
-
-    #[test]
     fn mask_pick_matches_round_robin_order() {
-        let mut a = RoundRobinArbiter::new(4, 1);
+        let mut a = RoundRobinArbiter::new(4);
         for q in 0..4 {
             a.note_ready(SqId(q));
         }
@@ -692,38 +526,19 @@ mod tests {
 
     #[test]
     fn mask_pick_skips_idle_and_stalled() {
-        let mut a = RoundRobinArbiter::new(4, 1);
+        let mut a = RoundRobinArbiter::new(4);
         a.note_ready(SqId(1));
         a.note_ready(SqId(2));
         a.note_ready(SqId(3));
         // SQ2 sits in a stall window: candidates are filtered per pick.
-        let picks: Vec<u16> = (0..4)
-            .map(|_| a.pick(|sq| sq.0 == 2).unwrap().0)
-            .collect();
+        let picks: Vec<u16> = (0..4).map(|_| a.pick(|sq| sq.0 == 2).unwrap().0).collect();
         assert_eq!(picks, vec![1, 3, 1, 3]);
         assert_eq!(a.pick(|_| true), None);
     }
 
     #[test]
-    fn continue_burst_respects_limit_and_mask() {
-        let mut a = RoundRobinArbiter::new(2, 3);
-        a.note_ready(SqId(0));
-        a.note_ready(SqId(1));
-        assert_eq!(a.pick(|_| false), Some(SqId(0)));
-        assert_eq!(a.continue_burst(), Some(SqId(0)));
-        assert_eq!(a.continue_burst(), Some(SqId(0)));
-        // Burst exhausted: no scan fallback, state untouched.
-        assert_eq!(a.continue_burst(), None);
-        assert_eq!(a.pick(|_| false), Some(SqId(1)));
-        // Queue drains mid-burst: continuation stops.
-        a.note_idle(SqId(1));
-        assert_eq!(a.continue_burst(), None);
-        assert_eq!(a.pick(|_| false), Some(SqId(0)));
-    }
-
-    #[test]
     fn mask_circular_scan_wraps_across_words() {
-        let mut a = RoundRobinArbiter::new(130, 1);
+        let mut a = RoundRobinArbiter::new(130);
         a.note_ready(SqId(3));
         a.note_ready(SqId(129));
         assert_eq!(a.pick(|_| false), Some(SqId(3)));

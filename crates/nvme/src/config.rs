@@ -78,12 +78,10 @@ pub struct NvmeConfig {
     pub nr_cqs: u16,
     /// Queue depth (entries) for every SQ. The paper's SSDs use 1024.
     pub sq_depth: u16,
-    /// Arbitration burst: commands fetched from one NSQ before the
-    /// round-robin arbiter moves on (NVMe default arbitration burst = 1..8;
-    /// we default to 1, the strictest round-robin).
-    pub arbitration_burst: u8,
-    /// Arbitration mechanism. The paper assumes the default round-robin;
-    /// WRR enables the FlashShare/D2FQ-style overprovision baseline.
+    /// Arbitration mechanism. The paper assumes the default round-robin,
+    /// one command per grant (an NVMe arbitration burst of 1, the strictest
+    /// round-robin); WRR enables the FlashShare/D2FQ-style overprovision
+    /// baseline.
     pub arbitration: Arbitration,
     /// Controller-internal flow control: maximum 4 KiB pages of fetched,
     /// unfinished commands. The controller stops fetching from NSQs while
@@ -113,7 +111,6 @@ impl NvmeConfig {
             nr_sqs: 64,
             nr_cqs: 64,
             sq_depth: 1024,
-            arbitration_burst: 1,
             arbitration: Arbitration::RoundRobin,
             max_inflight_pages: 512,
             irq_coalescing: None,
@@ -131,7 +128,6 @@ impl NvmeConfig {
             nr_sqs: 128,
             nr_cqs: 24,
             sq_depth: 1024,
-            arbitration_burst: 1,
             arbitration: Arbitration::RoundRobin,
             max_inflight_pages: 256,
             irq_coalescing: None,
@@ -193,9 +189,6 @@ impl NvmeConfig {
         }
         if self.sq_depth < 2 {
             return Err("queue depth must be >= 2".into());
-        }
-        if self.arbitration_burst == 0 {
-            return Err("arbitration burst must be >= 1".into());
         }
         if self.max_inflight_pages == 0 {
             return Err("in-flight page budget must be >= 1".into());
@@ -265,9 +258,6 @@ mod tests {
     fn invalid_configs_rejected() {
         let mut c = NvmeConfig::sv_m();
         c.nr_cqs = 0;
-        assert!(c.validate().is_err());
-        let mut c = NvmeConfig::sv_m();
-        c.arbitration_burst = 0;
         assert!(c.validate().is_err());
         let mut c = NvmeConfig::sv_m();
         c.namespace_blocks.clear();

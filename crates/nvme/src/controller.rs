@@ -17,69 +17,34 @@ use simkit::{Phase, SimTime, SlotId};
 use crate::command::{CqEntry, CqStatus, IoOpcode};
 use crate::device::{DeviceOutput, IrqRaise, NvmeDevice, NvmeEvent};
 use crate::namespace::NsError;
-use crate::spec::{CqId, SqId};
+use crate::spec::CqId;
 
 impl NvmeDevice {
-    /// Starts fetches if the engine is idle, the internal page budget has
+    /// Starts a fetch if the engine is idle, the internal page budget has
     /// room, and some NSQ has published work. Backlog beyond the budget
     /// stays in the NSQs — the locus of the multi-tenancy HOL (§2.3).
     ///
-    /// Fault-free, this consumes the arbiter's full `arbitration_burst`
-    /// grant in one call: each staged command's `FetchDone` lands at the
-    /// cumulative serial `fetch_cost`, exactly the times the step-at-a-time
-    /// loop would produce (the fetch engine is a serial resource). Staging
-    /// is pessimistic on purpose — it stops when the staged page total hits
-    /// `max_inflight_pages` or the burst queue's *known* visible work runs
-    /// out. Both stops under-stage relative to the step loop at most, and
-    /// the burst's last `FetchDone` re-enters here with true state at the
-    /// very instant the step loop would have made that pick, so the pick
-    /// sequence (and therefore the event stream) is identical. With faults
-    /// enabled every pick must observe `FaultPlan::advance` at its own
-    /// instant, so the engine drops to one command per call — the step
-    /// loop's exact behaviour.
+    /// The fetch engine is a serial resource: it takes one command, pays
+    /// `fetch_cost` for it, and its `FetchDone` calls back here. With
+    /// faults enabled the pick first advances the fault plan to `now`, and
+    /// a stalled NSQ is invisible to the arbiter for the duration of its
+    /// fault window: its published work sits unfetched exactly as if the
+    /// controller's per-queue fetch engine wedged.
     pub(crate) fn maybe_start_fetch(&mut self, now: SimTime, out: &mut DeviceOutput) {
-        if self.fetches_inflight > 0 {
+        if self.fetching || self.inflight_pages >= self.config.max_inflight_pages as u64 {
             return;
         }
-        if self.inflight_pages >= self.config.max_inflight_pages as u64 {
-            return;
-        }
-        if self.faults.enabled() {
-            // A stalled NSQ is invisible to the arbiter for the duration of
-            // its fault window: its published work sits unfetched exactly as
-            // if the controller's per-queue fetch engine wedged.
+        let faulted = self.faults.enabled();
+        if faulted {
             self.faults.advance(now);
-            let faults = &self.faults;
-            let pick = self.arbiter.pick(|sq| faults.sq_stalled(now, sq.0));
-            if let Some(sq_id) = pick {
-                self.stage_fetch(sq_id, now, out);
-            }
-            return;
         }
-        let Some(first) = self.arbiter.pick(|_| false) else {
+        let faults = &self.faults;
+        let Some(sq_id) = self
+            .arbiter
+            .pick(|sq| faulted && faults.sq_stalled(now, sq.0))
+        else {
             return;
         };
-        let mut sq_id = first;
-        let mut at = now;
-        loop {
-            at = self.stage_fetch(sq_id, at, out);
-            if !self.stage_bursts {
-                break;
-            }
-            if self.inflight_pages >= self.config.max_inflight_pages as u64 {
-                break;
-            }
-            match self.arbiter.continue_burst() {
-                Some(next_sq) => sq_id = next_sq,
-                None => break,
-            }
-        }
-    }
-
-    /// Fetches the head command of `sq_id` and stages its `FetchDone` at
-    /// `at + fetch_cost`; returns that completion time (the start of the
-    /// next fetch in a staged burst).
-    fn stage_fetch(&mut self, sq_id: SqId, at: SimTime, out: &mut DeviceOutput) -> SimTime {
         let cmd = self.sqs[sq_id.index()]
             .fetch()
             .expect("arbiter picked an SQ without visible work");
@@ -89,18 +54,18 @@ impl NvmeDevice {
         let cq = self.sqs[sq_id.index()].cq();
         self.cqs[cq.index()].note_fetched();
         self.stats.fetched += 1;
-        self.fetches_inflight += 1;
+        self.fetching = true;
         let pages = if cmd.is_dataless() { 0 } else { cmd.pages() };
         self.inflight_pages += pages as u64;
-        let done = at + self.config.perf.fetch_cost(pages);
+        let done = now + self.config.perf.fetch_cost(pages);
         let slot = self.staged.insert((cmd, sq_id));
         out.events.push((done, NvmeEvent::FetchDone { slot }));
-        done
     }
 
     /// Fetch finished: dispatch flash service, then keep the engine going.
     pub(crate) fn on_fetch_done(&mut self, slot: SlotId, now: SimTime, out: &mut DeviceOutput) {
-        // Only `stage_fetch` mints FetchDone slots, and only CmdDone frees them.
+        // Only `maybe_start_fetch` mints FetchDone slots, and only CmdDone
+        // frees them.
         let (cmd, sq) = *self
             .staged
             .get(slot)
@@ -125,13 +90,9 @@ impl NvmeDevice {
             }
         };
         out.events.push((done_at, NvmeEvent::CmdDone { slot }));
-        // The fetch engine frees when the staged burst's last command is
-        // handed to flash; earlier FetchDones of the burst already have
-        // their successors scheduled.
-        self.fetches_inflight -= 1;
-        if self.fetches_inflight == 0 {
-            self.maybe_start_fetch(now, out);
-        }
+        // The command is handed to flash: the fetch engine takes the next.
+        self.fetching = false;
+        self.maybe_start_fetch(now, out);
     }
 
     /// Flash service finished: post the CQE and maybe raise the interrupt.
@@ -240,7 +201,7 @@ mod tests {
     use super::*;
     use crate::command::{HostTag, NvmeCommand};
     use crate::config::NvmeConfig;
-    use crate::spec::{CommandId, CqId, NamespaceId};
+    use crate::spec::{CommandId, CqId, NamespaceId, SqId};
     use simkit::{EventQueue, SimDuration};
 
     fn small_device() -> NvmeDevice {

@@ -138,7 +138,7 @@ pub struct DeviceStats {
     pub bytes: u64,
 }
 
-/// Either arbitration mechanism, behind one `next` call.
+/// Either arbitration mechanism, behind one `pick` call.
 pub(crate) enum Arbiter {
     RoundRobin(RoundRobinArbiter),
     Wrr(WrrArbiter),
@@ -146,21 +146,11 @@ pub(crate) enum Arbiter {
 
 impl Arbiter {
     /// Mask-driven pick (O(1) in `nr_sqs` for round-robin); `stalled`
-    /// filters candidates inside fault windows. Pick-sequence identical to
-    /// the predicate-scan reference (see `arbiter.rs`).
+    /// filters candidates inside fault windows.
     pub(crate) fn pick(&mut self, stalled: impl FnMut(SqId) -> bool) -> Option<SqId> {
         match self {
             Arbiter::RoundRobin(a) => a.pick(stalled),
             Arbiter::Wrr(a) => a.pick(stalled),
-        }
-    }
-
-    /// Consumes one more grant from an in-progress round-robin burst, or
-    /// `None` (always `None` under WRR, which grants one command per pick).
-    pub(crate) fn continue_burst(&mut self) -> Option<SqId> {
-        match self {
-            Arbiter::RoundRobin(a) => a.continue_burst(),
-            Arbiter::Wrr(_) => None,
         }
     }
 
@@ -199,16 +189,12 @@ pub struct NvmeDevice {
     pub(crate) flash: FlashBackend,
     pub(crate) namespaces: NamespaceTable,
     /// Fetched, not yet completed commands and their SQs, from
-    /// `stage_fetch` until their `CmdDone`; the events name them by slot.
+    /// `maybe_start_fetch` until their `CmdDone`; the events name them by
+    /// slot.
     pub(crate) staged: Slab<(NvmeCommand, SqId)>,
-    /// Outstanding `FetchDone` events of the staged fetch burst. The fetch
-    /// engine is busy while this is non-zero; the last `FetchDone` of a
-    /// burst restarts it (`> 1` only when `arbitration_burst > 1` and the
-    /// burst path staged ahead).
-    pub(crate) fetches_inflight: u32,
-    /// When false, `maybe_start_fetch` stages exactly one command per call
-    /// (the step-at-a-time reference the burst-equivalence property drives).
-    pub(crate) stage_bursts: bool,
+    /// The serial fetch engine is busy: one `FetchDone` is outstanding,
+    /// and it restarts the engine.
+    pub(crate) fetching: bool,
     /// Pages of fetched-but-unfinished commands (internal flow control).
     pub(crate) inflight_pages: u64,
     /// Per-CQ coalescing state: (enabled, aggregation timer armed).
@@ -245,10 +231,7 @@ impl NvmeDevice {
             .map(|i| IrqVector::new(CqId(i), i % host_cores))
             .collect();
         let arbiter = match config.arbitration {
-            Arbitration::RoundRobin => Arbiter::RoundRobin(RoundRobinArbiter::new(
-                config.nr_sqs,
-                config.arbitration_burst,
-            )),
+            Arbitration::RoundRobin => Arbiter::RoundRobin(RoundRobinArbiter::new(config.nr_sqs)),
             Arbitration::Wrr(w) => Arbiter::Wrr(WrrArbiter::new(config.nr_sqs, w)),
         };
         NvmeDevice {
@@ -259,8 +242,7 @@ impl NvmeDevice {
             sqs,
             cqs,
             vectors,
-            fetches_inflight: 0,
-            stage_bursts: true,
+            fetching: false,
             inflight_pages: 0,
             coalesce: vec![(true, false); config.nr_cqs as usize],
             stats: DeviceStats::default(),
@@ -314,11 +296,6 @@ impl NvmeDevice {
         self.vectors[cq.index()].core
     }
 
-    /// Rebinds a CQ's vector to another core.
-    pub fn set_irq_core(&mut self, cq: CqId, core: u16) {
-        self.vectors[cq.index()].core = core;
-    }
-
     /// Enables/disables interrupt coalescing for one CQ (hosts disable it
     /// on latency-critical vectors; NVMe exposes this per-vector).
     pub fn set_cq_coalescing(&mut self, cq: CqId, enabled: bool) {
@@ -338,11 +315,6 @@ impl NvmeDevice {
                 panic!("set_sq_priority requires WRR arbitration")
             }
         }
-    }
-
-    /// True when the SQ can accept another entry.
-    pub fn sq_has_room(&self, sq: SqId) -> bool {
-        self.sqs[sq.index()].has_room()
     }
 
     /// Host-visible SQ statistics (used by Daredevil's nproxies).
@@ -380,7 +352,7 @@ impl NvmeDevice {
             self.sqs.iter().any(|q| q.visible_len() > 0),
             "ready mask out of sync with SQ visibility"
         );
-        self.fetches_inflight == 0
+        !self.fetching
             && self.inflight_pages < self.config.max_inflight_pages as u64
             && self.arbiter.any_ready()
     }
@@ -397,11 +369,6 @@ impl NvmeDevice {
     /// The ISR watchdog uses this to spot vectors whose raise was lost.
     pub fn irq_raised(&self, cq: CqId) -> bool {
         self.vectors[cq.index()].is_raised()
-    }
-
-    /// Total interrupts raised on one CQ's vector.
-    pub fn irq_raised_on(&self, cq: CqId) -> u64 {
-        self.vectors[cq.index()].raised_total()
     }
 
     /// Total interrupts raised across all vectors.
@@ -439,14 +406,6 @@ impl NvmeDevice {
             self.arbiter.note_ready(sq);
         }
         self.maybe_start_fetch(now, out);
-    }
-
-    /// Enables/disables multi-command fetch staging (enabled by default).
-    /// With staging off, `maybe_start_fetch` schedules exactly one
-    /// `FetchDone` per call — the step-at-a-time reference behaviour the
-    /// `burst_fetch_matches_step` dd-check property compares against.
-    pub fn set_fetch_staging(&mut self, on: bool) {
-        self.stage_bursts = on;
     }
 
     /// Advances the device at one of its own scheduled events.

@@ -12,6 +12,10 @@ use dd_nvme::{DeviceOutput, NvmeCommand, NvmeConfig, NvmeDevice, NvmeEvent};
 use simkit::fault::{FaultEvent, FaultGeometry, FaultKind};
 use simkit::{EventQueue, FaultPlan, SimDuration, SimTime};
 
+#[path = "support/scan_arbiter.rs"]
+mod scan_arbiter;
+use scan_arbiter::{ScanRoundRobin, ScanWrr};
+
 fn cmd(cid: u64, nlb: u32, slba: u64) -> NvmeCommand {
     NvmeCommand {
         cid: CommandId(cid),
@@ -166,67 +170,6 @@ struct DoorbellBatch {
     cmds: Vec<NvmeCommand>,
 }
 
-/// Drives `dev` through the full workload — doorbell batches merged with
-/// the device's own event stream in `(time, seq)` order, exactly like the
-/// machine loop — and returns a digest of every externally visible effect:
-/// handled events, raised IRQs, final stats, and the drained CQ contents.
-fn drive_device(mut dev: NvmeDevice, batches: &[DoorbellBatch], nr_cqs: u16) -> Vec<String> {
-    let mut out = DeviceOutput::new();
-    let mut queue = EventQueue::new();
-    let mut digest = Vec::new();
-    let mut next_batch = 0;
-    loop {
-        for (at, ev) in out.events.drain(..) {
-            queue.push(at, ev);
-        }
-        for irq in out.irqs.drain(..) {
-            digest.push(format!("irq {:?} cq{} core{}", irq.at, irq.cq.0, irq.core));
-        }
-        let db_at = batches.get(next_batch).map(|b| b.at);
-        let ev_at = queue.peek_time();
-        let ring_next = match (db_at, ev_at) {
-            (Some(d), Some(e)) => d <= e,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        match (ring_next, db_at, ev_at) {
-            (true, Some(_), _) => {
-                let b = &batches[next_batch];
-                next_batch += 1;
-                for cmd in &b.cmds {
-                    // Full SQs drop the command in both devices alike.
-                    let _ = dev.push_command(SqId(b.sq), *cmd);
-                }
-                dev.ring_doorbell(SqId(b.sq), b.at, &mut out);
-            }
-            _ => {
-                let (at, ev) = queue.pop().expect("peeked non-empty");
-                // Slot handles are internal (the staged and stepped devices
-                // may number them differently): digest the command named.
-                let named = match ev {
-                    NvmeEvent::FetchDone { .. } => format!("fetch {:?}", dev.event_command(&ev)),
-                    NvmeEvent::CmdDone { .. } => format!("done {:?}", dev.event_command(&ev)),
-                    NvmeEvent::CoalesceTimeout { cq } => format!("coalesce cq{}", cq.0),
-                };
-                digest.push(format!("ev {at:?} {named}"));
-                dev.handle_event(ev, at, &mut out);
-            }
-        }
-    }
-    let stats = dev.stats();
-    digest.push(format!(
-        "stats fetched={} completed={} bytes={}",
-        stats.fetched, stats.completed, stats.bytes
-    ));
-    for cq in 0..nr_cqs {
-        for e in dev.isr_pop(CqId(cq), usize::MAX) {
-            digest.push(format!("cqe cq{} {:?} sq{}", cq, e.cid, e.sq_id.0));
-        }
-    }
-    digest
-}
-
 fn random_workload(c: &mut Case, nr_sqs: u16, blocks: u64) -> Vec<DoorbellBatch> {
     let mut at = SimTime::ZERO;
     let mut cid = 0u64;
@@ -286,58 +229,113 @@ fn random_faults(c: &mut Case, geo: FaultGeometry) -> FaultPlan {
     FaultPlan::from_events(events, geo)
 }
 
-/// Burst fetch staging is invisible: a device staging whole arbitration
-/// bursts (`stage_bursts = true`, the default) produces a byte-identical
-/// effect stream — same events at the same times in the same order, same
-/// IRQs, same stats, same CQEs — as the step-at-a-time reference device,
-/// across random SQ/CQ geometries, arbitration bursts 1..4, inflight-page
-/// budgets, and fault schedules (mid-burst NSQ stall windows included).
+/// The serial fetch engine conserves commands under any fault schedule:
+/// at most one fetch is in flight and a device call raises at most one
+/// IRQ; every fetched command gets exactly one `FetchDone` and then exactly
+/// one `CmdDone`, and every `CmdDone` posts exactly one CQE. Random SQ/CQ
+/// geometries, in-flight page budgets, workloads and fault schedules (NSQ
+/// stall windows, die spikes, lost vectors). Doorbell batches merge with
+/// the device's own event stream in `(time, seq)` order, as in the machine
+/// loop.
 #[test]
-fn burst_fetch_matches_step() {
-    check("burst_fetch_matches_step", |c| {
+fn device_conserves_commands_under_faults() {
+    check("device_conserves_commands_under_faults", |c| {
         let nr_sqs = c.u16_in(1, 9);
         let nr_cqs = c.u16_in(1, nr_sqs + 1);
         let mut cfg = NvmeConfig::sv_m();
         cfg.nr_sqs = nr_sqs;
         cfg.nr_cqs = nr_cqs;
         cfg.sq_depth = c.u16_in(8, 64);
-        cfg.arbitration_burst = c.u8_in(1, 5);
         cfg.max_inflight_pages = c.u32_in(8, 96);
         let blocks = cfg.namespace_blocks[0];
         let batches = random_workload(c, nr_sqs, blocks);
-        let faults = if c.bool_with(0.5) {
-            let geo = FaultGeometry {
-                dies: cfg.flash.total_dies() as u32,
-                sqs: nr_sqs,
-                cqs: nr_cqs,
-            };
-            Some(random_faults(c, geo))
-        } else {
-            None
+        let geo = FaultGeometry {
+            dies: cfg.flash.total_dies() as u32,
+            sqs: nr_sqs,
+            cqs: nr_cqs,
         };
-        let mut staged = NvmeDevice::new(cfg.clone(), nr_cqs);
-        let mut stepped = NvmeDevice::new(cfg, nr_cqs);
-        stepped.set_fetch_staging(false);
-        if let Some(plan) = &faults {
-            staged.install_faults(plan.clone());
-            stepped.install_faults(plan.clone());
+        let mut dev = NvmeDevice::new(cfg, nr_cqs);
+        if c.bool_with(0.5) {
+            dev.install_faults(random_faults(c, geo));
         }
-        let a = drive_device(staged, &batches, nr_cqs);
-        let b = drive_device(stepped, &batches, nr_cqs);
-        prop_assert_eq!(a, b);
+        let mut out = DeviceOutput::new();
+        let mut queue = EventQueue::new();
+        let (mut fetched, mut done) = (Vec::new(), Vec::new());
+        let mut fetches_pending = 0u32;
+        let mut next_batch = 0;
+        loop {
+            prop_assert!(
+                out.irqs.len() <= 1,
+                "one device call raised {} IRQs",
+                out.irqs.len()
+            );
+            out.irqs.clear();
+            for (at, ev) in out.events.drain(..) {
+                if let NvmeEvent::FetchDone { .. } = ev {
+                    fetches_pending += 1;
+                    prop_assert!(fetches_pending <= 1, "two fetches in flight");
+                }
+                queue.push(at, ev);
+            }
+            let db_at = batches.get(next_batch).map(|b| b.at);
+            let ring_next = match (db_at, queue.peek_time()) {
+                (Some(d), Some(e)) => d <= e,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if ring_next {
+                let b = &batches[next_batch];
+                next_batch += 1;
+                for cmd in &b.cmds {
+                    // A full SQ drops the command: it is never fetched.
+                    let _ = dev.push_command(SqId(b.sq), *cmd);
+                }
+                dev.ring_doorbell(SqId(b.sq), b.at, &mut out);
+                continue;
+            }
+            let (at, ev) = queue.pop().expect("peeked non-empty");
+            let named = dev.event_command(&ev).map(|(cmd, _)| cmd.cid);
+            match ev {
+                NvmeEvent::FetchDone { .. } => {
+                    fetches_pending -= 1;
+                    fetched.push(named.expect("FetchDone names a staged command"));
+                }
+                NvmeEvent::CmdDone { .. } => {
+                    done.push(named.expect("CmdDone names a staged command"));
+                }
+                NvmeEvent::CoalesceTimeout { .. } => {}
+            }
+            dev.handle_event(ev, at, &mut out);
+        }
+        let stats = dev.stats();
+        prop_assert_eq!(stats.fetched, fetched.len() as u64);
+        prop_assert_eq!(stats.completed, done.len() as u64);
+        prop_assert_eq!(dev.staged_len(), 0);
+        fetched.sort_unstable();
+        let fetched_once = fetched.windows(2).all(|w| w[0] != w[1]);
+        prop_assert!(fetched_once, "a command was fetched twice");
+        done.sort_unstable();
+        prop_assert_eq!(&fetched, &done);
+        let mut cqes: Vec<CommandId> = (0..nr_cqs)
+            .flat_map(|cq| dev.isr_pop(CqId(cq), usize::MAX))
+            .map(|e| e.cid)
+            .collect();
+        cqes.sort_unstable();
+        prop_assert_eq!(cqes, done);
         Ok(())
     });
 }
 
 /// The O(1) bitmask pick reproduces the predicate-scan reference pick for
 /// pick under random push/fetch/stall interleavings — round-robin flavour.
+/// The reference is test support (`support/scan_arbiter.rs`).
 #[test]
 fn rr_mask_pick_matches_scan() {
     check("rr_mask_pick_matches_scan", |c| {
         let nr_sqs = c.u16_in(1, 80);
-        let burst = c.u8_in(1, 5);
-        let mut mask_arb = RoundRobinArbiter::new(nr_sqs, burst);
-        let mut scan_arb = RoundRobinArbiter::new(nr_sqs, burst);
+        let mut mask_arb = RoundRobinArbiter::new(nr_sqs);
+        let mut scan_arb = ScanRoundRobin::new(nr_sqs);
         let mut work = vec![0u32; nr_sqs as usize];
         let ops = c.vec_of(1, 300, |c| (c.u8_in(0, 4), c.u16_in(0, nr_sqs)));
         let stall_mod = c.u16_in(2, 7);
@@ -382,7 +380,7 @@ fn wrr_mask_pick_matches_scan() {
             low: c.u8_in(1, 9),
         };
         let mut mask_arb = WrrArbiter::new(nr_sqs, weights);
-        let mut scan_arb = WrrArbiter::new(nr_sqs, weights);
+        let mut scan_arb = ScanWrr::new(nr_sqs, weights);
         let classes = [
             SqPriorityClass::Urgent,
             SqPriorityClass::High,

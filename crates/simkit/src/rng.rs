@@ -82,12 +82,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    pub fn gen_range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.gen_range(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn gen_f64(&mut self) -> f64 {
         // 53 high bits → uniform double in [0, 1).

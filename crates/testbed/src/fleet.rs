@@ -303,11 +303,6 @@ impl FleetSpec {
         }
         scenarios
     }
-
-    /// Total tenants across the fleet.
-    pub fn total_tenants(&self) -> u32 {
-        self.population.tenants
-    }
 }
 
 #[cfg(test)]

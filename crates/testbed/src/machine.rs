@@ -42,12 +42,8 @@ enum Event {
     CoreDispatch(u16),
     /// The running work item of a core finished.
     CoreDone(u16),
-    /// An interrupt fire reaches a core. One fire can carry several CQs:
-    /// raises that target the same core at the same instant are merged at
-    /// drain time, and `more` holds the extra CQ ids (< 64) as a bitmask —
-    /// the ISR then drains every raised same-core CQ off a single
-    /// event-loop dispatch. `more == 0` is the common singleton fire.
-    IrqDeliver { cq: CqId, core: u16, more: u64 },
+    /// A CQ's interrupt reaches the core its vector is bound to.
+    IrqDeliver { cq: CqId, core: u16 },
     /// A bio completion, held in `Machine::delivering`, is delivered to
     /// its tenant.
     Completed(SlotId),
@@ -380,9 +376,10 @@ impl Machine {
     /// Moves pending device effects, completions, and migrations into the
     /// event queue. Must run after every stack/device interaction.
     ///
-    /// Batched insertion: one `push_batch` per effect vector amortises the
-    /// queue's cursor/sequence bookkeeping over the whole drain instead of
-    /// paying it per event. The iteration orders reproduce the historical
+    /// Device events and completions go in by `push_batch`, which amortises
+    /// the queue's cursor/sequence bookkeeping over the whole drain. Raises
+    /// go in one `push` each: a drain holds at most one, so a batch would
+    /// only add overhead. The iteration orders reproduce the historical
     /// push order exactly (FIFO for device events, reverse for irqs and
     /// completions — the old `pop()` loops), so equal-time events keep the
     /// same sequence tie-break.
@@ -394,36 +391,14 @@ impl Machine {
                 .drain(..)
                 .map(|(at, ev)| (at, Event::Dev(ev))),
         );
-        // Cross-CQ fire merge: consecutive raises (in the historical reverse
-        // push order) that hit the same core at the same instant collapse
-        // into one IrqDeliver carrying a CQ bitmask. A singleton raise — the
-        // only shape any current device path produces per drain — takes the
-        // `more == 0` fast path and keeps its historical (time, seq) slot.
-        {
-            let irqs = &mut self.dev_out.irqs;
-            let mut i = irqs.len();
-            while i > 0 {
-                i -= 1;
-                let head = irqs[i];
-                let mut more = 0u64;
-                while i > 0 {
-                    let cand = irqs[i - 1];
-                    if cand.at != head.at || cand.core != head.core || cand.cq.0 >= 64 {
-                        break;
-                    }
-                    more |= 1u64 << cand.cq.0;
-                    i -= 1;
-                }
-                queue.push(
-                    head.at,
-                    Event::IrqDeliver {
-                        cq: head.cq,
-                        core: head.core,
-                        more,
-                    },
-                );
-            }
-            irqs.clear();
+        while let Some(r) = self.dev_out.irqs.pop() {
+            queue.push(
+                r.at,
+                Event::IrqDeliver {
+                    cq: r.cq,
+                    core: r.core,
+                },
+            );
         }
         let delivering = &mut self.delivering;
         queue.push_batch(
@@ -870,20 +845,8 @@ impl Machine {
                     self.device.handle_event(dev_ev, now, &mut self.dev_out);
                     self.drain_effects();
                 }
-                Event::IrqDeliver { cq, core, more } => {
-                    // One fire, one ISR work item per raised CQ: the works
-                    // drain back-to-back on the core's HardIrq lane, but
-                    // each keeps its own `stack.on_irq` cost and per-CQ
-                    // acknowledge, so coalescing timers, irqloss recovery,
-                    // and the watchdog's `cq_reaped` snapshots still see
-                    // per-CQ state.
+                Event::IrqDeliver { cq, core } => {
                     self.enqueue_work(core, WorkClass::HardIrq, Work::Isr { cq });
-                    let mut rest = more;
-                    while rest != 0 {
-                        let b = rest.trailing_zeros() as u16;
-                        rest &= rest - 1;
-                        self.enqueue_work(core, WorkClass::HardIrq, Work::Isr { cq: CqId(b) });
-                    }
                 }
                 Event::CoreDispatch(core) => {
                     if let Some((_class, work)) = self.cpu.take_next(core) {

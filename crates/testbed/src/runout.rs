@@ -116,14 +116,6 @@ impl<'a> TenantView<'a> {
     pub fn slo_violations(&self) -> u64 {
         self.t.slo_violations
     }
-
-    /// Fraction of in-window completions that violated the SLO.
-    pub fn slo_violation_rate(&self) -> f64 {
-        if self.t.ios_completed == 0 {
-            return 0.0;
-        }
-        self.t.slo_violations as f64 / self.t.ios_completed as f64
-    }
 }
 
 impl RunOutput {
@@ -195,18 +187,6 @@ impl FleetOutput {
     /// Total simulator events processed across the fleet.
     pub fn events_processed(&self) -> u64 {
         self.hosts.iter().map(|h| h.events_processed).sum()
-    }
-
-    /// Fleet-wide SLO-violation rate: violations over completions, across
-    /// every tenant on every host.
-    pub fn slo_violation_rate(&self) -> f64 {
-        let (viol, done) = self.tenants().fold((0u64, 0u64), |(v, d), t| {
-            (v + t.slo_violations(), d + t.ios_completed())
-        });
-        if done == 0 {
-            return 0.0;
-        }
-        viol as f64 / done as f64
     }
 
     /// SLO-violation rate restricted to one SLA class.

@@ -408,12 +408,6 @@ impl Scenario {
         s
     }
 
-    /// Adds one tenant.
-    pub fn with_tenant(mut self, t: TenantSpec) -> Self {
-        self.tenants.push(t);
-        self
-    }
-
     /// Number of cores in the topology.
     pub fn nr_cores(&self) -> u16 {
         self.topology.nr_cores()

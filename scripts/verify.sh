@@ -146,7 +146,7 @@ echo "== verify: dispatch/push paths stay allocation-free =="
 # Construction-time allocations are fine — mark the line (or the line
 # above it) with `dd-alloc-allowlist: <reason>`. Test modules
 # (`#[cfg(test)]` onward) are exempt.
-ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/blkstack/src/dispatch.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs"
+ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/blkstack/src/dispatch.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs"
 ALLOC_FAIL=0
 for f in $ALLOC_FILES; do
     HITS="$(awk '
