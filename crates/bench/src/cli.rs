@@ -4,7 +4,8 @@
 //! [`crate::figures::FIGURES`] (or the default sweep when no name is
 //! given), and [`Opts::from_args`] parses it: the same flags mean the
 //! same thing for every figure, and *unknown flags or figure names exit
-//! 2 with usage*.
+//! 2 with usage*. Its flag lexer, [`Args`], is shared with the `ddsim`
+//! binary.
 //!
 //! ```text
 //! --quick            reduced durations (CI/smoke scale)
@@ -47,8 +48,10 @@
 //! `scripts/verify.sh`). A cell whose ring wrapped reports the eviction
 //! count on stderr; the CSV itself only ever contains real events.
 
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -177,61 +180,23 @@ impl Opts {
     fn parse(argv: &[String]) -> Self {
         let mut opts = Opts::new(false, false, 0);
         let mut jobs: Option<usize> = None;
-        let bad = |msg: String| -> ! {
-            eprintln!("{msg}\n{USAGE}");
-            std::process::exit(2);
-        };
-        let mut i = 0;
-        while i < argv.len() {
-            // Accept both `--flag value` and `--flag=value`.
-            let (flag, mut inline) = match argv[i].split_once('=') {
-                Some((f, v)) => (f, Some(v.to_string())),
-                None => (argv[i].as_str(), None),
-            };
-            let mut value = |name: &str, i: &mut usize| -> String {
-                inline.take().unwrap_or_else(|| {
-                    *i += 1;
-                    argv.get(*i)
-                        .cloned()
-                        .unwrap_or_else(|| bad(format!("{name} needs a value")))
-                })
-            };
+        let mut args = Args::new(argv, USAGE);
+        while let Some(flag) = args.next_arg() {
             match flag {
                 "--quick" => opts.quick = true,
                 "--csv" => opts.csv = true,
-                "--jobs" => {
-                    let v = value("--jobs", &mut i);
-                    jobs = Some(parse_jobs(&v).unwrap_or_else(|| {
-                        bad(format!(
-                            "invalid --jobs value {v:?} (want a positive integer)"
-                        ))
-                    }));
-                }
-                "--seed" => {
-                    let v = value("--seed", &mut i);
-                    opts.seed = Some(v.trim().parse::<u64>().unwrap_or_else(|_| {
-                        bad(format!("invalid --seed value {v:?} (want an integer)"))
-                    }));
-                }
+                "--jobs" => jobs = Some(args.int(flag, 1)),
+                "--seed" => opts.seed = Some(args.int(flag, 0)),
                 "--trace" => {
                     // The phase list is optional: a following argument that
-                    // is itself a flag means "trace everything".
-                    let spec = match inline.take() {
-                        Some(v) => Some(v),
-                        None => match argv.get(i + 1) {
-                            Some(next)
-                                if !next.starts_with('-') && figures::find(next).is_none() =>
-                            {
-                                i += 1;
-                                Some(next.clone())
-                            }
-                            _ => None,
-                        },
-                    };
-                    opts.trace = Some(match spec.as_deref() {
+                    // is itself a flag or a figure means "trace everything".
+                    let spec = args.optional_value(|next| {
+                        !next.starts_with('-') && figures::find(next).is_none()
+                    });
+                    opts.trace = Some(match spec {
                         None | Some("") | Some("all") => MASK_ALL,
                         Some(list) => parse_phases(list).unwrap_or_else(|name| {
-                            bad(format!(
+                            args.fail(format!(
                                 "unknown phase {name:?} in --trace (known: {})",
                                 PHASE_NAMES.join(",")
                             ))
@@ -239,53 +204,38 @@ impl Opts {
                     });
                 }
                 "--faults" => {
-                    let v = value("--faults", &mut i);
+                    let v = args.value(flag);
                     opts.faults = Some(
-                        simkit::FaultClasses::from_list(&v)
-                            .unwrap_or_else(|e| bad(format!("invalid --faults value: {e}"))),
+                        simkit::FaultClasses::from_list(v)
+                            .unwrap_or_else(|e| args.fail(format!("invalid --faults value: {e}"))),
                     );
                 }
-                "--fault-seed" => {
-                    let v = value("--fault-seed", &mut i);
-                    opts.fault_seed = Some(v.trim().parse::<u64>().unwrap_or_else(|_| {
-                        bad(format!("invalid --fault-seed value {v:?} (want an integer)"))
-                    }));
-                }
+                "--fault-seed" => opts.fault_seed = Some(args.int(flag, 0)),
                 "--policy" => {
-                    let v = value("--policy", &mut i);
+                    let v = args.value(flag);
                     opts.policy =
                         Some(daredevil::PolicySpec::parse(v.trim()).unwrap_or_else(|| {
-                            bad(format!(
+                            args.fail(format!(
                                 "unknown --policy {v:?} (known: {})",
                                 daredevil::PolicySpec::ALL.map(|p| p.name()).join(", ")
                             ))
                         }));
                 }
-                "--trace-out" => opts.trace_out = value("--trace-out", &mut i),
-                "--trace-cap" => {
-                    let v = value("--trace-cap", &mut i);
-                    opts.trace_cap = match v.trim().parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => bad(format!(
-                            "invalid --trace-cap value {v:?} (want a positive integer)"
-                        )),
-                    };
-                }
+                "--trace-out" => opts.trace_out = args.value(flag).to_string(),
+                "--trace-cap" => opts.trace_cap = args.int(flag, 1),
                 "--help" | "-h" => {
                     eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                name if !name.starts_with('-') => match figures::find(&argv[i]) {
+                name if !name.starts_with('-') => match figures::find(name) {
                     Some(f) => opts.figures.push(f),
-                    None => bad(format!(
-                        "unknown figure {:?} (known: {})",
-                        argv[i],
+                    None => args.fail(format!(
+                        "unknown figure {name:?} (known: {})",
                         figures::names()
                     )),
                 },
-                other => bad(format!("unknown argument {other:?}")),
+                other => args.fail(format!("unknown argument {other:?}")),
             }
-            i += 1;
         }
         opts.jobs = jobs.unwrap_or_else(Self::default_jobs);
         opts
@@ -335,9 +285,83 @@ impl Opts {
     }
 }
 
-/// Parses a `--jobs` value.
-fn parse_jobs(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+/// A cursor over a command line, shared by `figures` and `ddsim`: a flag
+/// takes its value as `--flag value` or `--flag=value`, and every error
+/// prints its message and the usage text to stderr and exits 2.
+pub struct Args<'a> {
+    argv: &'a [String],
+    at: usize,
+    /// The `=value` of the flag last returned by [`Args::next_arg`].
+    inline: Option<&'a str>,
+    usage: &'a str,
+}
+
+impl<'a> Args<'a> {
+    /// A cursor at the first of `argv` (the arguments after the program
+    /// name).
+    pub fn new(argv: &'a [String], usage: &'a str) -> Self {
+        Args {
+            argv,
+            at: 0,
+            inline: None,
+            usage,
+        }
+    }
+
+    /// The next argument; a flag's `=value` is split off and kept for
+    /// [`Args::value`].
+    pub fn next_arg(&mut self) -> Option<&'a str> {
+        let arg = self.argv.get(self.at)?;
+        self.at += 1;
+        self.inline = None;
+        match arg.split_once('=') {
+            Some((flag, v)) if flag.starts_with('-') => {
+                self.inline = Some(v);
+                Some(flag)
+            }
+            _ => Some(arg),
+        }
+    }
+
+    /// The current flag's value: its `=value`, or else the next argument.
+    pub fn value(&mut self, flag: &str) -> &'a str {
+        if let Some(v) = self.inline.take() {
+            return v;
+        }
+        let Some(v) = self.argv.get(self.at) else {
+            self.fail(format!("{flag} needs a value"))
+        };
+        self.at += 1;
+        v
+    }
+
+    /// The current flag's optional value: its `=value`, or the next
+    /// argument when `takes` accepts it.
+    pub fn optional_value(&mut self, takes: impl Fn(&str) -> bool) -> Option<&'a str> {
+        if let Some(v) = self.inline.take() {
+            return Some(v);
+        }
+        let v = self.argv.get(self.at).filter(|v| takes(v))?;
+        self.at += 1;
+        Some(v)
+    }
+
+    /// The current flag's value as an integer no smaller than `min`.
+    pub fn int<T: FromStr + PartialOrd + Display>(&mut self, flag: &str, min: T) -> T {
+        let v = self.value(flag);
+        match v.trim().parse::<T>() {
+            Ok(n) if n >= min => n,
+            _ => self.fail(format!(
+                "invalid {flag} value {v:?} (want an integer >= {min})"
+            )),
+        }
+    }
+
+    /// Prints `msg` and the usage text to stderr and exits 2.
+    pub fn fail(&self, msg: impl Display) -> ! {
+        eprintln!("{msg}\n{}", self.usage);
+        std::process::exit(2)
+    }
 }
 
 /// Parses a comma-separated phase list into a mask; `Err` carries the
@@ -365,9 +389,9 @@ static WRITER: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
 
 /// Appends one cell's harvested trace to the CSV at `opts.trace_out`.
 ///
-/// No-op unless `--trace` was given. Called by the sweep executor (in
-/// original cell order, after the sweep completes) and by [`crate::run`],
-/// so dump order is execution-binding-independent.
+/// No-op unless `--trace` was given. Called by the sweep executor in add
+/// order after the sweep completes, so dump order is
+/// execution-binding-independent.
 pub(crate) fn dump_cell_trace(opts: &Opts, cell_name: &str, out: &RunOutput) {
     if opts.trace.is_none() {
         return;

@@ -29,7 +29,7 @@ fn sched_stacks() -> [StackSpec; 4] {
     ]
 }
 
-fn sched_label(stack: &StackSpec) -> &str {
+fn sched_label(stack: &StackSpec) -> &'static str {
     match stack {
         StackSpec::Vanilla(c) if c.scheduler == SchedKind::MqDeadline => "mq-deadline",
         StackSpec::Vanilla(c) if c.scheduler == SchedKind::Kyber => "kyber",
@@ -40,12 +40,13 @@ fn sched_label(stack: &StackSpec) -> &str {
 /// Runs both extension comparisons.
 pub fn run_figure(opts: &Opts) {
     // (1) Elevators under write-heavy T-pressure.
-    let t_stages: Vec<u16> = if opts.quick { vec![8] } else { vec![8, 32] };
+    let t_stages: &[u16] = if opts.quick { &[8] } else { &[8, 32] };
     let mut sweep = Sweep::new();
-    for nr_t in &t_stages {
+    for &nr_t in t_stages {
         for stack in sched_stacks() {
+            let label = sched_label(&stack);
             let mut s = Scenario::multi_tenant_fio(stack, 4, 0, 4, MachinePreset::SvM);
-            for i in 0..*nr_t {
+            for i in 0..nr_t {
                 s.tenants.push(TenantSpec {
                     class_label: "T",
                     ionice: IoPriorityClass::BestEffort,
@@ -55,22 +56,18 @@ pub fn run_figure(opts: &Opts) {
                     slo: None,
                 });
             }
-            sweep.add(format!("T={nr_t}"), s);
+            sweep.add((nr_t, label), s);
         }
     }
-    let mut results = sweep.run(opts);
 
     let mut table = Table::new(
         "Ext A: I/O schedulers vs NQ-level separation (4 L readers, T = 128KiB writers, 4 cores)",
         &LATENCY_HEADER,
     );
-    for nr_t in &t_stages {
-        for stack in sched_stacks() {
-            let out = results.next_output();
-            let mut row = latency_row(format!("T={nr_t}"), &out);
-            row[1] = sched_label(&stack).to_string();
-            table.row(&row);
-        }
+    for ((nr_t, label), out) in sweep.run(opts) {
+        let mut row = latency_row(format!("T={nr_t}"), &out);
+        row[1] = label.to_string();
+        table.row(&row);
     }
     opts.emit(&table);
 
@@ -98,7 +95,6 @@ pub fn run_figure(opts: &Opts) {
             sweep.add(label, s);
         }
     }
-    let mut results = sweep.run(opts);
 
     let mut table = Table::new(
         "Ext B: static overprovision (WRR pairs) vs Daredevil under skewed placement",
@@ -111,18 +107,15 @@ pub fn run_figure(opts: &Opts) {
             "queue-full parks",
         ],
     );
-    for (label, _skewed) in [("even", false), ("skewed", true)] {
-        for _ in [StackSpec::overprov(), StackSpec::daredevil()] {
-            let out = results.next_output();
-            table.row(&[
-                label.to_string(),
-                out.summary.stack.clone(),
-                dd_metrics::table::fmt_ms(out.summary.class("L").latency.p999()),
-                dd_metrics::table::fmt_ms(out.summary.class("T").latency.p999()),
-                dd_metrics::table::fmt_f(out.t_mbps()),
-                format!("{}", out.stack_stats.requeues),
-            ]);
-        }
+    for (label, out) in sweep.run(opts) {
+        table.row(&[
+            label.to_string(),
+            out.summary.stack.clone(),
+            dd_metrics::table::fmt_ms(out.summary.class("L").latency.p999()),
+            dd_metrics::table::fmt_ms(out.summary.class("T").latency.p999()),
+            dd_metrics::table::fmt_f(out.t_mbps()),
+            format!("{}", out.stack_stats.requeues),
+        ]);
     }
     opts.emit(&table);
 }

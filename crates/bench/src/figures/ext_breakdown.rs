@@ -19,17 +19,10 @@ use dd_metrics::span::Span;
 use dd_metrics::table::fmt_f;
 use dd_metrics::{SpanTable, Table};
 use simkit::{Phase, SimTime, Sla, TraceSpec};
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use testbed::scenario::{MachinePreset, Scenario};
 
+use super::paper_stacks;
 use crate::{Opts, Sweep};
-
-fn stacks() -> [StackSpec; 3] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::daredevil(),
-    ]
-}
 
 /// The four span anchors the breakdown needs (tracing only these keeps the
 /// ring small enough to never wrap at full scale).
@@ -48,13 +41,12 @@ pub fn run_figure(opts: &Opts) {
     let stages: Vec<u16> = if opts.quick { vec![8] } else { vec![2, 8, 32] };
     let mut sweep = Sweep::new();
     for nr_t in &stages {
-        for stack in stacks() {
+        for stack in paper_stacks() {
             let mut s = Scenario::multi_tenant_fio(stack, 4, *nr_t, 4, MachinePreset::SvM);
             s.knobs.trace = Some(breakdown_spec());
             sweep.add(format!("T={nr_t}"), s);
         }
     }
-    let mut results = sweep.run(opts);
 
     // Mirror the measurement window: only spans completed inside
     // [warmup, warmup+measure) were observable by the summary statistics.
@@ -77,35 +69,32 @@ pub fn run_figure(opts: &Opts) {
             "end-to-end",
         ],
     );
-    for nr_t in &stages {
-        for _ in stacks() {
-            let out = results.next_output();
-            assert_eq!(
-                out.trace_dropped, 0,
-                "breakdown ring must not wrap (raise breakdown_spec cap)"
-            );
-            let spans = SpanTable::build(&out.trace);
-            table.row(&[
-                format!("T={nr_t}"),
-                out.summary.stack.clone(),
-                fmt_f(
-                    spans
-                        .segment_stats(Phase::Submit, Phase::DeviceFetch, l_in_window)
-                        .avg_ms(),
-                ),
-                fmt_f(
-                    spans
-                        .segment_stats(Phase::DeviceFetch, Phase::FlashDone, l_in_window)
-                        .avg_ms(),
-                ),
-                fmt_f(
-                    spans
-                        .segment_stats(Phase::FlashDone, Phase::Complete, l_in_window)
-                        .avg_ms(),
-                ),
-                fmt_f(out.l_avg_ms()),
-            ]);
-        }
+    for (stage, out) in sweep.run(opts) {
+        assert_eq!(
+            out.trace_dropped, 0,
+            "breakdown ring must not wrap (raise breakdown_spec cap)"
+        );
+        let spans = SpanTable::build(&out.trace);
+        table.row(&[
+            stage,
+            out.summary.stack.clone(),
+            fmt_f(
+                spans
+                    .segment_stats(Phase::Submit, Phase::DeviceFetch, l_in_window)
+                    .avg_ms(),
+            ),
+            fmt_f(
+                spans
+                    .segment_stats(Phase::DeviceFetch, Phase::FlashDone, l_in_window)
+                    .avg_ms(),
+            ),
+            fmt_f(
+                spans
+                    .segment_stats(Phase::FlashDone, Phase::Complete, l_in_window)
+                    .avg_ms(),
+            ),
+            fmt_f(out.l_avg_ms()),
+        ]);
     }
     opts.emit(&table);
 }

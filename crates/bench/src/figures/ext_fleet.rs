@@ -13,11 +13,12 @@
 //!
 //! Every host of every fleet is one sweep cell: [`crate::Sweep`] schedules
 //! the host runs across workers exactly like any other figure's cells, and
-//! the per-fleet [`FleetOutput`] is reassembled from the ordered results —
+//! each fleet's [`FleetOutput`] is reassembled from the cells keyed to it —
 //! so the output is byte-identical for `--jobs 1` and `--jobs N` (gated by
 //! `scripts/verify.sh`) and the fleet digest matches a serial
-//! `testbed::run_fleet` of the same spec. `--quick` sweeps the 1k-tenant
-//! fleet only; the full run adds the 4k and 10k scales.
+//! `testbed::run_fleet` of the same spec, `--seed` included (tested
+//! below). `--quick` sweeps the 1k-tenant fleet only; the full run adds
+//! the 4k and 10k scales.
 
 use dd_metrics::table::fmt_f;
 use dd_metrics::Table;
@@ -25,6 +26,7 @@ use testbed::fleet::{FleetSpec, TenantPopulation};
 use testbed::scenario::{MachinePreset, StackSpec};
 use testbed::FleetOutput;
 
+use super::extension_stacks;
 use crate::{Opts, Sweep};
 
 /// Hosts per fleet — every fleet cell expands into this many machine runs.
@@ -33,15 +35,6 @@ pub const HOSTS: u16 = 4;
 /// The swept fleet-load axis, in aggregate I/Os per second offered across
 /// the whole fleet (Zipfian-shared over the tenants).
 pub const FLEET_IOPS: [f64; 3] = [8_000.0, 20_000.0, 50_000.0];
-
-fn stacks() -> [StackSpec; 4] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::overprov(),
-        StackSpec::daredevil(),
-    ]
-}
 
 /// Tenant scales: the paper-style 1k quick point, plus 4k/10k in full runs.
 fn scales(opts: &Opts) -> &'static [u32] {
@@ -68,20 +61,42 @@ fn fleet_spec(opts: &Opts, tenants: u32, fleet_iops: f64, stack: StackSpec) -> F
     f
 }
 
+/// Runs every host of every fleet as one cell of a single sweep, and
+/// returns each fleet's key with its reassembled [`FleetOutput`], in order.
+fn run_fleets<K>(opts: &Opts, fleets: Vec<(K, FleetSpec)>) -> Vec<(K, FleetOutput)> {
+    let mut sweep = Sweep::new();
+    for (f, (_, spec)) in fleets.iter().enumerate() {
+        for host in spec.expand() {
+            sweep.add(f, host);
+        }
+    }
+    // Each spec already carries `--seed`, and `expand` derives a distinct
+    // seed for every host from it; the sweep must not overwrite those with
+    // the raw value.
+    let hosts = sweep.run(&Opts {
+        seed: None,
+        ..opts.clone()
+    });
+    let mut out: Vec<(K, FleetOutput)> = fleets
+        .into_iter()
+        .map(|(key, _)| (key, FleetOutput { hosts: Vec::new() }))
+        .collect();
+    for (f, host) in hosts {
+        out[f].1.hosts.push(host);
+    }
+    out
+}
+
 /// Regenerates the fleet-tenancy extension table.
 pub fn run_figure(opts: &Opts) {
-    let mut sweep = Sweep::new();
+    let mut fleets = Vec::new();
     for &tenants in scales(opts) {
         for &load in &FLEET_IOPS {
-            for stack in stacks() {
-                let spec = fleet_spec(opts, tenants, load, stack);
-                for host in spec.expand() {
-                    sweep.add(format!("{tenants}t@{load}"), host);
-                }
+            for stack in extension_stacks() {
+                fleets.push(((tenants, load), fleet_spec(opts, tenants, load, stack)));
             }
         }
     }
-    let mut results = sweep.run(opts);
 
     let mut table = Table::new(
         "Ext F: fleet tenancy — SLO violations vs fleet load \
@@ -96,29 +111,46 @@ pub fn run_figure(opts: &Opts) {
             "done kIOPS",
         ],
     );
-    for &tenants in scales(opts) {
-        for &load in &FLEET_IOPS {
-            for _ in stacks() {
-                let fleet = FleetOutput {
-                    hosts: results.take(HOSTS as usize),
-                };
-                let window_s = fleet.hosts[0].summary.window_secs();
-                let worst_p999 = fleet
-                    .hosts
-                    .iter()
-                    .map(|h| h.l_p999_ms())
-                    .fold(0.0_f64, f64::max);
-                table.row(&[
-                    tenants.to_string(),
-                    fmt_f(load / 1e3),
-                    fleet.hosts[0].summary.stack.clone(),
-                    fmt_f(100.0 * fleet.class_slo_violation_rate("L")),
-                    fmt_f(100.0 * fleet.class_slo_violation_rate("T")),
-                    fmt_f(worst_p999),
-                    fmt_f(fleet.ios_completed() as f64 / window_s / 1e3),
-                ]);
-            }
-        }
+    for ((tenants, load), fleet) in run_fleets(opts, fleets) {
+        let window_s = fleet.hosts[0].summary.window_secs();
+        let worst_p999 = fleet
+            .hosts
+            .iter()
+            .map(|h| h.l_p999_ms())
+            .fold(0.0_f64, f64::max);
+        table.row(&[
+            tenants.to_string(),
+            fmt_f(load / 1e3),
+            fleet.hosts[0].summary.stack.clone(),
+            fmt_f(100.0 * fleet.class_slo_violation_rate("L")),
+            fmt_f(100.0 * fleet.class_slo_violation_rate("T")),
+            fmt_f(worst_p999),
+            fmt_f(fleet.ios_completed() as f64 / window_s / 1e3),
+        ]);
     }
     opts.emit(&table);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Under `--seed`, a fleet run through the sweep matches a serial
+    /// `testbed::run_fleet` of the same spec: every host keeps the seed
+    /// `FleetSpec::expand` derived for it.
+    #[test]
+    fn seeded_fleet_matches_a_serial_run_fleet() {
+        let mut opts = Opts::new(true, false, 2);
+        opts.seed = Some(7);
+        let spec = fleet_spec(&opts, 40, 4_000.0, StackSpec::daredevil());
+        let (_, swept) = run_fleets(&opts, vec![((), spec.clone())])
+            .pop()
+            .expect("one fleet");
+        let mut serial = spec;
+        serial.knobs.warmup = opts.warmup();
+        serial.knobs.measure = opts.measure();
+        let serial = testbed::run_fleet(&serial, &mut testbed::RunArena::new());
+        assert_eq!(swept.hosts.len(), HOSTS as usize);
+        assert_eq!(swept.digest(), serial.digest());
+    }
 }

@@ -22,8 +22,9 @@ use dd_metrics::span::Span;
 use dd_metrics::table::fmt_f;
 use dd_metrics::{SpanTable, Table};
 use simkit::{FaultClasses, FaultSpec, Phase, SimDuration, SimTime, Sla};
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use testbed::scenario::{MachinePreset, Scenario};
 
+use super::extension_stacks;
 use crate::figures::ext_breakdown::breakdown_spec;
 use crate::{Opts, Sweep};
 
@@ -32,15 +33,6 @@ use crate::{Opts, Sweep};
 /// (sub-millisecond on SV-M) so the clean baseline rows sit near zero and
 /// the fault rows isolate the damage.
 pub const SLO_MS: f64 = 2.0;
-
-fn stacks() -> [StackSpec; 4] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::overprov(),
-        StackSpec::daredevil(),
-    ]
-}
 
 /// The fault regimes, one class at a time after the clean baseline.
 fn regimes() -> [(&'static str, FaultClasses); 4] {
@@ -78,7 +70,7 @@ pub fn run_figure(opts: &Opts) {
     let fault_seed = opts.fault_seed.unwrap_or(crate::cli::DEFAULT_FAULT_SEED);
     let mut sweep = Sweep::new();
     for (label, classes) in regimes() {
-        for stack in stacks() {
+        for stack in extension_stacks() {
             let mut s = Scenario::multi_tenant_fio(stack, 4, 8, 4, MachinePreset::SvM);
             // Declare the L budget on the tenants themselves so the run
             // accounts violations in-stack and the table reads them back
@@ -92,10 +84,9 @@ pub fn run_figure(opts: &Opts) {
             if classes.any() {
                 s.knobs.faults = Some(FaultSpec::new(classes, fault_seed));
             }
-            sweep.add(format!("faults={label}"), s);
+            sweep.add(label, s);
         }
     }
-    let mut results = sweep.run(opts);
 
     let window_start = SimTime::ZERO + opts.warmup();
     let window_end = window_start + opts.measure();
@@ -121,56 +112,53 @@ pub fn run_figure(opts: &Opts) {
             "redrives",
         ],
     );
-    for (label, _) in regimes() {
-        for _ in stacks() {
-            let out = results.next_output();
-            assert_eq!(
-                out.trace_dropped, 0,
-                "hostile ring must not wrap (raise breakdown_spec cap)"
-            );
-            let spans = SpanTable::build(&out.trace);
-            // SLO accounting comes straight off the per-tenant views — the
-            // same numbers a fleet run reports — not from replaying spans.
-            let mut l_done = 0u64;
-            let mut violations = 0u64;
-            for t in out.tenants().filter(|t| t.class() == "L") {
-                l_done += t.ios_completed();
-                violations += t.slo_violations();
-            }
-            let viol_pct = if l_done == 0 {
-                100.0
-            } else {
-                100.0 * violations as f64 / l_done as f64
-            };
-            table.row(&[
-                format!("faults={label}"),
-                out.summary.stack.clone(),
-                fmt_f(viol_pct),
-                fmt_f(out.summary.class("L").latency.p99().as_millis_f64()),
-                fmt_f(out.l_p999_ms()),
-                fmt_f(
-                    spans
-                        .segment_hist(Phase::Submit, Phase::DeviceFetch, l_in_window)
-                        .p999()
-                        .as_millis_f64(),
-                ),
-                fmt_f(
-                    spans
-                        .segment_hist(Phase::DeviceFetch, Phase::FlashDone, l_in_window)
-                        .p999()
-                        .as_millis_f64(),
-                ),
-                fmt_f(
-                    spans
-                        .segment_hist(Phase::FlashDone, Phase::Complete, l_in_window)
-                        .p999()
-                        .as_millis_f64(),
-                ),
-                out.fault.total_injected().to_string(),
-                out.fault.polls_fired.to_string(),
-                out.fault.watchdog_redrives.to_string(),
-            ]);
+    for (label, out) in sweep.run(opts) {
+        assert_eq!(
+            out.trace_dropped, 0,
+            "hostile ring must not wrap (raise breakdown_spec cap)"
+        );
+        let spans = SpanTable::build(&out.trace);
+        // SLO accounting comes straight off the per-tenant views — the
+        // same numbers a fleet run reports — not from replaying spans.
+        let mut l_done = 0u64;
+        let mut violations = 0u64;
+        for t in out.tenants().filter(|t| t.class() == "L") {
+            l_done += t.ios_completed();
+            violations += t.slo_violations();
         }
+        let viol_pct = if l_done == 0 {
+            100.0
+        } else {
+            100.0 * violations as f64 / l_done as f64
+        };
+        table.row(&[
+            format!("faults={label}"),
+            out.summary.stack.clone(),
+            fmt_f(viol_pct),
+            fmt_f(out.summary.class("L").latency.p99().as_millis_f64()),
+            fmt_f(out.l_p999_ms()),
+            fmt_f(
+                spans
+                    .segment_hist(Phase::Submit, Phase::DeviceFetch, l_in_window)
+                    .p999()
+                    .as_millis_f64(),
+            ),
+            fmt_f(
+                spans
+                    .segment_hist(Phase::DeviceFetch, Phase::FlashDone, l_in_window)
+                    .p999()
+                    .as_millis_f64(),
+            ),
+            fmt_f(
+                spans
+                    .segment_hist(Phase::FlashDone, Phase::Complete, l_in_window)
+                    .p999()
+                    .as_millis_f64(),
+            ),
+            out.fault.total_injected().to_string(),
+            out.fault.polls_fired.to_string(),
+            out.fault.watchdog_redrives.to_string(),
+        ]);
     }
     opts.emit(&table);
 }

@@ -20,14 +20,15 @@
 //! policy there.
 
 use daredevil::PolicySpec;
-use dd_metrics::table::{fmt_f, fmt_ms};
-use dd_metrics::Table;
+use dd_metrics::table::fmt_f;
+use dd_metrics::{LatencyHistogram, Table};
 use dd_workload::mailserver::MailConfig;
 use dd_workload::{OpKind, YcsbMix};
+use simkit::SimDuration;
 use testbed::scenario::{AppKind, StackSpec};
 use testbed::RunOutput;
 
-use crate::figures::fig12::{app_ops, app_scenario, kv_config};
+use crate::figures::fig12::{app_ops, app_scenario, kv_config, op_cells};
 use crate::{Opts, Sweep};
 
 /// Column order: [`PolicySpec::ALL`], default first.
@@ -41,18 +42,44 @@ fn headers() -> Vec<&'static str> {
     h
 }
 
-fn op_row(outs: &[RunOutput], kind: OpKind, stat: fn(&RunOutput, OpKind) -> Option<String>) -> Vec<String> {
-    let mut row = vec![kind.as_str().to_string()];
-    for out in outs {
-        row.push(stat(out, kind).unwrap_or_else(|| "-".to_string()));
-    }
-    row
+/// One application mix of the figure and the two tables it fills.
+struct Panel {
+    /// The app's scenario label.
+    label: &'static str,
+    /// Titles of its op-latency table and of its background-T and
+    /// routing table.
+    titles: [&'static str; 2],
+    /// The ops its latency table reports, and the statistic reported.
+    ops: &'static [OpKind],
+    stat: fn(&LatencyHistogram) -> SimDuration,
 }
+
+/// The Mailserver panels (a, b), then the YCSB A panels (c, d).
+const PANELS: [Panel; 2] = [
+    Panel {
+        label: "mailserver",
+        titles: [
+            "ext policy (a): Mailserver avg latency (ms) by policy, 8 streaming T-tenants",
+            "ext policy (b): Mailserver run, background T throughput and routing by policy",
+        ],
+        ops: &[OpKind::Fsync, OpKind::Delete, OpKind::FileRead],
+        stat: LatencyHistogram::mean,
+    },
+    Panel {
+        label: "ycsb-a",
+        titles: [
+            "ext policy (c): YCSB A p99.9 per op (ms) by policy, 8 streaming T-tenants",
+            "ext policy (d): YCSB A run, background T throughput and routing by policy",
+        ],
+        ops: &[OpKind::Read, OpKind::Update],
+        stat: LatencyHistogram::p999,
+    },
+];
 
 /// Background T throughput read back through the per-tenant views: bytes
 /// each T tenant completed in-window, summed, over the window — the same
 /// accessors a fleet run exposes, so this row works unchanged there.
-fn t_mbps_row(outs: &[RunOutput]) -> Vec<String> {
+fn t_mbps_row(outs: &[&RunOutput]) -> Vec<String> {
     let mut row = vec!["T MB/s".to_string()];
     for out in outs {
         let bytes: u64 = out
@@ -65,7 +92,7 @@ fn t_mbps_row(outs: &[RunOutput]) -> Vec<String> {
     row
 }
 
-fn routing_rows(table: &mut Table, outs: &[RunOutput]) {
+fn routing_rows(table: &mut Table, outs: &[&RunOutput]) {
     let counters: [(&str, fn(&daredevil::RouteStats) -> u64); 4] = [
         ("default routes", |r| r.default_routes),
         ("outlier routes", |r| r.outlier_routes),
@@ -84,65 +111,40 @@ fn routing_rows(table: &mut Table, outs: &[RunOutput]) {
 /// Regenerates the policy A/B tables.
 pub fn run_figure(opts: &Opts) {
     let (ycsb_ops, mail_ops) = app_ops(opts);
-    let mut sweep = Sweep::new();
-    for stack in policy_stacks() {
-        let app = AppKind::Mailserver {
+    let apps = [
+        AppKind::Mailserver {
             config: MailConfig::default(),
             ops: mail_ops,
-        };
-        sweep.add("mailserver", app_scenario(stack, app, "mailserver"));
-    }
-    for stack in policy_stacks() {
-        let app = AppKind::Ycsb {
+        },
+        AppKind::Ycsb {
             mix: YcsbMix::A,
             config: kv_config(),
             ops: ycsb_ops,
-        };
-        sweep.add("ycsb-a", app_scenario(stack, app, "ycsb-a"));
+        },
+    ];
+    let mut sweep = Sweep::new();
+    for (panel, app) in PANELS.iter().zip(apps) {
+        for stack in policy_stacks() {
+            sweep.add(panel, app_scenario(stack, app.clone(), panel.label));
+        }
     }
-    let mut results = sweep.run(opts);
+    let results = sweep.run(opts);
 
-    // (a): Mailserver — avg latency of the device-bound ops per policy.
-    let mail = results.take(policy_stacks().len());
-    let mut table = Table::new(
-        "ext policy (a): Mailserver avg latency (ms) by policy, 8 streaming T-tenants",
-        &headers(),
-    );
-    for kind in [OpKind::Fsync, OpKind::Delete, OpKind::FileRead] {
-        table.row(&op_row(&mail, kind, |out, k| {
-            out.op_latencies.get(&k).map(|h| fmt_ms(h.mean()))
-        }));
+    // One panel's cells, one per policy in column order.
+    for cells in results.chunk_by(|a, b| a.0.label == b.0.label) {
+        let panel = cells[0].0;
+        let outs: Vec<&RunOutput> = cells.iter().map(|(_, out)| out).collect();
+        let mut table = Table::new(panel.titles[0], &headers());
+        for &kind in panel.ops {
+            let mut row = vec![kind.as_str().to_string()];
+            row.extend(op_cells(&outs, kind, panel.stat));
+            table.row(&row);
+        }
+        opts.emit(&table);
+
+        let mut table = Table::new(panel.titles[1], &headers());
+        table.row(&t_mbps_row(&outs));
+        routing_rows(&mut table, &outs);
+        opts.emit(&table);
     }
-    opts.emit(&table);
-
-    // (b): Mailserver — what the background T-tenants got.
-    let mut table = Table::new(
-        "ext policy (b): Mailserver run, background T throughput and routing by policy",
-        &headers(),
-    );
-    table.row(&t_mbps_row(&mail));
-    routing_rows(&mut table, &mail);
-    opts.emit(&table);
-
-    // (c): YCSB A — per-op p99.9 per policy.
-    let ycsb = results.take(policy_stacks().len());
-    let mut table = Table::new(
-        "ext policy (c): YCSB A p99.9 per op (ms) by policy, 8 streaming T-tenants",
-        &headers(),
-    );
-    for kind in [OpKind::Read, OpKind::Update] {
-        table.row(&op_row(&ycsb, kind, |out, k| {
-            out.op_latencies.get(&k).map(|h| fmt_ms(h.p999()))
-        }));
-    }
-    opts.emit(&table);
-
-    // (d): YCSB A — T throughput and routing split.
-    let mut table = Table::new(
-        "ext policy (d): YCSB A run, background T throughput and routing by policy",
-        &headers(),
-    );
-    table.row(&t_mbps_row(&ycsb));
-    routing_rows(&mut table, &ycsb);
-    opts.emit(&table);
 }

@@ -70,16 +70,14 @@ pub fn run_figure(opts: &Opts) {
     for stack in virtio_stacks() {
         sweep.add(virtio_label(&stack), vm_scenario(stack, nr_t));
     }
-    let mut results = sweep.run(opts);
 
     let mut table = Table::new(
         format!("Ext C: guest VMs over virtio-blk (2 VMs, 2 guest L + {nr_t} guest T each, daredevil host)"),
         &LATENCY_HEADER,
     );
-    for stack in virtio_stacks() {
-        let out = results.next_output();
+    for (label, out) in sweep.run(opts) {
         let mut row = latency_row("2 VMs", &out);
-        row[1] = virtio_label(&stack);
+        row[1] = label;
         table.row(&row);
     }
     opts.emit(&table);

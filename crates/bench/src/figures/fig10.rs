@@ -6,42 +6,23 @@
 //! blk-mq structures cannot see it, Daredevil's device-level proxies can
 //! (§7.2).
 
-use dd_metrics::Table;
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use testbed::scenario::{MachinePreset, Scenario};
 
-use crate::{latency_row, Opts, Sweep, LATENCY_HEADER};
-
-fn stacks() -> [StackSpec; 3] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::daredevil(),
-    ]
-}
+use super::paper_stacks;
+use crate::{latency_table, Opts, Sweep};
 
 /// Regenerates Fig. 10.
 pub fn run_figure(opts: &Opts) {
     let ns_counts: Vec<u32> = if opts.quick { vec![4] } else { vec![4, 8, 12] };
     let mut sweep = Sweep::new();
     for namespaces in &ns_counts {
-        for stack in stacks() {
+        for stack in paper_stacks() {
             sweep.add(
                 format!("{namespaces} ns"),
                 Scenario::multi_namespace(stack, *namespaces, 4, MachinePreset::SvM),
             );
         }
     }
-    let mut results = sweep.run(opts);
-
-    let mut table = Table::new(
-        "Fig 10: multi-namespace (L-ns:T-ns = 1:3, 2 L per L-ns, 8 T per T-ns, 4 cores)",
-        &LATENCY_HEADER,
-    );
-    for namespaces in &ns_counts {
-        for _ in stacks() {
-            let out = results.next_output();
-            table.row(&latency_row(format!("{namespaces} ns"), &out));
-        }
-    }
-    opts.emit(&table);
+    let title = "Fig 10: multi-namespace (L-ns:T-ns = 1:3, 2 L per L-ns, 8 T per T-ns, 4 cores)";
+    opts.emit(&latency_table(opts, title, sweep));
 }

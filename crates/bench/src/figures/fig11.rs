@@ -61,13 +61,13 @@ fn contended_scenario(stack: StackSpec) -> Scenario {
 pub fn run_figure(opts: &Opts) {
     let ns_counts: Vec<u32> = if opts.quick { vec![4] } else { vec![4, 8, 12] };
 
-    // One sweep covers all three sub-tables; the format passes below
-    // consume the outputs in exactly the order the cells were added.
+    // One sweep covers all three sub-tables: each cell is keyed by its
+    // table and, in (a)-(d), its stage column.
     let mut sweep = Sweep::new();
     for nr_t in opts.t_stages() {
         for stack in ablation_stacks() {
             sweep.add(
-                format!("T={nr_t}"),
+                (0, Some(format!("T={nr_t}"))),
                 Scenario::multi_tenant_fio(stack, 4, nr_t, 4, MachinePreset::SvM),
             );
         }
@@ -75,69 +75,45 @@ pub fn run_figure(opts: &Opts) {
     for namespaces in &ns_counts {
         for stack in ablation_stacks() {
             sweep.add(
-                format!("{namespaces} ns"),
+                (1, Some(format!("{namespaces}"))),
                 Scenario::multi_namespace(stack, *namespaces, 4, MachinePreset::SvM),
             );
         }
     }
     for stack in ablation_stacks() {
-        sweep.add("TL contention", contended_scenario(stack));
+        sweep.add((2, None), contended_scenario(stack));
     }
-    let mut results = sweep.run(opts);
 
-    let mut table = Table::new(
-        "Fig 11 (a,b): ablation under T-pressure (4 L, 4 cores, SV-M)",
-        &["T-tenants", "variant", "L p99.9 (ms)", "L avg (ms)"],
-    );
-    for nr_t in opts.t_stages() {
-        for _ in ablation_stacks() {
-            let out = results.next_output();
-            let l = out.summary.class("L");
-            table.row(&[
-                format!("T={nr_t}"),
-                out.summary.stack.clone(),
-                fmt_ms(l.latency.p999()),
-                fmt_ms(l.latency.mean()),
-            ]);
-        }
-    }
-    opts.emit(&table);
-
-    let mut table = Table::new(
-        "Fig 11 (c,d): ablation under multi-namespace (1:3 L:T ns ratio)",
-        &["namespaces", "variant", "L p99.9 (ms)", "L avg (ms)"],
-    );
-    for namespaces in &ns_counts {
-        for _ in ablation_stacks() {
-            let out = results.next_output();
-            let l = out.summary.class("L");
-            table.row(&[
-                format!("{namespaces}"),
-                out.summary.stack.clone(),
-                fmt_ms(l.latency.p999()),
-                fmt_ms(l.latency.mean()),
-            ]);
-        }
-    }
-    opts.emit(&table);
-
-    // (e): extension — ablation under high-priority contention with an
-    // NSQ→NCQ fan-out (16 NSQs over 4 NCQs, as on consumer devices): the
-    // NCQ scheduling step is non-degenerate and completion entries from
-    // several NSQs batch in one NCQ, so the merit scheduling and the
-    // per-request completion dispatch have room to differ.
-    let mut table = Table::new(
-        "Fig 11 (e, extension): ablation under TL contention (8 L + 12 TL, 4 cores, 16 NSQ / 4 NCQ)",
-        &["variant", "L p99.9 (ms)", "L avg (ms)"],
-    );
-    for _ in ablation_stacks() {
-        let out = results.next_output();
+    let mut tables = [
+        Table::new(
+            "Fig 11 (a,b): ablation under T-pressure (4 L, 4 cores, SV-M)",
+            &["T-tenants", "variant", "L p99.9 (ms)", "L avg (ms)"],
+        ),
+        Table::new(
+            "Fig 11 (c,d): ablation under multi-namespace (1:3 L:T ns ratio)",
+            &["namespaces", "variant", "L p99.9 (ms)", "L avg (ms)"],
+        ),
+        // (e): extension — ablation under high-priority contention with an
+        // NSQ→NCQ fan-out (16 NSQs over 4 NCQs, as on consumer devices):
+        // the NCQ scheduling step is non-degenerate and completion entries
+        // from several NSQs batch in one NCQ, so the merit scheduling and
+        // the per-request completion dispatch have room to differ.
+        Table::new(
+            "Fig 11 (e, extension): ablation under TL contention (8 L + 12 TL, 4 cores, 16 NSQ / 4 NCQ)",
+            &["variant", "L p99.9 (ms)", "L avg (ms)"],
+        ),
+    ];
+    for ((table, stage), out) in sweep.run(opts) {
         let l = out.summary.class("L");
-        table.row(&[
+        let mut row: Vec<String> = stage.into_iter().collect();
+        row.extend([
             out.summary.stack.clone(),
             fmt_ms(l.latency.p999()),
             fmt_ms(l.latency.mean()),
         ]);
+        tables[table].row(&row);
     }
-    opts.emit(&table);
+    for table in &tables {
+        opts.emit(table);
+    }
 }

@@ -8,14 +8,16 @@
 
 use blkstack::IoPriorityClass;
 use dd_metrics::table::fmt_ms;
-use dd_metrics::Table;
+use dd_metrics::{LatencyHistogram, Table};
 use dd_nvme::NamespaceId;
 use dd_workload::kvsim::KvConfig;
 use dd_workload::mailserver::MailConfig;
 use dd_workload::{OpKind, YcsbMix};
 use simkit::SimDuration;
 use testbed::scenario::{AppKind, MachinePreset, Scenario, StackSpec, TenantKind, TenantSpec};
+use testbed::RunOutput;
 
+use super::paper_stacks;
 use crate::{Opts, Sweep};
 
 /// Ceiling of a run-to-completion cell; the run stops when its app
@@ -53,15 +55,6 @@ pub fn app_scenario(stack: StackSpec, app: AppKind, label: &'static str) -> Scen
     s
 }
 
-/// The stacks Fig. 12 compares, in column order.
-pub fn stacks() -> [StackSpec; 3] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::daredevil(),
-    ]
-}
-
 /// The YCSB mixes of panels (a)–(d), in row order.
 pub const MIXES: [YcsbMix; 4] = [YcsbMix::A, YcsbMix::B, YcsbMix::E, YcsbMix::F];
 
@@ -75,26 +68,26 @@ pub fn mix_ops(mix: YcsbMix) -> &'static [OpKind] {
 }
 
 /// Fig. 12's cells in table order: each of [`MIXES`] with `ycsb_ops`
-/// operations on every one of [`stacks`], then the Mailserver with
-/// `mail_ops` operations on every stack.
-pub fn sweep(ycsb_ops: u64, mail_ops: u64) -> Sweep {
+/// operations on every one of [`paper_stacks`], then the Mailserver
+/// (keyed `None`) with `mail_ops` operations on every stack.
+pub fn sweep(ycsb_ops: u64, mail_ops: u64) -> Sweep<Option<YcsbMix>> {
     let mut sweep = Sweep::new();
     for mix in MIXES {
-        for stack in stacks() {
+        for stack in paper_stacks() {
             let app = AppKind::Ycsb {
                 mix,
                 config: kv_config(),
                 ops: ycsb_ops,
             };
-            sweep.add(mix.as_str(), app_scenario(stack, app, mix.as_str()));
+            sweep.add(Some(mix), app_scenario(stack, app, mix.as_str()));
         }
     }
-    for stack in stacks() {
+    for stack in paper_stacks() {
         let app = AppKind::Mailserver {
             config: MailConfig::default(),
             ops: mail_ops,
         };
-        sweep.add("mailserver", app_scenario(stack, app, "mailserver"));
+        sweep.add(None, app_scenario(stack, app, "mailserver"));
     }
     sweep
 }
@@ -118,55 +111,63 @@ pub(crate) fn app_ops(opts: &Opts) -> (u64, u64) {
     }
 }
 
+/// One table cell per output: `stat` of its `kind` latencies in ms, or
+/// "-" when the run recorded no such op.
+pub(crate) fn op_cells(
+    outs: &[&RunOutput],
+    kind: OpKind,
+    stat: fn(&LatencyHistogram) -> SimDuration,
+) -> Vec<String> {
+    outs.iter()
+        .map(|out| {
+            out.op_latencies
+                .get(&kind)
+                .map(|h| fmt_ms(stat(h)))
+                .unwrap_or_else(|| "-".to_string())
+        })
+        .collect()
+}
+
 /// Regenerates Fig. 12.
 pub fn run_figure(opts: &Opts) {
     let (ycsb_ops, mail_ops) = app_ops(opts);
-    let mut results = sweep(ycsb_ops, mail_ops).run(opts);
+    let results = sweep(ycsb_ops, mail_ops).run(opts);
 
-    // (a)-(d): YCSB per-op p99.9.
-    let mut table = Table::new(
+    // (a)-(d): YCSB per-op p99.9; (e): Mailserver average latency of
+    // device-bound ops.
+    let mut ycsb = Table::new(
         "Fig 12 (a-d): YCSB on kvsim, p99.9 per op (ms), 8 streaming T-tenants",
         &["workload", "op", "vanilla", "blk-switch", "daredevil"],
     );
-    for mix in MIXES {
-        let per_stack = results.take(stacks().len());
-        for kind in mix_ops(mix) {
-            let mut row = vec![mix.as_str().to_string(), kind.as_str().to_string()];
-            for out in &per_stack {
-                let cell = out
-                    .op_latencies
-                    .get(kind)
-                    .map(|h| fmt_ms(h.p999()))
-                    .unwrap_or_else(|| "-".to_string());
-                row.push(cell);
-            }
-            table.row(&row);
-        }
-    }
-    opts.emit(&table);
-
-    // (e): Mailserver average latency of device-bound ops.
-    let mut table = Table::new(
+    let mut mail = Table::new(
         "Fig 12 (e): Mailserver avg latency (ms), 8 streaming T-tenants",
         &["op", "vanilla", "blk-switch", "daredevil", "cache-hit note"],
     );
-    let per_stack = results.take(stacks().len());
-    for kind in [OpKind::Fsync, OpKind::Delete, OpKind::FileRead] {
-        let mut row = vec![kind.as_str().to_string()];
-        for out in &per_stack {
-            let cell = out
-                .op_latencies
-                .get(&kind)
-                .map(|h| fmt_ms(h.mean()))
-                .unwrap_or_else(|| "-".to_string());
-            row.push(cell);
+    // One app's cells, one per stack in column order.
+    for app in results.chunk_by(|a, b| a.0 == b.0) {
+        let outs: Vec<&RunOutput> = app.iter().map(|(_, out)| out).collect();
+        match app[0].0 {
+            Some(mix) => {
+                for &kind in mix_ops(mix) {
+                    let mut row = vec![mix.as_str().to_string(), kind.as_str().to_string()];
+                    row.extend(op_cells(&outs, kind, LatencyHistogram::p999));
+                    ycsb.row(&row);
+                }
+            }
+            None => {
+                for kind in [OpKind::Fsync, OpKind::Delete, OpKind::FileRead] {
+                    let mut row = vec![kind.as_str().to_string()];
+                    row.extend(op_cells(&outs, kind, LatencyHistogram::mean));
+                    row.push(if kind == OpKind::FileRead {
+                        "mostly page-cache (CPU-bound)".to_string()
+                    } else {
+                        "device-bound".to_string()
+                    });
+                    mail.row(&row);
+                }
+            }
         }
-        row.push(if kind == OpKind::FileRead {
-            "mostly page-cache (CPU-bound)".to_string()
-        } else {
-            "device-bound".to_string()
-        });
-        table.row(&row);
     }
-    opts.emit(&table);
+    opts.emit(&ycsb);
+    opts.emit(&mail);
 }

@@ -96,40 +96,39 @@ pub fn run_figure(opts: &Opts) {
         vec![2, 4, 8, 12, 16]
     };
 
+    // Each cell is keyed by its table and its stage column.
     let mut sweep = Sweep::new();
     for nr_l in &counts {
         for stack in stacks.clone() {
-            sweep.add(format!("L={nr_l}"), overhead_scenario(stack, *nr_l, 12));
+            sweep.add(
+                (0, format!("L={nr_l}")),
+                overhead_scenario(stack, *nr_l, 12),
+            );
         }
     }
     for nr_tl in &counts {
         for stack in stacks.clone() {
-            sweep.add(format!("TL={nr_tl}"), overhead_scenario(stack, 12, *nr_tl));
+            sweep.add(
+                (1, format!("TL={nr_tl}")),
+                overhead_scenario(stack, 12, *nr_tl),
+            );
         }
     }
-    let mut results = sweep.run(opts);
 
-    let mut table = Table::new(
-        "Fig 13 (a,c): fixed 12 TL-tenants, varying L-tenants (4 cores, 16 NQs)",
-        &HEADER,
-    );
-    for nr_l in &counts {
-        for _ in stacks.clone() {
-            let out = results.next_output();
-            table.row(&row(format!("L={nr_l}"), &out));
-        }
+    let mut tables = [
+        Table::new(
+            "Fig 13 (a,c): fixed 12 TL-tenants, varying L-tenants (4 cores, 16 NQs)",
+            &HEADER,
+        ),
+        Table::new(
+            "Fig 13 (b,d): fixed 12 L-tenants, varying TL-tenants (4 cores, 16 NQs)",
+            &HEADER,
+        ),
+    ];
+    for ((table, stage), out) in sweep.run(opts) {
+        tables[table].row(&row(stage, &out));
     }
-    opts.emit(&table);
-
-    let mut table = Table::new(
-        "Fig 13 (b,d): fixed 12 L-tenants, varying TL-tenants (4 cores, 16 NQs)",
-        &HEADER,
-    );
-    for nr_tl in &counts {
-        for _ in stacks.clone() {
-            let out = results.next_output();
-            table.row(&row(format!("TL={nr_tl}"), &out));
-        }
+    for table in &tables {
+        opts.emit(table);
     }
-    opts.emit(&table);
 }

@@ -47,11 +47,8 @@ pub fn run_figure(opts: &Opts) {
         s.ionice_storm = *interval;
         sweep.add(*label, s);
     }
-    let mut results = sweep.run(opts);
-
     let mut baseline: Option<(f64, f64, f64)> = None;
-    for (label, _interval) in intervals {
-        let out = results.next_output();
+    for (label, out) in sweep.run(opts) {
         let l_iops = out.l_kiops();
         let t_tput = out.t_mbps();
         let cpu = out.summary.avg_cpu_util();

@@ -24,12 +24,12 @@ pub fn run_figure(opts: &Opts) {
     for nr_t in opts.t_stages() {
         for (label, stack) in variants() {
             sweep.add(
-                format!("T={nr_t} {label}"),
+                (nr_t, label),
                 Scenario::multi_tenant_fio(stack, 4, nr_t, 4, MachinePreset::SvM),
             );
         }
     }
-    let mut results = sweep.run(opts);
+    let results = sweep.run(opts);
 
     let mut table = Table::new(
         "Fig 2: L-tenant latency w/ vs w/o NQ interference (4 L, 4 cores, 4 NQs)",
@@ -41,10 +41,11 @@ pub fn run_figure(opts: &Opts) {
             "tail inflation",
         ],
     );
-    for nr_t in opts.t_stages() {
+    // One stage's variants in add order: the second row carries the
+    // inflation of the first over it.
+    for stage in results.chunk_by(|a, b| a.0 .0 == b.0 .0) {
         let mut tails = Vec::new();
-        for (label, _) in variants() {
-            let out = results.next_output();
+        for ((nr_t, label), out) in stage {
             let l = out.summary.class("L");
             tails.push(l.latency.p999().as_millis_f64());
             table.row(&[

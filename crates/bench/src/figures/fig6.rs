@@ -5,41 +5,22 @@
 //! of the 64-core/64-NQ SV-M machine, one namespace (§7.1). Columns (a)-(d)
 //! of the paper map to the four measurement columns.
 
-use dd_metrics::Table;
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use testbed::scenario::{MachinePreset, Scenario};
 
-use crate::{latency_row, Opts, Sweep, LATENCY_HEADER};
-
-fn stacks() -> [StackSpec; 3] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::daredevil(),
-    ]
-}
+use super::paper_stacks;
+use crate::{latency_table, Opts, Sweep};
 
 /// Regenerates Fig. 6.
 pub fn run_figure(opts: &Opts) {
     let mut sweep = Sweep::new();
     for nr_t in opts.t_stages() {
-        for stack in stacks() {
+        for stack in paper_stacks() {
             sweep.add(
                 format!("T={nr_t}"),
                 Scenario::multi_tenant_fio(stack, 4, nr_t, 4, MachinePreset::SvM),
             );
         }
     }
-    let mut results = sweep.run(opts);
-
-    let mut table = Table::new(
-        "Fig 6: SV-M, increasing T-pressure (4 L-tenants, 4 cores)",
-        &LATENCY_HEADER,
-    );
-    for nr_t in opts.t_stages() {
-        for _ in stacks() {
-            let out = results.next_output();
-            table.row(&latency_row(format!("T={nr_t}"), &out));
-        }
-    }
-    opts.emit(&table);
+    let title = "Fig 6: SV-M, increasing T-pressure (4 L-tenants, 4 cores)";
+    opts.emit(&latency_table(opts, title, sweep));
 }

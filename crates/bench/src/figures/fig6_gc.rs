@@ -12,19 +12,11 @@
 //! per-SLA queueing cannot help with device-internal blocking — while
 //! the stack-induced spread above the floor keeps the Fig. 6 ordering.
 
-use dd_metrics::Table;
 use dd_nvme::flash::GcConfig;
 use testbed::scenario::{MachinePreset, Scenario, StackSpec, TenantKind};
 
-use crate::{latency_row, Opts, Sweep, LATENCY_HEADER};
-
-fn stacks() -> [StackSpec; 3] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::daredevil(),
-    ]
-}
+use super::paper_stacks;
+use crate::{latency_table, Opts, Sweep};
 
 /// The Fig. 6 population with writing T-tenants on an aged (GC-enabled)
 /// drive.
@@ -66,21 +58,10 @@ fn gc_stages(opts: &Opts) -> Vec<u16> {
 pub fn run_figure(opts: &Opts) {
     let mut sweep = Sweep::new();
     for nr_t in gc_stages(opts) {
-        for stack in stacks() {
+        for stack in paper_stacks() {
             sweep.add(format!("T={nr_t}"), gc_scenario(stack, nr_t));
         }
     }
-    let mut results = sweep.run(opts);
-
-    let mut table = Table::new(
-        "Fig 6 (GC): SV-M aged drive, writing T-tenants (4 L-tenants, 4 cores)",
-        &LATENCY_HEADER,
-    );
-    for nr_t in gc_stages(opts) {
-        for _ in stacks() {
-            let out = results.next_output();
-            table.row(&latency_row(format!("T={nr_t}"), &out));
-        }
-    }
-    opts.emit(&table);
+    let title = "Fig 6 (GC): SV-M aged drive, writing T-tenants (4 L-tenants, 4 cores)";
+    opts.emit(&latency_table(opts, title, sweep));
 }

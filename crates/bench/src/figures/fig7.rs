@@ -4,41 +4,22 @@
 //! NQ scheduling a real second step; the paper's gains grow to 40×/170×
 //! here because requests can scatter across many more NSQs (§7.1).
 
-use dd_metrics::Table;
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use testbed::scenario::{MachinePreset, Scenario};
 
-use crate::{latency_row, Opts, Sweep, LATENCY_HEADER};
-
-fn stacks() -> [StackSpec; 3] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::daredevil(),
-    ]
-}
+use super::paper_stacks;
+use crate::{latency_table, Opts, Sweep};
 
 /// Regenerates Fig. 7.
 pub fn run_figure(opts: &Opts) {
     let mut sweep = Sweep::new();
     for nr_t in opts.t_stages() {
-        for stack in stacks() {
+        for stack in paper_stacks() {
             sweep.add(
                 format!("T={nr_t}"),
                 Scenario::multi_tenant_fio(stack, 4, nr_t, 4, MachinePreset::WsM),
             );
         }
     }
-    let mut results = sweep.run(opts);
-
-    let mut table = Table::new(
-        "Fig 7: WS-M (128 NSQ / 24 NCQ), increasing T-pressure (4 L-tenants, 4 cores)",
-        &LATENCY_HEADER,
-    );
-    for nr_t in opts.t_stages() {
-        for _ in stacks() {
-            let out = results.next_output();
-            table.row(&latency_row(format!("T={nr_t}"), &out));
-        }
-    }
-    opts.emit(&table);
+    let title = "Fig 7: WS-M (128 NSQ / 24 NCQ), increasing T-pressure (4 L-tenants, 4 cores)";
+    opts.emit(&latency_table(opts, title, sweep));
 }

@@ -7,28 +7,24 @@
 use dd_metrics::table::fmt_f;
 use dd_metrics::Table;
 use simkit::SimDuration;
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use testbed::scenario::{MachinePreset, Scenario};
 
+use super::paper_stacks;
 use crate::{Opts, Sweep};
 
 /// Regenerates Fig. 8 (time series; one row per bucket per stack).
 pub fn run_figure(opts: &Opts) {
     let nr_t = 16;
     let mut sweep = Sweep::new();
-    for stack in [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::daredevil(),
-    ] {
+    for stack in paper_stacks() {
         let mut s = Scenario::multi_tenant_fio(stack, 4, nr_t, 4, MachinePreset::WsM);
         s.sample_width = if opts.quick {
             SimDuration::from_millis(10)
         } else {
             SimDuration::from_millis(50)
         };
-        sweep.add(s.name.clone(), s);
+        sweep.add((), s);
     }
-    let mut results = sweep.run(opts);
 
     let mut table = Table::new(
         format!("Fig 8: WS-M over time (T={nr_t}); fluctuation = stddev/mean of bucket series"),
@@ -40,8 +36,7 @@ pub fn run_figure(opts: &Opts) {
             "tput fluct",
         ],
     );
-    while results.remaining() > 0 {
-        let out = results.next_output();
+    for ((), out) in sweep.run(opts) {
         // The figure plots L-tenant average latency and total throughput.
         let (lat_series, tput_series) = merged_series(&out);
         table.row(&[

@@ -7,51 +7,39 @@
 
 use dd_metrics::table::fmt_ms;
 use dd_metrics::Table;
-use testbed::scenario::{MachinePreset, Scenario, StackSpec};
+use testbed::scenario::{MachinePreset, Scenario};
 
+use super::paper_stacks;
 use crate::{Opts, Sweep};
-
-fn stacks() -> [StackSpec; 3] {
-    [
-        StackSpec::vanilla(),
-        StackSpec::blk_switch(),
-        StackSpec::daredevil(),
-    ]
-}
 
 /// Regenerates Fig. 9.
 pub fn run_figure(opts: &Opts) {
-    let t_stages: Vec<u16> = if opts.quick {
-        vec![16]
-    } else {
-        vec![4, 16, 32]
-    };
+    let t_stages: &[u16] = if opts.quick { &[16] } else { &[4, 16, 32] };
     let mut sweep = Sweep::new();
-    for nr_t in &t_stages {
-        for stack in stacks() {
+    for &nr_t in t_stages {
+        for stack in paper_stacks() {
             for cores in [2u16, 4, 8] {
                 sweep.add(
-                    format!("T={nr_t} {} {cores}c", stack.name()),
-                    Scenario::multi_tenant_fio(stack.clone(), 4, *nr_t, cores, MachinePreset::SvM),
+                    (nr_t, stack.name()),
+                    Scenario::multi_tenant_fio(stack.clone(), 4, nr_t, cores, MachinePreset::SvM),
                 );
             }
         }
     }
-    let mut results = sweep.run(opts);
+    let results = sweep.run(opts);
 
     let mut table = Table::new(
         "Fig 9: L-tenant p99.9 (ms) vs available cores (SV-M)",
         &["T-tenants", "stack", "2 cores", "4 cores", "8 cores"],
     );
-    for nr_t in &t_stages {
-        for stack in stacks() {
-            let mut cells = vec![format!("T={nr_t}"), stack.name().to_string()];
-            for _cores in [2u16, 4, 8] {
-                let out = results.next_output();
-                cells.push(fmt_ms(out.summary.class("L").latency.p999()));
-            }
-            table.row(&cells);
+    // One row per (T-stage, stack), one cell per core count.
+    for row in results.chunk_by(|a, b| a.0 == b.0) {
+        let (nr_t, stack) = row[0].0;
+        let mut cells = vec![format!("T={nr_t}"), stack.to_string()];
+        for (_, out) in row {
+            cells.push(fmt_ms(out.summary.class("L").latency.p999()));
         }
+        table.row(&cells);
     }
     opts.emit(&table);
 }

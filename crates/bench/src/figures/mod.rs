@@ -5,6 +5,8 @@
 //! entries by name (`figures fig6 --quick`), or the default sweep when no
 //! name is given. DESIGN.md §3 maps artifacts to modules.
 
+use testbed::scenario::StackSpec;
+
 use crate::Opts;
 
 pub mod ext_baselines;
@@ -25,6 +27,26 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod table1;
+
+/// The three stacks the paper's figures compare, in column order.
+pub fn paper_stacks() -> [StackSpec; 3] {
+    [
+        StackSpec::vanilla(),
+        StackSpec::blk_switch(),
+        StackSpec::daredevil(),
+    ]
+}
+
+/// [`paper_stacks`] plus static NQ overprovision, the field of the fleet
+/// and hostile-device extensions.
+pub fn extension_stacks() -> [StackSpec; 4] {
+    [
+        StackSpec::vanilla(),
+        StackSpec::blk_switch(),
+        StackSpec::overprov(),
+        StackSpec::daredevil(),
+    ]
+}
 
 /// One regenerable artifact.
 #[derive(Debug)]

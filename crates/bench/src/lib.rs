@@ -11,10 +11,12 @@
 //!   unknown flags and names exiting 2 with usage;
 //! * duration presets and the T-pressure stages of §7.1;
 //! * [`sweep::Sweep`] — the deterministic parallel sweep executor every
-//!   figure module runs its cells on;
+//!   figure module runs its cells on: each cell is added once with a key,
+//!   and the outputs come back paired with their keys, in add order;
 //! * [`scaled`], applying those options to a scenario, and
 //!   [`latency_row`], turning a run into the table columns the paper
-//!   reports (p99.9, average latency, L-IOPS, T-throughput).
+//!   reports (p99.9, average latency, L-IOPS, T-throughput), with
+//!   [`latency_table`] running a whole sweep into those rows.
 
 #![warn(missing_docs)]
 
@@ -22,12 +24,15 @@ pub mod cli;
 pub mod figures;
 pub mod sweep;
 
+use std::fmt::Display;
+
 use dd_metrics::table::{fmt_f, fmt_ms};
+use dd_metrics::Table;
 use simkit::TraceSpec;
 use testbed::{RunOutput, Scenario};
 
 pub use cli::Opts;
-pub use sweep::{Sweep, SweepResults, SweepStats};
+pub use sweep::Sweep;
 
 /// Applies the shared durations — and, when `--seed`, `--trace`,
 /// `--faults` or `--policy` were given, their overrides — to a scenario.
@@ -83,3 +88,13 @@ pub const LATENCY_HEADER: [&str; 7] = [
     "T MB/s",
     "cpu %",
 ];
+
+/// Runs `sweep` and renders one [`latency_row`] per cell under
+/// [`LATENCY_HEADER`], the cell's key in the stage column.
+pub fn latency_table<K: Display>(opts: &Opts, title: &str, sweep: Sweep<K>) -> Table {
+    let mut table = Table::new(title, &LATENCY_HEADER);
+    for (stage, out) in sweep.run(opts) {
+        table.row(&latency_row(stage, &out));
+    }
+    table
+}

@@ -3,13 +3,11 @@
 //! Every figure of the paper's evaluation is an embarrassingly parallel
 //! sweep: `testbed::run(Scenario) -> RunOutput` is a *pure* function (each
 //! run builds its own machine, device, and per-run RNG from the scenario
-//! seed — no shared mutable state), yet the seed harness executed the
-//! cells of each sweep in nested serial loops, paying wall-clock =
-//! Σ(all runs) on any host. [`Sweep`] decouples the *sweep definition*
-//! (the ordered cell list a figure declares) from its *execution binding*
-//! (which worker runs which cell when) — the harness-level mirror of
-//! Daredevil's thesis that work should not be statically bound to a serial
-//! resource.
+//! seed — no shared mutable state). [`Sweep`] decouples the *sweep
+//! definition* (the keyed cell list a figure declares once) from its
+//! *execution binding* (which worker runs which cell when) — the
+//! harness-level mirror of Daredevil's thesis that work should not be
+//! statically bound to a serial resource.
 //!
 //! # Determinism argument
 //!
@@ -19,158 +17,115 @@
 //! 1. **per-run isolation** — a run's RNG is seeded from its own
 //!    `Scenario::seed`; machines share nothing (no globals, no
 //!    thread-locals, no wall-clock reads inside the simulation);
-//! 2. **ordered collection** — workers claim cells through an atomic
-//!    work-stealing index but deposit results into the slot of the cell's
-//!    *original* position; consumers read the slots in order;
+//! 2. **keyed collection** — workers claim cells in add order from one
+//!    queue and put each output in its cell's slot; results come back
+//!    paired with their keys, in add order;
 //! 3. **format-after-run** — the figure modules build all cells first,
-//!    execute once, and only then render tables, so interleaved printing
-//!    cannot reorder output.
+//!    execute once, and only then render tables from the pairs, so
+//!    interleaved printing cannot reorder output.
 //!
 //! Hence `--jobs N` output is byte-identical to `--jobs 1` for every
 //! figure (regression-tested in `crates/bench/tests/sweep.rs` and gated by
 //! `scripts/verify.sh`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use testbed::{RunOutput, Scenario};
 
 use crate::Opts;
 
-/// An ordered collection of labelled sweep cells, executed together.
+/// An ordered list of keyed sweep cells, executed together.
 ///
-/// Build cells first (in the figure's natural nested-loop order), call
-/// [`Sweep::run`] once, then format from the returned [`SweepResults`] —
-/// which yields outputs in exactly the order the cells were added,
-/// regardless of how many worker threads ran them.
-#[derive(Default)]
-pub struct Sweep {
-    cells: Vec<(String, Scenario)>,
+/// A figure adds each cell once, keyed by whatever its tables need (the
+/// axis values of the cell), calls [`Sweep::run`] once, and formats from
+/// the returned `(key, output)` pairs — in `add` order, however many
+/// worker threads ran them.
+pub struct Sweep<K> {
+    cells: Vec<(K, Scenario)>,
 }
 
-impl Sweep {
-    /// An empty sweep.
-    pub fn new() -> Self {
+impl<K> Default for Sweep<K> {
+    fn default() -> Self {
         Sweep { cells: Vec::new() }
     }
+}
 
-    /// Adds one cell. The label is carried through to [`SweepResults`] for
-    /// diagnostics; results come back in `add` order.
-    pub fn add(&mut self, label: impl Into<String>, scenario: Scenario) {
-        self.cells.push((label.into(), scenario));
+impl<K> Sweep<K> {
+    /// An empty sweep.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Number of cells collected.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when no cells were added.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+    /// Adds one cell; its output comes back paired with `key`.
+    pub fn add(&mut self, key: K, scenario: Scenario) {
+        self.cells.push((key, scenario));
     }
 
     /// Executes every cell (scaled to the options by [`crate::scaled`]) on
-    /// `opts.jobs` workers and returns the outputs in
-    /// original cell order.
-    pub fn run(self, opts: &Opts) -> SweepResults {
-        self.run_with_jobs(opts, opts.jobs)
-    }
-
-    /// [`Sweep::run`] with an explicit worker count (the determinism
-    /// regression test compares `jobs = 1` against `jobs ≥ 4` directly).
-    pub fn run_with_jobs(self, opts: &Opts, jobs: usize) -> SweepResults {
-        let started = Instant::now();
-        let mut names: Vec<(String, bool)> = Vec::with_capacity(self.cells.len());
-        let cells: Vec<(usize, String, Scenario)> = self
+    /// up to `opts.jobs` workers and returns each cell's key with its
+    /// output, in add order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the cell, when a run-to-completion cell ended with
+    /// apps unfinished.
+    pub fn run(self, opts: &Opts) -> Vec<(K, RunOutput)> {
+        let (keys, scenarios): (Vec<K>, Vec<Scenario>) = self
             .cells
             .into_iter()
-            .enumerate()
-            .map(|(i, (label, s))| {
-                let s = crate::scaled(opts, s);
-                names.push((s.name.clone(), s.stop_when_apps_done));
-                (i, label, s)
-            })
+            .map(|(key, s)| (key, crate::scaled(opts, s)))
+            .unzip();
+        let checks: Vec<(String, bool)> = scenarios
+            .iter()
+            .map(|s| (s.name.clone(), s.stop_when_apps_done))
             .collect();
-        let n = cells.len();
-        // A worker pool on a single-core host only adds contention and
-        // scheduling noise — degrade to the inline loop, which is also
-        // byte-identical (every consumer reads slots in cell order).
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let jobs = if cores <= 1 {
-            1
-        } else {
-            jobs.max(1).min(n.max(1))
-        };
-        let mut slots: Vec<Option<(String, RunOutput)>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        if jobs <= 1 {
-            // Serial fast path: no pool, no locks, and one `RunArena`
-            // threaded through every cell — each machine after the first
-            // adopts the previous cell's allocations instead of rebuilding
-            // them (`testbed::run_in` parks them again at teardown).
-            let mut arena = testbed::RunArena::new();
-            for (i, label, scenario) in cells {
-                let out = testbed::run_in(scenario, &mut arena);
-                slots[i] = Some((label, out));
+        let n = scenarios.len();
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        // Workers claim cells in add order; each output lands in its cell's
+        // slot, so the (timing-dependent) completion order never leaks into
+        // the result. Each worker owns one arena for its whole claim
+        // stream: a machine adopts the previous cell's allocations, and
+        // arenas never cross threads.
+        let queue = Mutex::new(scenarios.into_iter().enumerate());
+        let slots: Mutex<Vec<Option<RunOutput>>> = Mutex::new((0..n).map(|_| None).collect());
+        std::thread::scope(|scope| {
+            for _ in 0..workers(opts.jobs, n, cores) {
+                scope.spawn(|| {
+                    let mut arena = testbed::RunArena::new();
+                    loop {
+                        let next = queue.lock().expect("cell queue lock").next();
+                        let Some((i, scenario)) = next else { break };
+                        let out = testbed::run_in(scenario, &mut arena);
+                        slots.lock().expect("result slot lock")[i] = Some(out);
+                    }
+                });
             }
-        } else {
-            // Work-stealing by atomic index: workers grab the next undone
-            // cell; results land in the cell's original slot, so the
-            // completion *order* (which is timing-dependent) never leaks
-            // into the output. Each worker owns one arena for its whole
-            // claim stream — cell-to-cell machine recycling without any
-            // cross-thread sharing (arenas are deliberately not `Send`-
-            // bounded content-wise; they never leave their worker).
-            let next = AtomicUsize::new(0);
-            let cells = Mutex::new(cells.into_iter().map(Some).collect::<Vec<_>>());
-            let done = Mutex::new(&mut slots);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| {
-                        let mut arena = testbed::RunArena::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let (idx, label, scenario) = {
-                                let mut cells = cells.lock().expect("cell list lock");
-                                cells[i].take().expect("each cell claimed once")
-                            };
-                            let out = testbed::run_in(scenario, &mut arena);
-                            let mut done = done.lock().expect("result slot lock");
-                            done[idx] = Some((label, out));
-                        }
-                    });
-                }
-            });
-        }
-        let outputs: Vec<(String, RunOutput)> = slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect();
-        // Checks and trace dumping happen here — post-collection, in
-        // original cell order — so the first failure and the CSV are the
-        // same for any worker count.
-        for ((name, to_completion), (_, out)) in names.iter().zip(&outputs) {
-            assert_apps_done(name, *to_completion, out);
-            crate::cli::dump_cell_trace(opts, name, out);
-        }
-        let events = outputs.iter().map(|(_, o)| o.events_processed).sum();
-        SweepResults {
-            stats: SweepStats {
-                runs: outputs.len() as u64,
-                events,
-                jobs,
-                wall_s: started.elapsed().as_secs_f64(),
-            },
-            taken: 0,
-            outputs: outputs.into_iter(),
-        }
+        });
+        let outputs = slots.into_inner().expect("result slots");
+        // Checks and trace dumping happen here — post-collection, in add
+        // order — so the first failure and the CSV are the same for any
+        // worker count.
+        keys.into_iter()
+            .zip(checks)
+            .zip(outputs)
+            .map(|((key, (name, to_completion)), out)| {
+                let out = out.expect("every cell ran");
+                assert_apps_done(&name, to_completion, &out);
+                crate::cli::dump_cell_trace(opts, &name, &out);
+                (key, out)
+            })
+            .collect()
+    }
+}
+
+/// Worker threads for a sweep of `cells` cells: `jobs`, clamped to the
+/// cell count, and 1 on a single-core host, where a pool only adds
+/// contention.
+fn workers(jobs: usize, cells: usize, cores: usize) -> usize {
+    if cores <= 1 {
+        1
+    } else {
+        jobs.clamp(1, cells.max(1))
     }
 }
 
@@ -186,66 +141,22 @@ fn assert_apps_done(name: &str, to_completion: bool, out: &RunOutput) {
     );
 }
 
-/// Wall-clock accounting of one executed sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepStats {
-    /// Cells executed.
-    pub runs: u64,
-    /// Simulation events processed across all cells.
-    pub events: u64,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_s: f64,
-}
+#[cfg(test)]
+mod tests {
+    use super::workers;
 
-/// Results of a sweep, consumed in original cell order.
-pub struct SweepResults {
-    outputs: std::vec::IntoIter<(String, RunOutput)>,
-    taken: usize,
-    stats: SweepStats,
-}
-
-impl SweepResults {
-    /// Takes the next output in cell order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the sweep is exhausted — the figure modules consume
-    /// results with the same loop structure that built the cells, so
-    /// exhaustion is a harness bug and must fail loudly.
-    pub fn next_output(&mut self) -> RunOutput {
-        let (_, out) = self.next_labelled();
-        out
+    #[test]
+    fn worker_count_is_clamped_to_cells() {
+        assert_eq!(workers(64, 1, 8), 1, "1 cell never spawns 64 workers");
+        assert_eq!(workers(4, 6, 8), 4);
+        assert_eq!(workers(8, 6, 8), 6);
+        assert_eq!(workers(0, 6, 8), 1);
+        assert_eq!(workers(4, 0, 8), 1);
     }
 
-    /// Takes the next `(label, output)` pair in cell order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the sweep is exhausted (see [`Self::next_output`]).
-    pub fn next_labelled(&mut self) -> (String, RunOutput) {
-        self.taken += 1;
-        self.outputs.next().unwrap_or_else(|| {
-            panic!(
-                "sweep exhausted: {} cells, asked for #{}",
-                self.stats.runs, self.taken
-            )
-        })
-    }
-
-    /// Takes the next `n` outputs in cell order.
-    pub fn take(&mut self, n: usize) -> Vec<RunOutput> {
-        (0..n).map(|_| self.next_output()).collect()
-    }
-
-    /// Outputs not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// The sweep's wall-clock accounting.
-    pub fn stats(&self) -> SweepStats {
-        self.stats
+    #[test]
+    fn a_single_core_host_uses_one_worker() {
+        assert_eq!(workers(4, 6, 1), 1);
+        assert_eq!(workers(64, 64, 1), 1);
     }
 }

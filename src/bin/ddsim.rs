@@ -33,7 +33,8 @@ fn stack_names() -> String {
 }
 
 struct Args {
-    stack: String,
+    /// The `--stack` entry of [`STACKS`].
+    stack: (&'static str, fn() -> StackSpec),
     machine: MachinePreset,
     nr_l: u16,
     nr_t: u16,
@@ -47,7 +48,7 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Args {
-            stack: "daredevil".into(),
+            stack: ("daredevil", StackSpec::daredevil),
             machine: MachinePreset::SvM,
             nr_l: 4,
             nr_t: 8,
@@ -64,41 +65,37 @@ const USAGE: &str = "usage: ddsim [--stack NAME] [--machine sv-m|ws-m|small] [--
   \x20            [--cores N] [--namespaces N] [--warmup-ms N] [--measure-ms N]\n\
   \x20            [--seed N] [--list-stacks]";
 
-/// Rejects bad input: prints `msg` and the usage, exits 2.
-fn bad(msg: String) -> ! {
-    eprintln!("ddsim: {msg}\n{USAGE}\nstacks: {}", stack_names());
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
     let mut args = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let mut value = || -> String {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .unwrap_or_else(|| bad(format!("{flag} needs a value")))
-        };
+    let usage = format!("{USAGE}\nstacks: {}", stack_names());
+    let mut cli = bench::cli::Args::new(&argv, &usage);
+    while let Some(flag) = cli.next_arg() {
         match flag {
-            "--stack" => args.stack = value(),
+            "--stack" => {
+                let v = cli.value(flag);
+                args.stack = *STACKS
+                    .iter()
+                    .find(|(name, _)| *name == v)
+                    .unwrap_or_else(|| cli.fail(format!("unknown stack {v:?}")));
+            }
             "--machine" => {
-                args.machine = match value().as_str() {
+                args.machine = match cli.value(flag) {
                     "sv-m" => MachinePreset::SvM,
                     "ws-m" => MachinePreset::WsM,
                     "small" => MachinePreset::Small,
-                    other => bad(format!("unknown machine {other:?}")),
+                    other => cli.fail(format!("unknown machine {other:?}")),
                 }
             }
-            "--l" => args.nr_l = number(flag, &value()),
-            "--t" => args.nr_t = number(flag, &value()),
-            "--cores" => args.cores = number(flag, &value()),
-            "--namespaces" => args.namespaces = Some(number(flag, &value())),
-            "--warmup-ms" => args.warmup_ms = number(flag, &value()),
-            "--measure-ms" => args.measure_ms = number(flag, &value()),
-            "--seed" => args.seed = number(flag, &value()),
+            "--l" => args.nr_l = cli.int(flag, 0),
+            "--t" => args.nr_t = cli.int(flag, 0),
+            // The scenario constructors assume these bounds (the L:T
+            // namespace ratio is 1:3); reject here rather than panic there.
+            "--cores" => args.cores = cli.int(flag, 1),
+            "--namespaces" => args.namespaces = Some(cli.int(flag, 4)),
+            "--warmup-ms" => args.warmup_ms = cli.int(flag, 0),
+            "--measure-ms" => args.measure_ms = cli.int(flag, 0),
+            "--seed" => args.seed = cli.int(flag, 0),
             "--list-stacks" => {
                 for (name, _) in STACKS {
                     println!("{name}");
@@ -106,35 +103,18 @@ fn parse_args() -> Args {
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                println!("{USAGE}\nstacks: {}", stack_names());
+                println!("{usage}");
                 std::process::exit(0);
             }
-            other => bad(format!("unknown argument {other:?}")),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
-        i += 1;
-    }
-    // The scenario constructors assume these; reject here rather than
-    // panic inside them.
-    if args.cores == 0 {
-        bad("--cores must be at least 1".to_string());
-    }
-    if args.namespaces.is_some_and(|ns| ns < 4) {
-        bad("--namespaces must be at least 4 (the L:T namespace ratio is 1:3)".to_string());
     }
     args
 }
 
-/// Parses `flag`'s value as a non-negative integer.
-fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse()
-        .unwrap_or_else(|_| bad(format!("invalid {flag} value {v:?} (want a non-negative integer)")))
-}
-
 fn main() {
     let args = parse_args();
-    let Some(&(_, stack)) = STACKS.iter().find(|(name, _)| *name == args.stack) else {
-        bad(format!("unknown stack {:?}", args.stack));
-    };
+    let (stack_name, stack) = args.stack;
     let stack = stack();
     let mut scenario = match args.namespaces {
         Some(ns) => Scenario::multi_namespace(stack, ns, args.cores, args.machine),
@@ -147,7 +127,7 @@ fn main() {
         eprintln!("invalid scenario: {e}");
         std::process::exit(2);
     }
-    scenario.name = format!("ddsim-{}", args.stack);
+    scenario.name = format!("ddsim-{stack_name}");
     // Trace the four phase-breakdown anchors so the report below can
     // stitch per-request spans (SpanTable) into the latency phase table.
     let breakdown_mask = Phase::Submit.bit()

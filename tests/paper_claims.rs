@@ -286,7 +286,7 @@ fn latency_inflation_is_in_queue_wait() {
 #[test]
 fn fig12_device_bound_ops_beat_vanilla() {
     use bench::figures::fig12;
-    use daredevil_repro::workload::OpKind;
+    use daredevil_repro::workload::{OpKind, YcsbMix};
 
     const DEVICE_BOUND: [OpKind; 5] = [
         OpKind::Update,
@@ -296,15 +296,15 @@ fn fig12_device_bound_ops_beat_vanilla() {
         OpKind::Delete,
     ];
     let opts = bench::Opts::new(true, false, 2);
-    let mut results = fig12::sweep(300, 200).run(&opts);
-    let stacks = fig12::stacks();
+    let results = fig12::sweep(300, 200).run(&opts);
+    let stacks = bench::figures::paper_stacks();
     let mut checked = 0;
     type Stat = fn(&LatencyHistogram) -> SimDuration;
-    let mut check = |app: &str, op: OpKind, outs: &[RunOutput], stat: Stat| {
+    let mut check = |app: &str, op: OpKind, outs: &[(Option<YcsbMix>, RunOutput)], stat: Stat| {
         let lat: Vec<SimDuration> = outs
             .iter()
             .zip(&stacks)
-            .map(|(out, stack)| match out.op_latencies.get(&op) {
+            .map(|((_, out), stack)| match out.op_latencies.get(&op) {
                 Some(h) if h.count() > 0 => stat(h),
                 _ => panic!("{app} {op:?} has no samples on {}", stack.name()),
             })
@@ -319,15 +319,20 @@ fn fig12_device_bound_ops_beat_vanilla() {
         }
         checked += 1;
     };
-    for mix in fig12::MIXES {
-        let outs = results.take(stacks.len());
-        for &op in fig12::mix_ops(mix) {
-            check(mix.as_str(), op, &outs, LatencyHistogram::p999);
+    // One app's cells per chunk, one per stack; the Mailserver is keyed `None`.
+    for outs in results.chunk_by(|a, b| a.0 == b.0) {
+        match outs[0].0 {
+            Some(mix) => {
+                for &op in fig12::mix_ops(mix) {
+                    check(mix.as_str(), op, outs, LatencyHistogram::p999);
+                }
+            }
+            None => {
+                for op in [OpKind::Fsync, OpKind::Delete] {
+                    check("mailserver", op, outs, LatencyHistogram::mean);
+                }
+            }
         }
-    }
-    let mail = results.take(stacks.len());
-    for op in [OpKind::Fsync, OpKind::Delete] {
-        check("mailserver", op, &mail, LatencyHistogram::mean);
     }
     assert_eq!(checked, 10, "8 YCSB op rows, then fsync and delete");
 }
