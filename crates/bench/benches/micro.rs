@@ -14,8 +14,7 @@ use std::hint::black_box;
 use blkstack::bio::{Bio, BioId, ReqFlags};
 use blkstack::nsqlock::NsqLockTable;
 use blkstack::{IoPriorityClass, Pid, TaskStruct};
-use daredevil::policy::DefaultPolicy;
-use daredevil::{DaredevilConfig, NqReg, Priority, ProxyTable, Troute};
+use daredevil::{DaredevilConfig, NqReg, Policy, Priority, ProxyTable, Troute};
 use dd_check::bench::BenchSet;
 use dd_metrics::LatencyHistogram;
 use dd_nvme::arbiter::RoundRobinArbiter;
@@ -50,17 +49,17 @@ fn bench_nq_scheduling(set: &mut BenchSet) {
     let prox = proxies(&dev);
 
     let mut reg = NqReg::new(0.8, 1024, true, 128, 24, |i| i % 24);
-    let mut pol = DefaultPolicy::default();
+    let pol = Policy::new(&DaredevilConfig::default());
     set.bench("nqreg/schedule_mru_hit", || {
-        black_box(reg.schedule(&mut pol, Priority::High, 1, &dev, &locks, &prox))
+        black_box(reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox))
     });
     let mut reg = NqReg::new(0.8, 1, true, 128, 24, |i| i % 24);
     set.bench("nqreg/schedule_with_resort", || {
-        black_box(reg.schedule(&mut pol, Priority::High, 1, &dev, &locks, &prox))
+        black_box(reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox))
     });
     let mut reg = NqReg::new(0.8, 1024, false, 128, 24, |i| i % 24);
     set.bench("nqreg/schedule_round_robin", || {
-        black_box(reg.schedule(&mut pol, Priority::Low, 1, &dev, &locks, &prox))
+        black_box(reg.schedule(&pol, Priority::Low, 1, &dev, &locks, &prox))
     });
 }
 
@@ -72,10 +71,10 @@ fn bench_troute(set: &mut BenchSet) {
         let mut prox = proxies(&dev);
         let mut reg = NqReg::new(0.8, 1024, true, 64, 64, |i| i);
         let mut tr = Troute::new(1024, 64);
-        let mut pol = DefaultPolicy::default();
+        let mut pol = Policy::new(&DaredevilConfig::default());
         tr.register(
             &TaskStruct::new(Pid(1), 0, IoPriorityClass::RealTime, NamespaceId(1), "L"),
-            &mut pol,
+            &pol,
             &mut reg,
             &dev,
             &locks,
@@ -100,10 +99,10 @@ fn bench_troute(set: &mut BenchSet) {
         let mut prox = proxies(&dev);
         let mut reg = NqReg::new(0.8, 1024, true, 64, 64, |i| i);
         let mut tr = Troute::new(1024, u64::MAX);
-        let mut pol = DefaultPolicy::default();
+        let mut pol = Policy::new(&DaredevilConfig::default());
         tr.register(
             &TaskStruct::new(Pid(2), 0, IoPriorityClass::BestEffort, NamespaceId(1), "T"),
-            &mut pol,
+            &pol,
             &mut reg,
             &dev,
             &locks,

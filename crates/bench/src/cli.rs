@@ -50,7 +50,7 @@
 
 use std::fmt::Display;
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{self, BufWriter, Write as _};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -275,13 +275,27 @@ impl Opts {
 
     /// Emits a finished table (and CSV when requested).
     pub fn emit(&self, table: &Table) {
-        print!("{}", table.render());
-        if self.csv {
-            println!("--- csv ---");
-            print!("{}", table.to_csv());
-            println!("-----------");
-        }
-        println!();
+        write_stdout(|out| {
+            write!(out, "{}", table.render())?;
+            if self.csv {
+                writeln!(out, "--- csv ---")?;
+                write!(out, "{}", table.to_csv())?;
+                writeln!(out, "-----------")?;
+            }
+            writeln!(out)
+        });
+    }
+}
+
+/// Writes to stdout through one locked handle, shared by `figures` and
+/// `ddsim`. A reader that closed the pipe early (`figures fig6 | head -1`)
+/// ends the process quietly with exit 0; any other write error panics.
+pub fn write_stdout(f: impl FnOnce(&mut io::StdoutLock<'static>) -> io::Result<()>) {
+    let mut out = io::stdout().lock();
+    match f(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed writing to stdout: {e}"),
     }
 }
 

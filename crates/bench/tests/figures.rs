@@ -1,9 +1,11 @@
 //! The figure table is the one list of figures: every module under
 //! `src/figures/` appears in it exactly once, the default sweep keeps the
 //! order of the committed `all_figures_quick.csv` golden, and the
-//! `figures` binary rejects names the table does not hold.
+//! `figures` binary rejects names the table does not hold and exits
+//! quietly when its reader goes away.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Command, Stdio};
 
 use bench::figures::{find, FIGURES};
 
@@ -71,4 +73,28 @@ fn unknown_figure_exits_2_and_lists_the_known_names() {
     for f in &FIGURES {
         assert!(stderr.contains(f.name), "{} missing from: {stderr}", f.name);
     }
+}
+
+/// `figures table1 fig2 | head -1`: once the reader has gone, the next
+/// table's write fails with a broken pipe, which ends the run with exit 0
+/// instead of a panic.
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["table1", "fig2", "--quick", "--jobs", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run figures");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read the first line");
+    assert!(!first.is_empty());
+    drop(stdout);
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    let status = child.wait().expect("wait for figures");
+    assert_ne!(status.code(), Some(101), "figures panicked: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -70,7 +70,7 @@ struct TenantState {
 ///
 /// Its I/O service dispatching is fixed and SLA-blind: every NSQ doorbell
 /// covers a batch and every CQ is reaped batched — the two decisions the
-/// Daredevil stack makes pluggable through `daredevil::policy::Policy`.
+/// Daredevil stack makes per policy in `daredevil::policy::Policy::{doorbell, reap}`.
 pub struct VanillaBlkMq {
     nr_queues: u16,
     policy: QueuePolicy,

@@ -211,8 +211,7 @@ pub fn trace_enqueued(trace: &mut TraceSink, now: SimTime, host: HostTag, sq: Sq
 /// [`Dispatch::push`](crate::dispatch::Dispatch::push) and reap every NCQ
 /// with [`CompletionMode::Batched`]: they separate traffic, if at all, by
 /// routing, not by the service routines. The Daredevil stack makes both
-/// choices per batch/NCQ through its policy layer
-/// (`daredevil::policy::Policy`).
+/// choices per batch/NCQ in `daredevil::policy::Policy::{doorbell, reap}`.
 ///
 /// [`Batched`]: DoorbellMode::Batched
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -66,6 +66,27 @@ impl DaredevilConfig {
         }
     }
 
+    /// The stack's display name for this variant and policy. The paper's
+    /// policy keeps the §7.3 ablation names; another policy appends its
+    /// name to the ablation's (`dare-sched-deadline`), and its full variant
+    /// is `dare-<policy>`.
+    pub fn stack_name(&self) -> &'static str {
+        match (self.variant, self.policy) {
+            (Variant::Base, PolicySpec::Default) => "dare-base",
+            (Variant::Sched, PolicySpec::Default) => "dare-sched",
+            (Variant::Full, PolicySpec::Default) => "daredevil",
+            (Variant::Base, PolicySpec::Deadline) => "dare-base-deadline",
+            (Variant::Sched, PolicySpec::Deadline) => "dare-sched-deadline",
+            (Variant::Full, PolicySpec::Deadline) => "dare-deadline",
+            (Variant::Base, PolicySpec::SizeClass) => "dare-base-sizeclass",
+            (Variant::Sched, PolicySpec::SizeClass) => "dare-sched-sizeclass",
+            (Variant::Full, PolicySpec::SizeClass) => "dare-sizeclass",
+            (Variant::Base, PolicySpec::FairShare) => "dare-base-fairshare",
+            (Variant::Sched, PolicySpec::FairShare) => "dare-sched-fairshare",
+            (Variant::Full, PolicySpec::FairShare) => "dare-fairshare",
+        }
+    }
+
     /// Validates the tunables.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.alpha > 0.5 && self.alpha < 1.0) {

@@ -18,11 +18,11 @@
 //! * [`stack_impl`] — [`stack_impl::DaredevilStack`], wiring the three
 //!   components into a [`blkstack::StorageStack`], with the `dare-base` /
 //!   `dare-sched` / `dare-full` ablation variants of the paper's §7.3;
-//! * [`policy`] — the programmable policy layer: the routing, merit, and
-//!   batching decisions of Algorithms 1/2 and §5.3 behind one documented
-//!   [`policy::Policy`] trait, with the paper's behaviour as
-//!   [`policy::DefaultPolicy`] and three pluggable alternatives
-//!   (`deadline`, `sizeclass`, `fairshare`).
+//! * [`policy`] — the policy layer: the routing, merit, and batching
+//!   decisions of Algorithms 1/2 and §5.3 in one [`policy::Policy`] type
+//!   that matches on the configured [`PolicySpec`]: the paper's behaviour
+//!   (`default`) and three alternatives (`deadline`, `sizeclass`,
+//!   `fairshare`).
 //!
 //! # Quick start
 //!
@@ -46,7 +46,7 @@ pub mod troute;
 pub use config::{DaredevilConfig, Variant};
 pub use nproxy::{Nproxy, Priority, ProxyTable};
 pub use nqreg::{ncq_merit_k, nsq_merit_k, NqReg};
-pub use policy::{CompletionMode, DoorbellMode, Policy, PolicyKind, PolicySpec};
+pub use policy::{CompletionMode, DoorbellMode, Policy, PolicySpec};
 pub use stack_impl::DaredevilStack;
 pub use blkstack::stack::RouteStats;
 pub use troute::Troute;

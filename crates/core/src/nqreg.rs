@@ -26,7 +26,7 @@
 //! | [`ncq_merit_k`] | `MeritCalc` NCQ step — IRQ balancing criterion, Algorithm 2 line 4 |
 //! | [`nsq_merit_k`] | `MeritCalc` NSQ step — contention-avoidance criterion, Algorithm 2 line 6 |
 //! | [`NqReg::schedule`] | the two-step heap query serving troute, Algorithm 2 lines 1–8 |
-//! | the policy's merit hooks | Algorithm 2's criteria as [`crate::policy::Policy::ncq_merit`] / [`nsq_merit`](crate::policy::Policy::nsq_merit); [`crate::policy::DefaultPolicy`] delegates to the two `*_merit_k` functions above bit-for-bit |
+//! | the policy's merit decisions | Algorithm 2's criteria as [`crate::policy::Policy::ncq_merit`] / [`nsq_merit`](crate::policy::Policy::nsq_merit); every arm but [`crate::PolicySpec::FairShare`] delegates to the two `*_merit_k` functions above bit-for-bit |
 //! | the `α` smoothing parameter | exponential merit smoothing with `α ∈ (0.5, 1)`, §5.3 |
 //! | the MRU budget | bounded heap re-sorts on the critical path (`m` decrements, resort at 0), §5.3 |
 //! | SLA-aware dispatch flags | immediate vs batched doorbells / per-request vs batched completions, §5.3 |
@@ -239,9 +239,9 @@ impl NqReg {
     /// ([`Policy::ncq_merit`] / [`Policy::nsq_merit`]); the EWMA smoothing,
     /// assignment tie-breaker, and MRU budgeting are nqreg mechanism and
     /// apply under every policy.
-    pub fn schedule<P: Policy>(
+    pub fn schedule(
         &mut self,
-        policy: &mut P,
+        policy: &Policy,
         prio: Priority,
         m: u32,
         device: &NvmeDevice,
@@ -295,9 +295,9 @@ impl NqReg {
     /// hint keeps the resort body out of `schedule`'s hot icache lines.
     #[cold]
     #[inline(never)]
-    fn resort_ncq_heap<P: Policy>(
+    fn resort_ncq_heap(
         &mut self,
-        policy: &mut P,
+        policy: &Policy,
         group_idx: usize,
         device: &NvmeDevice,
         proxies: &ProxyTable,
@@ -338,9 +338,9 @@ impl NqReg {
     /// [`Self::resort_ncq_heap`].
     #[cold]
     #[inline(never)]
-    fn resort_nsq_heap<P: Policy>(
+    fn resort_nsq_heap(
         &mut self,
-        policy: &mut P,
+        policy: &Policy,
         ncq: CqId,
         locks: &NsqLockTable,
         device: &NvmeDevice,
@@ -397,7 +397,7 @@ impl NqReg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::DefaultPolicy;
+    use crate::config::DaredevilConfig;
     use dd_nvme::NvmeConfig;
 
     fn device(sqs: u16, cqs: u16) -> NvmeDevice {
@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn single_cq_degenerates_to_shared() {
-        let mut pol = DefaultPolicy::default();
+        let pol = Policy::new(&DaredevilConfig::default());
         let p = divide_priorities(1);
         assert_eq!(p, vec![Priority::High]);
         let dev = device(2, 1);
@@ -434,7 +434,7 @@ mod tests {
         let prox = proxies(&dev);
         let mut reg = NqReg::new(0.8, 16, true, 2, 1, |_| 0);
         // Low-priority scheduling still returns a queue.
-        let sq = reg.schedule(&mut pol, Priority::Low, 16, &dev, &locks, &prox);
+        let sq = reg.schedule(&pol, Priority::Low, 16, &dev, &locks, &prox);
         assert!(sq.0 < 2);
     }
 
@@ -456,22 +456,22 @@ mod tests {
 
     #[test]
     fn schedule_respects_priority_groups() {
-        let mut pol = DefaultPolicy::default();
+        let pol = Policy::new(&DaredevilConfig::default());
         let dev = device(8, 8);
         let locks = NsqLockTable::new(8);
         let prox = proxies(&dev);
         let mut reg = NqReg::new(0.8, 4, true, 8, 8, |i| i);
         for _ in 0..32 {
-            let h = reg.schedule(&mut pol, Priority::High, 4, &dev, &locks, &prox);
+            let h = reg.schedule(&pol, Priority::High, 4, &dev, &locks, &prox);
             assert!(h.0 < 4, "high-priority NSQ expected, got {h}");
-            let l = reg.schedule(&mut pol, Priority::Low, 4, &dev, &locks, &prox);
+            let l = reg.schedule(&pol, Priority::Low, 4, &dev, &locks, &prox);
             assert!(l.0 >= 4, "low-priority NSQ expected, got {l}");
         }
     }
 
     #[test]
     fn assignments_spread_tenants() {
-        let mut pol = DefaultPolicy::default();
+        let pol = Policy::new(&DaredevilConfig::default());
         // Registering tenants (schedule + claim) must not pile everyone on
         // one NSQ: the assignment tie-breaker rotates the heap.
         let dev = device(8, 8);
@@ -480,7 +480,7 @@ mod tests {
         let mut reg = NqReg::new(0.8, 1, true, 8, 8, |i| i);
         let mut used = std::collections::HashSet::new();
         for core in 0..4u16 {
-            let sq = reg.schedule(&mut pol, Priority::High, 1, &dev, &locks, &prox);
+            let sq = reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
             prox.get_mut(sq).claim(core);
             used.insert(sq.0);
         }
@@ -489,39 +489,39 @@ mod tests {
 
     #[test]
     fn mru_bounds_resorts() {
-        let mut pol = DefaultPolicy::default();
+        let pol = Policy::new(&DaredevilConfig::default());
         let dev = device(8, 8);
         let locks = NsqLockTable::new(8);
         let prox = proxies(&dev);
         let mut reg = NqReg::new(0.8, 1000, true, 8, 8, |i| i);
         for _ in 0..100 {
-            reg.schedule(&mut pol, Priority::High, 1, &dev, &locks, &prox);
+            reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
         }
         assert_eq!(reg.queries(), 100);
         assert_eq!(reg.resorts(), 0, "MRU=1000 must suppress resorts");
         let mut reg = NqReg::new(0.8, 1, true, 8, 8, |i| i);
         for _ in 0..100 {
-            reg.schedule(&mut pol, Priority::High, 1, &dev, &locks, &prox);
+            reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
         }
         assert!(reg.resorts() >= 100, "MRU=1 must resort every query");
     }
 
     #[test]
     fn round_robin_fallback_cycles() {
-        let mut pol = DefaultPolicy::default();
+        let pol = Policy::new(&DaredevilConfig::default());
         let dev = device(8, 8);
         let locks = NsqLockTable::new(8);
         let prox = proxies(&dev);
         let mut reg = NqReg::new(0.8, 4, false, 8, 8, |i| i);
         let picks: Vec<u16> = (0..8)
-            .map(|_| reg.schedule(&mut pol, Priority::High, 4, &dev, &locks, &prox).0)
+            .map(|_| reg.schedule(&pol, Priority::High, 4, &dev, &locks, &prox).0)
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn contended_nsq_avoided_after_resort() {
-        let mut pol = DefaultPolicy::default();
+        let pol = Policy::new(&DaredevilConfig::default());
         // WS-M-like fan-out: 8 NSQs on 2 NCQs → NSQ step is non-degenerate.
         let dev = device(8, 2);
         let mut locks = NsqLockTable::new(8);
@@ -536,9 +536,9 @@ mod tests {
         prox.get_mut(SqId(0)).claim(1);
         // First schedule may still return the stale top; after the forced
         // resort (mru = 1) the contended queue must stop being chosen.
-        let _ = reg.schedule(&mut pol, Priority::High, 1, &dev, &locks, &prox);
+        let _ = reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
         for _ in 0..8 {
-            let sq = reg.schedule(&mut pol, Priority::High, 1, &dev, &locks, &prox);
+            let sq = reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
             assert_ne!(sq, SqId(0), "contended NSQ must be avoided");
             assert_eq!(sq.0 % 2, 0, "must stay within the high group");
         }

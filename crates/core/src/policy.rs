@@ -1,9 +1,7 @@
-//! The programmable policy layer: routing, merit, and batching decisions
-//! behind one documented trait.
+//! The policy layer: routing, merit, and batching decisions in one type.
 //!
 //! Algorithm 1 (troute's SLA assessment) and Algorithm 2 (nqreg's merit
-//! scheduling) answer three questions on the I/O path, and before this
-//! module they answered them with hardcoded logic:
+//! scheduling) answer three questions on the I/O path:
 //!
 //! 1. **route** — which NSQ serves this request? ([`Policy::route`])
 //! 2. **merit** — when a merit heap re-sorts, what number ranks each
@@ -12,30 +10,34 @@
 //!    one per batch, and does an ISR signal completions per request or per
 //!    batch? ([`Policy::doorbell`], [`Policy::reap`])
 //!
-//! [`Policy`] extracts exactly those decisions — and nothing else. The
+//! [`Policy`] holds exactly those decisions — and nothing else. The
 //! *mechanism* stays in [`crate::troute`] / [`crate::nqreg`] /
 //! [`crate::stack_impl`]: tenant tables and claimed-core bitmaps, the
 //! outlier-tendency profiler and its window, EWMA smoothing, the
 //! assignment-count tie-breaker, MRU budgets, heap maintenance, lock and
-//! doorbell accounting. A policy author writes a handful of pure
-//! decisions; the stack keeps its zero-allocation hot path.
+//! doorbell accounting. Each decision is one `match` on the configured
+//! [`PolicySpec`]; the stack keeps its zero-allocation hot path.
 //!
 //! # Shipped policies
 //!
 //! | name (`--policy`) | route | merit | batch |
 //! |---|---|---|---|
-//! | [`default`](DefaultPolicy) | Algorithm 1 | Algorithm 2 | SLA-aware (§5.3) |
-//! | [`deadline`](DeadlinePolicy) | promotes T reads (callers block on reads, so their deadline is tight) | Algorithm 2 | latency-first everywhere |
-//! | [`sizeclass`](SizeClassPolicy) | by request size only, SLA-blind | Algorithm 2 | SLA-aware |
-//! | [`fairshare`](FairSharePolicy) | per-request spray, T quota-promoted into the high group | by traffic share, not contention | SLA-aware |
+//! | [`default`](PolicySpec::Default) | Algorithm 1 | Algorithm 2 | SLA-aware (§5.3) |
+//! | [`deadline`](PolicySpec::Deadline) | promotes T reads (callers block on reads, so their deadline is tight) | Algorithm 2 | latency-first everywhere |
+//! | [`sizeclass`](PolicySpec::SizeClass) | by request size only, SLA-blind | Algorithm 2 | SLA-aware |
+//! | [`fairshare`](PolicySpec::FairShare) | per-request spray, T quota-promoted into the high group | by traffic share, not contention | SLA-aware |
 //!
-//! # Determinism rules for policy authors
+//! # Adding a policy
 //!
-//! The whole workspace is gated on byte-identical figure output across
-//! worker counts and re-runs (`scripts/verify.sh`), so a policy **must**
-//! be a deterministic function of its inputs:
+//! Add a [`PolicySpec`] variant (with its CLI name in [`PolicySpec::name`]
+//! and its place in [`PolicySpec::ALL`]) and one arm per decision in
+//! [`Policy`]; the compiler points at every `match` that needs one, the
+//! stack name in [`DaredevilConfig::stack_name`] included. The whole
+//! workspace is gated on byte-identical figure output across worker counts
+//! and re-runs (`scripts/verify.sh`), so an arm **must** be a deterministic
+//! function of its inputs:
 //!
-//! * decide only from the `*Ctx` arguments and `self` state that was
+//! * decide only from the `*Ctx` arguments and [`Policy`] state that was
 //!   itself built deterministically — no wall clock, no OS randomness, no
 //!   global state;
 //! * no floating-point reductions whose order varies (the contexts hand
@@ -45,56 +47,6 @@
 //!   (`scripts/verify.sh` greps this file to enforce it);
 //! * `ncq_merit`/`nsq_merit` only run inside MRU-gated re-sorts (cold by
 //!   design) but still must be pure.
-//!
-//! # Writing a policy
-//!
-//! The README's "Writing a policy" walkthrough builds [`DeadlinePolicy`]
-//! from scratch. The short version:
-//!
-//! ```
-//! use daredevil::policy::{
-//!     DoorbellCtx, DoorbellMode, Policy, ReapCtx, RouteCtx, RouteDecision,
-//! };
-//! use daredevil::{CompletionMode, Priority};
-//!
-//! /// Everything latency: every request to the high group, every doorbell
-//! /// immediate, every completion per-request. (A terrible idea under
-//! /// load — which is exactly what the ext_policy figure is for.)
-//! struct AlwaysHigh;
-//!
-//! impl Policy for AlwaysHigh {
-//!     fn name(&self) -> &'static str {
-//!         "always-high"
-//!     }
-//!     fn route(&mut self, _ctx: &RouteCtx) -> RouteDecision {
-//!         RouteDecision::Query { prio: Priority::High, m: 1 }
-//!     }
-//!     // ncq_merit / nsq_merit keep Algorithm 2 (the trait defaults).
-//!     fn doorbell(&mut self, _ctx: &DoorbellCtx) -> DoorbellMode {
-//!         DoorbellMode::Immediate
-//!     }
-//!     fn reap(&mut self, _ctx: &ReapCtx) -> CompletionMode {
-//!         CompletionMode::PerRequest
-//!     }
-//! }
-//!
-//! // Plug it into a stack (static dispatch — no enum registration needed):
-//! use daredevil::{DaredevilConfig, DaredevilStack};
-//! let stack = DaredevilStack::with_policy(
-//!     DaredevilConfig::default(),
-//!     AlwaysHigh,
-//!     4,
-//!     64,
-//!     64,
-//!     |sq| sq % 64,
-//! );
-//! assert_eq!(blkstack::StorageStack::name(&stack), "always-high");
-//! ```
-//!
-//! The built-in policies are also reachable by name through
-//! [`PolicySpec::parse`] (the `--policy NAME` flag of every figure)
-//! and dispatch through [`PolicyKind`] — a single `match` per decision, so
-//! the default stack type needs no generics at its uses.
 
 use simkit::{SimDuration, SimTime};
 
@@ -202,83 +154,29 @@ pub struct ReapCtx {
     pub entries: u64,
 }
 
-/// One scheduling policy: the three decision points the Daredevil stack
-/// consults on the I/O path.
+/// Promotes one in this many low-priority requests to the high group
+/// under [`PolicySpec::FairShare`] (T gets a 25% slice of the premium path).
+pub const FAIRSHARE_SHARE: u64 = 4;
+
+/// Largest payload (bytes) [`PolicySpec::SizeClass`] still counts as the
+/// small class: 32 KiB, between the paper's 4 KiB L-requests and 128 KiB
+/// T-bulk.
+pub const SIZECLASS_THRESHOLD: u64 = 32 * 1024;
+
+/// The live scheduling policy of one Daredevil stack: the three decision
+/// points the stack consults on the I/O path.
 ///
-/// Implementations take `&mut self`, so a policy may keep its own
-/// (deterministically updated) state. See the module docs for the
-/// determinism and allocation rules, and [`DefaultPolicy`] for the
-/// paper-exact reference implementation.
-pub trait Policy {
-    /// Short static name, used in stack labels and tables.
-    fn name(&self) -> &'static str;
-
-    /// Routes one request (Algorithm 1's slot). Called once per bio on the
-    /// submission path — keep it branch-cheap and allocation-free.
-    fn route(&mut self, ctx: &RouteCtx) -> RouteDecision;
-
-    /// Ranks one NCQ when its group's merit heap re-sorts (Algorithm 2
-    /// line 4's slot). Lower merit = preferred. The EWMA smoothing and the
-    /// assignment tie-breaker are applied by nqreg *after* this returns.
-    ///
-    /// Defaults to Algorithm 2's IRQ-balancing kernel ([`ncq_merit_k`]).
-    #[inline]
-    fn ncq_merit(&mut self, ctx: &NcqMeritCtx) -> f64 {
-        ncq_merit_k(ctx.in_flight, ctx.depth, ctx.complete_delta, ctx.irq_delta)
-    }
-
-    /// Ranks one NSQ when its NCQ's merit heap re-sorts (Algorithm 2
-    /// line 6's slot). Lower merit = preferred; smoothing/tie-breaking as
-    /// in [`Policy::ncq_merit`].
-    ///
-    /// Defaults to Algorithm 2's contention kernel ([`nsq_merit_k`]).
-    #[inline]
-    fn nsq_merit(&mut self, ctx: &NsqMeritCtx) -> f64 {
-        nsq_merit_k(ctx.lock_wait, ctx.submitted_delta, ctx.claimed_cores)
-    }
-
-    /// Chooses the doorbell discipline for one per-NSQ submission batch
-    /// (the submission half of §5.3's SLA-aware I/O service dispatching).
-    ///
-    /// Defaults to §5.3's SLA-aware mode: immediate rings for the
-    /// high-priority group, batched for the rest.
-    #[inline]
-    fn doorbell(&mut self, ctx: &DoorbellCtx) -> DoorbellMode {
-        if ctx.prio == Priority::High {
-            DoorbellMode::Immediate
-        } else {
-            DoorbellMode::Batched
-        }
-    }
-
-    /// Chooses the completion discipline for one ISR invocation (the
-    /// completion half of §5.3's dispatching).
-    ///
-    /// Defaults to §5.3's SLA-aware mode: per-request reaping for the
-    /// high-priority group, batched for the rest.
-    #[inline]
-    fn reap(&mut self, ctx: &ReapCtx) -> CompletionMode {
-        if ctx.prio == Priority::High {
-            CompletionMode::PerRequest
-        } else {
-            CompletionMode::Batched
-        }
-    }
-}
-
-/// The paper's policy: Algorithm 1 routing, Algorithm 2 merits, and §5.3's
-/// SLA-aware service dispatching.
-///
-/// This is the reference implementation the figure goldens are captured
-/// under — byte-identical to the pre-extraction hardcoded paths (gated by
-/// `scripts/verify.sh` and the `policy_props` properties).
+/// Every decision `match`es on the [`PolicySpec`] the stack was built
+/// with; the arm for [`PolicySpec::Default`] is the paper-exact reference
+/// the figure goldens are captured under. See the module docs for the
+/// determinism and allocation rules an arm keeps.
 ///
 /// ```
-/// use daredevil::policy::{DefaultPolicy, Policy, RouteCtx, RouteDecision};
-/// use daredevil::Priority;
+/// use daredevil::policy::{Policy, RouteCtx, RouteDecision};
+/// use daredevil::{DaredevilConfig, Priority};
 /// use simkit::SimTime;
 ///
-/// let mut p = DefaultPolicy::default();
+/// let mut p = Policy::new(&DaredevilConfig::default());
 /// let ctx = RouteCtx {
 ///     base_prio: Priority::Low,
 ///     outlier: true, // an fsync from a T-tenant
@@ -289,59 +187,139 @@ pub trait Policy {
 /// };
 /// assert_eq!(p.route(&ctx), RouteDecision::Outlier);
 /// ```
-#[derive(Clone, Copy, Debug)]
-pub struct DefaultPolicy {
-    /// Whether §5.3's SLA-aware dispatching is active (true for the
-    /// `dare-full` variant; the `dare-base`/`dare-sched` ablations keep
-    /// kernel-default batching).
-    pub sla_dispatch: bool,
+#[derive(Clone, Debug)]
+pub struct Policy {
+    spec: PolicySpec,
+    /// Whether §5.3's SLA-aware dispatching is active for
+    /// [`PolicySpec::Default`] (true for the `dare-full` variant; the
+    /// `dare-base`/`dare-sched` ablations keep kernel-default batching).
+    sla_dispatch: bool,
+    /// Low-priority requests [`PolicySpec::FairShare`] has routed.
+    low_seen: u64,
 }
 
-impl Default for DefaultPolicy {
-    fn default() -> Self {
-        DefaultPolicy { sla_dispatch: true }
-    }
-}
-
-impl DefaultPolicy {
-    /// The default policy as the given ablation variant runs it.
-    pub fn for_variant(variant: Variant) -> Self {
-        DefaultPolicy {
-            sla_dispatch: variant == Variant::Full,
-        }
-    }
-}
-
-impl Policy for DefaultPolicy {
-    fn name(&self) -> &'static str {
-        "default"
-    }
-
-    #[inline]
-    fn route(&mut self, ctx: &RouteCtx) -> RouteDecision {
-        // Algorithm 1: L-tenants (lines 1-2) and normal T-requests (line 3)
-        // take the default NSQ; T outliers (lines 4-9) the outlier path.
-        if ctx.base_prio == Priority::Low && ctx.outlier {
-            RouteDecision::Outlier
-        } else {
-            RouteDecision::Default
+impl Policy {
+    /// The policy `cfg.policy` names, as `cfg.variant` runs it.
+    pub fn new(cfg: &DaredevilConfig) -> Self {
+        Policy {
+            spec: cfg.policy,
+            sla_dispatch: cfg.variant == Variant::Full,
+            low_seen: 0,
         }
     }
 
-    // ncq_merit / nsq_merit: Algorithm 2, the trait defaults.
-
+    /// Routes one request (Algorithm 1's slot). Called once per bio on the
+    /// submission path.
     #[inline]
-    fn doorbell(&mut self, ctx: &DoorbellCtx) -> DoorbellMode {
-        if self.sla_dispatch && ctx.prio == Priority::High {
+    pub fn route(&mut self, ctx: &RouteCtx) -> RouteDecision {
+        match self.spec {
+            // Algorithm 1: L-tenants (lines 1-2) and normal T-requests
+            // (line 3) take the default NSQ; T outliers (lines 4-9) the
+            // outlier path.
+            PolicySpec::Default => {
+                if ctx.base_prio == Priority::Low && ctx.outlier {
+                    RouteDecision::Outlier
+                } else {
+                    RouteDecision::Default
+                }
+            }
+            PolicySpec::Deadline => {
+                if ctx.base_prio == Priority::High {
+                    return RouteDecision::Default;
+                }
+                if ctx.outlier {
+                    return RouteDecision::Outlier;
+                }
+                if !ctx.write {
+                    // A blocking read on a deadline: per-request
+                    // high-group query.
+                    return RouteDecision::Query {
+                        prio: Priority::High,
+                        m: 1,
+                    };
+                }
+                RouteDecision::Default
+            }
+            PolicySpec::SizeClass => {
+                let prio = if ctx.bytes <= SIZECLASS_THRESHOLD {
+                    Priority::High
+                } else {
+                    Priority::Low
+                };
+                RouteDecision::Query { prio, m: 1 }
+            }
+            PolicySpec::FairShare => {
+                let prio = if ctx.base_prio == Priority::High || ctx.outlier {
+                    Priority::High
+                } else {
+                    self.low_seen += 1;
+                    if self.low_seen % FAIRSHARE_SHARE == 0 {
+                        Priority::High
+                    } else {
+                        Priority::Low
+                    }
+                };
+                RouteDecision::Query { prio, m: 1 }
+            }
+        }
+    }
+
+    /// Ranks one NCQ when its group's merit heap re-sorts (Algorithm 2
+    /// line 4's slot). Lower merit = preferred. The EWMA smoothing and the
+    /// assignment tie-breaker are applied by nqreg *after* this returns.
+    #[inline]
+    pub fn ncq_merit(&self, ctx: &NcqMeritCtx) -> f64 {
+        match self.spec {
+            // Share of recent completions + standing assignments: queues
+            // that carried more traffic rank worse, evening out the spray.
+            PolicySpec::FairShare => ctx.complete_delta as f64 + ctx.assignments,
+            // Algorithm 2's IRQ-balancing kernel.
+            PolicySpec::Default | PolicySpec::Deadline | PolicySpec::SizeClass => {
+                ncq_merit_k(ctx.in_flight, ctx.depth, ctx.complete_delta, ctx.irq_delta)
+            }
+        }
+    }
+
+    /// Ranks one NSQ when its NCQ's merit heap re-sorts (Algorithm 2
+    /// line 6's slot). Lower merit = preferred; smoothing/tie-breaking as
+    /// in [`Policy::ncq_merit`].
+    #[inline]
+    pub fn nsq_merit(&self, ctx: &NsqMeritCtx) -> f64 {
+        match self.spec {
+            PolicySpec::FairShare => ctx.submitted_delta as f64 + ctx.assignments as f64,
+            // Algorithm 2's contention kernel.
+            PolicySpec::Default | PolicySpec::Deadline | PolicySpec::SizeClass => {
+                nsq_merit_k(ctx.lock_wait, ctx.submitted_delta, ctx.claimed_cores)
+            }
+        }
+    }
+
+    /// Chooses the doorbell discipline for one per-NSQ submission batch
+    /// (the submission half of §5.3's SLA-aware I/O service dispatching).
+    #[inline]
+    pub fn doorbell(&self, ctx: &DoorbellCtx) -> DoorbellMode {
+        let immediate = match self.spec {
+            PolicySpec::Default => self.sla_dispatch && ctx.prio == Priority::High,
+            PolicySpec::Deadline => true,
+            PolicySpec::SizeClass | PolicySpec::FairShare => ctx.prio == Priority::High,
+        };
+        if immediate {
             DoorbellMode::Immediate
         } else {
             DoorbellMode::Batched
         }
     }
 
+    /// Chooses the completion discipline for one ISR invocation (the
+    /// completion half of §5.3's dispatching).
     #[inline]
-    fn reap(&mut self, ctx: &ReapCtx) -> CompletionMode {
-        if self.sla_dispatch && ctx.prio == Priority::High {
+    pub fn reap(&self, ctx: &ReapCtx) -> CompletionMode {
+        let per_request = match self.spec {
+            PolicySpec::Default => self.sla_dispatch && ctx.prio == Priority::High,
+            PolicySpec::Deadline => true,
+            PolicySpec::SizeClass | PolicySpec::FairShare => ctx.prio == Priority::High,
+        };
+        if per_request {
             CompletionMode::PerRequest
         } else {
             CompletionMode::Batched
@@ -349,184 +327,59 @@ impl Policy for DefaultPolicy {
     }
 }
 
-/// QWin-style deadline-aware routing: optimise for *every* tenant's tail
-/// deadline, not only the L-class.
-///
-/// Reads block their callers, so their effective deadline is tight no
-/// matter the issuer's SLA: `deadline` promotes T-tenant reads into the
-/// high-priority NQGroup with per-request queries, and runs latency-first
-/// service routines (immediate doorbells, per-request reaps) on *all*
-/// queues. T writes are asynchronous — deadline-slack — and stay on the
-/// tenant's default (low-group) NSQ.
-///
-/// The trade this policy makes visible in `ext_policy`: background T read
-/// streams flood the high group, so the L-class loses its isolation while
-/// T op tails improve — the opposite end of the design space from
-/// Algorithm 1's L-first stance.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeadlinePolicy;
-
-impl Policy for DeadlinePolicy {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    #[inline]
-    fn route(&mut self, ctx: &RouteCtx) -> RouteDecision {
-        if ctx.base_prio == Priority::High {
-            return RouteDecision::Default;
-        }
-        if ctx.outlier {
-            return RouteDecision::Outlier;
-        }
-        if !ctx.write {
-            // A blocking read on a deadline: per-request high-group query.
-            return RouteDecision::Query {
-                prio: Priority::High,
-                m: 1,
-            };
-        }
-        RouteDecision::Default
-    }
-
-    // ncq_merit / nsq_merit: Algorithm 2, the trait defaults.
-
-    #[inline]
-    fn doorbell(&mut self, _ctx: &DoorbellCtx) -> DoorbellMode {
-        DoorbellMode::Immediate
-    }
-
-    #[inline]
-    fn reap(&mut self, _ctx: &ReapCtx) -> CompletionMode {
-        CompletionMode::PerRequest
-    }
-}
-
-/// Size-class isolation: small requests high, bulk requests low, SLA-blind.
-///
-/// The classic storage heuristic (small I/O ≈ latency-sensitive, bulk I/O ≈
-/// bandwidth-bound) applied at the NQ layer: every request at or below
-/// [`SizeClassPolicy::threshold`] takes a per-request query into the
-/// high-priority NQGroup, everything larger a per-request query into the
-/// low group. Tenant identity, ionice, and outlier flags are ignored
-/// entirely — which `ext_policy` shows is both its strength (a T-tenant's
-/// small metadata I/O never queues behind bulk) and its weakness (an
-/// L-tenant's occasional large read loses its SLA).
-#[derive(Clone, Copy, Debug)]
-pub struct SizeClassPolicy {
-    /// Largest payload (bytes) still counted as the small class.
-    pub threshold: u64,
-}
-
-impl Default for SizeClassPolicy {
-    fn default() -> Self {
-        // 32 KiB: between the paper's 4 KiB L-requests and 128 KiB T-bulk.
-        SizeClassPolicy { threshold: 32 * 1024 }
-    }
-}
-
-impl Policy for SizeClassPolicy {
-    fn name(&self) -> &'static str {
-        "sizeclass"
-    }
-
-    #[inline]
-    fn route(&mut self, ctx: &RouteCtx) -> RouteDecision {
-        let prio = if ctx.bytes <= self.threshold {
-            Priority::High
-        } else {
-            Priority::Low
-        };
-        RouteDecision::Query { prio, m: 1 }
-    }
-
-    // Merits and batching: the trait defaults (Algorithm 2, SLA-aware).
-}
-
-/// Fair-share spray: every request queried, and the premium group shared
-/// out by quota instead of reserved for the SLA class.
-///
-/// Routing starts from Algorithm 1's SLA split (L and outliers high, T
-/// low) but abandons both tenant-default NSQs and strict reservation:
-/// every request takes a fresh `m = 1` query, and one in [`share`]
-/// low-priority requests is *promoted* into the high group, so background
-/// tenants are guaranteed a fixed slice of the premium path rather than
-/// only its leftovers. The merits rank queues by how many requests they
-/// carried in the last window plus how many tenants point at them — load
-/// share, not the lock-contention and IRQ-balancing signals Algorithm 2
-/// optimises. `ext_policy` shows what that buys (even utilisation, a
-/// throughput floor for T) and what it costs (L shares its fast path with
-/// promoted T traffic, scheduling work on every request).
-///
-/// [`share`]: FairSharePolicy::share
-#[derive(Clone, Copy, Debug)]
-pub struct FairSharePolicy {
-    /// Promote one in `share` low-priority requests to the high group.
-    /// Must be non-zero; the default is 4 (T gets a 25% slice).
-    pub share: u64,
-    low_seen: u64,
-}
-
-impl Default for FairSharePolicy {
-    fn default() -> Self {
-        FairSharePolicy {
-            share: 4,
-            low_seen: 0,
-        }
-    }
-}
-
-impl Policy for FairSharePolicy {
-    fn name(&self) -> &'static str {
-        "fairshare"
-    }
-
-    #[inline]
-    fn route(&mut self, ctx: &RouteCtx) -> RouteDecision {
-        let prio = if ctx.base_prio == Priority::High || ctx.outlier {
-            Priority::High
-        } else {
-            self.low_seen += 1;
-            if self.low_seen % self.share == 0 {
-                Priority::High
-            } else {
-                Priority::Low
-            }
-        };
-        RouteDecision::Query { prio, m: 1 }
-    }
-
-    #[inline]
-    fn ncq_merit(&mut self, ctx: &NcqMeritCtx) -> f64 {
-        // Share of recent completions + standing assignments: queues that
-        // carried more traffic rank worse, evening out the spray.
-        ctx.complete_delta as f64 + ctx.assignments
-    }
-
-    #[inline]
-    fn nsq_merit(&mut self, ctx: &NsqMeritCtx) -> f64 {
-        ctx.submitted_delta as f64 + ctx.assignments as f64
-    }
-
-    // Batching: the trait defaults (§5.3's SLA-aware modes).
-}
-
 /// Built-in policy selection, as configuration data.
 ///
 /// This is the `Copy` value that rides in [`DaredevilConfig`] (and through
-/// scenario specs); [`PolicyKind::from_config`] turns it into the live
-/// policy when a stack is built. Parse CLI names with
-/// [`PolicySpec::parse`].
+/// scenario specs); [`Policy::new`] turns it into the live policy when a
+/// stack is built. Parse CLI names with [`PolicySpec::parse`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PolicySpec {
-    /// Algorithm 1/2 + §5.3 dispatching ([`DefaultPolicy`]).
+    /// The paper's policy: Algorithm 1 routing, Algorithm 2 merits, and
+    /// §5.3's SLA-aware service dispatching.
     #[default]
     Default,
-    /// Deadline-aware routing ([`DeadlinePolicy`]).
+    /// QWin-style deadline-aware routing: optimise for *every* tenant's
+    /// tail deadline, not only the L-class.
+    ///
+    /// Reads block their callers, so their effective deadline is tight no
+    /// matter the issuer's SLA: T-tenant reads are promoted into the
+    /// high-priority NQGroup with per-request queries, and latency-first
+    /// service routines (immediate doorbells, per-request reaps) run on
+    /// *all* queues. T writes are asynchronous — deadline-slack — and stay
+    /// on the tenant's default (low-group) NSQ.
+    ///
+    /// The trade `ext_policy` makes visible: background T read streams
+    /// flood the high group, so the L-class loses its isolation while T op
+    /// tails improve — the opposite end of the design space from
+    /// Algorithm 1's L-first stance.
     Deadline,
-    /// Size-class isolation ([`SizeClassPolicy`]).
+    /// Size-class isolation: small requests high, bulk requests low,
+    /// SLA-blind.
+    ///
+    /// The classic storage heuristic (small I/O ≈ latency-sensitive, bulk
+    /// I/O ≈ bandwidth-bound) applied at the NQ layer: every request at or
+    /// below [`SIZECLASS_THRESHOLD`] takes a per-request query into the
+    /// high-priority NQGroup, everything larger a per-request query into
+    /// the low group. Tenant identity, ionice, and outlier flags are
+    /// ignored entirely — which `ext_policy` shows is both its strength (a
+    /// T-tenant's small metadata I/O never queues behind bulk) and its
+    /// weakness (an L-tenant's occasional large read loses its SLA).
     SizeClass,
-    /// Fair-share spray ([`FairSharePolicy`]).
+    /// Fair-share spray: every request queried, and the premium group
+    /// shared out by quota instead of reserved for the SLA class.
+    ///
+    /// Routing starts from Algorithm 1's SLA split (L and outliers high, T
+    /// low) but abandons both tenant-default NSQs and strict reservation:
+    /// every request takes a fresh `m = 1` query, and one in
+    /// [`FAIRSHARE_SHARE`] low-priority requests is *promoted* into the
+    /// high group, so background tenants are guaranteed a fixed slice of
+    /// the premium path rather than only its leftovers. The merits rank
+    /// queues by how many requests they carried in the last window plus
+    /// how many tenants point at them — load share, not the
+    /// lock-contention and IRQ-balancing signals Algorithm 2 optimises.
+    /// `ext_policy` shows what that buys (even utilisation, a throughput
+    /// floor for T) and what it costs (L shares its fast path with promoted
+    /// T traffic, scheduling work on every request).
     FairShare,
 }
 
@@ -561,87 +414,6 @@ impl PolicySpec {
     }
 }
 
-/// The built-in policies behind one enum: a single `match` per decision
-/// point, so [`crate::DaredevilStack`]'s default type parameter stays a
-/// concrete, non-generic type everywhere the testbed holds one.
-///
-/// Custom policies skip this enum entirely — implement [`Policy`] and use
-/// [`crate::DaredevilStack::with_policy`] for static dispatch.
-#[derive(Clone, Copy, Debug)]
-pub enum PolicyKind {
-    /// [`DefaultPolicy`].
-    Default(DefaultPolicy),
-    /// [`DeadlinePolicy`].
-    Deadline(DeadlinePolicy),
-    /// [`SizeClassPolicy`].
-    SizeClass(SizeClassPolicy),
-    /// [`FairSharePolicy`].
-    FairShare(FairSharePolicy),
-}
-
-impl PolicyKind {
-    /// Builds the configured policy for a stack configuration (the
-    /// ablation variant parameterises [`DefaultPolicy`]'s dispatching).
-    pub fn from_config(cfg: &DaredevilConfig) -> Self {
-        match cfg.policy {
-            PolicySpec::Default => {
-                PolicyKind::Default(DefaultPolicy::for_variant(cfg.variant))
-            }
-            PolicySpec::Deadline => PolicyKind::Deadline(DeadlinePolicy),
-            PolicySpec::SizeClass => PolicyKind::SizeClass(SizeClassPolicy::default()),
-            PolicySpec::FairShare => PolicyKind::FairShare(FairSharePolicy::default()),
-        }
-    }
-}
-
-impl Default for PolicyKind {
-    fn default() -> Self {
-        PolicyKind::Default(DefaultPolicy::default())
-    }
-}
-
-macro_rules! dispatch {
-    ($self:ident, $p:ident => $call:expr) => {
-        match $self {
-            PolicyKind::Default($p) => $call,
-            PolicyKind::Deadline($p) => $call,
-            PolicyKind::SizeClass($p) => $call,
-            PolicyKind::FairShare($p) => $call,
-        }
-    };
-}
-
-impl Policy for PolicyKind {
-    fn name(&self) -> &'static str {
-        dispatch!(self, p => p.name())
-    }
-
-    #[inline]
-    fn route(&mut self, ctx: &RouteCtx) -> RouteDecision {
-        dispatch!(self, p => p.route(ctx))
-    }
-
-    #[inline]
-    fn ncq_merit(&mut self, ctx: &NcqMeritCtx) -> f64 {
-        dispatch!(self, p => p.ncq_merit(ctx))
-    }
-
-    #[inline]
-    fn nsq_merit(&mut self, ctx: &NsqMeritCtx) -> f64 {
-        dispatch!(self, p => p.nsq_merit(ctx))
-    }
-
-    #[inline]
-    fn doorbell(&mut self, ctx: &DoorbellCtx) -> DoorbellMode {
-        dispatch!(self, p => p.doorbell(ctx))
-    }
-
-    #[inline]
-    fn reap(&mut self, ctx: &ReapCtx) -> CompletionMode {
-        dispatch!(self, p => p.reap(ctx))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,9 +429,17 @@ mod tests {
         }
     }
 
+    fn policy(spec: PolicySpec, variant: Variant) -> Policy {
+        Policy::new(&DaredevilConfig {
+            policy: spec,
+            variant,
+            ..DaredevilConfig::default()
+        })
+    }
+
     #[test]
     fn default_policy_is_algorithm_1() {
-        let mut p = DefaultPolicy::default();
+        let mut p = Policy::new(&DaredevilConfig::default());
         // Lines 1-2: L always default.
         assert_eq!(
             p.route(&ctx(Priority::High, true, false, 4096)),
@@ -679,7 +459,7 @@ mod tests {
 
     #[test]
     fn default_policy_merits_match_algorithm_2() {
-        let mut p = DefaultPolicy::default();
+        let p = Policy::new(&DaredevilConfig::default());
         let m = p.ncq_merit(&NcqMeritCtx {
             in_flight: 512,
             depth: 1024,
@@ -699,8 +479,8 @@ mod tests {
 
     #[test]
     fn default_policy_dispatch_follows_variant() {
-        let mut full = DefaultPolicy::for_variant(Variant::Full);
-        let mut sched = DefaultPolicy::for_variant(Variant::Sched);
+        let full = policy(PolicySpec::Default, Variant::Full);
+        let sched = policy(PolicySpec::Default, Variant::Sched);
         let high = DoorbellCtx {
             prio: Priority::High,
             commands: 1,
@@ -722,7 +502,7 @@ mod tests {
 
     #[test]
     fn deadline_promotes_t_reads_only() {
-        let mut p = DeadlinePolicy;
+        let mut p = policy(PolicySpec::Deadline, Variant::Full);
         assert_eq!(
             p.route(&ctx(Priority::Low, false, false, 131072)),
             RouteDecision::Query {
@@ -753,7 +533,7 @@ mod tests {
 
     #[test]
     fn sizeclass_ignores_sla() {
-        let mut p = SizeClassPolicy::default();
+        let mut p = policy(PolicySpec::SizeClass, Variant::Full);
         let small = RouteDecision::Query {
             prio: Priority::High,
             m: 1,
@@ -770,7 +550,7 @@ mod tests {
 
     #[test]
     fn fairshare_sprays_within_sla_groups() {
-        let mut p = FairSharePolicy::default();
+        let mut p = policy(PolicySpec::FairShare, Variant::Full);
         assert_eq!(
             p.route(&ctx(Priority::High, false, false, 4096)),
             RouteDecision::Query {
@@ -824,13 +604,13 @@ mod tests {
     }
 
     #[test]
-    fn kind_delegates_to_inner_policy() {
+    fn new_follows_config() {
         let cfg = DaredevilConfig {
             policy: PolicySpec::Deadline,
             ..DaredevilConfig::default()
         };
-        let mut k = PolicyKind::from_config(&cfg);
-        assert_eq!(k.name(), "deadline");
+        let mut k = Policy::new(&cfg);
+        assert_eq!(k.spec, PolicySpec::Deadline);
         assert_eq!(
             k.route(&ctx(Priority::Low, false, false, 131072)),
             RouteDecision::Query {
@@ -838,10 +618,8 @@ mod tests {
                 m: 1
             }
         );
-        let k = PolicyKind::from_config(&DaredevilConfig::sched());
-        match k {
-            PolicyKind::Default(d) => assert!(!d.sla_dispatch),
-            _ => panic!("sched config must build the default policy"),
-        }
+        let k = Policy::new(&DaredevilConfig::sched());
+        assert_eq!(k.spec, PolicySpec::Default);
+        assert!(!k.sla_dispatch);
     }
 }

@@ -23,19 +23,13 @@ use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 use crate::config::{DaredevilConfig, Variant};
 use crate::nproxy::{Priority, ProxyTable};
 use crate::nqreg::{divide_priorities, NqReg};
-use crate::policy::{DoorbellCtx, Policy, PolicyKind, ReapCtx};
+use crate::policy::{DoorbellCtx, Policy, ReapCtx};
 use crate::troute::Troute;
 
 /// The Daredevil kernel storage stack.
-///
-/// Generic over the scheduling [`Policy`] (static dispatch — the policy's
-/// decision hooks inline into the hot path). The default type parameter is
-/// [`PolicyKind`], the enum of built-in policies, so plain `DaredevilStack`
-/// holds whatever `cfg.policy` selects; custom policies plug in through
-/// [`DaredevilStack::with_policy`].
-pub struct DaredevilStack<P: Policy = PolicyKind> {
+pub struct DaredevilStack {
     cfg: DaredevilConfig,
-    policy: P,
+    policy: Policy,
     nqreg: NqReg,
     troute: Troute,
     proxies: ProxyTable,
@@ -43,7 +37,7 @@ pub struct DaredevilStack<P: Policy = PolicyKind> {
     irq_policy_configured: bool,
 }
 
-impl DaredevilStack<PolicyKind> {
+impl DaredevilStack {
     /// Builds the stack over a device with `nr_sqs` NSQs and `nr_cqs` NCQs
     /// where NSQ `i` pairs NCQ `cq_of(i)`. `nr_cores` is accepted for parity
     /// with the other stacks (Daredevil's routing is core-count independent).
@@ -54,35 +48,6 @@ impl DaredevilStack<PolicyKind> {
     /// Panics on an invalid [`DaredevilConfig`].
     pub fn new(
         cfg: DaredevilConfig,
-        nr_cores: u16,
-        nr_sqs: u16,
-        nr_cqs: u16,
-        cq_of: impl FnMut(u16) -> u16,
-    ) -> Self {
-        let policy = PolicyKind::from_config(&cfg);
-        Self::with_policy(cfg, policy, nr_cores, nr_sqs, nr_cqs, cq_of)
-    }
-
-    /// Convenience constructor from a device handle.
-    pub fn for_device(cfg: DaredevilConfig, nr_cores: u16, device: &dd_nvme::NvmeDevice) -> Self {
-        let nr_cqs = device.nr_cqs();
-        Self::new(cfg, nr_cores, device.nr_sqs(), nr_cqs, move |sq| {
-            sq % nr_cqs
-        })
-    }
-}
-
-impl<P: Policy> DaredevilStack<P> {
-    /// Builds the stack with an explicit (possibly custom) policy — the
-    /// static-dispatch entry point of the policy layer; see the
-    /// [`crate::policy`] module docs for a worked example.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid [`DaredevilConfig`].
-    pub fn with_policy(
-        cfg: DaredevilConfig,
-        policy: P,
         _nr_cores: u16,
         nr_sqs: u16,
         nr_cqs: u16,
@@ -104,16 +69,19 @@ impl<P: Policy> DaredevilStack<P> {
             troute: Troute::new(cfg.mru, cfg.profile_window),
             nqreg,
             proxies,
-            policy,
+            policy: Policy::new(&cfg),
             dispatch: Dispatch::new(nr_sqs),
             irq_policy_configured: false,
             cfg,
         }
     }
 
-    /// The active policy (read-only introspection).
-    pub fn policy(&self) -> &P {
-        &self.policy
+    /// Convenience constructor from a device handle.
+    pub fn for_device(cfg: DaredevilConfig, nr_cores: u16, device: &dd_nvme::NvmeDevice) -> Self {
+        let nr_cqs = device.nr_cqs();
+        Self::new(cfg, nr_cores, device.nr_sqs(), nr_cqs, move |sq| {
+            sq % nr_cqs
+        })
     }
 
     /// The ablation variant in use.
@@ -151,19 +119,9 @@ impl<P: Policy> DaredevilStack<P> {
     }
 }
 
-impl<P: Policy> StorageStack for DaredevilStack<P> {
+impl StorageStack for DaredevilStack {
     fn name(&self) -> &'static str {
-        // The paper's policy keeps the established variant names; an
-        // alternative policy names the stack after itself.
-        match (self.policy.name(), self.cfg.variant) {
-            ("default", Variant::Base) => "dare-base",
-            ("default", Variant::Sched) => "dare-sched",
-            ("default", Variant::Full) => "daredevil",
-            ("deadline", _) => "dare-deadline",
-            ("sizeclass", _) => "dare-sizeclass",
-            ("fairshare", _) => "dare-fairshare",
-            (other, _) => other,
-        }
+        self.cfg.stack_name()
     }
 
     fn capabilities(&self) -> Capabilities {
@@ -174,7 +132,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
         self.configure_irq_policy(env.device);
         self.troute.register(
             task,
-            &mut self.policy,
+            &self.policy,
             &mut self.nqreg,
             env.device,
             self.dispatch.locks(),
@@ -190,7 +148,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
         self.troute.update_ionice(
             pid,
             class,
-            &mut self.policy,
+            &self.policy,
             &mut self.nqreg,
             env.device,
             self.dispatch.locks(),
@@ -242,7 +200,7 @@ impl<P: Policy> StorageStack for DaredevilStack<P> {
                     base
                 };
                 self.nqreg.schedule(
-                    &mut self.policy,
+                    &self.policy,
                     prio,
                     1,
                     env.device,

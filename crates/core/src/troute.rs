@@ -17,7 +17,7 @@
 //! |---|---|
 //! | [`Troute::base_priority`] | SLA assessment from `ionice` (real-time ⇒ L), §5.2 |
 //! | [`Troute::register`] | tenant registration: default-NSQ assignment via a tenant-based nqreg query (`m = MRU`) |
-//! | [`Troute::route`] | Algorithm 1's *mechanism* — tenant lookup, profiling, path resolution; the lines 1–9 *decision* itself is [`crate::policy::Policy::route`], with [`crate::policy::DefaultPolicy`] reproducing the paper's exact branches |
+//! | [`Troute::route`] | Algorithm 1's *mechanism* — tenant lookup, profiling, path resolution; the lines 1–9 *decision* itself is [`crate::policy::Policy::route`], whose [`crate::PolicySpec::Default`] arm reproduces the paper's exact branches |
 //! | [`TenantRoute::outlier_tag`]/`outlier_sq` | the outlier-tendency tag and dedicated outlier NSQ, §5.2 |
 //! | [`QueryContext`] | tenant-based (`m = MRU`) vs request-specific (`m = 1`) query contexts, §5.2 |
 //! | [`Troute::update_ionice`] | runtime ionice updates re-scheduling the default NSQ (Fig. 14's storm path) |
@@ -101,10 +101,10 @@ impl Troute {
 
     /// Registers a tenant: assigns its default NSQ with a tenant-based
     /// query and claims its core on the proxy.
-    pub fn register<P: Policy>(
+    pub fn register(
         &mut self,
         task: &TaskStruct,
-        policy: &mut P,
+        policy: &Policy,
         nqreg: &mut NqReg,
         device: &NvmeDevice,
         locks: &NsqLockTable,
@@ -158,11 +158,11 @@ impl Troute {
     /// Handles a runtime ionice change: if the base priority flips, the
     /// default NSQ is re-scheduled (asynchronously to the I/O path in the
     /// kernel; one extra nqreg query here, §5.2).
-    pub fn update_ionice<P: Policy>(
+    pub fn update_ionice(
         &mut self,
         pid: Pid,
         ionice: IoPriorityClass,
-        policy: &mut P,
+        policy: &Policy,
         nqreg: &mut NqReg,
         device: &NvmeDevice,
         locks: &NsqLockTable,
@@ -221,16 +221,16 @@ impl Troute {
     ///
     /// The *decision* — which of the three paths the request takes — comes
     /// from [`Policy::route`] (Algorithm 1 under
-    /// [`crate::policy::DefaultPolicy`]); troute resolves it against the
+    /// [`crate::PolicySpec::Default`]); troute resolves it against the
     /// tenant table. The outlier-tendency profiler runs for every T-tenant
     /// request regardless of the decision, so the tenant's tag state stays
     /// policy-independent: crossing the tendency threshold assigns (or
     /// drops) the tenant's outlier NSQ.
-    pub fn route<P: Policy>(
+    pub fn route(
         &mut self,
         bio: &Bio,
         now: SimTime,
-        policy: &mut P,
+        policy: &mut Policy,
         nqreg: &mut NqReg,
         device: &NvmeDevice,
         locks: &NsqLockTable,
@@ -293,10 +293,10 @@ impl Troute {
     /// Re-evaluates a T-tenant's outlier tendency: tagged when outlier
     /// requests are within the same order of magnitude as normal ones
     /// (outliers × 10 ≥ normals, §5.2).
-    fn reevaluate_tag<P: Policy>(
+    fn reevaluate_tag(
         &mut self,
         pid: Pid,
-        policy: &mut P,
+        policy: &Policy,
         nqreg: &mut NqReg,
         device: &NvmeDevice,
         locks: &NsqLockTable,
@@ -354,7 +354,7 @@ impl Troute {
 mod tests {
     use super::*;
     use crate::nqreg::divide_priorities;
-    use crate::policy::DefaultPolicy;
+    use crate::config::DaredevilConfig;
     use blkstack::bio::{BioId, ReqFlags};
     use dd_nvme::{IoOpcode, NamespaceId, NvmeConfig};
     use simkit::SimTime;
@@ -365,7 +365,7 @@ mod tests {
         proxies: ProxyTable,
         nqreg: NqReg,
         troute: Troute,
-        pol: DefaultPolicy,
+        pol: Policy,
     }
 
     fn fixture() -> Fixture {
@@ -387,7 +387,7 @@ mod tests {
             proxies,
             nqreg,
             troute: Troute::new(4, 8),
-            pol: DefaultPolicy::default(),
+            pol: Policy::new(&DaredevilConfig::default()),
         }
     }
 
@@ -414,7 +414,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(1, 0, IoPriorityClass::RealTime),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -431,7 +431,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 1, IoPriorityClass::BestEffort),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -447,7 +447,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(1, 0, IoPriorityClass::RealTime),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -473,7 +473,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -509,7 +509,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -556,7 +556,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -587,7 +587,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -597,7 +597,7 @@ mod tests {
         f.troute.update_ionice(
             Pid(2),
             IoPriorityClass::RealTime,
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -613,7 +613,7 @@ mod tests {
         f.troute.update_ionice(
             Pid(2),
             IoPriorityClass::RealTime,
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -627,7 +627,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(1, 0, IoPriorityClass::RealTime),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -645,7 +645,7 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -664,7 +664,7 @@ mod tests {
         // must keep the core bit set.
         f.troute.register(
             &task(1, 0, IoPriorityClass::RealTime),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
@@ -672,7 +672,7 @@ mod tests {
         );
         f.troute.register(
             &task(2, 0, IoPriorityClass::RealTime),
-            &mut f.pol,
+            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,

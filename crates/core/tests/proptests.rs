@@ -11,8 +11,7 @@ use blkstack::bio::{Bio, BioId, ReqFlags};
 use blkstack::nsqlock::NsqLockTable;
 use blkstack::{IoPriorityClass, Pid, TaskStruct};
 use daredevil::nqreg::divide_priorities;
-use daredevil::policy::DefaultPolicy;
-use daredevil::{NqReg, Priority, ProxyTable, Troute};
+use daredevil::{DaredevilConfig, NqReg, Policy, Priority, ProxyTable, Troute};
 use dd_nvme::{IoOpcode, NamespaceId, NvmeConfig, NvmeDevice, SqId};
 use simkit::SimTime;
 
@@ -22,7 +21,7 @@ struct Fixture {
     proxies: ProxyTable,
     nqreg: NqReg,
     troute: Troute,
-    pol: DefaultPolicy,
+    pol: Policy,
 }
 
 fn fixture(nr_queues: u16) -> Fixture {
@@ -44,7 +43,7 @@ fn fixture(nr_queues: u16) -> Fixture {
         proxies,
         nqreg,
         troute: Troute::new(4, 8),
-        pol: DefaultPolicy::default(),
+        pol: Policy::new(&DaredevilConfig::default()),
     }
 }
 
@@ -84,7 +83,7 @@ fn troute_l_requests_never_low_priority() {
         for (i, &(ionice, core)) in tenants.iter().enumerate() {
             let task = TaskStruct::new(Pid(i as u64), core, ionice, NamespaceId(1), "p");
             f.troute
-                .register(&task, &mut f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
+                .register(&task, &f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
         }
         // Drive a random request stream and check every routing decision.
         let requests = c.vec_of(1, 200, |c| {
@@ -152,7 +151,7 @@ fn troute_claims_balance_on_deregister() {
             };
             let task = TaskStruct::new(Pid(i as u64), c.u16_in(0, 4), ionice, NamespaceId(1), "p");
             f.troute
-                .register(&task, &mut f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
+                .register(&task, &f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
         }
         // Random request traffic (may create outlier NSQ claims)...
         for _ in 0..c.usize_in(0, 100) {
@@ -207,7 +206,7 @@ fn troute_never_routes_against_stale_sla_under_flapping() {
             ionice.push(io);
             let task = TaskStruct::new(Pid(i as u64), c.u16_in(0, 4), io, NamespaceId(1), "p");
             f.troute
-                .register(&task, &mut f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
+                .register(&task, &f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
         }
         // A storm of interleaved flips and requests: each step is either an
         // ionice update (the 10 µs flapper firing) or an I/O arriving
@@ -225,7 +224,7 @@ fn troute_never_routes_against_stale_sla_under_flapping() {
                 f.troute.update_ionice(
                     Pid(pid as u64),
                     io,
-                    &mut f.pol,
+                    &f.pol,
                     &mut f.nqreg,
                     &f.device,
                     &f.locks,
@@ -321,7 +320,7 @@ fn divide_priorities_partitions() {
     });
 }
 
-/// The extracted [`DefaultPolicy`] *is* Algorithm 1 and Algorithm 2: over
+/// The default [`Policy`] *is* Algorithm 1 and Algorithm 2: over
 /// arbitrary request contexts its route decision matches the pre-refactor
 /// inline logic (High or non-outlier → default NSQ, Low outlier → outlier
 /// path), and its merits are exactly the published `ncq_merit_k` /
@@ -330,12 +329,12 @@ fn divide_priorities_partitions() {
 /// the live-run half.
 #[test]
 fn default_policy_matches_algorithms_1_and_2() {
-    use daredevil::policy::{NcqMeritCtx, NsqMeritCtx, Policy, RouteCtx, RouteDecision};
+    use daredevil::policy::{NcqMeritCtx, NsqMeritCtx, RouteCtx, RouteDecision};
     use daredevil::{ncq_merit_k, nsq_merit_k};
     use simkit::SimDuration;
 
     check("default_policy_matches_algorithms_1_and_2", |c| {
-        let mut pol = DefaultPolicy::default();
+        let mut pol = Policy::new(&DaredevilConfig::default());
         let base_prio = if c.u8_in(0, 2) == 1 {
             Priority::High
         } else {

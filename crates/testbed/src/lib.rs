@@ -43,7 +43,7 @@ pub use simkit::RunArena;
 
 /// Runs a scenario to completion and returns its measurements.
 pub fn run(scenario: Scenario) -> RunOutput {
-    Machine::new(scenario).run()
+    run_in(scenario, &mut RunArena::new())
 }
 
 /// Runs a scenario to completion, recycling the machine's growable

@@ -193,19 +193,10 @@ fn materialize(tenant: &mut Tenant, io: IoDesc, id: u64, now: SimTime) -> Bio {
 }
 
 impl Machine {
-    /// Builds a machine from a validated scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario fails validation.
-    pub fn new(scenario: Scenario) -> Self {
-        Self::new_in(scenario, &mut RunArena::new())
-    }
-
     /// Builds a machine from a validated scenario, adopting warm
     /// allocations from `arena` where a previous [`Machine::run_in`] parked
-    /// them. On an empty arena this is exactly [`Machine::new`]; on a warm
-    /// one, the event queue, CPU system, device output, scratch buffers,
+    /// them. On an empty arena every structure is allocated fresh; on a
+    /// warm one, the event queue, CPU system, device output, scratch buffers,
     /// tenant/series tables, and the stack's request map all reuse their
     /// previous runs' capacity. Behaviour is byte-identical either way —
     /// every recycled structure's reset restores fresh logical state
@@ -798,15 +789,10 @@ impl Machine {
         self.with_env(|stack, env| stack.on_watchdog(env));
     }
 
-    /// Runs the scenario to completion.
-    pub fn run(self) -> RunOutput {
-        self.run_in(&mut RunArena::new())
-    }
-
     /// Runs the scenario to completion, parking the machine's growable
     /// structures in `arena` at teardown so the next [`Machine::new_in`]
-    /// on this arena rebuilds nothing. The output is byte-identical to
-    /// [`Machine::run`].
+    /// on this arena rebuilds nothing. The output does not depend on what
+    /// the arena held.
     pub fn run_in(mut self, arena: &mut RunArena) -> RunOutput {
         self.bootstrap();
         let mut window_end = self.stop_at;

@@ -114,14 +114,7 @@ impl StackSpec {
                     "virtio-naive"
                 }
             }
-            StackSpec::Daredevil(c) => match (c.policy, c.variant) {
-                (daredevil::PolicySpec::Default, daredevil::Variant::Base) => "dare-base",
-                (daredevil::PolicySpec::Default, daredevil::Variant::Sched) => "dare-sched",
-                (daredevil::PolicySpec::Default, daredevil::Variant::Full) => "daredevil",
-                (daredevil::PolicySpec::Deadline, _) => "dare-deadline",
-                (daredevil::PolicySpec::SizeClass, _) => "dare-sizeclass",
-                (daredevil::PolicySpec::FairShare, _) => "dare-fairshare",
-            },
+            StackSpec::Daredevil(c) => c.stack_name(),
         }
     }
 
@@ -465,6 +458,31 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every (variant, policy) pair names its stack distinctly, and the
+    /// spec's name is the built stack's, so `--policy` never merges the
+    /// rows of an ablation table.
+    #[test]
+    fn daredevil_names_are_distinct_and_match_the_stack() {
+        let mut seen = Vec::new();
+        for base in [
+            StackSpec::dare_base(),
+            StackSpec::dare_sched(),
+            StackSpec::daredevil(),
+        ] {
+            for policy in daredevil::PolicySpec::ALL {
+                let spec = base.clone().with_policy(policy);
+                let StackSpec::Daredevil(cfg) = &spec else {
+                    unreachable!()
+                };
+                let stack = daredevil::DaredevilStack::new(*cfg, 4, 8, 8, |sq| sq % 8);
+                assert_eq!(spec.name(), blkstack::StorageStack::name(&stack));
+                assert!(!seen.contains(&spec.name()), "{} repeats", spec.name());
+                seen.push(spec.name());
+            }
+        }
+        assert_eq!(seen.len(), 12);
+    }
 
     #[test]
     fn multi_tenant_population() {

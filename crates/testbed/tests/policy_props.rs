@@ -187,7 +187,7 @@ fn explicit_default_policy_is_identity() {
 /// scenario, every alternative produces a routing split that differs from
 /// the default's, and the stack reports the policy's name. Guards against
 /// a regression where `--policy` parses but the stack silently keeps
-/// `DefaultPolicy`.
+/// the default policy.
 #[test]
 fn alternative_policies_take_effect() {
     let scenario = |spec: PolicySpec| {

@@ -32,10 +32,15 @@ cargo test -q
 echo "== verify: workspace test suite (all crates, incl. dd-check self-tests) =="
 cargo test -q --workspace
 
+echo "== verify: the benchmark package builds and its tests pass =="
+# ddbench is a package of its own, outside the workspace: without this
+# gate an API change in testbed, simkit or blkstack could break it unseen.
+cargo test -q --manifest-path ddbench/Cargo.toml
+
 echo "== verify: rustdoc builds warning-free (docs are a gated layer) =="
-# The policy layer ships as documentation (trait docs, the "Writing a
-# policy" walkthrough, paper-mapping tables): broken intra-doc links or
-# malformed doc markup are build failures, not noise.
+# The policy layer ships as documentation (the `Policy` type's docs, the
+# "Adding a policy" steps, paper-mapping tables): broken intra-doc links
+# or malformed doc markup are build failures, not noise.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "  cargo doc --no-deps: clean under -D warnings"
 

@@ -7,6 +7,9 @@
 //! cargo run --release --bin ddsim -- --list-stacks
 //! ```
 
+use std::io::{self, Write};
+
+use bench::cli::write_stdout;
 use daredevil_repro::blkstack::iosched::SchedKind;
 use daredevil_repro::metrics::table::fmt_ms;
 use daredevil_repro::metrics::SpanTable;
@@ -97,13 +100,15 @@ fn parse_args() -> Args {
             "--measure-ms" => args.measure_ms = cli.int(flag, 0),
             "--seed" => args.seed = cli.int(flag, 0),
             "--list-stacks" => {
-                for (name, _) in STACKS {
-                    println!("{name}");
-                }
+                write_stdout(|out| {
+                    STACKS
+                        .iter()
+                        .try_for_each(|(name, _)| writeln!(out, "{name}"))
+                });
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                println!("{usage}");
+                write_stdout(|out| writeln!(out, "{usage}"));
                 std::process::exit(0);
             }
             other => cli.fail(format!("unknown argument {other:?}")),
@@ -140,11 +145,17 @@ fn main() {
     });
 
     let out = daredevil_repro::testbed::run(scenario);
-    println!("{}", out.summary.headline());
-    println!();
+    write_stdout(|w| report(w, &out, args.warmup_ms));
+}
+
+/// Prints the run's per-class latencies, phase split and counters.
+fn report(w: &mut impl Write, out: &RunOutput, warmup_ms: u64) -> io::Result<()> {
+    writeln!(w, "{}", out.summary.headline())?;
+    writeln!(w)?;
     for class in out.summary.classes() {
         let c = out.summary.class(&class);
-        println!(
+        writeln!(
+            w,
             "{:>4}: n={:<8} p50={:>10}  p99={:>10}  p99.9={:>10}  {:.0} IOPS  {:.1} MB/s",
             class,
             c.ios_completed,
@@ -153,11 +164,14 @@ fn main() {
             fmt_ms(c.latency.p999()),
             c.iops(out.summary.window_secs()),
             c.throughput_mbps(out.summary.window_secs()),
-        );
+        )?;
     }
-    println!("\nlatency phases (avg ms: in-NSQ wait / device service / delivery):");
+    writeln!(
+        w,
+        "\nlatency phases (avg ms: in-NSQ wait / device service / delivery):"
+    )?;
     let spans = SpanTable::build(&out.trace);
-    let window_start = SimTime::from_millis(args.warmup_ms);
+    let window_start = SimTime::from_millis(warmup_ms);
     for class in out.summary.classes() {
         let in_class = |s: &daredevil_repro::metrics::Span| {
             s.sla.name() == class && s.completed_at().is_some_and(|t| t >= window_start)
@@ -166,7 +180,8 @@ fn main() {
         if wait.count == 0 {
             continue;
         }
-        println!(
+        writeln!(
+            w,
             "{:>4}: {:.3} / {:.3} / {:.3}",
             class,
             wait.avg_ms(),
@@ -176,23 +191,26 @@ fn main() {
             spans
                 .segment_stats(Phase::FlashDone, Phase::Complete, in_class)
                 .avg_ms(),
-        );
+        )?;
     }
     if out.trace_dropped > 0 {
-        println!(
+        writeln!(
+            w,
             "(trace ring wrapped: {} events evicted; phase averages are partial)",
             out.trace_dropped
-        );
+        )?;
     }
     let st = &out.stack_stats;
-    println!(
+    writeln!(
+        w,
         "\nstack: {} submitted, {} completed ({} remote), {} requeues, {} steering actions",
         st.submitted_rqs, st.completed_rqs, st.remote_completions, st.requeues, st.steering_actions
-    );
-    println!(
+    )?;
+    writeln!(
+        w,
         "device: flash queue delay {}, events {}, T fairness (Jain) {:.3}",
         out.flash_queue_delay,
         out.events_processed,
         out.summary.jain_fairness("T"),
-    );
+    )
 }

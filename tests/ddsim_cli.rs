@@ -1,7 +1,8 @@
 //! `ddsim` rejects bad input itself: exit 2 naming the bad flag, never a
 //! panic (exit 101) inside the scenario constructors.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
 
 fn ddsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ddsim"))
@@ -57,4 +58,25 @@ fn every_listed_stack_runs() {
     }
     let args = ["--namespaces", "4", "--warmup-ms", "1", "--measure-ms", "2"];
     expect_exit(&args, 0);
+}
+
+/// `ddsim | head -1` with the reader gone before the report: the write
+/// fails with a broken pipe, which ends the run with exit 0 instead of a
+/// panic. ddsim writes its whole report at once after the run, so the
+/// read end is dropped before the first line rather than after it.
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ddsim"))
+        .args(["--machine", "small", "--l", "1", "--t", "2", "--measure-ms", "20"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run ddsim");
+    drop(child.stdout.take());
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    let status = child.wait().expect("wait for ddsim");
+    assert_ne!(status.code(), Some(101), "ddsim panicked: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
