@@ -185,7 +185,7 @@ fn bench_substrate(set: &mut BenchSet) {
     }
 }
 
-/// Bucketed [`EventQueue`] vs the reference [`HeapQueue`] under three
+/// Bucketed [`EventQueue`] vs the reference [`HeapQueue`] under four
 /// event shapes.
 ///
 /// * `churn_*` — steady state: one pop, one push per iteration, 95 % of
@@ -202,6 +202,11 @@ fn bench_substrate(set: &mut BenchSet) {
 ///   ~30 µs apart and one push in six goes beyond the window.
 /// * `drain_*` — batch fill then full drain, measuring amortized
 ///   per-event cost when the queue depth spikes (storm reschedules).
+/// * `same_instant_*` — the machine's dispatch pattern over 512 pending
+///   work completions: an iteration pops a completion at `t`, pushes a
+///   core dispatch at `t`, pops it, and pushes the next completion
+///   0.5–64.5 µs later. The bucketed queue inserts the dispatch next to
+///   the tail of the bucket it is draining.
 fn bench_event_queues(set: &mut BenchSet) {
     macro_rules! churn {
         ($name:literal, $ty:ident, $payload:expr) => {{
@@ -282,6 +287,34 @@ fn bench_event_queues(set: &mut BenchSet) {
     }
     drain!("event_queue/drain_bucketed", EventQueue);
     drain!("event_queue/drain_heap", HeapQueue);
+
+    macro_rules! same_instant {
+        ($name:literal, $ty:ident) => {{
+            // Payload: 0 is a work completion, 1 a core dispatch.
+            let mut q: $ty<u32> = $ty::with_capacity(1024);
+            let mut rng = SimRng::new(5);
+            for _ in 0..512 {
+                q.push(SimTime::from_nanos(rng.next_u64() % 64_000), 0u32);
+            }
+            set.bench($name, move || {
+                for _ in 0..2 {
+                    let (at, kind) = q.pop().expect("completions re-arm forever");
+                    if kind == 0 {
+                        // A core finishes its work and dispatches the next
+                        // item at the same instant...
+                        q.push(at, 1);
+                    } else {
+                        // ...which runs and completes Δ later.
+                        let cost = 500 + rng.next_u64() % 64_000;
+                        q.push(at + SimDuration::from_nanos(cost), 0);
+                    }
+                }
+                black_box(q.len())
+            });
+        }};
+    }
+    same_instant!("event_queue/same_instant_bucketed", EventQueue);
+    same_instant!("event_queue/same_instant_heap", HeapQueue);
 
     // Batched insertion vs a loop of singleton pushes — the drain_effects
     // shape: a burst of already-time-ordered device events entering the

@@ -45,6 +45,7 @@ impl SqMask {
     /// An empty mask sized for `nr_sqs` queues.
     pub fn new(nr_sqs: u16) -> Self {
         SqMask {
+            // dd-alloc-allowlist: construction; one bit per SQ.
             words: vec![0u64; (nr_sqs as usize).div_ceil(64)],
             nr: nr_sqs,
         }
@@ -275,6 +276,7 @@ impl WrrArbiter {
             "WRR weights must be positive"
         );
         WrrArbiter {
+            // dd-alloc-allowlist: construction; one class per SQ.
             classes: vec![SqPriorityClass::Medium; nr_sqs as usize],
             weights,
             credits: [

@@ -244,6 +244,7 @@ impl NvmeDevice {
             vectors,
             fetching: false,
             inflight_pages: 0,
+            // dd-alloc-allowlist: construction; one entry per CQ.
             coalesce: vec![(true, false); config.nr_cqs as usize],
             stats: DeviceStats::default(),
             faults: FaultPlan::disabled(),

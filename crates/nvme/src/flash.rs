@@ -119,7 +119,9 @@ impl FlashBackend {
     /// Creates an idle backend.
     pub fn new(config: FlashConfig) -> Self {
         FlashBackend {
+            // dd-alloc-allowlist: construction; one clock per channel.
             channel_free_at: vec![SimTime::ZERO; config.channels as usize],
+            // dd-alloc-allowlist: construction; one clock per die.
             die_free_at: vec![SimTime::ZERO; config.total_dies()],
             config,
             pages_serviced: 0,

@@ -198,6 +198,7 @@ const fn granule(at: SimTime) -> u64 {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
+        // dd-alloc-allowlist: construction; the ring's fixed bucket array.
         let mut buckets = Vec::with_capacity(NEAR_BUCKETS);
         buckets.resize_with(NEAR_BUCKETS, Bucket::new);
         EventQueue {

@@ -353,6 +353,13 @@ impl<K: Key, V> DenseMap<K, V> {
         self.entries.is_empty()
     }
 
+    /// Entries the map holds before its next allocation (dense storage or
+    /// index, whichever fills first). It grows on every allocation, so
+    /// capacity-stability probes can watch it.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity().min(self.index.len() / 2)
+    }
+
     /// Index slot of `key` if present.
     fn find_slot(&self, key: K) -> Option<usize> {
         if self.index.is_empty() {
@@ -594,6 +601,21 @@ mod tests {
             }
             assert!(m.is_empty());
         }
+    }
+
+    #[test]
+    fn dense_map_capacity_moves_only_when_it_allocates() {
+        let mut m: DenseMap<u64, u64> = DenseMap::new();
+        assert_eq!(m.capacity(), 0);
+        m.reserve(100);
+        let cap = m.capacity();
+        assert!(cap >= 100);
+        for k in 0..cap as u64 {
+            m.insert(k * 7, k);
+        }
+        assert_eq!(m.capacity(), cap, "filling to capacity allocates nothing");
+        m.insert(u64::MAX, 0);
+        assert!(m.capacity() > cap, "one more entry allocates and shows");
     }
 
     #[test]

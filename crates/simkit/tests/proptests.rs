@@ -46,29 +46,41 @@ const WINDOW_NS: u64 = (NEAR_BUCKETS as u64) << GRANULE_SHIFT;
 /// Quiet-gap steps drain everything inside the window and then push only
 /// beyond it, so the ring empties, the cursor jumps, and far timers
 /// migrate in across many windows over a script of up to ~2 000 steps.
+/// Two step classes push at exactly the last popped time, as the
+/// simulator's core dispatches do, singly and in batches mixed with later
+/// (and now and then earlier) items, so the draining bucket takes inserts
+/// next to its tail; a rare step clears or arena-resets a non-empty
+/// queue.
 #[test]
 fn event_queue_matches_heap_reference() {
+    use simkit::arena::ArenaReset;
     check("event_queue_matches_heap_reference", |c| {
         let steps = c.vec_of(1, 2000, |c| {
             // (is_pop, horizon-class, delta-within-class)
             let pop = c.bool_with(0.45);
-            let class = c.u32_in(0, 5);
+            let class = c.u32_in(0, 8);
             let delta = c.u64_in(0, 4095);
             (pop, class, delta)
         });
         let mut bucketed: EventQueue<u64> = EventQueue::new();
         let mut reference: HeapQueue<u64> = HeapQueue::new();
-        // `now` trails the last popped time, as in a simulation — but
+        // `now` trails the largest popped time, as in a simulation — but
         // pushes may also land *behind* it (class 3) to exercise the
-        // behind-cursor path.
+        // behind-cursor path. `last` is the last popped time, pulled back
+        // by any push behind it, so same-instant pushes follow a push
+        // behind the drain point at its time.
         let mut now: u64 = 0;
+        let mut last: u64 = 0;
         for (i, &(pop, class, delta)) in steps.iter().enumerate() {
+            // Unique payloads: a batch tags its items tag + 0..8.
+            let tag = i as u64 * 8;
             if pop {
                 let a = bucketed.pop();
                 let b = reference.pop();
                 prop_assert_eq!(a, b, "pop #{i} diverged: bucketed={a:?} reference={b:?}");
                 if let Some((t, _)) = a {
-                    now = now.max(t.as_nanos());
+                    last = t.as_nanos();
+                    now = now.max(last);
                 }
             } else if class == 4 {
                 // Quiet gap: drain the near work, then arm one timer
@@ -80,20 +92,56 @@ fn event_queue_matches_heap_reference() {
                     let a = bucketed.pop();
                     let b = reference.pop();
                     prop_assert_eq!(a, b, "gap drain at step #{i} diverged");
-                    now = now.max(a.expect("peeked").0.as_nanos());
+                    last = a.expect("peeked").0.as_nanos();
+                    now = now.max(last);
                 }
                 let at = now + WINDOW_NS + (delta << 10);
-                bucketed.push(SimTime::from_nanos(at), i as u64);
-                reference.push(SimTime::from_nanos(at), i as u64);
+                bucketed.push(SimTime::from_nanos(at), tag);
+                reference.push(SimTime::from_nanos(at), tag);
+            } else if class == 6 {
+                // Batch of 1–6 items, each at the last popped time or up
+                // to ~4 µs past `now`; one batch in 64 also holds an item
+                // behind the last popped time.
+                let mut items: Vec<(SimTime, u64)> = (0..1 + delta % 6)
+                    .map(|k| {
+                        let at = if delta >> (3 + k) & 1 == 1 {
+                            last
+                        } else {
+                            now + ((delta >> k) & 0xfff)
+                        };
+                        (SimTime::from_nanos(at), tag + k)
+                    })
+                    .collect();
+                if delta % 64 == 63 {
+                    let behind = SimTime::from_nanos(last.saturating_sub(delta));
+                    items.insert(1, (behind, tag + 7));
+                }
+                bucketed.push_batch(items.iter().copied());
+                for (at, e) in items {
+                    reference.push(at, e);
+                    last = last.min(at.as_nanos());
+                }
+            } else if class == 7 && delta % 32 == 0 {
+                // Rare: drop everything, often with events at `last` queued.
+                if delta % 64 == 0 {
+                    bucketed.clear();
+                    reference.clear();
+                } else {
+                    bucketed.arena_reset();
+                    reference = HeapQueue::new();
+                    (now, last) = (0, 0);
+                }
             } else {
                 let at = match class {
                     0 => now + delta,               // near: ≤ ~4 µs ahead
                     1 => now + (delta << 8),        // mid: ≤ ~1 ms ahead
                     2 => now + (delta << 16),       // far beyond the window
-                    _ => now.saturating_sub(delta), // behind the drain point
+                    3 => now.saturating_sub(delta), // behind the drain point
+                    _ => last,                      // same instant (5, 7)
                 };
-                bucketed.push(SimTime::from_nanos(at), i as u64);
-                reference.push(SimTime::from_nanos(at), i as u64);
+                bucketed.push(SimTime::from_nanos(at), tag);
+                reference.push(SimTime::from_nanos(at), tag);
+                last = last.min(at);
             }
             prop_assert_eq!(bucketed.len(), reference.len());
             prop_assert_eq!(bucketed.peek_time(), reference.peek_time());

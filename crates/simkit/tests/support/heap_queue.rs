@@ -82,6 +82,11 @@ impl<E> HeapQueue<E> {
         self.heap.len()
     }
 
+    /// Drops all pending events; sequence numbers keep counting.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+    }
+
     /// Total number of events ever pushed.
     pub fn pushed_total(&self) -> u64 {
         self.next_seq

@@ -329,6 +329,7 @@ impl Machine {
             stop_at,
             cpu_baseline: arena.take(0),
             series: arena.take(0),
+            // dd-alloc-allowlist: once per machine; app op classes only.
             op_lat: HashMap::new(),
             active_apps,
             events_processed: 0,
@@ -912,6 +913,7 @@ impl Machine {
         }
 
         let core_busy_frac = if self.cpu_baseline.is_empty() {
+            // dd-alloc-allowlist: once per run, after the event loop.
             vec![0.0; self.cpu.nr_cores() as usize]
         } else {
             self.cpu

@@ -26,12 +26,10 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use blkstack::stack::{StackEnv, StackStats, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 use dd_nvme::{CqId, NamespaceId};
-use simkit::SimDuration;
+use simkit::{DenseMap, SimDuration};
 
 /// How guest requests map onto virtqueues.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,6 +43,11 @@ pub enum VqMode {
 /// Per-request virtio/vhost overhead (VQ kick, descriptor translation,
 /// vhost handoff).
 pub const VIRTIO_PER_RQ: SimDuration = SimDuration::from_micros(2);
+
+/// Bios the rewrite scratch is pre-sized for: one tenant's batch, as many
+/// as the testbed's own batch scratch holds. A batch is at most the
+/// tenant's queue depth, far below the I/Os in flight that size the map.
+const BATCH_RESERVE: usize = 64;
 
 /// Offset for synthesized vhost proxy pids, far above tenant pids.
 const PROXY_PID_BASE: u64 = 1 << 32;
@@ -60,12 +63,16 @@ pub struct VirtioBlk {
     inner: Box<dyn StorageStack>,
     mode: VqMode,
     /// Guest tenants, as seen inside their VMs.
-    guests: HashMap<Pid, GuestTenant>,
+    guests: DenseMap<Pid, GuestTenant>,
     /// vhost proxy identities already registered with the host stack,
-    /// keyed by (vm, is_latency_class).
-    proxies: HashMap<(u32, bool), Pid>,
-    /// Original bios of in-flight rewritten requests, keyed by bio id.
-    in_flight: HashMap<u64, Bio>,
+    /// keyed by `vm * 2 + is_latency_class`, which is also the pid offset.
+    proxies: DenseMap<u64, Pid>,
+    /// What the rewrite replaced in each in-flight request (its guest
+    /// tenant and flags), keyed by bio id.
+    in_flight: DenseMap<u64, (Pid, blkstack::ReqFlags)>,
+    /// The batch being forwarded, rewritten to its vhost identity; reused
+    /// across submits.
+    rewritten: Vec<Bio>,
     /// Requests forwarded through the layer.
     forwarded: u64,
 }
@@ -76,9 +83,11 @@ impl VirtioBlk {
         VirtioBlk {
             inner,
             mode,
-            guests: HashMap::new(),
-            proxies: HashMap::new(),
-            in_flight: HashMap::new(),
+            guests: DenseMap::new(),
+            proxies: DenseMap::new(),
+            in_flight: DenseMap::new(),
+            // dd-alloc-allowlist: empty Vec, sized once by `reserve`.
+            rewritten: Vec::new(),
             forwarded: 0,
         }
     }
@@ -107,11 +116,11 @@ impl VirtioBlk {
             VqMode::Naive => false,
             VqMode::SlaAware => guest_ionice.is_latency_sensitive(),
         };
-        let key = (vm.0, latency_class);
-        if let Some(&pid) = self.proxies.get(&key) {
+        let key = u64::from(vm.0) * 2 + u64::from(latency_class);
+        if let Some(&pid) = self.proxies.get(key) {
             return pid;
         }
-        let pid = Pid(PROXY_PID_BASE + (vm.0 as u64) * 2 + latency_class as u64);
+        let pid = Pid(PROXY_PID_BASE + key);
         let ionice = if latency_class {
             IoPriorityClass::RealTime
         } else {
@@ -123,13 +132,15 @@ impl VirtioBlk {
         pid
     }
 
-    /// Restores the original guest bios on completions the inner stack
-    /// appended during the last call.
+    /// Restores the guest tenant and flags on completions the inner stack
+    /// appended during the last call. The rewrite changes nothing else,
+    /// and host stacks hand each bio back as they got it.
     fn restore_completions(&mut self, env: &mut StackEnv<'_>, from: usize) {
         for c in env.completions[from..].iter_mut() {
-            if let Some(original) = self.in_flight.remove(&c.bio.id.0) {
+            if let Some((tenant, flags)) = self.in_flight.remove(c.bio.id.0) {
                 // Keep the inner timestamps; restore identity and metadata.
-                c.bio = original;
+                c.bio.tenant = tenant;
+                c.bio.flags = flags;
             }
         }
     }
@@ -160,13 +171,13 @@ impl StorageStack for VirtioBlk {
     }
 
     fn deregister_tenant(&mut self, pid: Pid, _env: &mut StackEnv<'_>) {
-        self.guests.remove(&pid);
+        self.guests.remove(pid);
     }
 
     fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
         // Guest-side change; affects which VQ future requests use (in
         // SLA-aware mode) but never reaches the host as a syscall.
-        if let Some(g) = self.guests.get_mut(&pid) {
+        if let Some(g) = self.guests.get_mut(pid) {
             g.ionice = class;
         }
     }
@@ -179,14 +190,14 @@ impl StorageStack for VirtioBlk {
         debug_assert!(!bios.is_empty());
         let guest = *self
             .guests
-            .get(&bios[0].tenant)
+            .get(bios[0].tenant)
             .expect("submission from unregistered guest tenant");
         let core = bios[0].core;
         let proxy = self.proxy_for(guest.vm, guest.ionice, core, env);
-        // Rewrite the batch to the vhost identity; remember the originals.
-        let mut rewritten = Vec::with_capacity(bios.len());
+        // Rewrite the batch to the vhost identity; remember what changes.
+        self.rewritten.clear();
         for bio in bios {
-            self.in_flight.insert(bio.id.0, *bio);
+            self.in_flight.insert(bio.id.0, (bio.tenant, bio.flags));
             self.forwarded += 1;
             let mut b = *bio;
             b.tenant = proxy;
@@ -196,10 +207,10 @@ impl StorageStack for VirtioBlk {
             if self.mode == VqMode::Naive {
                 b.flags = blkstack::ReqFlags::NONE;
             }
-            rewritten.push(b);
+            self.rewritten.push(b);
         }
         let before = env.completions.len();
-        let inner_cost = self.inner.submit(&rewritten, env);
+        let inner_cost = self.inner.submit(&self.rewritten, env);
         self.restore_completions(env, before);
         inner_cost + VIRTIO_PER_RQ * bios.len() as u64
     }
@@ -224,8 +235,8 @@ impl StorageStack for VirtioBlk {
     }
 
     fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        // The virtio layer's own maps are tiny; the host stack holds the
-        // recyclable allocations.
+        // The virtio layer's own buffers are sized once by `reserve`; the
+        // host stack holds the recyclable allocations.
         self.inner.park_buffers(arena);
     }
 
@@ -235,6 +246,11 @@ impl StorageStack for VirtioBlk {
 
     fn reserve(&mut self, hint: usize) {
         self.inner.reserve(hint);
+        // The hint is at least three events per I/O in flight, so a third
+        // of it bounds the in-flight map. A batch larger than
+        // `BATCH_RESERVE` grows the scratch where `io_capacity` shows it.
+        self.in_flight.reserve(hint / 3);
+        self.rewritten.reserve((hint / 3).min(BATCH_RESERVE));
     }
 
     fn stats(&self) -> StackStats {
@@ -242,7 +258,7 @@ impl StorageStack for VirtioBlk {
     }
 
     fn io_capacity(&self) -> usize {
-        self.inner.io_capacity()
+        self.inner.io_capacity() + self.in_flight.capacity() + self.rewritten.capacity()
     }
 }
 
@@ -404,6 +420,47 @@ mod tests {
             "completion must carry the guest tenant, not the vhost proxy"
         );
         assert_eq!(s.forwarded(), 1);
+    }
+
+    #[test]
+    fn drive_to_completion_empties_in_flight() {
+        let mut h = Harness::new();
+        let mut s = virtio(VqMode::SlaAware, &h.dev);
+        s.reserve(256);
+        let cap = s.io_capacity();
+        assert!(
+            cap >= s.inner.io_capacity() + 256 / 3,
+            "io_capacity must count the in-flight map and the rewrite scratch"
+        );
+        {
+            let mut env = h.env(SimTime::ZERO);
+            s.register_tenant(&guest_task(1, 1, IoPriorityClass::RealTime), &mut env);
+            s.register_tenant(&guest_task(2, 2, IoPriorityClass::BestEffort), &mut env);
+            s.submit(&[bio(1, 1, 1, 4096, ReqFlags::NONE)], &mut env);
+            let batch: Vec<Bio> = (2..10)
+                .map(|id| bio(id, 2, 2, 131072, ReqFlags::NONE))
+                .collect();
+            s.submit(&batch, &mut env);
+        }
+        assert_eq!(s.in_flight.len(), 9);
+        // Drive device events and interrupts until nothing is pending.
+        let mut q = simkit::EventQueue::new();
+        loop {
+            for (at, ev) in h.out.events.drain(..) {
+                q.push(at, ev);
+            }
+            if let Some(irq) = h.out.irqs.pop() {
+                let mut env = h.env(irq.at);
+                s.on_irq(irq.cq, irq.core, &mut env);
+                continue;
+            }
+            let Some((at, ev)) = q.pop() else { break };
+            h.dev.handle_event(ev, at, &mut h.out);
+        }
+        assert_eq!(h.comps.len(), 9, "every forwarded bio completes");
+        assert!(h.comps.iter().all(|c| c.bio.tenant.0 < PROXY_PID_BASE));
+        assert!(s.in_flight.is_empty(), "no guest identity is left behind");
+        assert_eq!(s.io_capacity(), cap, "the run stayed within its reserve");
     }
 
     #[test]

@@ -133,7 +133,7 @@ echo "== verify: hot-path maps stay slab/dense (no std hash maps) =="
 # The request-lifecycle hot path must not regress to allocating hash maps.
 # A file may opt out with an explicit `dd-alloc-allowlist:` comment
 # justifying the exception.
-HOT_FILES="crates/blkstack/src/reqmap.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/core/src/troute.rs crates/core/src/policy.rs crates/core/src/stack_impl.rs crates/core/src/nqreg.rs crates/core/src/nproxy.rs crates/blkswitch/src/lib.rs crates/overprov/src/lib.rs"
+HOT_FILES="crates/blkstack/src/reqmap.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/core/src/troute.rs crates/core/src/policy.rs crates/core/src/stack_impl.rs crates/core/src/nqreg.rs crates/core/src/nproxy.rs crates/blkswitch/src/lib.rs crates/overprov/src/lib.rs crates/virtio/src/lib.rs"
 for f in $HOT_FILES; do
     if grep -qE 'use std::collections::.*(HashMap|BTreeMap)' "$f" \
         && ! grep -q 'dd-alloc-allowlist:' "$f"; then
@@ -145,24 +145,24 @@ done
 echo "  ${HOT_FILES// /, }: clean"
 
 echo "== verify: dispatch/push paths stay allocation-free =="
-# The machine's event loop, the event queue's push paths and the stacks'
-# shared dispatch core (stage/push/reap) must not regrow per-event or
-# per-I/O allocations (that is what the RunArena + batch port removed).
-# Construction-time allocations are fine — mark the line (or the line
-# above it) with `dd-alloc-allowlist: <reason>`. Test modules
-# (`#[cfg(test)]` onward) are exempt.
-ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/blkstack/src/dispatch.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs"
+# The machine's event loop, the event queue's push paths, the stacks'
+# shared dispatch core (stage/push/reap), the device and the virtio layer
+# must not regrow per-event or per-I/O allocations (that is what the
+# RunArena + batch port removed). Construction-time allocations are fine —
+# mark the line (or the line above it) with `dd-alloc-allowlist: <reason>`.
+# Test modules (`#[cfg(test)]` onward) are exempt.
+ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/blkstack/src/dispatch.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs crates/virtio/src/lib.rs"
 ALLOC_FAIL=0
 for f in $ALLOC_FILES; do
     HITS="$(awk '
         /#\[cfg\(test\)\]/ { exit }
-        /Vec::new\(\)|Box::new\(/ && $0 !~ /dd-alloc-allowlist:/ && prev !~ /dd-alloc-allowlist:/ {
+        /Vec::new\(\)|Vec::with_capacity\(|vec!\[|Box::new\(|HashMap::new\(/ && $0 !~ /dd-alloc-allowlist:/ && prev !~ /dd-alloc-allowlist:/ {
             print FILENAME ":" FNR ": " $0
         }
         { prev = $0 }
     ' "$f")"
     if [ -n "$HITS" ]; then
-        echo "verify: FAILED — unallowlisted Vec::new()/Box::new( in $f:" >&2
+        echo "verify: FAILED — unallowlisted allocation constructor in $f:" >&2
         echo "$HITS" >&2
         ALLOC_FAIL=1
     fi

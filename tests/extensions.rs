@@ -3,7 +3,9 @@
 //! rate-limited workloads.
 
 use daredevil_repro::blkstack::iosched::SchedKind;
+use daredevil_repro::overprov::OverprovStack;
 use daredevil_repro::prelude::*;
+use daredevil_repro::virtio::{VirtioBlk, VqMode};
 
 fn durations(mut s: Scenario) -> Scenario {
     s.knobs.warmup = SimDuration::from_millis(10);
@@ -194,7 +196,7 @@ fn blk_switch_within_capacity() -> RunOutput {
 /// Guest SLAs only reach the host through SLA-aware virtqueues.
 #[test]
 fn virtio_sla_awareness_end_to_end() {
-    let mk = |stack: StackSpec| {
+    let scenario = |stack: StackSpec| {
         let mut s = Scenario::new("vm", MachinePreset::SvM, stack);
         s.core_pool = 4;
         s.nvme = s.nvme.with_namespaces(2);
@@ -220,8 +222,9 @@ fn virtio_sla_awareness_end_to_end() {
                 });
             }
         }
-        daredevil_repro::testbed::run(durations(s))
+        durations(s)
     };
+    let mk = |stack: StackSpec| daredevil_repro::testbed::run(scenario(stack));
     let naive = mk(StackSpec::virtio(StackSpec::daredevil(), false));
     let sla = mk(StackSpec::virtio(StackSpec::daredevil(), true));
     assert!(
@@ -235,8 +238,17 @@ fn virtio_sla_awareness_end_to_end() {
         assert!(t.ios_completed > 0, "guest tenant {} starved", t.tenant_id);
     }
     // The host stack shows through the layer: its troute counters reach
-    // the output, and it is pre-sized exactly like a bare Daredevil.
+    // the output, and it is pre-sized exactly like a bare Daredevil. The
+    // layer's own buffers count on top; they are read off a layer around
+    // a bare overprov stack, reserved with the same hint.
     let bare = mk(StackSpec::daredevil());
+    let hint = scenario(StackSpec::daredevil()).event_capacity_hint();
+    let mut wrapped = VirtioBlk::new(Box::new(OverprovStack::new(4, 4)), VqMode::SlaAware);
+    let mut unwrapped = OverprovStack::new(4, 4);
+    wrapped.reserve(hint);
+    unwrapped.reserve(hint);
+    let layer_slots = wrapped.io_capacity() - unwrapped.io_capacity();
+    assert!(layer_slots > 0, "the layer's buffers are uncounted");
     for out in [&naive, &sla] {
         let name = &out.summary.stack;
         assert!(
@@ -246,8 +258,9 @@ fn virtio_sla_awareness_end_to_end() {
         );
         assert_eq!(out.route_stats, out.stack_stats.route, "{name}");
         assert_eq!(
-            out.cap_warmup.io_slots, bare.cap_warmup.io_slots,
-            "{name}: host stack not pre-sized like a bare one"
+            out.cap_warmup.io_slots,
+            bare.cap_warmup.io_slots + layer_slots,
+            "{name}: host stack not pre-sized like a bare one, or the layer's buffers uncounted"
         );
     }
 }
