@@ -399,8 +399,8 @@ fn bench_arena(set: &mut BenchSet) {
 /// Struct-of-arrays vs array-of-structs for the per-core work queues.
 ///
 /// One iteration is one scheduler step on an 8-core system: enqueue one
-/// item (mostly Task-class, so the two higher-priority classes are usually
-/// empty — the realistic skew) and dispatch one from the next core. The
+/// item (mostly Task-class, so the IRQ class is usually empty — the
+/// realistic skew) and dispatch one from the next core. The
 /// AoS variant reproduces the old `Vec<CpuCore>` layout and walks the
 /// class array per dispatch; the SoA variant is the shipped
 /// `CpuSystem` layout — class-major queue columns plus a per-core
@@ -409,14 +409,10 @@ fn bench_workqueue_scan(set: &mut BenchSet) {
     use std::collections::VecDeque;
 
     const CORES: usize = 8;
-    const CLASSES: usize = 3;
-    // 0 = Irq, 1 = Dispatch, 2 = Task: 1/8, 1/8, 6/8 of traffic.
+    const CLASSES: usize = 2;
+    // 0 = HardIrq, 1 = Task: 1/8 and 7/8 of traffic.
     fn pick_class(rng: &mut SimRng) -> usize {
-        match rng.next_u64() % 8 {
-            0 => 0,
-            1 => 1,
-            _ => 2,
-        }
+        usize::from(rng.next_u64() % 8 != 0)
     }
 
     {
@@ -433,7 +429,7 @@ fn bench_workqueue_scan(set: &mut BenchSet) {
         let mut rng = SimRng::new(21);
         for i in 0..64u32 {
             let c = (i as usize) % CORES;
-            cores[c].queues[2].push_back(i);
+            cores[c].queues[1].push_back(i);
             cores[c].pending += 1;
         }
         let mut turn = 0usize;
@@ -461,8 +457,8 @@ fn bench_workqueue_scan(set: &mut BenchSet) {
         let mut pending = vec![0u32; CORES];
         for i in 0..64u32 {
             let c = (i as usize) % CORES;
-            queues[2][c].push_back(i);
-            class_mask[c] |= 1 << 2;
+            queues[1][c].push_back(i);
+            class_mask[c] |= 1 << 1;
             pending[c] += 1;
         }
         let mut rng = SimRng::new(21);

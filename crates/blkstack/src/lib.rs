@@ -14,11 +14,12 @@
 //! * [`nsqlock`] — the per-NSQ tail-lock contention model whose measured
 //!   `in_lock` time feeds Algorithm 2's NSQ merit;
 //! * [`stack`] — the [`stack::StorageStack`] trait and [`stack::StackEnv`]
-//!   through which the testbed drives any stack implementation, plus the
-//!   completion, requeue and redrive building blocks;
+//!   through which the testbed drives any stack implementation, and the
+//!   doorbell and completion modes a stack chooses between;
 //! * [`dispatch`] — the dispatch core every stack owns one of: staging,
-//!   locked NSQ push, ISR reap, watchdog and buffer recycling, so a stack
-//!   supplies only its routing, doorbell and completion decisions;
+//!   locked NSQ push, ISR reap (batched or per-request completion),
+//!   queue-full requeue, stalled-NSQ redrive and buffer recycling, so a
+//!   stack supplies only its routing, doorbell and completion decisions;
 //! * [`iosched`] — block-layer I/O schedulers (noop, mq-deadline-lite,
 //!   kyber-lite) staging requests under per-queue dispatch budgets;
 //! * [`blkmq`] — vanilla blk-mq with its static core→NQ bindings, and the

@@ -249,12 +249,6 @@ impl StorageStack for BlkSwitchStack {
         self.count_l(t, true);
     }
 
-    fn deregister_tenant(&mut self, pid: Pid, _env: &mut StackEnv<'_>) {
-        if let Some(old) = self.tenants.remove(pid) {
-            self.count_l(old, false);
-        }
-    }
-
     fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
         self.update_tenant(pid, |t| t.ionice = class);
     }
@@ -679,16 +673,12 @@ mod tests {
             _ => IoPriorityClass::BestEffort,
         };
         let (mut overloaded, mut within, mut reregistered) = (0, 0, 0);
-        const STEPS: u64 = 2_000;
-        for step in 0..STEPS {
+        for step in 0..2_000 {
             let mut env = h.env(SimTime::ZERO);
-            // Grow the population for the first half, shrink it after, so
-            // the run crosses the overload threshold both ways.
-            let grow = step < STEPS / 2;
             let pid = Pid(rng.gen_range(32));
             let core = rng.gen_range(6) as u16;
             match rng.gen_range(8) {
-                0..=2 if grow => {
+                0..=2 => {
                     let ionice = class(&mut rng);
                     if s.tenants.get(pid).is_some_and(|t| {
                         t.ionice.is_latency_sensitive() != ionice.is_latency_sensitive()
@@ -697,7 +687,6 @@ mod tests {
                     }
                     s.register_tenant(&task(pid.0, core, ionice), &mut env);
                 }
-                0..=2 => s.deregister_tenant(pid, &mut env),
                 3 => s.update_ionice(pid, class(&mut rng), &mut env),
                 4 => s.migrate_tenant(pid, core, &mut env),
                 5 => {

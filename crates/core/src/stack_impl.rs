@@ -34,7 +34,6 @@ pub struct DaredevilStack {
     troute: Troute,
     proxies: ProxyTable,
     dispatch: Dispatch,
-    irq_policy_configured: bool,
 }
 
 impl DaredevilStack {
@@ -71,7 +70,6 @@ impl DaredevilStack {
             proxies,
             policy: Policy::new(&cfg),
             dispatch: Dispatch::new(nr_sqs),
-            irq_policy_configured: false,
             cfg,
         }
     }
@@ -98,25 +96,6 @@ impl DaredevilStack {
     pub fn troute(&self) -> &Troute {
         &self.troute
     }
-
-    /// SLA-aware interrupt policy (part of the I/O service dispatching of
-    /// §5.3 applied to device features): when the device coalesces
-    /// interrupts, the full variant opts the high-priority NCQs out —
-    /// aggregation is throughput machinery, exactly wrong for L-requests.
-    fn configure_irq_policy(&mut self, device: &mut dd_nvme::NvmeDevice) {
-        if self.irq_policy_configured || self.cfg.variant != Variant::Full {
-            return;
-        }
-        self.irq_policy_configured = true;
-        if device.config().irq_coalescing.is_none() {
-            return;
-        }
-        for cq in 0..device.nr_cqs() {
-            if self.nqreg.cq_priority(CqId(cq)) == Priority::High {
-                device.set_cq_coalescing(CqId(cq), false);
-            }
-        }
-    }
 }
 
 impl StorageStack for DaredevilStack {
@@ -129,7 +108,6 @@ impl StorageStack for DaredevilStack {
     }
 
     fn register_tenant(&mut self, task: &TaskStruct, env: &mut StackEnv<'_>) {
-        self.configure_irq_policy(env.device);
         self.troute.register(
             task,
             &self.policy,
@@ -138,10 +116,6 @@ impl StorageStack for DaredevilStack {
             self.dispatch.locks(),
             &mut self.proxies,
         );
-    }
-
-    fn deregister_tenant(&mut self, pid: Pid, _env: &mut StackEnv<'_>) {
-        self.troute.deregister(pid, &mut self.proxies);
     }
 
     fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, env: &mut StackEnv<'_>) {

@@ -127,16 +127,6 @@ impl Troute {
         );
     }
 
-    /// Removes a tenant, releasing its claims.
-    pub fn deregister(&mut self, pid: Pid, proxies: &mut ProxyTable) {
-        if let Some(route) = self.tenants.remove(pid) {
-            self.unclaim(route.default_sq, route.core, proxies);
-            if let Some(osq) = route.outlier_sq {
-                self.unclaim(osq, route.core, proxies);
-            }
-        }
-    }
-
     fn core_still_used(&self, sq: SqId, core: u16) -> bool {
         self.tenants
             .values()
@@ -337,16 +327,6 @@ impl Troute {
     /// Routing statistics.
     pub fn stats(&self) -> RouteStats {
         self.stats
-    }
-
-    /// Registered tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// True when no tenants are registered.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
     }
 }
 
@@ -640,8 +620,36 @@ mod tests {
         assert_eq!(f.troute.route_of(Pid(1)).unwrap().core, 3);
     }
 
+    /// Every proxy's assignment count and claimed-core bitmap equal a
+    /// recount from the live routes of `pids`: one assignment per default
+    /// or outlier NSQ a tenant uses, one core bit per distinct core.
+    fn assert_claims_match_routes(f: &Fixture, pids: &[u64]) {
+        for p in f.proxies.iter() {
+            let mut assignments = 0;
+            let mut cores = 0u128;
+            for &pid in pids {
+                let r = f.troute.route_of(Pid(pid)).expect("registered");
+                let uses = u32::from(r.default_sq == p.sq) + u32::from(r.outlier_sq == Some(p.sq));
+                if uses > 0 {
+                    assignments += uses;
+                    cores |= 1 << r.core;
+                }
+            }
+            assert_eq!(p.assignments(), assignments, "assignments on {:?}", p.sq);
+            assert_eq!(
+                p.nr_claimed_cores(),
+                cores.count_ones(),
+                "cores on {:?}",
+                p.sq
+            );
+            for core in 0..128 {
+                assert_eq!(p.claims_core(core), cores & (1 << core) != 0);
+            }
+        }
+    }
+
     #[test]
-    fn deregister_releases_everything() {
+    fn ionice_flip_releases_default_and_outlier_claims() {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
@@ -651,41 +659,74 @@ mod tests {
             &f.locks,
             &mut f.proxies,
         );
-        let sq = f.troute.route_of(Pid(2)).unwrap().default_sq;
-        f.troute.deregister(Pid(2), &mut f.proxies);
-        assert!(f.troute.is_empty());
-        assert_eq!(f.proxies.get(sq).assignments(), 0);
+        // A 50/50 outlier mix earns the tag and an outlier NSQ.
+        for i in 0..32 {
+            let flags = if i % 2 == 0 {
+                ReqFlags::SYNC
+            } else {
+                ReqFlags::NONE
+            };
+            f.troute.route(
+                &bio(2, flags),
+                SimTime::ZERO,
+                &mut f.pol,
+                &mut f.nqreg,
+                &f.device,
+                &f.locks,
+                &mut f.proxies,
+            );
+        }
+        let r = *f.troute.route_of(Pid(2)).unwrap();
+        let osq = r.outlier_sq.expect("tagged tenant has outlier NSQ");
+        assert_claims_match_routes(&f, &[2]);
+        // Becoming an L-tenant drops both the low default and the outlier
+        // NSQ: only the new default keeps a claim.
+        f.troute.update_ionice(
+            Pid(2),
+            IoPriorityClass::RealTime,
+            &f.pol,
+            &mut f.nqreg,
+            &f.device,
+            &f.locks,
+            &mut f.proxies,
+        );
+        let now = f.troute.route_of(Pid(2)).unwrap();
+        assert_eq!(now.outlier_sq, None);
+        assert_ne!(now.default_sq, r.default_sq);
+        assert_eq!(f.proxies.get(r.default_sq).assignments(), 0);
+        if osq != now.default_sq {
+            assert_eq!(f.proxies.get(osq).nr_claimed_cores(), 0);
+        }
+        assert_claims_match_routes(&f, &[2]);
     }
 
     #[test]
     fn shared_core_claims_persist() {
         let mut f = fixture();
-        // Two L-tenants on core 0: if they share a default NSQ, removing one
-        // must keep the core bit set.
-        f.troute.register(
-            &task(1, 0, IoPriorityClass::RealTime),
-            &f.pol,
-            &mut f.nqreg,
-            &f.device,
-            &f.locks,
-            &mut f.proxies,
-        );
-        f.troute.register(
-            &task(2, 0, IoPriorityClass::RealTime),
-            &f.pol,
-            &mut f.nqreg,
-            &f.device,
-            &f.locks,
-            &mut f.proxies,
-        );
-        let sq1 = f.troute.route_of(Pid(1)).unwrap().default_sq;
-        let sq2 = f.troute.route_of(Pid(2)).unwrap().default_sq;
-        f.troute.deregister(Pid(1), &mut f.proxies);
-        if sq1 == sq2 {
-            assert!(f.proxies.get(sq2).claims_core(0));
-        } else {
-            assert!(!f.proxies.get(sq1).claims_core(0));
-            assert!(f.proxies.get(sq2).claims_core(0));
+        // Five L-tenants on core 0 over four high-priority NSQs: two share
+        // a default NSQ, and moving one of them away must keep the core bit.
+        for pid in 1..=5 {
+            f.troute.register(
+                &task(pid, 0, IoPriorityClass::RealTime),
+                &f.pol,
+                &mut f.nqreg,
+                &f.device,
+                &f.locks,
+                &mut f.proxies,
+            );
         }
+        let sq_of = |f: &Fixture, pid: u64| f.troute.route_of(Pid(pid)).unwrap().default_sq;
+        let (a, b) = (1..=5)
+            .flat_map(|a| (a + 1..=5).map(move |b| (a, b)))
+            .find(|&(a, b)| sq_of(&f, a) == sq_of(&f, b))
+            .expect("pigeonhole: two tenants share an NSQ");
+        let shared = sq_of(&f, a);
+        f.troute.migrate(Pid(a), 1, &mut f.proxies);
+        assert!(
+            f.proxies.get(shared).claims_core(0),
+            "tenant {b} still there"
+        );
+        assert!(f.proxies.get(shared).claims_core(1));
+        assert_claims_match_routes(&f, &[1, 2, 3, 4, 5]);
     }
 }

@@ -5,7 +5,7 @@
 //! requests — and T-tenants' outlier requests — always land in the
 //! high-priority NQGroup, whatever the tenant mix and request history.
 
-use dd_check::{check, prop_assert, prop_assert_eq};
+use dd_check::{check, prop_assert, prop_assert_eq, CheckResult};
 
 use blkstack::bio::{Bio, BioId, ReqFlags};
 use blkstack::nsqlock::NsqLockTable;
@@ -136,11 +136,41 @@ fn troute_l_requests_never_low_priority() {
     });
 }
 
-/// Claim accounting balances: after deregistering everybody, every proxy
-/// has zero assignments and an empty claimed-core bitmap.
+/// Every proxy's assignment count and claimed-core bitmap equal a recount
+/// from the live routes of tenants `0..n`: one assignment per default or
+/// outlier NSQ a tenant uses, one core bit per distinct core among them.
+fn claims_match_routes(f: &Fixture, n: usize) -> CheckResult {
+    for p in f.proxies.iter() {
+        let mut assignments = 0;
+        let mut cores = 0u128;
+        for i in 0..n {
+            let r = f.troute.route_of(Pid(i as u64)).expect("registered");
+            let uses = u32::from(r.default_sq == p.sq) + u32::from(r.outlier_sq == Some(p.sq));
+            if uses > 0 {
+                assignments += uses;
+                cores |= 1 << r.core;
+            }
+        }
+        prop_assert_eq!(p.assignments(), assignments, "assignments on {:?}", p.sq);
+        prop_assert_eq!(
+            p.nr_claimed_cores(),
+            cores.count_ones(),
+            "cores on {:?}",
+            p.sq
+        );
+        for core in 0..128 {
+            prop_assert_eq!(p.claims_core(core), cores & (1 << core) != 0);
+        }
+    }
+    Ok(())
+}
+
+/// Claim accounting balances: after every step of random request traffic
+/// (which may earn or drop outlier NSQs), core migrations and ionice
+/// updates, each proxy's claims equal a recount from the live routes.
 #[test]
-fn troute_claims_balance_on_deregister() {
-    check("troute_claims_balance_on_deregister", |c| {
+fn troute_claims_match_routes() {
+    check("troute_claims_match_routes", |c| {
         let mut f = fixture(8);
         let n = c.usize_in(1, 16);
         for i in 0..n {
@@ -150,35 +180,54 @@ fn troute_claims_balance_on_deregister() {
                 IoPriorityClass::BestEffort
             };
             let task = TaskStruct::new(Pid(i as u64), c.u16_in(0, 4), ionice, NamespaceId(1), "p");
-            f.troute
-                .register(&task, &f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
-        }
-        // Random request traffic (may create outlier NSQ claims)...
-        for _ in 0..c.usize_in(0, 100) {
-            let pid = c.usize_in(0, n) as u64;
-            let flags = if c.bool_with(0.3) {
-                ReqFlags::SYNC
-            } else {
-                ReqFlags::NONE
-            };
-            f.troute.route(
-                &bio(pid, flags),
-                SimTime::ZERO,
-                &mut f.pol,
+            f.troute.register(
+                &task,
+                &f.pol,
                 &mut f.nqreg,
                 &f.device,
                 &f.locks,
                 &mut f.proxies,
             );
         }
-        // ...then everyone leaves.
-        for i in 0..n {
-            f.troute.deregister(Pid(i as u64), &mut f.proxies);
-        }
-        prop_assert!(f.troute.is_empty());
-        for p in f.proxies.iter() {
-            prop_assert_eq!(p.assignments(), 0, "proxy {:?} leaked assignments", p.sq);
-            prop_assert_eq!(p.nr_claimed_cores(), 0, "proxy {:?} leaked core bits", p.sq);
+        claims_match_routes(&f, n)?;
+        for _ in 0..c.usize_in(0, 100) {
+            let pid = Pid(c.usize_in(0, n) as u64);
+            match c.u8_in(0, 4) {
+                0 => f.troute.migrate(pid, c.u16_in(0, 4), &mut f.proxies),
+                1 => {
+                    let ionice = if c.bool_with(0.5) {
+                        IoPriorityClass::RealTime
+                    } else {
+                        IoPriorityClass::BestEffort
+                    };
+                    f.troute.update_ionice(
+                        pid,
+                        ionice,
+                        &f.pol,
+                        &mut f.nqreg,
+                        &f.device,
+                        &f.locks,
+                        &mut f.proxies,
+                    );
+                }
+                _ => {
+                    let flags = if c.bool_with(0.3) {
+                        ReqFlags::SYNC
+                    } else {
+                        ReqFlags::NONE
+                    };
+                    f.troute.route(
+                        &bio(pid.0, flags),
+                        SimTime::ZERO,
+                        &mut f.pol,
+                        &mut f.nqreg,
+                        &f.device,
+                        &f.locks,
+                        &mut f.proxies,
+                    );
+                }
+            }
+            claims_match_routes(&f, n)?;
         }
         Ok(())
     });
@@ -287,15 +336,7 @@ fn troute_never_routes_against_stale_sla_under_flapping() {
             }
         }
         // However many re-registrations happened, claims balance.
-        for i in 0..n {
-            f.troute.deregister(Pid(i as u64), &mut f.proxies);
-        }
-        prop_assert!(f.troute.is_empty());
-        for p in f.proxies.iter() {
-            prop_assert_eq!(p.assignments(), 0, "storm leaked assignments on {:?}", p.sq);
-            prop_assert_eq!(p.nr_claimed_cores(), 0, "storm leaked core bits on {:?}", p.sq);
-        }
-        Ok(())
+        claims_match_routes(&f, n)
     });
 }
 

@@ -10,11 +10,11 @@
 //!   starts, learning its cost from the executed action (see
 //!   [`core_model::CpuSystem`] for the dispatch protocol);
 //! * each core runs one item at a time, picking the next by class priority
-//!   (hard-IRQ > soft-IRQ > task) then FIFO — interrupts
-//!   preempt application work at item boundaries, which is why long batched
-//!   completion ISRs of T-requests delay everything else on the core;
-//! * [`topology::CpuTopology`] describes core counts and speed factors for
-//!   the two evaluation machines (SV-M, WS-M);
+//!   (hard-IRQ > task) then FIFO — interrupts preempt application work at
+//!   item boundaries, which is why long batched completion ISRs of
+//!   T-requests delay everything else on the core;
+//! * cores are uniform: every item runs for exactly the cost its action
+//!   returns (WS-M runs only its 8 P-cores, §7), so a host is a core count;
 //! * [`costs::HostCosts`] centralises the host-side timing constants shared
 //!   by every storage stack implementation.
 
@@ -22,10 +22,8 @@
 
 pub mod core_model;
 pub mod costs;
-pub mod topology;
 pub mod work;
 
 pub use core_model::CpuSystem;
 pub use costs::HostCosts;
-pub use topology::CpuTopology;
 pub use work::WorkClass;

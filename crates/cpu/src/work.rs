@@ -3,27 +3,24 @@
 /// Scheduling class of a work item, highest priority first.
 ///
 /// The ordering mirrors the kernel: hardware interrupt handlers run before
-/// softirq-style completion work, which runs before application tasks.
+/// application tasks.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum WorkClass {
     /// Hardware interrupt service routine.
     HardIrq,
-    /// Deferred completion work (softirq / threaded IRQ bottom half).
-    SoftIrq,
     /// Application / syscall work.
     Task,
 }
 
 impl WorkClass {
     /// All classes, highest priority first.
-    pub const ALL: [WorkClass; 3] = [WorkClass::HardIrq, WorkClass::SoftIrq, WorkClass::Task];
+    pub const ALL: [WorkClass; 2] = [WorkClass::HardIrq, WorkClass::Task];
 
     /// Dense index for per-class arrays.
     pub fn index(self) -> usize {
         match self {
             WorkClass::HardIrq => 0,
-            WorkClass::SoftIrq => 1,
-            WorkClass::Task => 2,
+            WorkClass::Task => 1,
         }
     }
 }
@@ -34,8 +31,7 @@ mod tests {
 
     #[test]
     fn class_priority_order() {
-        assert!(WorkClass::HardIrq < WorkClass::SoftIrq);
-        assert!(WorkClass::SoftIrq < WorkClass::Task);
+        assert!(WorkClass::HardIrq < WorkClass::Task);
     }
 
     #[test]

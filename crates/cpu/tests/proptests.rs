@@ -1,38 +1,29 @@
 //! Property-based tests of the CPU model (dd-check harness).
 
 use dd_check::{check, prop_assert, prop_assert_eq, CheckResult};
-use dd_cpu::{CpuSystem, CpuTopology, WorkClass};
+use dd_cpu::{CpuSystem, WorkClass};
 use simkit::{SimDuration, SimTime};
 
 /// Random op stream: (class, duration_us) pairs, executed through the full
 /// dispatch protocol on one core.
 fn drive(ops: &[(u8, u64)]) -> (Vec<(WorkClass, usize)>, SimDuration, SimTime) {
-    let mut sys: CpuSystem<usize> = CpuSystem::new(&CpuTopology::uniform(1));
+    let mut sys: CpuSystem<usize> = CpuSystem::new(1);
     let mut now = SimTime::ZERO;
     let mut executed = Vec::new();
     let mut durations = Vec::new();
     // Enqueue everything up front (worst-case backlog).
     for (i, &(class, us)) in ops.iter().enumerate() {
-        let class = match class % 3 {
-            0 => WorkClass::HardIrq,
-            1 => WorkClass::SoftIrq,
-            _ => WorkClass::Task,
-        };
+        let class = WorkClass::ALL[class as usize % 2];
         durations.push(SimDuration::from_micros(us));
         sys.enqueue(0, class, i);
     }
-    // Drain.
-    while let Some((class, payload)) = {
-        if sys.is_idle(0) {
-            None
-        } else {
-            sys.take_next(0)
-        }
-    } {
+    // Drain: `finish` asks for another dispatch while payloads remain.
+    while let Some((class, payload)) = sys.take_next(0) {
         executed.push((class, payload));
-        let fin = sys.begin(0, now, durations[payload]);
-        now = fin;
-        sys.finish(0, now);
+        now = sys.begin(0, now, durations[payload]);
+        if !sys.finish(0, now) {
+            break;
+        }
     }
     (executed, sys.busy_until(0, now), now)
 }
@@ -43,7 +34,7 @@ fn drive(ops: &[(u8, u64)]) -> (Vec<(WorkClass, usize)>, SimDuration, SimTime) {
 #[test]
 fn cpu_executes_all_exactly_once() {
     check("cpu_executes_all_exactly_once", |c| {
-        let ops = c.vec_of(1, 60, |c| (c.u8_in(0, 3), c.u64_in(1, 100)));
+        let ops = c.vec_of(1, 60, |c| (c.u8_in(0, 2), c.u64_in(1, 100)));
         let (executed, busy, end) = drive(&ops);
         prop_assert_eq!(executed.len(), ops.len());
         // Exactly once.
@@ -57,7 +48,7 @@ fn cpu_executes_all_exactly_once() {
         // With everything enqueued up front, the whole run is sorted by
         // class, FIFO within class.
         let mut last_class = WorkClass::HardIrq;
-        let mut last_payload_per_class = [None::<usize>; 3];
+        let mut last_payload_per_class = [None::<usize>; 2];
         for &(class, payload) in &executed {
             prop_assert!(class >= last_class, "priority inversion");
             last_class = class;
@@ -76,14 +67,10 @@ fn cpu_executes_all_exactly_once() {
 /// the end of the run) lies in [0, 1], with the baseline snapshot taken at
 /// the window start (the testbed's protocol).
 fn busy_fractions_in_range(ops: &[(u8, u64)], window_start_us: u64) -> CheckResult {
-    let mut sys: CpuSystem<usize> = CpuSystem::new(&CpuTopology::uniform(2));
+    let mut sys: CpuSystem<usize> = CpuSystem::new(2);
     let mut now = SimTime::ZERO;
     for (i, &(class, us)) in ops.iter().enumerate() {
-        let class = match class % 3 {
-            0 => WorkClass::HardIrq,
-            1 => WorkClass::SoftIrq,
-            _ => WorkClass::Task,
-        };
+        let class = WorkClass::ALL[class as usize % 2];
         let core = (i % 2) as u16;
         if sys.enqueue(core, class, i) {
             sys.take_next(core);
@@ -122,7 +109,7 @@ fn busy_fractions_bounded() {
         panic!("busy_fractions_bounded, shrunk case: {f}");
     }
     check("busy_fractions_bounded", |c| {
-        let ops = c.vec_of(1, 40, |c| (c.u8_in(0, 3), c.u64_in(1, 100)));
+        let ops = c.vec_of(1, 40, |c| (c.u8_in(0, 2), c.u64_in(1, 100)));
         let window_start_us = c.u64_in(0, 1000);
         busy_fractions_in_range(&ops, window_start_us)
     });

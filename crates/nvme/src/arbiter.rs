@@ -6,7 +6,8 @@
 //!
 //! The spec also defines *weighted round robin with urgent priority class*
 //! (WRR), where each SQ belongs to the urgent, high, medium, or low class
-//! and the controller serves the classes by credit weights. WRR is the
+//! and the controller serves the classes by credit weights. This model
+//! keeps the three weighted classes; no stack here needs urgent. WRR is the
 //! device feature the FlashShare/D2FQ line of work builds on; the
 //! [`WrrArbiter`] here backs the static-overprovision baseline stack
 //! (see the `overprov` crate).
@@ -198,11 +199,10 @@ impl RoundRobinArbiter {
     }
 }
 
-/// NVMe WRR priority classes.
+/// NVMe WRR priority classes (the spec's strict-priority urgent class is
+/// not modelled).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum SqPriorityClass {
-    /// Strict priority over everything else.
-    Urgent,
     /// Weighted class, largest default weight.
     High,
     /// Weighted class, middle weight.
@@ -213,15 +213,14 @@ pub enum SqPriorityClass {
 }
 
 impl SqPriorityClass {
-    /// Index into the WRR arbiter's per-class state (cursors and ready
-    /// masks): high/medium/low at 0/1/2, urgent at 3.
+    /// Index into the WRR arbiter's per-class state (credits, cursors and
+    /// ready masks): high/medium/low at 0/1/2.
     #[inline]
     fn slot(self) -> usize {
         match self {
             SqPriorityClass::High => 0,
             SqPriorityClass::Medium => 1,
             SqPriorityClass::Low => 2,
-            SqPriorityClass::Urgent => 3,
         }
     }
 }
@@ -248,23 +247,22 @@ impl Default for WrrWeights {
     }
 }
 
-/// Weighted-round-robin arbiter with an urgent class.
+/// Weighted-round-robin arbiter.
 ///
-/// Urgent queues are always served first (round-robin among themselves).
-/// The weighted classes consume per-class credits; when every class with
-/// pending work is out of credits, all credits refill. Within a class,
-/// queues are served round-robin.
+/// The classes consume per-class credits; when every class with pending
+/// work is out of credits, all credits refill. Within a class, queues are
+/// served round-robin.
 #[derive(Clone, Debug)]
 pub struct WrrArbiter {
     classes: Vec<SqPriorityClass>,
     weights: WrrWeights,
-    /// Remaining credits per weighted class.
+    /// Remaining credits per class.
     credits: [i32; 3],
-    /// Round-robin cursor per weighted class plus urgent (index 3).
-    cursors: [u16; 4],
+    /// Round-robin cursor per class.
+    cursors: [u16; 3],
     /// Ready (published-work) queues per class, same index layout as
     /// `cursors`: a class pick walks only its own mask.
-    ready: [SqMask; 4],
+    ready: [SqMask; 3],
 }
 
 impl WrrArbiter {
@@ -284,7 +282,7 @@ impl WrrArbiter {
                 weights.medium as i32,
                 weights.low as i32,
             ],
-            cursors: [0; 4],
+            cursors: [0; 3],
             ready: std::array::from_fn(|_| SqMask::new(nr_sqs)),
         }
     }
@@ -328,14 +326,10 @@ impl WrrArbiter {
     }
 
     /// Picks the next queue to fetch from using the per-class ready masks:
-    /// urgent first, then the weighted classes by credit, each class
-    /// round-robin from its own cursor. `stalled` filters candidates as in
-    /// [`RoundRobinArbiter::pick`].
+    /// the classes by credit, each round-robin from its own cursor.
+    /// `stalled` filters candidates as in [`RoundRobinArbiter::pick`].
     #[inline]
     pub fn pick(&mut self, mut stalled: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        if let Some(sq) = self.ready[3].pick_from(&mut self.cursors[3], &mut stalled) {
-            return Some(sq);
-        }
         for _refill in 0..2 {
             for idx in 0..3 {
                 if self.credits[idx] <= 0 {
@@ -350,8 +344,7 @@ impl WrrArbiter {
             // not stalled counts as work (checked in ascending SQ order,
             // though the boolean is order-independent).
             let mut any_work = false;
-            'scan: for slot in 0..4 {
-                let mask = &self.ready[slot];
+            'scan: for mask in &self.ready {
                 if mask.is_empty() {
                     continue;
                 }
@@ -385,16 +378,6 @@ mod wrr_tests {
             a.note_ready(SqId(q));
         }
         a
-    }
-
-    #[test]
-    fn urgent_preempts_everything() {
-        let mut a = all_ready(4, WrrWeights::default());
-        a.set_class(SqId(0), SqPriorityClass::Urgent);
-        a.set_class(SqId(1), SqPriorityClass::Low);
-        for _ in 0..10 {
-            assert_eq!(a.pick(|_| false), Some(SqId(0)));
-        }
     }
 
     #[test]
@@ -455,12 +438,11 @@ mod wrr_tests {
     #[test]
     fn mask_pick_matches_class_service() {
         let mut a = WrrArbiter::new(4, WrrWeights::default());
-        a.set_class(SqId(0), SqPriorityClass::Urgent);
-        a.set_class(SqId(1), SqPriorityClass::High);
+        a.set_class(SqId(0), SqPriorityClass::High);
         a.set_class(SqId(2), SqPriorityClass::Low);
         a.note_ready(SqId(1));
         a.note_ready(SqId(2));
-        // No urgent work published: high drains before low gets credits.
+        // No high work published: medium is served before low.
         assert_eq!(a.pick(|_| false), Some(SqId(1)));
         a.note_ready(SqId(0));
         assert_eq!(a.pick(|_| false), Some(SqId(0)));
@@ -475,8 +457,8 @@ mod wrr_tests {
     fn set_class_moves_ready_bit() {
         let mut a = WrrArbiter::new(2, WrrWeights::default());
         a.note_ready(SqId(0));
-        a.set_class(SqId(0), SqPriorityClass::Urgent);
-        // The published-work bit follows the queue into the urgent mask.
+        a.set_class(SqId(0), SqPriorityClass::High);
+        // The published-work bit follows the queue into the high mask.
         assert_eq!(a.pick(|_| false), Some(SqId(0)));
         a.set_class(SqId(0), SqPriorityClass::Low);
         assert_eq!(a.pick(|_| false), Some(SqId(0)));

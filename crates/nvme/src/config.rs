@@ -46,26 +46,13 @@ impl PerfModel {
     }
 }
 
-/// Interrupt coalescing parameters (NVMe Set Features: Interrupt
-/// Coalescing): an interrupt is deferred until `threshold` completion
-/// entries have aggregated or `time` has elapsed since the first deferred
-/// entry. Coalescing trades completion latency for fewer interrupts — the
-/// tension the cinterrupts work (cited by the paper) is about.
-#[derive(Clone, Copy, Debug)]
-pub struct IrqCoalescing {
-    /// Aggregation threshold (entries).
-    pub threshold: u8,
-    /// Aggregation time.
-    pub time: SimDuration,
-}
-
 /// The controller's arbitration mechanism.
 #[derive(Clone, Copy, Debug, Default)]
 pub enum Arbitration {
     /// Plain round-robin (the NVMe default; the paper's assumption).
     #[default]
     RoundRobin,
-    /// Weighted round robin with urgent priority class.
+    /// Weighted round robin over the high, medium and low classes.
     Wrr(WrrWeights),
 }
 
@@ -93,9 +80,6 @@ pub struct NvmeConfig {
     pub max_inflight_pages: u32,
     /// Per-namespace capacity in logical blocks. Length = namespace count.
     pub namespace_blocks: Vec<u64>,
-    /// Interrupt coalescing (None = interrupt per completion batch, the
-    /// evaluation default).
-    pub irq_coalescing: Option<IrqCoalescing>,
     /// Timing model.
     pub perf: PerfModel,
     /// Flash backend geometry and timings.
@@ -113,7 +97,6 @@ impl NvmeConfig {
             sq_depth: 1024,
             arbitration: Arbitration::RoundRobin,
             max_inflight_pages: 512,
-            irq_coalescing: None,
             namespace_blocks: vec![Self::gib_blocks(64)],
             perf: PerfModel::default(),
             flash: FlashConfig::enterprise(),
@@ -130,7 +113,6 @@ impl NvmeConfig {
             sq_depth: 1024,
             arbitration: Arbitration::RoundRobin,
             max_inflight_pages: 256,
-            irq_coalescing: None,
             namespace_blocks: vec![Self::gib_blocks(64)],
             perf: PerfModel::default(),
             flash: FlashConfig::consumer(),
@@ -155,12 +137,6 @@ impl NvmeConfig {
     /// Enables WRR arbitration (required by the overprovision baseline).
     pub fn with_wrr(mut self, weights: WrrWeights) -> Self {
         self.arbitration = Arbitration::Wrr(weights);
-        self
-    }
-
-    /// Enables interrupt coalescing.
-    pub fn with_irq_coalescing(mut self, threshold: u8, time: SimDuration) -> Self {
-        self.irq_coalescing = Some(IrqCoalescing { threshold, time });
         self
     }
 
@@ -192,11 +168,6 @@ impl NvmeConfig {
         }
         if self.max_inflight_pages == 0 {
             return Err("in-flight page budget must be >= 1".into());
-        }
-        if let Some(c) = self.irq_coalescing {
-            if c.threshold == 0 {
-                return Err("coalescing threshold must be >= 1".into());
-            }
         }
         if self.namespace_blocks.is_empty() {
             return Err("need at least one namespace".into());

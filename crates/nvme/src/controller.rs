@@ -139,45 +139,15 @@ impl NvmeDevice {
             out.trace
                 .record(cmd.host.trace_event(Phase::CqePosted, now, Some(sq.0)));
         }
-        self.maybe_raise(cq, posted_at, out);
+        self.raise(cq, posted_at, out);
         // Freed page budget may unblock a stalled fetch engine.
         self.maybe_start_fetch(now, out);
     }
 
-    /// Raises the CQ's interrupt, honouring per-CQ coalescing: below the
-    /// aggregation threshold the raise is deferred to the aggregation
-    /// timer (armed on the first deferred entry).
-    pub(crate) fn maybe_raise(&mut self, cq: CqId, now: SimTime, out: &mut DeviceOutput) {
-        if self.vectors[cq.index()].is_raised() {
-            return;
-        }
-        let (enabled, armed) = self.coalesce[cq.index()];
-        if let (Some(cfg), true) = (self.config.irq_coalescing, enabled) {
-            let pending = self.cqs[cq.index()].pending();
-            if pending < cfg.threshold as usize {
-                if !armed {
-                    self.coalesce[cq.index()].1 = true;
-                    out.events
-                        .push((now + cfg.time, NvmeEvent::CoalesceTimeout { cq }));
-                }
-                return;
-            }
-        }
-        self.raise_now(cq, now, out);
-    }
-
-    /// The aggregation timer fired: deliver whatever has gathered.
-    pub(crate) fn on_coalesce_timeout(&mut self, cq: CqId, now: SimTime, out: &mut DeviceOutput) {
-        self.coalesce[cq.index()].1 = false;
-        if self.vectors[cq.index()].is_raised() {
-            return;
-        }
-        if self.cqs[cq.index()].pending() > 0 {
-            self.raise_now(cq, now, out);
-        }
-    }
-
-    fn raise_now(&mut self, cq: CqId, now: SimTime, out: &mut DeviceOutput) {
+    /// Raises the CQ's interrupt unless its vector is already raised: one
+    /// interrupt per completion batch, no coalescing (the paper's devices
+    /// as evaluated).
+    pub(crate) fn raise(&mut self, cq: CqId, now: SimTime, out: &mut DeviceOutput) {
         if self.vectors[cq.index()].try_raise() {
             self.cqs[cq.index()].note_irq();
             if self.faults.enabled() && self.faults.loses_irq(now, cq.0) {
@@ -225,6 +195,13 @@ mod tests {
                 ..HostTag::default()
             },
         }
+    }
+
+    /// The host ISR's pop of up to `max` entries from CQ 0.
+    fn isr_take(dev: &mut NvmeDevice, max: usize) -> Vec<CqEntry> {
+        let mut buf = Vec::new();
+        dev.isr_pop_into(CqId(0), max, &mut buf);
+        buf
     }
 
     /// Drives the device until its event stream drains; returns completion
@@ -337,7 +314,7 @@ mod tests {
         dev.push_command(SqId(0), cmd(1, 1, huge)).unwrap();
         dev.ring_doorbell(SqId(0), SimTime::ZERO, &mut out);
         let _ = drain(&mut dev, out);
-        let entries = dev.isr_pop(CqId(0), usize::MAX);
+        let entries = isr_take(&mut dev, usize::MAX);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].status, CqStatus::LbaOutOfRange);
         assert_eq!(entries[0].bytes, 0);
@@ -371,13 +348,13 @@ mod tests {
         let (_, irqs) = drain(&mut dev, out);
         assert_eq!(irqs.len(), 1, "second CQE lands while vector raised");
         // ISR pops only one entry, acks: must re-raise for the rest.
-        let got = dev.isr_pop(CqId(0), 1);
+        let got = isr_take(&mut dev, 1);
         assert_eq!(got.len(), 1);
         let mut out = DeviceOutput::new();
         dev.isr_done(CqId(0), SimTime::from_millis(1), &mut out);
         assert_eq!(out.irqs.len(), 1, "backlog must re-raise");
         // Drain fully, ack again: vector idles.
-        let got = dev.isr_pop(CqId(0), usize::MAX);
+        let got = isr_take(&mut dev, usize::MAX);
         assert_eq!(got.len(), 1);
         let mut out2 = DeviceOutput::new();
         dev.isr_done(CqId(0), SimTime::from_millis(2), &mut out2);
@@ -434,68 +411,6 @@ mod tests {
         assert_eq!(st.in_flight_rqs, 0);
         assert_eq!(st.complete_rqs, 1);
         assert_eq!(st.irqs, 1);
-    }
-
-    #[test]
-    fn coalescing_defers_interrupt_until_threshold() {
-        let mut cfg = NvmeConfig::sv_m().with_irq_coalescing(4, SimDuration::from_millis(1));
-        cfg.nr_sqs = 1;
-        cfg.nr_cqs = 1;
-        cfg.sq_depth = 64;
-        let mut dev = NvmeDevice::new(cfg, 1);
-        let mut out = DeviceOutput::new();
-        for i in 0..4 {
-            dev.push_command(SqId(0), cmd(i, 1, i * 8)).unwrap();
-        }
-        dev.ring_doorbell(SqId(0), SimTime::ZERO, &mut out);
-        let (_, irqs) = drain(&mut dev, out);
-        // One aggregated interrupt, not four.
-        assert_eq!(irqs.len(), 1, "threshold-4 coalescing must aggregate");
-        assert_eq!(dev.cq_pending(CqId(0)), 4);
-    }
-
-    #[test]
-    fn coalescing_timer_rescues_stragglers() {
-        let mut cfg = NvmeConfig::sv_m().with_irq_coalescing(8, SimDuration::from_micros(200));
-        cfg.nr_sqs = 1;
-        cfg.nr_cqs = 1;
-        cfg.sq_depth = 64;
-        let mut dev = NvmeDevice::new(cfg, 1);
-        let mut out = DeviceOutput::new();
-        // Only one command: far below the threshold, must still interrupt
-        // after the aggregation time.
-        dev.push_command(SqId(0), cmd(1, 1, 0)).unwrap();
-        dev.ring_doorbell(SqId(0), SimTime::ZERO, &mut out);
-        let (completions, irqs) = drain(&mut dev, out);
-        assert_eq!(irqs.len(), 1, "aggregation timer must fire");
-        let done = completions[0].1;
-        assert!(
-            irqs[0].at >= done + SimDuration::from_micros(200),
-            "interrupt delayed by the aggregation window (irq at {}, done {})",
-            irqs[0].at,
-            done
-        );
-    }
-
-    #[test]
-    fn per_cq_coalescing_opt_out() {
-        let mut cfg = NvmeConfig::sv_m().with_irq_coalescing(8, SimDuration::from_millis(5));
-        cfg.nr_sqs = 1;
-        cfg.nr_cqs = 1;
-        cfg.sq_depth = 64;
-        let mut dev = NvmeDevice::new(cfg, 1);
-        // A latency-critical vector opts out (what an SLA-aware host does
-        // for its high-priority NCQs).
-        dev.set_cq_coalescing(CqId(0), false);
-        let mut out = DeviceOutput::new();
-        dev.push_command(SqId(0), cmd(1, 1, 0)).unwrap();
-        dev.ring_doorbell(SqId(0), SimTime::ZERO, &mut out);
-        let (completions, irqs) = drain(&mut dev, out);
-        assert_eq!(irqs.len(), 1);
-        assert!(
-            irqs[0].at < completions[0].1 + SimDuration::from_micros(10),
-            "opted-out vector must interrupt immediately"
-        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   controller's fetch engine;
 //! * [`NvmeDevice::handle_event`] — advance internal state at an event the
 //!   device previously scheduled;
-//! * [`NvmeDevice::isr_pop`] / [`NvmeDevice::isr_done`] — the host interrupt
-//!   service routine draining a CQ and acknowledging the vector.
+//! * [`NvmeDevice::isr_pop_into`] / [`NvmeDevice::isr_done`] — the host
+//!   interrupt service routine draining a CQ and acknowledging the vector.
 //!
 //! The device never calls into the host. Every externally visible effect is
 //! returned through [`DeviceOutput`]: future device events for the host's
@@ -45,11 +45,6 @@ pub enum NvmeEvent {
     CmdDone {
         /// The staged command (see [`NvmeDevice::event_command`]).
         slot: SlotId,
-    },
-    /// The interrupt-coalescing aggregation timer of a CQ expired.
-    CoalesceTimeout {
-        /// The CQ whose timer fired.
-        cq: CqId,
     },
 }
 
@@ -197,8 +192,6 @@ pub struct NvmeDevice {
     pub(crate) fetching: bool,
     /// Pages of fetched-but-unfinished commands (internal flow control).
     pub(crate) inflight_pages: u64,
-    /// Per-CQ coalescing state: (enabled, aggregation timer armed).
-    pub(crate) coalesce: Vec<(bool, bool)>,
     pub(crate) stats: DeviceStats,
     /// Fault-injection schedule (disabled unless installed; every hook is
     /// behind a single `enabled()` branch, mirroring the trace sink).
@@ -244,8 +237,6 @@ impl NvmeDevice {
             vectors,
             fetching: false,
             inflight_pages: 0,
-            // dd-alloc-allowlist: construction; one entry per CQ.
-            coalesce: vec![(true, false); config.nr_cqs as usize],
             stats: DeviceStats::default(),
             faults: FaultPlan::disabled(),
             config,
@@ -295,12 +286,6 @@ impl NvmeDevice {
     /// The core a CQ's vector is bound to.
     pub fn irq_core(&self, cq: CqId) -> u16 {
         self.vectors[cq.index()].core
-    }
-
-    /// Enables/disables interrupt coalescing for one CQ (hosts disable it
-    /// on latency-critical vectors; NVMe exposes this per-vector).
-    pub fn set_cq_coalescing(&mut self, cq: CqId, enabled: bool) {
-        self.coalesce[cq.index()].0 = enabled;
     }
 
     /// Sets an SQ's WRR priority class (the admin `Create I/O SQ` QPRIO
@@ -414,18 +399,16 @@ impl NvmeDevice {
         match ev {
             NvmeEvent::FetchDone { slot } => self.on_fetch_done(slot, now, out),
             NvmeEvent::CmdDone { slot } => self.on_cmd_done(slot, now, out),
-            NvmeEvent::CoalesceTimeout { cq } => self.on_coalesce_timeout(cq, now, out),
         }
     }
 
     /// The command (and its SQ) a pending fetch or completion event names;
-    /// `None` for coalescing timers and for events already handled.
+    /// `None` for events already handled.
     pub fn event_command(&self, ev: &NvmeEvent) -> Option<(NvmeCommand, SqId)> {
         match *ev {
             NvmeEvent::FetchDone { slot } | NvmeEvent::CmdDone { slot } => {
                 self.staged.get(slot).copied()
             }
-            NvmeEvent::CoalesceTimeout { .. } => None,
         }
     }
 
@@ -435,25 +418,20 @@ impl NvmeDevice {
         self.staged.len()
     }
 
-    /// Host ISR pops up to `max` completion entries from a CQ.
-    pub fn isr_pop(&mut self, cq: CqId, max: usize) -> Vec<CqEntry> {
-        self.cqs[cq.index()].pop(max)
-    }
-
-    /// Like [`NvmeDevice::isr_pop`], but pops into `buf` (cleared first) so
-    /// the caller's allocation is reused across ISRs — the stacks' hot
-    /// completion path never touches the heap in steady state. Returns the
-    /// number of entries popped.
+    /// Host ISR pops up to `max` completion entries from a CQ into `buf`
+    /// (cleared first), so the caller's allocation is reused across ISRs —
+    /// the stacks' hot completion path never touches the heap in steady
+    /// state. Returns the number of entries popped.
     pub fn isr_pop_into(&mut self, cq: CqId, max: usize, buf: &mut Vec<CqEntry>) -> usize {
         self.cqs[cq.index()].pop_into(max, buf)
     }
 
-    /// Host ISR finished for `cq`. Re-raises the vector (subject to
-    /// coalescing) if CQEs arrived during the ISR.
+    /// Host ISR finished for `cq`. Re-raises the vector if CQEs arrived
+    /// during the ISR.
     pub fn isr_done(&mut self, cq: CqId, now: SimTime, out: &mut DeviceOutput) {
         self.vectors[cq.index()].complete(false);
         if self.cqs[cq.index()].pending() > 0 {
-            self.maybe_raise(cq, now, out);
+            self.raise(cq, now, out);
         }
     }
 }

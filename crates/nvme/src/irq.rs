@@ -47,11 +47,8 @@ impl IrqVector {
 
     /// True while an interrupt is asserted and not yet acknowledged.
     ///
-    /// Raise/acknowledge state is strictly per vector even when several
-    /// vectors fire at one instant toward one core and the testbed merges
-    /// their deliveries into a single cross-CQ fire event: each CQ's ISR
-    /// still completes its own vector, so watchdog scans and coalescing
-    /// timers observe the same per-CQ truth as with one fire per vector.
+    /// Raise/acknowledge state is strictly per vector: each CQ's ISR
+    /// completes its own vector, so watchdog scans observe per-CQ truth.
     pub fn is_raised(&self) -> bool {
         self.state == IrqState::Raised
     }

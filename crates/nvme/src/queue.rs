@@ -187,12 +187,6 @@ impl CompletionQueue {
         self.stats.irqs += 1;
     }
 
-    /// Host ISR pops up to `max` entries.
-    pub fn pop(&mut self, max: usize) -> Vec<CqEntry> {
-        let n = max.min(self.entries.len());
-        self.entries.drain(..n).collect()
-    }
-
     /// Host ISR pops up to `max` entries into `buf`, which is cleared and
     /// refilled in place so its allocation is reused across ISRs. Returns
     /// the number of entries popped.
@@ -317,12 +311,13 @@ mod tests {
         cq.post(cqe(2));
         assert_eq!(cq.stats().in_flight_rqs, 1);
         assert_eq!(cq.stats().complete_rqs, 2);
-        let popped = cq.pop(1);
-        assert_eq!(popped.len(), 1);
+        let mut popped = vec![cqe(9)];
+        assert_eq!(cq.pop_into(1, &mut popped), 1);
+        assert_eq!(popped.len(), 1, "the buffer is cleared first");
         assert_eq!(popped[0].cid, CommandId(1));
         assert_eq!(cq.pending(), 1);
-        let rest = cq.pop(usize::MAX);
-        assert_eq!(rest.len(), 1);
+        assert_eq!(cq.pop_into(usize::MAX, &mut popped), 1);
+        assert_eq!(popped[0].cid, CommandId(2));
         assert_eq!(cq.pending(), 0);
     }
 

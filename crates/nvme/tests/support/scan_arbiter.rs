@@ -35,16 +35,15 @@ impl ScanRoundRobin {
     }
 }
 
-/// Weighted round robin with an urgent class: urgent queues first, then
-/// the weighted classes by credit, all credits refilling when every class
-/// with work is out of them.
+/// Weighted round robin: the classes by credit, all credits refilling when
+/// every class with work is out of them.
 pub struct ScanWrr {
     classes: Vec<SqPriorityClass>,
     weights: WrrWeights,
     /// Remaining credits of the high/medium/low classes.
     credits: [i32; 3],
-    /// Round-robin cursor per weighted class plus urgent (index 3).
-    cursors: [u16; 4],
+    /// Round-robin cursor per class.
+    cursors: [u16; 3],
 }
 
 impl ScanWrr {
@@ -53,7 +52,7 @@ impl ScanWrr {
             classes: vec![SqPriorityClass::Medium; nr_sqs as usize],
             weights,
             credits: Self::full(weights),
-            cursors: [0; 4],
+            cursors: [0; 3],
         }
     }
 
@@ -85,9 +84,6 @@ impl ScanWrr {
     }
 
     pub fn next(&mut self, mut has_work: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        if let Some(sq) = self.scan_class(SqPriorityClass::Urgent, 3, &mut has_work) {
-            return Some(sq);
-        }
         for _refill in 0..2 {
             for (idx, class) in [
                 (0usize, SqPriorityClass::High),

@@ -114,10 +114,6 @@ impl StorageStack for OverprovStack {
         );
     }
 
-    fn deregister_tenant(&mut self, pid: Pid, _env: &mut StackEnv<'_>) {
-        self.tenants.remove(pid);
-    }
-
     fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
         if let Some(t) = self.tenants.get_mut(pid) {
             t.ionice = class;

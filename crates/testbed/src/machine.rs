@@ -53,7 +53,7 @@ enum Event {
     IoniceStorm,
     /// Fig. 13: move a random tenant to a random core.
     MigrateStorm,
-    /// A rate-limited FIO slot's think time expired: reissue.
+    /// An open-loop FIO tenant's next arrival is due: reissue.
     WakeResubmit(Pid),
     /// Measurement window opens.
     EndWarmup,
@@ -302,7 +302,7 @@ impl Machine {
         let mut dev_out: DeviceOutput = arena.take(0);
         dev_out.trace.reconfigure(scenario.knobs.trace);
         let mut cpu: CpuSystem<Work> = arena.take(0);
-        cpu.configure(&scenario.topology);
+        cpu.configure(scenario.nr_cores());
         // Pre-sized from the scenario shape (Σ queue depth × the events
         // each in-flight I/O can hold) so the dispatch loop never grows
         // the queue mid-run.
@@ -632,16 +632,7 @@ impl Machine {
             // Open-loop arrival tenants are driven by their wake chain
             // (see `Event::WakeResubmit`): completions only record stats.
             Driver::Fio(job) if job.arrival.is_some() => None,
-            Driver::Fio(job) => match job.think_time() {
-                // Rate-limited slot: sleep an exponential think time first.
-                Some(mean) => {
-                    let delay = tenant.rng.gen_exp(mean);
-                    self.queue
-                        .push(c.completed_at + delay, Event::WakeResubmit(pid));
-                    None
-                }
-                None => Some(Work::Resubmit { pid }),
-            },
+            Driver::Fio(_) => Some(Work::Resubmit { pid }),
             Driver::App { current, .. } => match current {
                 Some(st) => {
                     debug_assert!(st.waiting_ios > 0, "unexpected app completion");

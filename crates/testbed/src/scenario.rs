@@ -4,7 +4,6 @@ use blkstack::blkmq::{BlkMqConfig, QueuePolicy};
 use blkstack::IoPriorityClass;
 use blkswitch::BlkSwitchConfig;
 use daredevil::DaredevilConfig;
-use dd_cpu::CpuTopology;
 use dd_nvme::{NamespaceId, NvmeConfig};
 use dd_workload::checkpoint::CheckpointConfig;
 use dd_workload::kvsim::KvConfig;
@@ -202,12 +201,14 @@ pub enum MachinePreset {
 }
 
 impl MachinePreset {
-    /// The CPU topology.
-    pub fn topology(self) -> CpuTopology {
+    /// Host cores: SV-M's 64 physical EPYC cores (SMT off), or WS-M's 8
+    /// P-cores, the only ones the paper uses there to avoid asymmetric-core
+    /// interference (§7).
+    pub fn nr_cores(self) -> u16 {
         match self {
-            MachinePreset::SvM => CpuTopology::sv_m(),
-            MachinePreset::WsM => CpuTopology::ws_m(),
-            MachinePreset::Small => CpuTopology::uniform(4),
+            MachinePreset::SvM => 64,
+            MachinePreset::WsM => 8,
+            MachinePreset::Small => 4,
         }
     }
 
@@ -270,8 +271,8 @@ impl Default for RunKnobs {
 pub struct Scenario {
     /// Run label for tables.
     pub name: String,
-    /// Host CPU topology.
-    pub topology: CpuTopology,
+    /// Host cores, all of one speed.
+    pub cores: u16,
     /// Device configuration.
     pub nvme: NvmeConfig,
     /// Stack under test.
@@ -287,7 +288,7 @@ pub struct Scenario {
     pub migrate_storm: Option<SimDuration>,
     /// Cores tenants may run on (the experiment's cpuset size). Storm
     /// migrations stay within `[0, core_pool)`. Defaults to the full
-    /// topology.
+    /// host.
     pub core_pool: u16,
     /// Time-series bucket width (Fig. 8).
     pub sample_width: SimDuration,
@@ -300,14 +301,14 @@ impl Scenario {
     pub fn new(name: impl Into<String>, preset: MachinePreset, stack: StackSpec) -> Self {
         Scenario {
             name: name.into(),
-            topology: preset.topology(),
+            cores: preset.nr_cores(),
             nvme: preset.nvme(),
             stack,
             tenants: Vec::new(),
             knobs: RunKnobs::default(),
             ionice_storm: None,
             migrate_storm: None,
-            core_pool: preset.topology().nr_cores(),
+            core_pool: preset.nr_cores(),
             sample_width: SimDuration::from_millis(100),
             stop_when_apps_done: false,
         }
@@ -401,9 +402,9 @@ impl Scenario {
         s
     }
 
-    /// Number of cores in the topology.
+    /// Number of host cores.
     pub fn nr_cores(&self) -> u16 {
-        self.topology.nr_cores()
+        self.cores
     }
 
     /// Estimated peak of concurrently pending machine events, derived from
@@ -445,6 +446,27 @@ impl Scenario {
         }
         if self.knobs.measure.is_zero() {
             return Err("measurement window must be non-zero".into());
+        }
+        // Each of these re-arms itself (or buckets by itself) at its
+        // period: zero would loop at one instant or divide by zero.
+        if self.sample_width.is_zero() {
+            return Err("sample_width must be non-zero".into());
+        }
+        for (field, interval) in [
+            ("ionice_storm", self.ionice_storm),
+            ("migrate_storm", self.migrate_storm),
+        ] {
+            if interval.is_some_and(|d| d.is_zero()) {
+                return Err(format!("{field} interval must be non-zero"));
+            }
+        }
+        if let Some(f) = &self.knobs.faults {
+            if f.period.is_zero() {
+                return Err("fault period must be non-zero".into());
+            }
+            if f.watchdog_period.is_zero() {
+                return Err("fault watchdog_period must be non-zero".into());
+            }
         }
         if let StackSpec::Virtio { inner, .. } = &self.stack {
             if matches!(**inner, StackSpec::Virtio { .. }) {
@@ -525,6 +547,62 @@ mod tests {
         let nested = StackSpec::virtio(StackSpec::virtio(StackSpec::daredevil(), true), false);
         let s = Scenario::multi_tenant_fio(nested, 1, 0, 1, MachinePreset::Small);
         assert_eq!(s.validate(), Err("nested virtio is unsupported".into()));
+    }
+
+    /// A valid scenario for the zero-period checks below. None of them is
+    /// ever run: each would loop at one instant or exhaust memory.
+    fn valid() -> Scenario {
+        let s = Scenario::multi_tenant_fio(StackSpec::vanilla(), 1, 0, 1, MachinePreset::Small);
+        assert_eq!(s.validate(), Ok(()));
+        s
+    }
+
+    #[test]
+    fn validation_catches_zero_sample_width() {
+        let mut s = valid();
+        s.sample_width = SimDuration::ZERO;
+        assert_eq!(s.validate(), Err("sample_width must be non-zero".into()));
+    }
+
+    #[test]
+    fn validation_catches_zero_ionice_storm() {
+        let mut s = valid();
+        s.ionice_storm = Some(SimDuration::ZERO);
+        assert_eq!(
+            s.validate(),
+            Err("ionice_storm interval must be non-zero".into())
+        );
+    }
+
+    #[test]
+    fn validation_catches_zero_migrate_storm() {
+        let mut s = valid();
+        s.migrate_storm = Some(SimDuration::ZERO);
+        assert_eq!(
+            s.validate(),
+            Err("migrate_storm interval must be non-zero".into())
+        );
+    }
+
+    #[test]
+    fn validation_catches_zero_fault_watchdog_period() {
+        let mut s = valid();
+        let mut f = simkit::FaultSpec::new(simkit::FaultClasses::ALL, 7);
+        f.watchdog_period = SimDuration::ZERO;
+        s.knobs.faults = Some(f);
+        assert_eq!(
+            s.validate(),
+            Err("fault watchdog_period must be non-zero".into())
+        );
+    }
+
+    #[test]
+    fn validation_catches_zero_fault_period() {
+        let mut s = valid();
+        let mut f = simkit::FaultSpec::new(simkit::FaultClasses::ALL, 7);
+        f.period = SimDuration::ZERO;
+        s.knobs.faults = Some(f);
+        assert_eq!(s.validate(), Err("fault period must be non-zero".into()));
     }
 
     #[test]

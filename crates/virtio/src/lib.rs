@@ -170,10 +170,6 @@ impl StorageStack for VirtioBlk {
         );
     }
 
-    fn deregister_tenant(&mut self, pid: Pid, _env: &mut StackEnv<'_>) {
-        self.guests.remove(pid);
-    }
-
     fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
         // Guest-side change; affects which VQ future requests use (in
         // SLA-aware mode) but never reaches the host as a syscall.

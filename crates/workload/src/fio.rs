@@ -44,10 +44,6 @@ pub struct FioJob {
     /// Fraction (percent) of requests additionally flagged SYNC — used to
     /// emulate T-tenants with outlier tendencies (§7.5-style mixes).
     pub sync_pct: u8,
-    /// Optional rate limit in IOPS: completed slots wait an exponentially
-    /// distributed think time before reissuing (open-loop-ish arrivals,
-    /// `fio --rate_iops`). `None` = pure closed loop.
-    pub rate_iops: Option<u64>,
     /// Open-loop arrival model. When set the job ignores `iodepth` pacing
     /// entirely: the testbed schedules one arrival at a time from the
     /// model's rate envelope and never reissues on completion (fleet-scale
@@ -66,7 +62,6 @@ impl FioJob {
             iodepth,
             flags: ReqFlags::NONE,
             sync_pct: 0,
-            rate_iops: None,
             arrival: None,
         }
     }
@@ -75,23 +70,6 @@ impl FioJob {
     pub fn with_arrival(mut self, model: ArrivalModel) -> Self {
         self.arrival = Some(model);
         self
-    }
-
-    /// Caps the job at `iops` I/Os per second (exponential think times).
-    pub fn with_rate_iops(mut self, iops: u64) -> Self {
-        assert!(iops > 0, "rate must be positive");
-        self.rate_iops = Some(iops);
-        self
-    }
-
-    /// Mean think time per slot for the configured rate, if any.
-    pub fn think_time(&self) -> Option<simkit::SimDuration> {
-        self.rate_iops.map(|iops| {
-            // Each of the `iodepth` slots independently paces to its share.
-            simkit::SimDuration::from_nanos(
-                1_000_000_000u64.saturating_mul(self.iodepth as u64) / iops,
-            )
-        })
     }
 
     /// Adds a percentage of SYNC-flagged (outlier) requests.
@@ -185,15 +163,5 @@ mod tests {
     #[should_panic(expected = "iodepth")]
     fn zero_iodepth_rejected() {
         let _ = FioJob::new(RwPattern::RandRead, 4096, 0);
-    }
-
-    #[test]
-    fn rate_limit_think_time() {
-        let job = FioJob::new(RwPattern::RandRead, 4096, 4).with_rate_iops(1000);
-        // 4 slots at 1000 IOPS total → 4 ms mean think per slot.
-        assert_eq!(job.think_time().unwrap().as_micros(), 4000);
-        assert!(FioJob::new(RwPattern::RandRead, 4096, 1)
-            .think_time()
-            .is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the extension tier: I/O schedulers, the
-//! static-overprovision baseline, virtio guests, interrupt coalescing, and
-//! rate-limited workloads.
+//! static-overprovision baseline, virtio guests, garbage collection and the
+//! checkpointing co-location.
 
 use daredevil_repro::blkstack::iosched::SchedKind;
 use daredevil_repro::overprov::OverprovStack;
@@ -263,74 +263,6 @@ fn virtio_sla_awareness_end_to_end() {
             "{name}: host stack not pre-sized like a bare one, or the layer's buffers uncounted"
         );
     }
-}
-
-/// Interrupt coalescing hurts L latency where it is visible — at low
-/// pressure, where a QD-1 L-tenant never reaches the aggregation threshold
-/// and eats the full aggregation window on every I/O. Daredevil's full
-/// variant opts its high-priority vectors out and keeps native latency.
-#[test]
-fn daredevil_opts_high_priority_vectors_out_of_coalescing() {
-    let mk = |stack: StackSpec, coalesce: bool| {
-        let mut s = Scenario::multi_tenant_fio(stack, 4, 0, 4, MachinePreset::SvM);
-        if coalesce {
-            s.nvme = s
-                .nvme
-                .with_irq_coalescing(16, SimDuration::from_micros(250));
-        }
-        daredevil_repro::testbed::run(durations(s))
-    };
-    let base = mk(StackSpec::vanilla(), false);
-    let vanilla_coal = mk(StackSpec::vanilla(), true);
-    let dare_coal = mk(StackSpec::daredevil(), true);
-    assert!(
-        vanilla_coal.l_avg_ms() > base.l_avg_ms() + 0.2,
-        "coalescing must add ~the aggregation window on vanilla: {} vs {}",
-        vanilla_coal.l_avg_ms(),
-        base.l_avg_ms()
-    );
-    assert!(
-        dare_coal.l_avg_ms() < base.l_avg_ms() + 0.05,
-        "daredevil's opt-out must keep native latency: {} vs base {}",
-        dare_coal.l_avg_ms(),
-        base.l_avg_ms()
-    );
-}
-
-/// Rate-limited FIO jobs respect their cap and stay deterministic.
-#[test]
-fn rate_limited_jobs_pace_themselves() {
-    let mk = || {
-        let mut s = Scenario::new("rate", MachinePreset::Small, StackSpec::vanilla());
-        s.tenants.push(TenantSpec {
-            class_label: "L",
-            ionice: IoPriorityClass::RealTime,
-            core: 0,
-            nsid: NamespaceId(1),
-            slo: None,
-            kind: TenantKind::Fio(
-                daredevil_repro::workload::FioJob::new(
-                    daredevil_repro::workload::RwPattern::RandRead,
-                    4096,
-                    1,
-                )
-                .with_rate_iops(2000),
-            ),
-        });
-        daredevil_repro::testbed::run(durations(s))
-    };
-    let out = mk();
-    let iops = out.summary.class("L").iops(out.summary.window_secs());
-    // Unconstrained this machine does >10k IOPS; the cap must bind (with
-    // slack for the exponential pacing).
-    assert!(iops < 2600.0, "rate cap must bind: measured {iops:.0} IOPS");
-    assert!(iops > 800.0, "pacing must not stall the job: {iops:.0}");
-    let again = mk();
-    assert_eq!(
-        out.summary.class("L").ios_completed,
-        again.summary.class("L").ios_completed,
-        "rate pacing must be deterministic"
-    );
 }
 
 /// The intro's motivating co-location: latency-sensitive tenants against a
