@@ -185,34 +185,64 @@ fn bench_substrate(set: &mut BenchSet) {
     }
 }
 
-/// Bucketed [`EventQueue`] vs the reference [`HeapQueue`] under four
-/// event shapes.
+/// Two-lane [`EventQueue`] vs the reference [`HeapQueue`] under five
+/// event shapes, most at two depths: 20 pending events, the `hol` depth
+/// (the simulator's near lane holds 17.5 on average over the quick
+/// figures, 35 at most), and 512, the `max_inflight_pages` bound, where
+/// the near lane's O(k) insert is at its worst.
 ///
+/// * `hol_*` — the `hol` hop pattern: 20 I/Os in flight, each cycling
+///   through ~2 µs of submit work, the device's 262–524 µs to its
+///   completion, a core dispatch at `now`, ~2 µs of completion work and
+///   a re-issue at `now`. Most pending events are device completions, so
+///   short hops insert at the near lane's tail and one push in five scans
+///   past most of it: k ≈ 2.5 steps a push, as measured on `hol`.
 /// * `churn_*` — steady state: one pop, one push per iteration, 95 % of
-///   them within 64 µs of `now` and 5 % 1–2 ms out. A synthetic mix, not
-///   the simulator's: a probe of one ddbench pass at seed 42 counted
-///   9.2 % of pushes going to the far heap on `hol`, 20.1 % on
-///   `fleet10k` and 1.6 % on `apps`. `churn_bucketed_fat` is the same
+///   them within 64 µs of `now` and 5 % 1–2 ms out (beyond the horizon).
+///   A synthetic mix, not the simulator's. `churn_20_fat` is the same
 ///   shape with an 80-byte payload, the size of an event that carries a
-///   `BioCompletion` inline: every entry is moved on each push, sort and
-///   pop, so entry size is a cost of its own.
+///   `BioCompletion` inline: every entry is moved on each insert and
+///   heap sift, so entry size is a cost of its own.
 /// * `open_loop_*` — the `fleet10k` host shape: ~2.5 k tenant arrival
 ///   timers pending 0.4–0.6 s out, each pop of one re-arming it and
 ///   starting a five-hop I/O chain at 20–40 µs spacing, so events fire
-///   ~30 µs apart and one push in six goes beyond the window.
+///   ~30 µs apart and one push in six goes beyond the horizon.
 /// * `drain_*` — batch fill then full drain, measuring amortized
 ///   per-event cost when the queue depth spikes (storm reschedules).
-/// * `same_instant_*` — the machine's dispatch pattern over 512 pending
-///   work completions: an iteration pops a completion at `t`, pushes a
-///   core dispatch at `t`, pops it, and pushes the next completion
-///   0.5–64.5 µs later. The bucketed queue inserts the dispatch next to
-///   the tail of the bucket it is draining.
+/// * `same_instant_*` — the machine's dispatch pattern over pending work
+///   completions: an iteration pops a completion at `t`, pushes a core
+///   dispatch at `t`, pops it, and pushes the next completion 0.5–64.5 µs
+///   later. The near lane inserts the dispatch at its tail.
 fn bench_event_queues(set: &mut BenchSet) {
+    macro_rules! hol {
+        ($name:literal, $ty:ident) => {{
+            // Payload: the hop an I/O is at. Popping hop h schedules hop
+            // h + 1 (mod 5) after hop h's delay.
+            let mut q: $ty<u32> = $ty::with_capacity(1024);
+            let mut rng = SimRng::new(3);
+            for _ in 0..20 {
+                q.push(SimTime::from_nanos(rng.next_u64() % 524_000), 2u32);
+            }
+            set.bench($name, move || {
+                let (now, hop) = q.pop().expect("I/Os cycle forever");
+                let delta = match hop {
+                    0 | 3 => 1_000 + rng.next_u64() % 2_000,
+                    1 => 262_000 + rng.next_u64() % 262_000,
+                    _ => 0,
+                };
+                q.push(now + SimDuration::from_nanos(delta), (hop + 1) % 5);
+                black_box(q.len())
+            });
+        }};
+    }
+    hol!("event_queue/hol", EventQueue);
+    hol!("event_queue/hol_heap", HeapQueue);
+
     macro_rules! churn {
-        ($name:literal, $ty:ident, $payload:expr) => {{
+        ($name:literal, $ty:ident, $payload:expr, $depth:literal) => {{
             let mut q = $ty::with_capacity(1024);
             let mut rng = SimRng::new(7);
-            for _ in 0..512 {
+            for _ in 0..$depth {
                 q.push(SimTime::from_nanos(rng.next_u64() % 64_000), $payload);
             }
             set.bench($name, move || {
@@ -227,9 +257,11 @@ fn bench_event_queues(set: &mut BenchSet) {
             });
         }};
     }
-    churn!("event_queue/churn_bucketed", EventQueue, 0u32);
-    churn!("event_queue/churn_bucketed_fat", EventQueue, [0u64; 10]);
-    churn!("event_queue/churn_heap", HeapQueue, 0u32);
+    churn!("event_queue/churn_20", EventQueue, 0u32, 20);
+    churn!("event_queue/churn_20_fat", EventQueue, [0u64; 10], 20);
+    churn!("event_queue/churn_20_heap", HeapQueue, 0u32, 20);
+    churn!("event_queue/churn_512", EventQueue, 0u32, 512);
+    churn!("event_queue/churn_512_heap", HeapQueue, 0u32, 512);
 
     macro_rules! open_loop {
         ($name:literal, $ty:ident) => {{
@@ -257,17 +289,17 @@ fn bench_event_queues(set: &mut BenchSet) {
             });
         }};
     }
-    open_loop!("event_queue/open_loop_bucketed", EventQueue);
+    open_loop!("event_queue/open_loop", EventQueue);
     open_loop!("event_queue/open_loop_heap", HeapQueue);
 
     macro_rules! drain {
-        ($name:literal, $ty:ident) => {{
+        ($name:literal, $ty:ident, $depth:literal) => {{
             let mut rng = SimRng::new(9);
             set.bench_batched(
                 $name,
                 move || {
                     let mut q: $ty<u32> = $ty::with_capacity(1024);
-                    for _ in 0..512 {
+                    for _ in 0..$depth {
                         let delta = if rng.next_u64() % 100 < 5 {
                             1_000_000 + rng.next_u64() % 1_000_000
                         } else {
@@ -285,15 +317,17 @@ fn bench_event_queues(set: &mut BenchSet) {
             );
         }};
     }
-    drain!("event_queue/drain_bucketed", EventQueue);
-    drain!("event_queue/drain_heap", HeapQueue);
+    drain!("event_queue/drain_20", EventQueue, 20);
+    drain!("event_queue/drain_20_heap", HeapQueue, 20);
+    drain!("event_queue/drain_512", EventQueue, 512);
+    drain!("event_queue/drain_512_heap", HeapQueue, 512);
 
     macro_rules! same_instant {
-        ($name:literal, $ty:ident) => {{
+        ($name:literal, $ty:ident, $depth:literal) => {{
             // Payload: 0 is a work completion, 1 a core dispatch.
             let mut q: $ty<u32> = $ty::with_capacity(1024);
             let mut rng = SimRng::new(5);
-            for _ in 0..512 {
+            for _ in 0..$depth {
                 q.push(SimTime::from_nanos(rng.next_u64() % 64_000), 0u32);
             }
             set.bench($name, move || {
@@ -313,14 +347,17 @@ fn bench_event_queues(set: &mut BenchSet) {
             });
         }};
     }
-    same_instant!("event_queue/same_instant_bucketed", EventQueue);
-    same_instant!("event_queue/same_instant_heap", HeapQueue);
+    same_instant!("event_queue/same_instant_20", EventQueue, 20);
+    same_instant!("event_queue/same_instant_20_heap", HeapQueue, 20);
+    same_instant!("event_queue/same_instant_512", EventQueue, 512);
+    same_instant!("event_queue/same_instant_512_heap", HeapQueue, 512);
 
     // Batched insertion vs a loop of singleton pushes — the drain_effects
     // shape: a burst of already-time-ordered device events entering the
     // queue at once. `push_batch` hoists the seq/counter bookkeeping out of
-    // the loop and hits the monotone-append fast path; the looped variant pays
-    // them per event. Same 512 sorted events either way.
+    // the loop; the looped variant pays it per event. Same 512 sorted events
+    // either way, all before the horizon: ascending order is the near lane's
+    // worst case, as every insert scans to its front.
     {
         fn sorted_burst() -> Vec<(SimTime, u32)> {
             let mut rng = SimRng::new(11);

@@ -93,6 +93,11 @@ pub struct BlkSwitchStack {
     dispatch: Dispatch,
     /// Request- and application-steering actions.
     steering_actions: u64,
+    /// Scratch of [`StorageStack::on_tick`], reused every window: the
+    /// active cores in order, the sorted T-pids and the T-core loads.
+    tick_cores: Vec<u16>,
+    tick_pids: Vec<Pid>,
+    tick_loads: Vec<(u16, u64)>,
 }
 
 impl BlkSwitchStack {
@@ -104,11 +109,15 @@ impl BlkSwitchStack {
             nr_queues,
             tenants: DenseMap::new(),
             nr_l: 0,
-            l_per_queue: vec![0; nr_queues as usize],
+            l_per_queue: vec![0; nr_queues as usize], // dd-alloc-allowlist: construction
             active_cores: BTreeSet::new(),
-            outstanding_bytes: vec![0; device_sqs as usize],
+            outstanding_bytes: vec![0; device_sqs as usize], // dd-alloc-allowlist: construction
             dispatch: Dispatch::new(device_sqs),
             steering_actions: 0,
+            // dd-alloc-allowlist: const empty Vecs, grown on the first tick.
+            tick_cores: Vec::new(),
+            tick_pids: Vec::new(),  // dd-alloc-allowlist: see above
+            tick_loads: Vec::new(), // dd-alloc-allowlist: see above
         }
     }
 
@@ -214,16 +223,16 @@ impl BlkSwitchStack {
         }
     }
 
-    /// Per-active-core load in the current window (sum of member tenants'
-    /// bytes), as `(core, load)` pairs in core order.
-    fn core_loads(&self) -> Vec<(u16, u64)> {
-        let mut loads: Vec<(u16, u64)> = self.active_cores.iter().map(|&c| (c, 0u64)).collect();
+    /// Load of each core of `cores` in the current window (sum of member
+    /// tenants' bytes), as `(core, load)` pairs in the order of `cores`.
+    fn core_loads(&self, cores: &[u16], loads: &mut Vec<(u16, u64)>) {
+        loads.clear();
+        loads.extend(cores.iter().map(|&c| (c, 0u64)));
         for t in self.tenants.values() {
             if let Some(entry) = loads.iter_mut().find(|(c, _)| *c == t.core) {
                 entry.1 += t.window_bytes;
             }
         }
-        loads
     }
 }
 
@@ -325,19 +334,22 @@ impl StorageStack for BlkSwitchStack {
         //   migrations and fluctuating performance ("becomes paralyzed",
         //   §7.1/Fig. 8). We model that regime as one random migration per
         //   window — churn without separation benefit.
-        let active: Vec<u16> = self.active_cores.iter().copied().collect();
+        //
+        // The scratch leaves `self` for the tick so tenants can move.
+        let mut active = std::mem::take(&mut self.tick_cores);
+        active.clear();
+        active.extend(self.active_cores.iter().copied());
         if active.len() > 1 {
             if self.overloaded() {
-                let pids: Vec<Pid> = {
-                    let mut v: Vec<Pid> = self
-                        .tenants
+                let mut pids = std::mem::take(&mut self.tick_pids);
+                pids.clear();
+                pids.extend(
+                    self.tenants
                         .iter()
                         .filter(|(_, t)| !t.ionice.is_latency_sensitive())
-                        .map(|(p, _)| p)
-                        .collect();
-                    v.sort();
-                    v
-                };
+                        .map(|(p, _)| p),
+                );
+                pids.sort_unstable();
                 if !pids.is_empty() {
                     let pid = *env.rng.choose(&pids);
                     let core = *env.rng.choose(&active);
@@ -347,6 +359,7 @@ impl StorageStack for BlkSwitchStack {
                         self.steering_actions += 1;
                     }
                 }
+                self.tick_pids = pids;
             } else {
                 let l_cores = self.l_core_target();
                 let (l_set, t_set) = active.split_at(l_cores.min(active.len()));
@@ -373,12 +386,8 @@ impl StorageStack for BlkSwitchStack {
                     self.steering_actions += 1;
                 }
                 // Balance move among T-cores only.
-                let loads = self.core_loads();
-                let t_loads: Vec<(u16, u64)> = loads
-                    .iter()
-                    .copied()
-                    .filter(|(c, _)| t_set.contains(c))
-                    .collect();
+                let mut t_loads = std::mem::take(&mut self.tick_loads);
+                self.core_loads(t_set, &mut t_loads);
                 let max = t_loads.iter().map(|&(_, l)| l).max();
                 let min = t_loads.iter().map(|&(_, l)| l).min();
                 if let (Some(max), Some(min)) = (max, min) {
@@ -398,8 +407,10 @@ impl StorageStack for BlkSwitchStack {
                         }
                     }
                 }
+                self.tick_loads = t_loads;
             }
         }
+        self.tick_cores = active;
         // New window.
         for t in self.tenants.values_mut() {
             t.window_bytes = 0;

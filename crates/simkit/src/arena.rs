@@ -1,7 +1,7 @@
 //! The per-run memory arena.
 //!
 //! A simulation run grows a fixed family of structures to their steady-state
-//! high-water mark — calendar-queue lanes, slab backing stores, dispatch
+//! high-water mark — event-queue lanes, slab backing stores, dispatch
 //! scratch, device-output buffers — and then throws all of it away when the
 //! run ends, only for the next sweep cell to grow the very same shapes from
 //! zero. [`RunArena`] breaks that cycle: at teardown a machine *parks* every

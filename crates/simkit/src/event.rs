@@ -12,38 +12,27 @@
 //! majority of their events a few hundred nanoseconds to a few hundred
 //! microseconds ahead of the current virtual time (core dispatches at `now`,
 //! work completions at `now + cost`, device fetch/completion latencies,
-//! interrupt deliveries). A binary heap pays `O(log n)` sift work for every
-//! one of those pushes and pops. [`EventQueue`] therefore keeps two lanes,
-//! calendar-queue style:
+//! interrupt deliveries), and the device's page budget bounds how many are
+//! pending at once: tens, not thousands. [`EventQueue`] therefore keeps two
+//! lanes split at a **horizon** [`HORIZON`] past the last popped time:
 //!
-//! * a **near-future lane**: a ring of [`NEAR_BUCKETS`] buckets, each
-//!   covering a granule of `1 << GRANULE_SHIFT` nanoseconds. Pushes whose
-//!   firing granule lies within the ring's window (`cursor` to
-//!   `cursor + NEAR_BUCKETS` granules) are appended to their bucket in
-//!   O(1); a bucket is sorted once, when draining reaches it. An
-//!   occupancy bitmap takes the drain straight to the next occupied
-//!   bucket, however sparse the ring is.
-//! * a **far lane**: the plain binary heap, for timers beyond the window
-//!   (stop markers, warmup boundaries, think-time wakeups, arrival
-//!   timers, storm intervals).
+//! * a **near lane**: one array of every event before the horizon, kept in
+//!   *descending* `(time, seq)` order so the minimum sits at the tail. A
+//!   pop takes the tail; a push scans from the tail past the events
+//!   earlier than it (a couple of steps on the simulator's traffic) and
+//!   inserts there.
+//! * a **far lane**: a binary heap of the events at or after the horizon
+//!   (stop markers, warmup boundaries, arrival timers, storm intervals).
 //!
-//! The window keeps pace with the clock. Two invariants hold:
+//! Each pop moves the horizon to `HORIZON` past the popped time (it never
+//! moves back) and migrates the far events it passed into the near lane;
+//! they are later than every near event, so they go to its front. So the
+//! far lane holds only events at or after the horizon, every push before
+//! the horizon — including one behind the last popped time — lands in the
+//! near lane, and the near tail is always the queue's minimum.
 //!
-//! * the cursor never passes the next event: it advances only to the
-//!   granule of the near event being popped, and when the ring is empty
-//!   it jumps to the far head's granule;
-//! * the far lane holds only events at or beyond the window's end:
-//!   whenever the end moves, far events whose granule entered the window
-//!   migrate into their buckets.
-//!
-//! So a push at or after the last popped time lands in the ring whenever
-//! it is within the window, and only genuine far timers pay heap work.
-//! The API still allows a push behind the last popped time; it goes to
-//! the far lane if its granule is behind the cursor.
-//!
-//! Every pop compares the near-lane head against the far-lane head on the
-//! full `(time, seq)` key, so the observable order is *identical* to a
-//! single binary heap on `(time, seq)` — property-tested against one in
+//! The observable order is *identical* to a single binary heap on
+//! `(time, seq)` — property-tested against one in
 //! `simkit/tests/proptests.rs` under random push/pop interleavings, and
 //! micro-benched against it in `bench/benches/micro.rs`.
 
@@ -51,9 +40,10 @@ use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
-/// A scheduled event: fires at `at`, ties broken by `seq` (insertion order).
+/// A scheduled far-lane event: fires at `at`, ties broken by `seq`
+/// (insertion order).
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
@@ -85,72 +75,13 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Width of one near-future bucket: events within the same
-/// `2^GRANULE_SHIFT` ns granule share a bucket (1.024 µs).
-pub const GRANULE_SHIFT: u32 = 10;
+/// How far past the last popped time the near lane reaches (2^20 ns ≈
+/// 1.05 ms): past the device's command completions, which land 262–524 µs
+/// ahead, so only genuine timers pay heap work.
+pub const HORIZON: SimDuration = SimDuration::from_nanos(1 << 20);
 
-/// Number of buckets in the near-future ring (must stay a power of two).
-/// Window covered: `NEAR_BUCKETS << GRANULE_SHIFT` ns ≈ 262 µs — the
-/// dominant event horizon of the simulated storage stack.
-pub const NEAR_BUCKETS: usize = 256;
-
-const NEAR_MASK: u64 = NEAR_BUCKETS as u64 - 1;
-
-/// Words in the occupancy bitmap, one bit per ring slot.
-const OCC_WORDS: usize = NEAR_BUCKETS / 64;
-
-/// One near-lane bucket. `sorted == true` means `items` is kept in
-/// *descending* `(time, seq)` order so the minimum pops off the tail.
-struct Bucket<E> {
-    items: Vec<(SimTime, u64, E)>,
-    sorted: bool,
-}
-
-impl<E> Bucket<E> {
-    const fn new() -> Self {
-        Bucket {
-            // dd-alloc-allowlist: const empty Vec — no heap allocation.
-            items: Vec::new(),
-            sorted: false,
-        }
-    }
-
-    /// Sorts (once) so the minimal `(time, seq)` sits at the tail.
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            // Keys are unique (seq is unique), so unstable is exact.
-            self.items
-                .sort_unstable_by(|a, b| (b.0, b.1).cmp(&(a.0, a.1)));
-            self.sorted = true;
-        }
-    }
-
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        if self.sorted {
-            // Monotone-append fast path: descending order keeps the
-            // minimum at the tail, so a new overall minimum appends in
-            // O(1) — the common case when the drain pushes follow-ups
-            // strictly earlier than the bucket's remaining events.
-            match self.items.last() {
-                Some((t, s, _)) if (at, seq) >= (*t, *s) => {
-                    // Active (draining) bucket: keep descending order.
-                    // Pushes at the current time carry the largest seq so
-                    // far, i.e. they belong near the tail —
-                    // `partition_point` finds the spot and the memmove is
-                    // short.
-                    let pos = self.items.partition_point(|(t, s, _)| (*t, *s) > (at, seq));
-                    self.items.insert(pos, (at, seq, event));
-                }
-                _ => self.items.push((at, seq, event)),
-            }
-        } else {
-            self.items.push((at, seq, event));
-        }
-    }
-}
-
-/// A deterministic min-queue of timed events (bucketed near-future lane
-/// plus a binary-heap far lane; see the module docs).
+/// A deterministic min-queue of timed events (a sorted near lane plus a
+/// binary-heap far lane; see the module docs).
 ///
 /// # Examples
 ///
@@ -168,19 +99,12 @@ impl<E> Bucket<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Near-future ring; slot `g & NEAR_MASK` holds granule `g` whenever
-    /// `cursor <= g < cursor + NEAR_BUCKETS`.
-    buckets: Vec<Bucket<E>>,
-    /// Bit `s` set ⇔ slot `s` holds at least one event.
-    occupied: [u64; OCC_WORDS],
-    /// Events currently in the near lane.
-    near_len: usize,
-    /// Granule of the window's start; never past the next event (pushes
-    /// behind the last popped time aside).
-    cursor: u64,
-    /// Events at or beyond `cursor + NEAR_BUCKETS` granules, plus pushes
-    /// behind the cursor.
+    /// Events before `horizon`, in descending `(time, seq)` order.
+    near: Vec<(SimTime, u64, E)>,
+    /// Events at or after `horizon`.
     far: BinaryHeap<Scheduled<E>>,
+    /// The lanes' boundary: [`HORIZON`] past the latest popped time.
+    horizon: SimTime,
     next_seq: u64,
     pushed_total: u64,
 }
@@ -191,30 +115,21 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-const fn granule(at: SimTime) -> u64 {
-    at.as_nanos() >> GRANULE_SHIFT
-}
-
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        // dd-alloc-allowlist: construction; the ring's fixed bucket array.
-        let mut buckets = Vec::with_capacity(NEAR_BUCKETS);
-        buckets.resize_with(NEAR_BUCKETS, Bucket::new);
         EventQueue {
-            buckets,
-            occupied: [0; OCC_WORDS],
-            near_len: 0,
-            cursor: 0,
+            // dd-alloc-allowlist: const empty Vec — no heap allocation.
+            near: Vec::new(),
             far: BinaryHeap::new(),
+            horizon: SimTime::ZERO + HORIZON,
             next_seq: 0,
             pushed_total: 0,
         }
     }
 
     /// Creates an empty queue pre-sized for roughly `cap` concurrently
-    /// pending events (spread over the near buckets and the far heap), so
-    /// the steady state allocates nothing.
+    /// pending events, so the steady state allocates nothing.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
         q.reserve(cap);
@@ -226,30 +141,23 @@ impl<E> EventQueue<E> {
     /// alone, so a recycled queue behaves exactly like a fresh
     /// [`EventQueue::with_capacity`] one, capacity aside.
     pub fn reserve(&mut self, cap: usize) {
-        // Most pending events cluster in a handful of active granules;
-        // sizing every bucket for an even spread (with a floor) absorbs
-        // that clustering without allocating cap × NEAR_BUCKETS slots.
-        let per_bucket = (cap / NEAR_BUCKETS).clamp(4, 256);
-        for b in &mut self.buckets {
-            b.items.reserve(per_bucket);
-        }
+        // Either lane may hold most of the pending events: a busy host's
+        // I/O chains are all near, a fleet host's arrival timers far.
+        self.near.reserve(cap);
         self.far.reserve(cap / 4 + 16);
-    }
-
-    /// Appends to the bucket of granule `g`, which must lie in the window.
-    fn near_push(&mut self, g: u64, at: SimTime, seq: u64, event: E) {
-        let slot = (g & NEAR_MASK) as usize;
-        self.buckets[slot].push(at, seq, event);
-        self.occupied[slot >> 6] |= 1 << (slot & 63);
-        self.near_len += 1;
     }
 
     /// Routes one stamped event to its lane.
     fn place(&mut self, at: SimTime, seq: u64, event: E) {
-        let g = granule(at);
-        // One compare: a granule behind the cursor wraps to a huge offset.
-        if g.wrapping_sub(self.cursor) < NEAR_BUCKETS as u64 {
-            self.near_push(g, at, seq, event);
+        if at < self.horizon {
+            // Scan from the tail past the earlier events; `seq` is the
+            // newest, so an equal time counts as earlier.
+            let i = self
+                .near
+                .iter()
+                .rposition(|e| e.0 > at)
+                .map_or(0, |p| p + 1);
+            self.near.insert(i, (at, seq, event));
         } else {
             self.far.push(Scheduled { at, seq, event });
         }
@@ -265,9 +173,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules a batch of events, assigning sequence numbers in iterator
     /// order — byte-for-byte equivalent to calling [`EventQueue::push`] per
-    /// item, but with the sequence/counter bookkeeping hoisted out of the
-    /// loop so the per-item work is one granule shift plus the bucket
-    /// append (the monotone-append fast path of the near ring).
+    /// item, with the sequence/counter bookkeeping hoisted out of the loop.
     pub fn push_batch<I: IntoIterator<Item = (SimTime, E)>>(&mut self, batch: I) {
         let mut seq = self.next_seq;
         for (at, event) in batch {
@@ -278,109 +184,60 @@ impl<E> EventQueue<E> {
         self.next_seq = seq;
     }
 
-    /// Moves far events whose granule has entered the window into their
-    /// buckets. Stops at a behind-cursor far head: that event is the
-    /// queue's minimum and pops next, and the cursor cannot advance
-    /// before it does.
-    fn refill(&mut self) {
-        let end = self.cursor + NEAR_BUCKETS as u64;
-        loop {
-            let Some(top) = self.far.peek_mut() else {
-                break;
-            };
-            let g = granule(top.at);
-            if g >= end || g < self.cursor {
+    /// Moves the horizon to [`HORIZON`] past `now` (never back) and
+    /// migrates the far events it passed to the front of the near lane.
+    fn advance(&mut self, now: SimTime) {
+        let horizon = SimTime::from_nanos(now.as_nanos().saturating_add(HORIZON.as_nanos()));
+        if horizon <= self.horizon {
+            return;
+        }
+        self.horizon = horizon;
+        let len = self.near.len();
+        while let Some(top) = self.far.peek_mut() {
+            if top.at >= horizon {
                 break;
             }
             let Scheduled { at, seq, event } = PeekMut::pop(top);
-            self.near_push(g, at, seq, event);
+            self.near.push((at, seq, event));
         }
-    }
-
-    /// Offset from the cursor of the first occupied slot, wrapping round
-    /// the ring. Caller must guarantee `near_len > 0`.
-    fn next_occupied(&self) -> u64 {
-        debug_assert!(self.near_len > 0);
-        let start = (self.cursor & NEAR_MASK) as usize;
-        // On a busy host the cursor's own bucket is usually occupied, and
-        // one length check beats the bitmap walk there.
-        if !self.buckets[start].items.is_empty() {
-            return 0;
+        // The migrants came out ascending and are later than every near
+        // event: reverse them and rotate them to the front.
+        let moved = self.near.len() - len;
+        if moved > 0 {
+            self.near[len..].reverse();
+            self.near.rotate_right(moved);
         }
-        let mut word = start >> 6;
-        let mut bits = self.occupied[word] & (!0u64 << (start & 63));
-        // The start word comes round again, unmasked, on the last step.
-        for _ in 0..OCC_WORDS {
-            if bits != 0 {
-                break;
-            }
-            word = (word + 1) % OCC_WORDS;
-            bits = self.occupied[word];
-        }
-        let slot = (word << 6) | bits.trailing_zeros() as usize;
-        (slot.wrapping_sub(start) & NEAR_MASK as usize) as u64
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.near_len == 0 {
-            // Jump: the ring is empty, so its window may start anywhere.
-            self.cursor = granule(self.far.peek()?.at);
-            self.refill();
-        }
-        let off = self.next_occupied();
-        let slot = ((self.cursor + off) & NEAR_MASK) as usize;
-        let b = &mut self.buckets[slot];
-        b.ensure_sorted();
-        let &(nat, nseq, _) = b.items.last().expect("occupied bucket");
-        if matches!(self.far.peek(), Some(f) if (f.at, f.seq) < (nat, nseq)) {
-            let s = self.far.pop().expect("far head exists");
-            // Only a behind-cursor event beats the ring; it may have held
-            // migrations back.
-            self.refill();
-            return Some((s.at, s.event));
-        }
-        let b = &mut self.buckets[slot];
-        let (at, _, event) = b.items.pop().expect("occupied bucket");
-        if b.items.is_empty() {
-            b.sorted = false;
-            self.occupied[slot >> 6] &= !(1 << (slot & 63));
-        }
-        self.near_len -= 1;
-        if off > 0 {
-            self.cursor += off;
-            self.refill();
-        }
+        let (at, event) = match self.near.pop() {
+            Some((at, _, event)) => (at, event),
+            None => {
+                let s = self.far.pop()?;
+                (s.at, s.event)
+            }
+        };
+        self.advance(at);
         Some((at, event))
     }
 
     /// The firing time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let near = (self.near_len > 0).then(|| {
-            let slot = ((self.cursor + self.next_occupied()) & NEAR_MASK) as usize;
-            let b = &self.buckets[slot];
-            let min = if b.sorted {
-                b.items.last().map(|(t, _, _)| *t)
-            } else {
-                b.items.iter().map(|(t, _, _)| *t).min()
-            };
-            min.expect("occupied bucket")
-        });
-        match (near, self.far.peek().map(|s| s.at)) {
-            (None, f) => f,
-            (n, None) => n,
-            (Some(n), Some(f)) => Some(n.min(f)),
+        match self.near.last() {
+            Some(&(at, _, _)) => Some(at),
+            None => self.far.peek().map(|s| s.at),
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.near.len() + self.far.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.near_len == 0 && self.far.is_empty()
+        self.near.is_empty() && self.far.is_empty()
     }
 
     /// Total number of events ever pushed (for run statistics).
@@ -388,33 +245,28 @@ impl<E> EventQueue<E> {
         self.pushed_total
     }
 
-    /// Total backing capacity in events across the near-lane buckets and
-    /// the far heap. Used by capacity-stability probes: once a run reaches
-    /// steady state the queue must stop allocating.
+    /// Total backing capacity in events across both lanes. Used by
+    /// capacity-stability probes: once a run reaches steady state the
+    /// queue must stop allocating.
     pub fn capacity(&self) -> usize {
-        self.buckets.iter().map(|b| b.items.capacity()).sum::<usize>() + self.far.capacity()
+        self.near.capacity() + self.far.capacity()
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.items.clear();
-            b.sorted = false;
-        }
-        self.occupied = [0; OCC_WORDS];
-        self.near_len = 0;
+        self.near.clear();
         self.far.clear();
     }
 }
 
 impl<E> crate::arena::ArenaReset for EventQueue<E> {
-    /// Full logical reset: cursor, sequence numbers, and push counter all
-    /// restart at zero (sequence numbers are the deterministic tie-break —
-    /// a recycled queue must replay exactly like a fresh one), keeping the
-    /// bucket-ring and far-heap allocations.
+    /// Full logical reset: horizon, sequence numbers, and push counter all
+    /// restart (sequence numbers are the deterministic tie-break — a
+    /// recycled queue must replay exactly like a fresh one), keeping both
+    /// lanes' allocations.
     fn arena_reset(&mut self) {
         self.clear();
-        self.cursor = 0;
+        self.horizon = SimTime::ZERO + HORIZON;
         self.next_seq = 0;
         self.pushed_total = 0;
     }
@@ -423,7 +275,6 @@ impl<E> crate::arena::ArenaReset for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn orders_by_time() {
@@ -453,9 +304,9 @@ mod tests {
     #[test]
     fn fifo_across_lanes() {
         // Same firing time reached through the near lane and (via a push
-        // far beyond the window) the far lane: seq order must still win.
+        // beyond the horizon) the far lane: seq order must still win.
         let mut q = EventQueue::new();
-        let far = SimTime::from_nanos((NEAR_BUCKETS as u64 + 10) << GRANULE_SHIFT);
+        let far = SimTime::ZERO + HORIZON + SimDuration::from_micros(10);
         q.push(far, "far-first"); // lands in the far heap
         q.push(SimTime::from_nanos(1), "near");
         q.push(far, "far-second"); // also far heap
@@ -466,10 +317,27 @@ mod tests {
     }
 
     #[test]
-    fn push_behind_cursor_still_delivered() {
+    fn push_at_the_horizon_goes_far() {
+        // An event at exactly the horizon belongs to the far lane: were it
+        // near, an earlier-pushed far event at the same time would migrate
+        // in front of it and pop after it.
+        let mut q = EventQueue::new();
+        let at = SimTime::from_nanos(10) + HORIZON;
+        q.push(at, "far-first");
+        q.push(SimTime::from_nanos(10), "near");
+        assert_eq!(q.pop().unwrap().1, "near"); // horizon = `at`
+        q.push(at, "far-second");
+        assert_eq!(q.far.len(), 2);
+        q.push(SimTime::from_nanos(20), "next"); // its pop migrates both
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["next", "far-first", "far-second"]);
+    }
+
+    #[test]
+    fn push_behind_last_pop_still_delivered() {
         // Pop something late, then push something earlier ("time travel"):
         // the queue is a plain priority queue, so the early event comes
-        // right out even though the drain cursor moved past its granule.
+        // right out.
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(50), "late");
         assert_eq!(q.pop().unwrap().1, "late");
@@ -485,7 +353,7 @@ mod tests {
         q.push(SimTime::from_nanos(1000), 0u32);
         let (t, _) = q.pop().unwrap();
         q.push(t, 1);
-        q.push(t + crate::SimDuration::from_nanos(500), 3);
+        q.push(t + SimDuration::from_nanos(500), 3);
         q.push(t, 2);
         assert_eq!(q.pop().unwrap().1, 1);
         assert_eq!(q.pop().unwrap().1, 2);
@@ -531,7 +399,7 @@ mod tests {
         // the batched queue must replay identically to the looped one.
         let mut batched = EventQueue::new();
         let mut looped = EventQueue::new();
-        let far = SimTime::from_nanos((NEAR_BUCKETS as u64 + 3) << GRANULE_SHIFT);
+        let far = SimTime::ZERO + HORIZON + SimDuration::from_nanos(3);
         let items = [
             (SimTime::from_nanos(100), 0u32),
             (SimTime::from_nanos(100), 1),
@@ -558,18 +426,18 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_into_active_sorted_bucket() {
-        // Drain into a bucket (sorting it), then batch-push into the same
-        // bucket: order must stay (time, seq) across the sorted insert and
-        // the monotone-append fast path.
+    fn push_batch_inserts_behind_the_tail() {
+        // Batch-push into a draining near lane: an equal time goes after
+        // the pending one, an earlier one lands at the tail, and order
+        // stays (time, seq).
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(10), 0u32);
         q.push(SimTime::from_nanos(30), 1);
-        assert_eq!(q.pop().unwrap().1, 0); // sorts the active bucket
+        assert_eq!(q.pop().unwrap().1, 0);
         q.push_batch([
             (SimTime::from_nanos(30), 2),
             (SimTime::from_nanos(20), 3),
-            (SimTime::from_nanos(15), 4), // new minimum: fast append
+            (SimTime::from_nanos(15), 4), // new minimum: at the tail
         ]);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![4, 3, 1, 2]);
@@ -586,6 +454,11 @@ mod tests {
         q.arena_reset();
         assert!(q.is_empty());
         assert_eq!(q.pushed_total(), 0);
+        assert_eq!(
+            q.horizon,
+            SimTime::ZERO + HORIZON,
+            "the lanes split like a fresh queue's"
+        );
         // Replays exactly like a fresh queue (seq restarts at zero).
         let mut fresh = EventQueue::new();
         for t in [7u64, 7, 2] {
@@ -602,13 +475,12 @@ mod tests {
     }
 
     /// Replays a simulation-shaped script and checks the lane invariants
-    /// after every step: the cursor never passes `now`, the far lane holds
-    /// only events at or beyond the window's end, and every push inside
-    /// `now`'s window (granules `granule(now)..granule(now) + NEAR_BUCKETS`)
-    /// lands in the ring. Work events chain follow-ups a few µs to ~200 µs
-    /// ahead and die out; 16 timers re-arm 0.3–40 ms out and start bursts
-    /// of work, so the ring keeps draining into quiet gaps longer than the
-    /// window.
+    /// after every step: the horizon sits [`HORIZON`] past `now`, the far
+    /// lane holds only events at or after it, the near lane is sorted, and
+    /// every push before the horizon lands in the near lane. Work events
+    /// chain follow-ups a few µs to ~0.8 ms ahead and die out; 16 timers
+    /// re-arm 0.3–40 ms out and start bursts of work, so the near lane
+    /// keeps draining into quiet gaps longer than the horizon.
     #[test]
     fn lanes_keep_pace_with_the_clock() {
         #[derive(Clone, Copy)]
@@ -617,59 +489,59 @@ mod tests {
             Timer,
         }
         fn push_checked(q: &mut EventQueue<Ev>, now: SimTime, at: SimTime, ev: Ev) {
-            let near = q.near_len;
+            let near = q.near.len();
             q.push(at, ev);
-            let (gn, ga) = (granule(now), granule(at));
-            if ga >= gn && ga - gn < NEAR_BUCKETS as u64 {
+            if at < now + HORIZON {
                 assert_eq!(
-                    q.near_len,
+                    q.near.len(),
                     near + 1,
-                    "push at {at:?} (now {now:?}) missed the ring"
+                    "push at {at:?} (now {now:?}) missed the near lane"
                 );
             }
         }
         let mut rng = crate::rng::SimRng::new(17);
         let mut q = EventQueue::new();
         let mut now = SimTime::ZERO;
-        let window = crate::SimDuration::from_nanos((NEAR_BUCKETS as u64) << GRANULE_SHIFT);
         let mut quiet_gaps = 0;
         for _ in 0..16 {
-            let at = now + crate::SimDuration::from_micros(300 + rng.gen_range(40_000));
+            let at = now + SimDuration::from_micros(300 + rng.gen_range(40_000));
             push_checked(&mut q, now, at, Ev::Timer);
         }
         for _ in 0..200_000 {
             let (t, ev) = q.pop().expect("timers re-arm forever");
             assert!(t >= now, "script pushes nothing behind the clock");
-            quiet_gaps += usize::from(t > now + window);
+            quiet_gaps += usize::from(t >= now + HORIZON);
             now = t;
-            assert!(
-                q.cursor <= granule(now),
-                "cursor {} ran past now {now:?}",
-                q.cursor
-            );
+            assert_eq!(q.horizon, now + HORIZON, "horizon lost pace with the clock");
             if let Some(f) = q.far.peek() {
                 assert!(
-                    granule(f.at) >= q.cursor + NEAR_BUCKETS as u64,
-                    "far head {:?} sits inside the window at cursor {}",
+                    f.at >= q.horizon,
+                    "far head {:?} sits before the horizon {:?}",
                     f.at,
-                    q.cursor
+                    q.horizon
                 );
             }
+            assert!(
+                q.near
+                    .windows(2)
+                    .all(|w| (w[0].0, w[0].1) > (w[1].0, w[1].1)),
+                "near lane out of order at {now:?}"
+            );
             let (follow_ups, rearm) = match ev {
                 Ev::Work => (u64::from(rng.gen_bool(0.8)), false),
                 Ev::Timer => (1 + rng.gen_range(4), true),
             };
             for _ in 0..follow_ups {
-                let at = now + crate::SimDuration::from_nanos(rng.gen_range(200_000));
+                let at = now + SimDuration::from_nanos(rng.gen_range(800_000));
                 push_checked(&mut q, now, at, Ev::Work);
             }
             if rearm {
-                let at = now + crate::SimDuration::from_micros(300 + rng.gen_range(40_000));
+                let at = now + SimDuration::from_micros(300 + rng.gen_range(40_000));
                 push_checked(&mut q, now, at, Ev::Timer);
             }
         }
         assert!(
-            quiet_gaps > 1_000,
+            quiet_gaps > 300,
             "only {quiet_gaps} quiet gaps: the script lost its shape"
         );
     }

@@ -2,8 +2,8 @@
 //!
 //! `simkit` provides the substrate every other crate in this workspace is
 //! built on: a nanosecond-resolution virtual clock ([`SimTime`]), a
-//! deterministic event queue ([`EventQueue`], a bucketed calendar queue
-//! with a binary-heap far lane), a seedable PRNG with the
+//! deterministic event queue ([`EventQueue`], a sorted near lane with a
+//! binary-heap far lane), a seedable PRNG with the
 //! distributions the workloads need ([`rng::SimRng`]), the exponential
 //! smoothing used by Daredevil's NQ scheduler ([`ewma::Ewma`]), and a
 //! re-sortable keyed min-heap ([`keyed_heap::KeyedMinHeap`]) that backs the

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kit (dd-check harness).
 
 use dd_check::{check, prop_assert, prop_assert_eq};
-use simkit::event::{GRANULE_SHIFT, NEAR_BUCKETS};
+use simkit::event::HORIZON;
 use simkit::{EventQueue, KeyedMinHeap, SimRng, SimTime, Zipfian};
 
 #[path = "support/heap_queue.rs"]
@@ -36,21 +36,22 @@ fn event_queue_total_order() {
     });
 }
 
-/// Width of the near-lane window in nanoseconds.
-const WINDOW_NS: u64 = (NEAR_BUCKETS as u64) << GRANULE_SHIFT;
+/// How far the near lane reaches past the last popped time, in ns.
+const HORIZON_NS: u64 = HORIZON.as_nanos();
 
-/// The bucketed [`EventQueue`] is order-equivalent to the single-heap
+/// The two-lane [`EventQueue`] is order-equivalent to the single-heap
 /// reference ([`HeapQueue`]) under random push/pop interleavings whose
-/// horizons deliberately straddle the near-lane window: deltas from 0 ns
-/// up to milliseconds ahead of (and occasionally behind) the drain point.
-/// Quiet-gap steps drain everything inside the window and then push only
-/// beyond it, so the ring empties, the cursor jumps, and far timers
-/// migrate in across many windows over a script of up to ~2 000 steps.
-/// Two step classes push at exactly the last popped time, as the
-/// simulator's core dispatches do, singly and in batches mixed with later
-/// (and now and then earlier) items, so the draining bucket takes inserts
-/// next to its tail; a rare step clears or arena-resets a non-empty
-/// queue.
+/// deltas deliberately straddle the lanes' horizon: from 0 ns up to
+/// hundreds of milliseconds ahead of (and occasionally behind) the drain
+/// point. Mid steps land up to twice the horizon ahead, on both sides of
+/// it. Quiet-gap steps drain everything before the horizon and then push
+/// only at or past it, so the near lane empties and far timers migrate in
+/// across many horizons over a script of up to ~2 000 steps. Two step
+/// classes push at exactly the last popped time, as the simulator's core
+/// dispatches do, singly and in batches mixed with later (and now and
+/// then earlier) items, so the near lane takes inserts next to its tail
+/// and equal times must keep push order; a rare step clears or
+/// arena-resets a non-empty queue.
 #[test]
 fn event_queue_matches_heap_reference() {
     use simkit::arena::ArenaReset;
@@ -62,41 +63,42 @@ fn event_queue_matches_heap_reference() {
             let delta = c.u64_in(0, 4095);
             (pop, class, delta)
         });
-        let mut bucketed: EventQueue<u64> = EventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut reference: HeapQueue<u64> = HeapQueue::new();
         // `now` trails the largest popped time, as in a simulation — but
-        // pushes may also land *behind* it (class 3) to exercise the
-        // behind-cursor path. `last` is the last popped time, pulled back
-        // by any push behind it, so same-instant pushes follow a push
-        // behind the drain point at its time.
+        // pushes may also land up to ~1 ms *behind* it (class 3), at the
+        // near lane's tail, and popping them must not pull the horizon
+        // back. `last` is the last popped time, pulled back by any push
+        // behind it, so same-instant pushes follow a push behind the drain
+        // point at its time.
         let mut now: u64 = 0;
         let mut last: u64 = 0;
         for (i, &(pop, class, delta)) in steps.iter().enumerate() {
             // Unique payloads: a batch tags its items tag + 0..8.
             let tag = i as u64 * 8;
             if pop {
-                let a = bucketed.pop();
+                let a = queue.pop();
                 let b = reference.pop();
-                prop_assert_eq!(a, b, "pop #{i} diverged: bucketed={a:?} reference={b:?}");
+                prop_assert_eq!(a, b, "pop #{i} diverged: queue={a:?} reference={b:?}");
                 if let Some((t, _)) = a {
                     last = t.as_nanos();
                     now = now.max(last);
                 }
             } else if class == 4 {
-                // Quiet gap: drain the near work, then arm one timer
-                // one to ~16 windows past the end of the window.
+                // Quiet gap: drain the near work, then arm one timer at
+                // the horizon or up to ~4 horizons past it.
                 while reference
                     .peek_time()
-                    .is_some_and(|t| t.as_nanos() < now + WINDOW_NS)
+                    .is_some_and(|t| t.as_nanos() < now + HORIZON_NS)
                 {
-                    let a = bucketed.pop();
+                    let a = queue.pop();
                     let b = reference.pop();
                     prop_assert_eq!(a, b, "gap drain at step #{i} diverged");
                     last = a.expect("peeked").0.as_nanos();
                     now = now.max(last);
                 }
-                let at = now + WINDOW_NS + (delta << 10);
-                bucketed.push(SimTime::from_nanos(at), tag);
+                let at = now + HORIZON_NS + (delta << 10);
+                queue.push(SimTime::from_nanos(at), tag);
                 reference.push(SimTime::from_nanos(at), tag);
             } else if class == 6 {
                 // Batch of 1–6 items, each at the last popped time or up
@@ -116,7 +118,7 @@ fn event_queue_matches_heap_reference() {
                     let behind = SimTime::from_nanos(last.saturating_sub(delta));
                     items.insert(1, (behind, tag + 7));
                 }
-                bucketed.push_batch(items.iter().copied());
+                queue.push_batch(items.iter().copied());
                 for (at, e) in items {
                     reference.push(at, e);
                     last = last.min(at.as_nanos());
@@ -124,38 +126,38 @@ fn event_queue_matches_heap_reference() {
             } else if class == 7 && delta % 32 == 0 {
                 // Rare: drop everything, often with events at `last` queued.
                 if delta % 64 == 0 {
-                    bucketed.clear();
+                    queue.clear();
                     reference.clear();
                 } else {
-                    bucketed.arena_reset();
+                    queue.arena_reset();
                     reference = HeapQueue::new();
                     (now, last) = (0, 0);
                 }
             } else {
                 let at = match class {
-                    0 => now + delta,               // near: ≤ ~4 µs ahead
-                    1 => now + (delta << 8),        // mid: ≤ ~1 ms ahead
-                    2 => now + (delta << 16),       // far beyond the window
-                    3 => now.saturating_sub(delta), // behind the drain point
-                    _ => last,                      // same instant (5, 7)
+                    0 => now + delta,                    // near: ≤ ~4 µs ahead
+                    1 => now + (delta << 9),             // mid: ≤ ~2 ms ahead
+                    2 => now + (delta << 16),            // far: ≤ ~268 ms ahead
+                    3 => now.saturating_sub(delta << 8), // ≤ ~1 ms behind
+                    _ => last,                           // same instant (5, 7)
                 };
-                bucketed.push(SimTime::from_nanos(at), tag);
+                queue.push(SimTime::from_nanos(at), tag);
                 reference.push(SimTime::from_nanos(at), tag);
                 last = last.min(at);
             }
-            prop_assert_eq!(bucketed.len(), reference.len());
-            prop_assert_eq!(bucketed.peek_time(), reference.peek_time());
+            prop_assert_eq!(queue.len(), reference.len());
+            prop_assert_eq!(queue.peek_time(), reference.peek_time());
         }
         // Drain both to empty: the tails must agree too.
         loop {
-            let a = bucketed.pop();
+            let a = queue.pop();
             let b = reference.pop();
             prop_assert_eq!(a, b, "drain diverged");
             if a.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(bucketed.pushed_total(), reference.pushed_total());
+        prop_assert_eq!(queue.pushed_total(), reference.pushed_total());
         Ok(())
     });
 }

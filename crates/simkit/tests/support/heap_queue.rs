@@ -1,6 +1,6 @@
 //! The reference event queue: one binary heap on `(time, seq)`.
 //!
-//! Test support, not part of `simkit`'s API. It is the pre-bucketing
+//! Test support, not part of `simkit`'s API. It is the original
 //! `EventQueue`, kept as the behavioural oracle of simkit's property tests
 //! (order equivalence under random push/pop interleavings) and as the
 //! baseline of the `event_queue/*_heap` micro benches. Both include this

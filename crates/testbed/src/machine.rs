@@ -369,7 +369,7 @@ impl Machine {
     /// event queue. Must run after every stack/device interaction.
     ///
     /// Device events and completions go in by `push_batch`, which amortises
-    /// the queue's cursor/sequence bookkeeping over the whole drain. Raises
+    /// the queue's sequence bookkeeping over the whole drain. Raises
     /// go in one `push` each: a drain holds at most one, so a batch would
     /// only add overhead. The iteration orders reproduce the historical
     /// push order exactly (FIFO for device events, reverse for irqs and
@@ -1181,6 +1181,35 @@ mod tests {
             "storm must force reassignments, got {}",
             out.troute_reassignments
         );
+    }
+
+    /// The capacity-stability contract on its hardest shape, a `hostile`
+    /// mixed cell: 4 L + 8 T on SV-M, every fault class, an ionice storm
+    /// every 1 ms and a migrate storm every 2 ms. Sized from the scenario
+    /// hint, no hot-path structure may grow after warm-up.
+    #[test]
+    fn hostile_cell_stops_allocating_after_warmup() {
+        use simkit::{FaultClasses, FaultSpec};
+        for stack in [
+            StackSpec::vanilla(),
+            StackSpec::blk_switch(),
+            StackSpec::overprov(),
+            StackSpec::daredevil(),
+        ] {
+            let mut s = Scenario::multi_tenant_fio(stack.clone(), 4, 8, 4, MachinePreset::SvM);
+            s.knobs.warmup = SimDuration::from_millis(20);
+            s.knobs.measure = SimDuration::from_millis(50);
+            s.knobs.faults = Some(FaultSpec::new(FaultClasses::ALL, 0xDD));
+            s.ionice_storm = Some(SimDuration::from_millis(1));
+            s.migrate_storm = Some(SimDuration::from_millis(2));
+            let out = crate::run(s);
+            assert_eq!(
+                out.cap_warmup,
+                out.cap_end,
+                "{}: grew after warm-up",
+                stack.name()
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use simkit::SimDuration;
 pub struct CapacityProbe {
     /// Request-map slot capacity (bio + request slabs).
     pub io_slots: usize,
-    /// Event-queue backing capacity in events (near buckets + far heap).
+    /// Event-queue backing capacity in events (near lane + far heap).
     pub events: usize,
 }
 
