@@ -16,6 +16,7 @@ use blkstack::nsqlock::NsqLockTable;
 use blkstack::{IoPriorityClass, Pid, TaskStruct};
 use daredevil::{DaredevilConfig, NqReg, Policy, Priority, ProxyTable, Troute};
 use dd_check::bench::BenchSet;
+use dd_cpu::{CpuSystem, WorkClass};
 use dd_metrics::LatencyHistogram;
 use dd_nvme::arbiter::RoundRobinArbiter;
 use dd_nvme::flash::{FlashBackend, FlashConfig};
@@ -433,89 +434,35 @@ fn bench_arena(set: &mut BenchSet) {
     });
 }
 
-/// Struct-of-arrays vs array-of-structs for the per-core work queues.
+/// The CPU model's dispatch protocol on the shipped [`CpuSystem`].
 ///
 /// One iteration is one scheduler step on an 8-core system: enqueue one
-/// item (mostly Task-class, so the IRQ class is usually empty — the
-/// realistic skew) and dispatch one from the next core. The
-/// AoS variant reproduces the old `Vec<CpuCore>` layout and walks the
-/// class array per dispatch; the SoA variant is the shipped
-/// `CpuSystem` layout — class-major queue columns plus a per-core
-/// non-empty-class bitmask resolved with `trailing_zeros`.
-fn bench_workqueue_scan(set: &mut BenchSet) {
-    use std::collections::VecDeque;
-
-    const CORES: usize = 8;
-    const CLASSES: usize = 2;
-    // 0 = HardIrq, 1 = Task: 1/8 and 7/8 of traffic.
-    fn pick_class(rng: &mut SimRng) -> usize {
-        usize::from(rng.next_u64() % 8 != 0)
+/// item on the next core (1/8 hard-IRQ, 7/8 task traffic, so the IRQ class
+/// is usually empty — the realistic skew), then `take_next` → `begin` →
+/// `finish` on that core. Every core holds a backlog of 8 items, so each
+/// step dispatches without the core going idle.
+fn bench_workqueue_dispatch(set: &mut BenchSet) {
+    const CORES: u16 = 8;
+    let mut sys: CpuSystem<u32> = CpuSystem::new(CORES);
+    for i in 0..64u32 {
+        sys.enqueue(i as u16 % CORES, WorkClass::Task, i);
     }
-
-    {
-        struct AosCore {
-            queues: [VecDeque<u32>; CLASSES],
-            pending: u32,
-        }
-        let mut cores: Vec<AosCore> = (0..CORES)
-            .map(|_| AosCore {
-                queues: Default::default(),
-                pending: 0,
-            })
-            .collect();
-        let mut rng = SimRng::new(21);
-        for i in 0..64u32 {
-            let c = (i as usize) % CORES;
-            cores[c].queues[1].push_back(i);
-            cores[c].pending += 1;
-        }
-        let mut turn = 0usize;
-        set.bench("workqueue/scan_aos", move || {
-            turn = (turn + 1) % CORES;
-            let class = pick_class(&mut rng);
-            cores[turn].queues[class].push_back(turn as u32);
-            cores[turn].pending += 1;
-            let core = &mut cores[turn];
-            for q in core.queues.iter_mut() {
-                if let Some(item) = q.pop_front() {
-                    core.pending -= 1;
-                    return black_box(item);
-                }
-            }
-            unreachable!("core always has pending work")
-        });
-    }
-    {
-        let mut queues: [Vec<VecDeque<u32>>; CLASSES] = Default::default();
-        for col in queues.iter_mut() {
-            col.resize_with(CORES, VecDeque::new);
-        }
-        let mut class_mask = vec![0u8; CORES];
-        let mut pending = vec![0u32; CORES];
-        for i in 0..64u32 {
-            let c = (i as usize) % CORES;
-            queues[1][c].push_back(i);
-            class_mask[c] |= 1 << 1;
-            pending[c] += 1;
-        }
-        let mut rng = SimRng::new(21);
-        let mut turn = 0usize;
-        set.bench("workqueue/scan_soa", move || {
-            turn = (turn + 1) % CORES;
-            let class = pick_class(&mut rng);
-            queues[class][turn].push_back(turn as u32);
-            class_mask[turn] |= 1 << class;
-            pending[turn] += 1;
-            let next = class_mask[turn].trailing_zeros() as usize;
-            let q = &mut queues[next][turn];
-            let item = q.pop_front().expect("mask bit set for empty queue");
-            if q.is_empty() {
-                class_mask[turn] &= !(1 << next);
-            }
-            pending[turn] -= 1;
-            black_box(item)
-        });
-    }
+    let mut rng = SimRng::new(21);
+    let mut core = 0u16;
+    let mut now = SimTime::ZERO;
+    set.bench("workqueue/dispatch", move || {
+        core = (core + 1) % CORES;
+        let class = if rng.next_u64().is_multiple_of(8) {
+            WorkClass::HardIrq
+        } else {
+            WorkClass::Task
+        };
+        sys.enqueue(core, class, u32::from(core));
+        let (_, item) = sys.take_next(core).expect("core has a backlog");
+        now = sys.begin(core, now, SimDuration::from_nanos(500));
+        assert!(sys.finish(core, now), "backlog keeps the core dispatching");
+        black_box(item)
+    });
 }
 
 /// Request-map churn: the slab-backed [`RequestMap`] vs the HashMap shape
@@ -822,7 +769,7 @@ fn main() {
     bench_substrate(&mut set);
     bench_event_queues(&mut set);
     bench_arena(&mut set);
-    bench_workqueue_scan(&mut set);
+    bench_workqueue_dispatch(&mut set);
     bench_reqmap(&mut set);
     bench_trace(&mut set);
     bench_arbiter_pick(&mut set);

@@ -6,11 +6,12 @@
 //! work (§9) observes that these schedulers are built on blk-mq's static
 //! bindings and are *SLA-blind* — they order by direction (read/write) and
 //! deadline, not by tenant class — so they inherit blk-mq's multi-tenancy
-//! limitations. The `ext_iosched` bench target demonstrates exactly that.
+//! limitations. The `ext_baselines` figure demonstrates exactly that.
 //!
-//! Three schedulers are provided:
+//! Two elevators are provided, and [`Elevator`] is the one type the stack
+//! holds per hardware queue. The paper's baseline runs without one
+//! ([`SchedKind::None`]: direct dispatch).
 //!
-//! * [`NoopSched`] — pass-through FIFO (the paper's baseline configuration);
 //! * [`MqDeadlineSched`] — reads dispatch before writes unless a write
 //!   exceeds its deadline or writes have been starved too long (a
 //!   simplified mq-deadline: FIFO within direction, no sector sorting);
@@ -45,71 +46,6 @@ impl StagedRequest {
             sq,
             staged_at,
         }
-    }
-}
-
-/// The elevator interface.
-pub trait IoScheduler {
-    /// Scheduler name (sysfs-style).
-    fn name(&self) -> &'static str;
-
-    /// Stages a request.
-    fn insert(&mut self, rq: StagedRequest);
-
-    /// Releases the next request to dispatch, or `None` when the scheduler
-    /// holds nothing eligible right now.
-    fn dispatch(&mut self, now: SimTime) -> Option<StagedRequest>;
-
-    /// A previously dispatched request completed (token release).
-    fn complete(&mut self, _was_read: bool) {}
-
-    /// Pre-sizes the internal FIFO ring buffers for `hint` staged requests
-    /// so the steady state never reallocates (the buffers themselves are
-    /// ring buffers — they recycle their storage across insert/dispatch
-    /// churn once grown).
-    fn reserve(&mut self, _hint: usize) {}
-
-    /// Requests currently staged.
-    fn len(&self) -> usize;
-
-    /// True when nothing is staged.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Pass-through FIFO (the `none` elevator).
-#[derive(Debug, Default)]
-pub struct NoopSched {
-    fifo: VecDeque<StagedRequest>,
-}
-
-impl NoopSched {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl IoScheduler for NoopSched {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn insert(&mut self, rq: StagedRequest) {
-        self.fifo.push_back(rq);
-    }
-
-    fn dispatch(&mut self, _now: SimTime) -> Option<StagedRequest> {
-        self.fifo.pop_front()
-    }
-
-    fn reserve(&mut self, hint: usize) {
-        self.fifo.reserve(hint);
-    }
-
-    fn len(&self) -> usize {
-        self.fifo.len()
     }
 }
 
@@ -148,14 +84,9 @@ impl MqDeadlineSched {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl IoScheduler for MqDeadlineSched {
-    fn name(&self) -> &'static str {
-        "mq-deadline"
-    }
-
-    fn insert(&mut self, rq: StagedRequest) {
+    /// Stages a request.
+    pub fn insert(&mut self, rq: StagedRequest) {
         if rq.is_read {
             self.reads.push_back(rq);
         } else {
@@ -163,7 +94,8 @@ impl IoScheduler for MqDeadlineSched {
         }
     }
 
-    fn dispatch(&mut self, now: SimTime) -> Option<StagedRequest> {
+    /// Releases the next request: a read unless writes have starved.
+    pub fn dispatch(&mut self, now: SimTime) -> Option<StagedRequest> {
         // Reads batch ahead of writes; writes are guaranteed service after
         // `writes_starved` read dispatches (starvation bound). Expiry makes
         // a waiting write count as starving immediately, but — as in the
@@ -192,13 +124,10 @@ impl IoScheduler for MqDeadlineSched {
         self.writes.pop_front()
     }
 
-    fn reserve(&mut self, hint: usize) {
+    /// Pre-sizes both direction FIFOs for `hint` staged requests.
+    pub fn reserve(&mut self, hint: usize) {
         self.reads.reserve(hint);
         self.writes.reserve(hint);
-    }
-
-    fn len(&self) -> usize {
-        self.reads.len() + self.writes.len()
     }
 }
 
@@ -234,23 +163,8 @@ impl KyberSched {
         Self::default()
     }
 
-    /// Creates the scheduler with explicit domain depths.
-    pub fn with_depths(read_depth: u32, write_depth: u32) -> Self {
-        assert!(read_depth > 0 && write_depth > 0);
-        KyberSched {
-            read_depth,
-            write_depth,
-            ..Self::default()
-        }
-    }
-}
-
-impl IoScheduler for KyberSched {
-    fn name(&self) -> &'static str {
-        "kyber"
-    }
-
-    fn insert(&mut self, rq: StagedRequest) {
+    /// Stages a request.
+    pub fn insert(&mut self, rq: StagedRequest) {
         if rq.is_read {
             self.reads.push_back(rq);
         } else {
@@ -258,7 +172,9 @@ impl IoScheduler for KyberSched {
         }
     }
 
-    fn dispatch(&mut self, _now: SimTime) -> Option<StagedRequest> {
+    /// Releases the next request whose direction has an in-flight token,
+    /// reads first.
+    pub fn dispatch(&mut self) -> Option<StagedRequest> {
         if self.read_inflight < self.read_depth {
             if let Some(r) = self.reads.pop_front() {
                 self.read_inflight += 1;
@@ -274,7 +190,8 @@ impl IoScheduler for KyberSched {
         None
     }
 
-    fn complete(&mut self, was_read: bool) {
+    /// A dispatched request completed: its direction's token returns.
+    pub fn complete(&mut self, was_read: bool) {
         if was_read {
             self.read_inflight = self.read_inflight.saturating_sub(1);
         } else {
@@ -282,13 +199,57 @@ impl IoScheduler for KyberSched {
         }
     }
 
-    fn reserve(&mut self, hint: usize) {
+    /// Pre-sizes both direction FIFOs for `hint` staged requests.
+    pub fn reserve(&mut self, hint: usize) {
         self.reads.reserve(hint);
         self.writes.reserve(hint);
     }
+}
 
-    fn len(&self) -> usize {
-        self.reads.len() + self.writes.len()
+/// The elevator of one hardware queue: requests stage here and are
+/// released into the NSQ under the stack's in-flight budget.
+#[derive(Debug)]
+pub enum Elevator {
+    /// Simplified mq-deadline.
+    MqDeadline(MqDeadlineSched),
+    /// Simplified kyber.
+    Kyber(KyberSched),
+}
+
+impl Elevator {
+    /// Stages a request.
+    pub fn insert(&mut self, rq: StagedRequest) {
+        match self {
+            Elevator::MqDeadline(s) => s.insert(rq),
+            Elevator::Kyber(s) => s.insert(rq),
+        }
+    }
+
+    /// Releases the next request to dispatch, or `None` when the elevator
+    /// holds nothing eligible right now.
+    pub fn dispatch(&mut self, now: SimTime) -> Option<StagedRequest> {
+        match self {
+            Elevator::MqDeadline(s) => s.dispatch(now),
+            Elevator::Kyber(s) => s.dispatch(),
+        }
+    }
+
+    /// A previously dispatched request completed (kyber's token release;
+    /// mq-deadline keeps no in-flight state).
+    pub fn complete(&mut self, was_read: bool) {
+        if let Elevator::Kyber(s) = self {
+            s.complete(was_read);
+        }
+    }
+
+    /// Pre-sizes the FIFO ring buffers for `hint` staged requests so the
+    /// steady state never reallocates (the rings recycle their storage
+    /// across insert/dispatch churn once grown).
+    pub fn reserve(&mut self, hint: usize) {
+        match self {
+            Elevator::MqDeadline(s) => s.reserve(hint),
+            Elevator::Kyber(s) => s.reserve(hint),
+        }
     }
 }
 
@@ -305,13 +266,13 @@ pub enum SchedKind {
 }
 
 impl SchedKind {
-    /// Instantiates the scheduler for one hardware queue, or `None` for
+    /// Instantiates the elevator for one hardware queue, or `None` for
     /// direct dispatch.
-    pub fn build(self) -> Option<Box<dyn IoScheduler>> {
+    pub fn build(self) -> Option<Elevator> {
         match self {
             SchedKind::None => None,
-            SchedKind::MqDeadline => Some(Box::new(MqDeadlineSched::new())),
-            SchedKind::Kyber => Some(Box::new(KyberSched::new())),
+            SchedKind::MqDeadline => Some(Elevator::MqDeadline(MqDeadlineSched::new())),
+            SchedKind::Kyber => Some(Elevator::Kyber(KyberSched::new())),
         }
     }
 }
@@ -321,6 +282,15 @@ mod tests {
     use super::*;
     use dd_nvme::command::HostTag;
     use dd_nvme::spec::{CommandId, NamespaceId};
+
+    /// A kyber elevator with explicit domain depths.
+    fn kyber(read_depth: u32, write_depth: u32) -> KyberSched {
+        KyberSched {
+            read_depth,
+            write_depth,
+            ..KyberSched::default()
+        }
+    }
 
     fn rq(id: u64, op: IoOpcode, at_us: u64) -> StagedRequest {
         StagedRequest::new(
@@ -335,16 +305,6 @@ mod tests {
             SqId(0),
             SimTime::from_micros(at_us),
         )
-    }
-
-    #[test]
-    fn noop_is_fifo() {
-        let mut s = NoopSched::new();
-        s.insert(rq(1, IoOpcode::Write, 0));
-        s.insert(rq(2, IoOpcode::Read, 0));
-        assert_eq!(s.dispatch(SimTime::ZERO).unwrap().cmd.cid, CommandId(1));
-        assert_eq!(s.dispatch(SimTime::ZERO).unwrap().cmd.cid, CommandId(2));
-        assert!(s.dispatch(SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -407,36 +367,33 @@ mod tests {
 
     #[test]
     fn kyber_caps_writes() {
-        let mut s = KyberSched::with_depths(128, 2);
+        let mut s = kyber(128, 2);
         for i in 0..5 {
             s.insert(rq(i, IoOpcode::Write, 0));
         }
-        assert!(s.dispatch(SimTime::ZERO).is_some());
-        assert!(s.dispatch(SimTime::ZERO).is_some());
-        assert!(
-            s.dispatch(SimTime::ZERO).is_none(),
-            "write domain exhausted at depth 2"
-        );
+        assert!(s.dispatch().is_some());
+        assert!(s.dispatch().is_some());
+        assert!(s.dispatch().is_none(), "write domain exhausted at depth 2");
         // A completion releases a token.
         s.complete(false);
-        assert!(s.dispatch(SimTime::ZERO).is_some());
-        assert_eq!(s.len(), 2);
+        assert!(s.dispatch().is_some());
+        assert_eq!(s.writes.len(), 2);
     }
 
     #[test]
     fn kyber_reads_bypass_write_backlog() {
-        let mut s = KyberSched::with_depths(128, 1);
+        let mut s = kyber(128, 1);
         s.insert(rq(1, IoOpcode::Write, 0));
         s.insert(rq(2, IoOpcode::Write, 0));
         s.insert(rq(3, IoOpcode::Read, 0));
         // The read goes first (read domain preferred), then one write; the
         // second write is blocked by the depth-1 write domain.
-        assert!(s.dispatch(SimTime::ZERO).unwrap().is_read);
-        assert!(!s.dispatch(SimTime::ZERO).unwrap().is_read);
-        assert!(s.dispatch(SimTime::ZERO).is_none());
+        assert!(s.dispatch().unwrap().is_read);
+        assert!(!s.dispatch().unwrap().is_read);
+        assert!(s.dispatch().is_none());
         // A fresh read still bypasses the blocked write backlog.
         s.insert(rq(4, IoOpcode::Read, 0));
-        assert!(s.dispatch(SimTime::ZERO).unwrap().is_read);
+        assert!(s.dispatch().unwrap().is_read);
     }
 
     #[test]
@@ -447,26 +404,39 @@ mod tests {
             for i in 0..64 {
                 s.insert(rq(i, IoOpcode::Read, 0));
             }
-            assert_eq!(s.len(), 64);
-            assert_eq!(s.dispatch(SimTime::ZERO).unwrap().cmd.cid, CommandId(0));
+            for i in 0..64 {
+                assert_eq!(s.dispatch(SimTime::ZERO).unwrap().cmd.cid, CommandId(i));
+            }
+            assert!(s.dispatch(SimTime::ZERO).is_none(), "{kind:?}");
         }
-        let mut s = NoopSched::new();
+        let mut s = MqDeadlineSched::new();
         s.reserve(64);
-        assert!(s.fifo.capacity() >= 64, "reserve must pre-size the ring");
-        s.insert(rq(1, IoOpcode::Write, 0));
-        let cap = s.fifo.capacity();
+        let caps = (s.reads.capacity(), s.writes.capacity());
+        assert!(
+            caps.0 >= 64 && caps.1 >= 64,
+            "reserve must pre-size both rings"
+        );
         for i in 0..32 {
             // Ring-buffer churn: steady-state insert/dispatch never grows.
-            s.insert(rq(2 + i, IoOpcode::Read, 0));
+            s.insert(rq(2 * i, IoOpcode::Write, 0));
+            s.insert(rq(2 * i + 1, IoOpcode::Read, 0));
+            s.dispatch(SimTime::ZERO);
             s.dispatch(SimTime::ZERO);
         }
-        assert_eq!(s.fifo.capacity(), cap, "churn must reuse the ring");
+        assert_eq!(
+            (s.reads.capacity(), s.writes.capacity()),
+            caps,
+            "churn must reuse the rings"
+        );
     }
 
     #[test]
     fn kind_builds() {
         assert!(SchedKind::None.build().is_none());
-        assert_eq!(SchedKind::MqDeadline.build().unwrap().name(), "mq-deadline");
-        assert_eq!(SchedKind::Kyber.build().unwrap().name(), "kyber");
+        assert!(matches!(
+            SchedKind::MqDeadline.build(),
+            Some(Elevator::MqDeadline(_))
+        ));
+        assert!(matches!(SchedKind::Kyber.build(), Some(Elevator::Kyber(_))));
     }
 }

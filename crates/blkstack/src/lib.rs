@@ -20,8 +20,9 @@
 //!   locked NSQ push, ISR reap (batched or per-request completion),
 //!   queue-full requeue, stalled-NSQ redrive and buffer recycling, so a
 //!   stack supplies only its routing, doorbell and completion decisions;
-//! * [`iosched`] — block-layer I/O schedulers (noop, mq-deadline-lite,
-//!   kyber-lite) staging requests under per-queue dispatch budgets;
+//! * [`iosched`] — block-layer I/O schedulers (the [`iosched::Elevator`]
+//!   enum over mq-deadline-lite and kyber-lite) staging requests under
+//!   per-queue dispatch budgets;
 //! * [`blkmq`] — vanilla blk-mq with its static core→NQ bindings, and the
 //!   NQ-partitioned variant used by the paper's Fig. 2 motivation;
 //! * [`capabilities`] — the Table 1 factor matrix.

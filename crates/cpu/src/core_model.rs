@@ -23,17 +23,15 @@
 //! µs-scale here, so both approximations sit far below the latency effects
 //! under study (DESIGN.md §4).
 //!
-//! # Layout: struct of arrays
+//! # Layout
 //!
-//! [`CpuSystem`] stores per-core state column-wise — one array per field,
-//! indexed by core — instead of an array of per-core structs. The dispatch
-//! hot path (`enqueue` → `take_next` → `begin` → `finish`) touches exactly
-//! the columns it needs (`class_mask`/`pending`/`state`) without dragging
-//! the cold accounting column (`busy_accum`) through the cache, and the
-//! next-class pick is one `trailing_zeros` on the core's non-empty-class
-//! bitmask instead of a per-class queue scan. `bench/benches/micro.rs`
-//! times it against the old array-of-structs layout
-//! (`workqueue/scan_{aos,soa}`).
+//! [`CpuSystem`] keeps one `Core` struct per core, holding everything a
+//! dispatch step touches: the two class FIFOs, the bitmask of non-empty
+//! classes, the pending count, the dispatch state and the busy-time
+//! accounting. The next-class pick is one `trailing_zeros` on the bitmask
+//! instead of a per-class queue scan. `bench/benches/micro.rs` times the
+//! protocol on this type (`workqueue/dispatch`); DESIGN.md §4c gives the
+//! measurements behind the layout.
 
 use std::collections::VecDeque;
 
@@ -52,35 +50,67 @@ enum CoreState {
     Running,
 }
 
-/// The multi-core system (struct-of-arrays per-core state; see the module
-/// docs for the layout rationale).
+/// One core: its run queues, dispatch state and busy-time accounting.
+#[derive(Debug)]
+struct Core<P> {
+    /// Per-class FIFO queues, indexed by `WorkClass::index()`.
+    queues: [VecDeque<P>; 2],
+    /// Bitmask of non-empty classes (bit = `WorkClass::index()`). Class
+    /// indices are priority-ordered, so `trailing_zeros` picks the next
+    /// class to run.
+    class_mask: u8,
+    /// Queued (not yet started) payloads.
+    pending: u32,
+    state: CoreState,
+    /// Accumulated busy time up to the end of the last finished item.
+    busy_accum: SimDuration,
+    /// Start time of the current item, if running.
+    running_since: Option<SimTime>,
+}
+
+impl<P> Core<P> {
+    fn idle() -> Self {
+        Core {
+            queues: [VecDeque::new(), VecDeque::new()],
+            class_mask: 0,
+            pending: 0,
+            state: CoreState::Idle,
+            busy_accum: SimDuration::ZERO,
+            running_since: None,
+        }
+    }
+
+    /// Back to `Core::idle`, keeping the queue allocations.
+    fn reset(&mut self) {
+        for q in &mut self.queues {
+            q.clear();
+        }
+        self.class_mask = 0;
+        self.pending = 0;
+        self.state = CoreState::Idle;
+        self.busy_accum = SimDuration::ZERO;
+        self.running_since = None;
+    }
+
+    fn busy_until(&self, now: SimTime) -> SimDuration {
+        match self.running_since {
+            Some(start) => self.busy_accum + now.saturating_since(start),
+            None => self.busy_accum,
+        }
+    }
+}
+
+/// The multi-core system: one `Core` per core (see the module docs).
 #[derive(Debug)]
 pub struct CpuSystem<P> {
-    /// Per-class FIFO queues: `queues[class][core]`.
-    queues: [Vec<VecDeque<P>>; 2],
-    /// Bitmask of non-empty classes per core (bit = `WorkClass::index()`).
-    /// Class indices are priority-ordered, so `trailing_zeros` picks the
-    /// next class to run.
-    class_mask: Vec<u8>,
-    /// Total queued (not yet started) payloads per core.
-    pending: Vec<u32>,
-    state: Vec<CoreState>,
-    /// Accumulated busy time up to the end of the last finished item.
-    busy_accum: Vec<SimDuration>,
-    /// Start time of the current item, if running.
-    running_since: Vec<Option<SimTime>>,
+    cores: Vec<Core<P>>,
 }
 
 impl<P> Default for CpuSystem<P> {
-    /// Zero cores; [`CpuSystem::configure`] sizes the columns.
+    /// Zero cores; [`CpuSystem::configure`] adds them.
     fn default() -> Self {
         CpuSystem {
-            queues: [Vec::new(), Vec::new()], // dd-alloc-allowlist: construction
-            class_mask: Vec::new(),           // dd-alloc-allowlist: construction
-            pending: Vec::new(),              // dd-alloc-allowlist: construction
-            state: Vec::new(),                // dd-alloc-allowlist: construction
-            busy_accum: Vec::new(),           // dd-alloc-allowlist: construction
-            running_since: Vec::new(),        // dd-alloc-allowlist: construction
+            cores: Vec::new(), // dd-alloc-allowlist: construction
         }
     }
 }
@@ -98,53 +128,34 @@ impl<P> CpuSystem<P> {
     /// indistinguishable from a fresh [`CpuSystem::new`] — the queue
     /// allocations of matching cores are the only thing that survives.
     pub fn configure(&mut self, nr_cores: u16) {
-        let n = nr_cores as usize;
-        for q in &mut self.queues {
-            for d in q.iter_mut() {
-                d.clear();
-            }
-            q.resize_with(n, VecDeque::new);
-        }
-        self.class_mask.clear();
-        self.class_mask.resize(n, 0);
-        self.pending.clear();
-        self.pending.resize(n, 0);
-        self.state.clear();
-        self.state.resize(n, CoreState::Idle);
-        self.busy_accum.clear();
-        self.busy_accum.resize(n, SimDuration::ZERO);
-        self.running_since.clear();
-        self.running_since.resize(n, None);
+        self.arena_reset();
+        self.cores.resize_with(nr_cores as usize, Core::idle);
     }
 
     /// Number of cores.
     pub fn nr_cores(&self) -> u16 {
-        self.state.len() as u16
+        self.cores.len() as u16
     }
 
     /// Number of queued (not yet started) payloads on `core`.
     pub fn pending(&self, core: u16) -> usize {
-        self.pending[core as usize] as usize
+        self.cores[core as usize].pending as usize
     }
 
     /// Total busy time of `core` up to `now`.
     pub fn busy_until(&self, core: u16, now: SimTime) -> SimDuration {
-        let i = core as usize;
-        match self.running_since[i] {
-            Some(start) => self.busy_accum[i] + now.saturating_since(start),
-            None => self.busy_accum[i],
-        }
+        self.cores[core as usize].busy_until(now)
     }
 
     /// Queues a payload on `core`. Returns `true` when the caller must
     /// schedule a dispatch event for the core (it was idle).
     pub fn enqueue(&mut self, core: u16, class: WorkClass, payload: P) -> bool {
-        let i = core as usize;
-        self.queues[class.index()][i].push_back(payload);
-        self.class_mask[i] |= 1 << class.index();
-        self.pending[i] += 1;
-        if self.state[i] == CoreState::Idle {
-            self.state[i] = CoreState::DispatchPending;
+        let c = &mut self.cores[core as usize];
+        c.queues[class.index()].push_back(payload);
+        c.class_mask |= 1 << class.index();
+        c.pending += 1;
+        if c.state == CoreState::Idle {
+            c.state = CoreState::DispatchPending;
             true
         } else {
             false
@@ -157,24 +168,23 @@ impl<P> CpuSystem<P> {
     /// scheduled and firing (cannot happen with the standard protocol, but
     /// is tolerated to keep the host loop simple).
     pub fn take_next(&mut self, core: u16) -> Option<(WorkClass, P)> {
-        let i = core as usize;
+        let c = &mut self.cores[core as usize];
         debug_assert_eq!(
-            self.state[i],
+            c.state,
             CoreState::DispatchPending,
             "take_next without a pending dispatch"
         );
-        let mask = self.class_mask[i];
-        if mask == 0 {
-            self.state[i] = CoreState::Idle;
+        if c.class_mask == 0 {
+            c.state = CoreState::Idle;
             return None;
         }
-        let class = WorkClass::ALL[mask.trailing_zeros() as usize];
-        let q = &mut self.queues[class.index()][i];
+        let class = WorkClass::ALL[c.class_mask.trailing_zeros() as usize];
+        let q = &mut c.queues[class.index()];
         let p = q.pop_front().expect("class bit set for empty queue");
         if q.is_empty() {
-            self.class_mask[i] &= !(1 << class.index());
+            c.class_mask &= !(1 << class.index());
         }
-        self.pending[i] -= 1;
+        c.pending -= 1;
         Some((class, p))
     }
 
@@ -182,14 +192,14 @@ impl<P> CpuSystem<P> {
     /// `cost`; returns its finish time, for which the caller schedules a
     /// core-done event.
     pub fn begin(&mut self, core: u16, now: SimTime, cost: SimDuration) -> SimTime {
-        let i = core as usize;
+        let c = &mut self.cores[core as usize];
         debug_assert_eq!(
-            self.state[i],
+            c.state,
             CoreState::DispatchPending,
             "begin without take_next"
         );
-        self.state[i] = CoreState::Running;
-        self.running_since[i] = Some(now);
+        c.state = CoreState::Running;
+        c.running_since = Some(now);
         now + cost
     }
 
@@ -201,24 +211,22 @@ impl<P> CpuSystem<P> {
     /// Panics if the core was not running (a stale or duplicate core-done
     /// event — a host event-loop bug).
     pub fn finish(&mut self, core: u16, now: SimTime) -> bool {
-        let i = core as usize;
-        assert_eq!(self.state[i], CoreState::Running, "core-done for an idle core");
-        let start = self.running_since[i].take().expect("running without start time");
-        self.busy_accum[i] += now.saturating_since(start);
-        if self.pending[i] > 0 {
-            self.state[i] = CoreState::DispatchPending;
+        let c = &mut self.cores[core as usize];
+        assert_eq!(c.state, CoreState::Running, "core-done for an idle core");
+        let start = c.running_since.take().expect("running without start time");
+        c.busy_accum += now.saturating_since(start);
+        if c.pending > 0 {
+            c.state = CoreState::DispatchPending;
             true
         } else {
-            self.state[i] = CoreState::Idle;
+            c.state = CoreState::Idle;
             false
         }
     }
 
     /// Busy-time snapshot for all cores (baseline for window accounting).
     pub fn busy_snapshot(&self, now: SimTime) -> Vec<SimDuration> {
-        (0..self.state.len())
-            .map(|i| self.busy_until(i as u16, now))
-            .collect()
+        self.cores.iter().map(|c| c.busy_until(now)).collect()
     }
 
     /// Per-core busy fractions over `[window_start, now]`, given snapshots
@@ -232,12 +240,13 @@ impl<P> CpuSystem<P> {
         let window = now.saturating_since(window_start);
         if window.is_zero() {
             // dd-alloc-allowlist: post-loop; one fraction per core.
-            return vec![0.0; self.state.len()];
+            return vec![0.0; self.cores.len()];
         }
-        (0..self.state.len())
+        self.cores
+            .iter()
             .zip(baseline)
-            .map(|(i, &b)| {
-                let busy = self.busy_until(i as u16, now).saturating_sub(b);
+            .map(|(c, &b)| {
+                let busy = c.busy_until(now).saturating_sub(b);
                 busy.as_nanos() as f64 / window.as_nanos() as f64
             })
             .collect()
@@ -245,19 +254,13 @@ impl<P> CpuSystem<P> {
 }
 
 impl<P> ArenaReset for CpuSystem<P> {
-    /// Drops all per-core state but keeps the queue allocations; the next
-    /// [`CpuSystem::configure`] call makes the system fresh again.
+    /// Returns every core to idle with empty queues and zeroed accounting,
+    /// keeping the queue allocations; [`CpuSystem::configure`] then sets
+    /// the core count.
     fn arena_reset(&mut self) {
-        for q in &mut self.queues {
-            for d in q.iter_mut() {
-                d.clear();
-            }
+        for c in &mut self.cores {
+            c.reset();
         }
-        self.class_mask.clear();
-        self.pending.clear();
-        self.state.clear();
-        self.busy_accum.clear();
-        self.running_since.clear();
     }
 }
 

@@ -5,7 +5,6 @@ use blkstack::IoPriorityClass;
 use blkswitch::BlkSwitchConfig;
 use daredevil::DaredevilConfig;
 use dd_nvme::{NamespaceId, NvmeConfig};
-use dd_workload::checkpoint::CheckpointConfig;
 use dd_workload::kvsim::KvConfig;
 use dd_workload::mailserver::MailConfig;
 use dd_workload::{FioJob, YcsbMix};
@@ -151,13 +150,6 @@ pub enum AppKind {
         config: MailConfig,
         /// Operations to run.
         ops: u64,
-    },
-    /// Checkpointing trainer (the intro's motivating T-tenant).
-    Checkpoint {
-        /// Trainer parameters.
-        config: CheckpointConfig,
-        /// Checkpoints to complete.
-        checkpoints: u64,
     },
 }
 

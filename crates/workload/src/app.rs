@@ -4,6 +4,9 @@ use blkstack::ReqFlags;
 use dd_nvme::IoOpcode;
 use simkit::{RunArena, SimDuration, SimRng};
 
+use crate::mailserver::MailserverWorkload;
+use crate::ycsb::YcsbWorkload;
+
 /// Where an I/O lands within the tenant's namespace region.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Placement {
@@ -26,18 +29,6 @@ pub struct IoDesc {
     pub placement: Placement,
     /// SLA-relevant flags (sync/meta).
     pub flags: ReqFlags,
-}
-
-impl IoDesc {
-    /// A random 4 KiB read (the canonical L-request).
-    pub fn rand_read_4k() -> Self {
-        IoDesc {
-            op: IoOpcode::Read,
-            bytes: 4096,
-            placement: Placement::Random,
-            flags: ReqFlags::NONE,
-        }
-    }
 }
 
 /// One step of an application op.
@@ -74,8 +65,6 @@ pub enum OpKind {
     Fsync,
     /// File delete.
     Delete,
-    /// A periodic model checkpoint (bulk write + fsync).
-    Checkpoint,
     /// Background maintenance (flush/compaction) — excluded from op stats.
     Maintenance,
 }
@@ -93,7 +82,6 @@ impl OpKind {
             OpKind::Append => "append",
             OpKind::Fsync => "fsync",
             OpKind::Delete => "delete",
-            OpKind::Checkpoint => "checkpoint",
             OpKind::Maintenance => "maintenance",
         }
     }
@@ -108,30 +96,32 @@ pub struct AppOp {
     pub steps: Vec<OpStep>,
 }
 
-impl AppOp {
-    /// An op with a single step.
-    pub fn single(kind: OpKind, step: OpStep) -> Self {
-        AppOp {
-            kind,
-            steps: vec![step],
-        }
-    }
-}
-
 /// A closed-loop application workload: the testbed asks for the next op as
 /// soon as the previous one finishes.
-pub trait AppWorkload {
-    /// Produces the next operation, or `None` when the workload is done.
-    fn next_op(&mut self, rng: &mut SimRng) -> Option<AppOp>;
+pub enum App {
+    /// A YCSB client over kvsim.
+    Ycsb(YcsbWorkload),
+    /// The filebench-style mailserver.
+    Mailserver(MailserverWorkload),
+}
 
-    /// Human-readable name.
-    fn name(&self) -> &'static str;
+impl App {
+    /// Produces the next operation, or `None` when the workload is done.
+    pub fn next_op(&mut self, rng: &mut SimRng) -> Option<AppOp> {
+        match self {
+            App::Ycsb(w) => w.next_op(rng),
+            App::Mailserver(w) => w.next_op(rng),
+        }
+    }
 
     /// Parks recyclable scratch (caches, tables) into `arena` at the end of
     /// a run so the next run built against the same arena skips rebuilding
-    /// it. Default: nothing to park.
-    fn park_scratch(&mut self, arena: &mut RunArena) {
-        let _ = arena;
+    /// it.
+    pub fn park_scratch(&mut self, arena: &mut RunArena) {
+        match self {
+            App::Ycsb(w) => w.park_scratch(arena),
+            App::Mailserver(w) => w.park_scratch(arena),
+        }
     }
 }
 
@@ -151,18 +141,9 @@ mod tests {
             OpKind::Append,
             OpKind::Fsync,
             OpKind::Delete,
-            OpKind::Checkpoint,
             OpKind::Maintenance,
         ];
         let labels: std::collections::HashSet<&str> = kinds.iter().map(|k| k.as_str()).collect();
         assert_eq!(labels.len(), kinds.len());
-    }
-
-    #[test]
-    fn canonical_l_request() {
-        let io = IoDesc::rand_read_4k();
-        assert_eq!(io.bytes, 4096);
-        assert_eq!(io.op, IoOpcode::Read);
-        assert_eq!(io.placement, Placement::Random);
     }
 }

@@ -8,13 +8,12 @@
 //!   [`kvsim`], an LSM-lite KV model with a block cache, WAL writes,
 //!   memtable flushes and compactions (the RocksDB stand-in of §7.4);
 //! * [`mailserver`] — a filebench-Mailserver-style op mix over a mail
-//!   directory, with the fsync/delete operations the paper reports;
-//! * [`checkpoint`] — the paper's *intro* motivation: a training loop that
-//!   periodically checkpoints model state as bulk synchronous writes.
+//!   directory, with the fsync/delete operations the paper reports.
 //!
-//! Application workloads express themselves as sequences of [`app::AppOp`]s
-//! — each op is a short script of I/O and compute steps the testbed executes
-//! on the tenant's core, measuring op latency end to end.
+//! Application workloads ([`app::App`]: YCSB or mailserver) express
+//! themselves as sequences of [`app::AppOp`]s — each op is a short script of
+//! I/O and compute steps the testbed executes on the tenant's core,
+//! measuring op latency end to end.
 
 #![warn(missing_docs)]
 
@@ -36,16 +35,14 @@ pub mod arena_tags {
 
 pub mod app;
 pub mod arrival;
-pub mod checkpoint;
 pub mod fio;
 pub mod kvsim;
 pub mod mailserver;
 pub mod tenants;
 pub mod ycsb;
 
-pub use app::{AppOp, AppWorkload, IoDesc, OpKind, OpStep, Placement};
+pub use app::{App, AppOp, IoDesc, OpKind, OpStep, Placement};
 pub use arrival::ArrivalModel;
-pub use checkpoint::CheckpointWorkload;
 pub use fio::{FioJob, RwPattern};
 pub use mailserver::MailserverWorkload;
 pub use ycsb::{YcsbMix, YcsbWorkload};

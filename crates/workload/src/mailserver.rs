@@ -12,7 +12,7 @@ use blkstack::ReqFlags;
 use dd_nvme::IoOpcode;
 use simkit::{RunArena, SimDuration, SimRng};
 
-use crate::app::{AppOp, AppWorkload, IoDesc, OpKind, OpStep, Placement};
+use crate::app::{AppOp, IoDesc, OpKind, OpStep, Placement};
 use crate::kvsim::LruCache;
 
 /// Mailserver parameters (a scaled filebench `mailserver.f`).
@@ -166,10 +166,9 @@ impl MailserverWorkload {
             ],
         }
     }
-}
 
-impl AppWorkload for MailserverWorkload {
-    fn next_op(&mut self, rng: &mut SimRng) -> Option<AppOp> {
+    /// Produces the next operation, or `None` when the mailbox run is done.
+    pub fn next_op(&mut self, rng: &mut SimRng) -> Option<AppOp> {
         if self.pending_fsync {
             self.pending_fsync = false;
             let file = rng.gen_range(self.config.files);
@@ -191,11 +190,8 @@ impl AppWorkload for MailserverWorkload {
         Some(op)
     }
 
-    fn name(&self) -> &'static str {
-        "mailserver"
-    }
-
-    fn park_scratch(&mut self, arena: &mut RunArena) {
+    /// Parks the page-cache map into `arena` for the next run.
+    pub fn park_scratch(&mut self, arena: &mut RunArena) {
         self.cache.park(arena, crate::arena_tags::MAIL_CACHE);
     }
 }

@@ -24,12 +24,6 @@ pub fn streaming_job() -> FioJob {
     FioJob::new(RwPattern::SeqRead, 128 * 1024, 32)
 }
 
-/// A T-tenant with an outlier tendency: a fraction of its requests are
-/// synchronous (fsync-like), exercising troute's outlier profiling.
-pub fn outlier_t_tenant_job(sync_pct: u8) -> FioJob {
-    FioJob::new(RwPattern::RandWrite, 128 * 1024, 32).with_sync_pct(sync_pct)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,10 +41,5 @@ mod tests {
     #[test]
     fn streaming_is_sequential() {
         assert_eq!(streaming_job().rw, RwPattern::SeqRead);
-    }
-
-    #[test]
-    fn outlier_job_has_sync_fraction() {
-        assert_eq!(outlier_t_tenant_job(20).sync_pct, 20);
     }
 }

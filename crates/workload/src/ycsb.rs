@@ -8,7 +8,7 @@
 use simkit::rng::{ZetaCache, Zipfian};
 use simkit::{RunArena, SimRng};
 
-use crate::app::{AppOp, AppWorkload, OpKind};
+use crate::app::{AppOp, OpKind};
 use crate::kvsim::{KvConfig, KvStore};
 
 /// The four YCSB mixes used by the paper.
@@ -81,14 +81,8 @@ impl YcsbWorkload {
         &self.store
     }
 
-    /// The mix.
-    pub fn mix(&self) -> YcsbMix {
-        self.mix
-    }
-}
-
-impl AppWorkload for YcsbWorkload {
-    fn next_op(&mut self, rng: &mut SimRng) -> Option<AppOp> {
+    /// Produces the next operation, or `None` when the client is done.
+    pub fn next_op(&mut self, rng: &mut SimRng) -> Option<AppOp> {
         // Background maintenance (memtable flush/compaction) goes first.
         if let Some(op) = self.store.take_maintenance() {
             return Some(op);
@@ -141,11 +135,8 @@ impl AppWorkload for YcsbWorkload {
         Some(op)
     }
 
-    fn name(&self) -> &'static str {
-        self.mix.as_str()
-    }
-
-    fn park_scratch(&mut self, arena: &mut RunArena) {
+    /// Parks the kvsim block-cache map into `arena` for the next run.
+    pub fn park_scratch(&mut self, arena: &mut RunArena) {
         self.store.park_scratch(arena);
     }
 }

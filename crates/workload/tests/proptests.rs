@@ -2,7 +2,7 @@
 
 use dd_check::{check, prop_assert, prop_assert_eq};
 use dd_workload::kvsim::LruCache;
-use dd_workload::{AppWorkload, OpKind, OpStep, YcsbMix, YcsbWorkload};
+use dd_workload::{OpKind, OpStep, YcsbMix, YcsbWorkload};
 use simkit::SimRng;
 
 /// The LRU cache never exceeds its capacity and an immediate re-access

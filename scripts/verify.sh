@@ -147,12 +147,13 @@ echo "  ${HOT_FILES// /, }: clean"
 echo "== verify: dispatch/push paths stay allocation-free =="
 # The machine's event loop, the event queue's push paths, the CPU model's
 # per-item dispatch (enqueue/take_next/begin/finish), the stacks' shared
-# dispatch core (stage/push/reap, requeue, redrive), blk-switch's steering
-# tick, the device and the virtio layer must not regrow per-event or per-I/O
+# dispatch core (stage/push/reap, requeue, redrive), the blk-mq elevators
+# (insert/dispatch/complete), blk-switch's steering tick, the device and the
+# virtio layer must not regrow per-event or per-I/O
 # allocations (that is what the RunArena + batch port removed). Construction-time allocations are fine —
 # mark the line (or the line above it) with `dd-alloc-allowlist: <reason>`.
 # Test modules (`#[cfg(test)]` onward) are exempt.
-ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/cpu/src/core_model.rs crates/blkstack/src/dispatch.rs crates/blkswitch/src/lib.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs crates/virtio/src/lib.rs"
+ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/cpu/src/core_model.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/blkstack/src/iosched.rs crates/blkswitch/src/lib.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs crates/virtio/src/lib.rs"
 ALLOC_FAIL=0
 for f in $ALLOC_FILES; do
     HITS="$(awk '

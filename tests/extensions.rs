@@ -1,6 +1,5 @@
 //! Integration tests for the extension tier: I/O schedulers, the
-//! static-overprovision baseline, virtio guests, garbage collection and the
-//! checkpointing co-location.
+//! static-overprovision baseline, virtio guests and garbage collection.
 
 use daredevil_repro::blkstack::iosched::SchedKind;
 use daredevil_repro::overprov::OverprovStack;
@@ -263,56 +262,6 @@ fn virtio_sla_awareness_end_to_end() {
             "{name}: host stack not pre-sized like a bare one, or the layer's buffers uncounted"
         );
     }
-}
-
-/// The intro's motivating co-location: latency-sensitive tenants against a
-/// checkpointing trainer. The trainer is throughput-class; its checkpoint
-/// flush is a sync outlier that troute routes to the high-priority group,
-/// while its bulk writes stay in the low group — L-tenants barely notice
-/// the checkpoints under Daredevil.
-#[test]
-fn checkpoint_trainer_co_location() {
-    use daredevil_repro::workload::checkpoint::CheckpointConfig;
-    use daredevil_repro::workload::OpKind;
-    let mk = |stack: StackSpec| {
-        let mut s = Scenario::multi_tenant_fio(stack, 4, 0, 4, MachinePreset::SvM);
-        for i in 0..2u16 {
-            s.tenants.push(TenantSpec {
-                class_label: "T",
-                ionice: IoPriorityClass::BestEffort,
-                core: i % 4,
-                nsid: NamespaceId(1),
-                slo: None,
-                kind: TenantKind::App(AppKind::Checkpoint {
-                    config: CheckpointConfig::default(),
-                    checkpoints: 1_000_000, // Runs for the whole window.
-                }),
-            });
-        }
-        daredevil_repro::testbed::run(durations(s))
-    };
-    let vanilla = mk(StackSpec::vanilla());
-    let dare = mk(StackSpec::daredevil());
-    // Checkpoints actually ran and their latency was measured.
-    let ckpt = dare
-        .op_latencies
-        .get(&OpKind::Checkpoint)
-        .expect("checkpoints recorded");
-    assert!(ckpt.count() > 5, "checkpoints ran: {}", ckpt.count());
-    // The trainer's bulk writes interfere under vanilla, not daredevil.
-    assert!(
-        dare.l_avg_ms() < vanilla.l_avg_ms(),
-        "daredevil must shield L from checkpoints: {} vs {}",
-        dare.l_avg_ms(),
-        vanilla.l_avg_ms()
-    );
-    // The trainer still makes progress under daredevil (bandwidth intact).
-    let dare_ckpts = dare.op_latencies[&OpKind::Checkpoint].count();
-    let vanilla_ckpts = vanilla.op_latencies[&OpKind::Checkpoint].count();
-    assert!(
-        dare_ckpts as f64 > vanilla_ckpts as f64 * 0.6,
-        "checkpoint progress must stay comparable: {dare_ckpts} vs {vanilla_ckpts}"
-    );
 }
 
 /// §8.1's in-SSD residual, aged-drive edition: with garbage collection
