@@ -90,10 +90,19 @@ fn bench_troute(set: &mut BenchSet) {
             offset_blocks: 0,
             bytes: 4096,
             flags: ReqFlags::NONE,
+            ioprio: IoPriorityClass::RealTime,
             issued_at: SimTime::ZERO,
         };
         set.bench("troute/route_default", || {
-            black_box(tr.route(&bio, SimTime::ZERO, &mut pol, &mut reg, &dev, &locks, &mut prox))
+            black_box(tr.route(
+                &bio,
+                SimTime::ZERO,
+                &mut pol,
+                &mut reg,
+                &dev,
+                &locks,
+                &mut prox,
+            ))
         });
     }
     {
@@ -118,10 +127,19 @@ fn bench_troute(set: &mut BenchSet) {
             offset_blocks: 0,
             bytes: 4096,
             flags: ReqFlags::SYNC,
+            ioprio: IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         };
         set.bench("troute/route_outlier_per_request", || {
-            black_box(tr.route(&bio, SimTime::ZERO, &mut pol, &mut reg, &dev, &locks, &mut prox))
+            black_box(tr.route(
+                &bio,
+                SimTime::ZERO,
+                &mut pol,
+                &mut reg,
+                &dev,
+                &locks,
+                &mut prox,
+            ))
         });
     }
 }
@@ -489,6 +507,7 @@ fn bench_reqmap(set: &mut BenchSet) {
             offset_blocks: id * 8,
             bytes: 4096,
             flags: ReqFlags::NONE,
+            ioprio: IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         }
     }

@@ -15,7 +15,7 @@
 //! --trace [PHASES]   record a per-request span trace (all phases, or a
 //!                    comma-separated subset: submit,routed,nsq_enqueue,
 //!                    doorbell,device_fetch,flash_done,cqe_posted,
-//!                    irq_fire,complete,debug)
+//!                    irq_fire,complete)
 //! --trace-out PATH   trace CSV destination (default trace.csv)
 //! --trace-cap N      trace ring capacity in events (default 1048576)
 //! --faults SPEC      inject device faults into every scenario; SPEC is a
@@ -41,6 +41,7 @@
 //! 0:vanilla-L4T8,42,3,L,routed,0,0,2,5003200,
 //! ```
 //!
+//! `note` is always empty; the column keeps the file layout stable.
 //! `cell` is `<ordinal>:<scenario name>` in cell-definition order, and
 //! events are dumped *after* a sweep completes, in original cell order —
 //! never in (timing-dependent) completion order — so the file is
@@ -73,8 +74,8 @@ const USAGE: &str = "usage: figures [NAME...] [--quick] [--csv] [--jobs N] [--se
   --seed N         override every scenario's RNG seed\n\
   --trace [PHASES] record a per-request span trace; PHASES is a comma-\n\
   \x20                separated subset of: submit,routed,nsq_enqueue,doorbell,\n\
-  \x20                device_fetch,flash_done,cqe_posted,irq_fire,complete,\n\
-  \x20                debug (default: all)\n\
+  \x20                device_fetch,flash_done,cqe_posted,irq_fire,complete\n\
+  \x20                (default: all)\n\
   --trace-out PATH trace CSV destination (default: trace.csv)\n\
   --trace-cap N    trace ring capacity in events (default: 1048576)\n\
   --faults SPEC    inject device faults into every scenario; SPEC is a\n\
@@ -446,17 +447,20 @@ fn write_event(w: &mut impl std::io::Write, cell: &str, ev: &TraceEvent) -> std:
         }
         _ => "",
     };
-    let note = match ev.phase {
-        // Markers are free-form; keep the CSV one-token-per-field.
-        Phase::Debug(s) => s.replace([',', '\n'], ";"),
-        _ => String::new(),
-    };
-    write!(w, "{cell},{},{},{},{},{outlier},{},", ev.rq, ev.tenant, ev.sla.name(), ev.phase.name(), ev.core)?;
+    write!(
+        w,
+        "{cell},{},{},{},{},{outlier},{},",
+        ev.rq,
+        ev.tenant,
+        ev.sla.name(),
+        ev.phase.name(),
+        ev.core
+    )?;
     match ev.nsq {
         Some(q) => write!(w, "{q}")?,
         None => {}
     }
-    writeln!(w, ",{},{note}", ev.t.as_nanos())
+    writeln!(w, ",{},", ev.t.as_nanos())
 }
 
 #[cfg(test)]
@@ -484,10 +488,7 @@ mod tests {
             "2",
         ]));
         assert!(o.quick);
-        assert_eq!(
-            o.trace,
-            Some(Phase::Submit.bit() | Phase::Complete.bit())
-        );
+        assert_eq!(o.trace, Some(Phase::Submit.bit() | Phase::Complete.bit()));
         assert_eq!(o.trace_out, "/tmp/t.csv");
         assert_eq!(o.trace_cap, 4096);
         assert_eq!(o.seed, Some(7));
@@ -506,7 +507,14 @@ mod tests {
 
     #[test]
     fn parses_fault_flags() {
-        let o = Opts::parse(&args(&["--faults", "spikes,stalls", "--fault-seed", "9", "--jobs", "1"]));
+        let o = Opts::parse(&args(&[
+            "--faults",
+            "spikes,stalls",
+            "--fault-seed",
+            "9",
+            "--jobs",
+            "1",
+        ]));
         let classes = o.faults.unwrap();
         assert!(classes.die_spikes && classes.nsq_stalls && !classes.irq_loss);
         assert_eq!(o.fault_seed, Some(9));
@@ -570,21 +578,6 @@ mod tests {
         assert_eq!(
             String::from_utf8(buf).unwrap(),
             "0:cell,7,3,L,routed,1,2,5,12345,\n"
-        );
-        let mut buf = Vec::new();
-        let ev = TraceEvent {
-            t: SimTime::from_nanos(1),
-            rq: simkit::RQ_NONE,
-            tenant: 0,
-            sla: Sla::T,
-            phase: Phase::Debug("mark, two"),
-            core: 0,
-            nsq: None,
-        };
-        write_event(&mut buf, "1:cell", &ev).unwrap();
-        assert_eq!(
-            String::from_utf8(buf).unwrap(),
-            format!("1:cell,{},0,T,debug,,0,,1,mark; two\n", simkit::RQ_NONE)
         );
     }
 }

@@ -26,7 +26,12 @@ fn every_figure_module_is_listed_once() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/figures");
     let mut modules: Vec<String> = std::fs::read_dir(&dir)
         .expect("read src/figures")
-        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
         .filter_map(|n| n.strip_suffix(".rs").map(str::to_string))
         .filter(|n| n != "mod")
         .collect();
@@ -38,7 +43,11 @@ fn every_figure_module_is_listed_once() {
 
 #[test]
 fn default_sweep_keeps_the_golden_order() {
-    let sweep: Vec<&str> = FIGURES.iter().filter(|f| f.in_sweep).map(|f| f.name).collect();
+    let sweep: Vec<&str> = FIGURES
+        .iter()
+        .filter(|f| f.in_sweep)
+        .map(|f| f.name)
+        .collect();
     assert_eq!(
         sweep,
         [

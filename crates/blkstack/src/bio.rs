@@ -3,6 +3,7 @@
 use dd_nvme::{IoOpcode, NamespaceId};
 use simkit::SimTime;
 
+use crate::ioprio::IoPriorityClass;
 use crate::tenant::Pid;
 
 /// Identifier of an outstanding bio.
@@ -67,9 +68,17 @@ pub struct Bio {
     pub bytes: u64,
     /// SLA-relevant flags.
     pub flags: ReqFlags,
+    /// The issuer's ionice class when the bio was issued (the kernel's
+    /// `bio->bi_ioprio`): stacks that route by class read it here instead
+    /// of keeping a per-tenant table.
+    pub ioprio: IoPriorityClass,
     /// Time the tenant issued the I/O (latency is measured from here).
     pub issued_at: SimTime,
 }
+
+// Bios are copied into staging, the request map and every completion;
+// `ioprio` lives in padding and must not grow either.
+const _: () = assert!(std::mem::size_of::<Bio>() == 56);
 
 /// A finished bio, handed back to the testbed by the stack.
 ///
@@ -87,6 +96,8 @@ pub struct BioCompletion {
     /// Core whose ISR delivered the completion.
     pub completion_core: u16,
 }
+
+const _: () = assert!(std::mem::size_of::<BioCompletion>() == 72);
 
 impl BioCompletion {
     /// End-to-end latency of the bio.
@@ -122,6 +133,7 @@ mod tests {
             offset_blocks: 0,
             bytes: 4096,
             flags: ReqFlags::NONE,
+            ioprio: IoPriorityClass::BestEffort,
             issued_at: SimTime::from_micros(10),
         };
         let c = BioCompletion {

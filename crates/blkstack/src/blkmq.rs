@@ -12,15 +12,14 @@
 //! interference while keeping the same number of queues.
 
 use dd_nvme::{CqId, SqId};
-use simkit::{DenseMap, SimDuration};
+use simkit::SimDuration;
 
 use crate::bio::Bio;
 use crate::capabilities::Capabilities;
 use crate::dispatch::Dispatch;
 use crate::ioprio::IoPriorityClass;
 use crate::iosched::{Elevator, SchedKind, StagedRequest};
-use crate::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats, StorageStack};
-use crate::tenant::{Pid, TaskStruct};
+use crate::stack::{CompletionMode, DoorbellMode, StackEnv, StorageStack};
 
 /// How cores map to NSQs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,11 +60,6 @@ impl Default for BlkMqConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct TenantState {
-    ionice: IoPriorityClass,
-}
-
 /// The vanilla blk-mq storage stack.
 ///
 /// Its I/O service dispatching is fixed and SLA-blind: every NSQ doorbell
@@ -74,7 +68,6 @@ struct TenantState {
 pub struct VanillaBlkMq {
     nr_queues: u16,
     policy: QueuePolicy,
-    tenants: DenseMap<Pid, TenantState>,
     dispatch: Dispatch,
     /// Per-NSQ elevator instance, indexed by NSQ; empty for direct
     /// dispatch.
@@ -100,7 +93,6 @@ impl VanillaBlkMq {
         VanillaBlkMq {
             nr_queues,
             policy: cfg.policy,
-            tenants: DenseMap::new(),
             dispatch: Dispatch::new(device_sqs),
             scheds: (0..device_sqs)
                 .filter_map(|_| cfg.scheduler.build())
@@ -162,43 +154,19 @@ impl StorageStack for VanillaBlkMq {
         Capabilities::blk_mq()
     }
 
-    fn register_tenant(&mut self, task: &TaskStruct, _env: &mut StackEnv<'_>) {
-        self.tenants.insert(
-            task.pid,
-            TenantState {
-                ionice: task.ionice,
-            },
-        );
-    }
-
-    fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
-        if let Some(t) = self.tenants.get_mut(pid) {
-            t.ionice = class;
-        }
+    fn dispatch(&mut self) -> &mut Dispatch {
+        &mut self.dispatch
     }
 
     fn reserve(&mut self, hint: usize) {
-        self.dispatch.reserve(hint);
         for sched in &mut self.scheds {
             sched.reserve(hint);
         }
     }
 
-    fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.dispatch.park(arena);
-    }
-
-    fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.dispatch.adopt(arena);
-    }
-
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
         debug_assert!(!bios.is_empty());
-        let ionice = self
-            .tenants
-            .get(bios[0].tenant)
-            .map(|t| t.ionice)
-            .unwrap_or_default();
+        let ionice = bios[0].ioprio;
         let sq = self.sq_for(bios[0].core, ionice);
         let mut n = 0;
         for bio in bios {
@@ -218,7 +186,10 @@ impl StorageStack for VanillaBlkMq {
 
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
         // Release elevator tokens while the request map still knows each
-        // request's direction, noting which queues to refill.
+        // request's direction, noting which queues to refill. The reap
+        // retries parked commands before the refill runs; an elevator NSQ
+        // holds at most `hw_budget` commands (64 of its 1 024 entries by
+        // default), so it has none parked.
         let mut cost = self.dispatch.reap(cq, core, env, |entries, reqmap| {
             for e in entries {
                 let sq = e.sq_id;
@@ -236,21 +207,7 @@ impl StorageStack for VanillaBlkMq {
             cost += self.run_queue(self.refill[i], env);
         }
         self.refill.clear();
-        // Freed SQ entries: retry parked commands (kblockd requeue).
-        self.dispatch.flush_parked(env);
         cost
-    }
-
-    fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        self.dispatch.watchdog(env);
-    }
-
-    fn stats(&self) -> StackStats {
-        self.dispatch.stats()
-    }
-
-    fn io_capacity(&self) -> usize {
-        self.dispatch.io_capacity()
     }
 }
 
@@ -258,6 +215,7 @@ impl StorageStack for VanillaBlkMq {
 mod tests {
     use super::*;
     use crate::bio::{BioId, ReqFlags};
+    use crate::tenant::Pid;
     use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig, NvmeDevice};
     use simkit::{EventQueue, SimRng, SimTime};
 
@@ -293,12 +251,9 @@ mod tests {
             offset_blocks: id * 64,
             bytes,
             flags: ReqFlags::NONE,
+            ioprio: IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         }
-    }
-
-    fn task(pid: u64, core: u16, ionice: IoPriorityClass) -> TaskStruct {
-        TaskStruct::new(Pid(pid), core, ionice, NamespaceId(1), "x")
     }
 
     #[test]
@@ -342,11 +297,10 @@ mod tests {
             rng: &mut rng,
             costs: &costs,
         };
-        s.register_tenant(&task(1, 2, IoPriorityClass::BestEffort), &mut env);
         let d = s.submit(&[bio(1, 1, 2, 4096)], &mut env);
         assert!(d > SimDuration::ZERO);
-        assert_eq!(s.stats().submitted_rqs, 1);
-        assert_eq!(s.stats().doorbells, 1);
+        assert_eq!(s.dispatch().stats().submitted_rqs, 1);
+        assert_eq!(s.dispatch().stats().doorbells, 1);
         // The command went to SQ 2 (core 2) and the doorbell woke the fetch
         // engine.
         assert!(!env.dev_out.events.is_empty());
@@ -365,11 +319,14 @@ mod tests {
             rng: &mut rng,
             costs: &costs,
         };
-        s.register_tenant(&task(1, 0, IoPriorityClass::BestEffort), &mut env);
         // 512 KiB = 4 × 128 KiB commands.
         s.submit(&[bio(1, 1, 0, 512 * 1024)], &mut env);
-        assert_eq!(s.stats().submitted_rqs, 4);
-        assert_eq!(s.stats().doorbells, 1, "plugging rings once per batch");
+        assert_eq!(s.dispatch().stats().submitted_rqs, 4);
+        assert_eq!(
+            s.dispatch().stats().doorbells,
+            1,
+            "plugging rings once per batch"
+        );
     }
 
     #[test]
@@ -386,7 +343,6 @@ mod tests {
                 rng: &mut rng,
                 costs: &costs,
             };
-            s.register_tenant(&task(1, 0, IoPriorityClass::RealTime), &mut env);
             s.submit(&[bio(7, 1, 0, 4096)], &mut env);
         }
         // Drive the device until the interrupt fires.
@@ -418,7 +374,7 @@ mod tests {
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].bio.id, BioId(7));
         assert!(comps[0].completed_at > comps[0].bio.issued_at);
-        assert_eq!(s.stats().completed_rqs, 1);
+        assert_eq!(s.dispatch().stats().completed_rqs, 1);
     }
 
     #[test]
@@ -443,12 +399,11 @@ mod tests {
             rng: &mut rng,
             costs: &costs,
         };
-        s.register_tenant(&task(1, 0, IoPriorityClass::BestEffort), &mut env);
         // Three 1-block bios into a depth-2 queue: one parks.
         let bios: Vec<Bio> = (0..3).map(|i| bio(i, 1, 0, 4096)).collect();
         s.submit(&bios, &mut env);
-        assert_eq!(s.stats().requeues, 1);
-        assert_eq!(s.stats().submitted_rqs, 2);
+        assert_eq!(s.dispatch().stats().requeues, 1);
+        assert_eq!(s.dispatch().stats().submitted_rqs, 2);
     }
 
     #[test]
@@ -475,7 +430,6 @@ mod tests {
                 rng: &mut rng,
                 costs: &costs,
             };
-            s.register_tenant(&task(1, 0, IoPriorityClass::BestEffort), &mut env);
             let bios: Vec<Bio> = (0..10).map(|i| bio(i, 1, 0, 4096)).collect();
             s.submit(&bios, &mut env);
             assert_eq!(
@@ -483,7 +437,7 @@ mod tests {
                 reach,
                 "{scheduler:?}"
             );
-            assert_eq!(s.stats().submitted_rqs, reach, "{scheduler:?}");
+            assert_eq!(s.dispatch().stats().submitted_rqs, reach, "{scheduler:?}");
         }
     }
 
@@ -517,7 +471,6 @@ mod tests {
                 rng: &mut rng,
                 costs: &costs,
             };
-            s.register_tenant(&task(1, 0, IoPriorityClass::BestEffort), &mut env);
             let bios: Vec<Bio> = (0..5).map(|i| bio(i, 1, 0, 4096)).collect();
             s.submit(&bios, &mut env);
             assert_eq!(env.device.sq_stats(SqId(0)).submitted_total, 2);
@@ -572,14 +525,12 @@ mod tests {
             rng: &mut rng,
             costs: &costs,
         };
-        s.register_tenant(&task(1, 0, IoPriorityClass::BestEffort), &mut env);
-        s.register_tenant(&task(2, 1, IoPriorityClass::BestEffort), &mut env);
         // Tenant 1 submits a 32-command batch at t=0 (long lock hold)...
         let batch: Vec<Bio> = (0..32).map(|i| bio(i, 1, 0, 131072)).collect();
         s.submit(&batch, &mut env);
         // ...tenant 2 submits at the same instant and must spin.
         s.submit(&[bio(100, 2, 1, 4096)], &mut env);
-        let st = s.stats();
+        let st = s.dispatch().stats();
         assert!(st.lock_contended >= 1, "stats: {st:?}");
         assert!(st.lock_wait_total > SimDuration::ZERO);
     }

@@ -5,8 +5,8 @@
 //! shape: one multi-queue block layer, drivers that differ only in their
 //! decisions). [`Dispatch`] owns that machinery once. A stack keeps only
 //! its decisions — which NSQ a request goes to, which [`DoorbellMode`] and
-//! [`CompletionMode`] apply, and what a contended tail costs — and drives
-//! the core through four jobs:
+//! [`CompletionMode`] apply, and what a contended tail costs — and the
+//! testbed drives the core's lifecycle. A stack calls three jobs:
 //!
 //! * [`Dispatch::stage`] — split a bio, register its requests, tag and trace
 //!   them, and stage the commands per NSQ (first-touch order is kept);
@@ -15,14 +15,16 @@
 //!   per the [`DoorbellMode`];
 //! * [`Dispatch::reap`] — drain an NCQ and turn its entries into bio
 //!   completions under the [`CompletionMode`] the caller picks after the
-//!   pop;
-//! * [`Dispatch::watchdog`] — retry parked commands, then redrive stalled
-//!   NSQs (fault recovery).
+//!   pop, then retry parked commands in the entries it freed.
 //!
-//! All growable buffers (request map, staging, CQE scratch) recycle across
-//! runs through [`Dispatch::park`] / [`Dispatch::adopt`]; every stack parks
-//! the same set, so a worker that runs one stack flavour after another
-//! adopts all of them.
+//! The testbed reaches the core through
+//! [`StorageStack::dispatch`](crate::stack::StorageStack::dispatch) for the
+//! rest: [`Dispatch::watchdog`] (retry parked commands, then redrive
+//! stalled NSQs; fault recovery), [`Dispatch::reserve`], [`Dispatch::stats`]
+//! and [`Dispatch::io_capacity`]. All growable buffers (request map,
+//! staging, CQE scratch) recycle across runs through [`Dispatch::park`] /
+//! [`Dispatch::adopt`]; every stack parks the same set, so a worker that
+//! runs one stack flavour after another adopts all of them.
 
 use std::collections::VecDeque;
 
@@ -248,9 +250,9 @@ impl Dispatch {
 
     /// The ISR for `cq` on `core`: drains the NCQ, lets `mode` inspect the
     /// entries (the request map still holds their requests) and pick the
-    /// completion mode, processes them, and re-arms the vector. Returns the
-    /// ISR cost. Parked commands are not retried here; see
-    /// [`Dispatch::flush_parked`].
+    /// completion mode, processes them, and re-arms the vector. Then, the
+    /// completions having freed NSQ entries, retries parked commands
+    /// (kblockd requeue). Returns the ISR cost.
     pub fn reap(
         &mut self,
         cq: CqId,
@@ -272,12 +274,12 @@ impl Dispatch {
             &mut env.dev_out.trace,
         );
         env.device.isr_done(cq, env.now, env.dev_out);
+        self.flush_parked(env);
         cost
     }
 
-    /// Retries parked commands (kblockd requeue after completions free NSQ
-    /// entries).
-    pub fn flush_parked(&mut self, env: &mut StackEnv<'_>) {
+    /// Retries parked commands.
+    fn flush_parked(&mut self, env: &mut StackEnv<'_>) {
         if !self.parked.is_empty() {
             self.parked
                 .flush(env.device, env.now, env.dev_out, &mut self.stats);
@@ -317,6 +319,12 @@ impl Dispatch {
         // dd-alloc-allowlist: adoption runs at construction.
         self.staging.bufs.resize_with(nr_sqs, Vec::new);
         self.cqes = arena.take(0);
+    }
+
+    /// Counts one cross-core steering action (blk-switch's request and
+    /// application steering) into the core's statistics.
+    pub fn count_steering(&mut self) {
+        self.stats.steering_actions += 1;
     }
 
     /// Statistics snapshot, lock contention included.
@@ -614,6 +622,7 @@ mod tests {
             offset_blocks: 0,
             bytes: 4096,
             flags: ReqFlags::NONE,
+            ioprio: crate::IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         }
     }

@@ -12,9 +12,10 @@
 //! holds per hardware queue. The paper's baseline runs without one
 //! ([`SchedKind::None`]: direct dispatch).
 //!
-//! * [`MqDeadlineSched`] — reads dispatch before writes unless a write
-//!   exceeds its deadline or writes have been starved too long (a
-//!   simplified mq-deadline: FIFO within direction, no sector sorting);
+//! * [`MqDeadlineSched`] — reads are always preferred; writes dispatch
+//!   once they have been starved too long, and an expired write deadline
+//!   hastens that (a simplified mq-deadline: FIFO within direction, no
+//!   sector sorting, and no read deadline, since nothing outranks a read);
 //! * [`KyberSched`] — per-direction in-flight caps that throttle bulk
 //!   writes to protect read latency (a simplified kyber with static
 //!   domain depths).
@@ -54,9 +55,8 @@ impl StagedRequest {
 pub struct MqDeadlineSched {
     reads: VecDeque<StagedRequest>,
     writes: VecDeque<StagedRequest>,
-    /// Deadline after which a staged read must dispatch.
-    read_expire: SimDuration,
-    /// Deadline after which a staged write must dispatch.
+    /// Age after which a waiting write makes each read dispatch count
+    /// double toward `writes_starved`.
     write_expire: SimDuration,
     /// Reads dispatched while writes waited; bounded by `writes_starved`.
     starved: u32,
@@ -66,12 +66,11 @@ pub struct MqDeadlineSched {
 
 impl Default for MqDeadlineSched {
     fn default() -> Self {
-        // The kernel defaults: read_expire 500 ms... at HDD scale; NVMe
-        // deployments tune these down. We use SSD-appropriate values.
+        // The kernel's write_expire (5 s) is set at HDD scale; NVMe
+        // deployments tune it down. We use an SSD-appropriate value.
         MqDeadlineSched {
             reads: VecDeque::new(),
             writes: VecDeque::new(),
-            read_expire: SimDuration::from_micros(500),
             write_expire: SimDuration::from_millis(5),
             starved: 0,
             writes_starved: 2,
@@ -107,7 +106,6 @@ impl MqDeadlineSched {
             .front()
             .map(|w| now.saturating_since(w.staged_at) >= self.write_expire)
             .unwrap_or(false);
-        let _ = self.read_expire; // Reads are always preferred anyway.
         let must_serve_write = write_waiting && self.starved >= self.writes_starved;
         if must_serve_write {
             self.starved = 0;

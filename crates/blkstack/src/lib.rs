@@ -6,7 +6,7 @@
 //!
 //! * [`bio`] — the I/O unit issued by tenants, with the `REQ_SYNC` /
 //!   `REQ_META` flags Daredevil uses to spot outlier L-requests (§6 of the
-//!   paper);
+//!   paper) and the issuer's ionice class;
 //! * [`ioprio`] — ionice priority classes, the SLA signal troute reads;
 //! * [`tenant`] — `task_struct`-like process descriptors;
 //! * [`split`] — I/O splitting of oversized bios into per-command requests;
@@ -16,10 +16,11 @@
 //! * [`stack`] — the [`stack::StorageStack`] trait and [`stack::StackEnv`]
 //!   through which the testbed drives any stack implementation, and the
 //!   doorbell and completion modes a stack chooses between;
-//! * [`dispatch`] — the dispatch core every stack owns one of: staging,
-//!   locked NSQ push, ISR reap (batched or per-request completion),
-//!   queue-full requeue, stalled-NSQ redrive and buffer recycling, so a
-//!   stack supplies only its routing, doorbell and completion decisions;
+//! * [`dispatch`] — the blk-mq core under every stack: staging, locked
+//!   NSQ push, ISR reap (batched or per-request completion), queue-full
+//!   requeue, stalled-NSQ redrive and buffer recycling. A stack keeps only
+//!   its decisions (routing, doorbell, completion); the testbed drives the
+//!   core's lifecycle;
 //! * [`iosched`] — block-layer I/O schedulers (the [`iosched::Elevator`]
 //!   enum over mq-deadline-lite and kyber-lite) staging requests under
 //!   per-queue dispatch budgets;

@@ -185,6 +185,7 @@ mod tests {
             offset_blocks: 0,
             bytes: 8192,
             flags: ReqFlags::NONE,
+            ioprio: crate::IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         }
     }

@@ -1,20 +1,28 @@
 //! The `StorageStack` interface and shared stack machinery.
 //!
 //! A storage stack sits between tenants (above) and the NVMe device
-//! (below). The testbed drives it through [`StorageStack`]:
+//! (below). A stack keeps only its decisions; the testbed drives the
+//! core's lifecycle. Every stack owns one [`Dispatch`] (the blk-mq core:
+//! splitting, tail locks, requeue, ISR reap, redrive, buffer recycling)
+//! and hands it out through [`StorageStack::dispatch`]; the testbed adopts
+//! and parks its buffers, pre-sizes it, ticks its watchdog and reads its
+//! statistics there. Through the trait itself the testbed asks a stack
+//! only what differs between stacks:
 //!
 //! * [`StorageStack::submit`] runs on the issuing tenant's core at the start
-//!   of a submission work item and returns the CPU cost of the submission
-//!   path (syscall + block layer + NSQ locking);
-//! * [`StorageStack::on_irq`] runs on the interrupted core and returns the
-//!   ISR cost; completed bios are appended to [`StackEnv::completions`].
+//!   of a submission work item, picks each request's NSQ and doorbell mode,
+//!   and returns the CPU cost of the submission path (syscall + block layer
+//!   + NSQ locking);
+//! * [`StorageStack::on_irq`] runs on the interrupted core, picks the
+//!   completion mode, and returns the ISR cost; completed bios are appended
+//!   to [`StackEnv::completions`].
 //!
 //! Device effects (doorbells waking the fetch engine, interrupts) flow
 //! through [`StackEnv::dev_out`], which the testbed drains after every call.
 //!
 //! The module also holds the trait's vocabulary: the environment, the
 //! statistics, and the doorbell and completion modes a stack picks for the
-//! shared dispatch core ([`crate::dispatch::Dispatch`]).
+//! dispatch core.
 
 use dd_cpu::HostCosts;
 use dd_nvme::{CqId, DeviceOutput, NvmeDevice};
@@ -22,6 +30,7 @@ use simkit::{SimDuration, SimRng, SimTime};
 
 use crate::bio::{Bio, BioCompletion};
 use crate::capabilities::Capabilities;
+use crate::dispatch::Dispatch;
 use crate::ioprio::IoPriorityClass;
 use crate::tenant::{Pid, TaskStruct};
 
@@ -63,13 +72,14 @@ pub struct StackStats {
     pub requeues: u64,
     /// Doorbell writes.
     pub doorbells: u64,
-    /// Cross-core scheduling actions (blk-switch steering; 0 elsewhere).
+    /// Cross-core scheduling actions (blk-switch steering, counted through
+    /// [`Dispatch::count_steering`]; 0 elsewhere).
     pub steering_actions: u64,
     /// Doorbell redrives issued by the stall watchdog (fault recovery;
     /// 0 on runs without faults).
     pub watchdog_redrives: u64,
-    /// Per-request routing-path counters (Daredevil's troute; 0 elsewhere).
-    /// A virtio stack reports its host stack's.
+    /// Per-request routing-path counters: the core leaves them 0, and the
+    /// testbed fills them from [`StorageStack::route_stats`].
     pub route: RouteStats,
 }
 
@@ -93,7 +103,8 @@ pub struct RouteStats {
     pub policy_queries: u64,
 }
 
-/// A kernel storage stack under test.
+/// A kernel storage stack under test: its routing, doorbell and
+/// completion decisions over one [`Dispatch`] core.
 pub trait StorageStack {
     /// Human-readable name used in tables (`"vanilla"`, `"blk-switch"`,
     /// `"daredevil"`).
@@ -102,19 +113,27 @@ pub trait StorageStack {
     /// The stack's Table 1 row.
     fn capabilities(&self) -> Capabilities;
 
-    /// A tenant appeared (fork/exec). Stacks allocate per-tenant state here.
-    fn register_tenant(&mut self, task: &TaskStruct, env: &mut StackEnv<'_>);
+    /// The dispatch core the stack submits and reaps through. The testbed
+    /// drives its lifecycle here: buffer adoption and parking, pre-sizing,
+    /// the fault watchdog, statistics and request-map capacity.
+    fn dispatch(&mut self) -> &mut Dispatch;
+
+    /// A tenant appeared (fork/exec). Stacks that decide per tenant
+    /// allocate its state here; the default keeps none.
+    fn register_tenant(&mut self, _task: &TaskStruct, _env: &mut StackEnv<'_>) {}
 
     /// The tenant's ionice class changed at runtime (Fig. 14 storms).
+    /// Later bios carry the new class in [`Bio::ioprio`]; only stacks with
+    /// per-tenant state derived from it need this.
     fn update_ionice(&mut self, _pid: Pid, _class: IoPriorityClass, _env: &mut StackEnv<'_>) {}
 
     /// The testbed moved a tenant to another core (Fig. 13 interleaving).
     fn migrate_tenant(&mut self, _pid: Pid, _core: u16, _env: &mut StackEnv<'_>) {}
 
-    /// Pre-sizes internal tables (request maps, dispatch scratch) for
-    /// roughly `hint` concurrently outstanding requests, so the steady
-    /// state never reallocates. Called once by the testbed before traffic
-    /// starts; the default does nothing.
+    /// Pre-sizes per-I/O tables the stack owns beside its dispatch core
+    /// (elevators, in-flight maps) for roughly `hint` outstanding requests.
+    /// Called once by the testbed before traffic starts, after the core's
+    /// own [`Dispatch::reserve`]; the default does nothing.
     fn reserve(&mut self, _hint: usize) {}
 
     /// Submits a batch of bios issued by one tenant in one syscall, on the
@@ -131,38 +150,17 @@ pub trait StorageStack {
         None
     }
 
-    /// Fault-recovery watchdog tick (only called on runs with fault
-    /// injection enabled). Stacks flush parked commands and redrive NSQs
-    /// whose published backlog stopped being fetched
-    /// ([`Dispatch::watchdog`](crate::dispatch::Dispatch::watchdog)); the
-    /// default does nothing, so well-behaved-device runs are untouched.
-    fn on_watchdog(&mut self, _env: &mut StackEnv<'_>) {}
+    /// Routing-path counters of a per-request router (Daredevil's troute);
+    /// zero for stacks without one.
+    fn route_stats(&self) -> RouteStats {
+        RouteStats::default()
+    }
 
-    /// Parks the stack's growable buffers (request map, dispatch scratch)
-    /// into `arena` at run teardown so the next run on this worker can
-    /// [`adopt`](StorageStack::adopt_buffers) the warm allocations. Buffers
-    /// are reset on the way in ([`simkit::ArenaReset`]); every stack parks
-    /// the same set through [`crate::dispatch::Dispatch::park`], so buffers
-    /// parked by one stack flavour are adoptable by any other. The default
-    /// parks nothing.
-    fn park_buffers(&mut self, _arena: &mut simkit::RunArena) {}
-
-    /// Adopts warm buffers parked by a previous run (the inverse of
-    /// [`StorageStack::park_buffers`]), swapping them in place of the empty
-    /// shells the constructor built. Called by the testbed right after
-    /// construction, before [`StorageStack::reserve`]. Behaviour must be
-    /// identical to a fresh stack — only capacity may differ. The default
-    /// adopts nothing.
-    fn adopt_buffers(&mut self, _arena: &mut simkit::RunArena) {}
-
-    /// Statistics snapshot.
-    fn stats(&self) -> StackStats;
-
-    /// Backing capacity, in slots, of the stack's per-I/O tables (request
-    /// maps and the like). The testbed's capacity-stability probe snapshots
-    /// this at end-of-warmup and at run end and asserts they are equal at
-    /// 10k tenants — the proof that the slab/DenseMap hot path really
-    /// stopped allocating. Stacks without such tables report 0.
+    /// Backing capacity, in slots, of the per-I/O tables the stack owns
+    /// beside its dispatch core ([`Dispatch::io_capacity`] counts the
+    /// core's). The testbed's capacity-stability probe snapshots the sum at
+    /// end-of-warmup and at run end and asserts they are equal at 10k
+    /// tenants. The default reports 0.
     fn io_capacity(&self) -> usize {
         0
     }
@@ -174,7 +172,7 @@ pub trait StorageStack {
 /// (completion side: [`CompletionMode`]). The vanilla stacks in this
 /// workspace — blk-mq, blk-switch, overprov — pass [`Batched`] (one MMIO
 /// write per enqueued batch, the kernel default) to every
-/// [`Dispatch::push`](crate::dispatch::Dispatch::push) and reap every NCQ
+/// [`Dispatch::push`] and reap every NCQ
 /// with [`CompletionMode::Batched`]: they separate traffic, if at all, by
 /// routing, not by the service routines. The Daredevil stack makes both
 /// choices per batch/NCQ in `daredevil::policy::Policy::{doorbell, reap}`.

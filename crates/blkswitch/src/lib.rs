@@ -31,7 +31,7 @@ use dd_nvme::{CqId, SqId};
 use simkit::{DenseMap, SimDuration};
 
 use blkstack::dispatch::Dispatch;
-use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats, StorageStack};
+use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 
 /// Tunables of the blk-switch implementation (the paper's suggested values).
@@ -90,9 +90,9 @@ pub struct BlkSwitchStack {
     /// steering signal. Counted when a batch is staged, so commands that
     /// park on a full queue count too.
     outstanding_bytes: Vec<u64>,
+    /// The dispatch core; request- and application-steering actions are
+    /// counted into its statistics.
     dispatch: Dispatch,
-    /// Request- and application-steering actions.
-    steering_actions: u64,
     /// Scratch of [`StorageStack::on_tick`], reused every window: the
     /// active cores in order, the sorted T-pids and the T-core loads.
     tick_cores: Vec<u16>,
@@ -113,7 +113,6 @@ impl BlkSwitchStack {
             active_cores: BTreeSet::new(),
             outstanding_bytes: vec![0; device_sqs as usize], // dd-alloc-allowlist: construction
             dispatch: Dispatch::new(device_sqs),
-            steering_actions: 0,
             // dd-alloc-allowlist: const empty Vecs, grown on the first tick.
             tick_cores: Vec::new(),
             tick_pids: Vec::new(),  // dd-alloc-allowlist: see above
@@ -245,6 +244,10 @@ impl StorageStack for BlkSwitchStack {
         Capabilities::blk_switch()
     }
 
+    fn dispatch(&mut self) -> &mut Dispatch {
+        &mut self.dispatch
+    }
+
     fn register_tenant(&mut self, task: &TaskStruct, _env: &mut StackEnv<'_>) {
         self.active_cores.insert(task.core);
         let t = TenantState {
@@ -281,7 +284,7 @@ impl StorageStack for BlkSwitchStack {
         // T-requests steer by load.
         let sq = if is_l { home } else { self.steer_sq(home) };
         if sq != home {
-            self.steering_actions += 1;
+            self.dispatch.count_steering();
         }
         let sla = if is_l { simkit::Sla::L } else { simkit::Sla::T };
         let mut n = 0;
@@ -299,27 +302,13 @@ impl StorageStack for BlkSwitchStack {
     }
 
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
-        let cost = self.dispatch.reap(cq, core, env, |entries, _| {
+        self.dispatch.reap(cq, core, env, |entries, _| {
             for e in entries {
                 let q = &mut self.outstanding_bytes[e.sq_id.index()];
                 *q = q.saturating_sub(e.bytes);
             }
             CompletionMode::Batched
-        });
-        self.dispatch.flush_parked(env);
-        cost
-    }
-
-    fn reserve(&mut self, hint: usize) {
-        self.dispatch.reserve(hint);
-    }
-
-    fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.dispatch.park(arena);
-    }
-
-    fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.dispatch.adopt(arena);
+        })
     }
 
     fn on_tick(&mut self, env: &mut StackEnv<'_>) -> Option<SimDuration> {
@@ -356,7 +345,7 @@ impl StorageStack for BlkSwitchStack {
                     if self.tenants.get(pid).is_some_and(|t| t.core != core) {
                         self.update_tenant(pid, |t| t.core = core);
                         env.migrations.push((pid, core));
-                        self.steering_actions += 1;
+                        self.dispatch.count_steering();
                     }
                 }
                 self.tick_pids = pids;
@@ -383,7 +372,7 @@ impl StorageStack for BlkSwitchStack {
                 if let Some((pid, core)) = moved {
                     self.update_tenant(pid, |t| t.core = core);
                     env.migrations.push((pid, core));
-                    self.steering_actions += 1;
+                    self.dispatch.count_steering();
                 }
                 // Balance move among T-cores only.
                 let mut t_loads = std::mem::take(&mut self.tick_loads);
@@ -403,7 +392,7 @@ impl StorageStack for BlkSwitchStack {
                         if let Some(pid) = victim {
                             self.update_tenant(pid, |t| t.core = idlest);
                             env.migrations.push((pid, idlest));
-                            self.steering_actions += 1;
+                            self.dispatch.count_steering();
                         }
                     }
                 }
@@ -416,21 +405,6 @@ impl StorageStack for BlkSwitchStack {
             t.window_bytes = 0;
         }
         Some(self.cfg.steer_interval)
-    }
-
-    fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        self.dispatch.watchdog(env);
-    }
-
-    fn stats(&self) -> StackStats {
-        StackStats {
-            steering_actions: self.steering_actions,
-            ..self.dispatch.stats()
-        }
-    }
-
-    fn io_capacity(&self) -> usize {
-        self.dispatch.io_capacity()
     }
 }
 
@@ -492,6 +466,7 @@ mod tests {
             offset_blocks: id * 64,
             bytes,
             flags: ReqFlags::NONE,
+            ioprio: IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         }
     }
@@ -508,7 +483,7 @@ mod tests {
         s.register_tenant(&task(1, 2, IoPriorityClass::RealTime), &mut env);
         s.submit(&[bio(1, 1, 2, 4096)], &mut env);
         assert_eq!(env.device.sq_stats(SqId(2)).submitted_total, 1);
-        assert_eq!(s.stats().steering_actions, 0);
+        assert_eq!(s.dispatch().stats().steering_actions, 0);
     }
 
     #[test]
@@ -530,7 +505,7 @@ mod tests {
         }
         // ...subsequent T-requests must steer away from queue 0.
         assert!(
-            s.stats().steering_actions > 0,
+            s.dispatch().stats().steering_actions > 0,
             "bulk traffic must trigger request steering"
         );
         let spread = (1..4)
@@ -637,7 +612,7 @@ mod tests {
             let bios: Vec<Bio> = (0..3).map(|i| bio(i, 1, 0, 4096)).collect();
             s.submit(&bios, &mut env);
         }
-        assert_eq!(s.stats().requeues, 1);
+        assert_eq!(s.dispatch().stats().requeues, 1);
         assert_eq!(s.outstanding_bytes[0], 3 * 4096);
         // Drive every completion; the parked command unparks on the way.
         let mut q = simkit::EventQueue::new();
@@ -655,7 +630,7 @@ mod tests {
             let (at, ev) = q.pop().expect("device stalled");
             h.dev.handle_event(ev, at, &mut h.out);
         }
-        assert_eq!(s.stats().submitted_rqs, 3);
+        assert_eq!(s.dispatch().stats().submitted_rqs, 3);
     }
 
     /// From-scratch recount of the L-tenant counters over the tenant map:

@@ -43,10 +43,10 @@ pub mod policy;
 pub mod stack_impl;
 pub mod troute;
 
+pub use blkstack::stack::RouteStats;
 pub use config::{DaredevilConfig, Variant};
 pub use nproxy::{Nproxy, Priority, ProxyTable};
 pub use nqreg::{ncq_merit_k, nsq_merit_k, NqReg};
 pub use policy::{CompletionMode, DoorbellMode, Policy, PolicySpec};
 pub use stack_impl::DaredevilStack;
-pub use blkstack::stack::RouteStats;
 pub use troute::Troute;

@@ -17,7 +17,7 @@ use dd_nvme::CqId;
 use simkit::SimDuration;
 
 use blkstack::dispatch::Dispatch;
-use blkstack::stack::{StackEnv, StackStats, StorageStack};
+use blkstack::stack::{RouteStats, StackEnv, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 
 use crate::config::{DaredevilConfig, Variant};
@@ -107,6 +107,10 @@ impl StorageStack for DaredevilStack {
         Capabilities::daredevil()
     }
 
+    fn dispatch(&mut self) -> &mut Dispatch {
+        &mut self.dispatch
+    }
+
     fn register_tenant(&mut self, task: &TaskStruct, env: &mut StackEnv<'_>) {
         self.troute.register(
             task,
@@ -132,18 +136,6 @@ impl StorageStack for DaredevilStack {
 
     fn migrate_tenant(&mut self, pid: Pid, core: u16, _env: &mut StackEnv<'_>) {
         self.troute.migrate(pid, core, &mut self.proxies);
-    }
-
-    fn reserve(&mut self, hint: usize) {
-        self.dispatch.reserve(hint);
-    }
-
-    fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.dispatch.park(arena);
-    }
-
-    fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.dispatch.adopt(arena);
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
@@ -215,29 +207,16 @@ impl StorageStack for DaredevilStack {
         // Completion half of the I/O service dispatching: per-request vs
         // batched reap is the policy's call (default: per-request for
         // high-priority NCQs under the full variant, §5.3).
-        let cost = self.dispatch.reap(cq, core, env, |entries, _| {
+        self.dispatch.reap(cq, core, env, |entries, _| {
             self.policy.reap(&ReapCtx {
                 prio: self.nqreg.cq_priority(cq),
                 entries: entries.len() as u64,
             })
-        });
-        self.dispatch.flush_parked(env);
-        cost
+        })
     }
 
-    fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        self.dispatch.watchdog(env);
-    }
-
-    fn stats(&self) -> StackStats {
-        StackStats {
-            route: self.troute.stats(),
-            ..self.dispatch.stats()
-        }
-    }
-
-    fn io_capacity(&self) -> usize {
-        self.dispatch.io_capacity()
+    fn route_stats(&self) -> RouteStats {
+        self.troute.stats()
     }
 }
 
@@ -265,6 +244,7 @@ mod tests {
             offset_blocks: id * 64,
             bytes,
             flags,
+            ioprio: IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         }
     }
@@ -377,7 +357,7 @@ mod tests {
         s.on_irq(irq.cq, irq.core, &mut env);
         assert_eq!(h.comps.len(), 1);
         assert_eq!(h.comps[0].bio.id, BioId(9));
-        assert_eq!(s.stats().completed_rqs, 1);
+        assert_eq!(s.dispatch().stats().completed_rqs, 1);
     }
 
     #[test]
@@ -388,14 +368,18 @@ mod tests {
         s.register_tenant(&task(1, 0, IoPriorityClass::RealTime), &mut env);
         let bios: Vec<Bio> = (0..4).map(|i| bio(i, 1, 0, 4096, ReqFlags::NONE)).collect();
         s.submit(&bios, &mut env);
-        assert_eq!(s.stats().doorbells, 4, "immediate per-request doorbells");
+        assert_eq!(
+            s.dispatch().stats().doorbells,
+            4,
+            "immediate per-request doorbells"
+        );
         // T batch gets one doorbell.
         s.register_tenant(&task(2, 1, IoPriorityClass::BestEffort), &mut env);
         let bios: Vec<Bio> = (10..14)
             .map(|i| bio(i, 2, 1, 131072, ReqFlags::NONE))
             .collect();
         s.submit(&bios, &mut env);
-        assert_eq!(s.stats().doorbells, 5, "batched T doorbell");
+        assert_eq!(s.dispatch().stats().doorbells, 5, "batched T doorbell");
     }
 
     #[test]
@@ -415,7 +399,11 @@ mod tests {
                 "per-request round-robin must spread evenly"
             );
         }
-        assert_eq!(s.stats().doorbells, 4, "one batched doorbell per NSQ");
+        assert_eq!(
+            s.dispatch().stats().doorbells,
+            4,
+            "one batched doorbell per NSQ"
+        );
         assert_eq!(s.name(), "dare-base");
     }
 

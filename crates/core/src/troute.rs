@@ -333,8 +333,8 @@ impl Troute {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nqreg::divide_priorities;
     use crate::config::DaredevilConfig;
+    use crate::nqreg::divide_priorities;
     use blkstack::bio::{BioId, ReqFlags};
     use dd_nvme::{IoOpcode, NamespaceId, NvmeConfig};
     use simkit::SimTime;
@@ -385,6 +385,7 @@ mod tests {
             offset_blocks: 0,
             bytes: 4096,
             flags,
+            ioprio: IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         }
     }

@@ -57,6 +57,7 @@ fn bio(tenant: u64, flags: ReqFlags) -> Bio {
         offset_blocks: 0,
         bytes: 4096,
         flags,
+        ioprio: IoPriorityClass::BestEffort,
         issued_at: SimTime::ZERO,
     }
 }
@@ -82,8 +83,14 @@ fn troute_l_requests_never_low_priority() {
         });
         for (i, &(ionice, core)) in tenants.iter().enumerate() {
             let task = TaskStruct::new(Pid(i as u64), core, ionice, NamespaceId(1), "p");
-            f.troute
-                .register(&task, &f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
+            f.troute.register(
+                &task,
+                &f.pol,
+                &mut f.nqreg,
+                &f.device,
+                &f.locks,
+                &mut f.proxies,
+            );
         }
         // Drive a random request stream and check every routing decision.
         let requests = c.vec_of(1, 200, |c| {
@@ -240,104 +247,107 @@ fn troute_claims_match_routes() {
 /// accounting survives arbitrarily many re-registrations.
 #[test]
 fn troute_never_routes_against_stale_sla_under_flapping() {
-    check("troute_never_routes_against_stale_sla_under_flapping", |c| {
-        let nr_queues = 2 * c.u16_in(2, 9);
-        let mut f = fixture(nr_queues);
-        let n = c.usize_in(1, 8);
-        // Current SLA per tenant, updated as the storm flips it.
-        let mut ionice: Vec<IoPriorityClass> = Vec::new();
-        for i in 0..n {
-            let io = if c.bool_with(0.5) {
-                IoPriorityClass::RealTime
-            } else {
-                IoPriorityClass::BestEffort
-            };
-            ionice.push(io);
-            let task = TaskStruct::new(Pid(i as u64), c.u16_in(0, 4), io, NamespaceId(1), "p");
-            f.troute
-                .register(&task, &f.pol, &mut f.nqreg, &f.device, &f.locks, &mut f.proxies);
-        }
-        // A storm of interleaved flips and requests: each step is either an
-        // ionice update (the 10 µs flapper firing) or an I/O arriving
-        // between two flips.
-        for _ in 0..c.usize_in(50, 400) {
-            let pid = c.usize_in(0, n);
-            if c.bool_with(0.4) {
-                // Flip this tenant's SLA.
+    check(
+        "troute_never_routes_against_stale_sla_under_flapping",
+        |c| {
+            let nr_queues = 2 * c.u16_in(2, 9);
+            let mut f = fixture(nr_queues);
+            let n = c.usize_in(1, 8);
+            // Current SLA per tenant, updated as the storm flips it.
+            let mut ionice: Vec<IoPriorityClass> = Vec::new();
+            for i in 0..n {
                 let io = if c.bool_with(0.5) {
                     IoPriorityClass::RealTime
                 } else {
                     IoPriorityClass::BestEffort
                 };
-                ionice[pid] = io;
-                f.troute.update_ionice(
-                    Pid(pid as u64),
-                    io,
+                ionice.push(io);
+                let task = TaskStruct::new(Pid(i as u64), c.u16_in(0, 4), io, NamespaceId(1), "p");
+                f.troute.register(
+                    &task,
                     &f.pol,
                     &mut f.nqreg,
                     &f.device,
                     &f.locks,
                     &mut f.proxies,
                 );
-                // The re-registered route must reflect the new SLA at once.
-                let route = f.troute.route_of(Pid(pid as u64)).unwrap();
-                prop_assert_eq!(
-                    f.proxies.get(route.default_sq).prio,
-                    Troute::base_priority(io),
-                    "default NSQ priority is stale after the flip"
-                );
-                if io.is_latency_sensitive() {
-                    prop_assert!(
-                        route.outlier_sq.is_none(),
-                        "L-tenant kept a stale outlier NSQ"
+            }
+            // A storm of interleaved flips and requests: each step is either an
+            // ionice update (the 10 µs flapper firing) or an I/O arriving
+            // between two flips.
+            for _ in 0..c.usize_in(50, 400) {
+                let pid = c.usize_in(0, n);
+                if c.bool_with(0.4) {
+                    // Flip this tenant's SLA.
+                    let io = if c.bool_with(0.5) {
+                        IoPriorityClass::RealTime
+                    } else {
+                        IoPriorityClass::BestEffort
+                    };
+                    ionice[pid] = io;
+                    f.troute.update_ionice(
+                        Pid(pid as u64),
+                        io,
+                        &f.pol,
+                        &mut f.nqreg,
+                        &f.device,
+                        &f.locks,
+                        &mut f.proxies,
                     );
-                }
-            } else {
-                let flags = match c.u8_in(0, 4) {
-                    0 => ReqFlags::SYNC,
-                    1 => ReqFlags::META,
-                    _ => ReqFlags::NONE,
-                };
-                let sq = f.troute.route(
-                    &bio(pid as u64, flags),
-                    SimTime::ZERO,
-                    &mut f.pol,
-                    &mut f.nqreg,
-                    &f.device,
-                    &f.locks,
-                    &mut f.proxies,
-                );
-                let target_prio = f.proxies.get(sq).prio;
-                // Judged against the *current* SLA, not the registration-
-                // time one: the L-invariant must hold mid-storm.
-                if ionice[pid].is_latency_sensitive() {
+                    // The re-registered route must reflect the new SLA at once.
+                    let route = f.troute.route_of(Pid(pid as u64)).unwrap();
                     prop_assert_eq!(
-                        target_prio,
-                        Priority::High,
-                        "L-request routed against a stale (low) SLA"
+                        f.proxies.get(route.default_sq).prio,
+                        Troute::base_priority(io),
+                        "default NSQ priority is stale after the flip"
                     );
-                    prop_assert_eq!(
-                        sq,
-                        f.troute.route_of(Pid(pid as u64)).unwrap().default_sq
-                    );
-                } else if flags.is_outlier() {
-                    prop_assert_eq!(
-                        target_prio,
-                        Priority::High,
-                        "outlier routed to low priority mid-storm"
-                    );
+                    if io.is_latency_sensitive() {
+                        prop_assert!(
+                            route.outlier_sq.is_none(),
+                            "L-tenant kept a stale outlier NSQ"
+                        );
+                    }
                 } else {
-                    prop_assert_eq!(
-                        sq,
-                        f.troute.route_of(Pid(pid as u64)).unwrap().default_sq
+                    let flags = match c.u8_in(0, 4) {
+                        0 => ReqFlags::SYNC,
+                        1 => ReqFlags::META,
+                        _ => ReqFlags::NONE,
+                    };
+                    let sq = f.troute.route(
+                        &bio(pid as u64, flags),
+                        SimTime::ZERO,
+                        &mut f.pol,
+                        &mut f.nqreg,
+                        &f.device,
+                        &f.locks,
+                        &mut f.proxies,
                     );
-                    prop_assert_eq!(target_prio, Priority::Low);
+                    let target_prio = f.proxies.get(sq).prio;
+                    // Judged against the *current* SLA, not the registration-
+                    // time one: the L-invariant must hold mid-storm.
+                    if ionice[pid].is_latency_sensitive() {
+                        prop_assert_eq!(
+                            target_prio,
+                            Priority::High,
+                            "L-request routed against a stale (low) SLA"
+                        );
+                        prop_assert_eq!(sq, f.troute.route_of(Pid(pid as u64)).unwrap().default_sq);
+                    } else if flags.is_outlier() {
+                        prop_assert_eq!(
+                            target_prio,
+                            Priority::High,
+                            "outlier routed to low priority mid-storm"
+                        );
+                    } else {
+                        prop_assert_eq!(sq, f.troute.route_of(Pid(pid as u64)).unwrap().default_sq);
+                        prop_assert_eq!(target_prio, Priority::Low);
+                    }
                 }
             }
-        }
-        // However many re-registrations happened, claims balance.
-        claims_match_routes(&f, n)
-    });
+            // However many re-registrations happened, claims balance.
+            claims_match_routes(&f, n)
+        },
+    );
 }
 
 /// `divide_priorities` always yields a balanced, high-first partition.

@@ -16,9 +16,8 @@
 //! `Submit ≤ Routed ≤ NsqEnqueue ≤ DoorbellRing ≤ DeviceFetch ≤ FlashDone
 //! ≤ CqePosted ≤ IrqFire ≤ Complete`, and consecutive segment durations
 //! sum to the end-to-end latency (`dd-check` property-tests this against
-//! live runs). Events with `rq == RQ_NONE` and `Phase::Debug` markers are
-//! not request-scoped and are skipped (counted in
-//! [`SpanTable::skipped`]).
+//! live runs). Events with `rq == RQ_NONE` are not request-scoped and are
+//! skipped (counted in [`SpanTable::skipped`]).
 
 use std::collections::HashMap;
 
@@ -127,7 +126,7 @@ impl SpanTable {
     pub fn build(events: &[TraceEvent]) -> Self {
         let mut t = SpanTable::default();
         for ev in events {
-            if ev.rq == RQ_NONE || matches!(ev.phase, Phase::Debug(_)) {
+            if ev.rq == RQ_NONE {
                 t.skipped += 1;
                 continue;
             }
@@ -160,8 +159,7 @@ impl SpanTable {
         self.by_rq.get(&rq).map(|&i| &self.spans[i])
     }
 
-    /// Events skipped because they were not request-scoped
-    /// (`RQ_NONE` / `Phase::Debug` markers).
+    /// Events skipped because they were not request-scoped (`RQ_NONE`).
     pub fn skipped(&self) -> u64 {
         self.skipped
     }
@@ -251,15 +249,21 @@ mod tests {
         assert!(s.outlier);
         assert_eq!(s.total().unwrap().as_nanos(), 900);
         assert_eq!(
-            s.segment(Phase::Submit, Phase::DeviceFetch).unwrap().as_nanos(),
+            s.segment(Phase::Submit, Phase::DeviceFetch)
+                .unwrap()
+                .as_nanos(),
             150
         );
         assert_eq!(
-            s.segment(Phase::DeviceFetch, Phase::FlashDone).unwrap().as_nanos(),
+            s.segment(Phase::DeviceFetch, Phase::FlashDone)
+                .unwrap()
+                .as_nanos(),
             650
         );
         assert_eq!(
-            s.segment(Phase::FlashDone, Phase::Complete).unwrap().as_nanos(),
+            s.segment(Phase::FlashDone, Phase::Complete)
+                .unwrap()
+                .as_nanos(),
             100
         );
         assert_eq!(t.orphans(), 0);
@@ -280,14 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn debug_and_rq_none_skipped() {
-        let events = [
-            ev(RQ_NONE, Phase::IrqFire, 10),
-            ev(4, Phase::Debug("marker"), 20),
-            ev(4, Phase::Submit, 30),
-        ];
+    fn rq_none_skipped() {
+        let events = [ev(RQ_NONE, Phase::IrqFire, 10), ev(4, Phase::Submit, 30)];
         let t = SpanTable::build(&events);
-        assert_eq!(t.skipped(), 2);
+        assert_eq!(t.skipped(), 1);
         assert_eq!(t.len(), 1);
     }
 

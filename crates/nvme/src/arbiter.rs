@@ -129,7 +129,11 @@ impl SqMask {
         let mut prev_off = -1i32;
         while let Some(idx) = self.next_set_from(probe) {
             let off = i32::from(idx) - start;
-            let off = if off < 0 { off + i32::from(self.nr) } else { off };
+            let off = if off < 0 {
+                off + i32::from(self.nr)
+            } else {
+                off
+            };
             if off <= prev_off {
                 break; // wrapped past the starting cursor: full round done
             }

@@ -398,7 +398,12 @@ mod tests {
     #[test]
     fn idle_write_takes_transfer_plus_tprog() {
         let mut f = backend();
-        let done = f.dispatch_page(SimTime::ZERO, 0, IoOpcode::Write, &mut FaultPlan::disabled());
+        let done = f.dispatch_page(
+            SimTime::ZERO,
+            0,
+            IoOpcode::Write,
+            &mut FaultPlan::disabled(),
+        );
         assert_eq!(done, SimTime::from_micros(510));
     }
 
@@ -434,7 +439,13 @@ mod tests {
     #[test]
     fn command_completion_is_max_of_pages() {
         let mut f = backend();
-        let done = f.dispatch_command(SimTime::ZERO, 0, 8, IoOpcode::Read, &mut FaultPlan::disabled());
+        let done = f.dispatch_command(
+            SimTime::ZERO,
+            0,
+            8,
+            IoOpcode::Read,
+            &mut FaultPlan::disabled(),
+        );
         // 8 pages over 4 dies: 2 rounds of sensing on each die plus queued
         // transfers; must exceed a single idle read.
         assert!(done > SimTime::from_micros(60));
@@ -445,7 +456,12 @@ mod tests {
     fn gc_disabled_by_default() {
         let mut f = backend();
         for i in 0..1000 {
-            f.dispatch_page(SimTime::from_micros(i), i, IoOpcode::Write, &mut FaultPlan::disabled());
+            f.dispatch_page(
+                SimTime::from_micros(i),
+                i,
+                IoOpcode::Write,
+                &mut FaultPlan::disabled(),
+            );
         }
         assert_eq!(f.gc_erases(), 0);
     }
@@ -466,7 +482,12 @@ mod tests {
         });
         let mut f = FlashBackend::new(cfg);
         for i in 0..24u64 {
-            f.dispatch_page(SimTime::from_millis(i), i, IoOpcode::Write, &mut FaultPlan::disabled());
+            f.dispatch_page(
+                SimTime::from_millis(i),
+                i,
+                IoOpcode::Write,
+                &mut FaultPlan::disabled(),
+            );
         }
         assert_eq!(f.gc_erases(), 3, "one erase per 8 programmed pages");
     }
@@ -487,10 +508,20 @@ mod tests {
         });
         let mut f = FlashBackend::new(cfg);
         // The write triggers an immediate erase on the single die.
-        let w_done = f.dispatch_page(SimTime::ZERO, 0, IoOpcode::Write, &mut FaultPlan::disabled());
+        let w_done = f.dispatch_page(
+            SimTime::ZERO,
+            0,
+            IoOpcode::Write,
+            &mut FaultPlan::disabled(),
+        );
         assert_eq!(f.gc_erases(), 1);
         // A read right after the write waits behind program + erase.
-        let r_done = f.dispatch_page(SimTime::from_micros(1), 0, IoOpcode::Read, &mut FaultPlan::disabled());
+        let r_done = f.dispatch_page(
+            SimTime::from_micros(1),
+            0,
+            IoOpcode::Read,
+            &mut FaultPlan::disabled(),
+        );
         assert!(
             r_done > w_done + SimDuration::from_millis(2),
             "erase must postpone the read: read done {r_done}, write done {w_done}"
@@ -535,9 +566,20 @@ mod tests {
     fn big_command_floods_backend_for_later_reader() {
         let mut f = backend();
         // A 32-page bulk op at t=0...
-        f.dispatch_command(SimTime::ZERO, 0, 32, IoOpcode::Read, &mut FaultPlan::disabled());
+        f.dispatch_command(
+            SimTime::ZERO,
+            0,
+            32,
+            IoOpcode::Read,
+            &mut FaultPlan::disabled(),
+        );
         // ...delays a single-page read arriving shortly after.
-        let done = f.dispatch_page(SimTime::from_micros(1), 0, IoOpcode::Read, &mut FaultPlan::disabled());
+        let done = f.dispatch_page(
+            SimTime::from_micros(1),
+            0,
+            IoOpcode::Read,
+            &mut FaultPlan::disabled(),
+        );
         let idle_equiv = SimTime::from_micros(1) + SimDuration::from_micros(60);
         assert!(
             done > idle_equiv + SimDuration::from_micros(100),

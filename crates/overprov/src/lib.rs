@@ -21,16 +21,11 @@
 #![warn(missing_docs)]
 
 use dd_nvme::{Arbitration, CqId, NvmeDevice, SqId, SqPriorityClass};
-use simkit::{DenseMap, SimDuration};
+use simkit::SimDuration;
 
 use blkstack::dispatch::Dispatch;
-use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats, StorageStack};
-use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
-
-#[derive(Clone, Copy, Debug)]
-struct TenantState {
-    ionice: IoPriorityClass,
-}
+use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StorageStack};
+use blkstack::{Bio, Capabilities, TaskStruct};
 
 /// The static-overprovision storage stack.
 ///
@@ -40,7 +35,6 @@ struct TenantState {
 pub struct OverprovStack {
     /// Number of core pairs (= cores served).
     nr_pairs: u16,
-    tenants: DenseMap<Pid, TenantState>,
     dispatch: Dispatch,
     /// Whether the device's queues have been WRR-classified yet.
     classified: bool,
@@ -59,7 +53,6 @@ impl OverprovStack {
         let nr_pairs = (device_sqs / 2).min(nr_cores).max(1);
         OverprovStack {
             nr_pairs,
-            tenants: DenseMap::new(),
             dispatch: Dispatch::new(device_sqs),
             classified: false,
         }
@@ -104,31 +97,19 @@ impl StorageStack for OverprovStack {
         Capabilities::static_overprovision()
     }
 
-    fn register_tenant(&mut self, task: &TaskStruct, env: &mut StackEnv<'_>) {
-        self.ensure_classified(env.device);
-        self.tenants.insert(
-            task.pid,
-            TenantState {
-                ionice: task.ionice,
-            },
-        );
+    fn dispatch(&mut self) -> &mut Dispatch {
+        &mut self.dispatch
     }
 
-    fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
-        if let Some(t) = self.tenants.get_mut(pid) {
-            t.ionice = class;
-        }
+    fn register_tenant(&mut self, _task: &TaskStruct, env: &mut StackEnv<'_>) {
+        self.ensure_classified(env.device);
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
         debug_assert!(!bios.is_empty());
         self.ensure_classified(env.device);
         let core = bios[0].core;
-        let is_l_tenant = self
-            .tenants
-            .get(bios[0].tenant)
-            .map(|t| t.ionice.is_latency_sensitive())
-            .unwrap_or(false);
+        let is_l_tenant = bios[0].ioprio.is_latency_sensitive();
         let (l_sq, t_sq) = self.pair_of(core);
         let sla = if is_l_tenant {
             simkit::Sla::L
@@ -157,36 +138,9 @@ impl StorageStack for OverprovStack {
         cost
     }
 
-    fn reserve(&mut self, hint: usize) {
-        self.dispatch.reserve(hint);
-    }
-
-    fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.dispatch.park(arena);
-    }
-
-    fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.dispatch.adopt(arena);
-    }
-
     fn on_irq(&mut self, cq: CqId, core: u16, env: &mut StackEnv<'_>) -> SimDuration {
-        let cost = self
-            .dispatch
-            .reap(cq, core, env, |_, _| CompletionMode::Batched);
-        self.dispatch.flush_parked(env);
-        cost
-    }
-
-    fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        self.dispatch.watchdog(env);
-    }
-
-    fn stats(&self) -> StackStats {
-        self.dispatch.stats()
-    }
-
-    fn io_capacity(&self) -> usize {
-        self.dispatch.io_capacity()
+        self.dispatch
+            .reap(cq, core, env, |_, _| CompletionMode::Batched)
     }
 }
 
@@ -194,6 +148,7 @@ impl StorageStack for OverprovStack {
 mod tests {
     use super::*;
     use blkstack::bio::{BioId, ReqFlags};
+    use blkstack::{IoPriorityClass, Pid};
     use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig, WrrWeights};
     use simkit::{SimRng, SimTime};
 
@@ -248,6 +203,7 @@ mod tests {
             offset_blocks: id * 64,
             bytes,
             flags,
+            ioprio: IoPriorityClass::BestEffort,
             issued_at: SimTime::ZERO,
         }
     }
@@ -272,7 +228,11 @@ mod tests {
         let mut env = h.env(SimTime::ZERO);
         s.register_tenant(&task(1, 1, IoPriorityClass::RealTime), &mut env);
         s.register_tenant(&task(2, 1, IoPriorityClass::BestEffort), &mut env);
-        s.submit(&[bio(1, 1, 1, 4096, ReqFlags::NONE)], &mut env);
+        let l_bio = Bio {
+            ioprio: IoPriorityClass::RealTime,
+            ..bio(1, 1, 1, 4096, ReqFlags::NONE)
+        };
+        s.submit(&[l_bio], &mut env);
         s.submit(&[bio(2, 2, 1, 131072, ReqFlags::NONE)], &mut env);
         // Core 1 owns pair (2, 3): L → 2, T → 3.
         assert_eq!(env.device.sq_stats(SqId(2)).submitted_total, 1);

@@ -157,7 +157,14 @@ mod tests {
         let v: Vec<u32> = a.take(0);
         assert!(v.is_empty(), "put resets logical state");
         assert_eq!(v.capacity(), cap, "take keeps capacity");
-        assert_eq!(a.stats(), ArenaStats { hits: 1, misses: 1, parked: 0 });
+        assert_eq!(
+            a.stats(),
+            ArenaStats {
+                hits: 1,
+                misses: 1,
+                parked: 0
+            }
+        );
     }
 
     #[test]

@@ -66,8 +66,8 @@ impl FaultClasses {
                 "none" => classes = FaultClasses::NONE,
                 other => {
                     return Err(format!(
-                        "unknown fault class '{other}' (expected spikes, irqloss, stalls, all, none)"
-                    ))
+                    "unknown fault class '{other}' (expected spikes, irqloss, stalls, all, none)"
+                ))
                 }
             }
         }

@@ -27,7 +27,9 @@ pub mod trace;
 pub use arena::{ArenaReset, ArenaStats, RunArena};
 pub use event::EventQueue;
 pub use ewma::Ewma;
-pub use fault::{FaultClasses, FaultEvent, FaultGeometry, FaultKind, FaultPlan, FaultSpec, FaultStats};
+pub use fault::{
+    FaultClasses, FaultEvent, FaultGeometry, FaultKind, FaultPlan, FaultSpec, FaultStats,
+};
 pub use keyed_heap::KeyedMinHeap;
 pub use rng::{SimRng, ZetaCache, Zipfian};
 pub use slab::{DenseMap, Key, Slab, SlotId};

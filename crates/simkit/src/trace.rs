@@ -26,8 +26,6 @@
 //! (controller fetched the command), `FlashDone` (flash service complete),
 //! `CqePosted` (completion queue entry posted), `IrqFire` (the ISR picked
 //! the CQE up), `Complete` (completion delivered to the submitting tenant).
-//! `Debug` is the escape hatch for ad-hoc markers that used to go through
-//! the old string-based trace.
 
 use crate::time::SimTime;
 
@@ -80,12 +78,10 @@ pub enum Phase {
     IrqFire,
     /// Completion delivered back to the submitting tenant.
     Complete,
-    /// Free-form debug marker (escape hatch for ad-hoc tracing).
-    Debug(&'static str),
 }
 
 /// Number of distinct phase kinds (mask bits).
-pub const PHASE_COUNT: usize = 10;
+pub const PHASE_COUNT: usize = 9;
 
 /// Names of all phase kinds, in lifecycle order (index == mask bit).
 pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
@@ -98,7 +94,6 @@ pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "cqe_posted",
     "irq_fire",
     "complete",
-    "debug",
 ];
 
 impl Phase {
@@ -114,7 +109,6 @@ impl Phase {
             Phase::CqePosted => 6,
             Phase::IrqFire => 7,
             Phase::Complete => 8,
-            Phase::Debug(_) => 9,
         }
     }
 
@@ -158,6 +152,9 @@ pub struct TraceEvent {
     /// NVMe submission queue involved, when one is.
     pub nsq: Option<u16>,
 }
+
+// A traced run copies every event into the ring and out again at harvest.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 32);
 
 /// Configuration for a run's trace sink, carried by scenarios.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -296,9 +293,7 @@ impl TraceSink {
 
     /// Consumes the sink, returning buffered events oldest-first.
     pub fn into_events(self) -> Vec<TraceEvent> {
-        let TraceSink {
-            mut buf, head, ..
-        } = self;
+        let TraceSink { mut buf, head, .. } = self;
         buf.rotate_left(head);
         buf
     }
@@ -378,7 +373,6 @@ mod tests {
         }
         assert_eq!(Phase::bit_from_name("bogus"), None);
         assert_eq!(Phase::Routed { outlier: true }.name(), "routed");
-        assert_eq!(Phase::Debug("x").name(), "debug");
     }
 
     #[test]

@@ -388,7 +388,9 @@ fn trace_ring_wrap_drops_exactly_the_oldest() {
         for i in 0..n {
             let phase = match c.u8_in(0, 3) {
                 0 => Phase::Submit,
-                1 => Phase::Routed { outlier: c.bool_with(0.2) },
+                1 => Phase::Routed {
+                    outlier: c.bool_with(0.2),
+                },
                 2 => Phase::IrqFire,
                 _ => Phase::Complete,
             };
@@ -417,7 +419,11 @@ fn trace_ring_wrap_drops_exactly_the_oldest() {
         // oldest first.
         let events = sink.into_events();
         let tail = &selected[selected.len() - events.len()..];
-        prop_assert_eq!(events.as_slice(), tail, "ring keeps the newest events in order");
+        prop_assert_eq!(
+            events.as_slice(),
+            tail,
+            "ring keeps the newest events in order"
+        );
         Ok(())
     });
 }

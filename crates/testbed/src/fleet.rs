@@ -3,9 +3,9 @@
 //! A [`FleetSpec`] describes a *fleet*: `hosts` independent machines (each
 //! its own [`crate::Machine`] event loop, recycled through the per-worker
 //! [`simkit::RunArena`]), a [`TenantPopulation`] that expands 1k–10k
-//! tenants from a Zipfian(θ) popularity skew over L/T SLA classes, a
-//! [`PlacementPolicy`] that assigns tenants to hosts, and an
-//! [`ArrivalSpec`] that turns each tenant's popularity share into an
+//! tenants from a Zipfian(θ) popularity skew over L/T SLA classes and
+//! places them round-robin over the hosts, and an [`ArrivalSpec`] that
+//! turns each tenant's popularity share into an
 //! open-loop [`dd_workload::ArrivalModel`] (diurnal sinusoid × bursty
 //! on/off, per-tenant phases) instead of the closed-loop tenant specs
 //! single-machine scenarios use.
@@ -75,26 +75,6 @@ impl TenantPopulation {
     }
 }
 
-/// How tenants are placed onto hosts.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PlacementPolicy {
-    /// Rank `r` goes to host `r mod hosts` — popularity spreads evenly, the
-    /// baseline a well-run fleet scheduler approximates.
-    RoundRobin,
-    /// Rank `r` goes to `hash(r) mod hosts` — uncoordinated placement;
-    /// hot tenants can collide on one host by chance.
-    Hash,
-    /// The hottest `hot_fraction` of ranks pack onto the first `hot_hosts`
-    /// hosts (round-robin within), the tail spreads over the rest — the
-    /// adversarial skew a popularity-oblivious scheduler produces.
-    HotSpot {
-        /// Hosts receiving the hot ranks (must be < total hosts).
-        hot_hosts: u16,
-        /// Fraction of ranks considered hot, in `(0, 1)`.
-        hot_fraction: f64,
-    },
-}
-
 /// Shape of the open-loop arrival modulation shared by every tenant; each
 /// tenant gets its own diurnal/burst *phases* (drawn from the expansion
 /// RNG) so the fleet does not synchronise.
@@ -125,8 +105,9 @@ impl Default for ArrivalSpec {
     }
 }
 
-/// A fleet cell: N hosts, a Zipfian tenant population, a placement policy,
-/// open-loop arrivals, and the same [`RunKnobs`] a single-machine
+/// A fleet cell: N hosts, a Zipfian tenant population placed round-robin
+/// (rank `r` on host `r mod hosts`, so popularity spreads evenly, as a
+/// well-run fleet scheduler places it), open-loop arrivals, and the same [`RunKnobs`] a single-machine
 /// [`Scenario`] owns — reused verbatim, so every cross-cutting knob
 /// (durations, seed, tracing, faults) applies to each host without
 /// re-plumbing.
@@ -142,8 +123,6 @@ pub struct FleetSpec {
     pub stack: StackSpec,
     /// The tenant population expanded over the fleet.
     pub population: TenantPopulation,
-    /// Tenant → host placement.
-    pub placement: PlacementPolicy,
     /// Open-loop arrival modulation shape.
     pub arrival: ArrivalSpec,
     /// Cross-cutting run knobs, shared verbatim with [`Scenario`]. The
@@ -152,8 +131,7 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// A fleet with round-robin placement, default arrival modulation and
-    /// default knobs.
+    /// A fleet with default arrival modulation and default knobs.
     pub fn new(
         name: impl Into<String>,
         hosts: u16,
@@ -172,35 +150,8 @@ impl FleetSpec {
             preset,
             stack,
             population,
-            placement: PlacementPolicy::RoundRobin,
             arrival: ArrivalSpec::default(),
             knobs: RunKnobs::default(),
-        }
-    }
-
-    /// Host index for tenant `rank` under the fleet's placement policy.
-    fn place(&self, rank: u32) -> u16 {
-        let hosts = self.hosts as u32;
-        match self.placement {
-            PlacementPolicy::RoundRobin => (rank % hosts) as u16,
-            PlacementPolicy::Hash => (mix_seed(0x9a7c_15, rank as u64) % hosts as u64) as u16,
-            PlacementPolicy::HotSpot {
-                hot_hosts,
-                hot_fraction,
-            } => {
-                assert!(hot_hosts > 0 && hot_hosts < self.hosts, "hot_hosts range");
-                assert!(
-                    hot_fraction > 0.0 && hot_fraction < 1.0,
-                    "hot_fraction range"
-                );
-                let hot_ranks = ((self.population.tenants as f64 * hot_fraction) as u32).max(1);
-                if rank < hot_ranks {
-                    (rank % hot_hosts as u32) as u16
-                } else {
-                    let cold = hosts - hot_hosts as u32;
-                    (hot_hosts as u32 + (rank - hot_ranks) % cold) as u16
-                }
-            }
         }
     }
 
@@ -226,7 +177,7 @@ impl FleetSpec {
         let total: f64 = weights.iter().sum();
 
         // Every random expansion choice comes from this one stream, drawn
-        // in rank order — placement-independent and reproducible.
+        // in rank order, so the expansion is reproducible.
         let mut xrng = simkit::SimRng::new(mix_seed(self.knobs.seed, 0xF1EE7));
 
         let mut scenarios: Vec<Scenario> = (0..self.hosts)
@@ -280,7 +231,7 @@ impl FleetSpec {
                 )
             };
 
-            let host = self.place(rank) as usize;
+            let host = (rank % self.hosts as u32) as usize;
             let s = &mut scenarios[host];
             let core = next_core[host] % s.core_pool;
             next_core[host] = next_core[host].wrapping_add(1);
@@ -297,7 +248,7 @@ impl FleetSpec {
         for s in &scenarios {
             assert!(
                 !s.tenants.is_empty(),
-                "placement left host {} empty — use more tenants or fewer hosts",
+                "host {} got no tenant — use more tenants or fewer hosts",
                 s.name
             );
         }
@@ -357,27 +308,6 @@ mod tests {
         let f = quick_spec(1000, 4);
         let sizes: Vec<usize> = f.expand().iter().map(|s| s.tenants.len()).collect();
         assert!(sizes.iter().all(|&n| n == 250), "{sizes:?}");
-    }
-
-    #[test]
-    fn hotspot_concentrates_head() {
-        let mut f = quick_spec(1000, 4);
-        f.placement = PlacementPolicy::HotSpot {
-            hot_hosts: 1,
-            hot_fraction: 0.1,
-        };
-        let sizes: Vec<usize> = f.expand().iter().map(|s| s.tenants.len()).collect();
-        // Host 0 holds exactly the hot ranks; the cold tail spreads over 3.
-        assert_eq!(sizes[0], 100);
-        assert_eq!(sizes.iter().sum::<usize>(), 1000);
-    }
-
-    #[test]
-    fn hash_placement_covers_all_hosts() {
-        let mut f = quick_spec(1000, 8);
-        f.placement = PlacementPolicy::Hash;
-        let sizes: Vec<usize> = f.expand().iter().map(|s| s.tenants.len()).collect();
-        assert!(sizes.iter().all(|&n| n > 0), "{sizes:?}");
     }
 
     #[test]

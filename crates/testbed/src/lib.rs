@@ -35,7 +35,7 @@ pub mod machine;
 pub mod runout;
 pub mod scenario;
 
-pub use fleet::{ArrivalSpec, FleetSpec, PlacementPolicy, TenantPopulation};
+pub use fleet::{ArrivalSpec, FleetSpec, TenantPopulation};
 pub use machine::Machine;
 pub use runout::{CapacityProbe, FleetOutput, RunOutput, TenantView};
 pub use scenario::{MachinePreset, RunKnobs, Scenario, StackSpec, TenantKind, TenantSpec};

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use blkstack::blkmq::VanillaBlkMq;
-use blkstack::stack::{StackEnv, StorageStack};
+use blkstack::stack::{StackEnv, StackStats, StorageStack};
 use blkstack::{Bio, BioCompletion, BioId, IoPriorityClass, Pid, TaskStruct};
 use blkswitch::BlkSwitchStack;
 use daredevil::DaredevilStack;
@@ -190,6 +190,7 @@ fn materialize(tenant: &mut Tenant, io: IoDesc, id: u64, now: SimTime) -> Bio {
         offset_blocks: offset,
         bytes: io.bytes,
         flags: io.flags,
+        ioprio: tenant.ionice,
         issued_at: now,
     }
 }
@@ -240,13 +241,16 @@ impl Machine {
             ));
         }
         let mut stack = build_stack(&scenario.stack, nr_cores, &device);
-        // Swap the constructor's empty shells for warm parked buffers (the
+        // Swap the dispatch core's empty shells for warm parked buffers (the
         // shared arena tags make a map parked by any stack flavour
-        // adoptable here), then pre-size the slab request maps and recycled
-        // scratch from the same shape hint the event queue uses, so the
-        // steady state allocates nothing on the hot path.
-        stack.adopt_buffers(arena);
-        stack.reserve(scenario.event_capacity_hint());
+        // adoptable here), then pre-size the slab request maps, recycled
+        // scratch and the stack's own tables from the same shape hint the
+        // event queue uses, so the steady state allocates nothing on the
+        // hot path.
+        let hint = scenario.event_capacity_hint();
+        stack.dispatch().adopt(arena);
+        stack.dispatch().reserve(hint);
+        stack.reserve(hint);
         let mut rng = SimRng::new(scenario.knobs.seed);
         let mut tenants: Vec<Tenant> = arena.take(0);
         let mut active_apps = 0usize;
@@ -342,7 +346,7 @@ impl Machine {
     /// queue backing) for the capacity-stability accounting.
     fn capacity_probe(&mut self) -> CapacityProbe {
         CapacityProbe {
-            io_slots: self.stack.io_capacity(),
+            io_slots: self.stack.dispatch().io_capacity() + self.stack.io_capacity(),
             events: self.queue.capacity(),
         }
     }
@@ -750,8 +754,8 @@ impl Machine {
     /// `isr_done` re-arms the vector; if it races a real delivery, the
     /// second run finds an empty CQ and is tolerated as spurious.
     ///
-    /// Host side: let the stack flush parked commands and redrive stalled
-    /// NSQs ([`StorageStack::on_watchdog`], bounded retry/backoff).
+    /// Host side: the stack's dispatch core flushes parked commands and
+    /// redrives stalled NSQs (`Dispatch::watchdog`, bounded retry/backoff).
     fn fault_watchdog(&mut self) {
         for i in 0..self.wd_reaped.len() {
             let cq = CqId(i as u16);
@@ -770,7 +774,7 @@ impl Machine {
                 self.enqueue_work(core, WorkClass::HardIrq, Work::Isr { cq });
             }
         }
-        self.with_env(|stack, env| stack.on_watchdog(env));
+        self.with_env(|stack, env| stack.dispatch().watchdog(env));
     }
 
     /// Runs the scenario to completion, parking the machine's growable
@@ -924,7 +928,10 @@ impl Machine {
         // wrapped mid-run.
         let sink = std::mem::take(&mut self.dev_out.trace);
         let trace_dropped = sink.dropped();
-        let stack_stats = self.stack.stats();
+        let stack_stats = StackStats {
+            route: self.stack.route_stats(),
+            ..self.stack.dispatch().stats()
+        };
         let dev_faults = self.device.fault_stats();
         let fault = dd_metrics::FaultRecovery {
             spikes_applied: dev_faults.spikes_applied,
@@ -957,7 +964,7 @@ impl Machine {
         // `new_in` adopts warm capacity with fresh logical state. The device
         // itself is NOT parked — flash geometry, namespace tables, and fault
         // plans are per-scenario configuration, not recyclable scratch.
-        self.stack.park_buffers(arena);
+        self.stack.dispatch().park(arena);
         // App workloads park their own scratch (popularity tables, page
         // caches) before the tenant vector — which owns them — is recycled.
         for t in &mut self.tenants {
@@ -997,7 +1004,8 @@ fn build_stack(spec: &StackSpec, nr_cores: u16, device: &NvmeDevice) -> Box<dyn 
             } else {
                 VqMode::Naive
             };
-            Box::new(VirtioBlk::new(build_stack(inner, nr_cores, device), mode)) // dd-alloc-allowlist: construction
+            // dd-alloc-allowlist: construction
+            Box::new(VirtioBlk::new(build_stack(inner, nr_cores, device), mode))
         }
     }
 }

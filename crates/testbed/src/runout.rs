@@ -8,8 +8,9 @@ use dd_workload::OpKind;
 use simkit::SimDuration;
 
 /// Capacity snapshot of the per-I/O structures of one machine: the stack's
-/// request-map slabs ([`blkstack::stack::StorageStack::io_capacity`]) and
-/// the event-queue lanes. The machine records one probe at end-of-warmup
+/// request-map slabs ([`blkstack::dispatch::Dispatch::io_capacity`] plus
+/// [`blkstack::stack::StorageStack::io_capacity`]) and the event-queue
+/// lanes. The machine records one probe at end-of-warmup
 /// and one at run end; `cap_warmup == cap_end` is the capacity-stability
 /// claim — nothing on the per-I/O path allocated mid-measurement — which
 /// the fleet properties assert at 10k tenants.

@@ -114,7 +114,7 @@ fn digest(out: &RunOutput) -> String {
 /// random scenario (different stack, geometry, seed, trace/fault config) —
 /// produces byte-identical output to a fresh machine: identical tallies,
 /// latency percentiles, span traces, fault counters, and series. This is
-/// the end-to-end gate on every `ArenaReset` impl and every `adopt_buffers`
+/// the end-to-end gate on every `ArenaReset` impl and every `Dispatch::adopt`
 /// path at once: any state that survives recycling and leaks into the
 /// output diverges the digest.
 #[test]
@@ -134,11 +134,7 @@ fn recycled_machine_is_byte_identical_to_fresh() {
             arena.stats().hits > 0,
             "second run adopted nothing — parking is broken, the property is vacuous"
         );
-        prop_assert_eq!(
-            &recycled,
-            &fresh,
-            "recycled run diverged from fresh run"
-        );
+        prop_assert_eq!(&recycled, &fresh, "recycled run diverged from fresh run");
         Ok(())
     });
 }

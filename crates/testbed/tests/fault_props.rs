@@ -199,7 +199,12 @@ fn empty_fault_plan_is_invisible() {
             "watchdog redrove {} doorbells on a healthy run",
             armed.fault.watchdog_redrives
         );
-        for (tc, ta) in clean.summary.tenants.iter().zip(armed.summary.tenants.iter()) {
+        for (tc, ta) in clean
+            .summary
+            .tenants
+            .iter()
+            .zip(armed.summary.tenants.iter())
+        {
             prop_assert!(
                 tc.ios_issued == ta.ios_issued
                     && tc.ios_completed == ta.ios_completed
@@ -270,10 +275,22 @@ fn all_fault_classes_engage() {
     s.knobs.measure = SimDuration::from_millis(20);
     s.knobs.faults = Some(FaultSpec::aggressive(FaultClasses::ALL, 0xBEEF));
     let out = testbed::run(s.clone());
-    assert!(out.fault.spikes_applied > 0, "no die spike applied: {:?}", out.fault);
+    assert!(
+        out.fault.spikes_applied > 0,
+        "no die spike applied: {:?}",
+        out.fault
+    );
     assert!(out.fault.vectors_lost > 0, "no raise lost: {:?}", out.fault);
-    assert!(out.fault.stalls_engaged > 0, "no stall engaged: {:?}", out.fault);
-    assert!(out.fault.polls_fired > 0, "no polling fallback fired: {:?}", out.fault);
+    assert!(
+        out.fault.stalls_engaged > 0,
+        "no stall engaged: {:?}",
+        out.fault
+    );
+    assert!(
+        out.fault.polls_fired > 0,
+        "no polling fallback fired: {:?}",
+        out.fault
+    );
     assert!(
         out.fault.irq_raised_total > 0,
         "vector raise counter dead: {:?}",

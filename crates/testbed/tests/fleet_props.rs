@@ -12,12 +12,12 @@
 
 use dd_check::{check, prop_assert, prop_assert_eq};
 use simkit::{SimDuration, SimRng, Zipfian};
-use testbed::fleet::{FleetSpec, PlacementPolicy, TenantPopulation};
+use testbed::fleet::{FleetSpec, TenantPopulation};
 use testbed::scenario::{MachinePreset, StackSpec};
 use testbed::{FleetOutput, RunArena};
 
 /// Random-but-small fleet spec: 2–4 hosts, up to a few hundred tenants,
-/// every placement policy, short windows — cheap enough for a dd-check
+/// short windows — cheap enough for a dd-check
 /// case corpus while exercising the same expansion paths as 10k tenants.
 fn random_fleet(c: &mut dd_check::Case) -> FleetSpec {
     let hosts = c.u16_in(2, 4);
@@ -31,14 +31,6 @@ fn random_fleet(c: &mut dd_check::Case) -> FleetSpec {
     let mut pop = TenantPopulation::zipfian(tenants, 2_000.0 + c.u64_in(0, 10_000) as f64);
     pop.theta = 0.5 + c.u64_in(0, 45) as f64 / 100.0;
     let mut f = FleetSpec::new("prop", hosts, MachinePreset::Small, stack, pop);
-    f.placement = match c.u8_in(0, 3) {
-        0 => PlacementPolicy::RoundRobin,
-        1 => PlacementPolicy::Hash,
-        _ => PlacementPolicy::HotSpot {
-            hot_hosts: 1,
-            hot_fraction: 0.1,
-        },
-    };
     f.knobs.seed = c.any_u64();
     f.knobs.warmup = SimDuration::from_millis(1);
     f.knobs.measure = SimDuration::from_millis(c.u64_in(4, 8));

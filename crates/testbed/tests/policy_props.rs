@@ -29,8 +29,13 @@ fn random_policy_scenario(c: &mut dd_check::Case) -> Scenario {
     let cores = c.u16_in(1, 4);
     let seed = c.any_u64();
     let measure_ms = c.u64_in(5, 10);
-    let mut s =
-        Scenario::multi_tenant_fio(StackSpec::daredevil(), nr_l, nr_t, cores, MachinePreset::Small);
+    let mut s = Scenario::multi_tenant_fio(
+        StackSpec::daredevil(),
+        nr_l,
+        nr_t,
+        cores,
+        MachinePreset::Small,
+    );
     s.knobs.seed = seed;
     s.knobs.warmup = SimDuration::ZERO;
     s.knobs.measure = SimDuration::from_millis(measure_ms);
@@ -133,8 +138,13 @@ fn explicit_default_policy_is_identity() {
         let cores = c.u16_in(1, 4);
         let seed = c.any_u64();
         let measure = SimDuration::from_millis(c.u64_in(4, 8));
-        let mut base =
-            Scenario::multi_tenant_fio(StackSpec::daredevil(), nr_l, nr_t, cores, MachinePreset::Small);
+        let mut base = Scenario::multi_tenant_fio(
+            StackSpec::daredevil(),
+            nr_l,
+            nr_t,
+            cores,
+            MachinePreset::Small,
+        );
         base.knobs.seed = seed;
         base.knobs.warmup = SimDuration::ZERO;
         base.knobs.measure = measure;
@@ -201,7 +211,11 @@ fn alternative_policies_take_effect() {
     };
     let default = testbed::run(scenario(PolicySpec::Default));
     assert_eq!(default.summary.stack, "daredevil");
-    for spec in [PolicySpec::Deadline, PolicySpec::SizeClass, PolicySpec::FairShare] {
+    for spec in [
+        PolicySpec::Deadline,
+        PolicySpec::SizeClass,
+        PolicySpec::FairShare,
+    ] {
         let out = testbed::run(scenario(spec));
         assert_eq!(
             out.summary.stack,
@@ -209,7 +223,8 @@ fn alternative_policies_take_effect() {
             "stack name must surface the active policy"
         );
         assert_ne!(
-            out.route_stats, default.route_stats,
+            out.route_stats,
+            default.route_stats,
             "{} produced the default routing split — policy not plugged in",
             spec.name()
         );

@@ -7,9 +7,10 @@
 //! completed request yields a span whose phase timestamps are monotone in
 //! lifecycle order, with no orphan events, and whose consecutive segment
 //! durations telescope to the end-to-end latency. These properties are
-//! checked here against real simulations across four stacks, not synthetic
-//! event streams, so any instrumentation point that records out of order,
-//! drops a phase, or mislabels a request fails the suite.
+//! checked here against real simulations across five stacks (virtio over
+//! Daredevil included) and under ionice storms, not synthetic event
+//! streams, so any instrumentation point that records out of order, drops
+//! a phase, or mislabels a request fails the suite.
 
 use dd_check::{check, prop_assert, prop_assert_eq};
 use simkit::{Phase, SimDuration, SimTime, TraceSpec, MASK_ALL};
@@ -18,8 +19,7 @@ use testbed::RunOutput;
 
 use dd_metrics::SpanTable;
 
-/// Lifecycle phases every completed request must traverse, in order
-/// (everything except the free-form `debug` marker).
+/// Lifecycle phases every completed request must traverse, in order.
 const LIFECYCLE: [Phase; 9] = [
     Phase::Submit,
     Phase::Routed { outlier: false },
@@ -32,11 +32,15 @@ const LIFECYCLE: [Phase; 9] = [
     Phase::Complete,
 ];
 
-fn random_run(c: &mut dd_check::Case) -> RunOutput {
-    let stack = match c.u8_in(0, 4) {
+/// A short traced fio run on a random stack. With `storms`, half the runs
+/// also flip every tenant's ionice every 1–3 ms, so bios carry changing
+/// classes; a storm relabels spans away from their tenant's class.
+fn random_run(c: &mut dd_check::Case, storms: bool) -> RunOutput {
+    let stack = match c.u8_in(0, 5) {
         0 => StackSpec::vanilla(),
         1 => StackSpec::blk_switch(),
         2 => StackSpec::overprov(),
+        3 => StackSpec::virtio(StackSpec::daredevil(), true),
         _ => StackSpec::daredevil(),
     };
     let nr_l = c.u16_in(1, 3);
@@ -52,6 +56,9 @@ fn random_run(c: &mut dd_check::Case) -> RunOutput {
         cap: 1 << 18,
         mask: MASK_ALL,
     });
+    if storms && c.bool_with(0.5) {
+        s.ionice_storm = Some(SimDuration::from_millis(c.u64_in(1, 4)));
+    }
     testbed::run(s)
 }
 
@@ -63,12 +70,12 @@ fn random_run(c: &mut dd_check::Case) -> RunOutput {
 #[test]
 fn spans_are_total_and_ordered_on_live_runs() {
     check("spans_are_total_and_ordered_on_live_runs", |c| {
-        let out = random_run(c);
+        let out = random_run(c, true);
         prop_assert_eq!(out.trace_dropped, 0, "ring sized to never wrap here");
         prop_assert!(!out.trace.is_empty(), "tracing was on; events expected");
         let table = SpanTable::build(&out.trace);
         prop_assert_eq!(table.orphans(), 0, "every event belongs to a submitted rq");
-        prop_assert_eq!(table.skipped(), 0, "no debug/queue-scoped events emitted");
+        prop_assert_eq!(table.skipped(), 0, "no queue-scoped events emitted");
         let mut completed = 0u64;
         for span in table.spans() {
             if !span.is_complete() {
@@ -101,7 +108,9 @@ fn spans_are_total_and_ordered_on_live_runs() {
             let total = span.total().expect("complete span has a total");
             let mut sum = SimDuration::ZERO;
             for pair in LIFECYCLE.windows(2) {
-                sum += span.segment(pair[0], pair[1]).expect("adjacent phases traced");
+                sum += span
+                    .segment(pair[0], pair[1])
+                    .expect("adjacent phases traced");
             }
             prop_assert_eq!(
                 sum,
@@ -123,11 +132,11 @@ fn spans_are_total_and_ordered_on_live_runs() {
 /// The span view agrees with the measurement layer: the mean of in-window
 /// span totals matches the per-class latency histogram's mean within the
 /// histogram's bucketing error. (The workloads here use single-extent
-/// requests, so spans and bios are 1:1.)
+/// requests, so spans and bios are 1:1, and no storm relabels a class.)
 #[test]
 fn span_totals_match_summary_latency() {
     check("span_totals_match_summary_latency", |c| {
-        let out = random_run(c);
+        let out = random_run(c, false);
         let table = SpanTable::build(&out.trace);
         let window_start = SimTime::from_millis(1);
         for (class, sla) in [("L", simkit::Sla::L), ("T", simkit::Sla::T)] {

@@ -20,14 +20,17 @@
 //!   real-time/best-effort ionice, so an SLA-aware host stack routes guest
 //!   L- and T-requests to different NQs end to end.
 //!
-//! VM identity is derived from the namespace a tenant targets (one
-//! namespace = one VM disk), which lets the multi-namespace scenarios of
-//! the testbed double as multi-VM scenarios.
+//! VM identity is derived from the namespace a bio targets (one namespace
+//! = one VM disk), which lets the multi-namespace scenarios of the testbed
+//! double as multi-VM scenarios. The guest tenant's SLA is the ionice class
+//! its bio carries ([`Bio::ioprio`]), so the layer keeps no guest table:
+//! guest ionice changes and vCPU migrations never reach the host.
 
 #![warn(missing_docs)]
 
-use blkstack::stack::{StackEnv, StackStats, StorageStack};
-use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
+use blkstack::dispatch::Dispatch;
+use blkstack::stack::{RouteStats, StackEnv, StorageStack};
+use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, ReqFlags, TaskStruct};
 use dd_nvme::{CqId, NamespaceId};
 use simkit::{DenseMap, SimDuration};
 
@@ -52,24 +55,16 @@ const BATCH_RESERVE: usize = 64;
 /// Offset for synthesized vhost proxy pids, far above tenant pids.
 const PROXY_PID_BASE: u64 = 1 << 32;
 
-#[derive(Clone, Copy, Debug)]
-struct GuestTenant {
-    ionice: IoPriorityClass,
-    vm: NamespaceId,
-}
-
 /// The virtio-blk layer over a host storage stack.
 pub struct VirtioBlk {
     inner: Box<dyn StorageStack>,
     mode: VqMode,
-    /// Guest tenants, as seen inside their VMs.
-    guests: DenseMap<Pid, GuestTenant>,
     /// vhost proxy identities already registered with the host stack,
     /// keyed by `vm * 2 + is_latency_class`, which is also the pid offset.
     proxies: DenseMap<u64, Pid>,
     /// What the rewrite replaced in each in-flight request (its guest
-    /// tenant and flags), keyed by bio id.
-    in_flight: DenseMap<u64, (Pid, blkstack::ReqFlags)>,
+    /// tenant, flags and ionice class), keyed by bio id.
+    in_flight: DenseMap<u64, (Pid, ReqFlags, IoPriorityClass)>,
     /// The batch being forwarded, rewritten to its vhost identity; reused
     /// across submits.
     rewritten: Vec<Bio>,
@@ -83,7 +78,6 @@ impl VirtioBlk {
         VirtioBlk {
             inner,
             mode,
-            guests: DenseMap::new(),
             proxies: DenseMap::new(),
             in_flight: DenseMap::new(),
             // dd-alloc-allowlist: empty Vec, sized once by `reserve`.
@@ -102,45 +96,45 @@ impl VirtioBlk {
         self.forwarded
     }
 
-    /// The vhost proxy identity a guest tenant's requests are attributed
-    /// to, creating + registering it with the host stack on first use.
+    /// The ionice class of the vhost identity serving a guest class.
+    fn vhost_class(&self, guest: IoPriorityClass) -> IoPriorityClass {
+        match self.mode {
+            VqMode::SlaAware if guest.is_latency_sensitive() => IoPriorityClass::RealTime,
+            // The VM process is best-effort; guest SLAs do not escape.
+            _ => IoPriorityClass::BestEffort,
+        }
+    }
+
+    /// The vhost proxy identity of `vm`'s `class` queue, creating and
+    /// registering it with the host stack on first use.
     fn proxy_for(
         &mut self,
         vm: NamespaceId,
-        guest_ionice: IoPriorityClass,
+        class: IoPriorityClass,
         core: u16,
         env: &mut StackEnv<'_>,
     ) -> Pid {
-        let latency_class = match self.mode {
-            // The VM process is best-effort; guest SLAs do not escape.
-            VqMode::Naive => false,
-            VqMode::SlaAware => guest_ionice.is_latency_sensitive(),
-        };
-        let key = u64::from(vm.0) * 2 + u64::from(latency_class);
+        let key = u64::from(vm.0) * 2 + u64::from(class.is_latency_sensitive());
         if let Some(&pid) = self.proxies.get(key) {
             return pid;
         }
         let pid = Pid(PROXY_PID_BASE + key);
-        let ionice = if latency_class {
-            IoPriorityClass::RealTime
-        } else {
-            IoPriorityClass::BestEffort
-        };
-        let task = TaskStruct::new(pid, core, ionice, vm, "vhost");
+        let task = TaskStruct::new(pid, core, class, vm, "vhost");
         self.inner.register_tenant(&task, env);
         self.proxies.insert(key, pid);
         pid
     }
 
-    /// Restores the guest tenant and flags on completions the inner stack
-    /// appended during the last call. The rewrite changes nothing else,
-    /// and host stacks hand each bio back as they got it.
+    /// Restores the guest tenant, flags and class on completions the inner
+    /// stack appended during the last call. The rewrite changes nothing
+    /// else, and host stacks hand each bio back as they got it.
     fn restore_completions(&mut self, env: &mut StackEnv<'_>, from: usize) {
         for c in env.completions[from..].iter_mut() {
-            if let Some((tenant, flags)) = self.in_flight.remove(c.bio.id.0) {
+            if let Some((tenant, flags, ioprio)) = self.in_flight.remove(c.bio.id.0) {
                 // Keep the inner timestamps; restore identity and metadata.
                 c.bio.tenant = tenant;
                 c.bio.flags = flags;
+                c.bio.ioprio = ioprio;
             }
         }
     }
@@ -158,50 +152,30 @@ impl StorageStack for VirtioBlk {
         self.inner.capabilities()
     }
 
-    fn register_tenant(&mut self, task: &TaskStruct, _env: &mut StackEnv<'_>) {
-        // Guest tenants register with the *guest* stack only; the host
-        // learns about them lazily through vhost proxies.
-        self.guests.insert(
-            task.pid,
-            GuestTenant {
-                ionice: task.ionice,
-                vm: task.nsid,
-            },
-        );
-    }
-
-    fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, _env: &mut StackEnv<'_>) {
-        // Guest-side change; affects which VQ future requests use (in
-        // SLA-aware mode) but never reaches the host as a syscall.
-        if let Some(g) = self.guests.get_mut(pid) {
-            g.ionice = class;
-        }
-    }
-
-    fn migrate_tenant(&mut self, _pid: Pid, _core: u16, _env: &mut StackEnv<'_>) {
-        // Guest vCPU migration is invisible to the host layer.
+    fn dispatch(&mut self) -> &mut Dispatch {
+        // The host stack owns the dispatch core; the vq crossing adds no
+        // recovery state or recyclable buffers of its own.
+        self.inner.dispatch()
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
         debug_assert!(!bios.is_empty());
-        let guest = *self
-            .guests
-            .get(bios[0].tenant)
-            .expect("submission from unregistered guest tenant");
-        let core = bios[0].core;
-        let proxy = self.proxy_for(guest.vm, guest.ionice, core, env);
+        let class = self.vhost_class(bios[0].ioprio);
+        let proxy = self.proxy_for(bios[0].nsid, class, bios[0].core, env);
         // Rewrite the batch to the vhost identity; remember what changes.
         self.rewritten.clear();
         for bio in bios {
-            self.in_flight.insert(bio.id.0, (bio.tenant, bio.flags));
+            self.in_flight
+                .insert(bio.id.0, (bio.tenant, bio.flags, bio.ioprio));
             self.forwarded += 1;
             let mut b = *bio;
             b.tenant = proxy;
+            b.ioprio = class;
             // In naive mode the guest's REQ_SYNC/REQ_META hints are also
             // lost at the virtio boundary (virtio-blk has no priority
             // plumbing); the SLA-aware design forwards them.
             if self.mode == VqMode::Naive {
-                b.flags = blkstack::ReqFlags::NONE;
+                b.flags = ReqFlags::NONE;
             }
             self.rewritten.push(b);
         }
@@ -224,22 +198,6 @@ impl StorageStack for VirtioBlk {
         self.inner.on_tick(env)
     }
 
-    fn on_watchdog(&mut self, env: &mut StackEnv<'_>) {
-        // The guest stack owns the recovery machinery; the vq crossing adds
-        // no state of its own to redrive.
-        self.inner.on_watchdog(env);
-    }
-
-    fn park_buffers(&mut self, arena: &mut simkit::RunArena) {
-        // The virtio layer's own buffers are sized once by `reserve`; the
-        // host stack holds the recyclable allocations.
-        self.inner.park_buffers(arena);
-    }
-
-    fn adopt_buffers(&mut self, arena: &mut simkit::RunArena) {
-        self.inner.adopt_buffers(arena);
-    }
-
     fn reserve(&mut self, hint: usize) {
         self.inner.reserve(hint);
         // The hint is at least three events per I/O in flight, so a third
@@ -249,8 +207,8 @@ impl StorageStack for VirtioBlk {
         self.rewritten.reserve((hint / 3).min(BATCH_RESERVE));
     }
 
-    fn stats(&self) -> StackStats {
-        self.inner.stats()
+    fn route_stats(&self) -> RouteStats {
+        self.inner.route_stats()
     }
 
     fn io_capacity(&self) -> usize {
@@ -261,7 +219,7 @@ impl StorageStack for VirtioBlk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blkstack::bio::{BioId, ReqFlags};
+    use blkstack::bio::BioId;
     use daredevil::{DaredevilConfig, DaredevilStack};
     use dd_nvme::{DeviceOutput, IoOpcode, NvmeConfig, NvmeDevice, SqId};
     use simkit::SimRng;
@@ -320,11 +278,8 @@ mod tests {
         VirtioBlk::new(Box::new(inner), mode)
     }
 
-    fn guest_task(pid: u64, vm: u32, ionice: IoPriorityClass) -> TaskStruct {
-        TaskStruct::new(Pid(pid), 0, ionice, NamespaceId(vm), "guest")
-    }
-
-    fn bio(id: u64, tenant: u64, vm: u32, bytes: u64, flags: ReqFlags) -> Bio {
+    /// A guest bio of tenant `tenant` in VM `vm`, issued under `ioprio`.
+    fn bio(id: u64, tenant: u64, vm: u32, bytes: u64, ioprio: IoPriorityClass) -> Bio {
         Bio {
             id: BioId(id),
             tenant: Pid(tenant),
@@ -333,7 +288,8 @@ mod tests {
             op: IoOpcode::Read,
             offset_blocks: id * 64,
             bytes,
-            flags,
+            flags: ReqFlags::NONE,
+            ioprio,
             issued_at: SimTime::ZERO,
         }
     }
@@ -349,12 +305,13 @@ mod tests {
         let mut h = Harness::new();
         let mut s = virtio(VqMode::Naive, &h.dev);
         let mut env = h.env(SimTime::ZERO);
-        s.register_tenant(&guest_task(1, 1, IoPriorityClass::RealTime), &mut env);
-        s.register_tenant(&guest_task(2, 1, IoPriorityClass::BestEffort), &mut env);
         // Guest L and guest T both funnel through the best-effort vhost
         // identity: the host's high-priority group stays unused.
-        s.submit(&[bio(1, 1, 1, 4096, ReqFlags::NONE)], &mut env);
-        s.submit(&[bio(2, 2, 1, 131072, ReqFlags::NONE)], &mut env);
+        s.submit(&[bio(1, 1, 1, 4096, IoPriorityClass::RealTime)], &mut env);
+        s.submit(
+            &[bio(2, 2, 1, 131072, IoPriorityClass::BestEffort)],
+            &mut env,
+        );
         assert_eq!(
             high_group_usage(env.device),
             0,
@@ -367,10 +324,11 @@ mod tests {
         let mut h = Harness::new();
         let mut s = virtio(VqMode::SlaAware, &h.dev);
         let mut env = h.env(SimTime::ZERO);
-        s.register_tenant(&guest_task(1, 1, IoPriorityClass::RealTime), &mut env);
-        s.register_tenant(&guest_task(2, 1, IoPriorityClass::BestEffort), &mut env);
-        s.submit(&[bio(1, 1, 1, 4096, ReqFlags::NONE)], &mut env);
-        s.submit(&[bio(2, 2, 1, 131072, ReqFlags::NONE)], &mut env);
+        s.submit(&[bio(1, 1, 1, 4096, IoPriorityClass::RealTime)], &mut env);
+        s.submit(
+            &[bio(2, 2, 1, 131072, IoPriorityClass::BestEffort)],
+            &mut env,
+        );
         assert_eq!(
             high_group_usage(env.device),
             1,
@@ -384,8 +342,7 @@ mod tests {
         let mut s = virtio(VqMode::SlaAware, &h.dev);
         {
             let mut env = h.env(SimTime::ZERO);
-            s.register_tenant(&guest_task(1, 1, IoPriorityClass::RealTime), &mut env);
-            s.submit(&[bio(7, 1, 1, 4096, ReqFlags::NONE)], &mut env);
+            s.submit(&[bio(7, 1, 1, 4096, IoPriorityClass::RealTime)], &mut env);
         }
         // Drive to the interrupt.
         let mut q = simkit::EventQueue::new();
@@ -430,11 +387,9 @@ mod tests {
         );
         {
             let mut env = h.env(SimTime::ZERO);
-            s.register_tenant(&guest_task(1, 1, IoPriorityClass::RealTime), &mut env);
-            s.register_tenant(&guest_task(2, 2, IoPriorityClass::BestEffort), &mut env);
-            s.submit(&[bio(1, 1, 1, 4096, ReqFlags::NONE)], &mut env);
+            s.submit(&[bio(1, 1, 1, 4096, IoPriorityClass::RealTime)], &mut env);
             let batch: Vec<Bio> = (2..10)
-                .map(|id| bio(id, 2, 2, 131072, ReqFlags::NONE))
+                .map(|id| bio(id, 2, 2, 131072, IoPriorityClass::BestEffort))
                 .collect();
             s.submit(&batch, &mut env);
         }
@@ -464,10 +419,8 @@ mod tests {
         let mut h = Harness::new();
         let mut s = virtio(VqMode::SlaAware, &h.dev);
         let mut env = h.env(SimTime::ZERO);
-        s.register_tenant(&guest_task(1, 1, IoPriorityClass::RealTime), &mut env);
-        s.register_tenant(&guest_task(2, 2, IoPriorityClass::RealTime), &mut env);
-        s.submit(&[bio(1, 1, 1, 4096, ReqFlags::NONE)], &mut env);
-        s.submit(&[bio(2, 2, 2, 4096, ReqFlags::NONE)], &mut env);
+        s.submit(&[bio(1, 1, 1, 4096, IoPriorityClass::RealTime)], &mut env);
+        s.submit(&[bio(2, 2, 2, 4096, IoPriorityClass::RealTime)], &mut env);
         assert_eq!(s.proxies.len(), 2, "one L proxy per VM");
     }
 
@@ -476,16 +429,18 @@ mod tests {
         let mut h = Harness::new();
         let mut s = virtio(VqMode::Naive, &h.dev);
         let mut env = h.env(SimTime::ZERO);
-        s.register_tenant(&guest_task(2, 1, IoPriorityClass::BestEffort), &mut env);
         // A guest fsync: in naive mode it cannot escape to the high group.
-        s.submit(&[bio(1, 2, 1, 4096, ReqFlags::SYNC)], &mut env);
+        let fsync = Bio {
+            flags: ReqFlags::SYNC,
+            ..bio(1, 2, 1, 4096, IoPriorityClass::BestEffort)
+        };
+        s.submit(&[fsync], &mut env);
         assert_eq!(high_group_usage(env.device), 0);
         // In SLA-aware mode the same request escapes.
         let mut h2 = Harness::new();
         let mut s2 = virtio(VqMode::SlaAware, &h2.dev);
         let mut env2 = h2.env(SimTime::ZERO);
-        s2.register_tenant(&guest_task(2, 1, IoPriorityClass::BestEffort), &mut env2);
-        s2.submit(&[bio(1, 2, 1, 4096, ReqFlags::SYNC)], &mut env2);
+        s2.submit(&[fsync], &mut env2);
         assert_eq!(high_group_usage(env2.device), 1);
     }
 
@@ -494,8 +449,7 @@ mod tests {
         let mut h = Harness::new();
         let mut s = virtio(VqMode::SlaAware, &h.dev);
         let mut env = h.env(SimTime::ZERO);
-        s.register_tenant(&guest_task(1, 1, IoPriorityClass::RealTime), &mut env);
-        let cost = s.submit(&[bio(1, 1, 1, 4096, ReqFlags::NONE)], &mut env);
+        let cost = s.submit(&[bio(1, 1, 1, 4096, IoPriorityClass::RealTime)], &mut env);
         assert!(cost >= VIRTIO_PER_RQ, "virtio handoff must cost CPU");
     }
 }

@@ -72,7 +72,10 @@ impl ArrivalModel {
 
     /// Adds a diurnal sinusoid: `amplitude` in `[0, 1)`, `phase` in turns.
     pub fn with_diurnal(mut self, amplitude: f64, period: SimDuration, phase: f64) -> Self {
-        assert!((0.0..1.0).contains(&amplitude), "amplitude must be in [0,1)");
+        assert!(
+            (0.0..1.0).contains(&amplitude),
+            "amplitude must be in [0,1)"
+        );
         assert!(!period.is_zero(), "diurnal period must be positive");
         self.diurnal_amplitude = amplitude;
         self.diurnal_period = period;

@@ -70,6 +70,11 @@ fn main() {
         offset_blocks: id * 64,
         bytes,
         flags,
+        ioprio: if tenant == 1 {
+            IoPriorityClass::RealTime
+        } else {
+            IoPriorityClass::BestEffort
+        },
         issued_at: SimTime::ZERO,
     };
     let cost_l = stack.submit(&[mk_bio(1, 1, 4096, ReqFlags::NONE)], &mut env);
@@ -97,7 +102,7 @@ fn main() {
         }
     }
 
-    println!("\nrouter stats: {:?}", stack.stats().route);
+    println!("\nrouter stats: {:?}", stack.route_stats());
     println!("The 4 KiB L-read and the outlier sync read sit in high-priority");
     println!("NSQs; the 128 KiB T-read sits in a low-priority NSQ. No static");
     println!("core binding was involved — all three came from core 0.");

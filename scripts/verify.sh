@@ -29,6 +29,12 @@ echo "== verify: tier-1 (offline release build + tests) =="
 cargo build --release
 cargo test -q
 
+echo "== verify: the workspace is rustfmt-clean =="
+# Formatting drifts when nothing checks it. ddbench is a workspace of its
+# own and is not reached by `--all`.
+cargo fmt --all --check
+echo "  cargo fmt --all --check: clean"
+
 echo "== verify: workspace test suite (all crates, incl. dd-check self-tests) =="
 cargo test -q --workspace
 

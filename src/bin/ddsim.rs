@@ -20,19 +20,29 @@ use daredevil_repro::simkit::{Phase, SimTime, TraceSpec, MASK_ALL};
 const STACKS: &[(&str, fn() -> StackSpec)] = &[
     ("vanilla", StackSpec::vanilla),
     ("vanilla-partitioned", || StackSpec::vanilla_partitioned(4)),
-    ("mq-deadline", || StackSpec::vanilla_sched(SchedKind::MqDeadline)),
+    ("mq-deadline", || {
+        StackSpec::vanilla_sched(SchedKind::MqDeadline)
+    }),
     ("kyber", || StackSpec::vanilla_sched(SchedKind::Kyber)),
     ("blk-switch", StackSpec::blk_switch),
     ("overprov", StackSpec::overprov),
     ("dare-base", StackSpec::dare_base),
     ("dare-sched", StackSpec::dare_sched),
     ("daredevil", StackSpec::daredevil),
-    ("virtio-naive", || StackSpec::virtio(StackSpec::daredevil(), false)),
-    ("virtio-sla", || StackSpec::virtio(StackSpec::daredevil(), true)),
+    ("virtio-naive", || {
+        StackSpec::virtio(StackSpec::daredevil(), false)
+    }),
+    ("virtio-sla", || {
+        StackSpec::virtio(StackSpec::daredevil(), true)
+    }),
 ];
 
 fn stack_names() -> String {
-    STACKS.iter().map(|(name, _)| *name).collect::<Vec<_>>().join(", ")
+    STACKS
+        .iter()
+        .map(|(name, _)| *name)
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 struct Args {

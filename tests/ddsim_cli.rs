@@ -15,7 +15,11 @@ fn ddsim(args: &[&str]) -> Output {
 fn expect_exit(args: &[&str], code: i32) -> String {
     let out = ddsim(args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_ne!(out.status.code(), Some(101), "ddsim {args:?} panicked: {stderr}");
+    assert_ne!(
+        out.status.code(),
+        Some(101),
+        "ddsim {args:?} panicked: {stderr}"
+    );
     assert_eq!(out.status.code(), Some(code), "ddsim {args:?}: {stderr}");
     stderr
 }
@@ -53,7 +57,18 @@ fn every_listed_stack_runs() {
     let list = String::from_utf8(out.stdout).expect("utf-8 stack list");
     assert!(list.lines().count() > 1);
     for stack in list.lines() {
-        let args = ["--stack", stack, "--l", "1", "--t", "1", "--warmup-ms", "1", "--measure-ms", "2"];
+        let args = [
+            "--stack",
+            stack,
+            "--l",
+            "1",
+            "--t",
+            "1",
+            "--warmup-ms",
+            "1",
+            "--measure-ms",
+            "2",
+        ];
         expect_exit(&args, 0);
     }
     let args = ["--namespaces", "4", "--warmup-ms", "1", "--measure-ms", "2"];
@@ -67,7 +82,16 @@ fn every_listed_stack_runs() {
 #[test]
 fn closed_stdout_is_a_quiet_exit() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ddsim"))
-        .args(["--machine", "small", "--l", "1", "--t", "2", "--measure-ms", "20"])
+        .args([
+            "--machine",
+            "small",
+            "--l",
+            "1",
+            "--t",
+            "2",
+            "--measure-ms",
+            "20",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

@@ -59,9 +59,9 @@ fn storms_are_deterministic_too() {
     let mk = |seed| {
         let mut s =
             Scenario::multi_tenant_fio(StackSpec::daredevil(), 2, 4, 2, MachinePreset::Small);
-            s.knobs.warmup = SimDuration::from_millis(5);
-            s.knobs.measure = SimDuration::from_millis(60);
-            s.knobs.seed = seed;
+        s.knobs.warmup = SimDuration::from_millis(5);
+        s.knobs.measure = SimDuration::from_millis(60);
+        s.knobs.seed = seed;
         s.ionice_storm = Some(SimDuration::from_millis(1));
         s.migrate_storm = Some(SimDuration::from_millis(3));
         daredevil_repro::testbed::run(s)

@@ -139,8 +139,7 @@ fn fig11_ablation_ordering() {
 #[test]
 fn fig14_storm_degrades_gracefully() {
     let mk = |interval: Option<SimDuration>| {
-        let mut s =
-            Scenario::multi_tenant_fio(StackSpec::daredevil(), 4, 4, 4, MachinePreset::SvM);
+        let mut s = Scenario::multi_tenant_fio(StackSpec::daredevil(), 4, 4, 4, MachinePreset::SvM);
         s.knobs.warmup = SimDuration::from_millis(10);
         s.knobs.measure = SimDuration::from_millis(120);
         s.ionice_storm = interval;
