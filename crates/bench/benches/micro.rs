@@ -20,7 +20,10 @@ use dd_cpu::{CpuSystem, WorkClass};
 use dd_metrics::LatencyHistogram;
 use dd_nvme::arbiter::RoundRobinArbiter;
 use dd_nvme::flash::{FlashBackend, FlashConfig};
-use dd_nvme::{IoOpcode, NamespaceId, NvmeConfig, NvmeDevice, SqId};
+use dd_nvme::{
+    CommandId, CqEntry, DeviceOutput, HostTag, IoOpcode, NamespaceId, NvmeCommand, NvmeConfig,
+    NvmeDevice, SqId,
+};
 use simkit::{EventQueue, FaultPlan, SimDuration, SimRng, SimTime};
 
 #[path = "../../simkit/tests/support/heap_queue.rs"]
@@ -713,6 +716,61 @@ fn bench_arbiter_pick(set: &mut BenchSet) {
     }
 }
 
+fn bench_device_cmd_lifecycle(set: &mut BenchSet) {
+    // One command's whole stay in the device, eight at a time: push onto
+    // eight consecutive NSQs (the cursor sweeps every NSQ), ring their
+    // doorbells, run the device dry, and reap the bound CQs as the ISR
+    // does. 4 KiB reads spaced 2 ms apart, so flash never queues and only
+    // the device's own bookkeeping varies. SV-M and WS-M queue shapes.
+    const BATCH: u64 = 8;
+    for (sqs, cqs) in [(64u16, 64u16), (128, 24)] {
+        let mut dev = device(sqs, cqs);
+        let mut out = DeviceOutput::new();
+        let mut q = EventQueue::new();
+        let mut cqes: Vec<CqEntry> = Vec::new();
+        let (mut now, mut cid) = (SimTime::ZERO, 0u64);
+        let name = format!("device/cmd_lifecycle_{sqs}sq");
+        set.bench(&name, move || {
+            now += SimDuration::from_millis(2);
+            for _ in 0..BATCH {
+                let sq = SqId((cid % sqs as u64) as u16);
+                let cmd = NvmeCommand {
+                    cid: CommandId(cid),
+                    nsid: NamespaceId(1),
+                    opcode: IoOpcode::Read,
+                    slba: cid * 8,
+                    nlb: 1,
+                    host: HostTag {
+                        rq_id: cid,
+                        ..HostTag::default()
+                    },
+                };
+                dev.push_command(sq, cmd)
+                    .expect("the cycle drains every NSQ");
+                dev.ring_doorbell(sq, now, &mut out);
+                cid += 1;
+            }
+            loop {
+                for (at, ev) in out.events.drain(..) {
+                    q.push(at, ev);
+                }
+                out.irqs.clear();
+                let Some((at, ev)) = q.pop() else { break };
+                now = at;
+                dev.handle_event(ev, now, &mut out);
+            }
+            let mut reaped = 0;
+            for k in cid - BATCH..cid {
+                let cq = dev.cq_of_sq(SqId((k % sqs as u64) as u16));
+                reaped += dev.isr_pop_into(cq, usize::MAX, &mut cqes);
+                dev.isr_done(cq, now, &mut out);
+            }
+            out.irqs.clear();
+            black_box(reaped)
+        });
+    }
+}
+
 fn bench_flash_burst(set: &mut BenchSet) {
     // A 64-page command on the enterprise geometry: the one-pass burst
     // dispatch vs the per-page reference loop. `now` advances past the
@@ -793,6 +851,7 @@ fn main() {
     bench_trace(&mut set);
     bench_arbiter_pick(&mut set);
     bench_flash_burst(&mut set);
+    bench_device_cmd_lifecycle(&mut set);
     bench_daredevil_config(&mut set);
     set.finish();
 }

@@ -14,7 +14,7 @@
 
 use simkit::{Phase, SimTime, SlotId};
 
-use crate::command::{CqEntry, CqStatus, IoOpcode};
+use crate::command::{CqStatus, IoOpcode};
 use crate::device::{DeviceOutput, IrqRaise, NvmeDevice, NvmeEvent};
 use crate::namespace::NsError;
 use crate::spec::CqId;
@@ -45,8 +45,8 @@ impl NvmeDevice {
         else {
             return;
         };
-        let cmd = self.sqs[sq_id.index()]
-            .fetch()
+        let slot = self.sqs[sq_id.index()]
+            .fetch(&mut self.cmds)
             .expect("arbiter picked an SQ without visible work");
         if self.sqs[sq_id.index()].visible_len() == 0 {
             self.arbiter.note_idle(sq_id);
@@ -55,24 +55,29 @@ impl NvmeDevice {
         self.cqs[cq.index()].note_fetched();
         self.stats.fetched += 1;
         self.fetching = true;
+        let cmd = &self
+            .cmds
+            .get(slot)
+            .expect("a fetched command keeps its slot")
+            .cmd;
         let pages = if cmd.is_dataless() { 0 } else { cmd.pages() };
         self.inflight_pages += pages as u64;
         let done = now + self.config.perf.fetch_cost(pages);
-        let slot = self.staged.insert((cmd, sq_id));
         out.events.push((done, NvmeEvent::FetchDone { slot }));
     }
 
     /// Fetch finished: dispatch flash service, then keep the engine going.
     pub(crate) fn on_fetch_done(&mut self, slot: SlotId, now: SimTime, out: &mut DeviceOutput) {
-        // Only `maybe_start_fetch` mints FetchDone slots, and only CmdDone
-        // frees them.
-        let (cmd, sq) = *self
-            .staged
+        // Only `maybe_start_fetch` schedules FetchDone, and only the host
+        // ISR frees a slot, after the command's CmdDone.
+        let s = self
+            .cmds
             .get(slot)
-            .expect("FetchDone names a staged command");
+            .expect("FetchDone names an in-device command");
+        let cmd = &s.cmd;
         if out.trace.enabled() {
             out.trace
-                .record(cmd.host.trace_event(Phase::DeviceFetch, now, Some(sq.0)));
+                .record(cmd.host.trace_event(Phase::DeviceFetch, now, Some(s.sq.0)));
         }
         let done_at = match cmd.opcode {
             IoOpcode::Flush => now + self.config.perf.flush_latency,
@@ -97,12 +102,14 @@ impl NvmeDevice {
 
     /// Flash service finished: post the CQE and maybe raise the interrupt.
     pub(crate) fn on_cmd_done(&mut self, slot: SlotId, now: SimTime, out: &mut DeviceOutput) {
-        // Each staged slot gets exactly one CmdDone, scheduled by its FetchDone.
-        let (cmd, sq) = self
-            .staged
-            .remove(slot)
-            .expect("CmdDone names a staged command");
-        let status = match cmd.opcode {
+        // Each fetched command gets exactly one CmdDone, scheduled by its
+        // FetchDone; its slot moves onto the bound CQ's FIFO.
+        let s = self
+            .cmds
+            .get_mut(slot)
+            .expect("CmdDone names an in-device command");
+        let cmd = &s.cmd;
+        s.status = match cmd.opcode {
             IoOpcode::Flush => CqStatus::Success,
             _ => match self.namespaces.translate(cmd.nsid, cmd.slba, cmd.nlb) {
                 Ok(_) => CqStatus::Success,
@@ -112,32 +119,22 @@ impl NvmeDevice {
         };
         let pages = if cmd.is_dataless() { 0 } else { cmd.pages() };
         self.inflight_pages = self.inflight_pages.saturating_sub(pages as u64);
+        let (sq, host, bytes) = (s.sq, s.cmd.host, s.bytes());
         let cq = self.sqs[sq.index()].cq();
-        let entry = CqEntry {
-            cid: cmd.cid,
-            sq_id: sq,
-            status,
-            host: cmd.host,
-            bytes: if status == CqStatus::Success {
-                cmd.bytes()
-            } else {
-                0
-            },
-        };
-        self.cqs[cq.index()].post(entry);
+        self.cqs[cq.index()].post(&mut self.cmds, slot);
         self.stats.completed += 1;
-        self.stats.bytes += entry.bytes;
+        self.stats.bytes += bytes;
         let posted_at = now + self.config.perf.completion_post;
         if out.trace.enabled() {
             out.trace
-                .record(cmd.host.trace_event(Phase::FlashDone, now, Some(sq.0)));
+                .record(host.trace_event(Phase::FlashDone, now, Some(sq.0)));
             // The entry is visible in the CQ from `now` (the `post` above);
             // `completion_post` only delays the *interrupt raise*, and an
             // ISR already in flight may legitimately drain this entry
             // before `posted_at`. Stamp the phase at visibility time so
             // span timelines stay monotone.
             out.trace
-                .record(cmd.host.trace_event(Phase::CqePosted, now, Some(sq.0)));
+                .record(host.trace_event(Phase::CqePosted, now, Some(sq.0)));
         }
         self.raise(cq, posted_at, out);
         // Freed page budget may unblock a stalled fetch engine.
@@ -169,7 +166,7 @@ impl NvmeDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{HostTag, NvmeCommand};
+    use crate::command::{CqEntry, HostTag, NvmeCommand};
     use crate::config::NvmeConfig;
     use crate::spec::{CommandId, CqId, NamespaceId, SqId};
     use simkit::{EventQueue, SimDuration};
@@ -223,9 +220,9 @@ mod tests {
             dev.handle_event(ev, at, &mut pending);
         }
         assert_eq!(
-            dev.staged_len(),
+            dev.in_flight_cmds(),
             0,
-            "drained device still holds staged commands"
+            "drained device still holds in-flight commands"
         );
         (completions, irqs)
     }

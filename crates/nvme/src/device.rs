@@ -15,9 +15,15 @@
 //! returned through [`DeviceOutput`]: future device events for the host's
 //! event loop, and interrupts to deliver to cores. This keeps the device a
 //! pure state machine that the unit tests can single-step.
+//!
+//! A command keeps one slot of the device's command slab from
+//! `push_command` until `isr_pop_into` reaps its completion; the NSQs and
+//! NCQs are FIFOs over that slab (see [`crate::queue`]). The slab starts
+//! empty and [`NvmeDevice::reserve`] sizes it from the run's in-flight
+//! bound, so no memory is held in proportion to the queue depths.
 
 use simkit::fault::{FaultGeometry, FaultPlan, FaultStats};
-use simkit::{SimTime, Slab, SlotId, TraceSink};
+use simkit::{SimTime, SlotId, TraceSink};
 
 use crate::arbiter::{RoundRobinArbiter, SqPriorityClass, WrrArbiter};
 use crate::command::{CqEntry, NvmeCommand};
@@ -25,25 +31,25 @@ use crate::config::{Arbitration, NvmeConfig};
 use crate::flash::FlashBackend;
 use crate::irq::IrqVector;
 use crate::namespace::NamespaceTable;
-use crate::queue::CqStats;
-use crate::queue::{CompletionQueue, QueueFull, SqStats, SubmissionQueue};
+use crate::queue::{CmdSlab, CompletionQueue, CqStats, QueueFull, SqStats, SubmissionQueue};
 use crate::spec::{CqId, SqId};
 
 /// An internal device event, scheduled by the device into the host's event
 /// loop and handed back via [`NvmeDevice::handle_event`].
 ///
-/// Fetch and completion events name the command by its slot in the
-/// device's staged table, not by value (see the size guard below).
+/// Fetch and completion events name the command by the slot it has held in
+/// the device's command slab since its push, not by value (see the size
+/// guard below).
 #[derive(Clone, Copy, Debug)]
 pub enum NvmeEvent {
     /// The fetch engine finished fetching + decomposing a command.
     FetchDone {
-        /// The staged command (see [`NvmeDevice::event_command`]).
+        /// The fetched command (see [`NvmeDevice::event_command`]).
         slot: SlotId,
     },
     /// A command's flash (or flush) service completed.
     CmdDone {
-        /// The staged command (see [`NvmeDevice::event_command`]).
+        /// The completing command (see [`NvmeDevice::event_command`]).
         slot: SlotId,
     },
 }
@@ -183,10 +189,10 @@ pub struct NvmeDevice {
     pub(crate) arbiter: Arbiter,
     pub(crate) flash: FlashBackend,
     pub(crate) namespaces: NamespaceTable,
-    /// Fetched, not yet completed commands and their SQs, from
-    /// `maybe_start_fetch` until their `CmdDone`; the events name them by
-    /// slot.
-    pub(crate) staged: Slab<(NvmeCommand, SqId)>,
+    /// Every in-device command, from `push_command` until the host ISR
+    /// reaps its completion. NSQs and NCQs link their entries through it;
+    /// the device events name commands by their slots.
+    pub(crate) cmds: CmdSlab,
     /// The serial fetch engine is busy: one `FetchDone` is outstanding,
     /// and it restarts the engine.
     pub(crate) fetching: bool,
@@ -218,7 +224,7 @@ impl NvmeDevice {
         let fan_in = config.nr_sqs.div_ceil(config.nr_cqs);
         let cq_depth = config.sq_depth.saturating_mul(fan_in.max(1));
         let cqs = (0..config.nr_cqs)
-            .map(|i| CompletionQueue::new(CqId(i), cq_depth))
+            .map(|_| CompletionQueue::new(cq_depth))
             .collect();
         let vectors = (0..config.nr_cqs)
             .map(|i| IrqVector::new(CqId(i), i % host_cores))
@@ -231,7 +237,7 @@ impl NvmeDevice {
             arbiter,
             flash: FlashBackend::new(config.flash),
             namespaces: NamespaceTable::new(&config.namespace_blocks),
-            staged: Slab::new(),
+            cmds: CmdSlab::new(),
             sqs,
             cqs,
             vectors,
@@ -241,6 +247,25 @@ impl NvmeDevice {
             faults: FaultPlan::disabled(),
             config,
         }
+    }
+
+    /// Sizes the command slab for `cmds` commands in the device at once
+    /// (queued, in flash, or awaiting reap), so a run whose in-flight
+    /// count stays within that bound never grows it.
+    pub fn reserve(&mut self, cmds: usize) {
+        self.cmds.reserve(cmds);
+    }
+
+    /// Commands the command slab holds before its next heap allocation
+    /// (capacity-stability probes).
+    pub fn cmd_capacity(&self) -> usize {
+        self.cmds.capacity()
+    }
+
+    /// Commands in the device: pushed and not yet reaped by the host ISR.
+    /// Zero once every NSQ has drained and every CQ has been reaped.
+    pub fn held_cmds(&self) -> usize {
+        self.cmds.len()
     }
 
     /// The fault geometry of this device (targets a fault plan can hit).
@@ -379,10 +404,12 @@ impl NvmeDevice {
         &self.flash
     }
 
-    /// Writes an SQ entry. The entry stays invisible to the controller until
-    /// [`NvmeDevice::ring_doorbell`].
+    /// Writes an SQ entry into a slot of the command slab. The entry stays
+    /// invisible to the controller until [`NvmeDevice::ring_doorbell`].
+    /// Fails with [`QueueFull`] when the NSQ already holds `sq_depth`
+    /// entries, however much room the slab has.
     pub fn push_command(&mut self, sq: SqId, cmd: NvmeCommand) -> Result<(), QueueFull> {
-        self.sqs[sq.index()].push(cmd)
+        self.sqs[sq.index()].push(&mut self.cmds, cmd)
     }
 
     /// Publishes all entries of `sq` and wakes the fetch engine if idle.
@@ -402,28 +429,29 @@ impl NvmeDevice {
         }
     }
 
-    /// The command (and its SQ) a pending fetch or completion event names;
-    /// `None` for events already handled.
+    /// The command (and its SQ) a fetch or completion event names; `None`
+    /// once the host ISR has reaped the command's completion.
     pub fn event_command(&self, ev: &NvmeEvent) -> Option<(NvmeCommand, SqId)> {
         match *ev {
             NvmeEvent::FetchDone { slot } | NvmeEvent::CmdDone { slot } => {
-                self.staged.get(slot).copied()
+                self.cmds.get(slot).map(|s| (s.cmd, s.sq))
             }
         }
     }
 
     /// Commands fetched but not yet completed (zero once the device's
     /// event stream has drained).
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
+    pub fn in_flight_cmds(&self) -> usize {
+        (self.stats.fetched - self.stats.completed) as usize
     }
 
     /// Host ISR pops up to `max` completion entries from a CQ into `buf`
     /// (cleared first), so the caller's allocation is reused across ISRs —
     /// the stacks' hot completion path never touches the heap in steady
-    /// state. Returns the number of entries popped.
+    /// state. Each entry is built as its command leaves the CQ, and the
+    /// command's slot is freed. Returns the number of entries popped.
     pub fn isr_pop_into(&mut self, cq: CqId, max: usize, buf: &mut Vec<CqEntry>) -> usize {
-        self.cqs[cq.index()].pop_into(max, buf)
+        self.cqs[cq.index()].pop_into(&mut self.cmds, max, buf)
     }
 
     /// Host ISR finished for `cq`. Re-raises the vector if CQEs arrived
@@ -509,5 +537,57 @@ mod tests {
             }
         }
         assert_eq!(dev.stats().completed, 128);
+    }
+
+    /// A WS-M-shaped device (128 NSQs × 1 024 entries) holds no command
+    /// storage until the run reserves it. After `reserve(n)`, n commands
+    /// in the device at once cycle through submit → fetch → complete →
+    /// reap, round after round, without moving its capacity.
+    #[test]
+    fn reserved_slab_cycles_commands_without_growth() {
+        const N: usize = 600;
+        let mut dev = NvmeDevice::new(NvmeConfig::ws_m(), 8);
+        let (nr_sqs, nr_cqs) = (dev.nr_sqs(), dev.nr_cqs());
+        assert_eq!(dev.cmd_capacity(), 0, "a new device holds no commands");
+        dev.reserve(N);
+        let cap = dev.cmd_capacity();
+        assert!(cap >= N);
+        let mut out = DeviceOutput::new();
+        let mut isr_buf: Vec<CqEntry> = Vec::new();
+        let mut q = EventQueue::new();
+        let mut now = SimTime::ZERO;
+        for round in 0..3u64 {
+            for i in 0..N as u64 {
+                let sq = SqId((i % nr_sqs as u64) as u16);
+                dev.push_command(sq, cmd(round * N as u64 + i)).unwrap();
+            }
+            for sq in 0..nr_sqs {
+                dev.ring_doorbell(SqId(sq), now, &mut out);
+            }
+            loop {
+                for (at, ev) in out.events.drain(..) {
+                    q.push(at, ev);
+                }
+                out.irqs.clear();
+                let Some((at, ev)) = q.pop() else { break };
+                now = at;
+                dev.handle_event(ev, now, &mut out);
+            }
+            assert_eq!(dev.in_flight_cmds(), 0);
+            assert_eq!(
+                dev.held_cmds(),
+                N,
+                "completions hold their slots until reaped"
+            );
+            let mut reaped = 0;
+            for cq in 0..nr_cqs {
+                reaped += dev.isr_pop_into(CqId(cq), usize::MAX, &mut isr_buf);
+                dev.isr_done(CqId(cq), now, &mut out);
+            }
+            assert_eq!(reaped, N);
+            assert_eq!(dev.held_cmds(), 0, "reaping frees every slot");
+            assert_eq!(dev.cmd_capacity(), cap, "round {round} grew the slab");
+        }
+        assert_eq!(dev.stats().completed, 3 * N as u64);
     }
 }

@@ -4,9 +4,13 @@
 //! NVMe SSD exactly as the paper's storage stacks see one. It models the
 //! pieces that give rise to the multi-tenancy issue:
 //!
-//! * **NVMe I/O queues (NQs)** — submission queues ([`queue::SubmissionQueue`])
-//!   and completion queues ([`queue::CompletionQueue`]) with bounded depth,
-//!   doorbells, and the NSQ→NCQ binding of the spec (§2.1 of the paper);
+//! * **NVMe I/O queues (NQs)** — submission and completion queues
+//!   ([`queue`]) with doorbells and the NSQ→NCQ binding of the spec (§2.1
+//!   of the paper). Each NSQ and NCQ is a FIFO over one device-wide command
+//!   slab, in which a command keeps one slot from its push until the host
+//!   reaps its completion. A queue's depth is the queue-full limit, not
+//!   storage: the slab is sized from the run's in-flight bound
+//!   ([`device::NvmeDevice::reserve`]);
 //! * **round-robin queue arbitration** ([`arbiter::RoundRobinArbiter`]) — the
 //!   controller fetches commands from non-empty NSQs in round-robin order, one
 //!   in-order command at a time per queue, so a bulky head-of-line T-request

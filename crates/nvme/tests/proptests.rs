@@ -1,12 +1,11 @@
 //! Property-based tests of the NVMe device model (dd-check harness).
 
-use dd_check::{check, prop_assert, prop_assert_eq, Case};
+use dd_check::{check, prop_assert, prop_assert_eq, Case, Failure};
 
 use dd_nvme::arbiter::{RoundRobinArbiter, SqPriorityClass, WrrArbiter, WrrWeights};
 use dd_nvme::command::{HostTag, IoOpcode};
 use dd_nvme::flash::{FlashBackend, FlashConfig};
 use dd_nvme::namespace::NamespaceTable;
-use dd_nvme::queue::SubmissionQueue;
 use dd_nvme::spec::{CommandId, CqId, NamespaceId, SqId};
 use dd_nvme::{CqEntry, DeviceOutput, NvmeCommand, NvmeConfig, NvmeDevice, NvmeEvent};
 use simkit::fault::{FaultEvent, FaultGeometry, FaultKind};
@@ -38,35 +37,132 @@ fn cmd(cid: u64, nlb: u32, slba: u64) -> NvmeCommand {
     }
 }
 
-/// A submission queue never loses, duplicates, or reorders commands under
-/// arbitrary interleavings of push / doorbell / fetch.
+/// Drains one device call's effects: checks every fetch the call made
+/// against the per-NSQ model, then queues the device's events. `pushed[sq]`
+/// lists the cids pushed onto `sq` in order, `published[sq]` how many of
+/// them the doorbell has published, and `fetched[sq]` how many the
+/// controller has fetched.
+fn absorb_fetches(
+    dev: &NvmeDevice,
+    out: &mut DeviceOutput,
+    queue: &mut EventQueue<NvmeEvent>,
+    pushed: &[Vec<u64>],
+    published: &[usize],
+    fetched: &mut [usize],
+) -> Result<(), Failure> {
+    out.irqs.clear();
+    for (at, ev) in out.events.drain(..) {
+        if let NvmeEvent::FetchDone { .. } = ev {
+            let named = dev.event_command(&ev);
+            prop_assert!(named.is_some(), "FetchDone names no command");
+            let (cmd, sq) = named.unwrap();
+            let (q, n) = (sq.index(), fetched[sq.index()]);
+            prop_assert!(n < published[q], "{sq}: fetched an unpublished entry");
+            prop_assert_eq!(cmd.cid, CommandId(pushed[q][n]), "{sq}: out of FIFO order");
+            fetched[q] += 1;
+        }
+        queue.push(at, ev);
+    }
+    Ok(())
+}
+
+/// The NSQs of one device are FIFOs over one shared command slab. Random
+/// push / doorbell / device-event / ISR steps on several NSQs, with the
+/// slab reserved below or above one NSQ's depth: each NSQ fetches in push
+/// order and never fetches an unpublished entry, a push fails with
+/// `QueueFull` exactly when its NSQ holds `depth` entries, the slab holds
+/// exactly the pushed-but-unreaped commands, and it is empty once every
+/// CQ has been reaped.
 #[test]
-fn sq_is_fifo_exactly_once() {
-    check("sq_is_fifo_exactly_once", |c| {
-        let ops = c.vec_of(1, 200, |c| c.u8_in(0, 3));
-        let mut sq = SubmissionQueue::new(SqId(0), CqId(0), 64);
-        let mut next_push = 0u64;
-        let mut expect_fetch = 0u64;
-        for op in ops {
+fn nsqs_are_fifos_over_one_shared_slab() {
+    check("nsqs_are_fifos_over_one_shared_slab", |c| {
+        let nr_sqs = c.u16_in(1, 7);
+        let nr_cqs = c.u16_in(1, nr_sqs + 1);
+        let depth = c.u16_in(2, 13);
+        let mut cfg = NvmeConfig::sv_m();
+        cfg.nr_sqs = nr_sqs;
+        cfg.nr_cqs = nr_cqs;
+        cfg.sq_depth = depth;
+        cfg.max_inflight_pages = c.u32_in(1, 64);
+        let mut dev = NvmeDevice::new(cfg, nr_cqs);
+        dev.reserve(c.usize_in(0, 3 * depth as usize));
+        let steps = c.vec_of(1, 300, |c| {
+            (c.u8_in(0, 4), c.u16_in(0, nr_sqs), c.usize_in(1, 9))
+        });
+        let n = nr_sqs as usize;
+        let (mut pushed, mut published, mut fetched) =
+            (vec![Vec::new(); n], vec![0; n], vec![0; n]);
+        let (mut next_cid, mut reaped) = (0u64, 0usize);
+        let mut out = DeviceOutput::new();
+        let mut queue = EventQueue::new();
+        let mut isr_buf = Vec::new();
+        let mut now = SimTime::ZERO;
+        for (op, sq, k) in steps {
+            let q = sq as usize;
             match op {
                 0 => {
-                    if sq.push(cmd(next_push, 1, next_push)).is_ok() {
-                        next_push += 1;
+                    let full = pushed[q].len() - fetched[q] == depth as usize;
+                    let res = dev.push_command(SqId(sq), cmd(next_cid, k as u32, next_cid * 8));
+                    prop_assert_eq!(res.is_err(), full, "SQ {sq}: QueueFull off depth {depth}");
+                    if res.is_ok() {
+                        pushed[q].push(next_cid);
+                        next_cid += 1;
                     }
                 }
                 1 => {
-                    sq.ring_doorbell();
+                    published[q] = pushed[q].len();
+                    dev.ring_doorbell(SqId(sq), now, &mut out);
                 }
-                _ => {
-                    if let Some(cmd) = sq.fetch() {
-                        prop_assert_eq!(cmd.cid, CommandId(expect_fetch));
-                        expect_fetch += 1;
+                2 => {
+                    if let Some((at, ev)) = queue.pop() {
+                        now = at;
+                        dev.handle_event(ev, now, &mut out);
                     }
                 }
+                _ => {
+                    let cq = CqId(sq % nr_cqs);
+                    reaped += dev.isr_pop_into(cq, k, &mut isr_buf);
+                    for e in &isr_buf {
+                        prop_assert_eq!(dev.cq_of_sq(e.sq_id), cq);
+                    }
+                    dev.isr_done(cq, now, &mut out);
+                }
             }
-            prop_assert!(expect_fetch <= next_push);
-            prop_assert!(sq.visible_len() + sq.unpublished_len() <= 64);
+            absorb_fetches(
+                &dev,
+                &mut out,
+                &mut queue,
+                &pushed,
+                &published,
+                &mut fetched,
+            )?;
+            let occupancy = dev.sq_stats(SqId(sq)).occupancy as usize;
+            prop_assert_eq!(occupancy, pushed[q].len() - fetched[q]);
+            prop_assert_eq!(dev.held_cmds() + reaped, next_cid as usize);
         }
+        // Publish everything, run the device dry, and reap every CQ.
+        for sq in 0..nr_sqs {
+            published[sq as usize] = pushed[sq as usize].len();
+            dev.ring_doorbell(SqId(sq), now, &mut out);
+        }
+        loop {
+            absorb_fetches(
+                &dev,
+                &mut out,
+                &mut queue,
+                &pushed,
+                &published,
+                &mut fetched,
+            )?;
+            let Some((at, ev)) = queue.pop() else { break };
+            now = at;
+            dev.handle_event(ev, now, &mut out);
+        }
+        for cq in 0..nr_cqs {
+            reaped += isr_pop_all(&mut dev, cq).len();
+        }
+        prop_assert_eq!(reaped, next_cid as usize);
+        prop_assert_eq!(dev.held_cmds(), 0, "reaped device still holds commands");
         Ok(())
     });
 }
@@ -155,12 +251,13 @@ fn device_completes_everything_exactly_once() {
             dev.handle_event(ev, at, &mut out);
         }
         prop_assert_eq!(dev.stats().completed, pushed);
-        prop_assert_eq!(dev.staged_len(), 0);
+        prop_assert_eq!(dev.in_flight_cmds(), 0);
         // Every CQE is retrievable exactly once.
         let total: usize = (0..2).map(|cq| isr_pop_all(&mut dev, cq).len()).sum();
         prop_assert_eq!(total as u64, pushed);
         let again: usize = (0..2).map(|cq| isr_pop_all(&mut dev, cq).len()).sum();
         prop_assert_eq!(again, 0);
+        prop_assert_eq!(dev.held_cmds(), 0);
         Ok(())
     });
 }
@@ -313,7 +410,7 @@ fn device_conserves_commands_under_faults() {
         let stats = dev.stats();
         prop_assert_eq!(stats.fetched, fetched.len() as u64);
         prop_assert_eq!(stats.completed, done.len() as u64);
-        prop_assert_eq!(dev.staged_len(), 0);
+        prop_assert_eq!(dev.in_flight_cmds(), 0);
         fetched.sort_unstable();
         let fetched_once = fetched.windows(2).all(|w| w[0] != w[1]);
         prop_assert!(fetched_once, "a command was fetched twice");

@@ -246,11 +246,13 @@ impl Machine {
         // adoptable here), then pre-size the slab request maps, recycled
         // scratch and the stack's own tables from the same shape hint the
         // event queue uses, so the steady state allocates nothing on the
-        // hot path.
+        // hot path. Every in-device command is a live request, so the hint
+        // bounds the device's command slab too.
         let hint = scenario.event_capacity_hint();
         stack.dispatch().adopt(arena);
         stack.dispatch().reserve(hint);
         stack.reserve(hint);
+        device.reserve(hint);
         let mut rng = SimRng::new(scenario.knobs.seed);
         let mut tenants: Vec<Tenant> = arena.take(0);
         let mut active_apps = 0usize;
@@ -342,12 +344,14 @@ impl Machine {
         }
     }
 
-    /// Snapshots the hot-path capacities (stack request slabs + event
-    /// queue backing) for the capacity-stability accounting.
+    /// Snapshots the hot-path capacities (stack request slabs, event
+    /// queue backing, device command slab) for the capacity-stability
+    /// accounting.
     fn capacity_probe(&mut self) -> CapacityProbe {
         CapacityProbe {
             io_slots: self.stack.dispatch().io_capacity() + self.stack.io_capacity(),
             events: self.queue.capacity(),
+            device_cmds: self.device.cmd_capacity(),
         }
     }
 

@@ -9,17 +9,21 @@ use simkit::SimDuration;
 
 /// Capacity snapshot of the per-I/O structures of one machine: the stack's
 /// request-map slabs ([`blkstack::dispatch::Dispatch::io_capacity`] plus
-/// [`blkstack::stack::StorageStack::io_capacity`]) and the event-queue
-/// lanes. The machine records one probe at end-of-warmup
-/// and one at run end; `cap_warmup == cap_end` is the capacity-stability
-/// claim — nothing on the per-I/O path allocated mid-measurement — which
-/// the fleet properties assert at 10k tenants.
+/// [`blkstack::stack::StorageStack::io_capacity`]), the event-queue lanes
+/// and the device's command slab ([`dd_nvme::NvmeDevice::cmd_capacity`],
+/// which holds every NSQ and NCQ entry). The machine records one probe at
+/// end-of-warmup and one at run end; `cap_warmup == cap_end` is the
+/// capacity-stability claim — nothing on the per-I/O path allocated
+/// mid-measurement — which the fleet properties assert at 10k tenants.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CapacityProbe {
     /// Request-map slot capacity (bio + request slabs).
     pub io_slots: usize,
     /// Event-queue backing capacity in events (near lane + far heap).
     pub events: usize,
+    /// Device command-slab capacity in commands (queued in an NSQ, in
+    /// flash, or awaiting reap in an NCQ).
+    pub device_cmds: usize,
 }
 
 /// Per-class time series (Fig. 8 curves).

@@ -184,5 +184,11 @@ fn ten_k_tenants_deterministic_and_capacity_stable() {
              ({} -> {} slots)",
             host.cap_warmup.events, host.cap_end.events
         );
+        assert_eq!(
+            host.cap_warmup.device_cmds, host.cap_end.device_cmds,
+            "host {h}: device command-slab capacity grew mid-run \
+             ({} -> {} commands)",
+            host.cap_warmup.device_cmds, host.cap_end.device_cmds
+        );
     }
 }

@@ -154,17 +154,19 @@ echo "== verify: dispatch/push paths stay allocation-free =="
 # The machine's event loop, the event queue's push paths, the CPU model's
 # per-item dispatch (enqueue/take_next/begin/finish), the stacks' shared
 # dispatch core (stage/push/reap, requeue, redrive), the blk-mq elevators
-# (insert/dispatch/complete), blk-switch's steering tick, the device and the
-# virtio layer must not regrow per-event or per-I/O
-# allocations (that is what the RunArena + batch port removed). Construction-time allocations are fine —
+# (insert/dispatch/complete), blk-switch's steering tick, the device, its
+# queues and the virtio layer must not regrow per-event or per-I/O
+# allocations (that is what the RunArena + batch port removed), nor
+# preallocate per-queue storage (a `VecDeque::with_capacity(depth)` per NSQ
+# once held 3.5 MiB of rings on SV-M). Construction-time allocations are fine —
 # mark the line (or the line above it) with `dd-alloc-allowlist: <reason>`.
 # Test modules (`#[cfg(test)]` onward) are exempt.
-ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/cpu/src/core_model.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/blkstack/src/iosched.rs crates/blkswitch/src/lib.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs crates/virtio/src/lib.rs"
+ALLOC_FILES="crates/testbed/src/machine.rs crates/simkit/src/event.rs crates/cpu/src/core_model.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/blkstack/src/iosched.rs crates/blkswitch/src/lib.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs crates/nvme/src/queue.rs crates/virtio/src/lib.rs"
 ALLOC_FAIL=0
 for f in $ALLOC_FILES; do
     HITS="$(awk '
         /#\[cfg\(test\)\]/ { exit }
-        /Vec::new\(\)|Vec::with_capacity\(|vec!\[|Box::new\(|HashMap::new\(/ && $0 !~ /dd-alloc-allowlist:/ && prev !~ /dd-alloc-allowlist:/ {
+        /Vec::new\(\)|Vec::with_capacity\(|VecDeque::with_capacity\(|Slab::with_capacity\(|vec!\[|Box::new\(|HashMap::new\(/ && $0 !~ /dd-alloc-allowlist:/ && prev !~ /dd-alloc-allowlist:/ {
             print FILENAME ":" FNR ": " $0
         }
         { prev = $0 }
