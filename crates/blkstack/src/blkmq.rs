@@ -19,7 +19,7 @@ use crate::capabilities::Capabilities;
 use crate::dispatch::Dispatch;
 use crate::ioprio::IoPriorityClass;
 use crate::iosched::{Elevator, SchedKind, StagedRequest};
-use crate::stack::{CompletionMode, DoorbellMode, StackEnv, StorageStack};
+use crate::stack::{CompletionMode, DoorbellMode, IoBounds, StackEnv, StorageStack};
 
 /// How cores map to NSQs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -158,10 +158,15 @@ impl StorageStack for VanillaBlkMq {
         &mut self.dispatch
     }
 
-    fn reserve(&mut self, hint: usize) {
+    fn reserve(&mut self, bounds: IoBounds) {
+        // Every in-flight request may stage in one NSQ's elevator.
         for sched in &mut self.scheds {
-            sched.reserve(hint);
+            sched.reserve(bounds.inflight);
         }
+    }
+
+    fn io_capacity(&self) -> usize {
+        self.scheds.iter().map(Elevator::capacity).sum()
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
@@ -438,6 +443,36 @@ mod tests {
                 "{scheduler:?}"
             );
             assert_eq!(s.dispatch().stats().submitted_rqs, reach, "{scheduler:?}");
+        }
+    }
+
+    /// The capacity probe sees the elevator FIFOs: each NSQ's pair is
+    /// reserved for every request in flight, and a stack without an
+    /// elevator owns no per-I/O table.
+    #[test]
+    fn io_capacity_counts_the_elevator_fifos() {
+        let bounds = IoBounds {
+            inflight: 40,
+            batch: 8,
+        };
+        for (scheduler, fifos) in [
+            (SchedKind::MqDeadline, 8 * 2),
+            (SchedKind::Kyber, 8 * 2),
+            (SchedKind::None, 0),
+        ] {
+            let mut s = VanillaBlkMq::new(
+                BlkMqConfig {
+                    scheduler,
+                    ..BlkMqConfig::default()
+                },
+                4,
+                8,
+            );
+            assert_eq!(s.io_capacity(), 0, "{scheduler:?}");
+            s.reserve(bounds);
+            let cap = s.io_capacity();
+            assert!(cap >= fifos * bounds.inflight, "{scheduler:?}: {cap}");
+            assert!(cap < (fifos + 1) * bounds.inflight, "{scheduler:?}: {cap}");
         }
     }
 

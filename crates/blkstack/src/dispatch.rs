@@ -294,12 +294,13 @@ impl Dispatch {
             .redrive(env.device, env.now, env.dev_out, &mut self.stats);
     }
 
-    /// Pre-sizes the request map and CQE scratch for `hint` outstanding
-    /// requests. Staging is not pre-sized: it would cost one `hint`-sized
-    /// buffer per NSQ, while a plug batch only ever fills a few entries.
-    pub fn reserve(&mut self, hint: usize) {
-        self.reqmap.reserve(hint);
-        self.cqes.reserve(hint);
+    /// Pre-sizes the request map and CQE scratch for `inflight` requests
+    /// in flight at once. Staging is not pre-sized: it would cost one
+    /// such buffer per NSQ, while a plug batch only ever fills a few
+    /// entries.
+    pub fn reserve(&mut self, inflight: usize) {
+        self.reqmap.reserve(inflight);
+        self.cqes.reserve(inflight);
     }
 
     /// Parks the recyclable buffers into `arena` at run teardown.

@@ -122,10 +122,15 @@ impl MqDeadlineSched {
         self.writes.pop_front()
     }
 
-    /// Pre-sizes both direction FIFOs for `hint` staged requests.
-    pub fn reserve(&mut self, hint: usize) {
-        self.reads.reserve(hint);
-        self.writes.reserve(hint);
+    /// Pre-sizes both direction FIFOs for `inflight` staged requests.
+    pub fn reserve(&mut self, inflight: usize) {
+        self.reads.reserve(inflight);
+        self.writes.reserve(inflight);
+    }
+
+    /// Staged requests both FIFOs hold before they grow.
+    fn capacity(&self) -> usize {
+        self.reads.capacity() + self.writes.capacity()
     }
 }
 
@@ -197,10 +202,15 @@ impl KyberSched {
         }
     }
 
-    /// Pre-sizes both direction FIFOs for `hint` staged requests.
-    pub fn reserve(&mut self, hint: usize) {
-        self.reads.reserve(hint);
-        self.writes.reserve(hint);
+    /// Pre-sizes both direction FIFOs for `inflight` staged requests.
+    pub fn reserve(&mut self, inflight: usize) {
+        self.reads.reserve(inflight);
+        self.writes.reserve(inflight);
+    }
+
+    /// Staged requests both FIFOs hold before they grow.
+    fn capacity(&self) -> usize {
+        self.reads.capacity() + self.writes.capacity()
     }
 }
 
@@ -240,13 +250,22 @@ impl Elevator {
         }
     }
 
-    /// Pre-sizes the FIFO ring buffers for `hint` staged requests so the
-    /// steady state never reallocates (the rings recycle their storage
+    /// Pre-sizes the FIFO ring buffers for `inflight` staged requests so
+    /// the steady state never reallocates (the rings recycle their storage
     /// across insert/dispatch churn once grown).
-    pub fn reserve(&mut self, hint: usize) {
+    pub fn reserve(&mut self, inflight: usize) {
         match self {
-            Elevator::MqDeadline(s) => s.reserve(hint),
-            Elevator::Kyber(s) => s.reserve(hint),
+            Elevator::MqDeadline(s) => s.reserve(inflight),
+            Elevator::Kyber(s) => s.reserve(inflight),
+        }
+    }
+
+    /// Staged requests the FIFOs hold before they grow (the capacity
+    /// probe's share of the elevator).
+    pub fn capacity(&self) -> usize {
+        match self {
+            Elevator::MqDeadline(s) => s.capacity(),
+            Elevator::Kyber(s) => s.capacity(),
         }
     }
 }

@@ -45,5 +45,5 @@ pub mod tenant;
 pub use bio::{Bio, BioCompletion, BioId, ReqFlags};
 pub use capabilities::Capabilities;
 pub use ioprio::IoPriorityClass;
-pub use stack::{RouteStats, StackEnv, StackStats, StorageStack};
+pub use stack::{IoBounds, RouteStats, StackEnv, StackStats, StorageStack};
 pub use tenant::{Pid, TaskStruct};

@@ -73,11 +73,11 @@ impl RequestMap {
         Self::default()
     }
 
-    /// Pre-sizes both slabs for `hint` concurrently outstanding requests so
-    /// the steady state never reallocates.
-    pub fn reserve(&mut self, hint: usize) {
-        self.bios.reserve(hint);
-        self.rqs.reserve(hint);
+    /// Pre-sizes both slabs for `inflight` concurrently outstanding
+    /// requests so the steady state never reallocates.
+    pub fn reserve(&mut self, inflight: usize) {
+        self.bios.reserve(inflight);
+        self.rqs.reserve(inflight);
     }
 
     /// Registers a bio that will be served by `nr_requests` commands and

@@ -53,6 +53,16 @@ pub struct StackEnv<'a> {
     pub costs: &'a HostCosts,
 }
 
+/// What a run's per-I/O tables must hold at once, from which the testbed
+/// reserves them ([`StorageStack::reserve`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IoBounds {
+    /// Requests (device commands) in flight at once.
+    pub inflight: usize,
+    /// Bios in one submission call.
+    pub batch: usize,
+}
+
 /// Aggregate statistics a stack exposes for the overhead analyses (Fig. 13).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StackStats {
@@ -131,10 +141,10 @@ pub trait StorageStack {
     fn migrate_tenant(&mut self, _pid: Pid, _core: u16, _env: &mut StackEnv<'_>) {}
 
     /// Pre-sizes per-I/O tables the stack owns beside its dispatch core
-    /// (elevators, in-flight maps) for roughly `hint` outstanding requests.
+    /// (elevators, in-flight maps, batch scratch) for the run's `bounds`.
     /// Called once by the testbed before traffic starts, after the core's
     /// own [`Dispatch::reserve`]; the default does nothing.
-    fn reserve(&mut self, _hint: usize) {}
+    fn reserve(&mut self, _bounds: IoBounds) {}
 
     /// Submits a batch of bios issued by one tenant in one syscall, on the
     /// tenant's current core. Returns the CPU cost of the submission path.

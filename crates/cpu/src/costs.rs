@@ -46,6 +46,9 @@ pub struct HostCosts {
     /// changes, the synchronization with in-flight scheduling state (the
     /// RCU-protected heap update of §6).
     pub ionice_update: SimDuration,
+    /// Tenant-side cost of closing one application op: recording its
+    /// latency and asking the workload for the next.
+    pub app_op_done: SimDuration,
 }
 
 impl Default for HostCosts {
@@ -63,6 +66,7 @@ impl Default for HostCosts {
             reap_per_rq: SimDuration::from_nanos(500),
             context_switch: SimDuration::from_nanos(1_200),
             ionice_update: SimDuration::from_micros(4),
+            app_op_done: SimDuration::from_nanos(200),
         }
     }
 }

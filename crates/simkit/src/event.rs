@@ -128,23 +128,23 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue pre-sized for roughly `cap` concurrently
-    /// pending events, so the steady state allocates nothing.
+    /// Creates an empty queue pre-sized for `cap` pending events, any of
+    /// them past the horizon.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        q.reserve(cap);
+        q.reserve(cap, cap);
         q
     }
 
-    /// Grows the lanes for roughly `cap` concurrently pending events.
-    /// Idempotent — an already-large (e.g. arena-recycled) queue is left
-    /// alone, so a recycled queue behaves exactly like a fresh
+    /// Grows the lanes for `near` pending events in all and `far` of them
+    /// past the horizon. Far events migrate into the near lane before
+    /// they fire, so `near` bounds every pending event. Idempotent — an
+    /// already-large (e.g. arena-recycled) queue is left alone, so a
+    /// recycled queue behaves exactly like a fresh
     /// [`EventQueue::with_capacity`] one, capacity aside.
-    pub fn reserve(&mut self, cap: usize) {
-        // Either lane may hold most of the pending events: a busy host's
-        // I/O chains are all near, a fleet host's arrival timers far.
-        self.near.reserve(cap);
-        self.far.reserve(cap / 4 + 16);
+    pub fn reserve(&mut self, near: usize, far: usize) {
+        self.near.reserve(near);
+        self.far.reserve(far);
     }
 
     /// Routes one stamped event to its lane.

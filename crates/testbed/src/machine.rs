@@ -67,6 +67,49 @@ enum Event {
 // push, sort and pop: payloads live in slabs, events carry handles.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
+/// The timers a run arms at start, in push order. Each is pending at most
+/// once at a time: only its own handler re-arms it.
+fn start_timers(scenario: &Scenario) -> [Option<(SimTime, Event)>; 6] {
+    let at = |d: SimDuration| SimTime::ZERO + d;
+    let knobs = &scenario.knobs;
+    [
+        Some((SimTime::ZERO, Event::StackTick)),
+        Some((at(knobs.warmup), Event::EndWarmup)),
+        Some((at(knobs.warmup + knobs.measure), Event::Stop)),
+        scenario.ionice_storm.map(|d| (at(d), Event::IoniceStorm)),
+        scenario.migrate_storm.map(|d| (at(d), Event::MigrateStorm)),
+        knobs
+            .faults
+            .map(|f| (at(f.watchdog_period), Event::FaultWatchdog)),
+    ]
+}
+
+/// Event-queue reservation per lane, `(near, far)`, from what holds each
+/// event. An in-flight command holds one device event (`FetchDone` or
+/// `CmdDone`) or, once reaped, its bio's `Completed`; each CQ holds at
+/// most one `IrqDeliver`, each core one `CoreDispatch` or `CoreDone`,
+/// each open-loop tenant one `WakeResubmit`; then the start timers and
+/// the apps-done `Stop`. The far lane holds what lies past the horizon:
+/// the wakes, the timers, and the completions of commands in flash (die
+/// backlogs, program times, GC erases and latency spikes put them there).
+/// The page budget admits at most `max_inflight_pages` of those; a flush
+/// carries no pages and completes within `flush_latency`, inside the
+/// horizon. Far events migrate into the near lane before they fire, so
+/// the near lane takes every event.
+fn event_bound(scenario: &Scenario, inflight: usize) -> (usize, usize) {
+    let wakes = scenario
+        .tenants
+        .iter()
+        .filter(|t| t.kind.is_open_loop())
+        .count();
+    let timers =
+        start_timers(scenario).iter().flatten().count() + usize::from(scenario.stop_when_apps_done);
+    let waiting = wakes + timers;
+    let in_flash = inflight.min(scenario.nvme.max_inflight_pages as usize);
+    let holders = scenario.nvme.nr_cqs as usize + scenario.nr_cores() as usize;
+    (inflight + holders + waiting, waiting + in_flash)
+}
+
 /// Work payloads executed on cores.
 enum Work {
     /// Tenant submission syscall carrying `nr` new I/Os.
@@ -243,16 +286,16 @@ impl Machine {
         let mut stack = build_stack(&scenario.stack, nr_cores, &device);
         // Swap the dispatch core's empty shells for warm parked buffers (the
         // shared arena tags make a map parked by any stack flavour
-        // adoptable here), then pre-size the slab request maps, recycled
-        // scratch and the stack's own tables from the same shape hint the
-        // event queue uses, so the steady state allocates nothing on the
-        // hot path. Every in-device command is a live request, so the hint
-        // bounds the device's command slab too.
-        let hint = scenario.event_capacity_hint();
+        // adoptable here), then reserve every table an in-flight command
+        // holds a slot of from the scenario's in-flight bound: the request
+        // slabs and CQE scratch, the stack's own tables, and the device's
+        // command slab; submission scratch from the batch bound. The
+        // steady state allocates nothing on the hot path.
+        let bounds = scenario.io_bounds();
         stack.dispatch().adopt(arena);
-        stack.dispatch().reserve(hint);
-        stack.reserve(hint);
-        device.reserve(hint);
+        stack.dispatch().reserve(bounds.inflight);
+        stack.reserve(bounds);
+        device.reserve(bounds.inflight);
         let mut rng = SimRng::new(scenario.knobs.seed);
         let mut tenants: Vec<Tenant> = arena.take(0);
         let mut active_apps = 0usize;
@@ -306,13 +349,13 @@ impl Machine {
         dev_out.trace.reconfigure(scenario.knobs.trace);
         let mut cpu: CpuSystem<Work> = arena.take(0);
         cpu.configure(scenario.nr_cores());
-        // Pre-sized from the scenario shape (Σ queue depth × the events
-        // each in-flight I/O can hold) so the dispatch loop never grows
-        // the queue mid-run.
+        // Each lane is reserved for the events that can wait in it at once,
+        // so the dispatch loop never grows the queue mid-run.
         let mut queue: EventQueue<Event> = arena.take(0);
-        queue.reserve(scenario.event_capacity_hint());
+        let (near, far) = event_bound(&scenario, bounds.inflight);
+        queue.reserve(near, far);
         let mut bio_scratch: Vec<Bio> = arena.take(0);
-        bio_scratch.reserve(64);
+        bio_scratch.reserve(bounds.batch);
         Machine {
             cpu,
             queue,
@@ -346,8 +389,9 @@ impl Machine {
 
     /// Snapshots the hot-path capacities (stack request slabs, event
     /// queue backing, device command slab) for the capacity-stability
-    /// accounting.
-    fn capacity_probe(&mut self) -> CapacityProbe {
+    /// accounting. Taken right after [`Machine::new_in`] it reads the
+    /// reservations; a closed-loop run ends with the same probe.
+    pub fn capacity_probe(&mut self) -> CapacityProbe {
         CapacityProbe {
             io_slots: self.stack.dispatch().io_capacity() + self.stack.io_capacity(),
             events: self.queue.capacity(),
@@ -582,7 +626,7 @@ impl Machine {
                 }
                 let core = self.tenant(pid).core;
                 self.enqueue_work(core, WorkClass::Task, Work::AppStep { pid });
-                SimDuration::from_nanos(200)
+                self.costs.app_op_done
             }
             Action::Compute(d) => {
                 let core = self.tenant(pid).core;
@@ -728,23 +772,13 @@ impl Machine {
             };
             self.enqueue_work(core, WorkClass::Task, work);
         }
-        self.queue.push(SimTime::ZERO, Event::StackTick);
-        self.queue.push(self.window_start, Event::EndWarmup);
-        self.queue.push(self.stop_at, Event::Stop);
-        if let Some(interval) = self.scenario.ionice_storm {
-            self.queue
-                .push(SimTime::ZERO + interval, Event::IoniceStorm);
+        for (at, event) in start_timers(&self.scenario).into_iter().flatten() {
+            self.queue.push(at, event);
         }
-        if let Some(interval) = self.scenario.migrate_storm {
-            self.queue
-                .push(SimTime::ZERO + interval, Event::MigrateStorm);
-        }
-        if let Some(spec) = self.scenario.knobs.faults {
+        if self.scenario.knobs.faults.is_some() {
             self.wd_reaped.clear();
             self.wd_reaped
                 .resize(self.device.nr_cqs() as usize, u64::MAX);
-            self.queue
-                .push(SimTime::ZERO + spec.watchdog_period, Event::FaultWatchdog);
         }
     }
 
@@ -1190,7 +1224,7 @@ mod tests {
     /// The capacity-stability contract on its hardest shape, a `hostile`
     /// mixed cell: 4 L + 8 T on SV-M, every fault class, an ionice storm
     /// every 1 ms and a migrate storm every 2 ms. Sized from the scenario
-    /// hint, no hot-path structure may grow after warm-up.
+    /// bounds, no hot-path structure may grow after warm-up.
     #[test]
     fn hostile_cell_stops_allocating_after_warmup() {
         use simkit::{FaultClasses, FaultSpec};

@@ -8,13 +8,17 @@ use dd_workload::OpKind;
 use simkit::SimDuration;
 
 /// Capacity snapshot of the per-I/O structures of one machine: the stack's
-/// request-map slabs ([`blkstack::dispatch::Dispatch::io_capacity`] plus
-/// [`blkstack::stack::StorageStack::io_capacity`]), the event-queue lanes
-/// and the device's command slab ([`dd_nvme::NvmeDevice::cmd_capacity`],
-/// which holds every NSQ and NCQ entry). The machine records one probe at
-/// end-of-warmup and one at run end; `cap_warmup == cap_end` is the
-/// capacity-stability claim — nothing on the per-I/O path allocated
-/// mid-measurement — which the fleet properties assert at 10k tenants.
+/// request-map slabs ([`blkstack::dispatch::Dispatch::io_capacity`]) plus
+/// the tables a stack owns beside them, such as elevator FIFOs and
+/// virtio's in-flight map ([`blkstack::stack::StorageStack::io_capacity`]),
+/// the event-queue lanes and the device's command slab
+/// ([`dd_nvme::NvmeDevice::cmd_capacity`], which holds every NSQ and NCQ
+/// entry). The machine records one probe at end-of-warmup and one at run
+/// end; `cap_warmup == cap_end` is the capacity-stability claim — nothing
+/// on the per-I/O path allocated mid-measurement — which the fleet
+/// properties assert at 10k tenants. [`crate::Machine::capacity_probe`]
+/// taken right after construction reads the reservations themselves, and
+/// a closed-loop run ends with that probe.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CapacityProbe {
     /// Request-map slot capacity (bio + request slabs).

@@ -1,14 +1,20 @@
 //! Scenario descriptions: everything an experiment needs, declaratively.
 
 use blkstack::blkmq::{BlkMqConfig, QueuePolicy};
-use blkstack::IoPriorityClass;
+use blkstack::split::{split_extents, SplitConfig};
+use blkstack::{IoBounds, IoPriorityClass};
 use blkswitch::BlkSwitchConfig;
 use daredevil::DaredevilConfig;
 use dd_nvme::{NamespaceId, NvmeConfig};
 use dd_workload::kvsim::KvConfig;
-use dd_workload::mailserver::MailConfig;
-use dd_workload::{FioJob, YcsbMix};
+use dd_workload::mailserver::{MailConfig, MailserverWorkload};
+use dd_workload::{FioJob, YcsbMix, YcsbWorkload};
 use simkit::SimDuration;
+
+/// I/Os in flight allowed per open-loop tenant. Its arrivals do not wait
+/// for completions, so nothing bounds them; this is an allowance, the
+/// three per tenant the reservations have always given one.
+pub const OPEN_LOOP_INFLIGHT: usize = 3;
 
 /// Which storage stack a run uses.
 #[derive(Clone, Debug)]
@@ -153,6 +159,17 @@ pub enum AppKind {
     },
 }
 
+impl AppKind {
+    /// Device commands the app has in flight at most: those of its
+    /// workload's largest step.
+    pub fn max_in_flight(&self) -> usize {
+        match self {
+            AppKind::Ycsb { mix, config, .. } => YcsbWorkload::max_in_flight(*mix, config),
+            AppKind::Mailserver { config, .. } => MailserverWorkload::max_in_flight(config),
+        }
+    }
+}
+
 /// What a tenant runs.
 #[derive(Clone, Debug)]
 pub enum TenantKind {
@@ -160,6 +177,40 @@ pub enum TenantKind {
     Fio(FioJob),
     /// Application workload.
     App(AppKind),
+}
+
+impl TenantKind {
+    /// True for an open-loop FIO job (arrivals on a timer).
+    pub(crate) fn is_open_loop(&self) -> bool {
+        matches!(self, TenantKind::Fio(job) if job.arrival.is_some())
+    }
+
+    /// Device commands this tenant has in flight at most. A closed-loop
+    /// job keeps `iodepth` bios of one size outstanding, each split into
+    /// the dispatch core's commands. An app runs one op step at a time,
+    /// so the commands of its workload's largest step bound it. An
+    /// open-loop job has no bound and gets [`OPEN_LOOP_INFLIGHT`].
+    pub fn inflight_bound(&self) -> usize {
+        match self {
+            TenantKind::Fio(job) if job.arrival.is_some() => OPEN_LOOP_INFLIGHT,
+            TenantKind::Fio(job) => {
+                let commands = split_extents(&SplitConfig::default(), 0, job.block_size).len();
+                job.iodepth as usize * commands
+            }
+            TenantKind::App(app) => app.max_in_flight(),
+        }
+    }
+
+    /// Bios this tenant submits in one call at most: a closed-loop job's
+    /// first burst of `iodepth`, an open-loop job's one arrival, or an
+    /// app's largest step, whose bios are at most its commands.
+    pub fn batch_bound(&self) -> usize {
+        match self {
+            TenantKind::Fio(job) if job.arrival.is_some() => 1,
+            TenantKind::Fio(job) => job.iodepth as usize,
+            TenantKind::App(app) => app.max_in_flight(),
+        }
+    }
 }
 
 /// One tenant of a scenario.
@@ -399,24 +450,19 @@ impl Scenario {
         self.cores
     }
 
-    /// Estimated peak of concurrently pending machine events, derived from
-    /// the scenario shape: every in-flight I/O (Σ tenant queue depth) can
-    /// hold a device event, an IRQ delivery and a completion at once, plus
-    /// per-core dispatch/done pairs and the handful of global timers. Used
-    /// to pre-size the event queue so the steady state allocates nothing.
-    pub fn event_capacity_hint(&self) -> usize {
-        let inflight: usize = self
-            .tenants
-            .iter()
-            .map(|t| match &t.kind {
-                // Closed-loop FIO keeps at most `iodepth` I/Os in flight.
-                TenantKind::Fio(job) => job.iodepth as usize,
-                // App ops issue small parallel I/O bursts.
-                TenantKind::App(_) => 8,
-            })
-            .sum();
-        let per_core = self.nr_cores() as usize * 2;
-        (inflight * 3 + per_core + 64).next_power_of_two()
+    /// The per-I/O bounds the machine reserves from. `inflight` sums
+    /// every tenant's [`TenantKind::inflight_bound`]: an in-flight command
+    /// holds at most one slot of the stack's request slabs, of the
+    /// device's command slab, of the ISR's CQE scratch, of an elevator
+    /// FIFO and of virtio's in-flight map. `batch` is the largest
+    /// [`TenantKind::batch_bound`], which sizes the bio scratch of one
+    /// submission. A closed-loop scenario never exceeds either.
+    pub fn io_bounds(&self) -> IoBounds {
+        let kinds = self.tenants.iter().map(|t| &t.kind);
+        IoBounds {
+            inflight: kinds.clone().map(TenantKind::inflight_bound).sum(),
+            batch: kinds.map(TenantKind::batch_bound).max().unwrap_or(0),
+        }
     }
 
     /// Validates internal consistency.

@@ -29,7 +29,7 @@
 #![warn(missing_docs)]
 
 use blkstack::dispatch::Dispatch;
-use blkstack::stack::{RouteStats, StackEnv, StorageStack};
+use blkstack::stack::{IoBounds, RouteStats, StackEnv, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, ReqFlags, TaskStruct};
 use dd_nvme::{CqId, NamespaceId};
 use simkit::{DenseMap, SimDuration};
@@ -46,11 +46,6 @@ pub enum VqMode {
 /// Per-request virtio/vhost overhead (VQ kick, descriptor translation,
 /// vhost handoff).
 pub const VIRTIO_PER_RQ: SimDuration = SimDuration::from_micros(2);
-
-/// Bios the rewrite scratch is pre-sized for: one tenant's batch, as many
-/// as the testbed's own batch scratch holds. A batch is at most the
-/// tenant's queue depth, far below the I/Os in flight that size the map.
-const BATCH_RESERVE: usize = 64;
 
 /// Offset for synthesized vhost proxy pids, far above tenant pids.
 const PROXY_PID_BASE: u64 = 1 << 32;
@@ -198,13 +193,12 @@ impl StorageStack for VirtioBlk {
         self.inner.on_tick(env)
     }
 
-    fn reserve(&mut self, hint: usize) {
-        self.inner.reserve(hint);
-        // The hint is at least three events per I/O in flight, so a third
-        // of it bounds the in-flight map. A batch larger than
-        // `BATCH_RESERVE` grows the scratch where `io_capacity` shows it.
-        self.in_flight.reserve(hint / 3);
-        self.rewritten.reserve((hint / 3).min(BATCH_RESERVE));
+    fn reserve(&mut self, bounds: IoBounds) {
+        self.inner.reserve(bounds);
+        // A guest bio keeps its map entry while in flight; the scratch
+        // holds one submission.
+        self.in_flight.reserve(bounds.inflight);
+        self.rewritten.reserve(bounds.batch);
     }
 
     fn route_stats(&self) -> RouteStats {
@@ -379,10 +373,13 @@ mod tests {
     fn drive_to_completion_empties_in_flight() {
         let mut h = Harness::new();
         let mut s = virtio(VqMode::SlaAware, &h.dev);
-        s.reserve(256);
+        s.reserve(IoBounds {
+            inflight: 256,
+            batch: 16,
+        });
         let cap = s.io_capacity();
         assert!(
-            cap >= s.inner.io_capacity() + 256 / 3,
+            cap >= s.inner.io_capacity() + 256 + 16,
             "io_capacity must count the in-flight map and the rewrite scratch"
         );
         {

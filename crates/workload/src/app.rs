@@ -1,11 +1,18 @@
 //! Application workload interface: ops as scripts of I/O and compute steps.
 
+use blkstack::split::{split_extents, SplitConfig};
 use blkstack::ReqFlags;
 use dd_nvme::IoOpcode;
 use simkit::{RunArena, SimDuration, SimRng};
 
 use crate::mailserver::MailserverWorkload;
 use crate::ycsb::YcsbWorkload;
+
+/// Device commands one I/O of `bytes` becomes: the dispatch core splits
+/// a bio at [`SplitConfig::default`]'s `max_bytes`.
+pub(crate) fn commands(bytes: u64) -> usize {
+    split_extents(&SplitConfig::default(), 0, bytes).len()
+}
 
 /// Where an I/O lands within the tenant's namespace region.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,6 +135,68 @@ impl App {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kvsim::KvConfig;
+    use crate::mailserver::MailConfig;
+    use crate::ycsb::YcsbMix;
+
+    /// The most device commands any one step of `app` puts in flight at
+    /// once, over all its ops.
+    fn largest_step(mut app: App) -> usize {
+        let mut rng = SimRng::new(11);
+        let mut largest = 0;
+        while let Some(op) = app.next_op(&mut rng) {
+            for step in &op.steps {
+                largest = largest.max(match step {
+                    OpStep::Io(io) => commands(io.bytes),
+                    OpStep::IoParallel(ios) => ios.iter().map(|io| commands(io.bytes)).sum(),
+                    OpStep::Compute(_) => 0,
+                });
+            }
+        }
+        largest
+    }
+
+    /// Each app's reported in-flight bound covers the device commands of
+    /// the largest step it emits, and equals them where that step is
+    /// reached: the flush-plus-compaction burst for every YCSB mix, E's
+    /// cold scans when a scan outgrows the burst, and a mailserver read's
+    /// misses. Commands are counted as the dispatch core splits each I/O,
+    /// so an I/O that outgrows one command raises the count here too.
+    #[test]
+    fn max_in_flight_covers_every_parallel_step() {
+        let kv = KvConfig {
+            keys: 20_000,
+            cache_blocks: 64,
+            memtable_entries: 8,
+            ..KvConfig::default()
+        };
+        let wide_scans = KvConfig {
+            scan_blocks: 64,
+            ..kv
+        };
+        for (mix, config) in [
+            (YcsbMix::A, kv),
+            (YcsbMix::B, kv),
+            (YcsbMix::E, kv),
+            (YcsbMix::E, wide_scans),
+            (YcsbMix::F, kv),
+        ] {
+            let bound = YcsbWorkload::max_in_flight(mix, &config);
+            let seen = largest_step(App::Ycsb(YcsbWorkload::new(mix, config, 3_000)));
+            assert_eq!(seen, bound, "{mix:?} scan_blocks {}", config.scan_blocks);
+        }
+        // 40 blocks: an fsync's write-back splits into two commands.
+        for file_blocks in [6, 40] {
+            let mail = MailConfig {
+                cache_blocks: 16,
+                file_blocks,
+                ..MailConfig::default()
+            };
+            let bound = MailserverWorkload::max_in_flight(&mail);
+            let seen = largest_step(App::Mailserver(MailserverWorkload::new(mail, 2_000)));
+            assert_eq!(seen, bound, "mailserver file_blocks {file_blocks}");
+        }
+    }
 
     #[test]
     fn op_kind_labels_unique() {

@@ -21,6 +21,12 @@ use simkit::{RunArena, SimDuration};
 
 use crate::app::{AppOp, IoDesc, OpKind, OpStep, Placement};
 
+/// Bytes of one data or WAL block I/O.
+pub(crate) const BLOCK_BYTES: u64 = 4096;
+
+/// Bytes of one flush or compaction write.
+pub(crate) const FLUSH_WRITE_BYTES: u64 = 128 * 1024;
+
 /// kvsim sizing and behaviour parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct KvConfig {
@@ -209,7 +215,7 @@ impl KvStore {
         } else {
             steps.push(OpStep::Io(IoDesc {
                 op: IoOpcode::Read,
-                bytes: 4096,
+                bytes: BLOCK_BYTES,
                 placement: Placement::Block(block),
                 flags: ReqFlags::NONE,
             }));
@@ -232,7 +238,7 @@ impl KvStore {
             OpStep::Compute(self.config.op_cpu),
             OpStep::Io(IoDesc {
                 op: IoOpcode::Write,
-                bytes: 4096,
+                bytes: BLOCK_BYTES,
                 placement: Placement::Sequential,
                 flags: ReqFlags::SYNC,
             }),
@@ -244,7 +250,7 @@ impl KvStore {
             let mut burst: Vec<IoDesc> = (0..self.config.flush_writes)
                 .map(|_| IoDesc {
                     op: IoOpcode::Write,
-                    bytes: 128 * 1024,
+                    bytes: FLUSH_WRITE_BYTES,
                     placement: Placement::Sequential,
                     flags: ReqFlags::NONE,
                 })
@@ -255,7 +261,7 @@ impl KvStore {
             {
                 burst.extend((0..self.config.compaction_writes).map(|_| IoDesc {
                     op: IoOpcode::Write,
-                    bytes: 128 * 1024,
+                    bytes: FLUSH_WRITE_BYTES,
                     placement: Placement::Sequential,
                     flags: ReqFlags::NONE,
                 }));
@@ -291,7 +297,7 @@ impl KvStore {
                     .into_iter()
                     .map(|b| IoDesc {
                         op: IoOpcode::Read,
-                        bytes: 4096,
+                        bytes: BLOCK_BYTES,
                         placement: Placement::Block(b),
                         flags: ReqFlags::NONE,
                     })

@@ -12,8 +12,9 @@ use blkstack::ReqFlags;
 use dd_nvme::IoOpcode;
 use simkit::{RunArena, SimDuration, SimRng};
 
+use crate::app::commands;
 use crate::app::{AppOp, IoDesc, OpKind, OpStep, Placement};
-use crate::kvsim::LruCache;
+use crate::kvsim::{LruCache, BLOCK_BYTES};
 
 /// Mailserver parameters (a scaled filebench `mailserver.f`).
 #[derive(Clone, Copy, Debug)]
@@ -81,6 +82,16 @@ impl MailserverWorkload {
         }
     }
 
+    /// Most device commands one client has in flight: its largest step,
+    /// a file read's cache misses (one block each) or an fsync's
+    /// whole-file write-back. Every other step issues one block I/O.
+    pub fn max_in_flight(config: &MailConfig) -> usize {
+        let blocks = config.file_blocks as u64;
+        let read = blocks as usize * commands(BLOCK_BYTES);
+        let writeback = commands(BLOCK_BYTES * blocks);
+        read.max(writeback).max(commands(BLOCK_BYTES))
+    }
+
     /// Page-cache hit ratio so far.
     pub fn cache_hit_ratio(&self) -> f64 {
         self.cache.hit_ratio()
@@ -100,7 +111,7 @@ impl MailserverWorkload {
             } else {
                 misses.push(IoDesc {
                     op: IoOpcode::Read,
-                    bytes: 4096,
+                    bytes: BLOCK_BYTES,
                     placement: Placement::Block(base + i),
                     flags: ReqFlags::NONE,
                 });
@@ -137,7 +148,7 @@ impl MailserverWorkload {
                 // Write back the dirty block synchronously, then flush.
                 OpStep::Io(IoDesc {
                     op: IoOpcode::Write,
-                    bytes: 4096 * self.config.file_blocks as u64,
+                    bytes: BLOCK_BYTES * self.config.file_blocks as u64,
                     placement: Placement::Block(base),
                     flags: ReqFlags::SYNC,
                 }),
@@ -159,7 +170,7 @@ impl MailserverWorkload {
                 // Inode/bitmap metadata update.
                 OpStep::Io(IoDesc {
                     op: IoOpcode::Write,
-                    bytes: 4096,
+                    bytes: BLOCK_BYTES,
                     placement: Placement::Block(base),
                     flags: ReqFlags::META,
                 }),

@@ -8,8 +8,8 @@
 use simkit::rng::{ZetaCache, Zipfian};
 use simkit::{RunArena, SimRng};
 
-use crate::app::{AppOp, OpKind};
-use crate::kvsim::{KvConfig, KvStore};
+use crate::app::{commands, AppOp, OpKind};
+use crate::kvsim::{KvConfig, KvStore, BLOCK_BYTES, FLUSH_WRITE_BYTES};
 
 /// The four YCSB mixes used by the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -74,6 +74,22 @@ impl YcsbWorkload {
             ops_remaining: ops,
             pending_rmw_write: None,
         }
+    }
+
+    /// Most device commands one client has in flight: its largest
+    /// step. A client runs one op step at a time; its parallel steps are
+    /// the flush-plus-compaction burst (every mix updates or inserts)
+    /// and, under E, a scan's cache misses. Every other step issues one
+    /// block I/O.
+    pub fn max_in_flight(mix: YcsbMix, config: &KvConfig) -> usize {
+        let writes = (config.flush_writes + config.compaction_writes) as usize;
+        let burst = writes * commands(FLUSH_WRITE_BYTES);
+        let scan = if mix == YcsbMix::E {
+            config.scan_blocks as usize * commands(BLOCK_BYTES)
+        } else {
+            0
+        };
+        burst.max(scan).max(commands(BLOCK_BYTES))
     }
 
     /// The store (for cache statistics).

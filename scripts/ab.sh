@@ -1,0 +1,141 @@
+#!/usr/bin/env bash
+# A/B benchmark of the working tree against a base commit.
+#
+# Exports BASE and copies the working tree (tracked and untracked files
+# that git does not ignore) into two directories whose paths have equal
+# length, since path strings embedded in a binary move code placement and
+# so the simulator's speed. Builds ddbench in each, then runs N
+# alternating pairs of `ddbench --trace 0` (odd pairs run the base first,
+# even pairs the change first). For each workload and end-to-end metric it
+# prints the base median with its q1-q3, the change's median, the delta
+# and the change's wins out of N pairs. Quartiles are Python's
+# `statistics.quantiles(n=4)`, as ddbench computes its own. It writes
+# nothing tracked: the copies, builds and raw outputs live in a temporary
+# directory that is removed on exit.
+#
+# Usage: scripts/ab.sh BASE [--workload W] [--pairs N] [--aligned]
+#   BASE         a commit (e.g. HEAD~1)
+#   --workload W one ddbench workload (default: all of them)
+#   --pairs N    alternating pairs to run (default: 10)
+#   --aligned    build both sides with every function aligned to 64 bytes,
+#                so code placement moves less between them
+set -euo pipefail
+
+usage() {
+    echo "usage: scripts/ab.sh BASE [--workload W] [--pairs N] [--aligned]" >&2
+    exit 2
+}
+
+[ $# -ge 1 ] || usage
+BASE=$1
+shift
+WORKLOAD=()
+PAIRS=10
+ALIGNED=0
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --workload) [ $# -ge 2 ] || usage; WORKLOAD=(--workload "$2"); shift 2 ;;
+        --pairs) [ $# -ge 2 ] || usage; PAIRS=$2; shift 2 ;;
+        --aligned) ALIGNED=1; shift ;;
+        *) usage ;;
+    esac
+done
+case "$PAIRS" in '' | *[!0-9]*) usage ;; esac
+[ "$PAIRS" -ge 2 ] || { echo "ab.sh: --pairs needs at least 2 for quartiles" >&2; exit 2; }
+
+cd "$(dirname "$0")/.."
+export CARGO_NET_OFFLINE=true
+# Each side builds into its own tree.
+unset CARGO_TARGET_DIR
+git rev-parse --verify --quiet "$BASE^{commit}" >/dev/null || {
+    echo "ab.sh: unknown commit $BASE" >&2
+    exit 2
+}
+
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+# "base" and "work" have the same length, so both trees do too.
+mkdir "$TMP/base" "$TMP/work"
+git archive "$BASE" | tar -x -C "$TMP/base"
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+    tar -c --null -T - | tar -x -C "$TMP/work"
+
+if [ "$ALIGNED" = 1 ]; then
+    export RUSTFLAGS="-C llvm-args=-align-all-functions=6"
+fi
+for side in base work; do
+    echo "== ab: building ddbench ($side) ==" >&2
+    cargo build --release --quiet --manifest-path "$TMP/$side/ddbench/Cargo.toml"
+done
+
+# One run: `side pair workload metric median` lines into results.
+run() {
+    local side=$1 pair=$2 out="$TMP/$1.$2.out"
+    "$TMP/$side/ddbench/target/release/ddbench" "${WORKLOAD[@]}" --trace 0 >"$out"
+    grep -q '"correct": true' "$out" || {
+        echo "ab.sh: $side run $pair did not read correct: true" >&2
+        exit 1
+    }
+    awk -v side="$side" -v pair="$pair" 'NF == 7 && $7 ~ /^[0-9]+$/ {
+        print side, pair, $1, $2, $3
+    }' "$out" >>"$TMP/results"
+}
+
+for pair in $(seq 1 "$PAIRS"); do
+    echo "== ab: pair $pair of $PAIRS ==" >&2
+    if [ $((pair % 2)) = 1 ]; then
+        run base "$pair"
+        run work "$pair"
+    else
+        run work "$pair"
+        run base "$pair"
+    fi
+done
+
+echo "ab: base $(git rev-parse --short "$BASE"), $PAIRS pairs, aligned=$ALIGNED"
+echo "workload metric base_median base_q1 base_q3 change_median delta_pct wins"
+awk -v pairs="$PAIRS" '
+    # Python statistics.quantiles(data, n=4), exclusive method: q(1..3).
+    function quartile(v, n, i,    m, j, delta) {
+        m = n + 1
+        j = int(i * m / 4)
+        if (j < 1) j = 1
+        if (j > n - 1) j = n - 1
+        delta = i * m - j * 4
+        return (v[j] * (4 - delta) + v[j + 1] * delta) / 4
+    }
+    function sorted(src, key, n, dst,    i, j, t) {
+        for (i = 1; i <= n; i++) dst[i] = src[key, i]
+        for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && dst[j - 1] > dst[j]; j--) {
+                t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t
+            }
+    }
+    {
+        key = $3 SUBSEP $4
+        if (!(key in seen)) { seen[key] = 1; order[++nkeys] = key }
+        val[$1, key, $2] = $5
+    }
+    END {
+        for (k = 1; k <= nkeys; k++) {
+            key = order[k]
+            split(key, wm, SUBSEP)
+            if (wm[2] !~ /^(wall_s|setup_s|ios_per_host_s|peak_heap_mib)$/) continue
+            higher = wm[2] == "ios_per_host_s"
+            wins = 0
+            for (p = 1; p <= pairs; p++) {
+                b[key, p] = val["base", key, p]
+                w[key, p] = val["work", key, p]
+                if (higher ? w[key, p] > b[key, p] : w[key, p] < b[key, p]) wins++
+            }
+            delete bs; delete ws
+            sorted(b, key, pairs, bs)
+            sorted(w, key, pairs, ws)
+            bm = quartile(bs, pairs, 2)
+            wmed = quartile(ws, pairs, 2)
+            printf "%s %s %.6g %.6g %.6g %.6g %+.2f %d/%d\n", wm[1], wm[2], bm,
+                quartile(bs, pairs, 1), quartile(bs, pairs, 3), wmed,
+                bm == 0 ? 0 : 100 * (wmed - bm) / bm, wins, pairs
+        }
+    }' "$TMP/results"

@@ -239,13 +239,13 @@ fn virtio_sla_awareness_end_to_end() {
     // The host stack shows through the layer: its troute counters reach
     // the output, and it is pre-sized exactly like a bare Daredevil. The
     // layer's own buffers count on top; they are read off a layer around
-    // a bare overprov stack, reserved with the same hint.
+    // a bare overprov stack, reserved with the same bounds.
     let bare = mk(StackSpec::daredevil());
-    let hint = scenario(StackSpec::daredevil()).event_capacity_hint();
+    let bounds = scenario(StackSpec::daredevil()).io_bounds();
     let mut wrapped = VirtioBlk::new(Box::new(OverprovStack::new(4, 4)), VqMode::SlaAware);
     let mut unwrapped = OverprovStack::new(4, 4);
-    wrapped.reserve(hint);
-    unwrapped.reserve(hint);
+    wrapped.reserve(bounds);
+    unwrapped.reserve(bounds);
     let layer_slots = wrapped.io_capacity() - unwrapped.io_capacity();
     assert!(layer_slots > 0, "the layer's buffers are uncounted");
     for out in [&naive, &sla] {
