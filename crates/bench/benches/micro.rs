@@ -18,7 +18,7 @@ use daredevil::{DaredevilConfig, NqReg, Policy, Priority, ProxyTable, Troute};
 use dd_check::bench::BenchSet;
 use dd_cpu::{CpuSystem, WorkClass};
 use dd_metrics::LatencyHistogram;
-use dd_nvme::arbiter::RoundRobinArbiter;
+use dd_nvme::arbiter::{Arbiter, SqPriorityClass};
 use dd_nvme::flash::{FlashBackend, FlashConfig};
 use dd_nvme::{
     CommandId, CqEntry, DeviceOutput, HostTag, IoOpcode, NamespaceId, NvmeCommand, NvmeConfig,
@@ -52,16 +52,16 @@ fn bench_nq_scheduling(set: &mut BenchSet) {
     let locks = NsqLockTable::new(128);
     let prox = proxies(&dev);
 
-    let mut reg = NqReg::new(0.8, 1024, true, 128, 24, |i| i % 24);
+    let mut reg = NqReg::new(1024, true, 128, 24, |i| i % 24);
     let pol = Policy::new(&DaredevilConfig::default());
     set.bench("nqreg/schedule_mru_hit", || {
         black_box(reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox))
     });
-    let mut reg = NqReg::new(0.8, 1, true, 128, 24, |i| i % 24);
+    let mut reg = NqReg::new(1, true, 128, 24, |i| i % 24);
     set.bench("nqreg/schedule_with_resort", || {
         black_box(reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox))
     });
-    let mut reg = NqReg::new(0.8, 1024, false, 128, 24, |i| i % 24);
+    let mut reg = NqReg::new(1024, false, 128, 24, |i| i % 24);
     set.bench("nqreg/schedule_round_robin", || {
         black_box(reg.schedule(&pol, Priority::Low, 1, &dev, &locks, &prox))
     });
@@ -73,7 +73,7 @@ fn bench_troute(set: &mut BenchSet) {
 
     {
         let mut prox = proxies(&dev);
-        let mut reg = NqReg::new(0.8, 1024, true, 64, 64, |i| i);
+        let mut reg = NqReg::new(1024, true, 64, 64, |i| i);
         let mut tr = Troute::new(1024, 64);
         let mut pol = Policy::new(&DaredevilConfig::default());
         tr.register(
@@ -110,7 +110,7 @@ fn bench_troute(set: &mut BenchSet) {
     }
     {
         let mut prox = proxies(&dev);
-        let mut reg = NqReg::new(0.8, 1024, true, 64, 64, |i| i);
+        let mut reg = NqReg::new(1024, true, 64, 64, |i| i);
         let mut tr = Troute::new(1024, u64::MAX);
         let mut pol = Policy::new(&DaredevilConfig::default());
         tr.register(
@@ -522,12 +522,12 @@ fn bench_reqmap(set: &mut BenchSet) {
         let mut next = 0u64;
         for _ in 0..DEPTH {
             let h = map.insert_bio(bio(next), 1);
-            inflight.push_back(map.alloc_rq(h, 8));
+            inflight.push_back(map.alloc_rq(h));
             next += 1;
         }
         set.bench("reqmap/churn_slab", move || {
             let h = map.insert_bio(bio(next), 1);
-            inflight.push_back(map.alloc_rq(h, 8));
+            inflight.push_back(map.alloc_rq(h));
             next += 1;
             let rq = inflight.pop_front().expect("steady depth");
             black_box(map.complete_rq(rq))
@@ -539,7 +539,7 @@ fn bench_reqmap(set: &mut BenchSet) {
         // before the port.
         struct HashReqMap {
             bios: HashMap<u64, (Bio, u32)>,
-            rqs: HashMap<u64, (u64, u32)>,
+            rqs: HashMap<u64, u64>,
             next_bio: u64,
             next_rq: u64,
         }
@@ -550,14 +550,14 @@ fn bench_reqmap(set: &mut BenchSet) {
                 self.bios.insert(id, (bio, nr));
                 id
             }
-            fn alloc_rq(&mut self, bio: u64, nlb: u32) -> u64 {
+            fn alloc_rq(&mut self, bio: u64) -> u64 {
                 let id = self.next_rq;
                 self.next_rq += 1;
-                self.rqs.insert(id, (bio, nlb));
+                self.rqs.insert(id, bio);
                 id
             }
             fn complete_rq(&mut self, rq: u64) -> Option<Bio> {
-                let (bio_id, _) = self.rqs.remove(&rq)?;
+                let bio_id = self.rqs.remove(&rq)?;
                 let (_, nr) = self.bios.get_mut(&bio_id)?;
                 *nr -= 1;
                 if *nr == 0 {
@@ -576,12 +576,12 @@ fn bench_reqmap(set: &mut BenchSet) {
         let mut next = 0u64;
         for _ in 0..DEPTH {
             let h = map.insert_bio(bio(next), 1);
-            inflight.push_back(map.alloc_rq(h, 8));
+            inflight.push_back(map.alloc_rq(h));
             next += 1;
         }
         set.bench("reqmap/churn_hashmap", move || {
             let h = map.insert_bio(bio(next), 1);
-            inflight.push_back(map.alloc_rq(h, 8));
+            inflight.push_back(map.alloc_rq(h));
             next += 1;
             let rq = inflight.pop_front().expect("steady depth");
             black_box(map.complete_rq(rq))
@@ -702,18 +702,34 @@ fn bench_trace(set: &mut BenchSet) {
 }
 
 fn bench_arbiter_pick(set: &mut BenchSet) {
-    // The O(1) bitmask pick across device widths. One in eight SQs has
-    // visible work (the steady-state shape of a partially loaded device);
-    // the pick does not consume the work, so every sample sees the same
-    // occupancy and only the pick cost varies.
+    // The O(1) bitmask pick across device widths, every SQ in one class
+    // (the round-robin shape of every stack but overprov). One in eight
+    // SQs has visible work (the steady-state shape of a partially loaded
+    // device); the pick does not consume the work, so every sample sees
+    // the same occupancy and only the pick cost varies.
     for n in [8u16, 64, 1024] {
-        let mut arb = RoundRobinArbiter::new(n);
+        let mut arb = Arbiter::new(n);
         for sq in (0..n).step_by(8) {
             arb.note_ready(SqId(sq));
         }
         let name = format!("arbiter/pick_bitmask_{n}sq");
         set.bench(&name, move || black_box(arb.pick(|_| false)));
     }
+    // overprov's shape: 32 pairs of a high-class L-queue and a low-class
+    // T-queue, both queues of every fourth pair with visible work (again
+    // one SQ in eight), so picks move between the classes by credit.
+    let mut arb = Arbiter::new(64);
+    for pair in 0..32u16 {
+        arb.set_class(SqId(pair * 2), SqPriorityClass::High);
+        arb.set_class(SqId(pair * 2 + 1), SqPriorityClass::Low);
+    }
+    for pair in (0..32u16).step_by(4) {
+        arb.note_ready(SqId(pair * 2));
+        arb.note_ready(SqId(pair * 2 + 1));
+    }
+    set.bench("arbiter/pick_two_class_64sq", move || {
+        black_box(arb.pick(|_| false))
+    });
 }
 
 fn bench_device_cmd_lifecycle(set: &mut BenchSet) {
@@ -831,9 +847,8 @@ fn bench_flash_burst(set: &mut BenchSet) {
 fn bench_daredevil_config(set: &mut BenchSet) {
     let dev = device(128, 24);
     set.bench("construction/daredevil_stack_for_device", || {
-        black_box(daredevil::DaredevilStack::for_device(
+        black_box(daredevil::DaredevilStack::new(
             DaredevilConfig::default(),
-            8,
             &dev,
         ))
     });

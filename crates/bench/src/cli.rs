@@ -36,12 +36,11 @@
 //! harvested [`simkit::TraceEvent`]s to one CSV:
 //!
 //! ```text
-//! cell,rq,tenant,sla,phase,outlier,core,nsq,t_ns,note
-//! 0:vanilla-L4T8,42,3,L,submit,,0,,5003200,
-//! 0:vanilla-L4T8,42,3,L,routed,0,0,2,5003200,
+//! cell,rq,tenant,sla,phase,outlier,core,nsq,t_ns
+//! 0:vanilla-L4T8,42,3,L,submit,,0,,5003200
+//! 0:vanilla-L4T8,42,3,L,routed,0,0,2,5003200
 //! ```
 //!
-//! `note` is always empty; the column keeps the file layout stable.
 //! `cell` is `<ordinal>:<scenario name>` in cell-definition order, and
 //! events are dumped *after* a sweep completes, in original cell order —
 //! never in (timing-dependent) completion order — so the file is
@@ -426,8 +425,7 @@ pub(crate) fn dump_cell_trace(opts: &Opts, cell_name: &str, out: &RunOutput) {
             std::process::exit(1);
         });
         let mut w = BufWriter::new(f);
-        writeln!(w, "cell,rq,tenant,sla,phase,outlier,core,nsq,t_ns,note")
-            .expect("trace header write");
+        writeln!(w, "cell,rq,tenant,sla,phase,outlier,core,nsq,t_ns").expect("trace header write");
         w
     });
     for ev in &out.trace {
@@ -460,7 +458,7 @@ fn write_event(w: &mut impl std::io::Write, cell: &str, ev: &TraceEvent) -> std:
         Some(q) => write!(w, "{q}")?,
         None => {}
     }
-    writeln!(w, ",{},", ev.t.as_nanos())
+    writeln!(w, ",{}", ev.t.as_nanos())
 }
 
 #[cfg(test)]
@@ -577,7 +575,7 @@ mod tests {
         write_event(&mut buf, "0:cell", &ev).unwrap();
         assert_eq!(
             String::from_utf8(buf).unwrap(),
-            "0:cell,7,3,L,routed,1,2,5,12345,\n"
+            "0:cell,7,3,L,routed,1,2,5,12345\n"
         );
     }
 }

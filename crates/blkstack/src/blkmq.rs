@@ -44,10 +44,11 @@ pub struct BlkMqConfig {
     /// evaluation default, matching the paper's noop setting) dispatches
     /// directly.
     pub scheduler: SchedKind,
-    /// Per-hardware-queue in-flight budget when a scheduler is active (the
-    /// kernel's `nr_requests`).
-    pub hw_budget: u32,
 }
+
+/// Per-hardware-queue in-flight budget when an elevator is active: the
+/// kernel's default `nr_requests`.
+pub const NR_REQUESTS: u32 = 64;
 
 impl Default for BlkMqConfig {
     fn default() -> Self {
@@ -55,7 +56,6 @@ impl Default for BlkMqConfig {
             nr_queues: None,
             policy: QueuePolicy::Static,
             scheduler: SchedKind::None,
-            hw_budget: 64,
         }
     }
 }
@@ -69,12 +69,12 @@ pub struct VanillaBlkMq {
     nr_queues: u16,
     policy: QueuePolicy,
     dispatch: Dispatch,
-    /// Per-NSQ elevator instance, indexed by NSQ; empty for direct
-    /// dispatch.
+    /// Per-NSQ elevator instance, indexed by NSQ, one for each NSQ
+    /// `sq_for` can return; empty for direct dispatch.
     scheds: Vec<Elevator>,
-    /// Dispatched-but-uncompleted commands per NSQ (budget accounting).
+    /// Dispatched-but-uncompleted commands per elevator NSQ (budget
+    /// accounting).
     inflight: Vec<u32>,
-    hw_budget: u32,
     /// Elevator NSQs to refill after an ISR, in first-completion order
     /// (deduplicated, so never longer than the NSQ count it is sized to).
     refill: Vec<SqId>,
@@ -90,16 +90,18 @@ impl VanillaBlkMq {
             .unwrap_or(default_queues)
             .min(device_sqs)
             .max(1);
+        // `sq_for` only returns NSQs below `nr_queues`: those alone get an
+        // elevator.
+        let scheds: Vec<Elevator> = (0..nr_queues)
+            .filter_map(|_| cfg.scheduler.build())
+            .collect();
         VanillaBlkMq {
             nr_queues,
             policy: cfg.policy,
             dispatch: Dispatch::new(device_sqs),
-            scheds: (0..device_sqs)
-                .filter_map(|_| cfg.scheduler.build())
-                .collect(),
-            inflight: vec![0; device_sqs as usize], // dd-alloc-allowlist: construction
-            hw_budget: cfg.hw_budget.max(1),
-            refill: Vec::with_capacity(device_sqs as usize), // dd-alloc-allowlist: construction
+            inflight: vec![0; scheds.len()], // dd-alloc-allowlist: construction
+            refill: Vec::with_capacity(scheds.len()), // dd-alloc-allowlist: construction
+            scheds,
         }
     }
 
@@ -109,7 +111,7 @@ impl VanillaBlkMq {
         let Some(sched) = self.scheds.get_mut(sq.index()) else {
             return SimDuration::ZERO;
         };
-        while self.inflight[sq.index()] + (self.dispatch.staged(sq) as u32) < self.hw_budget {
+        while self.inflight[sq.index()] + (self.dispatch.staged(sq) as u32) < NR_REQUESTS {
             match sched.dispatch(env.now) {
                 Some(staged) => self.dispatch.stage_command(sq, staged.cmd),
                 None => break,
@@ -193,8 +195,8 @@ impl StorageStack for VanillaBlkMq {
         // Release elevator tokens while the request map still knows each
         // request's direction, noting which queues to refill. The reap
         // retries parked commands before the refill runs; an elevator NSQ
-        // holds at most `hw_budget` commands (64 of its 1 024 entries by
-        // default), so it has none parked.
+        // holds at most `NR_REQUESTS` commands (64 of its 1 024 entries),
+        // so it has none parked.
         let mut cost = self.dispatch.reap(cq, core, env, |entries, reqmap| {
             for e in entries {
                 let sq = e.sq_id;
@@ -413,14 +415,14 @@ mod tests {
 
     #[test]
     fn elevator_stages_and_respects_budget() {
-        // 10 bios into a budget-4 queue: with kyber only 4 reach the device
-        // and the rest stay staged; direct dispatch sends all 10.
-        for (scheduler, reach) in [(SchedKind::Kyber, 4), (SchedKind::None, 10)] {
+        // 70 bios into a budget-64 queue: with kyber only 64 reach the
+        // device and the rest stay staged; direct dispatch sends all 70.
+        let budget = NR_REQUESTS as u64;
+        for (scheduler, reach) in [(SchedKind::Kyber, budget), (SchedKind::None, budget + 6)] {
             let (mut dev, mut out, mut comps, mut migs, mut rng, costs) = env_parts();
             let mut s = VanillaBlkMq::new(
                 BlkMqConfig {
                     scheduler,
-                    hw_budget: 4,
                     ..BlkMqConfig::default()
                 },
                 4,
@@ -435,7 +437,7 @@ mod tests {
                 rng: &mut rng,
                 costs: &costs,
             };
-            let bios: Vec<Bio> = (0..10).map(|i| bio(i, 1, 0, 4096)).collect();
+            let bios: Vec<Bio> = (0..budget + 6).map(|i| bio(i, 1, 0, 4096)).collect();
             s.submit(&bios, &mut env);
             assert_eq!(
                 env.device.sq_stats(SqId(0)).submitted_total,
@@ -446,9 +448,10 @@ mod tests {
         }
     }
 
-    /// The capacity probe sees the elevator FIFOs: each NSQ's pair is
-    /// reserved for every request in flight, and a stack without an
-    /// elevator owns no per-I/O table.
+    /// The capacity probe sees the elevator FIFOs: each routed NSQ's pair
+    /// is reserved for every request in flight, the NSQs `sq_for` never
+    /// returns get none, and a stack without an elevator owns no per-I/O
+    /// table.
     #[test]
     fn io_capacity_counts_the_elevator_fifos() {
         let bounds = IoBounds {
@@ -456,8 +459,8 @@ mod tests {
             batch: 8,
         };
         for (scheduler, fifos) in [
-            (SchedKind::MqDeadline, 8 * 2),
-            (SchedKind::Kyber, 8 * 2),
+            (SchedKind::MqDeadline, 4 * 2),
+            (SchedKind::Kyber, 4 * 2),
             (SchedKind::None, 0),
         ] {
             let mut s = VanillaBlkMq::new(
@@ -490,12 +493,12 @@ mod tests {
         let mut s = VanillaBlkMq::new(
             BlkMqConfig {
                 scheduler: SchedKind::MqDeadline,
-                hw_budget: 2,
                 ..BlkMqConfig::default()
             },
             1,
             1,
         );
+        let budget = NR_REQUESTS as u64;
         {
             let mut env = StackEnv {
                 now: SimTime::ZERO,
@@ -506,9 +509,9 @@ mod tests {
                 rng: &mut rng,
                 costs: &costs,
             };
-            let bios: Vec<Bio> = (0..5).map(|i| bio(i, 1, 0, 4096)).collect();
+            let bios: Vec<Bio> = (0..budget + 3).map(|i| bio(i, 1, 0, 4096)).collect();
             s.submit(&bios, &mut env);
-            assert_eq!(env.device.sq_stats(SqId(0)).submitted_total, 2);
+            assert_eq!(env.device.sq_stats(SqId(0)).submitted_total, budget);
         }
         // Drive to the interrupt and complete: the elevator must refill.
         let mut q = EventQueue::new();
@@ -533,7 +536,7 @@ mod tests {
         };
         s.on_irq(irq.cq, irq.core, &mut env);
         assert!(
-            env.device.sq_stats(SqId(0)).submitted_total > 2,
+            env.device.sq_stats(SqId(0)).submitted_total > budget,
             "completions must refill the dispatch window"
         );
     }

@@ -37,7 +37,7 @@ use simkit::{Phase, SimDuration, SimTime, Sla, TraceEvent, TraceSink};
 use crate::bio::{Bio, BioCompletion};
 use crate::nsqlock::NsqLockTable;
 use crate::reqmap::RequestMap;
-use crate::split::{split_extents, SplitConfig};
+use crate::split::split_extents;
 use crate::stack::{CompletionMode, DoorbellMode, StackEnv, StackStats};
 
 /// The shared dispatch state of one stack instance.
@@ -47,7 +47,6 @@ pub struct Dispatch {
     reqmap: RequestMap,
     parked: ParkedCommands,
     redrive: RedriveGuard,
-    split: SplitConfig,
     stats: StackStats,
     staging: Staging,
     /// ISR scratch for drained CQEs.
@@ -118,7 +117,6 @@ impl Dispatch {
             reqmap: RequestMap::new(),
             parked: ParkedCommands::new(),
             redrive: RedriveGuard::new(),
-            split: SplitConfig::default(),
             stats: StackStats::default(),
             staging: Staging {
                 // dd-alloc-allowlist: construction sizes the staging spine.
@@ -138,11 +136,11 @@ impl Dispatch {
     /// map, tags them with `sla`, records their `Routed` span events, and
     /// stages them. Returns the number of commands.
     pub fn stage(&mut self, bio: &Bio, sq: SqId, sla: Sla, env: &mut StackEnv<'_>) -> u32 {
-        let extents = split_extents(&self.split, bio.offset_blocks, bio.bytes);
+        let extents = split_extents(bio.offset_blocks, bio.bytes);
         let n = extents.len() as u32;
         let h = self.reqmap.insert_bio(*bio, n);
         for e in extents {
-            let rq_id = self.reqmap.alloc_rq_dir(h, e.nlb, bio.op == IoOpcode::Read);
+            let rq_id = self.reqmap.alloc_rq_dir(h, bio.op == IoOpcode::Read);
             let host = HostTag {
                 rq_id,
                 submit_core: bio.core,
@@ -651,9 +649,9 @@ mod tests {
         // Small L request first, bulky T request second: in batched mode
         // both are signalled at the end.
         let h1 = reqmap.insert_bio(bio(1, 0), 1);
-        let r1 = reqmap.alloc_rq(h1, 1);
+        let r1 = reqmap.alloc_rq(h1);
         let h2 = reqmap.insert_bio(bio(2, 0), 1);
-        let r2 = reqmap.alloc_rq(h2, 32);
+        let r2 = reqmap.alloc_rq(h2);
         let entries = vec![cqe(r1, 0, 4096), cqe(r2, 0, 131072)];
         let cost = process_cqes(
             &entries,
@@ -678,9 +676,9 @@ mod tests {
         let mut stats = StackStats::default();
         let mut completions = Vec::new();
         let h1 = reqmap.insert_bio(bio(1, 0), 1);
-        let r1 = reqmap.alloc_rq(h1, 1);
+        let r1 = reqmap.alloc_rq(h1);
         let h2 = reqmap.insert_bio(bio(2, 0), 1);
-        let r2 = reqmap.alloc_rq(h2, 32);
+        let r2 = reqmap.alloc_rq(h2);
         let entries = vec![cqe(r1, 0, 4096), cqe(r2, 0, 131072)];
         let cost = process_cqes(
             &entries,
@@ -704,7 +702,7 @@ mod tests {
         let mut stats = StackStats::default();
         let mut completions = Vec::new();
         let h1 = reqmap.insert_bio(bio(1, 5), 1);
-        let r1 = reqmap.alloc_rq(h1, 1);
+        let r1 = reqmap.alloc_rq(h1);
         // Submitted on core 5, completed on core 0: remote.
         let entries = vec![cqe(r1, 5, 4096)];
         let remote_cost = process_cqes(
@@ -723,7 +721,7 @@ mod tests {
         // Same on the submitting core: cheaper.
         let mut reqmap2 = RequestMap::new();
         let h = reqmap2.insert_bio(bio(1, 0), 1);
-        let r = reqmap2.alloc_rq(h, 1);
+        let r = reqmap2.alloc_rq(h);
         let local_cost = process_cqes(
             &[cqe(r, 0, 4096)],
             CompletionMode::Batched,
@@ -739,14 +737,40 @@ mod tests {
     }
 
     #[test]
+    fn isr_charges_each_page() {
+        let costs = HostCosts::default();
+        let mut stats = StackStats::default();
+        let mut completions = Vec::new();
+        let mut cost_of = |bytes: u64| {
+            let mut reqmap = RequestMap::new();
+            let h = reqmap.insert_bio(bio(1, 0), 1);
+            let r = reqmap.alloc_rq(h);
+            process_cqes(
+                &[cqe(r, 0, bytes)],
+                CompletionMode::Batched,
+                0,
+                SimTime::ZERO,
+                &costs,
+                &mut reqmap,
+                &mut stats,
+                &mut completions,
+                &mut TraceSink::disabled(),
+            )
+        };
+        let small = cost_of(4096);
+        let bulk = cost_of(131072);
+        assert_eq!(bulk - small, costs.isr_per_page * 31);
+    }
+
+    #[test]
     fn multi_request_bio_completes_once() {
         let costs = HostCosts::default();
         let mut reqmap = RequestMap::new();
         let mut stats = StackStats::default();
         let mut completions = Vec::new();
         let h = reqmap.insert_bio(bio(1, 0), 2);
-        let r1 = reqmap.alloc_rq(h, 32);
-        let r2 = reqmap.alloc_rq(h, 32);
+        let r1 = reqmap.alloc_rq(h);
+        let r2 = reqmap.alloc_rq(h);
         process_cqes(
             &[cqe(r1, 0, 131072)],
             CompletionMode::Batched,

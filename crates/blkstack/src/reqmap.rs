@@ -41,8 +41,6 @@ struct BioState {
 #[derive(Clone, Copy, Debug)]
 struct RqState {
     bio: SlotId,
-    /// Blocks carried by this request (completion-side cost input).
-    nlb: u32,
     /// Whether the request is a read (scheduler token direction).
     read: bool,
 }
@@ -95,8 +93,8 @@ impl RequestMap {
     }
 
     /// Allocates a request id for one command of `bio`.
-    pub fn alloc_rq(&mut self, bio: BioHandle, nlb: u32) -> u64 {
-        self.alloc_rq_dir(bio, nlb, true)
+    pub fn alloc_rq(&mut self, bio: BioHandle) -> u64 {
+        self.alloc_rq_dir(bio, true)
     }
 
     /// Combined backing capacity of the bio and request slabs, in slots.
@@ -108,13 +106,9 @@ impl RequestMap {
 
     /// Allocates a request id recording its direction (for scheduler token
     /// accounting).
-    pub fn alloc_rq_dir(&mut self, bio: BioHandle, nlb: u32, read: bool) -> u64 {
+    pub fn alloc_rq_dir(&mut self, bio: BioHandle, read: bool) -> u64 {
         debug_assert!(self.bios.contains(bio.0), "rq for unknown bio");
-        let id = self.rqs.insert(RqState {
-            bio: bio.0,
-            nlb,
-            read,
-        });
+        let id = self.rqs.insert(RqState { bio: bio.0, read });
         self.peak_outstanding = self.peak_outstanding.max(self.rqs.len());
         id.to_raw()
     }
@@ -139,11 +133,6 @@ impl RequestMap {
         } else {
             None
         }
-    }
-
-    /// Blocks carried by an outstanding request.
-    pub fn rq_blocks(&self, rq_id: u64) -> Option<u32> {
-        self.rqs.get(SlotId::from_raw(rq_id)).map(|r| r.nlb)
     }
 
     /// Whether an outstanding request is a read.
@@ -194,8 +183,7 @@ mod tests {
     fn single_request_bio() {
         let mut m = RequestMap::new();
         let h = m.insert_bio(bio(1), 1);
-        let rq = m.alloc_rq(h, 2);
-        assert_eq!(m.rq_blocks(rq), Some(2));
+        let rq = m.alloc_rq(h);
         let done = m.complete_rq(rq);
         assert_eq!(done.unwrap().id, BioId(1));
         assert_eq!(m.outstanding_bios(), 0);
@@ -206,7 +194,7 @@ mod tests {
     fn multi_request_bio_completes_on_last() {
         let mut m = RequestMap::new();
         let h = m.insert_bio(bio(1), 3);
-        let rqs: Vec<u64> = (0..3).map(|_| m.alloc_rq(h, 32)).collect();
+        let rqs: Vec<u64> = (0..3).map(|_| m.alloc_rq(h)).collect();
         assert!(m.complete_rq(rqs[0]).is_none());
         assert!(m.complete_rq(rqs[2]).is_none());
         assert_eq!(m.complete_rq(rqs[1]).unwrap().id, BioId(1));
@@ -217,8 +205,8 @@ mod tests {
         let mut m = RequestMap::new();
         let h1 = m.insert_bio(bio(1), 1);
         let h2 = m.insert_bio(bio(2), 1);
-        let r1 = m.alloc_rq(h1, 1);
-        let r2 = m.alloc_rq(h2, 1);
+        let r1 = m.alloc_rq(h1);
+        let r2 = m.alloc_rq(h2);
         assert_eq!(m.complete_rq(r2).unwrap().id, BioId(2));
         assert_eq!(m.outstanding_bios(), 1);
         assert_eq!(m.complete_rq(r1).unwrap().id, BioId(1));
@@ -228,8 +216,8 @@ mod tests {
     fn peak_tracking() {
         let mut m = RequestMap::new();
         let h = m.insert_bio(bio(1), 2);
-        let a = m.alloc_rq(h, 1);
-        let b = m.alloc_rq(h, 1);
+        let a = m.alloc_rq(h);
+        let b = m.alloc_rq(h);
         assert_eq!(m.peak_outstanding(), 2);
         m.complete_rq(a);
         m.complete_rq(b);
@@ -241,7 +229,7 @@ mod tests {
     fn double_completion_panics() {
         let mut m = RequestMap::new();
         let h = m.insert_bio(bio(1), 1);
-        let rq = m.alloc_rq(h, 1);
+        let rq = m.alloc_rq(h);
         m.complete_rq(rq);
         m.complete_rq(rq);
     }
@@ -253,10 +241,10 @@ mod tests {
         // advances: a stale id must not alias the new occupant.
         let mut m = RequestMap::new();
         let h1 = m.insert_bio(bio(1), 1);
-        let stale = m.alloc_rq(h1, 1);
+        let stale = m.alloc_rq(h1);
         m.complete_rq(stale);
         let h2 = m.insert_bio(bio(2), 1);
-        let fresh = m.alloc_rq(h2, 1);
+        let fresh = m.alloc_rq(h2);
         // Same slot index, different generation.
         assert_eq!(stale & 0xFFFF_FFFF, fresh & 0xFFFF_FFFF);
         assert_ne!(stale, fresh);
@@ -268,7 +256,7 @@ mod tests {
         let mut m = RequestMap::new();
         for i in 0..1000 {
             let h = m.insert_bio(bio(i), 1);
-            let rq = m.alloc_rq(h, 1);
+            let rq = m.alloc_rq(h);
             assert!(m.complete_rq(rq).is_some());
         }
         // One slot each is enough for a serial workload.

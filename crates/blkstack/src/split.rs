@@ -1,7 +1,7 @@
 //! I/O splitting: oversized bios become multiple per-command requests.
 //!
-//! The block layer caps a single device command at `max_bytes` (the
-//! `max_sectors` limit). Larger bios split into consecutive extents. As the
+//! The block layer caps a single device command at [`MAX_COMMAND_BYTES`]
+//! (the `max_sectors` limit). Larger bios split into consecutive extents. As the
 //! paper observes (§2.3), splitting does *not* cure the multi-tenancy issue:
 //! the split parts sit consolidated in the same NSQ and cost the controller
 //! no less effort than the original bulky request — the model preserves this
@@ -9,22 +9,10 @@
 
 use dd_nvme::spec::{bytes_to_blocks, BLOCK_BYTES};
 
-/// Splitting parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SplitConfig {
-    /// Maximum bytes per device command.
-    pub max_bytes: u64,
-}
-
-impl Default for SplitConfig {
-    fn default() -> Self {
-        // 128 KiB: typical max_sectors_kb for NVMe and exactly the paper's
-        // T-request size, so T-requests stay single commands.
-        SplitConfig {
-            max_bytes: 128 * 1024,
-        }
-    }
-}
+/// Maximum bytes per device command: 128 KiB, the kernel's usual NVMe
+/// `max_sectors_kb` and exactly the paper's T-request size, so T-requests
+/// stay single commands.
+pub const MAX_COMMAND_BYTES: u64 = 128 * 1024;
 
 /// One split extent: a future NVMe command.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -40,13 +28,9 @@ pub struct Extent {
 ///
 /// Yields one extent for dataless I/O (`bytes == 0`, i.e. flush) so every
 /// bio maps to at least one command.
-pub fn split_extents(
-    cfg: &SplitConfig,
-    offset_blocks: u64,
-    bytes: u64,
-) -> impl ExactSizeIterator<Item = Extent> {
+pub fn split_extents(offset_blocks: u64, bytes: u64) -> impl ExactSizeIterator<Item = Extent> {
     let total_blocks = bytes_to_blocks(bytes);
-    let max_blocks = (cfg.max_bytes / BLOCK_BYTES).max(1) as u32;
+    let max_blocks = (MAX_COMMAND_BYTES / BLOCK_BYTES) as u32;
     (0..total_blocks.div_ceil(max_blocks).max(1)).map(move |i| {
         let done = i * max_blocks;
         Extent {
@@ -62,19 +46,19 @@ mod tests {
 
     #[test]
     fn small_bio_is_one_extent() {
-        let e: Vec<_> = split_extents(&SplitConfig::default(), 10, 4096).collect();
+        let e: Vec<_> = split_extents(10, 4096).collect();
         assert_eq!(e, vec![Extent { slba: 10, nlb: 1 }]);
     }
 
     #[test]
     fn exact_max_is_one_extent() {
-        let e: Vec<_> = split_extents(&SplitConfig::default(), 0, 128 * 1024).collect();
+        let e: Vec<_> = split_extents(0, 128 * 1024).collect();
         assert_eq!(e, vec![Extent { slba: 0, nlb: 32 }]);
     }
 
     #[test]
     fn oversized_bio_splits_contiguously() {
-        let e: Vec<_> = split_extents(&SplitConfig::default(), 100, 300 * 1024).collect();
+        let e: Vec<_> = split_extents(100, 300 * 1024).collect();
         // 300 KiB = 75 blocks → 32 + 32 + 11.
         assert_eq!(e.len(), 3);
         assert_eq!(e[0], Extent { slba: 100, nlb: 32 });
@@ -85,7 +69,7 @@ mod tests {
     #[test]
     fn split_conserves_blocks() {
         for bytes in [1u64, 4096, 4097, 131072, 131073, 1 << 20] {
-            let e: Vec<_> = split_extents(&SplitConfig::default(), 0, bytes).collect();
+            let e: Vec<_> = split_extents(0, bytes).collect();
             let total: u64 = e.iter().map(|x| x.nlb as u64).sum();
             assert_eq!(total, bytes_to_blocks(bytes) as u64, "bytes={bytes}");
             // Extents are consecutive.
@@ -99,7 +83,7 @@ mod tests {
 
     #[test]
     fn flush_gets_one_dataless_extent() {
-        let e: Vec<_> = split_extents(&SplitConfig::default(), 0, 0).collect();
+        let e: Vec<_> = split_extents(0, 0).collect();
         assert_eq!(e, vec![Extent { slba: 0, nlb: 0 }]);
     }
 }

@@ -3,7 +3,7 @@
 use dd_check::{check, prop_assert, prop_assert_eq};
 
 use blkstack::nsqlock::NsqLockTable;
-use blkstack::split::{split_extents, SplitConfig};
+use blkstack::split::{split_extents, MAX_COMMAND_BYTES};
 use dd_nvme::spec::bytes_to_blocks;
 use dd_nvme::SqId;
 use simkit::{SimDuration, SimTime};
@@ -15,12 +15,8 @@ fn split_conserves_and_caps() {
     check("split_conserves_and_caps", |c| {
         let offset = c.u64_in(0, 1_000_000);
         let bytes = c.u64_in(1, 4_000_000);
-        let max_kib = c.u64_in(4, 512);
-        let cfg = SplitConfig {
-            max_bytes: max_kib * 1024,
-        };
-        let extents: Vec<_> = split_extents(&cfg, offset, bytes).collect();
-        let max_blocks = (cfg.max_bytes / 4096).max(1) as u32;
+        let extents: Vec<_> = split_extents(offset, bytes).collect();
+        let max_blocks = (MAX_COMMAND_BYTES / 4096) as u32;
         let total: u64 = extents.iter().map(|e| e.nlb as u64).sum();
         prop_assert_eq!(total, bytes_to_blocks(bytes) as u64);
         let mut next = offset;

@@ -24,13 +24,23 @@
 //!   (`default`) and three alternatives (`deadline`, `sizeclass`,
 //!   `fairshare`).
 //!
+//! The paper's parameters are not settings. Merit smoothing uses
+//! [`ALPHA`] = 0.8 and outlier profiling a window of [`PROFILE_WINDOW`] = 64
+//! requests (§5.2, §7); every merit heap's MRU budget is the NSQ depth of
+//! the device the stack is built for (1 024 on both presets). A
+//! [`DaredevilConfig`] holds only the two choices an experiment makes: the
+//! ablation variant and the policy.
+//!
 //! # Quick start
 //!
 //! ```
 //! use daredevil::{DaredevilConfig, DaredevilStack};
+//! use dd_nvme::{NvmeConfig, NvmeDevice};
 //!
-//! // A dare-full stack for a 4-core host over a 64-NSQ device.
-//! let stack = DaredevilStack::new(DaredevilConfig::default(), 4, 64, 64, |sq| sq % 64);
+//! // A dare-full stack over an SV-M-like device (64 NSQs of depth 1 024,
+//! // so every merit heap's MRU budget is 1 024) on a 4-core host.
+//! let device = NvmeDevice::new(NvmeConfig::sv_m(), 4);
+//! let stack = DaredevilStack::new(DaredevilConfig::default(), &device);
 //! assert_eq!(blkstack::StorageStack::name(&stack), "daredevil");
 //! ```
 
@@ -46,7 +56,7 @@ pub mod troute;
 pub use blkstack::stack::RouteStats;
 pub use config::{DaredevilConfig, Variant};
 pub use nproxy::{Nproxy, Priority, ProxyTable};
-pub use nqreg::{ncq_merit_k, nsq_merit_k, NqReg};
+pub use nqreg::{ncq_merit_k, nsq_merit_k, NqReg, ALPHA};
 pub use policy::{CompletionMode, DoorbellMode, Policy, PolicySpec};
 pub use stack_impl::DaredevilStack;
-pub use troute::Troute;
+pub use troute::{Troute, PROFILE_WINDOW};

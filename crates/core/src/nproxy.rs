@@ -152,15 +152,6 @@ impl ProxyTable {
     pub fn iter(&self) -> impl Iterator<Item = &Nproxy> {
         self.proxies.iter()
     }
-
-    /// NSQs serving a priority.
-    pub fn sqs_with_priority(&self, prio: Priority) -> Vec<SqId> {
-        self.proxies
-            .iter()
-            .filter(|p| p.prio == prio)
-            .map(|p| p.sq)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -187,8 +178,14 @@ mod tests {
     #[test]
     fn priority_partition() {
         let t = table();
-        assert_eq!(t.sqs_with_priority(Priority::High), vec![SqId(0), SqId(1)]);
-        assert_eq!(t.sqs_with_priority(Priority::Low), vec![SqId(2), SqId(3)]);
+        let with = |prio| {
+            t.iter()
+                .filter(|p| p.prio == prio)
+                .map(|p| p.sq)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(with(Priority::High), vec![SqId(0), SqId(1)]);
+        assert_eq!(with(Priority::Low), vec![SqId(2), SqId(3)]);
     }
 
     #[test]

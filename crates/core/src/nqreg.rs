@@ -11,7 +11,7 @@
 //!    contention avoidance); with a 1:1 NSQ–NCQ binding this step
 //!    degenerates to the single attached NSQ.
 //!
-//! Merits are exponentially smoothed (`α ∈ (0.5, 1)`) and heaps are only
+//! Merits are exponentially smoothed ([`ALPHA`] = 0.8) and heaps are only
 //! recomputed when their MRU budget is exhausted, bounding the scheduling
 //! cost on the critical path. The kernel prototype protects the heaps with
 //! RCU; the simulation is single-threaded, so what is modelled is the
@@ -27,7 +27,7 @@
 //! | [`nsq_merit_k`] | `MeritCalc` NSQ step — contention-avoidance criterion, Algorithm 2 line 6 |
 //! | [`NqReg::schedule`] | the two-step heap query serving troute, Algorithm 2 lines 1–8 |
 //! | the policy's merit decisions | Algorithm 2's criteria as [`crate::policy::Policy::ncq_merit`] / [`nsq_merit`](crate::policy::Policy::nsq_merit); every arm but [`crate::PolicySpec::FairShare`] delegates to the two `*_merit_k` functions above bit-for-bit |
-//! | the `α` smoothing parameter | exponential merit smoothing with `α ∈ (0.5, 1)`, §5.3 |
+//! | [`ALPHA`] | exponential merit smoothing with `α ∈ (0.5, 1)`, 0.8 in the evaluation, §5.3 and §7 |
 //! | the MRU budget | bounded heap re-sorts on the critical path (`m` decrements, resort at 0), §5.3 |
 //! | SLA-aware dispatch flags | immediate vs batched doorbells / per-request vs batched completions, §5.3 |
 //!
@@ -42,6 +42,10 @@ use blkstack::nsqlock::NsqLockTable;
 
 use crate::nproxy::{Priority, ProxyTable};
 use crate::policy::{NcqMeritCtx, NsqMeritCtx, Policy};
+
+/// Exponential smoothing weight α of the merit calculation. The paper uses
+/// 0.8, the best balance between history and recency (§7).
+pub const ALPHA: f64 = 0.8;
 
 /// Equal division of NCQs into priorities: first half high, second half low
 /// (nqreg cannot foresee the tenant mix at init, §5.3). A single-CQ device
@@ -121,7 +125,6 @@ struct NqGroup {
 /// The NQ regulator.
 #[derive(Debug)]
 pub struct NqReg {
-    alpha: f64,
     mru_init: u32,
     /// Merit-based scheduling on (false = round-robin, the `dare-base`
     /// ablation).
@@ -139,9 +142,9 @@ pub struct NqReg {
 
 impl NqReg {
     /// Builds the regulator for a device with `nr_sqs` NSQs and `nr_cqs`
-    /// NCQs, where NSQ `i` pairs NCQ `cq_of(i)`.
+    /// NCQs, where NSQ `i` pairs NCQ `cq_of(i)`. `mru` is every merit
+    /// heap's initial MRU budget; the stack uses the NSQ depth (§5.2).
     pub fn new(
-        alpha: f64,
         mru: u32,
         use_merit: bool,
         nr_sqs: u16,
@@ -199,21 +202,20 @@ impl NqReg {
             low.rr_flat.extend_from_slice(&high.rr_flat);
         }
         NqReg {
-            alpha,
             mru_init: mru,
             use_merit,
             groups,
             ncq_nodes,
             ncq_state: (0..nr_cqs)
                 .map(|_| NcqMeritState {
-                    ewma: Ewma::new(alpha),
+                    ewma: Ewma::new(ALPHA),
                     last_complete: 0,
                     last_irqs: 0,
                 })
                 .collect(),
             nsq_state: (0..nr_sqs)
                 .map(|_| NsqMeritState {
-                    ewma: Ewma::new(alpha),
+                    ewma: Ewma::new(ALPHA),
                     last_lock_wait: SimDuration::ZERO,
                     last_submitted: 0,
                 })
@@ -373,11 +375,6 @@ impl NqReg {
         node.mru = self.mru_init as i64;
     }
 
-    /// The smoothing weight in use.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Heap recomputations performed so far.
     pub fn resorts(&self) -> u64 {
         self.resorts
@@ -386,11 +383,6 @@ impl NqReg {
     /// Scheduling queries served so far.
     pub fn queries(&self) -> u64 {
         self.queries
-    }
-
-    /// NSQs in the given priority group.
-    pub fn group_sqs(&self, prio: Priority) -> &[SqId] {
-        &self.groups[prio.index()].rr_flat
     }
 }
 
@@ -432,7 +424,7 @@ mod tests {
         let dev = device(2, 1);
         let locks = NsqLockTable::new(2);
         let prox = proxies(&dev);
-        let mut reg = NqReg::new(0.8, 16, true, 2, 1, |_| 0);
+        let mut reg = NqReg::new(16, true, 2, 1, |_| 0);
         // Low-priority scheduling still returns a queue.
         let sq = reg.schedule(&pol, Priority::Low, 16, &dev, &locks, &prox);
         assert!(sq.0 < 2);
@@ -460,7 +452,7 @@ mod tests {
         let dev = device(8, 8);
         let locks = NsqLockTable::new(8);
         let prox = proxies(&dev);
-        let mut reg = NqReg::new(0.8, 4, true, 8, 8, |i| i);
+        let mut reg = NqReg::new(4, true, 8, 8, |i| i);
         for _ in 0..32 {
             let h = reg.schedule(&pol, Priority::High, 4, &dev, &locks, &prox);
             assert!(h.0 < 4, "high-priority NSQ expected, got {h}");
@@ -477,7 +469,7 @@ mod tests {
         let dev = device(8, 8);
         let locks = NsqLockTable::new(8);
         let mut prox = proxies(&dev);
-        let mut reg = NqReg::new(0.8, 1, true, 8, 8, |i| i);
+        let mut reg = NqReg::new(1, true, 8, 8, |i| i);
         let mut used = std::collections::HashSet::new();
         for core in 0..4u16 {
             let sq = reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
@@ -493,13 +485,13 @@ mod tests {
         let dev = device(8, 8);
         let locks = NsqLockTable::new(8);
         let prox = proxies(&dev);
-        let mut reg = NqReg::new(0.8, 1000, true, 8, 8, |i| i);
+        let mut reg = NqReg::new(1000, true, 8, 8, |i| i);
         for _ in 0..100 {
             reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
         }
         assert_eq!(reg.queries(), 100);
         assert_eq!(reg.resorts(), 0, "MRU=1000 must suppress resorts");
-        let mut reg = NqReg::new(0.8, 1, true, 8, 8, |i| i);
+        let mut reg = NqReg::new(1, true, 8, 8, |i| i);
         for _ in 0..100 {
             reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
         }
@@ -512,7 +504,7 @@ mod tests {
         let dev = device(8, 8);
         let locks = NsqLockTable::new(8);
         let prox = proxies(&dev);
-        let mut reg = NqReg::new(0.8, 4, false, 8, 8, |i| i);
+        let mut reg = NqReg::new(4, false, 8, 8, |i| i);
         let picks: Vec<u16> = (0..8)
             .map(|_| reg.schedule(&pol, Priority::High, 4, &dev, &locks, &prox).0)
             .collect();
@@ -526,7 +518,7 @@ mod tests {
         let dev = device(8, 2);
         let mut locks = NsqLockTable::new(8);
         let mut prox = proxies(&dev);
-        let mut reg = NqReg::new(0.8, 1, true, 8, 2, |i| i % 2);
+        let mut reg = NqReg::new(1, true, 8, 2, |i| i % 2);
         // High group = CQ 0 = NSQs {0, 2, 4, 6}. Make NSQ 0 heavily
         // contended and claimed.
         for _ in 0..100 {
@@ -546,9 +538,8 @@ mod tests {
 
     #[test]
     fn cq_priority_lookup() {
-        let reg = NqReg::new(0.8, 4, true, 8, 8, |i| i);
+        let reg = NqReg::new(4, true, 8, 8, |i| i);
         assert_eq!(reg.cq_priority(CqId(0)), Priority::High);
         assert_eq!(reg.cq_priority(CqId(7)), Priority::Low);
-        assert_eq!(reg.group_sqs(Priority::High).len(), 4);
     }
 }

@@ -13,7 +13,7 @@
 //! per L-request) rather than visibility timing; the completion half carries
 //! the latency effect, matching where the paper's gains come from.
 
-use dd_nvme::CqId;
+use dd_nvme::{CqId, NvmeDevice, SqId};
 use simkit::SimDuration;
 
 use blkstack::dispatch::Dispatch;
@@ -24,7 +24,7 @@ use crate::config::{DaredevilConfig, Variant};
 use crate::nproxy::{Priority, ProxyTable};
 use crate::nqreg::{divide_priorities, NqReg};
 use crate::policy::{DoorbellCtx, Policy, ReapCtx};
-use crate::troute::Troute;
+use crate::troute::{Troute, PROFILE_WINDOW};
 
 /// The Daredevil kernel storage stack.
 pub struct DaredevilStack {
@@ -37,49 +37,26 @@ pub struct DaredevilStack {
 }
 
 impl DaredevilStack {
-    /// Builds the stack over a device with `nr_sqs` NSQs and `nr_cqs` NCQs
-    /// where NSQ `i` pairs NCQ `cq_of(i)`. `nr_cores` is accepted for parity
-    /// with the other stacks (Daredevil's routing is core-count independent).
-    /// The policy is the built-in one `cfg.policy` names.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid [`DaredevilConfig`].
-    pub fn new(
-        cfg: DaredevilConfig,
-        _nr_cores: u16,
-        nr_sqs: u16,
-        nr_cqs: u16,
-        mut cq_of: impl FnMut(u16) -> u16,
-    ) -> Self {
-        cfg.validate().expect("invalid Daredevil config");
+    /// Builds the stack over `device`, pairing each NSQ with the device's
+    /// NCQ for it. The merit heaps' MRU budget is the NSQ depth (§5.2),
+    /// and `cfg` names the ablation variant and the built-in policy.
+    pub fn new(cfg: DaredevilConfig, device: &NvmeDevice) -> Self {
+        let nr_sqs = device.nr_sqs();
+        let nr_cqs = device.nr_cqs();
+        let mru = u32::from(device.config().sq_depth);
         let use_merit = cfg.variant != Variant::Base;
-        let pairing: Vec<u16> = (0..nr_sqs).map(&mut cq_of).collect();
-        let nqreg = NqReg::new(cfg.alpha, cfg.mru, use_merit, nr_sqs, nr_cqs, |sq| {
-            pairing[sq as usize]
-        });
+        let cq_of = |sq: u16| device.cq_of_sq(SqId(sq));
+        let nqreg = NqReg::new(mru, use_merit, nr_sqs, nr_cqs, |sq| cq_of(sq).0);
         let prios = divide_priorities(nr_cqs);
-        let proxies = ProxyTable::new(
-            nr_sqs,
-            |i| CqId(pairing[i as usize]),
-            |i| prios[pairing[i as usize] as usize],
-        );
+        let proxies = ProxyTable::new(nr_sqs, cq_of, |i| prios[cq_of(i).index()]);
         DaredevilStack {
-            troute: Troute::new(cfg.mru, cfg.profile_window),
+            troute: Troute::new(mru, PROFILE_WINDOW),
             nqreg,
             proxies,
             policy: Policy::new(&cfg),
             dispatch: Dispatch::new(nr_sqs),
             cfg,
         }
-    }
-
-    /// Convenience constructor from a device handle.
-    pub fn for_device(cfg: DaredevilConfig, nr_cores: u16, device: &dd_nvme::NvmeDevice) -> Self {
-        let nr_cqs = device.nr_cqs();
-        Self::new(cfg, nr_cores, device.nr_sqs(), nr_cqs, move |sq| {
-            sq % nr_cqs
-        })
     }
 
     /// The ablation variant in use.
@@ -227,10 +204,13 @@ mod tests {
     use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig, NvmeDevice, SqId};
     use simkit::{EventQueue, SimRng, SimTime};
 
+    /// 8 NSQs of depth 4, so the stack's MRU budget is 4 and the merit
+    /// heaps re-sort within these short tests.
     fn device() -> NvmeDevice {
         let mut cfg = NvmeConfig::sv_m();
         cfg.nr_sqs = 8;
         cfg.nr_cqs = 8;
+        cfg.sq_depth = 4;
         NvmeDevice::new(cfg, 4)
     }
 
@@ -290,11 +270,9 @@ mod tests {
     fn stack(variant: Variant, dev: &NvmeDevice) -> DaredevilStack {
         let cfg = DaredevilConfig {
             variant,
-            mru: 4,
-            profile_window: 8,
             ..DaredevilConfig::default()
         };
-        DaredevilStack::for_device(cfg, 4, dev)
+        DaredevilStack::new(cfg, dev)
     }
 
     #[test]
@@ -457,6 +435,7 @@ mod tests {
         let mut cfg = NvmeConfig::sv_m().with_namespaces(4);
         cfg.nr_sqs = 8;
         cfg.nr_cqs = 8;
+        cfg.sq_depth = 4;
         let dev = NvmeDevice::new(cfg, 4);
         let mut h = Harness::new();
         h.dev = dev;

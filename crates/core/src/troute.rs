@@ -39,6 +39,10 @@ use crate::nproxy::{Priority, ProxyTable};
 use crate::nqreg::NqReg;
 use crate::policy::{Policy, RouteCtx, RouteDecision};
 
+/// Profiling window: a T-tenant's outlier-tendency tag is re-evaluated
+/// every this many of its requests.
+pub const PROFILE_WINDOW: u64 = 64;
+
 /// Per-tenant routing state.
 #[derive(Clone, Copy, Debug)]
 pub struct TenantRoute {
@@ -80,7 +84,8 @@ pub struct Troute {
 impl Troute {
     /// Creates a router. `mru` is the heap MRU budget (the `m` used for
     /// tenant-based queries); `profile_window` the re-evaluation period of
-    /// the outlier tag.
+    /// the outlier tag. The stack passes the NSQ depth and
+    /// [`PROFILE_WINDOW`].
     pub fn new(mru: u32, profile_window: u64) -> Self {
         Troute {
             tenants: DenseMap::new(),
@@ -360,7 +365,7 @@ mod tests {
             |i| device.cq_of_sq(SqId(i)),
             |i| prios[device.cq_of_sq(SqId(i)).index()],
         );
-        let nqreg = NqReg::new(0.8, 4, true, 8, 8, |i| i);
+        let nqreg = NqReg::new(4, true, 8, 8, |i| i);
         Fixture {
             device,
             locks,

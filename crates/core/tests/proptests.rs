@@ -36,7 +36,7 @@ fn fixture(nr_queues: u16) -> Fixture {
         |i| device.cq_of_sq(SqId(i)),
         |i| prios[device.cq_of_sq(SqId(i)).index()],
     );
-    let nqreg = NqReg::new(0.8, 4, true, nr_queues, nr_queues, |i| i);
+    let nqreg = NqReg::new(4, true, nr_queues, nr_queues, |i| i);
     Fixture {
         device,
         locks,

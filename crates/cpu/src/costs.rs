@@ -77,12 +77,6 @@ impl HostCosts {
     pub fn submit_cost(&self, rqs: u32) -> SimDuration {
         self.syscall_base + self.block_layer_per_rq * rqs as u64
     }
-
-    /// ISR CPU cost for completing a batch: `cqes` entries moving
-    /// `total_pages` pages.
-    pub fn isr_cost(&self, cqes: u32, total_pages: u64) -> SimDuration {
-        self.isr_base + self.isr_per_cqe * cqes as u64 + self.isr_per_page * total_pages
-    }
 }
 
 #[cfg(test)]
@@ -94,14 +88,5 @@ mod tests {
         let c = HostCosts::default();
         assert!(c.submit_cost(32) > c.submit_cost(1) * 8);
         assert_eq!(c.submit_cost(1), c.syscall_base + c.block_layer_per_rq);
-    }
-
-    #[test]
-    fn isr_cost_charges_pages() {
-        let c = HostCosts::default();
-        let small = c.isr_cost(1, 1);
-        let bulk = c.isr_cost(1, 32);
-        assert!(bulk > small);
-        assert_eq!(bulk - small, c.isr_per_page * 31);
     }
 }

@@ -112,12 +112,6 @@ impl TimeSeries {
         let secs = self.width.as_secs_f64();
         self.buckets.iter().map(|b| b.sum as f64 / secs).collect()
     }
-
-    /// Per-bucket counts divided by width (events per second).
-    pub fn count_rates(&self) -> Vec<f64> {
-        let secs = self.width.as_secs_f64();
-        self.buckets.iter().map(|b| b.count as f64 / secs).collect()
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +151,6 @@ mod tests {
         s.record(ms(200), 30);
         assert_eq!(s.means(), vec![20.0]);
         assert_eq!(s.rates(), vec![40.0]);
-        assert_eq!(s.count_rates(), vec![2.0]);
     }
 
     #[test]

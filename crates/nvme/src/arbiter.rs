@@ -1,4 +1,4 @@
-//! Queue arbitration: round-robin and weighted round-robin.
+//! Queue arbitration: weighted round robin over priority classes.
 //!
 //! When multiple NSQs hold published commands, the controller decides which
 //! queue to fetch from next. The NVMe default — and the mechanism this paper
@@ -7,39 +7,44 @@
 //! The spec also defines *weighted round robin with urgent priority class*
 //! (WRR), where each SQ belongs to the urgent, high, medium, or low class
 //! and the controller serves the classes by credit weights. This model
-//! keeps the three weighted classes; no stack here needs urgent. WRR is the
-//! device feature the FlashShare/D2FQ line of work builds on; the
-//! [`WrrArbiter`] here backs the static-overprovision baseline stack
-//! (see the `overprov` crate).
+//! keeps the three weighted classes; no stack here needs urgent. The device
+//! holds one [`Arbiter`], and every SQ starts in the medium class. With one
+//! class populated, the credits have nothing to choose between and a pick
+//! is the default round-robin. A driver that sets SQ classes gets WRR, the
+//! device feature the FlashShare/D2FQ line of work builds on: the
+//! static-overprovision baseline stack (the `overprov` crate) does.
 //!
 //! # O(1) picks
 //!
 //! The device reports every visible-work transition through
 //! `note_ready`/`note_idle`, the arbiter maintains a non-empty-SQ bitmask
-//! ([`SqMask`], u64 words + `trailing_zeros`), and a pick walks set bits
-//! from a cursor ([`SqMask::pick_from`]) instead of scanning all `nr_sqs`
-//! queues. WRR keeps one mask and one cursor per priority class. The mask
-//! may only encode *published work* — fault-stall windows are
-//! time-dependent, so stalled queues stay in the mask and every pick
-//! filters candidates through the caller's `stalled` predicate (which
-//! therefore runs per *candidate*, never per queue).
+//! per class ([`SqMask`], u64 words + `trailing_zeros`), and a pick walks
+//! set bits from the class's cursor ([`SqMask::pick_from`]) instead of
+//! scanning all `nr_sqs` queues. The mask may only encode *published
+//! work* — fault-stall windows are time-dependent, so stalled queues stay
+//! in the mask and every pick filters candidates through the caller's
+//! `stalled` predicate (which therefore runs per *candidate*, never per
+//! queue).
 //!
 //! The reference predicate-scan arbiters are test support
 //! (`tests/support/scan_arbiter.rs`): the `{rr,wrr}_mask_pick_matches_scan`
-//! dd-check properties drive them beside these arbiters over random
-//! interleavings and require identical pick sequences.
+//! dd-check properties drive them beside this arbiter, with one class and
+//! with random classes, over random interleavings and require identical
+//! pick sequences.
 
 use crate::spec::SqId;
 
 /// A bitmask over submission-queue ids: u64 words, one bit per SQ.
 ///
-/// This is the arbiter's "which queues have published work" index. All
-/// operations are O(words); finding the next set bit from a cursor is one
-/// `trailing_zeros` per non-empty word.
+/// This is the arbiter's "which queues have published work" index. It
+/// counts its set bits, so emptiness is O(1); finding the next set bit
+/// from a cursor is one `trailing_zeros` per non-empty word.
 #[derive(Clone, Debug, Default)]
 pub struct SqMask {
     words: Vec<u64>,
     nr: u16,
+    /// Set bits.
+    ones: u16,
 }
 
 impl SqMask {
@@ -49,19 +54,26 @@ impl SqMask {
             // dd-alloc-allowlist: construction; one bit per SQ.
             words: vec![0u64; (nr_sqs as usize).div_ceil(64)],
             nr: nr_sqs,
+            ones: 0,
         }
     }
 
     /// Sets the bit for `sq` (idempotent).
     #[inline]
     pub fn set(&mut self, sq: SqId) {
-        self.words[(sq.0 >> 6) as usize] |= 1u64 << (sq.0 & 63);
+        let bit = 1u64 << (sq.0 & 63);
+        let w = &mut self.words[(sq.0 >> 6) as usize];
+        self.ones += u16::from(*w & bit == 0);
+        *w |= bit;
     }
 
     /// Clears the bit for `sq` (idempotent).
     #[inline]
     pub fn clear(&mut self, sq: SqId) {
-        self.words[(sq.0 >> 6) as usize] &= !(1u64 << (sq.0 & 63));
+        let bit = 1u64 << (sq.0 & 63);
+        let w = &mut self.words[(sq.0 >> 6) as usize];
+        self.ones -= u16::from(*w & bit != 0);
+        *w &= !bit;
     }
 
     /// True when the bit for `sq` is set.
@@ -73,7 +85,7 @@ impl SqMask {
     /// True when no bit is set.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.ones == 0
     }
 
     /// Number of queues this mask covers.
@@ -149,67 +161,13 @@ impl SqMask {
     }
 }
 
-/// Round-robin arbiter over a fixed set of submission queues: one command
-/// per grant, then the cursor moves past the granted queue.
-#[derive(Clone, Debug)]
-pub struct RoundRobinArbiter {
-    /// Next queue index to consider.
-    cursor: u16,
-    /// Queues with published, unfetched work (maintained by the device via
-    /// `note_ready`/`note_idle`).
-    ready: SqMask,
-}
-
-impl RoundRobinArbiter {
-    /// Creates an arbiter over `nr_sqs` queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nr_sqs == 0`.
-    pub fn new(nr_sqs: u16) -> Self {
-        assert!(nr_sqs > 0, "arbiter needs at least one queue");
-        RoundRobinArbiter {
-            cursor: 0,
-            ready: SqMask::new(nr_sqs),
-        }
-    }
-
-    /// The device published work on `sq` (visible length went 0 → >0).
-    #[inline]
-    pub fn note_ready(&mut self, sq: SqId) {
-        self.ready.set(sq);
-    }
-
-    /// The device drained `sq` (visible length went >0 → 0).
-    #[inline]
-    pub fn note_idle(&mut self, sq: SqId) {
-        self.ready.clear(sq);
-    }
-
-    /// True when any queue has published work.
-    #[inline]
-    pub fn any_ready(&self) -> bool {
-        !self.ready.is_empty()
-    }
-
-    /// Picks the next queue to fetch from using the maintained ready mask.
-    ///
-    /// `stalled(sq)` filters candidates inside fault windows; it runs only
-    /// on queues whose mask bit is set. Returns `None` when no ready queue
-    /// passes the filter.
-    #[inline]
-    pub fn pick(&mut self, stalled: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        self.ready.pick_from(&mut self.cursor, stalled)
-    }
-}
-
 /// NVMe WRR priority classes (the spec's strict-priority urgent class is
 /// not modelled).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum SqPriorityClass {
-    /// Weighted class, largest default weight.
+    /// Weighted class, largest weight.
     High,
-    /// Weighted class, middle weight.
+    /// Weighted class, middle weight; every SQ starts here.
     #[default]
     Medium,
     /// Weighted class, smallest weight.
@@ -217,7 +175,7 @@ pub enum SqPriorityClass {
 }
 
 impl SqPriorityClass {
-    /// Index into the WRR arbiter's per-class state (credits, cursors and
+    /// Index into the arbiter's per-class state (credits, cursors and
     /// ready masks): high/medium/low at 0/1/2.
     #[inline]
     fn slot(self) -> usize {
@@ -229,37 +187,21 @@ impl SqPriorityClass {
     }
 }
 
-/// Credit weights of the high/medium/low classes.
-#[derive(Clone, Copy, Debug)]
-pub struct WrrWeights {
-    /// Commands served from high-class queues per credit round.
-    pub high: u8,
-    /// Commands served from medium-class queues per credit round.
-    pub medium: u8,
-    /// Commands served from low-class queues per credit round.
-    pub low: u8,
-}
+/// Credit weights of the high, medium and low classes: commands served
+/// from each class per credit round, the common 8:4:2.
+pub const CLASS_WEIGHTS: [i32; 3] = [8, 4, 2];
 
-impl Default for WrrWeights {
-    fn default() -> Self {
-        // The common 8:4:2 configuration.
-        WrrWeights {
-            high: 8,
-            medium: 4,
-            low: 2,
-        }
-    }
-}
-
-/// Weighted-round-robin arbiter.
+/// The controller's arbiter: weighted round robin over the priority
+/// classes, round-robin within each.
 ///
 /// The classes consume per-class credits; when every class with pending
-/// work is out of credits, all credits refill. Within a class, queues are
-/// served round-robin.
+/// work is out of credits, all credits refill. Every queue starts in the
+/// medium class, and with one class populated a pick is exactly NVMe's
+/// default round-robin, one command per grant: the credits only choose
+/// between classes.
 #[derive(Clone, Debug)]
-pub struct WrrArbiter {
+pub struct Arbiter {
     classes: Vec<SqPriorityClass>,
-    weights: WrrWeights,
     /// Remaining credits per class.
     credits: [i32; 3],
     /// Round-robin cursor per class.
@@ -269,23 +211,18 @@ pub struct WrrArbiter {
     ready: [SqMask; 3],
 }
 
-impl WrrArbiter {
-    /// Creates a WRR arbiter over `nr_sqs` queues, all initially medium.
-    pub fn new(nr_sqs: u16, weights: WrrWeights) -> Self {
+impl Arbiter {
+    /// Creates an arbiter over `nr_sqs` queues, all in the medium class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nr_sqs == 0`.
+    pub fn new(nr_sqs: u16) -> Self {
         assert!(nr_sqs > 0, "arbiter needs at least one queue");
-        assert!(
-            weights.high > 0 && weights.medium > 0 && weights.low > 0,
-            "WRR weights must be positive"
-        );
-        WrrArbiter {
+        Arbiter {
             // dd-alloc-allowlist: construction; one class per SQ.
             classes: vec![SqPriorityClass::Medium; nr_sqs as usize],
-            weights,
-            credits: [
-                weights.high as i32,
-                weights.medium as i32,
-                weights.low as i32,
-            ],
+            credits: CLASS_WEIGHTS,
             cursors: [0; 3],
             ready: std::array::from_fn(|_| SqMask::new(nr_sqs)),
         }
@@ -321,50 +258,36 @@ impl WrrArbiter {
         self.ready.iter().any(|m| !m.is_empty())
     }
 
-    fn weight_of(&self, idx: usize) -> i32 {
-        match idx {
-            0 => self.weights.high as i32,
-            1 => self.weights.medium as i32,
-            _ => self.weights.low as i32,
-        }
-    }
-
     /// Picks the next queue to fetch from using the per-class ready masks:
     /// the classes by credit, each round-robin from its own cursor.
-    /// `stalled` filters candidates as in [`RoundRobinArbiter::pick`].
+    ///
+    /// `stalled(sq)` filters candidates inside fault windows; it runs only
+    /// on queues whose mask bit is set, and it must be pure. Returns `None`
+    /// when no ready queue passes the filter.
     #[inline]
     pub fn pick(&mut self, mut stalled: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        for _refill in 0..2 {
-            for idx in 0..3 {
-                if self.credits[idx] <= 0 {
-                    continue;
-                }
-                if let Some(sq) = self.ready[idx].pick_from(&mut self.cursors[idx], &mut stalled) {
-                    self.credits[idx] -= 1;
-                    return Some(sq);
-                }
+        for idx in 0..3 {
+            if self.credits[idx] <= 0 || self.ready[idx].is_empty() {
+                continue;
             }
-            // Mirror the reference's refill gate: any ready queue that is
-            // not stalled counts as work (checked in ascending SQ order,
-            // though the boolean is order-independent).
-            let mut any_work = false;
-            'scan: for mask in &self.ready {
-                if mask.is_empty() {
-                    continue;
-                }
-                for idx in 0..self.classes.len() as u16 {
-                    let sq = SqId(idx);
-                    if mask.contains(sq) && !stalled(sq) {
-                        any_work = true;
-                        break 'scan;
-                    }
-                }
+            if let Some(sq) = self.ready[idx].pick_from(&mut self.cursors[idx], &mut stalled) {
+                self.credits[idx] -= 1;
+                return Some(sq);
             }
-            if !any_work {
-                return None;
+        }
+        // Every class with unstalled work is out of credits. A refill and a
+        // second round would serve the first of them: the classes that had
+        // credits found nothing and, `stalled` being pure, still find
+        // nothing. So walk only the spent classes, refilling on a pick; with
+        // no work anywhere, nothing refills.
+        for idx in 0..3 {
+            if self.credits[idx] > 0 || self.ready[idx].is_empty() {
+                continue;
             }
-            for idx in 0..3 {
-                self.credits[idx] = self.weight_of(idx);
+            if let Some(sq) = self.ready[idx].pick_from(&mut self.cursors[idx], &mut stalled) {
+                self.credits = CLASS_WEIGHTS;
+                self.credits[idx] -= 1;
+                return Some(sq);
             }
         }
         None
@@ -372,12 +295,12 @@ impl WrrArbiter {
 }
 
 #[cfg(test)]
-mod wrr_tests {
+mod class_tests {
     use super::*;
 
-    /// A WRR arbiter over `n` queues, every one holding published work.
-    fn all_ready(n: u16, weights: WrrWeights) -> WrrArbiter {
-        let mut a = WrrArbiter::new(n, weights);
+    /// An arbiter over `n` queues, every one holding published work.
+    fn all_ready(n: u16) -> Arbiter {
+        let mut a = Arbiter::new(n);
         for q in 0..n {
             a.note_ready(SqId(q));
         }
@@ -386,14 +309,7 @@ mod wrr_tests {
 
     #[test]
     fn weights_shape_service_ratio() {
-        let mut a = all_ready(
-            2,
-            WrrWeights {
-                high: 8,
-                medium: 4,
-                low: 2,
-            },
-        );
+        let mut a = all_ready(2);
         a.set_class(SqId(0), SqPriorityClass::High);
         a.set_class(SqId(1), SqPriorityClass::Low);
         let mut high = 0;
@@ -411,7 +327,7 @@ mod wrr_tests {
 
     #[test]
     fn class_round_robin_within_class() {
-        let mut a = all_ready(4, WrrWeights::default());
+        let mut a = all_ready(4);
         for q in 0..4 {
             a.set_class(SqId(q), SqPriorityClass::High);
         }
@@ -421,7 +337,7 @@ mod wrr_tests {
 
     #[test]
     fn idle_returns_none_and_recovers() {
-        let mut a = WrrArbiter::new(2, WrrWeights::default());
+        let mut a = Arbiter::new(2);
         assert_eq!(a.pick(|_| false), None);
         a.note_ready(SqId(1));
         assert_eq!(a.pick(|_| false), Some(SqId(1)));
@@ -429,7 +345,7 @@ mod wrr_tests {
 
     #[test]
     fn lower_class_served_when_higher_idle() {
-        let mut a = WrrArbiter::new(2, WrrWeights::default());
+        let mut a = Arbiter::new(2);
         a.set_class(SqId(0), SqPriorityClass::High);
         a.set_class(SqId(1), SqPriorityClass::Low);
         // Only the low queue has work.
@@ -441,7 +357,7 @@ mod wrr_tests {
 
     #[test]
     fn mask_pick_matches_class_service() {
-        let mut a = WrrArbiter::new(4, WrrWeights::default());
+        let mut a = Arbiter::new(4);
         a.set_class(SqId(0), SqPriorityClass::High);
         a.set_class(SqId(2), SqPriorityClass::Low);
         a.note_ready(SqId(1));
@@ -459,7 +375,7 @@ mod wrr_tests {
 
     #[test]
     fn set_class_moves_ready_bit() {
-        let mut a = WrrArbiter::new(2, WrrWeights::default());
+        let mut a = Arbiter::new(2);
         a.note_ready(SqId(0));
         a.set_class(SqId(0), SqPriorityClass::High);
         // The published-work bit follows the queue into the high mask.
@@ -477,7 +393,7 @@ mod tests {
 
     #[test]
     fn skips_empty_queues() {
-        let mut a = RoundRobinArbiter::new(4);
+        let mut a = Arbiter::new(4);
         a.note_ready(SqId(1));
         a.note_ready(SqId(3));
         let picks: Vec<u16> = (0..4).map(|_| a.pick(|_| false).unwrap().0).collect();
@@ -486,7 +402,7 @@ mod tests {
 
     #[test]
     fn returns_none_when_idle() {
-        let mut a = RoundRobinArbiter::new(4);
+        let mut a = Arbiter::new(4);
         assert_eq!(a.pick(|_| false), None);
         // And recovers afterwards.
         a.note_ready(SqId(0));
@@ -495,7 +411,7 @@ mod tests {
 
     #[test]
     fn single_queue_always_picked() {
-        let mut a = RoundRobinArbiter::new(1);
+        let mut a = Arbiter::new(1);
         a.note_ready(SqId(0));
         for _ in 0..5 {
             assert_eq!(a.pick(|_| false), Some(SqId(0)));
@@ -504,7 +420,7 @@ mod tests {
 
     #[test]
     fn mask_pick_matches_round_robin_order() {
-        let mut a = RoundRobinArbiter::new(4);
+        let mut a = Arbiter::new(4);
         for q in 0..4 {
             a.note_ready(SqId(q));
         }
@@ -514,7 +430,7 @@ mod tests {
 
     #[test]
     fn mask_pick_skips_idle_and_stalled() {
-        let mut a = RoundRobinArbiter::new(4);
+        let mut a = Arbiter::new(4);
         a.note_ready(SqId(1));
         a.note_ready(SqId(2));
         a.note_ready(SqId(3));
@@ -526,7 +442,7 @@ mod tests {
 
     #[test]
     fn mask_circular_scan_wraps_across_words() {
-        let mut a = RoundRobinArbiter::new(130);
+        let mut a = Arbiter::new(130);
         a.note_ready(SqId(3));
         a.note_ready(SqId(129));
         assert_eq!(a.pick(|_| false), Some(SqId(3)));

@@ -2,7 +2,6 @@
 
 use simkit::SimDuration;
 
-use crate::arbiter::WrrWeights;
 use crate::flash::FlashConfig;
 use crate::spec::BLOCK_BYTES;
 
@@ -46,16 +45,6 @@ impl PerfModel {
     }
 }
 
-/// The controller's arbitration mechanism.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum Arbitration {
-    /// Plain round-robin (the NVMe default; the paper's assumption).
-    #[default]
-    RoundRobin,
-    /// Weighted round robin over the high, medium and low classes.
-    Wrr(WrrWeights),
-}
-
 /// Complete configuration of an emulated NVMe SSD.
 #[derive(Clone, Debug)]
 pub struct NvmeConfig {
@@ -65,11 +54,6 @@ pub struct NvmeConfig {
     pub nr_cqs: u16,
     /// Queue depth (entries) for every SQ. The paper's SSDs use 1024.
     pub sq_depth: u16,
-    /// Arbitration mechanism. The paper assumes the default round-robin,
-    /// one command per grant (an NVMe arbitration burst of 1, the strictest
-    /// round-robin); WRR enables the FlashShare/D2FQ-style overprovision
-    /// baseline.
-    pub arbitration: Arbitration,
     /// Controller-internal flow control: maximum 4 KiB pages of fetched,
     /// unfinished commands. The controller stops fetching from NSQs while
     /// the in-flight page budget is exhausted, so backlog accumulates *in
@@ -95,7 +79,6 @@ impl NvmeConfig {
             nr_sqs: 64,
             nr_cqs: 64,
             sq_depth: 1024,
-            arbitration: Arbitration::RoundRobin,
             max_inflight_pages: 512,
             namespace_blocks: vec![Self::gib_blocks(64)],
             perf: PerfModel::default(),
@@ -111,7 +94,6 @@ impl NvmeConfig {
             nr_sqs: 128,
             nr_cqs: 24,
             sq_depth: 1024,
-            arbitration: Arbitration::RoundRobin,
             max_inflight_pages: 256,
             namespace_blocks: vec![Self::gib_blocks(64)],
             perf: PerfModel::default(),
@@ -131,12 +113,6 @@ impl NvmeConfig {
     pub fn with_queues(mut self, sqs: u16, cqs: u16) -> Self {
         self.nr_sqs = sqs;
         self.nr_cqs = cqs;
-        self
-    }
-
-    /// Enables WRR arbitration (required by the overprovision baseline).
-    pub fn with_wrr(mut self, weights: WrrWeights) -> Self {
-        self.arbitration = Arbitration::Wrr(weights);
         self
     }
 

@@ -412,8 +412,8 @@ mod tests {
 
     #[test]
     fn wrr_device_prioritises_high_class_queue() {
-        use crate::arbiter::{SqPriorityClass, WrrWeights};
-        let mut cfg = NvmeConfig::sv_m().with_wrr(WrrWeights::default());
+        use crate::arbiter::SqPriorityClass;
+        let mut cfg = NvmeConfig::sv_m();
         cfg.nr_sqs = 2;
         cfg.nr_cqs = 2;
         cfg.sq_depth = 256;

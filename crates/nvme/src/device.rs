@@ -25,9 +25,9 @@
 use simkit::fault::{FaultGeometry, FaultPlan, FaultStats};
 use simkit::{SimTime, SlotId, TraceSink};
 
-use crate::arbiter::{RoundRobinArbiter, SqPriorityClass, WrrArbiter};
+use crate::arbiter::{Arbiter, SqPriorityClass};
 use crate::command::{CqEntry, NvmeCommand};
-use crate::config::{Arbitration, NvmeConfig};
+use crate::config::NvmeConfig;
 use crate::flash::FlashBackend;
 use crate::irq::IrqVector;
 use crate::namespace::NamespaceTable;
@@ -139,47 +139,6 @@ pub struct DeviceStats {
     pub bytes: u64,
 }
 
-/// Either arbitration mechanism, behind one `pick` call.
-pub(crate) enum Arbiter {
-    RoundRobin(RoundRobinArbiter),
-    Wrr(WrrArbiter),
-}
-
-impl Arbiter {
-    /// Mask-driven pick (O(1) in `nr_sqs` for round-robin); `stalled`
-    /// filters candidates inside fault windows.
-    pub(crate) fn pick(&mut self, stalled: impl FnMut(SqId) -> bool) -> Option<SqId> {
-        match self {
-            Arbiter::RoundRobin(a) => a.pick(stalled),
-            Arbiter::Wrr(a) => a.pick(stalled),
-        }
-    }
-
-    /// Visible-work transition 0 → >0 on `sq`.
-    pub(crate) fn note_ready(&mut self, sq: SqId) {
-        match self {
-            Arbiter::RoundRobin(a) => a.note_ready(sq),
-            Arbiter::Wrr(a) => a.note_ready(sq),
-        }
-    }
-
-    /// Visible-work transition >0 → 0 on `sq`.
-    pub(crate) fn note_idle(&mut self, sq: SqId) {
-        match self {
-            Arbiter::RoundRobin(a) => a.note_idle(sq),
-            Arbiter::Wrr(a) => a.note_idle(sq),
-        }
-    }
-
-    /// True when any SQ has published work (mask non-empty).
-    pub(crate) fn any_ready(&self) -> bool {
-        match self {
-            Arbiter::RoundRobin(a) => a.any_ready(),
-            Arbiter::Wrr(a) => a.any_ready(),
-        }
-    }
-}
-
 /// The emulated NVMe SSD.
 pub struct NvmeDevice {
     pub(crate) config: NvmeConfig,
@@ -229,12 +188,8 @@ impl NvmeDevice {
         let vectors = (0..config.nr_cqs)
             .map(|i| IrqVector::new(CqId(i), i % host_cores))
             .collect();
-        let arbiter = match config.arbitration {
-            Arbitration::RoundRobin => Arbiter::RoundRobin(RoundRobinArbiter::new(config.nr_sqs)),
-            Arbitration::Wrr(w) => Arbiter::Wrr(WrrArbiter::new(config.nr_sqs, w)),
-        };
         NvmeDevice {
-            arbiter,
+            arbiter: Arbiter::new(config.nr_sqs),
             flash: FlashBackend::new(config.flash),
             namespaces: NamespaceTable::new(&config.namespace_blocks),
             cmds: CmdSlab::new(),
@@ -314,18 +269,10 @@ impl NvmeDevice {
     }
 
     /// Sets an SQ's WRR priority class (the admin `Create I/O SQ` QPRIO
-    /// field). No effect — and a host bug — under round-robin arbitration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the device is configured for round-robin arbitration.
+    /// field). Every SQ starts in the medium class; while all share one
+    /// class, arbitration is plain round-robin.
     pub fn set_sq_priority(&mut self, sq: SqId, class: SqPriorityClass) {
-        match &mut self.arbiter {
-            Arbiter::Wrr(a) => a.set_class(sq, class),
-            Arbiter::RoundRobin(_) => {
-                panic!("set_sq_priority requires WRR arbitration")
-            }
-        }
+        self.arbiter.set_class(sq, class);
     }
 
     /// Host-visible SQ statistics (used by Daredevil's nproxies).

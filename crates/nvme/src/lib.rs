@@ -11,11 +11,12 @@
 //!   reaps its completion. A queue's depth is the queue-full limit, not
 //!   storage: the slab is sized from the run's in-flight bound
 //!   ([`device::NvmeDevice::reserve`]);
-//! * **round-robin queue arbitration** ([`arbiter::RoundRobinArbiter`]) — the
+//! * **round-robin queue arbitration** ([`arbiter::Arbiter`]) — the
 //!   controller fetches commands from non-empty NSQs in round-robin order, one
 //!   in-order command at a time per queue, so a bulky head-of-line T-request
 //!   delays every later request *in the same NSQ* but not requests parked in
-//!   other NSQs;
+//!   other NSQs. Every NSQ starts in one WRR class; a driver that classifies
+//!   its NSQs (the overprovision baseline) gets weighted round robin;
 //! * **size-proportional fetch/decompose cost** — fetching and decomposing a
 //!   128 KB command costs ~32× more controller time than a 4 KB one;
 //! * **a multi-channel flash backend** ([`flash::FlashBackend`]) — page
@@ -44,8 +45,8 @@ pub mod namespace;
 pub mod queue;
 pub mod spec;
 
-pub use arbiter::{SqPriorityClass, WrrWeights};
+pub use arbiter::SqPriorityClass;
 pub use command::{CqEntry, HostTag, IoOpcode, NvmeCommand};
-pub use config::{Arbitration, NvmeConfig, PerfModel};
+pub use config::{NvmeConfig, PerfModel};
 pub use device::{DeviceOutput, NvmeDevice, NvmeEvent};
 pub use spec::{CommandId, CqId, NamespaceId, SqId, BLOCK_BYTES};

@@ -2,7 +2,7 @@
 
 use dd_check::{check, prop_assert, prop_assert_eq, Case, Failure};
 
-use dd_nvme::arbiter::{RoundRobinArbiter, SqPriorityClass, WrrArbiter, WrrWeights};
+use dd_nvme::arbiter::{Arbiter, SqPriorityClass};
 use dd_nvme::command::{HostTag, IoOpcode};
 use dd_nvme::flash::{FlashBackend, FlashConfig};
 use dd_nvme::namespace::NamespaceTable;
@@ -426,14 +426,15 @@ fn device_conserves_commands_under_faults() {
     });
 }
 
-/// The O(1) bitmask pick reproduces the predicate-scan reference pick for
-/// pick under random push/fetch/stall interleavings — round-robin flavour.
-/// The reference is test support (`support/scan_arbiter.rs`).
+/// With every queue in one class, the device's O(1) bitmask pick
+/// reproduces the round-robin predicate-scan reference pick for pick under
+/// random push/fetch/stall interleavings. The reference is test support
+/// (`support/scan_arbiter.rs`).
 #[test]
 fn rr_mask_pick_matches_scan() {
     check("rr_mask_pick_matches_scan", |c| {
         let nr_sqs = c.u16_in(1, 80);
-        let mut mask_arb = RoundRobinArbiter::new(nr_sqs);
+        let mut mask_arb = Arbiter::new(nr_sqs);
         let mut scan_arb = ScanRoundRobin::new(nr_sqs);
         let mut work = vec![0u32; nr_sqs as usize];
         let ops = c.vec_of(1, 300, |c| (c.u8_in(0, 4), c.u16_in(0, nr_sqs)));
@@ -467,19 +468,14 @@ fn rr_mask_pick_matches_scan() {
     });
 }
 
-/// Bitmask pick ≡ predicate-scan reference for the WRR arbiter: random
-/// class assignments, weights, and push/fetch/stall interleavings.
+/// Bitmask pick ≡ predicate-scan reference at the device's class weights:
+/// random class assignments and push/fetch/stall interleavings.
 #[test]
 fn wrr_mask_pick_matches_scan() {
     check("wrr_mask_pick_matches_scan", |c| {
         let nr_sqs = c.u16_in(1, 80);
-        let weights = WrrWeights {
-            high: c.u8_in(1, 9),
-            medium: c.u8_in(1, 9),
-            low: c.u8_in(1, 9),
-        };
-        let mut mask_arb = WrrArbiter::new(nr_sqs, weights);
-        let mut scan_arb = ScanWrr::new(nr_sqs, weights);
+        let mut mask_arb = Arbiter::new(nr_sqs);
+        let mut scan_arb = ScanWrr::new(nr_sqs);
         let classes = [
             SqPriorityClass::High,
             SqPriorityClass::Medium,

@@ -6,7 +6,7 @@
 //! a pick costs O(nr_sqs); the device's `pick` walks a ready bitmask
 //! instead and must return the same sequence.
 
-use dd_nvme::arbiter::{SqPriorityClass, WrrWeights};
+use dd_nvme::arbiter::{SqPriorityClass, CLASS_WEIGHTS};
 use dd_nvme::spec::SqId;
 
 /// Round-robin over `nr_sqs` queues, one command per grant.
@@ -35,11 +35,10 @@ impl ScanRoundRobin {
     }
 }
 
-/// Weighted round robin: the classes by credit, all credits refilling when
-/// every class with work is out of them.
+/// Weighted round robin at the device's class weights: the classes by
+/// credit, all credits refilling when every class with work is out of them.
 pub struct ScanWrr {
     classes: Vec<SqPriorityClass>,
-    weights: WrrWeights,
     /// Remaining credits of the high/medium/low classes.
     credits: [i32; 3],
     /// Round-robin cursor per class.
@@ -47,17 +46,12 @@ pub struct ScanWrr {
 }
 
 impl ScanWrr {
-    pub fn new(nr_sqs: u16, weights: WrrWeights) -> Self {
+    pub fn new(nr_sqs: u16) -> Self {
         ScanWrr {
             classes: vec![SqPriorityClass::Medium; nr_sqs as usize],
-            weights,
-            credits: Self::full(weights),
+            credits: CLASS_WEIGHTS,
             cursors: [0; 3],
         }
-    }
-
-    fn full(w: WrrWeights) -> [i32; 3] {
-        [w.high as i32, w.medium as i32, w.low as i32]
     }
 
     pub fn set_class(&mut self, sq: SqId, class: SqPriorityClass) {
@@ -103,7 +97,7 @@ impl ScanWrr {
             if !(0..self.classes.len() as u16).any(|i| has_work(SqId(i))) {
                 return None;
             }
-            self.credits = Self::full(self.weights);
+            self.credits = CLASS_WEIGHTS;
         }
         None
     }

@@ -12,20 +12,21 @@
 //! The design's two structural limits, which the reproduction target's
 //! Table 1 and §3.2 call out, follow directly:
 //!
-//! * **hardware dependence** — it refuses devices without WRR arbitration
-//!   (construction checks the device config);
+//! * **hardware dependence** — its isolation is the device's WRR
+//!   arbitration between the classes it assigns at construction, as a
+//!   driver sets QPRIO when it creates its I/O SQs;
 //! * **no flexible NQ exploitation** — an I/O-heavy core can overload its
 //!   own pair while neighbours' queues idle; nothing can move traffic
 //!   across the static core→pair bindings.
 
 #![warn(missing_docs)]
 
-use dd_nvme::{Arbitration, CqId, NvmeDevice, SqId, SqPriorityClass};
+use dd_nvme::{CqId, NvmeDevice, SqId, SqPriorityClass};
 use simkit::SimDuration;
 
 use blkstack::dispatch::Dispatch;
 use blkstack::stack::{CompletionMode, DoorbellMode, StackEnv, StorageStack};
-use blkstack::{Bio, Capabilities, TaskStruct};
+use blkstack::{Bio, Capabilities};
 
 /// The static-overprovision storage stack.
 ///
@@ -36,25 +37,32 @@ pub struct OverprovStack {
     /// Number of core pairs (= cores served).
     nr_pairs: u16,
     dispatch: Dispatch,
-    /// Whether the device's queues have been WRR-classified yet.
-    classified: bool,
 }
 
 impl OverprovStack {
-    /// Creates the stack for `nr_cores` cores over `device_sqs` NSQs.
+    /// Creates the stack for `nr_cores` cores over `device`, setting each
+    /// pair's L-queue to the high WRR class and its T-queue to the low one.
     ///
-    /// Each core needs a queue pair, so at most `device_sqs / 2` cores get
+    /// Each core needs a queue pair, so at most `nr_sqs / 2` cores get
     /// their own; extra cores share pairs modulo.
-    pub fn new(nr_cores: u16, device_sqs: u16) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has fewer than two NSQs.
+    pub fn new(nr_cores: u16, device: &mut NvmeDevice) -> Self {
+        let device_sqs = device.nr_sqs();
         assert!(
             device_sqs >= 2,
             "overprovision needs at least one queue pair"
         );
         let nr_pairs = (device_sqs / 2).min(nr_cores).max(1);
+        for pair in 0..nr_pairs {
+            device.set_sq_priority(SqId(pair * 2), SqPriorityClass::High);
+            device.set_sq_priority(SqId(pair * 2 + 1), SqPriorityClass::Low);
+        }
         OverprovStack {
             nr_pairs,
             dispatch: Dispatch::new(device_sqs),
-            classified: false,
         }
     }
 
@@ -67,24 +75,6 @@ impl OverprovStack {
     pub fn pair_of(&self, core: u16) -> (SqId, SqId) {
         let pair = core % self.nr_pairs;
         (SqId(pair * 2), SqId(pair * 2 + 1))
-    }
-
-    /// Classifies the device queues on first use; panics without WRR — the
-    /// hardware dependence in Table 1.
-    fn ensure_classified(&mut self, device: &mut NvmeDevice) {
-        if self.classified {
-            return;
-        }
-        assert!(
-            matches!(device.config().arbitration, Arbitration::Wrr(_)),
-            "the overprovision baseline requires device WRR arbitration \
-             (hardware-dependent by design; see Table 1)"
-        );
-        for pair in 0..self.nr_pairs {
-            device.set_sq_priority(SqId(pair * 2), SqPriorityClass::High);
-            device.set_sq_priority(SqId(pair * 2 + 1), SqPriorityClass::Low);
-        }
-        self.classified = true;
     }
 }
 
@@ -101,13 +91,8 @@ impl StorageStack for OverprovStack {
         &mut self.dispatch
     }
 
-    fn register_tenant(&mut self, _task: &TaskStruct, env: &mut StackEnv<'_>) {
-        self.ensure_classified(env.device);
-    }
-
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
         debug_assert!(!bios.is_empty());
-        self.ensure_classified(env.device);
         let core = bios[0].core;
         let is_l_tenant = bios[0].ioprio.is_latency_sensitive();
         let (l_sq, t_sq) = self.pair_of(core);
@@ -148,12 +133,12 @@ impl StorageStack for OverprovStack {
 mod tests {
     use super::*;
     use blkstack::bio::{BioId, ReqFlags};
-    use blkstack::{IoPriorityClass, Pid};
-    use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig, WrrWeights};
+    use blkstack::{IoPriorityClass, Pid, TaskStruct};
+    use dd_nvme::{DeviceOutput, IoOpcode, NamespaceId, NvmeConfig};
     use simkit::{SimRng, SimTime};
 
-    fn wrr_device(sqs: u16) -> NvmeDevice {
-        let mut cfg = NvmeConfig::sv_m().with_wrr(WrrWeights::default());
+    fn device(sqs: u16) -> NvmeDevice {
+        let mut cfg = NvmeConfig::sv_m();
         cfg.nr_sqs = sqs;
         cfg.nr_cqs = sqs;
         NvmeDevice::new(cfg, 4)
@@ -171,7 +156,7 @@ mod tests {
     impl Harness {
         fn new(sqs: u16) -> Self {
             Harness {
-                dev: wrr_device(sqs),
+                dev: device(sqs),
                 out: DeviceOutput::new(),
                 comps: Vec::new(),
                 migs: Vec::new(),
@@ -214,7 +199,7 @@ mod tests {
 
     #[test]
     fn pair_layout() {
-        let s = OverprovStack::new(4, 8);
+        let s = OverprovStack::new(4, &mut device(8));
         assert_eq!(s.nr_pairs(), 4);
         assert_eq!(s.pair_of(0), (SqId(0), SqId(1)));
         assert_eq!(s.pair_of(3), (SqId(6), SqId(7)));
@@ -224,7 +209,7 @@ mod tests {
     #[test]
     fn routes_by_class_within_own_pair() {
         let mut h = Harness::new(8);
-        let mut s = OverprovStack::new(4, 8);
+        let mut s = OverprovStack::new(4, &mut h.dev);
         let mut env = h.env(SimTime::ZERO);
         s.register_tenant(&task(1, 1, IoPriorityClass::RealTime), &mut env);
         s.register_tenant(&task(2, 1, IoPriorityClass::BestEffort), &mut env);
@@ -242,7 +227,7 @@ mod tests {
     #[test]
     fn outliers_take_the_l_queue() {
         let mut h = Harness::new(8);
-        let mut s = OverprovStack::new(4, 8);
+        let mut s = OverprovStack::new(4, &mut h.dev);
         let mut env = h.env(SimTime::ZERO);
         s.register_tenant(&task(2, 0, IoPriorityClass::BestEffort), &mut env);
         s.submit(&[bio(1, 2, 0, 4096, ReqFlags::SYNC)], &mut env);
@@ -251,36 +236,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "WRR")]
-    fn refuses_round_robin_devices() {
-        let mut cfg = NvmeConfig::sv_m();
-        cfg.nr_sqs = 8;
-        cfg.nr_cqs = 8;
-        let mut dev = NvmeDevice::new(cfg, 4);
-        let mut out = DeviceOutput::new();
-        let mut comps = Vec::new();
-        let mut migs = Vec::new();
-        let mut rng = SimRng::new(1);
-        let costs = dd_cpu::HostCosts::default();
-        let mut env = StackEnv {
-            now: SimTime::ZERO,
-            device: &mut dev,
-            dev_out: &mut out,
-            completions: &mut comps,
-            migrations: &mut migs,
-            rng: &mut rng,
-            costs: &costs,
-        };
-        let mut s = OverprovStack::new(4, 8);
-        s.register_tenant(&task(1, 0, IoPriorityClass::RealTime), &mut env);
-    }
-
-    #[test]
     fn no_cross_core_queue_usage() {
         // The structural limit: a core's traffic never leaves its own pair,
         // however overloaded it is.
         let mut h = Harness::new(8);
-        let mut s = OverprovStack::new(4, 8);
+        let mut s = OverprovStack::new(4, &mut h.dev);
         let mut env = h.env(SimTime::ZERO);
         s.register_tenant(&task(2, 0, IoPriorityClass::BestEffort), &mut env);
         for i in 0..64 {
@@ -295,7 +255,7 @@ mod tests {
 
     #[test]
     fn capabilities_row_matches_table1() {
-        let s = OverprovStack::new(4, 8);
+        let s = OverprovStack::new(4, &mut device(8));
         let c = s.capabilities();
         assert!(!c.hardware_independent, "needs WRR hardware");
         assert!(!c.nq_exploitation, "static pairs cannot borrow idle NQs");

@@ -70,11 +70,6 @@ impl<I: Copy + PartialEq> KeyedMinHeap<I> {
         self.entries.first().map(|e| e.key)
     }
 
-    /// Current key of `id`, if present.
-    pub fn key_of(&self, id: I) -> Option<f64> {
-        self.entries.iter().find(|e| e.id == id).map(|e| e.key)
-    }
-
     /// True if `id` is in the heap.
     pub fn contains(&self, id: I) -> bool {
         self.entries.iter().any(|e| e.id == id)
@@ -117,17 +112,6 @@ impl<I: Copy + PartialEq> KeyedMinHeap<I> {
     /// Iterates `(id, key)` in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (I, f64)> + '_ {
         self.entries.iter().map(|e| (e.id, e.key))
-    }
-
-    /// Rotates the top entry to the back without changing keys.
-    ///
-    /// Used by round-robin fallbacks (the `dare-base` ablation) where the
-    /// heap degenerates into a plain rotation.
-    pub fn rotate_top(&mut self) {
-        if self.entries.len() > 1 {
-            let e = self.entries.remove(0);
-            self.entries.push(e);
-        }
     }
 }
 
@@ -182,26 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn rotate_top_cycles() {
-        let mut h = KeyedMinHeap::new();
-        h.insert(0u8, 0.0);
-        h.insert(1, 0.0);
-        h.insert(2, 0.0);
-        let mut seen = Vec::new();
-        for _ in 0..6 {
-            seen.push(h.top().unwrap());
-            h.rotate_top();
-        }
-        assert_eq!(seen, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn key_of_reflects_resort() {
+    fn resort_replaces_keys() {
         let mut h = KeyedMinHeap::new();
         h.insert(0u8, 1.0);
         h.resort_with(|_| 42.0);
-        assert_eq!(h.key_of(0), Some(42.0));
-        assert_eq!(h.key_of(9), None);
+        assert_eq!(h.iter().collect::<Vec<_>>(), vec![(0, 42.0)]);
+        assert!(!h.contains(9));
     }
 
     #[test]
@@ -209,7 +179,6 @@ mod tests {
         let mut h: KeyedMinHeap<u8> = KeyedMinHeap::new();
         assert!(h.is_empty());
         assert_eq!(h.top(), None);
-        h.rotate_top(); // must not panic
         h.resort_with(|_| 0.0);
     }
 }

@@ -101,14 +101,6 @@ impl SimRng {
         SimDuration::from_nanos((-(u.ln()) * mean.as_nanos() as f64).round() as u64)
     }
 
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.gen_range(xs.len() as u64) as usize]
@@ -372,15 +364,5 @@ mod tests {
         let _ = Zipfian::new_cached(1000, 0.5, &mut cache);
         cache.arena_reset();
         assert_eq!(cache.len(), 1, "memo kept across runs");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(8);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

@@ -113,12 +113,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a span from fractional microseconds (rounding to nanoseconds).
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -165,13 +159,6 @@ impl SimDuration {
     #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
-    }
-
-    /// Multiplies the span by a non-negative float, rounding to nanoseconds.
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        debug_assert!(k >= 0.0, "negative duration scale");
-        SimDuration((self.0 as f64 * k).round() as u64)
     }
 }
 
@@ -329,8 +316,6 @@ mod tests {
         let d = SimDuration::from_micros(10);
         assert_eq!((d * 3).as_micros(), 30);
         assert_eq!((d / 2).as_micros(), 5);
-        assert_eq!(d.mul_f64(0.5).as_micros(), 5);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]

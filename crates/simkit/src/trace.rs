@@ -297,12 +297,6 @@ impl TraceSink {
         buf.rotate_left(head);
         buf
     }
-
-    /// Copies buffered events oldest-first into `out` (appended).
-    pub fn copy_into(&self, out: &mut Vec<TraceEvent>) {
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-    }
 }
 
 impl crate::arena::ArenaReset for TraceSink {
@@ -376,14 +370,12 @@ mod tests {
     }
 
     #[test]
-    fn copy_into_preserves_order_across_wrap() {
+    fn into_events_preserves_order_across_wrap() {
         let mut s = TraceSink::enabled_all(3);
         for i in 0..4 {
             s.record(ev(i, i, Phase::Submit));
         }
-        let mut out = Vec::new();
-        s.copy_into(&mut out);
-        let ts: Vec<u64> = out.iter().map(|e| e.t.as_nanos()).collect();
+        let ts: Vec<u64> = s.into_events().iter().map(|e| e.t.as_nanos()).collect();
         assert_eq!(ts, vec![1, 2, 3]);
     }
 

@@ -256,22 +256,7 @@ impl Machine {
             .validate()
             .unwrap_or_else(|e| panic!("invalid scenario '{}': {e}", scenario.name));
         let nr_cores = scenario.nr_cores();
-        let mut nvme_cfg = scenario.nvme.clone();
-        fn needs_wrr(spec: &StackSpec) -> bool {
-            match spec {
-                StackSpec::Overprov => true,
-                StackSpec::Virtio { inner, .. } => needs_wrr(inner),
-                _ => false,
-            }
-        }
-        if needs_wrr(&scenario.stack)
-            && matches!(nvme_cfg.arbitration, dd_nvme::Arbitration::RoundRobin)
-        {
-            // The overprovision baseline requires device WRR support; the
-            // machine configures it the way a FlashShare deployment would.
-            nvme_cfg = nvme_cfg.with_wrr(dd_nvme::WrrWeights::default());
-        }
-        let mut device = NvmeDevice::new(nvme_cfg, nr_cores);
+        let mut device = NvmeDevice::new(scenario.nvme.clone(), nr_cores);
         // Fault injection: generate the whole schedule up front from the
         // spec seed and the device geometry — purely virtual-time, so runs
         // with faults stay exactly as deterministic as runs without.
@@ -283,7 +268,7 @@ impl Machine {
                 horizon,
             ));
         }
-        let mut stack = build_stack(&scenario.stack, nr_cores, &device);
+        let mut stack = build_stack(&scenario.stack, nr_cores, &mut device);
         // Swap the dispatch core's empty shells for warm parked buffers (the
         // shared arena tags make a map parked by any stack flavour
         // adoptable here), then reserve every table an in-flight command
@@ -1027,15 +1012,15 @@ impl Machine {
 
 /// Builds the stack a spec describes (recursing for the virtio wrapper;
 /// `Scenario::validate` rejects nested virtio).
-fn build_stack(spec: &StackSpec, nr_cores: u16, device: &NvmeDevice) -> Box<dyn StorageStack> {
+fn build_stack(spec: &StackSpec, nr_cores: u16, device: &mut NvmeDevice) -> Box<dyn StorageStack> {
     let nr_sqs = device.nr_sqs();
     // dd-alloc-allowlist: one-time stack boxing at construction, not a
     // dispatch-path allocation.
     match spec {
         StackSpec::Vanilla(cfg) => Box::new(VanillaBlkMq::new(*cfg, nr_cores, nr_sqs)), // dd-alloc-allowlist: construction
         StackSpec::BlkSwitch(cfg) => Box::new(BlkSwitchStack::new(*cfg, nr_cores, nr_sqs)), // dd-alloc-allowlist: construction
-        StackSpec::Overprov => Box::new(OverprovStack::new(nr_cores, nr_sqs)), // dd-alloc-allowlist: construction
-        StackSpec::Daredevil(cfg) => Box::new(DaredevilStack::for_device(*cfg, nr_cores, device)), // dd-alloc-allowlist: construction
+        StackSpec::Overprov => Box::new(OverprovStack::new(nr_cores, device)), // dd-alloc-allowlist: construction
+        StackSpec::Daredevil(cfg) => Box::new(DaredevilStack::new(*cfg, device)), // dd-alloc-allowlist: construction
         StackSpec::Virtio { inner, sla_aware } => {
             let mode = if *sla_aware {
                 VqMode::SlaAware

@@ -1,7 +1,7 @@
 //! Scenario descriptions: everything an experiment needs, declaratively.
 
 use blkstack::blkmq::{BlkMqConfig, QueuePolicy};
-use blkstack::split::{split_extents, SplitConfig};
+use blkstack::split::split_extents;
 use blkstack::{IoBounds, IoPriorityClass};
 use blkswitch::BlkSwitchConfig;
 use daredevil::DaredevilConfig;
@@ -23,8 +23,8 @@ pub enum StackSpec {
     Vanilla(BlkMqConfig),
     /// blk-switch.
     BlkSwitch(BlkSwitchConfig),
-    /// FlashShare/D2FQ-style static overprovision (the machine auto-enables
-    /// device WRR arbitration, which this stack requires).
+    /// FlashShare/D2FQ-style static overprovision: the stack sets its
+    /// queue pairs' WRR classes on the device it is built for.
     Overprov,
     /// Daredevil (any ablation variant via the config).
     Daredevil(DaredevilConfig),
@@ -194,7 +194,7 @@ impl TenantKind {
         match self {
             TenantKind::Fio(job) if job.arrival.is_some() => OPEN_LOOP_INFLIGHT,
             TenantKind::Fio(job) => {
-                let commands = split_extents(&SplitConfig::default(), 0, job.block_size).len();
+                let commands = split_extents(0, job.block_size).len();
                 job.iodepth as usize * commands
             }
             TenantKind::App(app) => app.max_in_flight(),
@@ -524,6 +524,7 @@ mod tests {
     /// rows of an ablation table.
     #[test]
     fn daredevil_names_are_distinct_and_match_the_stack() {
+        let device = dd_nvme::NvmeDevice::new(NvmeConfig::sv_m().with_queues(8, 8), 4);
         let mut seen = Vec::new();
         for base in [
             StackSpec::dare_base(),
@@ -535,7 +536,7 @@ mod tests {
                 let StackSpec::Daredevil(cfg) = &spec else {
                     unreachable!()
                 };
-                let stack = daredevil::DaredevilStack::new(*cfg, 4, 8, 8, |sq| sq % 8);
+                let stack = daredevil::DaredevilStack::new(*cfg, &device);
                 assert_eq!(spec.name(), blkstack::StorageStack::name(&stack));
                 assert!(!seen.contains(&spec.name()), "{} repeats", spec.name());
                 seen.push(spec.name());

@@ -219,10 +219,12 @@ mod tests {
     use simkit::SimRng;
     use simkit::SimTime;
 
+    /// 8 NSQs of depth 4: the inner Daredevil stack's MRU budget is 4.
     fn device() -> NvmeDevice {
         let mut cfg = NvmeConfig::sv_m().with_namespaces(2);
         cfg.nr_sqs = 8;
         cfg.nr_cqs = 8;
+        cfg.sq_depth = 4;
         NvmeDevice::new(cfg, 4)
     }
 
@@ -261,14 +263,7 @@ mod tests {
     }
 
     fn virtio(mode: VqMode, dev: &NvmeDevice) -> VirtioBlk {
-        let inner = DaredevilStack::for_device(
-            DaredevilConfig {
-                mru: 4,
-                ..DaredevilConfig::default()
-            },
-            4,
-            dev,
-        );
+        let inner = DaredevilStack::new(DaredevilConfig::default(), dev);
         VirtioBlk::new(Box::new(inner), mode)
     }
 

@@ -1,6 +1,6 @@
 //! Application workload interface: ops as scripts of I/O and compute steps.
 
-use blkstack::split::{split_extents, SplitConfig};
+use blkstack::split::split_extents;
 use blkstack::ReqFlags;
 use dd_nvme::IoOpcode;
 use simkit::{RunArena, SimDuration, SimRng};
@@ -9,9 +9,9 @@ use crate::mailserver::MailserverWorkload;
 use crate::ycsb::YcsbWorkload;
 
 /// Device commands one I/O of `bytes` becomes: the dispatch core splits
-/// a bio at [`SplitConfig::default`]'s `max_bytes`.
+/// a bio at [`blkstack::split::MAX_COMMAND_BYTES`].
 pub(crate) fn commands(bytes: u64) -> usize {
-    split_extents(&SplitConfig::default(), 0, bytes).len()
+    split_extents(0, bytes).len()
 }
 
 /// Where an I/O lands within the tenant's namespace region.

@@ -14,22 +14,17 @@ use daredevil_repro::prelude::*;
 use daredevil_repro::simkit::SimRng;
 
 fn main() {
-    // A small device: 8 NSQs over 8 NCQs, one namespace.
+    // A small device: 8 NSQs of depth 4 over 8 NCQs, one namespace. The
+    // merit heaps' MRU budget is the NSQ depth, so this shallow device
+    // makes them visibly re-sort in this short demo.
     let mut cfg = NvmeConfig::sv_m();
     cfg.nr_sqs = 8;
     cfg.nr_cqs = 8;
+    cfg.sq_depth = 4;
     let mut device = NvmeDevice::new(cfg, 4);
 
-    // Daredevil, full variant, with a small MRU so the merit heaps visibly
-    // re-sort in this short demo.
-    let mut stack = DaredevilStack::for_device(
-        DaredevilConfig {
-            mru: 4,
-            ..DaredevilConfig::default()
-        },
-        4,
-        &device,
-    );
+    // Daredevil, full variant.
+    let mut stack = DaredevilStack::new(DaredevilConfig::default(), &device);
 
     // Plumbing the testbed would normally provide.
     let mut dev_out = DeviceOutput::new();

@@ -242,8 +242,12 @@ fn virtio_sla_awareness_end_to_end() {
     // a bare overprov stack, reserved with the same bounds.
     let bare = mk(StackSpec::daredevil());
     let bounds = scenario(StackSpec::daredevil()).io_bounds();
-    let mut wrapped = VirtioBlk::new(Box::new(OverprovStack::new(4, 4)), VqMode::SlaAware);
-    let mut unwrapped = OverprovStack::new(4, 4);
+    let mut device = NvmeDevice::new(NvmeConfig::sv_m().with_queues(4, 4), 4);
+    let mut wrapped = VirtioBlk::new(
+        Box::new(OverprovStack::new(4, &mut device)),
+        VqMode::SlaAware,
+    );
+    let mut unwrapped = OverprovStack::new(4, &mut device);
     wrapped.reserve(bounds);
     unwrapped.reserve(bounds);
     let layer_slots = wrapped.io_capacity() - unwrapped.io_capacity();
