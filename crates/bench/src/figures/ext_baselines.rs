@@ -29,14 +29,6 @@ fn sched_stacks() -> [StackSpec; 4] {
     ]
 }
 
-fn sched_label(stack: &StackSpec) -> &'static str {
-    match stack {
-        StackSpec::Vanilla(c) if c.scheduler == SchedKind::MqDeadline => "mq-deadline",
-        StackSpec::Vanilla(c) if c.scheduler == SchedKind::Kyber => "kyber",
-        other => other.name(),
-    }
-}
-
 /// Runs both extension comparisons.
 pub fn run_figure(opts: &Opts) {
     // (1) Elevators under write-heavy T-pressure.
@@ -44,7 +36,6 @@ pub fn run_figure(opts: &Opts) {
     let mut sweep = Sweep::new();
     for &nr_t in t_stages {
         for stack in sched_stacks() {
-            let label = sched_label(&stack);
             let mut s = Scenario::multi_tenant_fio(stack, 4, 0, 4, MachinePreset::SvM);
             for i in 0..nr_t {
                 s.tenants.push(TenantSpec {
@@ -56,7 +47,7 @@ pub fn run_figure(opts: &Opts) {
                     slo: None,
                 });
             }
-            sweep.add((nr_t, label), s);
+            sweep.add(nr_t, s);
         }
     }
 
@@ -64,10 +55,8 @@ pub fn run_figure(opts: &Opts) {
         "Ext A: I/O schedulers vs NQ-level separation (4 L readers, T = 128KiB writers, 4 cores)",
         &LATENCY_HEADER,
     );
-    for ((nr_t, label), out) in sweep.run(opts) {
-        let mut row = latency_row(format!("T={nr_t}"), &out);
-        row[1] = label.to_string();
-        table.row(&row);
+    for (nr_t, out) in sweep.run(opts) {
+        table.row(&latency_row(format!("T={nr_t}"), &out));
     }
     opts.emit(&table);
 

@@ -60,12 +60,27 @@ impl Default for BlkMqConfig {
     }
 }
 
+impl BlkMqConfig {
+    /// The name of the stack this configuration builds, used in tables and
+    /// run summaries: the elevator's when it has one, else the mapping
+    /// policy's.
+    pub fn stack_name(&self) -> &'static str {
+        match (self.scheduler, self.policy) {
+            (SchedKind::MqDeadline, _) => "mq-deadline",
+            (SchedKind::Kyber, _) => "kyber",
+            (SchedKind::None, QueuePolicy::Static) => "vanilla",
+            (SchedKind::None, QueuePolicy::Partitioned) => "vanilla-partitioned",
+        }
+    }
+}
+
 /// The vanilla blk-mq storage stack.
 ///
 /// Its I/O service dispatching is fixed and SLA-blind: every NSQ doorbell
 /// covers a batch and every CQ is reaped batched — the two decisions the
 /// Daredevil stack makes per policy in `daredevil::policy::Policy::{doorbell, reap}`.
 pub struct VanillaBlkMq {
+    name: &'static str,
     nr_queues: u16,
     policy: QueuePolicy,
     dispatch: Dispatch,
@@ -91,14 +106,15 @@ impl VanillaBlkMq {
             .min(device_sqs)
             .max(1);
         // `sq_for` only returns NSQs below `nr_queues`: those alone get an
-        // elevator.
+        // elevator, a lock and a staging buffer.
         let scheds: Vec<Elevator> = (0..nr_queues)
             .filter_map(|_| cfg.scheduler.build())
             .collect();
         VanillaBlkMq {
+            name: cfg.stack_name(),
             nr_queues,
             policy: cfg.policy,
-            dispatch: Dispatch::new(device_sqs),
+            dispatch: Dispatch::new(nr_queues),
             inflight: vec![0; scheds.len()], // dd-alloc-allowlist: construction
             refill: Vec::with_capacity(scheds.len()), // dd-alloc-allowlist: construction
             scheds,
@@ -133,11 +149,11 @@ impl VanillaBlkMq {
             QueuePolicy::Static => SqId(core % self.nr_queues),
             QueuePolicy::Partitioned => {
                 let half = (self.nr_queues / 2).max(1);
-                if ionice.is_latency_sensitive() {
+                let t_queues = self.nr_queues - half;
+                if ionice.is_latency_sensitive() || t_queues == 0 {
                     SqId(core % half)
                 } else {
-                    let t_queues = self.nr_queues - half;
-                    SqId(half + core % t_queues.max(1))
+                    SqId(half + core % t_queues)
                 }
             }
         }
@@ -146,10 +162,7 @@ impl VanillaBlkMq {
 
 impl StorageStack for VanillaBlkMq {
     fn name(&self) -> &'static str {
-        match self.policy {
-            QueuePolicy::Static => "vanilla",
-            QueuePolicy::Partitioned => "vanilla-partitioned",
-        }
+        self.name
     }
 
     fn capabilities(&self) -> Capabilities {

@@ -110,7 +110,8 @@ impl Pushed {
 }
 
 impl Dispatch {
-    /// Creates the core for a device with `nr_sqs` NSQs.
+    /// Creates the core for a stack that routes to NSQs `0..nr_sqs`: one
+    /// tail lock and one staging buffer each.
     pub fn new(nr_sqs: u16) -> Self {
         Dispatch {
             locks: NsqLockTable::new(nr_sqs),
@@ -288,8 +289,10 @@ impl Dispatch {
     /// first, then stalled-NSQ doorbell redrive with bounded retry.
     pub fn watchdog(&mut self, env: &mut StackEnv<'_>) {
         self.flush_parked(env);
+        // Only the NSQs this core routes to can hold its backlog.
+        let nr_sqs = self.staging.bufs.len();
         self.redrive
-            .redrive(env.device, env.now, env.dev_out, &mut self.stats);
+            .redrive(nr_sqs, env.device, env.now, env.dev_out, &mut self.stats);
     }
 
     /// Pre-sizes the request map and CQE scratch for `inflight` requests
@@ -550,9 +553,10 @@ impl RedriveGuard {
         Self::default()
     }
 
-    /// One watchdog tick: re-rings the doorbell of every SQ with published
-    /// backlog and no fetch progress since the previous tick, subject to
-    /// the retry bound. Returns how many SQs were redriven.
+    /// One watchdog tick over SQs `0..nr`: re-rings the doorbell of every
+    /// one with published backlog and no fetch progress since the previous
+    /// tick, subject to the retry bound. Returns how many SQs were
+    /// redriven.
     ///
     /// Gated on [`NvmeDevice::fetch_starved`]: a busy fetch engine (or an
     /// exhausted page budget) explains any amount of per-SQ waiting on a
@@ -561,12 +565,12 @@ impl RedriveGuard {
     /// keeps the guard a strict no-op on fault-free runs.
     fn redrive(
         &mut self,
+        nr: usize,
         device: &mut NvmeDevice,
         now: SimTime,
         dev_out: &mut DeviceOutput,
         stats: &mut StackStats,
     ) -> usize {
-        let nr = device.nr_sqs() as usize;
         if self.fetched.len() < nr {
             self.fetched.resize(nr, 0);
             self.stalled_ticks.resize(nr, 0);
@@ -845,7 +849,7 @@ mod tests {
         let mut redrives = 0;
         for tick in 0..REDRIVE_EAGER_TICKS + 2 * REDRIVE_BACKOFF_TICKS {
             let t = SimTime::from_micros(u64::from(tick) * 50);
-            redrives += guard.redrive(&mut dev, t, &mut out, &mut stats);
+            redrives += guard.redrive(1, &mut dev, t, &mut out, &mut stats);
         }
         // 20 no-progress ticks inside the stall window: the eager lane
         // fires on the first 4, the backoff lane twice in the remaining 16.
@@ -858,13 +862,14 @@ mod tests {
         let mut late = 0;
         for tick in 20u32..24 {
             let t = SimTime::from_micros(u64::from(tick) * 50);
-            late += guard.redrive(&mut dev, t, &mut out, &mut stats);
+            late += guard.redrive(1, &mut dev, t, &mut out, &mut stats);
         }
         assert_eq!(late, 1, "exactly the backed-off retry fires");
         assert_eq!(dev.sq_backlog(SqId(0)), 3, "revived SQ fetched a command");
         // …and the observed progress resets the guard to quiescent.
         assert_eq!(
             guard.redrive(
+                1,
                 &mut dev,
                 SimTime::from_micros(24 * 50),
                 &mut out,

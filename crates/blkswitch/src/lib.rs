@@ -111,8 +111,9 @@ impl BlkSwitchStack {
             nr_l: 0,
             l_per_queue: vec![0; nr_queues as usize], // dd-alloc-allowlist: construction
             active_cores: BTreeSet::new(),
-            outstanding_bytes: vec![0; device_sqs as usize], // dd-alloc-allowlist: construction
-            dispatch: Dispatch::new(device_sqs),
+            // Steering only ever picks `core % nr_queues`.
+            outstanding_bytes: vec![0; nr_queues as usize], // dd-alloc-allowlist: construction
+            dispatch: Dispatch::new(nr_queues),
             // dd-alloc-allowlist: const empty Vecs, grown on the first tick.
             tick_cores: Vec::new(),
             tick_pids: Vec::new(),  // dd-alloc-allowlist: see above

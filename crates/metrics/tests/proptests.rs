@@ -82,6 +82,10 @@ fn histogram_merge_conserves() {
 /// window over the occupied buckets: one 128-entry row per binary order,
 /// from order 0 up to the largest sample. Test-only reference; the compact
 /// histogram must answer every query exactly as this does.
+///
+/// `dense` models the form the compact histogram should be in: dense once
+/// more than eight buckets are occupied or a dense histogram was merged
+/// in, sparse again after a reset.
 #[derive(Clone)]
 struct DenseHistogram {
     counts: Vec<[u64; 128]>,
@@ -89,6 +93,7 @@ struct DenseHistogram {
     sum_ns: u128,
     min_ns: u64,
     max_ns: u64,
+    dense: bool,
 }
 
 impl DenseHistogram {
@@ -99,7 +104,13 @@ impl DenseHistogram {
             sum_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
+            dense: false,
         }
+    }
+
+    /// Buckets holding at least one sample.
+    fn occupied(&self) -> usize {
+        self.counts.iter().flatten().filter(|&&c| c > 0).count()
     }
 
     fn index_of(ns: u64) -> (usize, usize) {
@@ -127,6 +138,7 @@ impl DenseHistogram {
         self.sum_ns += ns as u128;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
+        self.dense |= self.occupied() > 8;
     }
 
     fn merge(&mut self, other: &DenseHistogram) {
@@ -142,6 +154,7 @@ impl DenseHistogram {
         self.sum_ns += other.sum_ns;
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
+        self.dense |= other.dense || self.occupied() > 8;
     }
 
     fn reset(&mut self) {
@@ -219,17 +232,69 @@ fn sample_in(c: &mut dd_check::Case, band: u8) -> u64 {
     }
 }
 
-/// The compact bucket window is an exact stand-in for the dense layout:
-/// count, mean, min, max, every integer percentile and p99.9 agree after
-/// each step of a random script of records (including ones below the
-/// current window), merges of disjoint and overlapping windows, merges
-/// into an empty histogram, and resets followed by reuse.
+/// Where one histogram's samples come from: a value band (band 3 spans
+/// enough buckets to go dense within a few samples), or a palette of 1–12
+/// values drawn from one. A palette of at most eight buckets keeps the
+/// histogram sparse until a merge; a wider one crosses the limit
+/// mid-stream.
+enum Source {
+    Band(u8),
+    Palette(Vec<u64>),
+}
+
+impl Source {
+    fn draw(c: &mut dd_check::Case) -> Source {
+        let band = c.u8_in(0, 4);
+        if c.bool_with(0.5) {
+            Source::Band(band)
+        } else {
+            Source::Palette(c.vec_of(1, 13, |c| sample_in(c, band)))
+        }
+    }
+
+    fn sample(&self, c: &mut dd_check::Case) -> u64 {
+        match self {
+            Source::Band(b) => sample_in(c, *b),
+            Source::Palette(vs) => vs[c.usize_in(0, vs.len())],
+        }
+    }
+}
+
+/// Which form transitions the oracle property exercised, over all cases.
+#[derive(Clone, Copy, Default, Debug)]
+struct Coverage {
+    cases: u64,
+    /// Histograms that ended a case sparse with samples in them.
+    stayed_sparse: u64,
+    /// Records that turned a sparse histogram dense.
+    crossed: u64,
+    /// Merges by (target dense, source dense).
+    merges: [[u64; 2]; 2],
+    /// Resets by the form they left.
+    resets: [u64; 2],
+}
+
+/// The compact histogram is an exact stand-in for the dense layout in
+/// either of its forms: count, mean, min, max, every integer percentile
+/// and p99.9 agree after each step of a random script of records
+/// (including ones below the current window), merges in all four
+/// sparse/dense pairings and into an empty histogram, and resets followed
+/// by reuse. Histograms that stay sparse, and ones that cross the
+/// eight-bucket limit mid-stream, both occur; a run of the default 64
+/// cases or more must exercise every transition.
 #[test]
 fn histogram_matches_dense_oracle() {
+    let cov = std::cell::Cell::new(Coverage::default());
+    let tally = |f: &dyn Fn(&mut Coverage)| {
+        let mut t = cov.get();
+        f(&mut t);
+        cov.set(t);
+    };
     check("histogram_matches_dense_oracle", |c| {
-        // Per-histogram bands: equal bands overlap, distinct ones are
+        tally(&|t| t.cases += 1);
+        // Per-histogram sources: equal bands overlap, distinct ones are
         // disjoint (band 3 mixes both).
-        let bands = [c.u8_in(0, 4), c.u8_in(0, 4)];
+        let srcs = [Source::draw(c), Source::draw(c)];
         let mut hs = [LatencyHistogram::new(), LatencyHistogram::new()];
         let mut ds = [DenseHistogram::new(), DenseHistogram::new()];
         let steps = c.len_in(1, 120);
@@ -237,21 +302,29 @@ fn histogram_matches_dense_oracle() {
             let who = c.usize_in(0, 2);
             match c.u8_in(0, 10) {
                 0..=4 => {
-                    let ns = sample_in(c, bands[who]);
+                    let ns = srcs[who].sample(c);
+                    let was_dense = ds[who].dense;
                     hs[who].record(SimDuration::from_nanos(ns));
                     ds[who].record(ns);
+                    if !was_dense && ds[who].dense {
+                        tally(&|t| t.crossed += 1);
+                    }
                 }
                 5 => {
-                    // Below the current window: the grow-down path.
-                    let ns = match ds[who].min() {
-                        0 => 0,
-                        lo => c.u64_in(0, lo),
+                    // Below the current window: the grow-down path (a
+                    // palette source stays within its palette).
+                    let ns = match (&srcs[who], ds[who].min()) {
+                        (Source::Palette(_), _) => srcs[who].sample(c),
+                        (_, 0) => 0,
+                        (_, lo) => c.u64_in(0, lo),
                     };
                     hs[who].record(SimDuration::from_nanos(ns));
                     ds[who].record(ns);
                 }
                 6 | 7 => {
                     let (src_h, src_d) = (hs[1 - who].clone(), ds[1 - who].clone());
+                    let pairing = (ds[who].dense as usize, src_d.dense as usize);
+                    tally(&|t| t.merges[pairing.0][pairing.1] += 1);
                     hs[who].merge(&src_h);
                     ds[who].merge(&src_d);
                 }
@@ -264,13 +337,34 @@ fn histogram_matches_dense_oracle() {
                 }
                 _ => {
                     same_as_dense(&hs[who], &ds[who], true)?;
+                    let form = ds[who].dense as usize;
+                    tally(&|t| t.resets[form] += 1);
                     hs[who].reset();
                     ds[who].reset();
                 }
             }
             same_as_dense(&hs[who], &ds[who], false)?;
         }
+        for d in &ds {
+            if !d.dense && d.total > 0 {
+                tally(&|t| t.stayed_sparse += 1);
+            }
+        }
         same_as_dense(&hs[0], &ds[0], true)?;
         same_as_dense(&hs[1], &ds[1], true)
     });
+    let t = cov.get();
+    if t.cases >= 64 {
+        let seen = [
+            t.stayed_sparse,
+            t.crossed,
+            t.merges[0][0],
+            t.merges[0][1],
+            t.merges[1][0],
+            t.merges[1][1],
+            t.resets[0],
+            t.resets[1],
+        ];
+        assert!(seen.iter().all(|&n| n > 0), "uncovered transition: {t:?}");
+    }
 }

@@ -62,7 +62,8 @@ impl OverprovStack {
         }
         OverprovStack {
             nr_pairs,
-            dispatch: Dispatch::new(device_sqs),
+            // `pair_of` only returns the pairs' own NSQs.
+            dispatch: Dispatch::new(nr_pairs * 2),
         }
     }
 

@@ -191,6 +191,11 @@ impl FleetSpec {
                 // Distinct machine seed per host, derived — not sequential —
                 // so host RNG streams never overlap.
                 s.knobs.seed = mix_seed(self.knobs.seed, 1 + h as u64);
+                // Rank r lands on host r % hosts: exactly this many.
+                let n = pop.tenants as usize;
+                let hosts = self.hosts as usize;
+                s.tenants
+                    .reserve_exact(n / hosts + usize::from((h as usize) < n % hosts));
                 s
             })
             .collect();
@@ -288,6 +293,15 @@ mod tests {
                 assert_eq!(tx.core, ty.core);
                 assert_eq!(tx.slo, ty.slo);
             }
+        }
+    }
+
+    #[test]
+    fn expand_reserves_each_host_exactly() {
+        // 203 tenants over 4 hosts: 51, 51, 51, 50.
+        for (i, s) in quick_spec(203, 4).expand().iter().enumerate() {
+            assert_eq!(s.tenants.len(), if i < 3 { 51 } else { 50 });
+            assert_eq!(s.tenants.capacity(), s.tenants.len());
         }
     }
 

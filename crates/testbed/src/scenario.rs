@@ -107,8 +107,7 @@ impl StackSpec {
     /// Short display name.
     pub fn name(&self) -> &'static str {
         match self {
-            StackSpec::Vanilla(c) if c.policy == QueuePolicy::Partitioned => "vanilla-partitioned",
-            StackSpec::Vanilla(_) => "vanilla",
+            StackSpec::Vanilla(c) => c.stack_name(),
             StackSpec::BlkSwitch(_) => "blk-switch",
             StackSpec::Overprov => "overprov",
             StackSpec::Virtio { sla_aware, .. } => {
@@ -646,13 +645,28 @@ mod tests {
 
     #[test]
     fn stack_names() {
-        assert_eq!(StackSpec::vanilla().name(), "vanilla");
         assert_eq!(StackSpec::blk_switch().name(), "blk-switch");
         assert_eq!(StackSpec::daredevil().name(), "daredevil");
         assert_eq!(StackSpec::dare_base().name(), "dare-base");
-        assert_eq!(
-            StackSpec::vanilla_partitioned(4).name(),
-            "vanilla-partitioned"
-        );
+        // A vanilla spec names the stack it builds, elevator included.
+        for (spec, name) in [
+            (StackSpec::vanilla(), "vanilla"),
+            (StackSpec::vanilla_partitioned(4), "vanilla-partitioned"),
+            (
+                StackSpec::vanilla_sched(blkstack::iosched::SchedKind::MqDeadline),
+                "mq-deadline",
+            ),
+            (
+                StackSpec::vanilla_sched(blkstack::iosched::SchedKind::Kyber),
+                "kyber",
+            ),
+        ] {
+            let StackSpec::Vanilla(cfg) = spec else {
+                unreachable!()
+            };
+            let stack = blkstack::blkmq::VanillaBlkMq::new(cfg, 4, 8);
+            assert_eq!(spec.name(), name);
+            assert_eq!(blkstack::StorageStack::name(&stack), name);
+        }
     }
 }

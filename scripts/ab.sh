@@ -13,16 +13,21 @@
 # nothing tracked: the copies, builds and raw outputs live in a temporary
 # directory that is removed on exit.
 #
-# Usage: scripts/ab.sh BASE [--workload W] [--pairs N] [--aligned]
-#   BASE         a commit (e.g. HEAD~1)
-#   --workload W one ddbench workload (default: all of them)
-#   --pairs N    alternating pairs to run (default: 10)
-#   --aligned    build both sides with every function aligned to 64 bytes,
-#                so code placement moves less between them
+# With `--micro FILTER` it does the same for the micro-benchmarks instead:
+# each run is `cargo bench -p bench --bench micro -- FILTER`, and each
+# benchmark's median ns per iteration is the metric (lower is better).
+#
+# Usage: scripts/ab.sh BASE [--workload W | --micro FILTER] [--pairs N] [--aligned]
+#   BASE            a commit (e.g. HEAD~1)
+#   --workload W    one ddbench workload (default: all of them)
+#   --micro FILTER  compare the micro-benchmarks whose names contain FILTER
+#   --pairs N       alternating pairs to run (default: 10)
+#   --aligned       build both sides with every function aligned to 64
+#                   bytes, so code placement moves less between them
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/ab.sh BASE [--workload W] [--pairs N] [--aligned]" >&2
+    echo "usage: scripts/ab.sh BASE [--workload W | --micro FILTER] [--pairs N] [--aligned]" >&2
     exit 2
 }
 
@@ -30,17 +35,20 @@ usage() {
 BASE=$1
 shift
 WORKLOAD=()
+MICRO=""
 PAIRS=10
 ALIGNED=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) [ $# -ge 2 ] || usage; WORKLOAD=(--workload "$2"); shift 2 ;;
+        --micro) [ $# -ge 2 ] && [ -n "$2" ] || usage; MICRO=$2; shift 2 ;;
         --pairs) [ $# -ge 2 ] || usage; PAIRS=$2; shift 2 ;;
         --aligned) ALIGNED=1; shift ;;
         *) usage ;;
     esac
 done
 case "$PAIRS" in '' | *[!0-9]*) usage ;; esac
+[ -z "$MICRO" ] || [ ${#WORKLOAD[@]} = 0 ] || usage
 [ "$PAIRS" -ge 2 ] || { echo "ab.sh: --pairs needs at least 2 for quartiles" >&2; exit 2; }
 
 cd "$(dirname "$0")/.."
@@ -65,13 +73,29 @@ if [ "$ALIGNED" = 1 ]; then
     export RUSTFLAGS="-C llvm-args=-align-all-functions=6"
 fi
 for side in base work; do
-    echo "== ab: building ddbench ($side) ==" >&2
-    cargo build --release --quiet --manifest-path "$TMP/$side/ddbench/Cargo.toml"
+    if [ -n "$MICRO" ]; then
+        echo "== ab: building the micro-benchmarks ($side) ==" >&2
+        cargo bench --quiet --manifest-path "$TMP/$side/Cargo.toml" -p bench --bench micro --no-run
+    else
+        echo "== ab: building ddbench ($side) ==" >&2
+        cargo build --release --quiet --manifest-path "$TMP/$side/ddbench/Cargo.toml"
+    fi
 done
 
-# One run: `side pair workload metric median` lines into results.
+# One run: `side pair workload metric median` lines into results. A micro
+# run's lines are `side pair micro BENCH median_ns`.
 run() {
     local side=$1 pair=$2 out="$TMP/$1.$2.out"
+    if [ -n "$MICRO" ]; then
+        cargo bench --quiet --manifest-path "$TMP/$side/Cargo.toml" -p bench --bench micro \
+            -- "$MICRO" >"$out"
+        # `NAME median V UNIT p95 ...`, with UNIT one of ns, µs, ms.
+        awk -v side="$side" -v pair="$pair" '$2 == "median" && NF >= 4 {
+            scale = $4 == "ns" ? 1 : $4 == "ms" ? 1e6 : 1e3
+            print side, pair, "micro", $1, $3 * scale
+        }' "$out" >>"$TMP/results"
+        return
+    fi
     "$TMP/$side/ddbench/target/release/ddbench" "${WORKLOAD[@]}" --trace 0 >"$out"
     grep -q '"correct": true' "$out" || {
         echo "ab.sh: $side run $pair did not read correct: true" >&2
@@ -93,9 +117,10 @@ for pair in $(seq 1 "$PAIRS"); do
     fi
 done
 
-echo "ab: base $(git rev-parse --short "$BASE"), $PAIRS pairs, aligned=$ALIGNED"
+[ -s "$TMP/results" ] || { echo "ab.sh: no results (does --micro match a benchmark?)" >&2; exit 1; }
+echo "ab: base $(git rev-parse --short "$BASE"), $PAIRS pairs, aligned=$ALIGNED${MICRO:+, micro $MICRO}"
 echo "workload metric base_median base_q1 base_q3 change_median delta_pct wins"
-awk -v pairs="$PAIRS" '
+awk -v pairs="$PAIRS" -v micro="${MICRO:+1}" '
     # Python statistics.quantiles(data, n=4), exclusive method: q(1..3).
     function quartile(v, n, i,    m, j, delta) {
         m = n + 1
@@ -121,8 +146,8 @@ awk -v pairs="$PAIRS" '
         for (k = 1; k <= nkeys; k++) {
             key = order[k]
             split(key, wm, SUBSEP)
-            if (wm[2] !~ /^(wall_s|setup_s|ios_per_host_s|peak_heap_mib)$/) continue
-            higher = wm[2] == "ios_per_host_s"
+            if (!micro && wm[2] !~ /^(wall_s|setup_s|ios_per_host_s|peak_heap_mib)$/) continue
+            higher = !micro && wm[2] == "ios_per_host_s"
             wins = 0
             for (p = 1; p <= pairs; p++) {
                 b[key, p] = val["base", key, p]

@@ -69,7 +69,20 @@ fn every_listed_stack_runs() {
             "--measure-ms",
             "2",
         ];
-        expect_exit(&args, 0);
+        let out = ddsim(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "ddsim {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // The headline names the stack as `--stack` did (an elevator run
+        // is `mq-deadline`, not `vanilla`).
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        assert!(
+            stdout.starts_with(&format!("{stack}:")),
+            "ddsim {args:?} headline: {stdout}"
+        );
     }
     let args = ["--namespaces", "4", "--warmup-ms", "1", "--measure-ms", "2"];
     expect_exit(&args, 0);
