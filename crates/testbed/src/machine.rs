@@ -168,6 +168,8 @@ struct Tenant {
 
 /// The executing machine.
 pub struct Machine {
+    /// The scenario less its tenant specs, which `new_in` consumed into
+    /// `tenants`.
     scenario: Scenario,
     queue: EventQueue<Event>,
     cpu: CpuSystem<Work>,
@@ -248,10 +250,14 @@ impl Machine {
     /// every recycled structure's reset restores fresh logical state
     /// (see `simkit::arena`).
     ///
+    /// The scenario's tenant specs are consumed into the machine's tenants
+    /// (a fleet host holds thousands), so a run keeps one copy of each;
+    /// the bounds that count them are taken first.
+    ///
     /// # Panics
     ///
     /// Panics if the scenario fails validation.
-    pub fn new_in(scenario: Scenario, arena: &mut RunArena) -> Self {
+    pub fn new_in(mut scenario: Scenario, arena: &mut RunArena) -> Self {
         scenario
             .validate()
             .unwrap_or_else(|e| panic!("invalid scenario '{}': {e}", scenario.name));
@@ -277,6 +283,7 @@ impl Machine {
         // command slab; submission scratch from the batch bound. The
         // steady state allocates nothing on the hot path.
         let bounds = scenario.io_bounds();
+        let (near, far) = event_bound(&scenario, bounds.inflight);
         stack.dispatch().adopt(arena);
         stack.dispatch().reserve(bounds.inflight);
         stack.reserve(bounds);
@@ -284,18 +291,21 @@ impl Machine {
         let mut rng = SimRng::new(scenario.knobs.seed);
         let mut tenants: Vec<Tenant> = arena.take(0);
         let mut active_apps = 0usize;
-        for (i, spec) in scenario.tenants.iter().enumerate() {
+        for (i, spec) in std::mem::take(&mut scenario.tenants)
+            .into_iter()
+            .enumerate()
+        {
             let pid = Pid(i as u64 + 1);
             let ns_blocks = scenario.nvme.namespace_blocks[spec.nsid.index()];
-            let driver = match &spec.kind {
-                TenantKind::Fio(job) => Driver::Fio(*job),
+            let driver = match spec.kind {
+                TenantKind::Fio(job) => Driver::Fio(job),
                 TenantKind::App(app) => {
                     active_apps += 1;
                     // The `new_in` constructors adopt parked workload scratch
                     // (key-popularity tables, page caches) from the arena, so
                     // small sweep cells stop rebuilding them per run.
                     // dd-alloc-allowlist: one box per app tenant, at construction.
-                    let workload = Box::new(match *app {
+                    let workload = Box::new(match app {
                         AppKind::Ycsb { mix, config, ops } => {
                             App::Ycsb(YcsbWorkload::new_in(mix, config, ops, arena))
                         }
@@ -337,7 +347,6 @@ impl Machine {
         // Each lane is reserved for the events that can wait in it at once,
         // so the dispatch loop never grows the queue mid-run.
         let mut queue: EventQueue<Event> = arena.take(0);
-        let (near, far) = event_bound(&scenario, bounds.inflight);
         queue.reserve(near, far);
         let mut bio_scratch: Vec<Bio> = arena.take(0);
         bio_scratch.reserve(bounds.batch);
@@ -1093,6 +1102,46 @@ mod tests {
                 aged_p999
             );
         }
+    }
+
+    /// `event_bound`, term by term, on hand-counted scenarios. The Small
+    /// preset has 8 CQs, 4 cores and a 512-page budget, so each term of
+    /// the sums moves the result by a different amount.
+    #[test]
+    fn event_bound_counts_every_holder() {
+        // 2 L-tenants at QD1 and 1 T-tenant at QD32: 34 commands.
+        let mut s =
+            Scenario::multi_tenant_fio(StackSpec::daredevil(), 2, 1, 4, MachinePreset::Small);
+        assert_eq!(s.io_bounds().inflight, 34);
+        // The start timers: StackTick, EndWarmup and Stop.
+        let holders = 8 + 4; // one IrqDeliver per CQ, one core event per core
+        assert_eq!(event_bound(&s, 34), (34 + holders + 3, 3 + 34));
+        // Every optional timer, and the apps-done Stop.
+        s.ionice_storm = Some(SimDuration::from_millis(1));
+        s.migrate_storm = Some(SimDuration::from_millis(2));
+        s.knobs.faults = Some(simkit::FaultSpec::new(simkit::FaultClasses::ALL, 7));
+        s.stop_when_apps_done = true;
+        assert_eq!(event_bound(&s, 34), (34 + holders + 7, 7 + 34));
+        // Three open-loop tenants: one wake each, and past the page budget
+        // only 512 completions can wait in flash.
+        for core in 0..3 {
+            let job = FioJob::new(dd_workload::RwPattern::RandRead, 4096, 1)
+                .with_arrival(dd_workload::ArrivalModel::open(1_000.0));
+            s.tenants.push(crate::scenario::TenantSpec {
+                class_label: "L",
+                ionice: IoPriorityClass::RealTime,
+                core,
+                nsid: NamespaceId(1),
+                kind: TenantKind::Fio(job),
+                slo: None,
+            });
+        }
+        let inflight = s.io_bounds().inflight;
+        assert_eq!(inflight, 34 + 512);
+        assert_eq!(
+            event_bound(&s, inflight),
+            (inflight + holders + 3 + 7, 3 + 7 + 512)
+        );
     }
 
     #[test]

@@ -11,11 +11,6 @@ use dd_workload::mailserver::{MailConfig, MailserverWorkload};
 use dd_workload::{FioJob, YcsbMix, YcsbWorkload};
 use simkit::SimDuration;
 
-/// I/Os in flight allowed per open-loop tenant. Its arrivals do not wait
-/// for completions, so nothing bounds them; this is an allowance, the
-/// three per tenant the reservations have always given one.
-pub const OPEN_LOOP_INFLIGHT: usize = 3;
-
 /// Which storage stack a run uses.
 #[derive(Clone, Debug)]
 pub enum StackSpec {
@@ -188,15 +183,17 @@ impl TenantKind {
     /// job keeps `iodepth` bios of one size outstanding, each split into
     /// the dispatch core's commands. An app runs one op step at a time,
     /// so the commands of its workload's largest step bound it. An
-    /// open-loop job has no bound and gets [`OPEN_LOOP_INFLIGHT`].
-    pub fn inflight_bound(&self) -> usize {
+    /// open-loop job's arrivals do not wait for its completions, so it
+    /// has no bound of its own (`None`): its commands count against the
+    /// open-loop share [`Scenario::io_bounds`] takes from the device.
+    pub fn inflight_bound(&self) -> Option<usize> {
         match self {
-            TenantKind::Fio(job) if job.arrival.is_some() => OPEN_LOOP_INFLIGHT,
+            TenantKind::Fio(job) if job.arrival.is_some() => None,
             TenantKind::Fio(job) => {
                 let commands = split_extents(0, job.block_size).len();
-                job.iodepth as usize * commands
+                Some(job.iodepth as usize * commands)
             }
-            TenantKind::App(app) => app.max_in_flight(),
+            TenantKind::App(app) => Some(app.max_in_flight()),
         }
     }
 
@@ -449,17 +446,28 @@ impl Scenario {
         self.cores
     }
 
-    /// The per-I/O bounds the machine reserves from. `inflight` sums
-    /// every tenant's [`TenantKind::inflight_bound`]: an in-flight command
+    /// The per-I/O bounds the machine reserves from. An in-flight command
     /// holds at most one slot of the stack's request slabs, of the
     /// device's command slab, of the ISR's CQE scratch, of an elevator
-    /// FIFO and of virtio's in-flight map. `batch` is the largest
-    /// [`TenantKind::batch_bound`], which sizes the bio scratch of one
-    /// submission. A closed-loop scenario never exceeds either.
+    /// FIFO and of virtio's in-flight map. `inflight` sums every
+    /// closed-loop tenant's and app's [`TenantKind::inflight_bound`], plus
+    /// one open-loop share of `nvme.max_inflight_pages` when any tenant is
+    /// open-loop. The share does not grow with the open-loop tenants: the
+    /// device's work in flight follows its page budget, not how many
+    /// tenants submit to it, and every command a FIO job issues holds at
+    /// least one page of that budget once fetched. So a host with more
+    /// commands in flight than the share has them backed up in its queues.
+    /// That is overload, whose backlog no static size bounds: the
+    /// reservations grow there, and the run's capacity probes
+    /// (`RunOutput::cap_warmup`, `cap_end`) show it. `batch` is the
+    /// largest [`TenantKind::batch_bound`], which sizes the bio scratch of
+    /// one submission. A closed-loop scenario never exceeds either.
     pub fn io_bounds(&self) -> IoBounds {
         let kinds = self.tenants.iter().map(|t| &t.kind);
+        let closed: usize = kinds.clone().filter_map(TenantKind::inflight_bound).sum();
+        let open_loop = kinds.clone().any(TenantKind::is_open_loop);
         IoBounds {
-            inflight: kinds.clone().map(TenantKind::inflight_bound).sum(),
+            inflight: closed + usize::from(open_loop) * self.nvme.max_inflight_pages as usize,
             batch: kinds.map(TenantKind::batch_bound).max().unwrap_or(0),
         }
     }
@@ -564,6 +572,69 @@ mod tests {
         assert_eq!(l, 4);
         assert_eq!(t, 48);
         s.validate().unwrap();
+    }
+
+    /// An open-loop tenant: 4 KiB reads, or 128 KiB writes (one command
+    /// each), on a Poisson timer.
+    fn open_loop(i: u16) -> TenantSpec {
+        let job = if i % 2 == 0 {
+            FioJob::new(dd_workload::RwPattern::RandRead, 4096, 1)
+        } else {
+            FioJob::new(dd_workload::RwPattern::RandWrite, 128 * 1024, 1)
+        };
+        TenantSpec {
+            class_label: "L",
+            ionice: IoPriorityClass::RealTime,
+            core: i % 4,
+            nsid: NamespaceId(1),
+            kind: TenantKind::Fio(job.with_arrival(dd_workload::ArrivalModel::open(1_000.0))),
+            slo: None,
+        }
+    }
+
+    /// Closed-loop tenants keep their exact bounds; open-loop tenants add
+    /// one share of the device's page budget, however many there are.
+    #[test]
+    fn open_loop_tenants_share_the_page_budget() {
+        // The §7.1 population: 4 L-tenants at QD1 of 4 KiB and 16
+        // T-tenants at QD32 of 128 KiB, one command per bio: 4 + 512.
+        let closed =
+            Scenario::multi_tenant_fio(StackSpec::daredevil(), 4, 16, 4, MachinePreset::SvM);
+        assert_eq!(
+            closed.io_bounds(),
+            IoBounds {
+                inflight: 516,
+                batch: 32
+            }
+        );
+        assert_eq!(closed.nvme.max_inflight_pages, 512);
+        assert_eq!(open_loop(0).kind.inflight_bound(), None);
+        for n in [1, 2, 7, 2_500] {
+            let mut open = Scenario::new("open", MachinePreset::SvM, StackSpec::daredevil());
+            open.tenants.extend((0..n).map(open_loop));
+            assert_eq!(
+                open.io_bounds(),
+                IoBounds {
+                    inflight: 512,
+                    batch: 1
+                },
+                "{n} tenants"
+            );
+            let mut mixed = closed.clone();
+            mixed.tenants.extend((0..n).map(open_loop));
+            assert_eq!(
+                mixed.io_bounds(),
+                IoBounds {
+                    inflight: 516 + 512,
+                    batch: 32
+                },
+                "{n} tenants"
+            );
+        }
+        // The share follows the device: WS-M fetches at most 256 pages.
+        let mut ws = Scenario::new("open", MachinePreset::WsM, StackSpec::daredevil());
+        ws.tenants.push(open_loop(0));
+        assert_eq!(ws.io_bounds().inflight, 256);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use dd_check::{check, prop_assert, prop_assert_eq};
 use simkit::{SimDuration, SimRng, Zipfian};
 use testbed::fleet::{FleetSpec, TenantPopulation};
 use testbed::scenario::{MachinePreset, StackSpec};
-use testbed::{FleetOutput, RunArena};
+use testbed::{FleetOutput, Machine, RunArena};
 
 /// Random-but-small fleet spec: 2–4 hosts, up to a few hundred tenants,
 /// short windows — cheap enough for a dd-check
@@ -138,6 +138,37 @@ fn fleet_digest_is_deterministic() {
         );
         prop_assert!(
             first.ios_completed() > 0,
+            "fleet completed nothing — load too low to test anything"
+        );
+        Ok(())
+    });
+}
+
+/// An open-loop host below the device's page budget never grows a
+/// reservation. `Scenario::io_bounds` gives the open-loop tenants one
+/// share of the budget between them, not an allowance each, and this is
+/// where that share is checked: random L-only fleets (every command one
+/// page) on the Small preset, at up to 40k IOPS across the fleet, end each
+/// host's run with the capacity probe taken right after `Machine::new_in`.
+#[test]
+fn open_loop_hosts_below_the_page_budget_never_grow() {
+    check("open_loop_hosts_below_the_page_budget_never_grow", |c| {
+        let mut f = random_fleet(c);
+        f.population.l_fraction = 1.0;
+        f.population.fleet_iops = c.u64_in(2_000, 40_001) as f64;
+        let mut arena = RunArena::new();
+        let mut hosts = Vec::new();
+        for s in f.expand() {
+            let name = s.name.clone();
+            let mut machine = Machine::new_in(s, &mut arena);
+            let built = machine.capacity_probe();
+            let out = machine.run_in(&mut arena);
+            prop_assert_eq!(out.cap_warmup, built, "{}: grew during warm-up", name);
+            prop_assert_eq!(out.cap_end, built, "{}: grew after warm-up", name);
+            hosts.push(out);
+        }
+        prop_assert!(
+            FleetOutput { hosts }.ios_completed() > 0,
             "fleet completed nothing — load too low to test anything"
         );
         Ok(())

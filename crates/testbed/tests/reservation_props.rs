@@ -11,8 +11,9 @@
 //!
 //! Open-loop tenants stay out. Their arrivals do not wait for completions,
 //! so nothing bounds the I/Os they keep in flight: the reservation gives
-//! each an allowance, and an overloaded open-loop cell outgrows it by
-//! design (`ext_fleet`'s overloaded cells do).
+//! them one share of the device's page budget, and an overloaded
+//! open-loop cell outgrows it by design. `fleet_props.rs` checks
+//! open-loop hosts below the budget.
 
 use blkstack::iosched::SchedKind;
 use dd_check::{check, prop_assert_eq};

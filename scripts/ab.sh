@@ -13,21 +13,30 @@
 # nothing tracked: the copies, builds and raw outputs live in a temporary
 # directory that is removed on exit.
 #
+# With `--per-layer` each run is plain `ddbench`, without `--trace 0`, and
+# the table adds the per-layer metrics of the untraced passes
+# (`testbed.expand_s`, `testbed.build_s`, `simkit.cap_grew_cells`, ...)
+# below the end-to-end ones, so a move in `setup_s` can be split into
+# expand and build. The metrics of ddbench's traced passes (those its
+# catalogue marks `Traced`) are left out. Whether higher is better comes
+# from `BENCHMARK.json`.
+#
 # With `--micro FILTER` it does the same for the micro-benchmarks instead:
 # each run is `cargo bench -p bench --bench micro -- FILTER`, and each
 # benchmark's median ns per iteration is the metric (lower is better).
 #
-# Usage: scripts/ab.sh BASE [--workload W | --micro FILTER] [--pairs N] [--aligned]
+# Usage: scripts/ab.sh BASE [--workload W | --micro FILTER] [--pairs N] [--aligned] [--per-layer]
 #   BASE            a commit (e.g. HEAD~1)
 #   --workload W    one ddbench workload (default: all of them)
 #   --micro FILTER  compare the micro-benchmarks whose names contain FILTER
 #   --pairs N       alternating pairs to run (default: 10)
 #   --aligned       build both sides with every function aligned to 64
 #                   bytes, so code placement moves less between them
+#   --per-layer     also compare ddbench's untraced per-layer metrics
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/ab.sh BASE [--workload W | --micro FILTER] [--pairs N] [--aligned]" >&2
+    echo "usage: scripts/ab.sh BASE [--workload W | --micro FILTER] [--pairs N] [--aligned] [--per-layer]" >&2
     exit 2
 }
 
@@ -38,20 +47,29 @@ WORKLOAD=()
 MICRO=""
 PAIRS=10
 ALIGNED=0
+PER_LAYER=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) [ $# -ge 2 ] || usage; WORKLOAD=(--workload "$2"); shift 2 ;;
         --micro) [ $# -ge 2 ] && [ -n "$2" ] || usage; MICRO=$2; shift 2 ;;
         --pairs) [ $# -ge 2 ] || usage; PAIRS=$2; shift 2 ;;
         --aligned) ALIGNED=1; shift ;;
+        --per-layer) PER_LAYER=1; shift ;;
         *) usage ;;
     esac
 done
 case "$PAIRS" in '' | *[!0-9]*) usage ;; esac
-[ -z "$MICRO" ] || [ ${#WORKLOAD[@]} = 0 ] || usage
+[ -z "$MICRO" ] || { [ ${#WORKLOAD[@]} = 0 ] && [ "$PER_LAYER" = 0 ]; } || usage
 [ "$PAIRS" -ge 2 ] || { echo "ab.sh: --pairs needs at least 2 for quartiles" >&2; exit 2; }
 
 cd "$(dirname "$0")/.."
+# Per-layer runs keep ddbench's default of both metric sets.
+TRACE=(--trace 0)
+[ "$PER_LAYER" = 0 ] || TRACE=()
+# The metrics where higher is better, as BENCHMARK.json declares them, and
+# those of ddbench's traced passes, as its catalogue names them.
+HIGHER=$(sed -n 's/.*"name": "\([^"]*\)".*"better": "higher".*/\1/p' BENCHMARK.json | tr '\n' ' ')
+TRACED=$(sed -n 's/.*def("\([^"]*\)", "[^"]*", Traced.*/\1/p' ddbench/src/main.rs | tr '\n' ' ')
 export CARGO_NET_OFFLINE=true
 # Each side builds into its own tree.
 unset CARGO_TARGET_DIR
@@ -96,7 +114,7 @@ run() {
         }' "$out" >>"$TMP/results"
         return
     fi
-    "$TMP/$side/ddbench/target/release/ddbench" "${WORKLOAD[@]}" --trace 0 >"$out"
+    "$TMP/$side/ddbench/target/release/ddbench" "${WORKLOAD[@]}" "${TRACE[@]}" >"$out"
     grep -q '"correct": true' "$out" || {
         echo "ab.sh: $side run $pair did not read correct: true" >&2
         exit 1
@@ -118,9 +136,10 @@ for pair in $(seq 1 "$PAIRS"); do
 done
 
 [ -s "$TMP/results" ] || { echo "ab.sh: no results (does --micro match a benchmark?)" >&2; exit 1; }
-echo "ab: base $(git rev-parse --short "$BASE"), $PAIRS pairs, aligned=$ALIGNED${MICRO:+, micro $MICRO}"
+echo "ab: base $(git rev-parse --short "$BASE"), $PAIRS pairs, aligned=$ALIGNED, per_layer=$PER_LAYER${MICRO:+, micro $MICRO}"
 echo "workload metric base_median base_q1 base_q3 change_median delta_pct wins"
-awk -v pairs="$PAIRS" -v micro="${MICRO:+1}" '
+awk -v pairs="$PAIRS" -v micro="${MICRO:+1}" -v per_layer="$PER_LAYER" \
+    -v higher_names="$HIGHER" -v traced_names="$TRACED" '
     # Python statistics.quantiles(data, n=4), exclusive method: q(1..3).
     function quartile(v, n, i,    m, j, delta) {
         m = n + 1
@@ -143,11 +162,16 @@ awk -v pairs="$PAIRS" -v micro="${MICRO:+1}" '
         val[$1, key, $2] = $5
     }
     END {
+        split(higher_names, hn, " ")
+        for (i in hn) higher_set[hn[i]] = 1
+        split(traced_names, tn, " ")
+        for (i in tn) traced_set[tn[i]] = 1
         for (k = 1; k <= nkeys; k++) {
             key = order[k]
             split(key, wm, SUBSEP)
-            if (!micro && wm[2] !~ /^(wall_s|setup_s|ios_per_host_s|peak_heap_mib)$/) continue
-            higher = !micro && wm[2] == "ios_per_host_s"
+            if (!micro && !per_layer && wm[2] !~ /^(wall_s|setup_s|ios_per_host_s|peak_heap_mib)$/) continue
+            if (per_layer && (wm[2] == "failed_frac" || wm[2] in traced_set)) continue
+            higher = !micro && wm[2] in higher_set
             wins = 0
             for (p = 1; p <= pairs; p++) {
                 b[key, p] = val["base", key, p]
