@@ -102,7 +102,7 @@ fn routing_rows(table: &mut Table, outs: &[&RunOutput]) {
     for (label, get) in counters {
         let mut row = vec![label.to_string()];
         for out in outs {
-            row.push(get(&out.route_stats).to_string());
+            row.push(get(&out.stack_stats.route).to_string());
         }
         table.row(&row);
     }

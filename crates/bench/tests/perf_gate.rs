@@ -131,7 +131,7 @@ fn untraced_ns_per_event_stays_under_the_ceiling() {
     let mut best_ns_per_event = f64::INFINITY;
     for _ in 0..RUNS {
         let t = Instant::now();
-        let events = testbed::run_in(cell(), &mut arena).events_processed;
+        let events = testbed::run_in(cell(), &mut arena).summary.events_processed;
         best_ns_per_event = best_ns_per_event.min(t.elapsed().as_secs_f64() * 1e9 / events as f64);
         best_kernel_ms = best_kernel_ms.min(kernel_ms());
     }

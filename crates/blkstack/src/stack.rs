@@ -44,8 +44,8 @@ pub struct StackEnv<'a> {
     pub dev_out: &'a mut DeviceOutput,
     /// Bio completions produced during this call (testbed delivers them).
     pub completions: &'a mut Vec<BioCompletion>,
-    /// Tenant core migrations requested by the stack (blk-switch
-    /// application steering); the testbed applies them.
+    /// Tenant core migrations requested by [`StorageStack::on_tick`]
+    /// (blk-switch application steering); the testbed lands them.
     pub migrations: &'a mut Vec<(Pid, u16)>,
     /// Deterministic randomness.
     pub rng: &'a mut SimRng,

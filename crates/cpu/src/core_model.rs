@@ -230,7 +230,8 @@ impl<P> CpuSystem<P> {
     }
 
     /// Per-core busy fractions over `[window_start, now]`, given snapshots
-    /// taken at `window_start`.
+    /// taken at `window_start`; all zero over an empty window or without
+    /// snapshots (a run that ended before its window opened).
     pub fn busy_fractions(
         &self,
         window_start: SimTime,
@@ -238,7 +239,7 @@ impl<P> CpuSystem<P> {
         now: SimTime,
     ) -> Vec<f64> {
         let window = now.saturating_since(window_start);
-        if window.is_zero() {
+        if window.is_zero() || baseline.is_empty() {
             // dd-alloc-allowlist: post-loop; one fraction per core.
             return vec![0.0; self.cores.len()];
         }

@@ -58,15 +58,14 @@ pub struct RunOutput {
     pub op_latencies: HashMap<OpKind, LatencyHistogram>,
     /// Mean in-flash queueing delay (device congestion indicator).
     pub flash_queue_delay: SimDuration,
-    /// Total simulator events processed.
+    /// A copy of `summary.events_processed`, kept for ddbench only;
+    /// ROADMAP item 5 deletes it. Read the original.
     pub events_processed: u64,
-    /// troute reassignment count (Fig. 14; 0 for stacks without troute).
-    /// A copy of `stack_stats.route.reassignments`.
+    /// A copy of `stack_stats.route.reassignments`, kept for ddbench only;
+    /// ROADMAP item 5 deletes it. Read the original.
     pub troute_reassignments: u64,
-    /// Full troute routing-path counters (default/outlier/query splits;
-    /// all zero for stacks without troute). The ext_policy figure uses
-    /// these to show *how* each policy routed, not only how it performed.
-    /// A copy of `stack_stats.route`.
+    /// A copy of `stack_stats.route`, kept for ddbench only; ROADMAP item 5
+    /// deletes it. Read the original.
     pub route_stats: daredevil::RouteStats,
     /// Fault-injection and recovery counters (all zero without faults).
     pub fault: dd_metrics::FaultRecovery,
@@ -195,7 +194,7 @@ impl FleetOutput {
 
     /// Total simulator events processed across the fleet.
     pub fn events_processed(&self) -> u64 {
-        self.hosts.iter().map(|h| h.events_processed).sum()
+        self.hosts.iter().map(|h| h.summary.events_processed).sum()
     }
 
     /// SLO-violation rate restricted to one SLA class.
@@ -220,7 +219,7 @@ impl FleetOutput {
         let mut absorb = |x: u64| h = mix64(h ^ x).wrapping_mul(0x100_0000_01b3);
         for (hi, host) in self.hosts.iter().enumerate() {
             absorb(hi as u64);
-            absorb(host.events_processed);
+            absorb(host.summary.events_processed);
             for t in host.tenants() {
                 absorb(t.id());
                 for b in t.class().bytes() {

@@ -35,6 +35,6 @@ fn main() {
     );
     println!(
         "simulator: {} events, flash queue delay {}",
-        out.events_processed, out.flash_queue_delay
+        out.summary.events_processed, out.flash_queue_delay
     );
 }

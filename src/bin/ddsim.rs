@@ -220,7 +220,7 @@ fn report(w: &mut impl Write, out: &RunOutput, warmup_ms: u64) -> io::Result<()>
         w,
         "device: flash queue delay {}, events {}, T fairness (Jain) {:.3}",
         out.flash_queue_delay,
-        out.events_processed,
+        out.summary.events_processed,
         out.summary.jain_fairness("T"),
     )
 }
