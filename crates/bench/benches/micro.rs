@@ -14,7 +14,7 @@ use std::hint::black_box;
 use blkstack::bio::{Bio, BioId, ReqFlags};
 use blkstack::nsqlock::NsqLockTable;
 use blkstack::{IoPriorityClass, Pid, TaskStruct};
-use daredevil::{DaredevilConfig, NqReg, Policy, Priority, ProxyTable, Troute};
+use daredevil::{DaredevilConfig, NqReg, PolicySpec, Priority, Troute};
 use dd_check::bench::BenchSet;
 use dd_cpu::{CpuSystem, WorkClass};
 use dd_metrics::LatencyHistogram;
@@ -37,33 +37,25 @@ fn device(sqs: u16, cqs: u16) -> NvmeDevice {
     NvmeDevice::new(cfg, 8)
 }
 
-fn proxies(dev: &NvmeDevice) -> ProxyTable {
-    let prios = daredevil::nqreg::divide_priorities(dev.nr_cqs());
-    ProxyTable::new(
-        dev.nr_sqs(),
-        |i| dev.cq_of_sq(SqId(i)),
-        |i| prios[dev.cq_of_sq(SqId(i)).index()],
-    )
-}
-
 fn bench_nq_scheduling(set: &mut BenchSet) {
     // The WS-M shape: 128 NSQs over 24 NCQs, both scheduling steps active.
+    // The device's NSQ depth, 1 024, is every merit heap's MRU budget.
     let dev = device(128, 24);
     let locks = NsqLockTable::new(128);
-    let prox = proxies(&dev);
 
-    let mut reg = NqReg::new(1024, true, 128, 24, |i| i % 24);
-    let pol = Policy::new(&DaredevilConfig::default());
+    let mut reg = NqReg::new(&DaredevilConfig::default(), &dev);
     set.bench("nqreg/schedule_mru_hit", || {
-        black_box(reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox))
+        black_box(reg.schedule(Priority::High, 1, &dev, &locks))
     });
-    let mut reg = NqReg::new(1, true, 128, 24, |i| i % 24);
+    // Spending the whole budget per query re-sorts both steps every query.
+    let mut reg = NqReg::new(&DaredevilConfig::default(), &dev);
+    let m = reg.mru();
     set.bench("nqreg/schedule_with_resort", || {
-        black_box(reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox))
+        black_box(reg.schedule(Priority::High, m, &dev, &locks))
     });
-    let mut reg = NqReg::new(1024, false, 128, 24, |i| i % 24);
+    let mut reg = NqReg::new(&DaredevilConfig::base(), &dev);
     set.bench("nqreg/schedule_round_robin", || {
-        black_box(reg.schedule(&pol, Priority::Low, 1, &dev, &locks, &prox))
+        black_box(reg.schedule(Priority::Low, 1, &dev, &locks))
     });
 }
 
@@ -72,17 +64,13 @@ fn bench_troute(set: &mut BenchSet) {
     let locks = NsqLockTable::new(64);
 
     {
-        let mut prox = proxies(&dev);
-        let mut reg = NqReg::new(1024, true, 64, 64, |i| i);
-        let mut tr = Troute::new(1024, 64);
-        let mut pol = Policy::new(&DaredevilConfig::default());
+        let mut reg = NqReg::new(&DaredevilConfig::default(), &dev);
+        let mut tr = Troute::new();
         tr.register(
             &TaskStruct::new(Pid(1), 0, IoPriorityClass::RealTime, NamespaceId(1), "L"),
-            &pol,
             &mut reg,
             &dev,
             &locks,
-            &mut prox,
         );
         let bio = Bio {
             id: BioId(1),
@@ -97,29 +85,27 @@ fn bench_troute(set: &mut BenchSet) {
             issued_at: SimTime::ZERO,
         };
         set.bench("troute/route_default", || {
-            black_box(tr.route(
-                &bio,
-                SimTime::ZERO,
-                &mut pol,
-                &mut reg,
-                &dev,
-                &locks,
-                &mut prox,
-            ))
+            black_box(tr.route(&bio, SimTime::ZERO, &mut reg, &dev, &locks))
         });
     }
     {
-        let mut prox = proxies(&dev);
-        let mut reg = NqReg::new(1024, true, 64, 64, |i| i);
-        let mut tr = Troute::new(1024, u64::MAX);
-        let mut pol = Policy::new(&DaredevilConfig::default());
+        // Under the default policy a stream of outliers earns its tenant
+        // the outlier tag after one profiling window, and from then on
+        // takes the tagged table path. The `sizeclass` policy sends every
+        // request of at most 32 KiB, this 4 KiB sync write included,
+        // through a per-request high-group query (`m = 1`) whatever the
+        // tag, so every iteration times that query path.
+        let cfg = DaredevilConfig {
+            policy: PolicySpec::SizeClass,
+            ..DaredevilConfig::default()
+        };
+        let mut reg = NqReg::new(&cfg, &dev);
+        let mut tr = Troute::new();
         tr.register(
             &TaskStruct::new(Pid(2), 0, IoPriorityClass::BestEffort, NamespaceId(1), "T"),
-            &pol,
             &mut reg,
             &dev,
             &locks,
-            &mut prox,
         );
         let bio = Bio {
             id: BioId(1),
@@ -134,15 +120,7 @@ fn bench_troute(set: &mut BenchSet) {
             issued_at: SimTime::ZERO,
         };
         set.bench("troute/route_outlier_per_request", || {
-            black_box(tr.route(
-                &bio,
-                SimTime::ZERO,
-                &mut pol,
-                &mut reg,
-                &dev,
-                &locks,
-                &mut prox,
-            ))
+            black_box(tr.route(&bio, SimTime::ZERO, &mut reg, &dev, &locks))
         });
     }
 }
@@ -644,7 +622,7 @@ fn bench_trace(set: &mut BenchSet) {
             t: SimTime::from_nanos(t),
             rq,
             tenant: rq % 8,
-            sla: if rq % 8 == 0 { Sla::L } else { Sla::T },
+            sla: if rq.is_multiple_of(8) { Sla::L } else { Sla::T },
             phase,
             core: (rq % 4) as u16,
             nsq: Some((rq % 16) as u16),

@@ -454,9 +454,8 @@ fn write_event(w: &mut impl std::io::Write, cell: &str, ev: &TraceEvent) -> std:
         ev.phase.name(),
         ev.core
     )?;
-    match ev.nsq {
-        Some(q) => write!(w, "{q}")?,
-        None => {}
+    if let Some(q) = ev.nsq {
+        write!(w, "{q}")?;
     }
     writeln!(w, ",{}", ev.t.as_nanos())
 }

@@ -92,8 +92,11 @@ fn t_mbps_row(outs: &[&RunOutput]) -> Vec<String> {
     row
 }
 
+/// A routing counter: its row label and how to read it.
+type Counter = (&'static str, fn(&daredevil::RouteStats) -> u64);
+
 fn routing_rows(table: &mut Table, outs: &[&RunOutput]) {
-    let counters: [(&str, fn(&daredevil::RouteStats) -> u64); 4] = [
+    let counters: [Counter; 4] = [
         ("default routes", |r| r.default_routes),
         ("outlier routes", |r| r.outlier_routes),
         ("per-request queries", |r| r.per_request_queries),

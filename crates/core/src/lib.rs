@@ -8,16 +8,19 @@
 //!   one lightweight wrapper per NSQ exposing its state (priority, paired
 //!   NCQ, claimed-core bitmap) to the block layer without breaking the
 //!   block-layer/driver module boundary (§5.1);
-//! * [`troute`] — the tenant-NQ request router: assesses tenant SLAs from
-//!   ionice, profiles T-tenants for *outlier* (sync/metadata) requests, and
-//!   routes per Algorithm 1 (§5.2);
-//! * [`nqreg`] — the NQ regulator: maintains priority NQGroups over the NQ
+//! * [`nqreg`] — the NQ regulator: owns the NQ table (one proxy per NSQ)
+//!   and the policy, maintains priority NQGroups over the NQ
 //!   heterogeneity, schedules NSQs with two-step merit min-heaps under the
-//!   MRU update policy (Algorithm 2), and dispatches SLA-aware I/O service
-//!   routines (§5.3);
-//! * [`stack_impl`] — [`stack_impl::DaredevilStack`], wiring the three
-//!   components into a [`blkstack::StorageStack`], with the `dare-base` /
-//!   `dare-sched` / `dare-full` ablation variants of the paper's §7.3;
+//!   MRU update policy (Algorithm 2), and makes the SLA-aware I/O service
+//!   dispatching decisions (§5.3);
+//! * [`troute`] — the tenant-NQ request router: owns the tenant table,
+//!   assesses tenant SLAs from ionice, profiles T-tenants for *outlier*
+//!   (sync/metadata) requests, and routes per Algorithm 1 (§5.2), querying
+//!   and claiming on the nqreg each call lends it;
+//! * [`stack_impl`] — [`stack_impl::DaredevilStack`], the configuration,
+//!   nqreg, troute and the dispatch core as a [`blkstack::StorageStack`],
+//!   with the `dare-base` / `dare-sched` / `dare-full` ablation variants of
+//!   the paper's §7.3;
 //! * [`policy`] — the policy layer: the routing, merit, and batching
 //!   decisions of Algorithms 1/2 and §5.3 in one [`policy::Policy`] type
 //!   that matches on the configured [`PolicySpec`]: the paper's behaviour
@@ -55,7 +58,7 @@ pub mod troute;
 
 pub use blkstack::stack::RouteStats;
 pub use config::{DaredevilConfig, Variant};
-pub use nproxy::{Nproxy, Priority, ProxyTable};
+pub use nproxy::{Nproxy, Priority};
 pub use nqreg::{ncq_merit_k, nsq_merit_k, NqReg, ALPHA};
 pub use policy::{CompletionMode, DoorbellMode, Policy, PolicySpec};
 pub use stack_impl::DaredevilStack;

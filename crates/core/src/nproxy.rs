@@ -7,7 +7,8 @@
 //! bitmap of CPU cores claiming frequent use of it (the contention hint
 //! troute maintains for NQ scheduling, §5.2). Proxies are device-level and
 //! therefore uniform across namespaces — the root of Daredevil's
-//! multi-namespace support.
+//! multi-namespace support. nqreg holds them, one row per NSQ
+//! ([`crate::NqReg::proxy`]).
 //!
 //! # Paper mapping (§4 "blex", §5.1)
 //!
@@ -18,7 +19,7 @@
 //! | [`Nproxy::prio`] | the SLA designation nqreg assigns at init (§5.3, Alg. 2 input) |
 //! | [`Nproxy::claim`]/[`Nproxy::nr_claimed_cores`] | `nq.nr_claimed_cores`, the contention hint of Algorithm 2 line 6 |
 //! | [`Priority`] | the two SLA classes: L (latency-sensitive) / T (throughput-oriented), §2 |
-//! | [`ProxyTable`] | the device-level proxy array giving every core a path to every NSQ (§4) — uniform across namespaces, hence multi-namespace support (§6, Fig. 10) |
+//! | [`crate::NqReg::proxy`] | the device-level proxy array giving every core a path to every NSQ (§4): nqreg's per-NSQ rows, uniform across namespaces, hence multi-namespace support (§6, Fig. 10) |
 
 use dd_nvme::{CqId, SqId};
 
@@ -107,91 +108,13 @@ impl Nproxy {
     }
 }
 
-/// All proxies of a device, indexed by NSQ id.
-#[derive(Clone, Debug)]
-pub struct ProxyTable {
-    proxies: Vec<Nproxy>,
-}
-
-impl ProxyTable {
-    /// Builds proxies for `nr_sqs` NSQs. `cq_of` supplies each NSQ's paired
-    /// NCQ; `prio_of` the priority nqreg designated.
-    pub fn new(
-        nr_sqs: u16,
-        mut cq_of: impl FnMut(u16) -> CqId,
-        mut prio_of: impl FnMut(u16) -> Priority,
-    ) -> Self {
-        ProxyTable {
-            proxies: (0..nr_sqs)
-                .map(|i| Nproxy::new(SqId(i), cq_of(i), prio_of(i)))
-                .collect(),
-        }
-    }
-
-    /// Number of proxies.
-    pub fn len(&self) -> usize {
-        self.proxies.len()
-    }
-
-    /// True when empty (never, for a valid device).
-    pub fn is_empty(&self) -> bool {
-        self.proxies.is_empty()
-    }
-
-    /// Immutable proxy access.
-    pub fn get(&self, sq: SqId) -> &Nproxy {
-        &self.proxies[sq.index()]
-    }
-
-    /// Mutable proxy access.
-    pub fn get_mut(&mut self, sq: SqId) -> &mut Nproxy {
-        &mut self.proxies[sq.index()]
-    }
-
-    /// Iterates all proxies.
-    pub fn iter(&self) -> impl Iterator<Item = &Nproxy> {
-        self.proxies.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn table() -> ProxyTable {
-        ProxyTable::new(
-            4,
-            |i| CqId(i / 2),
-            |i| if i < 2 { Priority::High } else { Priority::Low },
-        )
-    }
-
-    #[test]
-    fn construction_maps_pairings() {
-        let t = table();
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.get(SqId(3)).cq, CqId(1));
-        assert_eq!(t.get(SqId(0)).prio, Priority::High);
-        assert_eq!(t.get(SqId(2)).prio, Priority::Low);
-    }
-
-    #[test]
-    fn priority_partition() {
-        let t = table();
-        let with = |prio| {
-            t.iter()
-                .filter(|p| p.prio == prio)
-                .map(|p| p.sq)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(with(Priority::High), vec![SqId(0), SqId(1)]);
-        assert_eq!(with(Priority::Low), vec![SqId(2), SqId(3)]);
-    }
-
     #[test]
     fn claim_bitmap_counts_distinct_cores() {
-        let mut t = table();
-        let p = t.get_mut(SqId(0));
+        let mut p = Nproxy::new(SqId(0), CqId(0), Priority::High);
         p.claim(1);
         p.claim(1); // Second tenant on the same core.
         p.claim(3);
@@ -203,8 +126,7 @@ mod tests {
 
     #[test]
     fn unclaim_clears_bit_only_when_last() {
-        let mut t = table();
-        let p = t.get_mut(SqId(0));
+        let mut p = Nproxy::new(SqId(0), CqId(0), Priority::High);
         p.claim(5);
         p.claim(5);
         p.unclaim(5, true);

@@ -22,14 +22,15 @@
 //!
 //! | This module | Paper concept |
 //! |---|---|
-//! | [`divide_priorities`] | init-time equal division of NCQs into high/low NQGroups, §5.3 |
+//! | [`NqReg::new`] | driver initialization: one proxy row per NSQ ([`NqReg::proxy`], blex's proxies, §4) and the NQGroups over them |
+//! | [`divide_priorities`] | init-time equal division of NCQs into high/low NQGroups, §5.3; each proxy's [`crate::Nproxy::prio`] is its NCQ's share |
 //! | [`ncq_merit_k`] | `MeritCalc` NCQ step — IRQ balancing criterion, Algorithm 2 line 4 |
 //! | [`nsq_merit_k`] | `MeritCalc` NSQ step — contention-avoidance criterion, Algorithm 2 line 6 |
 //! | [`NqReg::schedule`] | the two-step heap query serving troute, Algorithm 2 lines 1–8 |
 //! | the policy's merit decisions | Algorithm 2's criteria as [`crate::policy::Policy::ncq_merit`] / [`nsq_merit`](crate::policy::Policy::nsq_merit); every arm but [`crate::PolicySpec::FairShare`] delegates to the two `*_merit_k` functions above bit-for-bit |
 //! | [`ALPHA`] | exponential merit smoothing with `α ∈ (0.5, 1)`, 0.8 in the evaluation, §5.3 and §7 |
-//! | the MRU budget | bounded heap re-sorts on the critical path (`m` decrements, resort at 0), §5.3 |
-//! | SLA-aware dispatch flags | immediate vs batched doorbells / per-request vs batched completions, §5.3 |
+//! | [`NqReg::mru`] | the MRU budget: bounded heap re-sorts on the critical path (`m` decrements, resort at 0), §5.3 |
+//! | `NqReg::doorbell` / `NqReg::reap` | SLA-aware I/O service dispatching: immediate vs batched doorbells / per-request vs batched completions, §5.3 |
 //!
 //! The "merit heap always returns the min" workspace invariant lives in
 //! `simkit` (`keyed_heap_top_is_min`); the wall-clock cost the MRU budget
@@ -40,8 +41,11 @@ use simkit::{Ewma, KeyedMinHeap, SimDuration};
 
 use blkstack::nsqlock::NsqLockTable;
 
-use crate::nproxy::{Priority, ProxyTable};
-use crate::policy::{NcqMeritCtx, NsqMeritCtx, Policy};
+use crate::config::{DaredevilConfig, Variant};
+use crate::nproxy::{Nproxy, Priority};
+use crate::policy::{
+    CompletionMode, DoorbellCtx, DoorbellMode, NcqMeritCtx, NsqMeritCtx, Policy, ReapCtx,
+};
 
 /// Exponential smoothing weight α of the merit calculation. The paper uses
 /// 0.8, the best balance between history and recency (§7).
@@ -122,10 +126,18 @@ struct NqGroup {
     rr_cursor: usize,
 }
 
-/// The NQ regulator.
+/// The NQ regulator: the NQ table (one [`Nproxy`] row per NSQ), the
+/// NQGroups and merit heaps over it, and the [`Policy`] whose merit,
+/// doorbell and reap decisions it applies.
 #[derive(Debug)]
 pub struct NqReg {
-    mru_init: u32,
+    /// The stack's decisions: merits here, routing for troute, doorbells
+    /// and reaps for the I/O service dispatching (§5.3).
+    pub(crate) policy: Policy,
+    /// blex's proxies, indexed by NSQ id.
+    proxies: Vec<Nproxy>,
+    /// Every merit heap's MRU budget: the device's NSQ depth (§5.2).
+    mru: u32,
     /// Merit-based scheduling on (false = round-robin, the `dare-base`
     /// ablation).
     use_merit: bool,
@@ -133,7 +145,6 @@ pub struct NqReg {
     ncq_nodes: Vec<NcqNode>,
     ncq_state: Vec<NcqMeritState>,
     nsq_state: Vec<NsqMeritState>,
-    cq_priority: Vec<Priority>,
     /// Heap recomputations performed (observability: the MRU policy's whole
     /// point is keeping this small relative to queries).
     resorts: u64,
@@ -141,49 +152,40 @@ pub struct NqReg {
 }
 
 impl NqReg {
-    /// Builds the regulator for a device with `nr_sqs` NSQs and `nr_cqs`
-    /// NCQs, where NSQ `i` pairs NCQ `cq_of(i)`. `mru` is every merit
-    /// heap's initial MRU budget; the stack uses the NSQ depth (§5.2).
-    pub fn new(
-        mru: u32,
-        use_merit: bool,
-        nr_sqs: u16,
-        nr_cqs: u16,
-        mut cq_of: impl FnMut(u16) -> u16,
-    ) -> Self {
+    /// Builds the regulator for `device`: one proxy per NSQ, paired with
+    /// the device's NCQ for it and serving that NCQ's priority. Every merit
+    /// heap's MRU budget is the NSQ depth (§5.2); `cfg` names the ablation
+    /// variant and the policy.
+    pub fn new(cfg: &DaredevilConfig, device: &NvmeDevice) -> Self {
+        let nr_cqs = device.nr_cqs();
+        let mru = u32::from(device.config().sq_depth);
         let cq_priority = divide_priorities(nr_cqs);
+        let proxies: Vec<Nproxy> = (0..device.nr_sqs())
+            .map(|i| {
+                let cq = device.cq_of_sq(SqId(i));
+                Nproxy::new(SqId(i), cq, cq_priority[cq.index()])
+            })
+            .collect();
         let mut ncq_nodes: Vec<NcqNode> = (0..nr_cqs)
             .map(|_| NcqNode {
                 nsq_heap: KeyedMinHeap::new(),
                 mru: mru as i64,
             })
             .collect();
-        // Attach NSQs to their NCQ nodes. An NSQ inherits its NCQ's priority.
-        let mut sq_prio = vec![Priority::High; nr_sqs as usize];
-        for sq in 0..nr_sqs {
-            let cq = cq_of(sq);
-            ncq_nodes[cq as usize].nsq_heap.insert(SqId(sq), 0.0);
-            sq_prio[sq as usize] = cq_priority[cq as usize];
+        for p in &proxies {
+            ncq_nodes[p.cq.index()].nsq_heap.insert(p.sq, 0.0);
         }
-        let mut groups = [
-            NqGroup {
-                ncq_heap: KeyedMinHeap::new(),
-                mru: mru as i64,
-                rr_flat: Vec::new(),
-                rr_cursor: 0,
-            },
-            NqGroup {
-                ncq_heap: KeyedMinHeap::new(),
-                mru: mru as i64,
-                rr_flat: Vec::new(),
-                rr_cursor: 0,
-            },
-        ];
+        let mut groups: [NqGroup; 2] = std::array::from_fn(|_| NqGroup {
+            ncq_heap: KeyedMinHeap::new(),
+            mru: mru as i64,
+            rr_flat: Vec::new(),
+            rr_cursor: 0,
+        });
         for (cq, prio) in cq_priority.iter().enumerate() {
             groups[prio.index()].ncq_heap.insert(CqId(cq as u16), 0.0);
         }
-        for sq in 0..nr_sqs {
-            groups[sq_prio[sq as usize].index()].rr_flat.push(SqId(sq));
+        for p in &proxies {
+            groups[p.prio.index()].rr_flat.push(p.sq);
         }
         // A single-CQ (or single-priority) device leaves the low group
         // empty: fall back to sharing the high group's queues so routing
@@ -202,8 +204,9 @@ impl NqReg {
             low.rr_flat.extend_from_slice(&high.rr_flat);
         }
         NqReg {
-            mru_init: mru,
-            use_merit,
+            policy: Policy::new(cfg),
+            mru,
+            use_merit: cfg.variant != Variant::Base,
             groups,
             ncq_nodes,
             ncq_state: (0..nr_cqs)
@@ -213,42 +216,84 @@ impl NqReg {
                     last_irqs: 0,
                 })
                 .collect(),
-            nsq_state: (0..nr_sqs)
+            nsq_state: (0..proxies.len())
                 .map(|_| NsqMeritState {
                     ewma: Ewma::new(ALPHA),
                     last_lock_wait: SimDuration::ZERO,
                     last_submitted: 0,
                 })
                 .collect(),
-            cq_priority,
+            proxies,
             resorts: 0,
             queries: 0,
         }
     }
 
-    /// The priority an NCQ's group serves (drives the completion-path
-    /// dispatch: per-request for high, batched for low).
-    pub fn cq_priority(&self, cq: CqId) -> Priority {
-        self.cq_priority[cq.index()]
+    /// Every merit heap's MRU budget, and so the decrement of a
+    /// tenant-based query (§5.2).
+    pub fn mru(&self) -> u32 {
+        self.mru
+    }
+
+    /// The proxy of `sq`.
+    pub fn proxy(&self, sq: SqId) -> &Nproxy {
+        &self.proxies[sq.index()]
+    }
+
+    /// The proxy of `sq`, for troute's claim maintenance.
+    pub(crate) fn proxy_mut(&mut self, sq: SqId) -> &mut Nproxy {
+        &mut self.proxies[sq.index()]
+    }
+
+    /// Every proxy, in NSQ order.
+    pub fn proxies(&self) -> &[Nproxy] {
+        &self.proxies
+    }
+
+    /// The priority `cq`'s group serves: that of its NSQs, which carry
+    /// their NCQ's priority. The device has no more NCQs than NSQs, so
+    /// every NCQ serves one and the fallback is never taken.
+    fn cq_priority(&self, cq: CqId) -> Priority {
+        self.ncq_nodes[cq.index()]
+            .nsq_heap
+            .top()
+            .map_or(Priority::Low, |sq| self.proxies[sq.index()].prio)
+    }
+
+    /// The doorbell discipline for `commands` staged on `sq` (the
+    /// submission half of §5.3's SLA-aware I/O service dispatching).
+    pub(crate) fn doorbell(&self, sq: SqId, commands: u64) -> DoorbellMode {
+        self.policy.doorbell(&DoorbellCtx {
+            prio: self.proxies[sq.index()].prio,
+            commands,
+        })
+    }
+
+    /// The completion discipline for an ISR on `cq` that drained `entries`
+    /// CQEs (the completion half of §5.3's dispatching).
+    pub(crate) fn reap(&self, cq: CqId, entries: u64) -> CompletionMode {
+        self.policy.reap(&ReapCtx {
+            prio: self.cq_priority(cq),
+            entries,
+        })
     }
 
     /// `NQSchedule` (Algorithm 2): selects the NSQ within `prio`'s NQGroup
     /// that best satisfies the criteria. `m` is the MRU decrement set by
-    /// troute's calling context (MRU for tenant-based and tagged-outlier
-    /// contexts, 1 for per-request outlier queries).
+    /// troute's calling context: [`Self::mru`] for the tenant-based and
+    /// tagged-outlier contexts, 1 for an untagged T-tenant's per-request
+    /// outlier query (§5.2).
     ///
-    /// `policy` supplies the merit functions when a re-sort fires
+    /// The policy supplies the merit functions when a re-sort fires
     /// ([`Policy::ncq_merit`] / [`Policy::nsq_merit`]); the EWMA smoothing,
     /// assignment tie-breaker, and MRU budgeting are nqreg mechanism and
     /// apply under every policy.
     pub fn schedule(
         &mut self,
-        policy: &Policy,
         prio: Priority,
         m: u32,
         device: &NvmeDevice,
         locks: &NsqLockTable,
-        proxies: &ProxyTable,
     ) -> SqId {
         self.queries += 1;
         if !self.use_merit {
@@ -268,28 +313,27 @@ impl NqReg {
         let group_idx = prio.index();
         self.groups[group_idx].mru -= m as i64;
         if self.groups[group_idx].mru <= 0 {
-            self.resort_ncq_heap(policy, group_idx, device, proxies);
+            self.resort_ncq_heap(group_idx, device);
         }
+        // Justified: `new` gives both groups the high group's NCQs at least.
         let ncq = self.groups[group_idx]
             .ncq_heap
             .top()
             .expect("priority group has no NCQs");
-        // Step 2: NSQ by contention merit within the chosen NCQ.
-        let node = &self.ncq_nodes[ncq.index()];
-        debug_assert!(!node.nsq_heap.is_empty());
-        if node.nsq_heap.len() == 1 {
-            // 1:1 binding degenerates: select directly, no scheduling.
-            return node.nsq_heap.top().expect("non-empty heap");
-        }
+        // Step 2: NSQ by contention merit within the chosen NCQ; a 1:1
+        // binding degenerates to its one NSQ, with no scheduling.
         let node = &mut self.ncq_nodes[ncq.index()];
-        node.mru -= m as i64;
-        if node.mru <= 0 {
-            self.resort_nsq_heap(policy, ncq, locks, device, proxies);
+        if node.nsq_heap.len() > 1 {
+            node.mru -= m as i64;
+            if node.mru <= 0 {
+                self.resort_nsq_heap(ncq, locks, device);
+            }
         }
+        // Justified: the device has no more NCQs than NSQs, so each serves one.
         self.ncq_nodes[ncq.index()]
             .nsq_heap
             .top()
-            .expect("non-empty heap")
+            .expect("NCQ serves no NSQ")
     }
 
     /// Recomputes the NCQ heap's merits. Cold by design: the MRU budget
@@ -297,14 +341,10 @@ impl NqReg {
     /// hint keeps the resort body out of `schedule`'s hot icache lines.
     #[cold]
     #[inline(never)]
-    fn resort_ncq_heap(
-        &mut self,
-        policy: &Policy,
-        group_idx: usize,
-        device: &NvmeDevice,
-        proxies: &ProxyTable,
-    ) {
+    fn resort_ncq_heap(&mut self, group_idx: usize, device: &NvmeDevice) {
         self.resorts += 1;
+        let policy = &self.policy;
+        let proxies = &self.proxies;
         let ncq_state = &mut self.ncq_state;
         let ncq_nodes = &self.ncq_nodes;
         self.groups[group_idx].ncq_heap.resort_with(|cq| {
@@ -320,7 +360,7 @@ impl NqReg {
             let assignments: f64 = ncq_nodes[cq.index()]
                 .nsq_heap
                 .iter()
-                .map(|(sq, _)| proxies.get(sq).assignments() as f64)
+                .map(|(sq, _)| proxies[sq.index()].assignments() as f64)
                 .sum::<f64>();
             let merit_k = policy.ncq_merit(&NcqMeritCtx {
                 in_flight: st.in_flight_rqs,
@@ -333,22 +373,17 @@ impl NqReg {
                 .ewma
                 .observe(merit_k + assignments * ASSIGNMENT_TIE_WEIGHT)
         });
-        self.groups[group_idx].mru = self.mru_init as i64;
+        self.groups[group_idx].mru = self.mru as i64;
     }
 
     /// Recomputes one NCQ's NSQ heap. Cold for the same reason as
     /// [`Self::resort_ncq_heap`].
     #[cold]
     #[inline(never)]
-    fn resort_nsq_heap(
-        &mut self,
-        policy: &Policy,
-        ncq: CqId,
-        locks: &NsqLockTable,
-        device: &NvmeDevice,
-        proxies: &ProxyTable,
-    ) {
+    fn resort_nsq_heap(&mut self, ncq: CqId, locks: &NsqLockTable, device: &NvmeDevice) {
         self.resorts += 1;
+        let policy = &self.policy;
+        let proxies = &self.proxies;
         let nsq_state = &mut self.nsq_state;
         let node = &mut self.ncq_nodes[ncq.index()];
         node.nsq_heap.resort_with(|sq| {
@@ -361,7 +396,7 @@ impl NqReg {
             let submitted_delta = submitted - state.last_submitted;
             state.last_lock_wait = lock_total;
             state.last_submitted = submitted;
-            let proxy = proxies.get(sq);
+            let proxy = &proxies[sq.index()];
             let merit_k = policy.nsq_merit(&NsqMeritCtx {
                 lock_wait: lock_delta,
                 submitted_delta,
@@ -372,7 +407,7 @@ impl NqReg {
                 .ewma
                 .observe(merit_k + proxy.assignments() as f64 * ASSIGNMENT_TIE_WEIGHT)
         });
-        node.mru = self.mru_init as i64;
+        node.mru = self.mru as i64;
     }
 
     /// Heap recomputations performed so far.
@@ -389,23 +424,20 @@ impl NqReg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DaredevilConfig;
     use dd_nvme::NvmeConfig;
 
-    fn device(sqs: u16, cqs: u16) -> NvmeDevice {
+    /// An SV-M-like device with `sqs` NSQs over `cqs` NCQs, of depth
+    /// `depth`: the regulator's MRU budget.
+    fn device(sqs: u16, cqs: u16, depth: u16) -> NvmeDevice {
         let mut cfg = NvmeConfig::sv_m();
         cfg.nr_sqs = sqs;
         cfg.nr_cqs = cqs;
+        cfg.sq_depth = depth;
         NvmeDevice::new(cfg, 4)
     }
 
-    fn proxies(device: &NvmeDevice) -> ProxyTable {
-        let prios = divide_priorities(device.nr_cqs());
-        ProxyTable::new(
-            device.nr_sqs(),
-            |i| device.cq_of_sq(SqId(i)),
-            |i| prios[device.cq_of_sq(SqId(i)).index()],
-        )
+    fn regulator(dev: &NvmeDevice) -> NqReg {
+        NqReg::new(&DaredevilConfig::default(), dev)
     }
 
     #[test]
@@ -417,16 +449,31 @@ mod tests {
     }
 
     #[test]
+    fn rows_follow_the_device_pairing() {
+        // 4 NSQs over 2 NCQs: NSQ i pairs NCQ i % 2, and NCQ 0 is high.
+        let r = regulator(&device(4, 2, 16));
+        assert_eq!(r.proxies().len(), 4);
+        assert_eq!(r.proxy(SqId(3)).cq, CqId(1));
+        let with = |prio| {
+            r.proxies()
+                .iter()
+                .filter(|p| p.prio == prio)
+                .map(|p| p.sq)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(with(Priority::High), vec![SqId(0), SqId(2)]);
+        assert_eq!(with(Priority::Low), vec![SqId(1), SqId(3)]);
+    }
+
+    #[test]
     fn single_cq_degenerates_to_shared() {
-        let pol = Policy::new(&DaredevilConfig::default());
         let p = divide_priorities(1);
         assert_eq!(p, vec![Priority::High]);
-        let dev = device(2, 1);
+        let dev = device(2, 1, 16);
         let locks = NsqLockTable::new(2);
-        let prox = proxies(&dev);
-        let mut reg = NqReg::new(16, true, 2, 1, |_| 0);
+        let mut reg = regulator(&dev);
         // Low-priority scheduling still returns a queue.
-        let sq = reg.schedule(&pol, Priority::Low, 16, &dev, &locks, &prox);
+        let sq = reg.schedule(Priority::Low, 16, &dev, &locks);
         assert!(sq.0 < 2);
     }
 
@@ -448,32 +495,30 @@ mod tests {
 
     #[test]
     fn schedule_respects_priority_groups() {
-        let pol = Policy::new(&DaredevilConfig::default());
-        let dev = device(8, 8);
+        let dev = device(8, 8, 4);
         let locks = NsqLockTable::new(8);
-        let prox = proxies(&dev);
-        let mut reg = NqReg::new(4, true, 8, 8, |i| i);
+        let mut reg = regulator(&dev);
         for _ in 0..32 {
-            let h = reg.schedule(&pol, Priority::High, 4, &dev, &locks, &prox);
+            let h = reg.schedule(Priority::High, 4, &dev, &locks);
             assert!(h.0 < 4, "high-priority NSQ expected, got {h}");
-            let l = reg.schedule(&pol, Priority::Low, 4, &dev, &locks, &prox);
+            let l = reg.schedule(Priority::Low, 4, &dev, &locks);
             assert!(l.0 >= 4, "low-priority NSQ expected, got {l}");
         }
     }
 
     #[test]
     fn assignments_spread_tenants() {
-        let pol = Policy::new(&DaredevilConfig::default());
         // Registering tenants (schedule + claim) must not pile everyone on
-        // one NSQ: the assignment tie-breaker rotates the heap.
-        let dev = device(8, 8);
+        // one NSQ: the assignment tie-breaker rotates the heap. `m` is the
+        // whole budget, so every query re-sorts.
+        let dev = device(8, 8, 1024);
         let locks = NsqLockTable::new(8);
-        let mut prox = proxies(&dev);
-        let mut reg = NqReg::new(1, true, 8, 8, |i| i);
+        let mut reg = regulator(&dev);
+        let m = reg.mru();
         let mut used = std::collections::HashSet::new();
         for core in 0..4u16 {
-            let sq = reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
-            prox.get_mut(sq).claim(core);
+            let sq = reg.schedule(Priority::High, m, &dev, &locks);
+            reg.proxy_mut(sq).claim(core);
             used.insert(sq.0);
         }
         assert!(used.len() >= 3, "tenants clumped: {used:?}");
@@ -481,56 +526,52 @@ mod tests {
 
     #[test]
     fn mru_bounds_resorts() {
-        let pol = Policy::new(&DaredevilConfig::default());
-        let dev = device(8, 8);
+        let dev = device(8, 8, 1000);
         let locks = NsqLockTable::new(8);
-        let prox = proxies(&dev);
-        let mut reg = NqReg::new(1000, true, 8, 8, |i| i);
+        let mut reg = regulator(&dev);
         for _ in 0..100 {
-            reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
+            reg.schedule(Priority::High, 1, &dev, &locks);
         }
         assert_eq!(reg.queries(), 100);
         assert_eq!(reg.resorts(), 0, "MRU=1000 must suppress resorts");
-        let mut reg = NqReg::new(1, true, 8, 8, |i| i);
+        // Spending the whole budget per query re-sorts every query.
+        let mut reg = regulator(&dev);
         for _ in 0..100 {
-            reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
+            reg.schedule(Priority::High, 1000, &dev, &locks);
         }
-        assert!(reg.resorts() >= 100, "MRU=1 must resort every query");
+        assert!(reg.resorts() >= 100, "m = MRU must resort every query");
     }
 
     #[test]
     fn round_robin_fallback_cycles() {
-        let pol = Policy::new(&DaredevilConfig::default());
-        let dev = device(8, 8);
+        let dev = device(8, 8, 4);
         let locks = NsqLockTable::new(8);
-        let prox = proxies(&dev);
-        let mut reg = NqReg::new(4, false, 8, 8, |i| i);
+        let mut reg = NqReg::new(&DaredevilConfig::base(), &dev);
         let picks: Vec<u16> = (0..8)
-            .map(|_| reg.schedule(&pol, Priority::High, 4, &dev, &locks, &prox).0)
+            .map(|_| reg.schedule(Priority::High, 4, &dev, &locks).0)
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn contended_nsq_avoided_after_resort() {
-        let pol = Policy::new(&DaredevilConfig::default());
         // WS-M-like fan-out: 8 NSQs on 2 NCQs → NSQ step is non-degenerate.
-        let dev = device(8, 2);
+        let dev = device(8, 2, 1024);
         let mut locks = NsqLockTable::new(8);
-        let mut prox = proxies(&dev);
-        let mut reg = NqReg::new(1, true, 8, 2, |i| i % 2);
+        let mut reg = regulator(&dev);
+        let m = reg.mru();
         // High group = CQ 0 = NSQs {0, 2, 4, 6}. Make NSQ 0 heavily
         // contended and claimed.
         for _ in 0..100 {
             locks.acquire(SqId(0), simkit::SimTime::ZERO, SimDuration::from_micros(5));
         }
-        prox.get_mut(SqId(0)).claim(0);
-        prox.get_mut(SqId(0)).claim(1);
+        reg.proxy_mut(SqId(0)).claim(0);
+        reg.proxy_mut(SqId(0)).claim(1);
         // First schedule may still return the stale top; after the forced
-        // resort (mru = 1) the contended queue must stop being chosen.
-        let _ = reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
+        // resort (m = MRU) the contended queue must stop being chosen.
+        let _ = reg.schedule(Priority::High, m, &dev, &locks);
         for _ in 0..8 {
-            let sq = reg.schedule(&pol, Priority::High, 1, &dev, &locks, &prox);
+            let sq = reg.schedule(Priority::High, m, &dev, &locks);
             assert_ne!(sq, SqId(0), "contended NSQ must be avoided");
             assert_eq!(sq.0 % 2, 0, "must stay within the high group");
         }
@@ -538,7 +579,7 @@ mod tests {
 
     #[test]
     fn cq_priority_lookup() {
-        let reg = NqReg::new(4, true, 8, 8, |i| i);
+        let reg = regulator(&device(8, 8, 4));
         assert_eq!(reg.cq_priority(CqId(0)), Priority::High);
         assert_eq!(reg.cq_priority(CqId(7)), Priority::Low);
     }

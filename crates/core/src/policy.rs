@@ -95,7 +95,7 @@ pub enum RouteDecision {
     Query {
         /// NQGroup to query.
         prio: Priority,
-        /// MRU decrement (see [`crate::troute::QueryContext`]).
+        /// MRU decrement (see [`crate::NqReg::schedule`]).
         m: u32,
     },
 }
@@ -253,7 +253,7 @@ impl Policy {
                     Priority::High
                 } else {
                     self.low_seen += 1;
-                    if self.low_seen % FAIRSHARE_SHARE == 0 {
+                    if self.low_seen.is_multiple_of(FAIRSHARE_SHARE) {
                         Priority::High
                     } else {
                         Priority::Low
@@ -433,7 +433,6 @@ mod tests {
         Policy::new(&DaredevilConfig {
             policy: spec,
             variant,
-            ..DaredevilConfig::default()
         })
     }
 

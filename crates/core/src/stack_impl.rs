@@ -13,7 +13,7 @@
 //! per L-request) rather than visibility timing; the completion half carries
 //! the latency effect, matching where the paper's gains come from.
 
-use dd_nvme::{CqId, NvmeDevice, SqId};
+use dd_nvme::{CqId, NvmeDevice};
 use simkit::SimDuration;
 
 use blkstack::dispatch::Dispatch;
@@ -21,52 +21,29 @@ use blkstack::stack::{RouteStats, StackEnv, StorageStack};
 use blkstack::{Bio, Capabilities, IoPriorityClass, Pid, TaskStruct};
 
 use crate::config::{DaredevilConfig, Variant};
-use crate::nproxy::{Priority, ProxyTable};
-use crate::nqreg::{divide_priorities, NqReg};
-use crate::policy::{DoorbellCtx, Policy, ReapCtx};
-use crate::troute::{Troute, PROFILE_WINDOW};
+use crate::nproxy::Priority;
+use crate::nqreg::NqReg;
+use crate::troute::Troute;
 
 /// The Daredevil kernel storage stack.
 pub struct DaredevilStack {
     cfg: DaredevilConfig,
-    policy: Policy,
     nqreg: NqReg,
     troute: Troute,
-    proxies: ProxyTable,
     dispatch: Dispatch,
 }
 
 impl DaredevilStack {
-    /// Builds the stack over `device`, pairing each NSQ with the device's
-    /// NCQ for it. The merit heaps' MRU budget is the NSQ depth (§5.2),
-    /// and `cfg` names the ablation variant and the built-in policy.
+    /// Builds the stack over `device`: nqreg's NQ table pairs each NSQ
+    /// with the device's NCQ for it, and `cfg` names the ablation variant
+    /// and the built-in policy.
     pub fn new(cfg: DaredevilConfig, device: &NvmeDevice) -> Self {
-        let nr_sqs = device.nr_sqs();
-        let nr_cqs = device.nr_cqs();
-        let mru = u32::from(device.config().sq_depth);
-        let use_merit = cfg.variant != Variant::Base;
-        let cq_of = |sq: u16| device.cq_of_sq(SqId(sq));
-        let nqreg = NqReg::new(mru, use_merit, nr_sqs, nr_cqs, |sq| cq_of(sq).0);
-        let prios = divide_priorities(nr_cqs);
-        let proxies = ProxyTable::new(nr_sqs, cq_of, |i| prios[cq_of(i).index()]);
         DaredevilStack {
-            troute: Troute::new(mru, PROFILE_WINDOW),
-            nqreg,
-            proxies,
-            policy: Policy::new(&cfg),
-            dispatch: Dispatch::new(nr_sqs),
+            nqreg: NqReg::new(&cfg, device),
+            troute: Troute::new(),
+            dispatch: Dispatch::new(device.nr_sqs()),
             cfg,
         }
-    }
-
-    /// The ablation variant in use.
-    pub fn variant(&self) -> Variant {
-        self.cfg.variant
-    }
-
-    /// The proxy table (read-only introspection for tests and benches).
-    pub fn proxies(&self) -> &ProxyTable {
-        &self.proxies
     }
 
     /// The router (read-only introspection).
@@ -89,30 +66,22 @@ impl StorageStack for DaredevilStack {
     }
 
     fn register_tenant(&mut self, task: &TaskStruct, env: &mut StackEnv<'_>) {
-        self.troute.register(
-            task,
-            &self.policy,
-            &mut self.nqreg,
-            env.device,
-            self.dispatch.locks(),
-            &mut self.proxies,
-        );
+        self.troute
+            .register(task, &mut self.nqreg, env.device, self.dispatch.locks());
     }
 
     fn update_ionice(&mut self, pid: Pid, class: IoPriorityClass, env: &mut StackEnv<'_>) {
         self.troute.update_ionice(
             pid,
             class,
-            &self.policy,
             &mut self.nqreg,
             env.device,
             self.dispatch.locks(),
-            &mut self.proxies,
         );
     }
 
     fn migrate_tenant(&mut self, pid: Pid, core: u16, _env: &mut StackEnv<'_>) {
-        self.troute.migrate(pid, core, &mut self.proxies);
+        self.troute.migrate(pid, core, &mut self.nqreg);
     }
 
     fn submit(&mut self, bios: &[Bio], env: &mut StackEnv<'_>) -> SimDuration {
@@ -121,45 +90,31 @@ impl StorageStack for DaredevilStack {
         // first-touch order, so its lock is taken once per batch.
         let mut n = 0;
         for bio in bios {
-            // Tenant base priority doubles as the trace SLA class (High
-            // base priority == latency-sensitive ionice == L-tenant).
-            let base = self
-                .troute
-                .route_of(bio.tenant)
-                .map(|r| r.base_prio)
-                .unwrap_or(Priority::Low);
-            let sla = if base == Priority::High {
-                simkit::Sla::L
-            } else {
-                simkit::Sla::T
-            };
-            let sq = if self.cfg.variant == Variant::Base {
+            let locks = self.dispatch.locks();
+            let (base, sq) = if self.cfg.variant == Variant::Base {
                 // dare-base: the decoupled layer only — requests round-robin
                 // across the NQs of their SLA group per request, with no
                 // tenant defaults and no merit scheduling (§7.3).
+                let base = self
+                    .troute
+                    .route_of(bio.tenant)
+                    .map_or(Priority::Low, |r| r.base_prio);
                 let prio = if base == Priority::Low && bio.flags.is_outlier() {
                     Priority::High
                 } else {
                     base
                 };
-                self.nqreg.schedule(
-                    &self.policy,
-                    prio,
-                    1,
-                    env.device,
-                    self.dispatch.locks(),
-                    &self.proxies,
-                )
+                (base, self.nqreg.schedule(prio, 1, env.device, locks))
             } else {
-                self.troute.route(
-                    bio,
-                    env.now,
-                    &mut self.policy,
-                    &mut self.nqreg,
-                    env.device,
-                    self.dispatch.locks(),
-                    &mut self.proxies,
-                )
+                self.troute
+                    .route(bio, env.now, &mut self.nqreg, env.device, locks)
+            };
+            // Tenant base priority doubles as the trace SLA class (High
+            // base priority == latency-sensitive ionice == L-tenant).
+            let sla = if base == Priority::High {
+                simkit::Sla::L
+            } else {
+                simkit::Sla::T
             };
             n += self.dispatch.stage(bio, sq, sla, env);
         }
@@ -170,10 +125,7 @@ impl StorageStack for DaredevilStack {
             // picks the doorbell discipline per NSQ batch (the default
             // policy rings per request for high-priority NSQs under the
             // full variant, §5.3).
-            let mode = self.policy.doorbell(&DoorbellCtx {
-                prio: self.proxies.get(sq).prio,
-                commands: self.dispatch.staged(sq) as u64,
-            });
+            let mode = self.nqreg.doorbell(sq, self.dispatch.staged(sq) as u64);
             let p = self.dispatch.push(sq, mode, env);
             cost += p.wait + p.hold + p.remote_cost(env.costs) + env.costs.doorbell * p.rings;
         }
@@ -185,10 +137,7 @@ impl StorageStack for DaredevilStack {
         // batched reap is the policy's call (default: per-request for
         // high-priority NCQs under the full variant, §5.3).
         self.dispatch.reap(cq, core, env, |entries, _| {
-            self.policy.reap(&ReapCtx {
-                prio: self.nqreg.cq_priority(cq),
-                entries: entries.len() as u64,
-            })
+            self.nqreg.reap(cq, entries.len() as u64)
         })
     }
 

@@ -8,8 +8,11 @@
 //! table lookup for the common cases; only an untagged T-tenant's occasional
 //! outlier request pays a per-request nqreg query (`m = 1`).
 //!
-//! troute also maintains each NSQ's claimed-core bitmap (via the proxies),
-//! the contention hint nqreg's NSQ merit consumes.
+//! troute also maintains each NSQ's claimed-core bitmap (on nqreg's
+//! proxies), the contention hint nqreg's NSQ merit consumes. It owns only
+//! its tenant table and counters: the NQ table, the policy and the MRU
+//! budget are nqreg's, lent to each call with the device and the lock
+//! table.
 //!
 //! # Paper mapping (§4 "troute", §5.2, Algorithm 1)
 //!
@@ -19,7 +22,7 @@
 //! | [`Troute::register`] | tenant registration: default-NSQ assignment via a tenant-based nqreg query (`m = MRU`) |
 //! | [`Troute::route`] | Algorithm 1's *mechanism* — tenant lookup, profiling, path resolution; the lines 1–9 *decision* itself is [`crate::policy::Policy::route`], whose [`crate::PolicySpec::Default`] arm reproduces the paper's exact branches |
 //! | [`TenantRoute::outlier_tag`]/`outlier_sq` | the outlier-tendency tag and dedicated outlier NSQ, §5.2 |
-//! | [`QueryContext`] | tenant-based (`m = MRU`) vs request-specific (`m = 1`) query contexts, §5.2 |
+//! | [`NqReg::mru`] vs `m = 1` | tenant-based (`m = MRU`) vs request-specific (`m = 1`) query contexts, §5.2 |
 //! | [`Troute::update_ionice`] | runtime ionice updates re-scheduling the default NSQ (Fig. 14's storm path) |
 //! | [`Troute::migrate`] | claimed-core bitmap maintenance across core migrations (Fig. 13's cross-core setting) |
 //! | [`RouteStats`] | per-path counters surfaced by `ddsim` and the figure harness |
@@ -35,9 +38,9 @@ use blkstack::nsqlock::NsqLockTable;
 use blkstack::stack::RouteStats;
 use blkstack::{Bio, IoPriorityClass, Pid, TaskStruct};
 
-use crate::nproxy::{Priority, ProxyTable};
+use crate::nproxy::Priority;
 use crate::nqreg::NqReg;
-use crate::policy::{Policy, RouteCtx, RouteDecision};
+use crate::policy::{RouteCtx, RouteDecision};
 
 /// Profiling window: a T-tenant's outlier-tendency tag is re-evaluated
 /// every this many of its requests.
@@ -61,38 +64,17 @@ pub struct TenantRoute {
     outlier_count: u64,
 }
 
-/// The calling context of an nqreg query — determines the MRU decrement
-/// (§5.2: tenant-based and tagged-outlier contexts use `m = MRU`, the
-/// request-specific context of untagged T-tenants uses `m = 1`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueryContext {
-    /// Default/outlier NSQ assignment for a tenant.
-    TenantBased,
-    /// One-off query for an untagged T-tenant's outlier request.
-    RequestSpecific,
-}
-
-/// The request router.
-#[derive(Debug)]
+/// The request router: the tenant table and its routing counters.
+#[derive(Debug, Default)]
 pub struct Troute {
     tenants: DenseMap<Pid, TenantRoute>,
-    mru: u32,
-    profile_window: u64,
     stats: RouteStats,
 }
 
 impl Troute {
-    /// Creates a router. `mru` is the heap MRU budget (the `m` used for
-    /// tenant-based queries); `profile_window` the re-evaluation period of
-    /// the outlier tag. The stack passes the NSQ depth and
-    /// [`PROFILE_WINDOW`].
-    pub fn new(mru: u32, profile_window: u64) -> Self {
-        Troute {
-            tenants: DenseMap::new(),
-            mru,
-            profile_window,
-            stats: RouteStats::default(),
-        }
+    /// Creates a router with no tenants.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Base priority implied by an ionice class.
@@ -109,15 +91,13 @@ impl Troute {
     pub fn register(
         &mut self,
         task: &TaskStruct,
-        policy: &Policy,
         nqreg: &mut NqReg,
         device: &NvmeDevice,
         locks: &NsqLockTable,
-        proxies: &mut ProxyTable,
     ) {
         let base_prio = Self::base_priority(task.ionice);
-        let default_sq = nqreg.schedule(policy, base_prio, self.mru, device, locks, proxies);
-        proxies.get_mut(default_sq).claim(task.core);
+        let default_sq = nqreg.schedule(base_prio, nqreg.mru(), device, locks);
+        nqreg.proxy_mut(default_sq).claim(task.core);
         self.tenants.insert(
             task.pid,
             TenantRoute {
@@ -132,17 +112,14 @@ impl Troute {
         );
     }
 
-    fn core_still_used(&self, sq: SqId, core: u16) -> bool {
-        self.tenants
-            .values()
-            .any(|r| r.core == core && (r.default_sq == sq || r.outlier_sq == Some(sq)))
-    }
-
-    fn unclaim(&self, sq: SqId, core: u16, proxies: &mut ProxyTable) {
-        // `tenants` no longer contains the departing route at call sites, so
-        // remaining claimants are counted correctly.
-        let still = self.core_still_used(sq, core);
-        proxies.get_mut(sq).unclaim(core, still);
+    /// Releases `pid`'s claim of `sq` from `core`. The core's bit stays
+    /// while another tenant on `core` still uses `sq`; `pid`'s own route is
+    /// skipped, since it is the one being changed.
+    fn unclaim(&self, pid: Pid, sq: SqId, core: u16, nqreg: &mut NqReg) {
+        let still = self.tenants.iter().any(|(p, r)| {
+            p != pid && r.core == core && (r.default_sq == sq || r.outlier_sq == Some(sq))
+        });
+        nqreg.proxy_mut(sq).unclaim(core, still);
     }
 
     /// Routing state of a tenant.
@@ -157,65 +134,67 @@ impl Troute {
         &mut self,
         pid: Pid,
         ionice: IoPriorityClass,
-        policy: &Policy,
         nqreg: &mut NqReg,
         device: &NvmeDevice,
         locks: &NsqLockTable,
-        proxies: &mut ProxyTable,
     ) {
         let new_prio = Self::base_priority(ionice);
-        let Some(route) = self.tenants.get(pid).copied() else {
+        let Some(&r) = self.tenants.get(pid) else {
             return;
         };
-        if route.base_prio == new_prio {
+        if r.base_prio == new_prio {
             return;
         }
-        let new_sq = nqreg.schedule(policy, new_prio, self.mru, device, locks, proxies);
-        // Swap claims: remove the tenant's entry view first so the
-        // still-used check does not see the stale route.
-        let r = self.tenants.remove(pid).expect("checked above");
-        self.unclaim(r.default_sq, r.core, proxies);
-        let mut r = r;
-        r.base_prio = new_prio;
-        r.default_sq = new_sq;
+        let new_sq = nqreg.schedule(new_prio, nqreg.mru(), device, locks);
+        self.unclaim(pid, r.default_sq, r.core, nqreg);
+        let mut next = TenantRoute {
+            base_prio: new_prio,
+            default_sq: new_sq,
+            ..r
+        };
         // An L-tenant (or ex-T-tenant) has no use for an outlier NSQ.
         if new_prio == Priority::High {
-            if let Some(osq) = r.outlier_sq.take() {
-                self.unclaim(osq, r.core, proxies);
+            if let Some(osq) = next.outlier_sq.take() {
+                self.unclaim(pid, osq, r.core, nqreg);
             }
-            r.outlier_tag = false;
+            next.outlier_tag = false;
         }
-        proxies.get_mut(new_sq).claim(r.core);
-        self.tenants.insert(pid, r);
+        nqreg.proxy_mut(new_sq).claim(r.core);
+        self.tenants.insert(pid, next);
         self.stats.reassignments += 1;
     }
 
     /// Handles a tenant migration to another core: the claimed-core bitmaps
     /// move with it.
-    pub fn migrate(&mut self, pid: Pid, new_core: u16, proxies: &mut ProxyTable) {
-        let Some(route) = self.tenants.get(pid).copied() else {
+    pub fn migrate(&mut self, pid: Pid, new_core: u16, nqreg: &mut NqReg) {
+        let Some(&r) = self.tenants.get(pid) else {
             return;
         };
-        if route.core == new_core {
+        if r.core == new_core {
             return;
         }
-        let mut r = self.tenants.remove(pid).expect("checked above");
-        self.unclaim(r.default_sq, r.core, proxies);
+        self.unclaim(pid, r.default_sq, r.core, nqreg);
         if let Some(osq) = r.outlier_sq {
-            self.unclaim(osq, r.core, proxies);
+            self.unclaim(pid, osq, r.core, nqreg);
         }
-        r.core = new_core;
-        proxies.get_mut(r.default_sq).claim(new_core);
+        nqreg.proxy_mut(r.default_sq).claim(new_core);
         if let Some(osq) = r.outlier_sq {
-            proxies.get_mut(osq).claim(new_core);
+            nqreg.proxy_mut(osq).claim(new_core);
         }
-        self.tenants.insert(pid, r);
+        self.tenants.insert(
+            pid,
+            TenantRoute {
+                core: new_core,
+                ..r
+            },
+        );
     }
 
-    /// Routes one request, returning the target NSQ.
+    /// Routes one request, returning the tenant's base priority and the
+    /// target NSQ.
     ///
     /// The *decision* — which of the three paths the request takes — comes
-    /// from [`Policy::route`] (Algorithm 1 under
+    /// from [`crate::policy::Policy::route`] (Algorithm 1 under
     /// [`crate::PolicySpec::Default`]); troute resolves it against the
     /// tenant table. The outlier-tendency profiler runs for every T-tenant
     /// request regardless of the decision, so the tenant's tag state stays
@@ -225,18 +204,18 @@ impl Troute {
         &mut self,
         bio: &Bio,
         now: SimTime,
-        policy: &mut Policy,
         nqreg: &mut NqReg,
         device: &NvmeDevice,
         locks: &NsqLockTable,
-        proxies: &mut ProxyTable,
-    ) -> SqId {
+    ) -> (Priority, SqId) {
+        // Justified: a stack registers every tenant before its first bio,
+        // so a miss is a caller bug.
         let route = self
             .tenants
             .get_mut(bio.tenant)
             .expect("routing for unregistered tenant");
         let is_outlier = bio.flags.is_outlier();
-        let decision = policy.route(&RouteCtx {
+        let decision = nqreg.policy.route(&RouteCtx {
             base_prio: route.base_prio,
             outlier: is_outlier,
             write: bio.op != IoOpcode::Read,
@@ -244,89 +223,80 @@ impl Troute {
             issued_at: bio.issued_at,
             now,
         });
+        let base_prio = route.base_prio;
+        let default_sq = route.default_sq;
+        let mut tagged_sq = route.outlier_sq.filter(|_| route.outlier_tag);
         // T-tenant: profile the request mix (mechanism — runs under every
         // policy; L-tenants are never tagged, matching Algorithm 1's
         // lines 1-2 early exit).
-        if route.base_prio == Priority::Low {
+        if base_prio == Priority::Low {
             if is_outlier {
                 route.outlier_count += 1;
             } else {
                 route.normal_count += 1;
             }
-            let total = route.outlier_count + route.normal_count;
-            if total.is_multiple_of(self.profile_window) {
-                self.reevaluate_tag(bio.tenant, policy, nqreg, device, locks, proxies);
+            if (route.outlier_count + route.normal_count).is_multiple_of(PROFILE_WINDOW) {
+                let mut r = *route;
+                self.reevaluate_tag(bio.tenant, &mut r, nqreg, device, locks);
+                tagged_sq = r.outlier_sq.filter(|_| r.outlier_tag);
             }
         }
-        let route = self.tenants.get(bio.tenant).expect("still registered");
-        match decision {
+        let sq = match decision {
             // Lines 1-3: the table-lookup fast path.
             RouteDecision::Default => {
                 self.stats.default_routes += 1;
-                route.default_sq
+                default_sq
             }
             // Lines 4-9: outlier path — dedicated NSQ when tagged, else a
             // request-specific high-priority query (m = 1).
             RouteDecision::Outlier => {
-                if let (true, Some(osq)) = (route.outlier_tag, route.outlier_sq) {
+                if let Some(osq) = tagged_sq {
                     self.stats.outlier_routes += 1;
                     osq
                 } else {
                     self.stats.per_request_queries += 1;
-                    nqreg.schedule(policy, Priority::High, 1, device, locks, proxies)
+                    nqreg.schedule(Priority::High, 1, device, locks)
                 }
             }
             // Beyond Algorithm 1: an alternative policy asked for a fresh
             // nqreg query with its own priority and MRU decrement.
             RouteDecision::Query { prio, m } => {
                 self.stats.policy_queries += 1;
-                nqreg.schedule(policy, prio, m, device, locks, proxies)
+                nqreg.schedule(prio, m, device, locks)
             }
-        }
+        };
+        (base_prio, sq)
     }
 
-    /// Re-evaluates a T-tenant's outlier tendency: tagged when outlier
-    /// requests are within the same order of magnitude as normal ones
-    /// (outliers × 10 ≥ normals, §5.2).
+    /// Re-evaluates a T-tenant's outlier tendency at the end of a profiling
+    /// window: tagged when outlier requests are within the same order of
+    /// magnitude as normal ones (outliers × 10 ≥ normals, §5.2). Starts the
+    /// next window and stores `route` as `pid`'s.
     fn reevaluate_tag(
         &mut self,
         pid: Pid,
-        policy: &Policy,
+        route: &mut TenantRoute,
         nqreg: &mut NqReg,
         device: &NvmeDevice,
         locks: &NsqLockTable,
-        proxies: &mut ProxyTable,
     ) {
-        let route = self.tenants.get(pid).copied().expect("registered");
         let tendency = route.outlier_count * 10 >= route.normal_count && route.outlier_count > 0;
-        if tendency == route.outlier_tag {
-            // Reset the window counters and keep the tag.
-            let r = self.tenants.get_mut(pid).expect("registered");
-            r.normal_count = 0;
-            r.outlier_count = 0;
-            return;
-        }
-        self.stats.tag_changes += 1;
-        if tendency {
-            // Tag on: assign an outlier NSQ (tenant-based context).
-            let osq = nqreg.schedule(policy, Priority::High, self.mru, device, locks, proxies);
-            proxies.get_mut(osq).claim(route.core);
-            let r = self.tenants.get_mut(pid).expect("registered");
-            r.outlier_tag = true;
-            r.outlier_sq = Some(osq);
-            r.normal_count = 0;
-            r.outlier_count = 0;
-        } else {
-            // Tag off: drop the outlier NSQ.
-            let mut r = self.tenants.remove(pid).expect("registered");
-            if let Some(osq) = r.outlier_sq.take() {
-                self.unclaim(osq, r.core, proxies);
+        route.normal_count = 0;
+        route.outlier_count = 0;
+        if tendency != route.outlier_tag {
+            self.stats.tag_changes += 1;
+            if tendency {
+                // Tag on: assign an outlier NSQ (tenant-based context).
+                let osq = nqreg.schedule(Priority::High, nqreg.mru(), device, locks);
+                nqreg.proxy_mut(osq).claim(route.core);
+                route.outlier_sq = Some(osq);
+            } else if let Some(osq) = route.outlier_sq.take() {
+                // Tag off: drop the outlier NSQ.
+                self.unclaim(pid, osq, route.core, nqreg);
             }
-            r.outlier_tag = false;
-            r.normal_count = 0;
-            r.outlier_count = 0;
-            self.tenants.insert(pid, r);
+            route.outlier_tag = tendency;
         }
+        self.tenants.insert(pid, *route);
     }
 
     /// Routing statistics.
@@ -339,7 +309,6 @@ impl Troute {
 mod tests {
     use super::*;
     use crate::config::DaredevilConfig;
-    use crate::nqreg::divide_priorities;
     use blkstack::bio::{BioId, ReqFlags};
     use dd_nvme::{IoOpcode, NamespaceId, NvmeConfig};
     use simkit::SimTime;
@@ -347,32 +316,23 @@ mod tests {
     struct Fixture {
         device: NvmeDevice,
         locks: NsqLockTable,
-        proxies: ProxyTable,
         nqreg: NqReg,
         troute: Troute,
-        pol: Policy,
     }
 
+    /// 8 NSQs over 8 NCQs of depth 4, so tenant-based queries spend an
+    /// MRU budget of 4.
     fn fixture() -> Fixture {
         let mut cfg = NvmeConfig::sv_m();
         cfg.nr_sqs = 8;
         cfg.nr_cqs = 8;
+        cfg.sq_depth = 4;
         let device = NvmeDevice::new(cfg, 4);
-        let locks = NsqLockTable::new(8);
-        let prios = divide_priorities(8);
-        let proxies = ProxyTable::new(
-            8,
-            |i| device.cq_of_sq(SqId(i)),
-            |i| prios[device.cq_of_sq(SqId(i)).index()],
-        );
-        let nqreg = NqReg::new(4, true, 8, 8, |i| i);
         Fixture {
+            locks: NsqLockTable::new(8),
+            nqreg: NqReg::new(&DaredevilConfig::default(), &device),
+            troute: Troute::new(),
             device,
-            locks,
-            proxies,
-            nqreg,
-            troute: Troute::new(4, 8),
-            pol: Policy::new(&DaredevilConfig::default()),
         }
     }
 
@@ -400,16 +360,14 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(1, 0, IoPriorityClass::RealTime),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         let r = f.troute.route_of(Pid(1)).unwrap();
         assert_eq!(r.base_prio, Priority::High);
         assert!(r.default_sq.0 < 4, "L default NSQ in high group");
-        assert!(f.proxies.get(r.default_sq).claims_core(0));
+        assert!(f.nqreg.proxy(r.default_sq).claims_core(0));
     }
 
     #[test]
@@ -417,11 +375,9 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 1, IoPriorityClass::BestEffort),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         let r = f.troute.route_of(Pid(2)).unwrap();
         assert_eq!(r.base_prio, Priority::Low);
@@ -433,23 +389,22 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(1, 0, IoPriorityClass::RealTime),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         let def = f.troute.route_of(Pid(1)).unwrap().default_sq;
         for flags in [ReqFlags::NONE, ReqFlags::SYNC, ReqFlags::META] {
-            let sq = f.troute.route(
-                &bio(1, flags),
-                SimTime::ZERO,
-                &mut f.pol,
-                &mut f.nqreg,
-                &f.device,
-                &f.locks,
-                &mut f.proxies,
-            );
+            let sq = f
+                .troute
+                .route(
+                    &bio(1, flags),
+                    SimTime::ZERO,
+                    &mut f.nqreg,
+                    &f.device,
+                    &f.locks,
+                )
+                .1;
             assert_eq!(sq, def);
         }
     }
@@ -459,34 +414,34 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         // Untagged tenant's sync request: per-request high-priority query.
-        let sq = f.troute.route(
-            &bio(2, ReqFlags::SYNC),
-            SimTime::ZERO,
-            &mut f.pol,
-            &mut f.nqreg,
-            &f.device,
-            &f.locks,
-            &mut f.proxies,
-        );
+        let sq = f
+            .troute
+            .route(
+                &bio(2, ReqFlags::SYNC),
+                SimTime::ZERO,
+                &mut f.nqreg,
+                &f.device,
+                &f.locks,
+            )
+            .1;
         assert!(sq.0 < 4, "outlier must land in the high group, got {sq}");
         assert_eq!(f.troute.stats().per_request_queries, 1);
         // Normal request: default (low) NSQ.
-        let sq = f.troute.route(
-            &bio(2, ReqFlags::NONE),
-            SimTime::ZERO,
-            &mut f.pol,
-            &mut f.nqreg,
-            &f.device,
-            &f.locks,
-            &mut f.proxies,
-        );
+        let sq = f
+            .troute
+            .route(
+                &bio(2, ReqFlags::NONE),
+                SimTime::ZERO,
+                &mut f.nqreg,
+                &f.device,
+                &f.locks,
+            )
+            .1;
         assert!(sq.0 >= 4);
     }
 
@@ -495,14 +450,12 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         // 50/50 outlier mix: well past the order-of-magnitude threshold.
-        for i in 0..32 {
+        for i in 0..PROFILE_WINDOW {
             let flags = if i % 2 == 0 {
                 ReqFlags::SYNC
             } else {
@@ -511,11 +464,9 @@ mod tests {
             f.troute.route(
                 &bio(2, flags),
                 SimTime::ZERO,
-                &mut f.pol,
                 &mut f.nqreg,
                 &f.device,
                 &f.locks,
-                &mut f.proxies,
             );
         }
         let r = f.troute.route_of(Pid(2)).unwrap();
@@ -524,15 +475,16 @@ mod tests {
         assert!(osq.0 < 4, "outlier NSQ in high group");
         // Tagged outliers route to the outlier NSQ without new queries.
         let before = f.troute.stats().per_request_queries;
-        let sq = f.troute.route(
-            &bio(2, ReqFlags::META),
-            SimTime::ZERO,
-            &mut f.pol,
-            &mut f.nqreg,
-            &f.device,
-            &f.locks,
-            &mut f.proxies,
-        );
+        let sq = f
+            .troute
+            .route(
+                &bio(2, ReqFlags::META),
+                SimTime::ZERO,
+                &mut f.nqreg,
+                &f.device,
+                &f.locks,
+            )
+            .1;
         assert_eq!(sq, osq);
         assert_eq!(f.troute.stats().per_request_queries, before);
     }
@@ -542,11 +494,9 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         // 1 outlier per 64 normals: below the threshold.
         for i in 0..128 {
@@ -558,11 +508,9 @@ mod tests {
             f.troute.route(
                 &bio(2, flags),
                 SimTime::ZERO,
-                &mut f.pol,
                 &mut f.nqreg,
                 &f.device,
                 &f.locks,
-                &mut f.proxies,
             );
         }
         assert!(!f.troute.route_of(Pid(2)).unwrap().outlier_tag);
@@ -573,37 +521,31 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         let old = f.troute.route_of(Pid(2)).unwrap().default_sq;
         f.troute.update_ionice(
             Pid(2),
             IoPriorityClass::RealTime,
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         let r = f.troute.route_of(Pid(2)).unwrap();
         assert_eq!(r.base_prio, Priority::High);
         assert!(r.default_sq.0 < 4);
         assert_ne!(r.default_sq, old);
         assert_eq!(f.troute.stats().reassignments, 1);
-        assert_eq!(f.proxies.get(old).assignments(), 0, "old claim released");
+        assert_eq!(f.nqreg.proxy(old).assignments(), 0, "old claim released");
         // No-op update does not re-schedule.
         f.troute.update_ionice(
             Pid(2),
             IoPriorityClass::RealTime,
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         assert_eq!(f.troute.stats().reassignments, 1);
     }
@@ -613,16 +555,14 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(1, 0, IoPriorityClass::RealTime),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         let sq = f.troute.route_of(Pid(1)).unwrap().default_sq;
-        f.troute.migrate(Pid(1), 3, &mut f.proxies);
-        assert!(!f.proxies.get(sq).claims_core(0));
-        assert!(f.proxies.get(sq).claims_core(3));
+        f.troute.migrate(Pid(1), 3, &mut f.nqreg);
+        assert!(!f.nqreg.proxy(sq).claims_core(0));
+        assert!(f.nqreg.proxy(sq).claims_core(3));
         assert_eq!(f.troute.route_of(Pid(1)).unwrap().core, 3);
     }
 
@@ -630,7 +570,7 @@ mod tests {
     /// recount from the live routes of `pids`: one assignment per default
     /// or outlier NSQ a tenant uses, one core bit per distinct core.
     fn assert_claims_match_routes(f: &Fixture, pids: &[u64]) {
-        for p in f.proxies.iter() {
+        for p in f.nqreg.proxies() {
             let mut assignments = 0;
             let mut cores = 0u128;
             for &pid in pids {
@@ -659,14 +599,12 @@ mod tests {
         let mut f = fixture();
         f.troute.register(
             &task(2, 0, IoPriorityClass::BestEffort),
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         // A 50/50 outlier mix earns the tag and an outlier NSQ.
-        for i in 0..32 {
+        for i in 0..PROFILE_WINDOW {
             let flags = if i % 2 == 0 {
                 ReqFlags::SYNC
             } else {
@@ -675,11 +613,9 @@ mod tests {
             f.troute.route(
                 &bio(2, flags),
                 SimTime::ZERO,
-                &mut f.pol,
                 &mut f.nqreg,
                 &f.device,
                 &f.locks,
-                &mut f.proxies,
             );
         }
         let r = *f.troute.route_of(Pid(2)).unwrap();
@@ -690,18 +626,16 @@ mod tests {
         f.troute.update_ionice(
             Pid(2),
             IoPriorityClass::RealTime,
-            &f.pol,
             &mut f.nqreg,
             &f.device,
             &f.locks,
-            &mut f.proxies,
         );
         let now = f.troute.route_of(Pid(2)).unwrap();
         assert_eq!(now.outlier_sq, None);
         assert_ne!(now.default_sq, r.default_sq);
-        assert_eq!(f.proxies.get(r.default_sq).assignments(), 0);
+        assert_eq!(f.nqreg.proxy(r.default_sq).assignments(), 0);
         if osq != now.default_sq {
-            assert_eq!(f.proxies.get(osq).nr_claimed_cores(), 0);
+            assert_eq!(f.nqreg.proxy(osq).nr_claimed_cores(), 0);
         }
         assert_claims_match_routes(&f, &[2]);
     }
@@ -714,11 +648,9 @@ mod tests {
         for pid in 1..=5 {
             f.troute.register(
                 &task(pid, 0, IoPriorityClass::RealTime),
-                &f.pol,
                 &mut f.nqreg,
                 &f.device,
                 &f.locks,
-                &mut f.proxies,
             );
         }
         let sq_of = |f: &Fixture, pid: u64| f.troute.route_of(Pid(pid)).unwrap().default_sq;
@@ -727,12 +659,12 @@ mod tests {
             .find(|&(a, b)| sq_of(&f, a) == sq_of(&f, b))
             .expect("pigeonhole: two tenants share an NSQ");
         let shared = sq_of(&f, a);
-        f.troute.migrate(Pid(a), 1, &mut f.proxies);
+        f.troute.migrate(Pid(a), 1, &mut f.nqreg);
         assert!(
-            f.proxies.get(shared).claims_core(0),
+            f.nqreg.proxy(shared).claims_core(0),
             "tenant {b} still there"
         );
-        assert!(f.proxies.get(shared).claims_core(1));
+        assert!(f.nqreg.proxy(shared).claims_core(1));
         assert_claims_match_routes(&f, &[1, 2, 3, 4, 5]);
     }
 }

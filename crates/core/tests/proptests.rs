@@ -5,46 +5,53 @@
 //! requests — and T-tenants' outlier requests — always land in the
 //! high-priority NQGroup, whatever the tenant mix and request history.
 
-use dd_check::{check, prop_assert, prop_assert_eq, CheckResult};
+use dd_check::{check, prop_assert, prop_assert_eq, Case, CheckResult};
 
 use blkstack::bio::{Bio, BioId, ReqFlags};
 use blkstack::nsqlock::NsqLockTable;
 use blkstack::{IoPriorityClass, Pid, TaskStruct};
 use daredevil::nqreg::divide_priorities;
-use daredevil::{DaredevilConfig, NqReg, Policy, Priority, ProxyTable, Troute};
-use dd_nvme::{IoOpcode, NamespaceId, NvmeConfig, NvmeDevice, SqId};
+use daredevil::{DaredevilConfig, NqReg, Policy, Priority, Troute};
+use dd_nvme::{IoOpcode, NamespaceId, NvmeConfig, NvmeDevice};
 use simkit::SimTime;
 
 struct Fixture {
     device: NvmeDevice,
     locks: NsqLockTable,
-    proxies: ProxyTable,
     nqreg: NqReg,
     troute: Troute,
-    pol: Policy,
 }
 
-fn fixture(nr_queues: u16) -> Fixture {
+/// A device of 4..16 NCQs (even counts, so both NQGroups are non-empty),
+/// each serving 1..=6 NSQs (NSQ `i` pairs NCQ `i % nr_cqs`), of depth 4:
+/// tenant-based queries spend an MRU budget of 4. Each proxy serves its
+/// NCQ's share of the one priority split.
+fn fixture(c: &mut Case) -> Result<Fixture, dd_check::Failure> {
+    let nr_cqs = 2 * c.u16_in(2, 9);
+    let nr_sqs = c.u16_in(nr_cqs, 6 * nr_cqs + 1);
     let mut cfg = NvmeConfig::sv_m();
-    cfg.nr_sqs = nr_queues;
-    cfg.nr_cqs = nr_queues;
+    cfg.nr_sqs = nr_sqs;
+    cfg.nr_cqs = nr_cqs;
+    cfg.sq_depth = 4;
     let device = NvmeDevice::new(cfg, 4);
-    let locks = NsqLockTable::new(nr_queues);
-    let prios = divide_priorities(nr_queues);
-    let proxies = ProxyTable::new(
-        nr_queues,
-        |i| device.cq_of_sq(SqId(i)),
-        |i| prios[device.cq_of_sq(SqId(i)).index()],
-    );
-    let nqreg = NqReg::new(4, true, nr_queues, nr_queues, |i| i);
-    Fixture {
-        device,
-        locks,
-        proxies,
-        nqreg,
-        troute: Troute::new(4, 8),
-        pol: Policy::new(&DaredevilConfig::default()),
+    let nqreg = NqReg::new(&DaredevilConfig::default(), &device);
+    let split = divide_priorities(nr_cqs);
+    prop_assert_eq!(nqreg.proxies().len(), nr_sqs as usize);
+    for p in nqreg.proxies() {
+        prop_assert_eq!(p.cq, device.cq_of_sq(p.sq));
+        prop_assert_eq!(
+            p.prio,
+            split[p.cq.index()],
+            "{:?} left its NCQ's group",
+            p.sq
+        );
     }
+    Ok(Fixture {
+        locks: NsqLockTable::new(nr_sqs),
+        nqreg,
+        troute: Troute::new(),
+        device,
+    })
 }
 
 fn bio(tenant: u64, flags: ReqFlags) -> Bio {
@@ -69,9 +76,7 @@ fn bio(tenant: u64, flags: ReqFlags) -> Bio {
 #[test]
 fn troute_l_requests_never_low_priority() {
     check("troute_l_requests_never_low_priority", |c| {
-        // 4..16 queues (even counts so both NQGroups are non-empty).
-        let nr_queues = 2 * c.u16_in(2, 9);
-        let mut f = fixture(nr_queues);
+        let mut f = fixture(c)?;
         // Register 1..12 tenants with random SLAs on random cores.
         let tenants = c.vec_of(1, 12, |c| {
             let ionice = if c.bool_with(0.5) {
@@ -83,17 +88,12 @@ fn troute_l_requests_never_low_priority() {
         });
         for (i, &(ionice, core)) in tenants.iter().enumerate() {
             let task = TaskStruct::new(Pid(i as u64), core, ionice, NamespaceId(1), "p");
-            f.troute.register(
-                &task,
-                &f.pol,
-                &mut f.nqreg,
-                &f.device,
-                &f.locks,
-                &mut f.proxies,
-            );
+            f.troute.register(&task, &mut f.nqreg, &f.device, &f.locks);
         }
         // Drive a random request stream and check every routing decision.
-        let requests = c.vec_of(1, 200, |c| {
+        // It is long enough for tenants to cross profiling windows
+        // (`PROFILE_WINDOW` requests each) and earn or drop their tags.
+        let requests = c.vec_of(1, 1600, |c| {
             let flags = match c.u8_in(0, 4) {
                 0 => ReqFlags::SYNC,
                 1 => ReqFlags::META,
@@ -104,16 +104,17 @@ fn troute_l_requests_never_low_priority() {
         for (pick, flags) in requests {
             let pid = pick % tenants.len();
             let (ionice, _) = tenants[pid];
-            let sq = f.troute.route(
-                &bio(pid as u64, flags),
-                SimTime::ZERO,
-                &mut f.pol,
-                &mut f.nqreg,
-                &f.device,
-                &f.locks,
-                &mut f.proxies,
-            );
-            let target_prio = f.proxies.get(sq).prio;
+            let sq = f
+                .troute
+                .route(
+                    &bio(pid as u64, flags),
+                    SimTime::ZERO,
+                    &mut f.nqreg,
+                    &f.device,
+                    &f.locks,
+                )
+                .1;
+            let target_prio = f.nqreg.proxy(sq).prio;
             if ionice.is_latency_sensitive() {
                 // Line 1-2 of Algorithm 1: L-tenants stay on their
                 // high-priority default NSQ.
@@ -147,7 +148,7 @@ fn troute_l_requests_never_low_priority() {
 /// from the live routes of tenants `0..n`: one assignment per default or
 /// outlier NSQ a tenant uses, one core bit per distinct core among them.
 fn claims_match_routes(f: &Fixture, n: usize) -> CheckResult {
-    for p in f.proxies.iter() {
+    for p in f.nqreg.proxies() {
         let mut assignments = 0;
         let mut cores = 0u128;
         for i in 0..n {
@@ -178,7 +179,7 @@ fn claims_match_routes(f: &Fixture, n: usize) -> CheckResult {
 #[test]
 fn troute_claims_match_routes() {
     check("troute_claims_match_routes", |c| {
-        let mut f = fixture(8);
+        let mut f = fixture(c)?;
         let n = c.usize_in(1, 16);
         for i in 0..n {
             let ionice = if c.bool_with(0.5) {
@@ -187,35 +188,22 @@ fn troute_claims_match_routes() {
                 IoPriorityClass::BestEffort
             };
             let task = TaskStruct::new(Pid(i as u64), c.u16_in(0, 4), ionice, NamespaceId(1), "p");
-            f.troute.register(
-                &task,
-                &f.pol,
-                &mut f.nqreg,
-                &f.device,
-                &f.locks,
-                &mut f.proxies,
-            );
+            f.troute.register(&task, &mut f.nqreg, &f.device, &f.locks);
         }
         claims_match_routes(&f, n)?;
-        for _ in 0..c.usize_in(0, 100) {
+        // Enough steps for tenants to cross profiling windows.
+        for _ in 0..c.usize_in(0, 800) {
             let pid = Pid(c.usize_in(0, n) as u64);
             match c.u8_in(0, 4) {
-                0 => f.troute.migrate(pid, c.u16_in(0, 4), &mut f.proxies),
+                0 => f.troute.migrate(pid, c.u16_in(0, 4), &mut f.nqreg),
                 1 => {
                     let ionice = if c.bool_with(0.5) {
                         IoPriorityClass::RealTime
                     } else {
                         IoPriorityClass::BestEffort
                     };
-                    f.troute.update_ionice(
-                        pid,
-                        ionice,
-                        &f.pol,
-                        &mut f.nqreg,
-                        &f.device,
-                        &f.locks,
-                        &mut f.proxies,
-                    );
+                    f.troute
+                        .update_ionice(pid, ionice, &mut f.nqreg, &f.device, &f.locks);
                 }
                 _ => {
                     let flags = if c.bool_with(0.3) {
@@ -226,11 +214,9 @@ fn troute_claims_match_routes() {
                     f.troute.route(
                         &bio(pid.0, flags),
                         SimTime::ZERO,
-                        &mut f.pol,
                         &mut f.nqreg,
                         &f.device,
                         &f.locks,
-                        &mut f.proxies,
                     );
                 }
             }
@@ -250,8 +236,7 @@ fn troute_never_routes_against_stale_sla_under_flapping() {
     check(
         "troute_never_routes_against_stale_sla_under_flapping",
         |c| {
-            let nr_queues = 2 * c.u16_in(2, 9);
-            let mut f = fixture(nr_queues);
+            let mut f = fixture(c)?;
             let n = c.usize_in(1, 8);
             // Current SLA per tenant, updated as the storm flips it.
             let mut ionice: Vec<IoPriorityClass> = Vec::new();
@@ -263,19 +248,13 @@ fn troute_never_routes_against_stale_sla_under_flapping() {
                 };
                 ionice.push(io);
                 let task = TaskStruct::new(Pid(i as u64), c.u16_in(0, 4), io, NamespaceId(1), "p");
-                f.troute.register(
-                    &task,
-                    &f.pol,
-                    &mut f.nqreg,
-                    &f.device,
-                    &f.locks,
-                    &mut f.proxies,
-                );
+                f.troute.register(&task, &mut f.nqreg, &f.device, &f.locks);
             }
             // A storm of interleaved flips and requests: each step is either an
             // ionice update (the 10 µs flapper firing) or an I/O arriving
-            // between two flips.
-            for _ in 0..c.usize_in(50, 400) {
+            // between two flips, long enough for tenants to cross
+            // profiling windows.
+            for _ in 0..c.usize_in(400, 3200) {
                 let pid = c.usize_in(0, n);
                 if c.bool_with(0.4) {
                     // Flip this tenant's SLA.
@@ -285,19 +264,12 @@ fn troute_never_routes_against_stale_sla_under_flapping() {
                         IoPriorityClass::BestEffort
                     };
                     ionice[pid] = io;
-                    f.troute.update_ionice(
-                        Pid(pid as u64),
-                        io,
-                        &f.pol,
-                        &mut f.nqreg,
-                        &f.device,
-                        &f.locks,
-                        &mut f.proxies,
-                    );
+                    f.troute
+                        .update_ionice(Pid(pid as u64), io, &mut f.nqreg, &f.device, &f.locks);
                     // The re-registered route must reflect the new SLA at once.
                     let route = f.troute.route_of(Pid(pid as u64)).unwrap();
                     prop_assert_eq!(
-                        f.proxies.get(route.default_sq).prio,
+                        f.nqreg.proxy(route.default_sq).prio,
                         Troute::base_priority(io),
                         "default NSQ priority is stale after the flip"
                     );
@@ -313,16 +285,17 @@ fn troute_never_routes_against_stale_sla_under_flapping() {
                         1 => ReqFlags::META,
                         _ => ReqFlags::NONE,
                     };
-                    let sq = f.troute.route(
-                        &bio(pid as u64, flags),
-                        SimTime::ZERO,
-                        &mut f.pol,
-                        &mut f.nqreg,
-                        &f.device,
-                        &f.locks,
-                        &mut f.proxies,
-                    );
-                    let target_prio = f.proxies.get(sq).prio;
+                    let sq = f
+                        .troute
+                        .route(
+                            &bio(pid as u64, flags),
+                            SimTime::ZERO,
+                            &mut f.nqreg,
+                            &f.device,
+                            &f.locks,
+                        )
+                        .1;
+                    let target_prio = f.nqreg.proxy(sq).prio;
                     // Judged against the *current* SLA, not the registration-
                     // time one: the L-invariant must hold mid-storm.
                     if ionice[pid].is_latency_sensitive() {

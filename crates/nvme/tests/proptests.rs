@@ -276,7 +276,7 @@ fn random_workload(c: &mut Case, nr_sqs: u16, blocks: u64) -> Vec<DoorbellBatch>
     let n = c.usize_in(1, 12);
     (0..n)
         .map(|_| {
-            at = at + SimDuration::from_nanos(c.u64_in(0, 50_000));
+            at += SimDuration::from_nanos(c.u64_in(0, 50_000));
             let sq = c.u16_in(0, nr_sqs);
             let cmds = c.vec_of(1, 6, |c| {
                 let opcode = match c.u8_in(0, 9) {
@@ -450,7 +450,7 @@ fn rr_mask_pick_matches_scan() {
             } else {
                 // Fetch pick under a rotating stall pattern.
                 tick = (tick + 1) % stall_mod;
-                let stalled = |q: SqId| (q.0 + tick) % stall_mod == 0;
+                let stalled = |q: SqId| (q.0 + tick).is_multiple_of(stall_mod);
                 let picked = mask_arb.pick(stalled);
                 let reference = scan_arb.next(|q| work[q.index()] > 0 && !stalled(q));
                 prop_assert_eq!(picked, reference);
@@ -498,7 +498,7 @@ fn wrr_mask_pick_matches_scan() {
                 }
             } else {
                 tick = (tick + 1) % stall_mod;
-                let stalled = |q: SqId| (q.0 + tick) % stall_mod == 0;
+                let stalled = |q: SqId| (q.0 + tick).is_multiple_of(stall_mod);
                 let picked = mask_arb.pick(stalled);
                 let reference = scan_arb.next(|q| work[q.index()] > 0 && !stalled(q));
                 prop_assert_eq!(picked, reference);

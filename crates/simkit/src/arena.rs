@@ -170,8 +170,7 @@ mod tests {
     #[test]
     fn tags_separate_same_type() {
         let mut a = RunArena::new();
-        let mut v: Vec<u8> = Vec::new();
-        v.reserve(64);
+        let v: Vec<u8> = Vec::with_capacity(64);
         a.put(7, v);
         let miss: Vec<u8> = a.take(3);
         assert_eq!(miss.capacity(), 0);

@@ -577,7 +577,7 @@ mod tests {
     /// An open-loop tenant: 4 KiB reads, or 128 KiB writes (one command
     /// each), on a Poisson timer.
     fn open_loop(i: u16) -> TenantSpec {
-        let job = if i % 2 == 0 {
+        let job = if i.is_multiple_of(2) {
             FioJob::new(dd_workload::RwPattern::RandRead, 4096, 1)
         } else {
             FioJob::new(dd_workload::RwPattern::RandWrite, 128 * 1024, 1)

@@ -35,6 +35,12 @@ echo "== verify: the workspace is rustfmt-clean =="
 cargo fmt --all --check
 echo "  cargo fmt --all --check: clean"
 
+echo "== verify: the workspace is clippy-clean =="
+# Lints drift like formatting does. Every target of every workspace crate,
+# tests and benches included; ddbench is outside the workspace.
+cargo clippy -q --workspace --all-targets --release -- -D warnings
+echo "  cargo clippy --workspace --all-targets: clean under -D warnings"
+
 echo "== verify: workspace test suite (all crates, incl. dd-check self-tests) =="
 cargo test -q --workspace
 

@@ -16,8 +16,11 @@ use daredevil_repro::metrics::SpanTable;
 use daredevil_repro::prelude::*;
 use daredevil_repro::simkit::{Phase, SimTime, TraceSpec, MASK_ALL};
 
+/// Builds one stack's spec.
+type StackCtor = fn() -> StackSpec;
+
 /// Every stack ddsim can run, by its `--stack` name.
-const STACKS: &[(&str, fn() -> StackSpec)] = &[
+const STACKS: &[(&str, StackCtor)] = &[
     ("vanilla", StackSpec::vanilla),
     ("vanilla-partitioned", || StackSpec::vanilla_partitioned(4)),
     ("mq-deadline", || {
