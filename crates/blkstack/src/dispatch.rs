@@ -814,20 +814,23 @@ mod tests {
         // Stall the only NSQ for 1 ms from t=0: the arbiter skips it, the
         // fetch engine idles over published work — the exact lost-wakeup
         // state `fetch_starved` reports and the guard exists to break.
-        dev.install_faults(FaultPlan::from_events(
-            vec![FaultEvent {
-                at: SimTime::ZERO,
-                kind: FaultKind::NsqStall {
-                    sq: 0,
-                    dur: SimDuration::from_millis(1),
+        dev.install_faults(
+            FaultPlan::from_events(
+                vec![FaultEvent {
+                    at: SimTime::ZERO,
+                    kind: FaultKind::NsqStall {
+                        sq: 0,
+                        dur: SimDuration::from_millis(1),
+                    },
+                }],
+                FaultGeometry {
+                    dies: 1,
+                    sqs: 1,
+                    cqs: 1,
                 },
-            }],
-            FaultGeometry {
-                dies: 1,
-                sqs: 1,
-                cqs: 1,
-            },
-        ));
+            )
+            .expect("the stall targets the only SQ"),
+        );
         let mk = |cid: u64| NvmeCommand {
             cid: CommandId(cid),
             nsid: NamespaceId(1),

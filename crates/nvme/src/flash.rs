@@ -547,7 +547,8 @@ mod tests {
                 },
             }],
             geo,
-        );
+        )
+        .expect("die 0 is inside the geometry");
         // Inside the window: sense is 8× (400 µs) + 10 µs transfer.
         let spiked = f.dispatch_page(SimTime::ZERO, 0, IoOpcode::Read, &mut plan);
         assert_eq!(spiked, SimTime::from_micros(410));

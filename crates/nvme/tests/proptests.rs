@@ -326,7 +326,7 @@ fn random_faults(c: &mut Case, geo: FaultGeometry) -> FaultPlan {
         };
         FaultEvent { at, kind }
     });
-    FaultPlan::from_events(events, geo)
+    FaultPlan::from_events(events, geo).expect("targets are drawn inside the geometry")
 }
 
 /// The serial fetch engine conserves commands under any fault schedule:
@@ -565,7 +565,7 @@ fn flash_burst_matches_page_loop() {
         let plan = if spikes.is_empty() {
             FaultPlan::disabled()
         } else {
-            FaultPlan::from_events(spikes, geo)
+            FaultPlan::from_events(spikes, geo).expect("dies are drawn inside the geometry")
         };
         let (mut burst, mut looped) = (FlashBackend::new(cfg), FlashBackend::new(cfg));
         let (mut burst_faults, mut loop_faults) = (plan.clone(), plan);

@@ -14,6 +14,21 @@
 //! [`FaultPlan::enabled`] branch, and a disabled plan allocates nothing —
 //! faults off must be byte-identical to a build that never heard of
 //! faults.
+//!
+//! # Storage
+//!
+//! A schedule costs 16 bytes per event and nothing transient. Each entry
+//! keeps only its start, target, class and a `u16` index into the plan's
+//! table of `(multiplier, window)` shapes; [`FaultPlan::generate`] holds
+//! one shape per class, [`FaultPlan::from_events`] one per distinct pair.
+//! `generate` reserves the schedule once at its exact length (enabled
+//! classes × `horizon / period`) and sorts it in place with an unstable
+//! sort on one `u128` key — start, class, target, shape — which is
+//! [`FaultEvent`]'s derived order, so events activate exactly as a
+//! sorted list of `FaultEvent`s would. `advance` compares the clock with
+//! one cached start time and leaves the decoding to an out-of-line cold
+//! path. The aggressive spec over ddbench `hostile`'s 2.1 s horizon
+//! schedules 15 750 events, 246 KiB.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -193,6 +208,74 @@ pub struct FaultStats {
     pub stalls_engaged: u64,
 }
 
+/// A fault's class, in [`FaultKind`]'s variant order (the sort key's
+/// second field).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+enum Class {
+    DieSpike,
+    VectorLoss,
+    NsqStall,
+}
+
+/// What [`FaultPlan::generate`] holds constant per class: a multiplier
+/// (die spikes only; 0 for the other classes) and a window length.
+/// Ordered like [`FaultKind`]'s fields after the target.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Shape {
+    mult: u32,
+    dur: SimDuration,
+}
+
+/// One scheduled fault: its start, its target (die, CQ or SQ), its class
+/// and the index of its [`Shape`] in the plan's table.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    at: SimTime,
+    target: u32,
+    shape: u16,
+    class: Class,
+}
+
+// A schedule holds one entry per event, 15 750 of them over `hostile`'s
+// horizon: `mult` and `dur` live in the shape table, not in the entry.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 16);
+
+impl Entry {
+    /// [`FaultEvent`]'s order as one integer: start, class, target, then
+    /// the shape, whose indices follow `Shape`'s order within a class.
+    fn key(&self) -> u128 {
+        ((self.at.as_nanos() as u128) << 64)
+            | ((self.class as u128) << 48)
+            | ((self.target as u128) << 16)
+            | self.shape as u128
+    }
+}
+
+impl FaultKind {
+    /// The kind as `(class, target, shape)`.
+    fn split(self) -> (Class, u32, Shape) {
+        match self {
+            FaultKind::DieSpike { die, mult, dur } => (Class::DieSpike, die, Shape { mult, dur }),
+            FaultKind::VectorLoss { cq, dur } => {
+                (Class::VectorLoss, cq.into(), Shape { mult: 0, dur })
+            }
+            FaultKind::NsqStall { sq, dur } => (Class::NsqStall, sq.into(), Shape { mult: 0, dur }),
+        }
+    }
+}
+
+impl FaultGeometry {
+    /// How many targets `class` can hit, and what they are called.
+    fn targets(self, class: Class) -> (u32, &'static str) {
+        match class {
+            Class::DieSpike => (self.dies, "dies"),
+            Class::VectorLoss => (self.cqs.into(), "CQs"),
+            Class::NsqStall => (self.sqs.into(), "SQs"),
+        }
+    }
+}
+
 /// A generated, replayable fault schedule plus its activation state.
 ///
 /// The device calls [`FaultPlan::advance`] with its current virtual time
@@ -205,8 +288,15 @@ pub struct FaultStats {
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     on: bool,
-    events: Vec<FaultEvent>,
+    /// The schedule, sorted by [`Entry::key`].
+    entries: Vec<Entry>,
+    /// The shapes `entries` index.
+    shapes: Vec<Shape>,
     cursor: usize,
+    /// Start of `entries[cursor]`, or `SimTime::MAX` past the last: the
+    /// one compare `advance` makes. A disabled plan holds `ZERO`, so its
+    /// first `advance` (never reached in production) parks it at `MAX`.
+    next_at: SimTime,
     /// Per-die `(window end, multiplier)`.
     die_until: Vec<(SimTime, u32)>,
     /// Per-CQ loss-window end.
@@ -225,69 +315,112 @@ impl FaultPlan {
 
     /// Generates the schedule for `spec` over `horizon`, targeting
     /// `geometry`. Same spec + geometry + horizon → identical schedule.
+    ///
+    /// Each enabled class with a target schedules `horizon / period`
+    /// events, start then target drawn per event, class by class. The
+    /// schedule is reserved at that exact length and sorted in place.
     pub fn generate(spec: &FaultSpec, geometry: FaultGeometry, horizon: SimDuration) -> FaultPlan {
         let mut rng = SimRng::new(spec.seed ^ 0xFA17_FA17_FA17_FA17);
         let horizon_ns = horizon.as_nanos().max(1);
         let count = (horizon_ns / spec.period.as_nanos().max(1)).max(1);
-        let mut events = Vec::new();
-        if spec.classes.die_spikes && geometry.dies > 0 {
+        // Targets per class in draw order, 0 where the class is off. A
+        // class's shape index is its own.
+        let targets = [
+            (Class::DieSpike, spec.classes.die_spikes),
+            (Class::VectorLoss, spec.classes.irq_loss),
+            (Class::NsqStall, spec.classes.nsq_stalls),
+        ]
+        .map(|(class, on)| (class, if on { geometry.targets(class).0 } else { 0 }));
+        let drawn = || targets.iter().filter(|&&(_, n)| n > 0);
+        // dd-alloc-allowlist: the schedule's one reservation, at its exact length.
+        let mut entries = Vec::with_capacity(drawn().count() * count as usize);
+        for &(class, n) in drawn() {
             for _ in 0..count {
-                events.push(FaultEvent {
-                    at: SimTime::from_nanos(rng.gen_range(horizon_ns)),
-                    kind: FaultKind::DieSpike {
-                        die: rng.gen_range(geometry.dies as u64) as u32,
-                        mult: spec.spike_mult,
-                        dur: spec.spike_dur,
-                    },
+                let at = SimTime::from_nanos(rng.gen_range(horizon_ns));
+                entries.push(Entry {
+                    at,
+                    target: rng.gen_range(n.into()) as u32,
+                    shape: class as u16,
+                    class,
                 });
             }
         }
-        if spec.classes.irq_loss && geometry.cqs > 0 {
-            for _ in 0..count {
-                events.push(FaultEvent {
-                    at: SimTime::from_nanos(rng.gen_range(horizon_ns)),
-                    kind: FaultKind::VectorLoss {
-                        cq: rng.gen_range(geometry.cqs as u64) as u16,
-                        dur: spec.loss_dur,
-                    },
-                });
-            }
-        }
-        if spec.classes.nsq_stalls && geometry.sqs > 0 {
-            for _ in 0..count {
-                events.push(FaultEvent {
-                    at: SimTime::from_nanos(rng.gen_range(horizon_ns)),
-                    kind: FaultKind::NsqStall {
-                        sq: rng.gen_range(geometry.sqs as u64) as u16,
-                        dur: spec.stall_dur,
-                    },
-                });
-            }
-        }
-        events.sort(); // derives order by (at, kind) — fully deterministic
-        FaultPlan {
-            on: true,
-            events,
-            cursor: 0,
-            die_until: vec![(SimTime::ZERO, 1); geometry.dies as usize],
-            cq_until: vec![SimTime::ZERO; geometry.cqs as usize],
-            sq_until: vec![SimTime::ZERO; geometry.sqs as usize],
-            stats: FaultStats::default(),
-        }
+        let shapes = [
+            Shape {
+                mult: spec.spike_mult,
+                dur: spec.spike_dur,
+            },
+            Shape {
+                mult: 0,
+                dur: spec.loss_dur,
+            },
+            Shape {
+                mult: 0,
+                dur: spec.stall_dur,
+            },
+        ];
+        FaultPlan::scheduled(entries, shapes.to_vec(), geometry)
     }
 
     /// Builds a plan from an explicit event list (tests and targeted
     /// scenarios). Events are sorted; activation state is sized from
     /// `geometry`.
-    pub fn from_events(mut events: Vec<FaultEvent>, geometry: FaultGeometry) -> FaultPlan {
-        events.sort();
+    ///
+    /// # Errors
+    ///
+    /// Names the first event whose die, CQ or SQ lies outside `geometry`,
+    /// or reports more than 65 536 distinct `(mult, dur)` shapes.
+    pub fn from_events(
+        events: Vec<FaultEvent>,
+        geometry: FaultGeometry,
+    ) -> Result<FaultPlan, String> {
+        let mut shapes: Vec<Shape> = events.iter().map(|e| e.kind.split().2).collect();
+        shapes.sort_unstable();
+        shapes.dedup();
+        if shapes.len() > 1 << 16 {
+            return Err(format!(
+                "{} distinct fault shapes; a plan holds at most 65536",
+                shapes.len()
+            ));
+        }
+        let entries = events
+            .iter()
+            .map(|ev| {
+                let (class, target, shape) = ev.kind.split();
+                let (bound, what) = geometry.targets(class);
+                if target >= bound {
+                    return Err(format!(
+                        "fault event {ev:?} targets {target}, outside the device's {bound} {what}"
+                    ));
+                }
+                let shape = shapes.partition_point(|s| *s < shape) as u16;
+                Ok(Entry {
+                    at: ev.at,
+                    target,
+                    shape,
+                    class,
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(FaultPlan::scheduled(entries, shapes, geometry))
+    }
+
+    /// Sorts `entries` in place and sizes the activation windows.
+    fn scheduled(
+        mut entries: Vec<Entry>,
+        shapes: Vec<Shape>,
+        geometry: FaultGeometry,
+    ) -> FaultPlan {
+        entries.sort_unstable_by_key(Entry::key);
         FaultPlan {
             on: true,
-            events,
+            next_at: entries.first().map_or(SimTime::MAX, |e| e.at),
+            entries,
+            shapes,
             cursor: 0,
-            die_until: vec![(SimTime::ZERO, 1); geometry.dies as usize],
-            cq_until: vec![SimTime::ZERO; geometry.cqs as usize],
-            sq_until: vec![SimTime::ZERO; geometry.sqs as usize],
+            die_until: vec![(SimTime::ZERO, 1); geometry.dies as usize], // dd-alloc-allowlist: sized once from the geometry
+            cq_until: vec![SimTime::ZERO; geometry.cqs as usize], // dd-alloc-allowlist: sized once from the geometry
+            sq_until: vec![SimTime::ZERO; geometry.sqs as usize], // dd-alloc-allowlist: sized once from the geometry
             stats: FaultStats::default(),
         }
     }
@@ -299,9 +432,29 @@ impl FaultPlan {
         self.on
     }
 
-    /// The generated schedule (sorted by start time).
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
+    /// The schedule, decoded into events in their derived order (tests).
+    pub fn events(&self) -> Vec<FaultEvent> {
+        self.entries.iter().map(|e| self.decode(e)).collect()
+    }
+
+    fn decode(&self, e: &Entry) -> FaultEvent {
+        let Shape { mult, dur } = self.shapes[e.shape as usize];
+        let kind = match e.class {
+            Class::DieSpike => FaultKind::DieSpike {
+                die: e.target,
+                mult,
+                dur,
+            },
+            Class::VectorLoss => FaultKind::VectorLoss {
+                cq: e.target as u16,
+                dur,
+            },
+            Class::NsqStall => FaultKind::NsqStall {
+                sq: e.target as u16,
+                dur,
+            },
+        };
+        FaultEvent { at: e.at, kind }
     }
 
     /// Counters of faults that took effect so far.
@@ -311,12 +464,24 @@ impl FaultPlan {
 
     /// Activates every scheduled event whose start is at or before `now`.
     /// Monotone: a window once active stays recorded until it expires by
-    /// comparison against later `now` values.
+    /// comparison against later `now` values. One compare unless an
+    /// event is due.
+    #[inline]
     pub fn advance(&mut self, now: SimTime) {
-        while let Some(ev) = self.events.get(self.cursor) {
-            if ev.at > now {
+        if now >= self.next_at {
+            self.activate(now);
+        }
+    }
+
+    /// `advance`'s slow path: applies the due events in schedule order.
+    #[cold]
+    #[inline(never)]
+    fn activate(&mut self, now: SimTime) {
+        while let Some(e) = self.entries.get(self.cursor) {
+            if e.at > now {
                 break;
             }
+            let ev = self.decode(e);
             match ev.kind {
                 FaultKind::DieSpike { die, mult, dur } => {
                     let slot = &mut self.die_until[die as usize];
@@ -342,6 +507,7 @@ impl FaultPlan {
             }
             self.cursor += 1;
         }
+        self.next_at = self.entries.get(self.cursor).map_or(SimTime::MAX, |e| e.at);
     }
 
     /// Service-latency multiplier for `die` at `now`, if a spike window is
@@ -440,22 +606,20 @@ mod tests {
 
     #[test]
     fn spike_window_applies_then_expires() {
-        let mut plan = FaultPlan {
-            on: true,
-            events: vec![FaultEvent {
-                at: SimTime::from_micros(10),
-                kind: FaultKind::DieSpike {
-                    die: 3,
-                    mult: 8,
-                    dur: SimDuration::from_micros(100),
-                },
-            }],
-            cursor: 0,
-            die_until: vec![(SimTime::ZERO, 1); 4],
-            cq_until: vec![],
-            sq_until: vec![],
-            stats: FaultStats::default(),
+        let geo = FaultGeometry {
+            dies: 4,
+            sqs: 0,
+            cqs: 0,
         };
+        let spike = FaultEvent {
+            at: SimTime::from_micros(10),
+            kind: FaultKind::DieSpike {
+                die: 3,
+                mult: 8,
+                dur: SimDuration::from_micros(100),
+            },
+        };
+        let mut plan = FaultPlan::from_events(vec![spike], geo).unwrap();
         assert_eq!(plan.die_spike(SimTime::from_micros(5), 3), None);
         assert_eq!(plan.die_spike(SimTime::from_micros(50), 3), Some(8));
         assert_eq!(plan.die_spike(SimTime::from_micros(50), 2), None);
@@ -465,30 +629,28 @@ mod tests {
 
     #[test]
     fn loss_and_stall_windows() {
-        let mut plan = FaultPlan {
-            on: true,
-            events: vec![
-                FaultEvent {
-                    at: SimTime::from_micros(10),
-                    kind: FaultKind::VectorLoss {
-                        cq: 1,
-                        dur: SimDuration::from_micros(50),
-                    },
-                },
-                FaultEvent {
-                    at: SimTime::from_micros(20),
-                    kind: FaultKind::NsqStall {
-                        sq: 2,
-                        dur: SimDuration::from_micros(50),
-                    },
-                },
-            ],
-            cursor: 0,
-            die_until: vec![],
-            cq_until: vec![SimTime::ZERO; 2],
-            sq_until: vec![SimTime::ZERO; 4],
-            stats: FaultStats::default(),
+        let geo = FaultGeometry {
+            dies: 0,
+            sqs: 4,
+            cqs: 2,
         };
+        let events = vec![
+            FaultEvent {
+                at: SimTime::from_micros(20),
+                kind: FaultKind::NsqStall {
+                    sq: 2,
+                    dur: SimDuration::from_micros(50),
+                },
+            },
+            FaultEvent {
+                at: SimTime::from_micros(10),
+                kind: FaultKind::VectorLoss {
+                    cq: 1,
+                    dur: SimDuration::from_micros(50),
+                },
+            },
+        ];
+        let mut plan = FaultPlan::from_events(events, geo).unwrap();
         assert!(plan.loses_irq(SimTime::from_micros(30), 1));
         assert!(!plan.loses_irq(SimTime::from_micros(30), 0));
         assert!(!plan.loses_irq(SimTime::from_micros(70), 1));
@@ -498,6 +660,63 @@ mod tests {
         assert!(!plan.sq_stalled(SimTime::from_micros(90), 2));
         assert_eq!(plan.stats().vectors_lost, 1);
         assert_eq!(plan.stats().stalls_engaged, 1);
+    }
+
+    #[test]
+    fn from_events_rejects_targets_outside_the_geometry() {
+        let dur = SimDuration::from_micros(50);
+        let at = SimTime::from_micros(7);
+        for (kind, what) in [
+            (
+                FaultKind::DieSpike {
+                    die: 32,
+                    mult: 2,
+                    dur,
+                },
+                "32 dies",
+            ),
+            (FaultKind::VectorLoss { cq: 4, dur }, "4 CQs"),
+            (FaultKind::NsqStall { sq: 9, dur }, "8 SQs"),
+        ] {
+            let inside = FaultEvent {
+                at: SimTime::ZERO,
+                kind: FaultKind::NsqStall { sq: 7, dur },
+            };
+            let bad = FaultEvent { at, kind };
+            let err = FaultPlan::from_events(vec![inside, bad], GEO).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains(what), "{err}");
+        }
+        let last = FaultEvent {
+            at,
+            kind: FaultKind::DieSpike {
+                die: 31,
+                mult: 2,
+                dur,
+            },
+        };
+        assert!(FaultPlan::from_events(vec![last], GEO).is_ok());
+    }
+
+    #[test]
+    fn generate_reserves_exactly_its_schedule() {
+        for classes in [
+            FaultClasses::ALL,
+            FaultClasses::from_list("spikes,stalls").unwrap(),
+        ] {
+            let spec = FaultSpec::aggressive(classes, 5);
+            let plan = FaultPlan::generate(&spec, GEO, horizon());
+            assert!(!plan.entries.is_empty());
+            assert_eq!(plan.entries.capacity(), plan.entries.len());
+        }
+        // A class without targets schedules nothing.
+        let no_dies = FaultGeometry { dies: 0, ..GEO };
+        let plan = FaultPlan::generate(&FaultSpec::new(FaultClasses::ALL, 5), no_dies, horizon());
+        assert_eq!(plan.entries.capacity(), plan.entries.len());
+        assert!(!plan
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, FaultKind::DieSpike { .. })));
     }
 
     #[test]

@@ -427,3 +427,274 @@ fn trace_ring_wrap_drops_exactly_the_oldest() {
         Ok(())
     });
 }
+
+/// The reference fault schedule: 32-byte [`FaultEvent`]s pushed one by one
+/// in the generator's draw order (class by class; start, then target),
+/// then a stable sort on the derived `(at, kind)` order.
+fn reference_schedule(
+    spec: &simkit::FaultSpec,
+    geometry: simkit::FaultGeometry,
+    horizon: simkit::SimDuration,
+) -> Vec<simkit::FaultEvent> {
+    use simkit::{FaultEvent, FaultKind};
+    let mut rng = SimRng::new(spec.seed ^ 0xFA17_FA17_FA17_FA17);
+    let horizon_ns = horizon.as_nanos().max(1);
+    let count = (horizon_ns / spec.period.as_nanos().max(1)).max(1);
+    let mut events = Vec::new();
+    if spec.classes.die_spikes && geometry.dies > 0 {
+        for _ in 0..count {
+            events.push(FaultEvent {
+                at: SimTime::from_nanos(rng.gen_range(horizon_ns)),
+                kind: FaultKind::DieSpike {
+                    die: rng.gen_range(geometry.dies as u64) as u32,
+                    mult: spec.spike_mult,
+                    dur: spec.spike_dur,
+                },
+            });
+        }
+    }
+    if spec.classes.irq_loss && geometry.cqs > 0 {
+        for _ in 0..count {
+            events.push(FaultEvent {
+                at: SimTime::from_nanos(rng.gen_range(horizon_ns)),
+                kind: FaultKind::VectorLoss {
+                    cq: rng.gen_range(geometry.cqs as u64) as u16,
+                    dur: spec.loss_dur,
+                },
+            });
+        }
+    }
+    if spec.classes.nsq_stalls && geometry.sqs > 0 {
+        for _ in 0..count {
+            events.push(FaultEvent {
+                at: SimTime::from_nanos(rng.gen_range(horizon_ns)),
+                kind: FaultKind::NsqStall {
+                    sq: rng.gen_range(geometry.sqs as u64) as u16,
+                    dur: spec.stall_dur,
+                },
+            });
+        }
+    }
+    events.sort();
+    events
+}
+
+/// The reference activation state: a cursor over the sorted event list,
+/// applying each due event to per-target windows as it passes.
+struct RefFaults {
+    events: Vec<simkit::FaultEvent>,
+    cursor: usize,
+    die_until: Vec<(SimTime, u32)>,
+    cq_until: Vec<SimTime>,
+    sq_until: Vec<SimTime>,
+    stats: simkit::FaultStats,
+}
+
+impl RefFaults {
+    fn new(events: Vec<simkit::FaultEvent>, geo: simkit::FaultGeometry) -> Self {
+        RefFaults {
+            events,
+            cursor: 0,
+            die_until: vec![(SimTime::ZERO, 1); geo.dies as usize],
+            cq_until: vec![SimTime::ZERO; geo.cqs as usize],
+            sq_until: vec![SimTime::ZERO; geo.sqs as usize],
+            stats: simkit::FaultStats::default(),
+        }
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        use simkit::FaultKind;
+        while let Some(ev) = self.events.get(self.cursor) {
+            if ev.at > now {
+                break;
+            }
+            match ev.kind {
+                FaultKind::DieSpike { die, mult, dur } => {
+                    let slot = &mut self.die_until[die as usize];
+                    *slot = (slot.0.max(ev.at + dur), slot.1.max(mult));
+                    if slot.0 <= now {
+                        *slot = (SimTime::ZERO, 1);
+                    }
+                }
+                FaultKind::VectorLoss { cq, dur } => {
+                    let slot = &mut self.cq_until[cq as usize];
+                    *slot = (*slot).max(ev.at + dur);
+                }
+                FaultKind::NsqStall { sq, dur } => {
+                    let slot = &mut self.sq_until[sq as usize];
+                    *slot = (*slot).max(ev.at + dur);
+                    self.stats.stalls_engaged += 1;
+                }
+            }
+            self.cursor += 1;
+        }
+    }
+
+    fn die_spike(&mut self, now: SimTime, die: u32) -> Option<u32> {
+        self.advance(now);
+        let (until, mult) = self.die_until[die as usize];
+        (now < until).then(|| {
+            self.stats.spikes_applied += 1;
+            mult
+        })
+    }
+
+    fn loses_irq(&mut self, now: SimTime, cq: u16) -> bool {
+        self.advance(now);
+        let lost = now < self.cq_until[cq as usize];
+        self.stats.vectors_lost += u64::from(lost);
+        lost
+    }
+
+    fn sq_stalled(&self, now: SimTime, sq: u16) -> bool {
+        now < self.sq_until[sq as usize]
+    }
+}
+
+/// Drives `plans` and `reference` through one random monotone query
+/// sequence spanning about 1.5× `horizon_ns`: each plan must answer every
+/// `die_spike`, `loses_irq` and `sq_stalled` as the reference does and
+/// keep its `stats()` at every step.
+fn same_answers(
+    c: &mut dd_check::Case,
+    reference: &mut RefFaults,
+    plans: &mut [simkit::FaultPlan],
+    geo: simkit::FaultGeometry,
+    horizon_ns: u64,
+) -> dd_check::CheckResult {
+    let steps = c.usize_in(1, 400);
+    let mut now = 0u64;
+    for step in 0..steps {
+        now += c.u64_in(0, (3 * horizon_ns / steps as u64).max(2));
+        let t = SimTime::from_nanos(now);
+        match c.u8_in(0, 4) {
+            0 if geo.dies > 0 => {
+                let die = c.u32_in(0, geo.dies);
+                let want = reference.die_spike(t, die);
+                for plan in plans.iter_mut() {
+                    prop_assert_eq!(plan.die_spike(t, die), want, "die_spike at step {}", step);
+                }
+            }
+            1 if geo.cqs > 0 => {
+                let cq = c.u16_in(0, geo.cqs);
+                let want = reference.loses_irq(t, cq);
+                for plan in plans.iter_mut() {
+                    prop_assert_eq!(plan.loses_irq(t, cq), want, "loses_irq at step {}", step);
+                }
+            }
+            2 if geo.sqs > 0 => {
+                let sq = c.u16_in(0, geo.sqs);
+                reference.advance(t);
+                let want = reference.sq_stalled(t, sq);
+                for plan in plans.iter_mut() {
+                    plan.advance(t);
+                    prop_assert_eq!(plan.sq_stalled(t, sq), want, "sq_stalled at step {}", step);
+                }
+            }
+            _ => {
+                reference.advance(t);
+                for plan in plans.iter_mut() {
+                    plan.advance(t);
+                }
+            }
+        }
+        for plan in plans.iter() {
+            prop_assert_eq!(plan.stats(), reference.stats, "stats at step {}", step);
+        }
+    }
+    Ok(())
+}
+
+/// A random geometry; any count may be zero, so a class can have no target.
+fn fault_geometry(c: &mut dd_check::Case) -> simkit::FaultGeometry {
+    simkit::FaultGeometry {
+        dies: c.u32_in(0, 64),
+        sqs: c.u16_in(0, 32),
+        cqs: c.u16_in(0, 16),
+    }
+}
+
+/// The compact fault schedule is the reference one. Over random specs
+/// (any class subset; windows of 1 ns–1 ms; periods of 2–400 µs, or of
+/// 1–64 ns so that many events share a start), geometries and horizons
+/// of up to 3 000 periods, `generate` decodes to exactly the reference's
+/// sorted 32-byte events, and so does `from_events` fed those events.
+/// Both plans then answer a random monotone query sequence exactly as
+/// the reference does (`same_answers`).
+#[test]
+fn fault_plan_matches_reference_schedule() {
+    use simkit::{FaultClasses, FaultPlan, FaultSpec, SimDuration};
+    check("fault_plan_matches_reference_schedule", |c| {
+        let classes = FaultClasses {
+            die_spikes: c.bool_with(0.7),
+            irq_loss: c.bool_with(0.7),
+            nsq_stalls: c.bool_with(0.7),
+        };
+        let mut spec = FaultSpec::new(classes, c.any_u64());
+        let dur = |c: &mut dd_check::Case| SimDuration::from_nanos(c.u64_in(1, 1_000_000));
+        let period = if c.bool_with(0.3) {
+            c.u64_in(1, 65)
+        } else {
+            c.u64_in(2_000, 400_000)
+        };
+        spec.period = SimDuration::from_nanos(period);
+        spec.spike_mult = c.u32_in(1, 32);
+        spec.spike_dur = dur(c);
+        spec.loss_dur = dur(c);
+        spec.stall_dur = dur(c);
+        let geo = fault_geometry(c);
+        let horizon_ns = period * c.u64_in(0, 3_000) + c.u64_in(1, period + 1);
+        let horizon = SimDuration::from_nanos(horizon_ns);
+        let want = reference_schedule(&spec, geo, horizon);
+        let generated = FaultPlan::generate(&spec, geo, horizon);
+        prop_assert_eq!(generated.events(), want.clone(), "generate");
+        let listed = FaultPlan::from_events(want.clone(), geo).map_err(dd_check::Failure::new)?;
+        prop_assert_eq!(listed.events(), want.clone(), "from_events");
+        let mut reference = RefFaults::new(want, geo);
+        same_answers(c, &mut reference, &mut [generated, listed], geo, horizon_ns)
+    });
+}
+
+/// `from_events` with a shape per event, as the device properties draw
+/// them: a few starts, so events of one class and target often share a
+/// start and differ only in multiplier or window, and half the windows
+/// are short enough to end between two queries. The plan decodes to
+/// the sorted list, activates in that order and so answers a random
+/// monotone query sequence exactly as the reference does.
+#[test]
+fn fault_plan_from_events_matches_reference() {
+    use simkit::{FaultEvent, FaultKind, FaultPlan, SimDuration};
+    check("fault_plan_from_events_matches_reference", |c| {
+        let geo = fault_geometry(c);
+        let horizon_ns = c.u64_in(1, 200_000);
+        let starts = c.vec_of(1, 8, |c| c.u64_in(0, horizon_ns));
+        let drawn = c.vec_of(0, 200, |c| {
+            let at = SimTime::from_nanos(starts[c.usize_in(0, starts.len())]);
+            let longest = if c.bool_with(0.5) { 2_000 } else { 100_000 };
+            let dur = SimDuration::from_nanos(c.u64_in(1, longest));
+            let kind = match c.u8_in(0, 3) {
+                0 if geo.dies > 0 => FaultKind::DieSpike {
+                    die: c.u32_in(0, geo.dies.min(3)),
+                    mult: c.u32_in(1, 5),
+                    dur,
+                },
+                1 if geo.cqs > 0 => FaultKind::VectorLoss {
+                    cq: c.u16_in(0, geo.cqs.min(3)),
+                    dur,
+                },
+                _ if geo.sqs > 0 => FaultKind::NsqStall {
+                    sq: c.u16_in(0, geo.sqs.min(3)),
+                    dur,
+                },
+                _ => return None,
+            };
+            Some(FaultEvent { at, kind })
+        });
+        let mut events: Vec<FaultEvent> = drawn.into_iter().flatten().collect();
+        let plan = FaultPlan::from_events(events.clone(), geo).map_err(dd_check::Failure::new)?;
+        events.sort();
+        prop_assert_eq!(plan.events(), events.clone());
+        let mut reference = RefFaults::new(events, geo);
+        same_answers(c, &mut reference, &mut [plan], geo, horizon_ns)
+    });
+}

@@ -128,8 +128,9 @@ impl Machine {
     /// (see `simkit::arena`).
     ///
     /// The scenario's tenant specs are consumed into the machine's tenants
-    /// (a fleet host holds thousands), so a run keeps one copy of each;
-    /// the bounds that count them are taken first.
+    /// (a fleet host holds thousands) and its device configuration into
+    /// the device, so a run keeps one copy of each; the bounds that count
+    /// them are taken first.
     ///
     /// # Panics
     ///
@@ -139,7 +140,12 @@ impl Machine {
             .validate()
             .unwrap_or_else(|e| panic!("invalid scenario '{}': {e}", scenario.name));
         let nr_cores = scenario.nr_cores();
-        let mut device = NvmeDevice::new(scenario.nvme.clone(), nr_cores);
+        // Everything read from the whole scenario is taken before its
+        // device configuration moves into the device.
+        let bounds = scenario.io_bounds();
+        let (near, far) = event_bound(&scenario, bounds.inflight);
+        let start = start_timers(&scenario);
+        let mut device = NvmeDevice::new(scenario.nvme, nr_cores);
         // Fault injection: generate the whole schedule up front from the
         // spec seed and the device geometry — purely virtual-time, so runs
         // with faults stay exactly as deterministic as runs without.
@@ -159,8 +165,6 @@ impl Machine {
         // slabs and CQE scratch, the stack's own tables, and the device's
         // command slab; submission scratch from the batch bound. The
         // steady state allocates nothing on the hot path.
-        let bounds = scenario.io_bounds();
-        let (near, far) = event_bound(&scenario, bounds.inflight);
         stack.dispatch().adopt(arena);
         stack.dispatch().reserve(bounds.inflight);
         stack.reserve(bounds);
@@ -173,7 +177,7 @@ impl Machine {
             .enumerate()
         {
             let pid = Pid(i as u64 + 1);
-            let ns_blocks = scenario.nvme.namespace_blocks[spec.nsid.index()];
+            let ns_blocks = device.config().namespace_blocks[spec.nsid.index()];
             let driver = match spec.kind {
                 TenantKind::Fio(job) => Driver::Fio(job),
                 TenantKind::App(app) => {
@@ -218,7 +222,7 @@ impl Machine {
         let mut dev_out: DeviceOutput = arena.take(0);
         dev_out.trace.reconfigure(scenario.knobs.trace);
         let mut cpu: CpuSystem<Work> = arena.take(0);
-        cpu.configure(scenario.nr_cores());
+        cpu.configure(nr_cores);
         // Each lane is reserved for the events that can wait in it at once,
         // so the dispatch loop never grows the queue mid-run.
         let mut queue: EventQueue<Event> = arena.take(0);
@@ -258,7 +262,7 @@ impl Machine {
                 active_apps,
             },
             timers: Timers {
-                start: start_timers(&scenario),
+                start,
                 stop_at: window_start + scenario.knobs.measure,
                 core_pool: scenario.core_pool,
                 cpu_baseline,

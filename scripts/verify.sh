@@ -168,7 +168,7 @@ echo "== verify: dispatch/push paths stay allocation-free =="
 # mark the line (or the line above it) with `dd-alloc-allowlist: <reason>`.
 # Test modules (`#[cfg(test)]` onward) are exempt. The machine's glob
 # expands to every file of the module.
-ALLOC_FILES="crates/testbed/src/machine/*.rs crates/simkit/src/event.rs crates/cpu/src/core_model.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/blkstack/src/iosched.rs crates/blkswitch/src/lib.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs crates/nvme/src/queue.rs crates/virtio/src/lib.rs"
+ALLOC_FILES="crates/testbed/src/machine/*.rs crates/simkit/src/event.rs crates/simkit/src/fault.rs crates/cpu/src/core_model.rs crates/blkstack/src/dispatch.rs crates/blkstack/src/blkmq.rs crates/blkstack/src/iosched.rs crates/blkswitch/src/lib.rs crates/nvme/src/controller.rs crates/nvme/src/arbiter.rs crates/nvme/src/device.rs crates/nvme/src/flash.rs crates/nvme/src/queue.rs crates/virtio/src/lib.rs"
 ALLOC_FAIL=0
 for f in $ALLOC_FILES; do
     HITS="$(awk '
